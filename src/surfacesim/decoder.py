@@ -4,6 +4,13 @@ The X and Z graphs are decoded independently.  Real detection events are
 matched against each other or against their nearest spatial boundary;
 the matching minimizes total separation under the chosen metric.
 
+Separations come from tables built once per Decoder: the metric is
+evaluated for every (stabilizer, stabilizer, round offset) within
+pruning reach, and per stabilizer for the boundary.  The circuit is
+periodic in time, so these cover every event pair of every window, and
+decoding a window evaluates no metric at all: candidate edges are table
+lookups between time-sorted events.
+
 The match graph follows the virtual-twin construction: every real event
 gets a virtual partner at its boundary weight, virtual nodes pair among
 themselves at zero weight, and real-real edges heavier than the sum of
@@ -21,6 +28,7 @@ maximum-probability path, so the failure verdict is unchanged.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -40,7 +48,7 @@ PRUNE_EPS = 1e-9
 class DecodeOutcome:
     """Matched pairs, applied corrections and the logical verdict."""
 
-    matches: dict[str, list[tuple]]
+    matches: dict[str, list[tuple] | None]
     corrections: dict[str, np.ndarray]  # data-cell flip plane per graph
     logical_x_failed: bool
     logical_z_failed: bool
@@ -51,22 +59,23 @@ class Decoder:
     """Reusable decoder for one (lattice, schedule, model, metric) setup.
 
     Construction precomputes, per graph, the pair-weight table
-    wtab[a, b, dt] over all stabilizer pairs within pruning reach and the
-    per-stabilizer boundary weights, so decoding a window only does table
-    lookups and small exact matchings.
+    wtab[a][b][dt] over all stabilizer pairs within pruning reach and the
+    per-stabilizer boundary weights, using MetricCache as a build-time
+    helper.  Decoding a window then reads only these tables: candidate
+    edges are table lookups, followed by small exact matchings.
     """
 
     def __init__(self, table: EdgeClassTable, metric: str = "dmax"):
         self.table = table
         self.lattice = table.lattice
         self.metric = metric
-        self.caches = {g: MetricCache(table, g, metric) for g in ("x", "z")}
-        self._reach = {g: self._max_reach(g) for g in ("x", "z")}
-        from . import _kernels
-        self._kernels = _kernels if _kernels.HAVE_NUMBA else None
-        self._arrays = {g: self._precompute(g) for g in ("x", "z")}
+        self._tables = {g: self._precompute(g, MetricCache(table, g, metric))
+                        for g in ("x", "z")}
+        lat = self.lattice
+        self._lx = np.array([lat.index(c) for c in lat.logical_x_support], dtype=np.intp)
+        self._lz = np.array([lat.index(c) for c in lat.logical_z_support], dtype=np.intp)
 
-    def _max_reach(self, graph: str) -> int:
+    def _max_reach(self, graph: str, cache: MetricCache) -> int:
         """Chebyshev-distance cutoff beyond which real-real edges are
         always pruned.  One link moves at most one sublattice unit per
         axis, so a pair at offset L needs at least L links."""
@@ -77,32 +86,31 @@ class Decoder:
         if not probs:
             return 1
         w_min = -math.log(max(probs))
-        b_max = max(self.caches[graph].boundary_weight(self.lattice.index(c))[0]
+        b_max = max(cache.boundary_weight(self.lattice.index(c))[0]
                     for c in self.lattice.stabilizers(graph))
         return max(1, int(math.ceil(2.0 * b_max / w_min)))
 
-    def _precompute(self, graph: str) -> dict:
+    def _precompute(self, graph: str, cache: MetricCache) -> dict:
+        """Per-stabilizer tables of one graph, as plain Python lists: the
+        decode loop indexes them per candidate pair, where list lookups
+        are much cheaper than numpy scalar indexing."""
         lat = self.lattice
-        cache = self.caches[graph]
         stabs = lat.stabilizers(graph)
         S = len(stabs)
-        cells = np.array([lat.index(c) for c in stabs], dtype=np.int32)
-        stab_of_cell = np.full(lat.size * lat.size, -1, dtype=np.int32)
-        for a, c in enumerate(cells):
-            stab_of_cell[c] = a
-        sub = np.array([lat.sublattice_coord(c) for c in stabs], dtype=np.int32)
-        bw = [cache.boundary_weight(int(c)) for c in cells]
-        bvals = np.array([w for w, _ in bw], dtype=np.float64)
+        cells = [lat.index(c) for c in stabs]
+        stab_of_cell = {c: a for a, c in enumerate(cells)}
+        sub = [lat.sublattice_coord(c) for c in stabs]
+        bw = [cache.boundary_weight(c) for c in cells]
+        bvals = [w for w, _ in bw]
         bsides = [side for _, side in bw]
-        reach = self._reach[graph]
+        reach = self._max_reach(graph, cache)
 
         wtab = np.full((S, S, reach + 1), np.inf, dtype=np.float64)
         if self.metric == "dmax":
-            cutoff = 2.0 * float(bvals.max()) + 1e-9
+            cutoff = 2.0 * max(bvals) + 1e-9
             lg = LinkGraph(self.table, graph)
-            import heapq
             for a in range(S):
-                src = (int(cells[a]), 0)
+                src = (cells[a], 0)
                 dist = {src: 0.0}
                 heap = [(0.0, src)]
                 while heap:
@@ -110,9 +118,9 @@ class Decoder:
                     if d > dist.get(node, math.inf) or d > cutoff:
                         continue
                     cell, t = node
-                    if t >= 0:
+                    if 0 <= t <= reach:
                         b = stab_of_cell[cell]
-                        if 0 <= t <= reach and d < wtab[a, b, t]:
+                        if d < wtab[a, b, t]:
                             wtab[a, b, t] = d
                     for other, prob in lg.neighbors(node):
                         nd = d - math.log(prob)
@@ -128,8 +136,7 @@ class Decoder:
                 w_min = -math.log(max(probs)) if probs else 1.0
             for a in range(S):
                 for b in range(S):
-                    cheb = max(abs(int(sub[a, 0]) - int(sub[b, 0])),
-                               abs(int(sub[a, 1]) - int(sub[b, 1])))
+                    cheb = max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1]))
                     if cheb > reach:
                         continue
                     if not math.isfinite(bvals[a] + bvals[b]):
@@ -141,52 +148,42 @@ class Decoder:
                         if self.metric != "manhattan" and \
                                 links_lb * w_min >= bvals[a] + bvals[b]:
                             continue  # pruned anyway; leave inf
-                        wtab[a, b, dt] = cache.pair_weight(
-                            int(cells[a]), 0, int(cells[b]), dt)
-        dir_code = {"left": 0, "right": 1, "top": 2, "bottom": 3}
-        bdirs = np.array([dir_code[s] for s in bsides], dtype=np.int32)
-        return {"cells": cells, "stab_of_cell": stab_of_cell,
-                "sub_a": sub[:, 0].copy(), "sub_b": sub[:, 1].copy(),
-                "bvals": bvals, "bsides": bsides, "bdirs": bdirs,
-                "wtab": wtab, "reach": reach}
+                        wtab[a, b, dt] = cache.pair_weight(cells[a], 0, cells[b], dt)
+        return {"cells": cells, "bvals": bvals, "bsides": bsides,
+                "wtab": wtab.tolist(), "reach": reach}
 
     def decode(self, history: SyndromeHistory, frame: PauliFrame,
                verify: bool = False, collect_matches: bool = True) -> DecodeOutcome:
-        matches: dict[str, list[tuple]] = {}
-        corrections: dict[str, np.ndarray] = {}
-        size = self.lattice.size
-        for graph in ("x", "z"):
-            corr = np.zeros(size * size, dtype=np.uint8)
-            if self._kernels is not None:
-                pu, pv, bc, bdir, meta = self._match_events_fast(
-                    history, graph, collect=collect_matches)
-                self._kernels.apply_corrections(size, pu, pv, bc, bdir, corr)
-                if collect_matches:
-                    events, pairs, bd = meta
-                    matches[graph] = [(events[u], events[v]) for u, v in pairs]
-                    matches[graph] += [(events[u], side) for u, side in bd]
-                else:
-                    matches[graph] = None
-            else:
-                events = _events_of_graph(history, graph)
-                pairs, bd = self._match_graph_events(graph, events)
-                matches[graph] = [(events[u], events[v]) for u, v in pairs]
-                for u, v in pairs:
-                    _staircase_flip(self.lattice, corr, events[u][0], events[v][0])
-                for u, side in bd:
-                    _boundary_flip(self.lattice, corr, events[u][0], side)
-                    matches[graph].append((events[u], side))
-            corrections[graph] = corr
+        """Match both graphs' detection events and judge the window.
 
-        res_x = frame.x.copy()
-        res_z = frame.z.copy()
-        res_x ^= corrections["z"]  # the z graph tracks data X errors
-        res_z ^= corrections["x"]
+        With collect_matches unset, `matches` holds None per graph; the
+        corrections and the verdict are the same either way.
+        """
         lat = self.lattice
-        lx = [lat.index(c) for c in lat.logical_x_support]
-        lz = [lat.index(c) for c in lat.logical_z_support]
-        x_failed = bool(int(res_z[lx].sum()) % 2)
-        z_failed = bool(int(res_x[lz].sum()) % 2)
+        matches: dict[str, list[tuple] | None] = {}
+        corrections: dict[str, np.ndarray] = {}
+        for graph in ("x", "z"):
+            tab = self._tables[graph]
+            cells, bsides = tab["cells"], tab["bsides"]
+            stabs, ts = _graph_events(history, graph)
+            pairs, bd = self._match_graph_events(graph, stabs, ts)
+            corr = np.zeros(lat.size * lat.size, dtype=np.uint8)
+            for u, v in pairs:
+                _staircase_flip(lat, corr, cells[stabs[u]], cells[stabs[v]])
+            for u in bd:
+                _boundary_flip(lat, corr, cells[stabs[u]], bsides[stabs[u]])
+            corrections[graph] = corr
+            if collect_matches:
+                events = [(cells[a], t) for a, t in zip(stabs, ts)]
+                matches[graph] = [(events[u], events[v]) for u, v in pairs]
+                matches[graph] += [(events[u], bsides[stabs[u]]) for u in bd]
+            else:
+                matches[graph] = None
+
+        res_x = frame.x ^ corrections["z"]  # the z graph tracks data X errors
+        res_z = frame.z ^ corrections["x"]
+        x_failed = bool(int(res_z[self._lx].sum()) % 2)
+        z_failed = bool(int(res_x[self._lz].sum()) % 2)
 
         if verify:
             _assert_trivial_syndrome(lat, res_x, res_z)
@@ -196,97 +193,69 @@ class Decoder:
             logical_x_failed=x_failed, logical_z_failed=z_failed,
             residual={"x": res_x, "z": res_z})
 
-    def _match_events_fast(self, history: SyndromeHistory, graph: str,
-                           collect: bool = True):
-        """Kernel route.  Returns correction arrays (pair cell endpoints,
-        boundary cells and exit directions) plus (events, pairs, bd)
-        metadata when collect is set."""
-        arrays = self._arrays[graph]
-        signs = history.signs[graph]
-        changed = (signs[:, 1:] != signs[:, :-1])
-        t_idx, a_idx = np.nonzero(changed.T)  # sorted by time
-        stabs = a_idx.astype(np.int32)
-        ts = (t_idx + 1).astype(np.int32)
-        cells = arrays["cells"]
-        bdirs = arrays["bdirs"]
+    def _match_graph_events(self, graph: str, stabs: list[int], ts: list[int]):
+        """Match one graph's events, given as parallel lists of stabilizer
+        indices and rounds; returns (real pairs, boundary-matched events)
+        as positions in those lists.
 
-        pair_u, pair_v, bd_idx, n_pairs, n_bd = self._kernels.solve_components(
-            stabs, ts, arrays["wtab"], arrays["bvals"], arrays["reach"],
-            arrays["sub_a"], arrays["sub_b"], PRUNE_EPS, 1e-12, DP_MAX_NODES)
-        pu = pair_u[:n_pairs]
-        pv = pair_v[:n_pairs]
-        bn = bd_idx[:n_bd]
-        pu_cell = cells[stabs[pu]]
-        pv_cell = cells[stabs[pv]]
-        bc = cells[stabs[bn]]
-        bdir = bdirs[stabs[bn]]
-        if not collect:
-            return pu_cell, pv_cell, bc, bdir, None
-        events = [(int(cells[a]), int(t) + 1) for a, t in zip(a_idx, t_idx)]
-        pairs = [(int(u), int(v)) for u, v in zip(pu, pv)]
-        bsides = arrays["bsides"]
-        bd_meta = [(int(u), bsides[stabs[u]]) for u in bn]
-        return pu_cell, pv_cell, bc, bdir, (events, pairs, bd_meta)
-
-    def _match_graph_events(self, graph: str, events: list[tuple[int, int]]):
-        """Match events of one graph; returns (real pairs, boundary picks)."""
-        k = len(events)
+        Candidate pairs are scanned in time order, but events keep their
+        given positions as labels: exact ties between optimal matchings
+        are resolved by label order, so decode passes events in scan order
+        (by stabilizer, then round) to keep every verdict reproducible.
+        """
+        k = len(stabs)
         if k == 0:
             return [], []
-        cache = self.caches[graph]
-        lat = self.lattice
-        bweight = []
-        bside = []
-        for cell, _t in events:
-            w, side = cache.boundary_weight(cell)
-            bweight.append(w)
-            bside.append(side)
         if k == 1:
-            return [], [(0, bside[0])]
-
-        reach = self._reach[graph]
-        sub = [lat.sublattice_coord(lat.cell(c)) for c, _ in events]
-        order = sorted(range(k), key=lambda u: events[u][1])
+            return [], [0]
+        tab = self._tables[graph]
+        wtab, reach, bvals = tab["wtab"], tab["reach"], tab["bvals"]
+        bweight = [bvals[a] for a in stabs]
+        order = sorted(range(k), key=ts.__getitem__)
+        st = [stabs[u] for u in order]
+        tt = [ts[u] for u in order]
+        bt = [bweight[u] for u in order]
         edges: dict[tuple[int, int], float] = {}
-        adj: dict[int, list[int]] = {u: [] for u in range(k)}
-        for oi, u in enumerate(order):
-            cu, tu = events[u]
-            for v in order[oi + 1:]:
-                cv, tv = events[v]
-                if tv - tu > reach:
+        adj: list[list[int]] = [[] for _ in range(k)]
+        for i in range(k):
+            row = wtab[st[i]]
+            ti = tt[i]
+            bi = bt[i]
+            for j in range(i + 1, k):
+                dt = tt[j] - ti
+                if dt > reach:
                     break
-                if (abs(sub[u][0] - sub[v][0]) > reach or
-                        abs(sub[u][1] - sub[v][1]) > reach):
-                    continue
-                w = cache.pair_weight(cu, tu, cv, tv)
-                if w < bweight[u] + bweight[v] - PRUNE_EPS:
-                    edges[(min(u, v), max(u, v))] = w
+                # Pairs beyond Chebyshev reach hold inf, so the table
+                # lookup also does the spatial cut.
+                w = row[st[j]][dt]
+                if w < bi + bt[j] - PRUNE_EPS:
+                    u, v = order[i], order[j]
+                    edges[(u, v) if u < v else (v, u)] = w
                     adj[u].append(v)
                     adj[v].append(u)
 
         pairs: list[tuple[int, int]] = []
-        boundary: list[tuple[int, str]] = []
+        boundary: list[int] = []
         for comp in _components(k, adj):
             if len(comp) == 1:
-                u = comp[0]
-                boundary.append((u, bside[u]))
+                boundary.append(comp[0])
                 continue
             local_pairs, local_bd = _solve_component(comp, edges, bweight)
             pairs.extend(local_pairs)
-            boundary.extend((u, bside[u]) for u in local_bd)
+            boundary.extend(local_bd)
         return pairs, boundary
 
 
-def _events_of_graph(history: SyndromeHistory, graph: str) -> list[tuple[int, int]]:
-    """(flat_cell, t) detection events of one graph, in scan order."""
+def _graph_events(history: SyndromeHistory, graph: str) -> tuple[list[int], list[int]]:
+    """Detection events of one graph in scan order (by stabilizer, then
+    round), as parallel lists of stabilizer indices (into
+    lattice.stabilizers(graph)) and rounds."""
     signs = history.signs[graph]
-    lat = history.lattice
-    stabs = history.lattice.stabilizers(graph)
-    changed = signs[:, 1:] != signs[:, :-1]
-    return [(lat.index(stabs[a]), int(t) + 1) for a, t in zip(*np.nonzero(changed))]
+    a_idx, t_idx = np.nonzero(signs[:, 1:] != signs[:, :-1])
+    return a_idx.tolist(), (t_idx + 1).tolist()
 
 
-def _components(k: int, adj: dict[int, list[int]]) -> list[list[int]]:
+def _components(k: int, adj: list[list[int]]) -> list[list[int]]:
     seen = [False] * k
     out = []
     for start in range(k):
@@ -379,13 +348,13 @@ def _solve_blossom(comp: list[int], edges: dict[tuple[int, int], float],
     """
     from .matching import _max_weight_matching
     k = len(comp)
+    pos = {u: a for a, u in enumerate(comp)}
     redges = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            u, v = comp[a], comp[b]
-            w = edges.get((min(u, v), max(u, v)))
-            if w is not None:
-                redges.append((a, b, bweight[u] + bweight[v] - w))
+    for (u, v), w in edges.items():
+        if u in pos:  # components are closed under edges: so is v
+            a, b = sorted((pos[u], pos[v]))
+            redges.append((a, b, bweight[u] + bweight[v] - w))
+    redges.sort()  # by position pair; the edge order breaks exact ties
     mate = _max_weight_matching(k, redges, maxcardinality=False)
     pairs = []
     bd = []

@@ -337,8 +337,9 @@ def stats_to_csv(stats: SweepStats) -> str:
 
 def csv_to_stats(text: str) -> SweepStats:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    assert header == CSV_COLUMNS, f"unexpected header {header}"
+    header = lines[0].split(",") if lines else []
+    if header != CSV_COLUMNS:
+        raise ValueError(f"unexpected CSV header {header}")
     rows = []
     for ln in lines[1:]:
         vals = dict(zip(header, ln.split(",")))

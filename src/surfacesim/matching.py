@@ -77,16 +77,8 @@ def mwpm(graph: MatchGraph) -> Matching:
     if n == 0:
         return Matching(pairs=(), total_weight=0.0)
     max_w = max((w for _, _, w in graph.edges), default=0.0)
-    from . import _kernels
-    if _kernels.HAVE_NUMBA and graph.edges:
-        import numpy as np
-        eu = np.array([u for u, _, _ in graph.edges], dtype=np.int32)
-        ev = np.array([v for _, v, _ in graph.edges], dtype=np.int32)
-        ew = np.array([max_w - w for _, _, w in graph.edges], dtype=np.float64)
-        mate = _kernels.blossom_match(n, eu, ev, ew, True, EPS)
-    else:
-        shifted = [(u, v, max_w - w) for u, v, w in graph.edges]
-        mate = _max_weight_matching(n, shifted, maxcardinality=True)
+    shifted = [(u, v, max_w - w) for u, v, w in graph.edges]
+    mate = _max_weight_matching(n, shifted, maxcardinality=True)
     pairs = []
     for v in range(n):
         if mate[v] == -1:

@@ -83,8 +83,6 @@ class CompiledCircuit:
         self.gate_ctl = np.array([g[1] for g in gates], dtype=np.int32)
         self.gate_tgt = np.array([g[2] for g in gates], dtype=np.int32)
         self.n_cnots = len(gates)
-        # Index of the first gate of each step within the per-gate arrays.
-        self.step_ofs = np.searchsorted(self.gate_step, np.arange(5)).astype(np.int32)
 
         self.data_idx = np.array([lattice.index(c) for c in lattice.data_qubits], dtype=np.int32)
         self.z_idx = np.array([lattice.index(c) for c in lattice.z_stabilizers], dtype=np.int32)
@@ -92,7 +90,6 @@ class CompiledCircuit:
         self.n_z = len(self.z_idx)
         self.n_x = len(self.x_idx)
         self.idle_steps = schedule.idle_steps
-        self.n_idle = len(self.idle_steps)
 
 
 def compile_circuit(lattice: Lattice, schedule: GateSchedule) -> CompiledCircuit:
@@ -282,18 +279,10 @@ def simulate_window(circuit: CompiledCircuit, model: ErrorModel,
 
     Rounds are indexed 1..rounds for noise/injection purposes; recorded
     sign history additionally contains the baseline column 0 and the
-    closure column rounds+1.  Plain noisy windows run through the
-    compiled kernel with all noise pre-sampled per window (one stream per
-    window, drawn CNOT block / idle block / measurement block); windows
-    with injections, or without the compiled kernels, advance cycle by
-    cycle.
+    closure column rounds+1.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    from . import _kernels
-    if rng is not None and injections is None and _kernels.HAVE_NUMBA:
-        return _simulate_window_fast(circuit, model, rng, rounds, record_noise)
-
     frame = PauliFrame.zeros(circuit.n_cells)
     noise_log: list | None = [] if record_noise else None
 
@@ -310,79 +299,6 @@ def simulate_window(circuit: CompiledCircuit, model: ErrorModel,
         z_signs[:, t] = rz ^ prev_z
         x_signs[:, t] = rx ^ prev_x
         prev_z, prev_x = rz, rx
-
-    history = SyndromeHistory(
-        lattice=circuit.lattice,
-        signs={"z": z_signs, "x": x_signs},
-        noisy_rounds=rounds,
-    )
-    return WindowResult(history=history, frame=frame, noise_log=noise_log)
-
-
-def _simulate_window_fast(circuit: CompiledCircuit, model: ErrorModel,
-                          rng: np.random.Generator, rounds: int,
-                          record_noise: bool) -> WindowResult:
-    from ._kernels import window_kernel
-    T = rounds
-    empty32 = np.empty(0, dtype=np.int32)
-
-    if model.p2 > 0.0:
-        u = rng.random((T, circuit.n_cnots))
-        rr, gg = np.nonzero(u < model.p2)
-        kinds = np.minimum((u[rr, gg] / model.p2 * 15).astype(np.int32), 14)
-        cnot_round = (rr + 1).astype(np.int32)
-        cnot_gate = gg.astype(np.int32)
-    else:
-        cnot_round = cnot_gate = kinds = empty32
-    n_data = len(circuit.data_idx)
-    n_idle_locs = circuit.n_idle * n_data
-    if model.pI > 0.0 and n_idle_locs:
-        u = rng.random((T, n_idle_locs))
-        rr, ll = np.nonzero(u < model.pI)
-        idle_kind = np.minimum((u[rr, ll] / model.pI * 3).astype(np.int32), 2)
-        idle_round = (rr + 1).astype(np.int32)
-        idle_cell = circuit.data_idx[ll % n_data].astype(np.int32)
-        # Columns are blocked by idle step; only step 5 acts early.
-        idle_late = np.ones(len(ll), dtype=np.uint8)
-        if circuit.idle_steps and circuit.idle_steps[0] == 5:
-            idle_late[ll < n_data] = 0
-        idle_block = (ll // n_data).astype(np.int32)
-    else:
-        idle_round = idle_cell = idle_kind = idle_block = empty32
-        idle_late = np.empty(0, dtype=np.uint8)
-    if model.pM > 0.0:
-        u = rng.random((T, circuit.n_z + circuit.n_x))
-        rr, ss = np.nonzero(u < model.pM)
-        meas_round = (rr + 1).astype(np.int32)
-        meas_stab = ss.astype(np.int32)
-    else:
-        meas_round = meas_stab = empty32
-
-    frame = PauliFrame.zeros(circuit.n_cells)
-    n_rounds = rounds + 2
-    z_signs = np.zeros((circuit.n_z, n_rounds), dtype=np.uint8)
-    x_signs = np.zeros((circuit.n_x, n_rounds), dtype=np.uint8)
-    window_kernel(rounds, circuit.n_cells,
-                  circuit.gate_ctl, circuit.gate_tgt, circuit.step_ofs,
-                  cnot_round, cnot_gate, kinds,
-                  idle_round, idle_cell, idle_kind, idle_late,
-                  meas_round, meas_stab,
-                  circuit.z_idx, circuit.x_idx,
-                  PAULI2_BITS, PAULI1_BITS,
-                  frame.x, frame.z, z_signs, x_signs)
-
-    noise_log = None
-    if record_noise:
-        noise_log = []
-        data_pos = {int(c): i for i, c in enumerate(circuit.data_idx)}
-        for t, g, k in zip(cnot_round, cnot_gate, kinds):
-            noise_log.append((int(t), f"cnot{int(circuit.gate_step[g]) + 1}",
-                              int(g), int(k)))
-        for t, c, k, blk in zip(idle_round, idle_cell, idle_kind, idle_block):
-            step = circuit.idle_steps[int(blk)]
-            noise_log.append((int(t), f"idle{step}", data_pos[int(c)], int(k)))
-        for t, s in zip(meas_round, meas_stab):
-            noise_log.append((int(t), "meas", int(s), 0))
 
     history = SyndromeHistory(
         lattice=circuit.lattice,

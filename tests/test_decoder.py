@@ -9,10 +9,11 @@ from surfacesim.noise import SINGLE_PAULIS, TWO_QUBIT_PAULIS
 from surfacesim.sim import compile_circuit, make_injection, simulate_window
 from surfacesim.edge_analysis import derive_edge_classes
 from surfacesim.decoder import (
-    Decoder, build_match_graph, corrections_from_matching, decode_window,
+    DP_MAX_NODES, Decoder, build_match_graph, corrections_from_matching,
+    decode_window, _graph_events,
 )
 from surfacesim.matching import mwpm
-from surfacesim.metric import MetricCache
+from surfacesim.metric import LinkGraph, MetricCache, d_max
 
 
 @pytest.fixture(scope="module")
@@ -160,38 +161,171 @@ def test_build_match_graph_empty():
     assert mwpm(graph).pairs == ()
 
 
-def test_fast_path_matches_full_blossom(setup_d5):
-    """Component-decomposed decoding equals blossom on the full augmented
-    graph, window by window."""
-    circ, model, table, dec = setup_d5
-    from surfacesim.decoder import _events_of_graph
+def _event_tuples(dec, graph_name, stabs, ts):
+    cells = dec._tables[graph_name]["cells"]
+    return [(cells[a], t) for a, t in zip(stabs, ts)]
+
+
+def test_fast_path_matches_full_blossom():
+    """Table-driven, component-decomposed decoding equals blossom on the
+    full unpruned augmented graph, window by window."""
+    _check_against_full_blossom(5, "dmax", rounds=20, max_events=40)
+
+
+def test_fast_path_matches_full_blossom_d2():
+    # d2 weights of far pairs enumerate very many paths: keep windows short.
+    _check_against_full_blossom(3, "d2", rounds=3, max_events=10)
+
+
+def _check_against_full_blossom(d, metric, rounds, max_events):
+    lat = build_lattice(d)
+    circ = compile_circuit(lat, standard_schedule(lat))
+    model = preset("standard", 0.01)
+    table = derive_edge_classes(circ, model)
+    dec = Decoder(table, metric)
+    caches = {g: MetricCache(table, g, metric) for g in ("x", "z")}
+    checked = 0
     for trial in range(25):
-        res = simulate_window(circ, model, trial_rng(31, trial), rounds=20)
+        res = simulate_window(circ, model, trial_rng(31, trial), rounds=rounds)
         for graph_name in ("x", "z"):
-            events = _events_of_graph(res.history, graph_name)
-            if not events or len(events) > 40:
+            stabs, ts = _graph_events(res.history, graph_name)
+            if not stabs or len(stabs) > max_events:
                 continue
-            cache = dec.caches[graph_name]
-            pairs, bd = dec._match_graph_events(graph_name, events)
+            events = _event_tuples(dec, graph_name, stabs, ts)
+            cache = caches[graph_name]
+            pairs, bd = dec._match_graph_events(graph_name, stabs, ts)
+            assert sorted([u for p in pairs for u in p] + bd) == list(range(len(stabs)))
             fast_total = math.fsum(
                 cache.pair_weight(events[u][0], events[u][1],
                                   events[v][0], events[v][1])
                 for u, v in pairs) + math.fsum(
-                cache.boundary_weight(events[u][0])[0] for u, _ in bd)
+                cache.boundary_weight(events[u][0])[0] for u in bd)
             full, _sides = build_match_graph(events, cache, prune=False)
             full_total = mwpm(full).total_weight
             assert fast_total == pytest.approx(full_total, abs=1e-6), \
                 (trial, graph_name, len(events))
+            checked += 1
+    assert checked >= 5
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_dmax_table_matches_d_max_oracle(d):
+    """Every finite table entry is the d_max of its pair, and no pair that
+    could beat two boundary matches is missing from the table."""
+    lat = build_lattice(d)
+    circ = compile_circuit(lat, standard_schedule(lat))
+    table = derive_edge_classes(circ, preset("standard", 0.01))
+    dec = Decoder(table, "dmax")
+    for g in ("x", "z"):
+        tab = dec._tables[g]
+        cells, bvals, reach = tab["cells"], tab["bvals"], tab["reach"]
+        wtab = np.array(tab["wtab"])
+        sub = [lat.sublattice_coord(lat.cell(c)) for c in cells]
+        graph = LinkGraph(table, g)
+        for a, b, dt in np.ndindex(wtab.shape):
+            if a == b and dt == 0:
+                continue  # no two events share a space-time point
+            cheb = max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1]))
+            if cheb > reach:
+                assert wtab[a, b, dt] == np.inf, (g, a, b, dt)
+                continue
+            exact = d_max(graph, (cells[a], 0), (cells[b], dt))
+            if np.isfinite(wtab[a, b, dt]):
+                assert wtab[a, b, dt] == pytest.approx(exact, rel=1e-12, abs=0)
+            else:
+                assert exact >= bvals[a] + bvals[b], (g, a, b, dt)
+
+
+def test_path_sum_table_matches_pair_weight():
+    lat = build_lattice(3)
+    circ = compile_circuit(lat, standard_schedule(lat))
+    table = derive_edge_classes(circ, preset("standard", 0.01))
+    dec = Decoder(table, "d2")
+    for g in ("x", "z"):
+        tab = dec._tables[g]
+        cells = tab["cells"]
+        wtab = np.array(tab["wtab"])
+        fresh = MetricCache(table, g, "d2")
+        finite = list(zip(*np.nonzero(np.isfinite(wtab))))
+        assert len(finite) > 50
+        for a, b, dt in finite:
+            exact = fresh.pair_weight(cells[a], 0, cells[b], int(dt))
+            assert wtab[a, b, dt] == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.fixture(scope="module")
+def decoders_d3():
+    lat = build_lattice(3)
+    circ = compile_circuit(lat, standard_schedule(lat))
+    model = preset("standard", 0.01)
+    table = derive_edge_classes(circ, model)
+    return circ, model, {m: Decoder(table, m) for m in ("dmax", "d2", "manhattan")}
+
+
+@pytest.mark.parametrize("metric", ["dmax", "d2", "manhattan"])
+def test_decode_reads_only_the_tables(decoders_d3, metric, monkeypatch):
+    """Once built, a decoder computes no metric: every weight it needs is
+    in its tables."""
+    circ, model, decoders = decoders_d3
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("metric evaluated during decode")
+
+    import surfacesim.metric as metric_module
+    for name in ("d_max", "path_sum", "boundary_distance", "min_links"):
+        monkeypatch.setattr(metric_module, name, forbidden)
+    monkeypatch.setattr(MetricCache, "pair_weight", forbidden)
+    monkeypatch.setattr(MetricCache, "boundary_weight", forbidden)
+    events = 0
+    for trial in range(30):
+        res = simulate_window(circ, model, trial_rng(12, trial), rounds=10)
+        out = decoders[metric].decode(res.history, res.frame, verify=True)
+        events += sum(len(m) for m in out.matches.values())
+    assert events > 0
+
+
+def test_blossom_components_match_networkx(setup_d5, monkeypatch):
+    """Components too large for the subset DP: the blossom's objective
+    equals networkx's maximum-weight matching on the same gain graph."""
+    nx = pytest.importorskip("networkx")
+    import surfacesim.decoder as decoder_module
+    circ, model, table, dec = setup_d5
+    captured = []
+    original = decoder_module._solve_blossom
+
+    def capture(comp, edges, bweight):
+        pairs, bd = original(comp, edges, bweight)
+        captured.append((comp, dict(edges), list(bweight), pairs, bd))
+        return pairs, bd
+
+    monkeypatch.setattr(decoder_module, "_solve_blossom", capture)
+    for trial in range(10):
+        res = simulate_window(circ, model, trial_rng(8, trial), rounds=50)
+        dec.decode(res.history, res.frame)
+    assert captured
+    for comp, edges, bweight, pairs, bd in captured:
+        assert len(comp) > DP_MAX_NODES
+        members = set(comp)
+        assert sorted([u for p in pairs for u in p] + bd) == sorted(comp)
+        ours = math.fsum([edges[(min(u, v), max(u, v))] for u, v in pairs]
+                         + [bweight[u] for u in bd])
+        gains = nx.Graph()
+        for (u, v), w in edges.items():
+            if u in members:
+                gains.add_edge(u, v, weight=bweight[u] + bweight[v] - w)
+        mate = nx.max_weight_matching(gains, maxcardinality=False)
+        theirs = math.fsum(bweight[u] for u in comp) - math.fsum(
+            gains[u][v]["weight"] for u, v in mate)
+        assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-9)
 
 
 def test_corrections_from_matching_roundtrip(setup_d5):
     circ, model, table, dec = setup_d5
-    from surfacesim.decoder import _events_of_graph
     res = simulate_window(circ, model, trial_rng(77, 3), rounds=15)
-    events = _events_of_graph(res.history, "z")
+    events = _event_tuples(dec, "z", *_graph_events(res.history, "z"))
     if not events:
         pytest.skip("no events in this window")
-    cache = dec.caches["z"]
+    cache = MetricCache(table, "z", "dmax")
     graph, sides = build_match_graph(events, cache)
     matching = mwpm(graph)
     corr = corrections_from_matching(matching, events, sides, circ.lattice)

@@ -85,6 +85,15 @@ def test_csv_roundtrip_and_reproducibility():
     assert strip_wall(text) == strip_wall(text2)
 
 
+def test_csv_to_stats_rejects_a_bad_header():
+    good = stats_to_csv(SweepStats())
+    with pytest.raises(ValueError, match="header"):
+        csv_to_stats(good.replace("fail_x", "failx"))
+    with pytest.raises(ValueError, match="header"):
+        csv_to_stats("")
+    assert csv_to_stats(good).rows == []
+
+
 def test_empty_stats_csv_is_header_only():
     assert stats_to_csv(SweepStats()) == ",".join(
         stats_to_csv(SweepStats()).splitlines()) + "\n"
