@@ -15,10 +15,14 @@ The match graph follows the virtual-twin construction: every real event
 gets a virtual partner at its boundary weight, virtual nodes pair among
 themselves at zero weight, and real-real edges heavier than the sum of
 the two boundary weights are pruned (they can never improve an optimal
-matching).  After pruning the graph splits into small connected
-components which are solved exactly: clusters up to a size cutoff by
-dynamic programming over subsets, larger ones by the blossom solver.
-Both routes return the same optimum as blossom on the full graph.
+matching).  After pruning the graph splits into connected components,
+each handed its own edges, which are solved exactly: clusters of up to
+DP_MAX_NODES events by dynamic programming over subsets, larger ones as
+a maximum-weight matching of pair gains by the event-driven blossom
+solver in `matching`.  The cutoff is where the two cost the same on
+components from real windows: the DP doubles its work per added event,
+blossom grows slowly.  Both routes return the same optimum as blossom
+on the full graph.
 
 Corrections walk a canonical staircase (vertical leg then horizontal
 leg) between matched stabilizers, or straight out of the recorded
@@ -40,7 +44,7 @@ from .matching import MatchGraph, Matching, mwpm
 from .metric import LinkGraph, MetricCache
 from .sim import PauliFrame, SyndromeHistory
 
-DP_MAX_NODES = 12
+DP_MAX_NODES = 6
 PRUNE_EPS = 1e-9
 
 
@@ -236,11 +240,11 @@ class Decoder:
 
         pairs: list[tuple[int, int]] = []
         boundary: list[int] = []
-        for comp in _components(k, adj):
+        for comp, comp_edges in _components(k, adj, edges):
             if len(comp) == 1:
                 boundary.append(comp[0])
                 continue
-            local_pairs, local_bd = _solve_component(comp, edges, bweight)
+            local_pairs, local_bd = _solve_component(comp, comp_edges, bweight)
             pairs.extend(local_pairs)
             boundary.extend(local_bd)
         return pairs, boundary
@@ -255,30 +259,38 @@ def _graph_events(history: SyndromeHistory, graph: str) -> tuple[list[int], list
     return a_idx.tolist(), (t_idx + 1).tolist()
 
 
-def _components(k: int, adj: list[list[int]]) -> list[list[int]]:
-    seen = [False] * k
-    out = []
+def _components(k: int, adj: list[list[int]], edges: dict[tuple[int, int], float]
+                ) -> list[tuple[list[int], dict[tuple[int, int], float]]]:
+    """Connected components of the candidate graph, each with its own
+    edges (in the order of `edges`)."""
+    comp_of = [-1] * k
+    comps: list[list[int]] = []
     for start in range(k):
-        if seen[start]:
+        if comp_of[start] >= 0:
             continue
+        c = len(comps)
         comp = [start]
-        seen[start] = True
+        comp_of[start] = c
         stack = [start]
         while stack:
             u = stack.pop()
             for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
+                if comp_of[v] < 0:
+                    comp_of[v] = c
                     comp.append(v)
                     stack.append(v)
-        out.append(comp)
-    return out
+        comps.append(comp)
+    comp_edges: list[dict[tuple[int, int], float]] = [{} for _ in comps]
+    for uv, w in edges.items():
+        comp_edges[comp_of[uv[0]]][uv] = w
+    return list(zip(comps, comp_edges))
 
 
 def _solve_component(comp: list[int], edges: dict[tuple[int, int], float],
                      bweight: list[float]):
     """Exact minimum of sum(pair weights) + sum(boundary weights of the
-    unpaired), over all pairings within one component."""
+    unpaired), over all pairings within one component; `edges` holds the
+    component's own edges."""
     k = len(comp)
     if k == 2:
         u, v = comp
@@ -351,9 +363,8 @@ def _solve_blossom(comp: list[int], edges: dict[tuple[int, int], float],
     pos = {u: a for a, u in enumerate(comp)}
     redges = []
     for (u, v), w in edges.items():
-        if u in pos:  # components are closed under edges: so is v
-            a, b = sorted((pos[u], pos[v]))
-            redges.append((a, b, bweight[u] + bweight[v] - w))
+        a, b = sorted((pos[u], pos[v]))
+        redges.append((a, b, bweight[u] + bweight[v] - w))
     redges.sort()  # by position pair; the edge order breaks exact ties
     mate = _max_weight_matching(k, redges, maxcardinality=False)
     pairs = []

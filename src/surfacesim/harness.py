@@ -122,7 +122,7 @@ def _mttf(T: int, p_fail: float) -> float:
     if p_fail <= 0.0:
         return math.inf
     if p_fail >= 1.0:
-        return T / 50.0  # every window fails; below one window's resolution
+        return math.nan  # every window fails: censored below one window
     return -T / math.log1p(-p_fail)
 
 
@@ -131,6 +131,8 @@ def rounds_to_failure(row: PointStats) -> dict[str, dict[str, float]]:
 
     With zero observed failures the point estimate is unbounded (inf) and
     only the lower bound, from the Wilson upper limit on P, is reported.
+    When every window fails the estimate and the lower bound are censored
+    (nan): the failure time lies below one window and is not resolved.
     """
     out = {}
     for logical, k in (("x", row.fail_x), ("z", row.fail_z)):
@@ -249,14 +251,6 @@ def estimate_threshold(stats: SweepStats, logical: str = "x",
     if len(ps) < 5:
         raise ThresholdError(f"need >= 5 p values, got {ps}")
 
-    def curves(fail_of) -> dict[int, dict[float, float]]:
-        out: dict[int, dict[float, float]] = {}
-        for r in stats.rows:
-            k = fail_of(r)
-            if k >= min_failures:
-                out.setdefault(r.d, {})[r.p] = math.log(_mttf(r.T, k / r.N))
-        return out
-
     def crossings(curve) -> list[float]:
         roots = []
         for a in range(len(distances)):
@@ -277,7 +271,7 @@ def estimate_threshold(stats: SweepStats, logical: str = "x",
                     roots.append(float(root))
         return roots
 
-    real = crossings(curves(lambda r: r.fail_x if logical == "x" else r.fail_z))
+    real = crossings(_curves(stats, logical, min_failures))
     if not real:
         order = {}
         for r in stats.rows:
@@ -298,7 +292,7 @@ def estimate_threshold(stats: SweepStats, logical: str = "x",
                        fail_z=int(rng.binomial(r.N, r.fail_z / r.N)))
             for r in stats.rows
         ])
-        got = crossings(_boot_curves(resampled, logical, min_failures))
+        got = crossings(_curves(resampled, logical, min_failures))
         if got:
             boots.append(float(np.mean(got)))
     sigma = float(np.std(boots)) if len(boots) >= 10 else float("nan")
@@ -306,11 +300,14 @@ def estimate_threshold(stats: SweepStats, logical: str = "x",
             "bootstrap_samples": len(boots), "logical": logical}
 
 
-def _boot_curves(stats: SweepStats, logical: str, min_failures: int):
+def _curves(stats: SweepStats, logical: str, min_failures: int):
+    """log(rounds to failure) per distance and p, over the rows whose
+    estimate is resolved: at least min_failures failures, and not every
+    window failed."""
     out: dict[int, dict[float, float]] = {}
     for r in stats.rows:
         k = r.fail_x if logical == "x" else r.fail_z
-        if k >= min_failures:
+        if min_failures <= k < r.N:
             out.setdefault(r.d, {})[r.p] = math.log(_mttf(r.T, k / r.N))
     return out
 
@@ -359,7 +356,7 @@ def stats_to_json(stats: SweepStats) -> str:
         for logical in ("x", "z"):
             for key in ("estimate", "lo", "hi"):
                 v = mttf[logical][key]
-                d[f"mttf_{logical}_{key}"] = None if math.isinf(v) else v
+                d[f"mttf_{logical}_{key}"] = v if math.isfinite(v) else None
         rows.append(d)
     return json.dumps({"schema": "surfacesim-results-v1", "rows": rows}, indent=2)
 

@@ -1,15 +1,44 @@
 """Exact minimum-weight perfect matching on general weighted graphs.
 
-The solver is a primal-dual blossom algorithm (Edmonds) in the classic
-O(n^3) formulation: it maintains vertex/blossom dual variables, grows
-alternating trees from free vertices, shrinks odd cycles into blossoms
-and expands them when their dual reaches zero.  Minimization is realized
-by maximizing the uniformly shifted weights (max_w - w) in
-maximum-cardinality mode, which preserves the optimal perfect matching.
+`_max_weight_matching` is a primal-dual blossom algorithm (Edmonds) run
+as one continuous stage over many alternating trees, in the manner of
+multi-tree solvers (Kolmogorov, "Blossom V", 2009; Higgott & Gidney,
+"Sparse Blossom", arXiv:2303.15933).  Every free vertex roots an S-tree
+at the start; trees grow, shrink odd cycles into blossoms and expand
+T-blossoms whose dual reaches zero.  An augmentation joins two trees,
+flips the matching along the path and dissolves only those two trees:
+their blossoms, nested ones included, lose their labels, and so do the
+marks their scans left inside other trees' T-blossoms.  Every other tree
+carries on.  Minimization is realized by maximizing the uniformly shifted
+weights (max_w - w) in maximum-cardinality mode, which preserves the
+optimal perfect matching.
 
-Tightness comparisons on floating-point weights use an absolute epsilon
-of 1e-12; duals are combinations of halved input weights, so this is far
-above accumulated rounding error for decoder-scale weights.
+Duals are lazy.  All trees move their duals together as time `now`
+advances, so the dual of a vertex, or the z of a blossom, is stored as
+off + rate * now.  A vertex's rate follows the label of its top-level
+blossom (S -1, T +1, unlabelled 0); a top-level blossom's z moves the
+other way and nested z are frozen.  A value is rewritten only when its
+rate changes.  Nothing else is updated as time passes: a heap holds the
+times at which something becomes tight, and the solver jumps from one
+to the next.  There are three kinds of event:
+
+* an edge between S vertices of different blossoms (its slack falls at
+  rate 2), pushed when one end is scanned as S;
+* an edge from an S vertex to an unlabelled one (rate 1), pushed when
+  either end turns S or unlabelled;
+* a T-blossom whose z reaches zero, pushed when it is labelled T.
+
+An event carries the rate-change stamps of its vertices (or blossom) at
+push time.  A popped event whose stamps no longer match is stale and is
+dropped; a current one is acted on whatever its recomputed slack, so
+roundoff can never lose an event.  In max-weight mode the run ends when
+the free vertices' duals reach zero (now = max weight); in both modes it
+ends when fewer than two free vertices remain or no event is left.
+
+`eps` (1e-12, absolute) decides only whether an edge found during a scan
+is tight enough to act on at once rather than through an event; duals
+are combinations of halved input weights, so this is far above
+accumulated rounding error for decoder-scale weights.
 
 A brute-force oracle over all perfect matchings is provided for small
 graphs, plus a plain "u v w" edge-list text format for test harnesses.
@@ -19,8 +48,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 EPS = 1e-12
+# Kinds of timeline event in _max_weight_matching.
+_STOP, _EDGE, _EXPAND = range(3)
 
 
 class MatchingError(ValueError):
@@ -141,7 +173,6 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
     """
     if not edges:
         return [-1] * n
-    nedge = len(edges)
 
     # endpoint[p] is the vertex at endpoint p; edge k has endpoints 2k, 2k+1.
     endpoint = []
@@ -153,33 +184,54 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
     for k, (i, j, _) in enumerate(edges):
         neighbend[i].append(2 * k + 1)
         neighbend[j].append(2 * k)
-
+    wt2 = [2.0 * wt for _, _, wt in edges]
     maxweight = max(0.0, max(w for _, _, w in edges))
 
     # mate[v] = remote endpoint of its matched edge, or -1.
     mate = [-1] * n
-    # label per top-level blossom: 0 free, 1 = S (outer), 2 = T (inner).
+    # label per top-level blossom: 0 unlabelled, 1 = S (outer), 2 = T (inner).
+    # On a vertex inside a T-blossom, 2 marks a tight edge from an S vertex.
     label = [0] * (2 * n)
     # labelend[b] = endpoint through which b got its label (or -1).
     labelend = [-1] * (2 * n)
+    # tree[b] = root vertex of the alternating tree holding top-level b.
+    tree = [-1] * (2 * n)
     # inblossom[v] = top-level blossom containing vertex v.
     inblossom = list(range(n))
     blossomparent = [-1] * (2 * n)
     blossomchilds: list = [None] * (2 * n)
     blossombase = list(range(n)) + [-1] * n
     blossomendps: list = [None] * (2 * n)
-    # bestedge[b] = edge index with least slack to another S-blossom.
-    bestedge = [-1] * (2 * n)
-    blossombestedges: list = [None] * (2 * n)
     unusedblossoms = list(range(n, 2 * n))
-    # Vertex duals start at maxweight, blossom duals at zero.
-    dualvar = [maxweight] * n + [0.0] * n
-    allowedge = [False] * nedge
+    # Lazy duals: at time `now` the dual of vertex x (or the z of blossom
+    # x) is off[x] + rate[x] * now.  stamp[x] counts the changes of
+    # rate[x]; an event recorded under an older stamp is stale.
+    off = [maxweight] * n + [0.0] * n
+    rate = [0] * (2 * n)
+    stamp = [0] * (2 * n)
+    # Per tree root: the blossoms labelled into the tree, and the
+    # (vertex, endpoint) marks its scans wrote inside T-blossoms.
+    members: list = [[] for _ in range(n)]
+    marks: list = [[] for _ in range(n)]
     queue: list[int] = []
+    # Events (time, kind, endpoint or blossom, stamp, stamp); equal times
+    # resolve by kind, then index.  In max-weight mode nothing at or after
+    # the stop time can fire, so such events are not recorded.
+    stop = math.inf if maxcardinality else maxweight
+    heap: list = [] if maxcardinality else [(stop, _STOP, 0, 0, 0)]
+    now = 0.0
 
-    def slack(k: int) -> float:
-        i, j, wt = edges[k]
-        return dualvar[i] + dualvar[j] - 2.0 * wt
+    def set_rate(x: int, r: int) -> None:
+        if rate[x] != r:
+            off[x] += (rate[x] - r) * now
+            rate[x] = r
+            stamp[x] += 1
+
+    def push_edge(e: int, t: float) -> None:
+        """Event: the edge of endpoint e becomes tight at time t; the
+        S vertex is at e ^ 1, the S or unlabelled vertex at e."""
+        if t < stop:
+            heappush(heap, (t, _EDGE, e, stamp[endpoint[e ^ 1]], stamp[endpoint[e]]))
 
     def blossom_leaves(b: int):
         if b < n:
@@ -196,16 +248,28 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
         assert label[w] == 0 and label[b] == 0
         label[w] = label[b] = t
         labelend[w] = labelend[b] = p
-        bestedge[w] = bestedge[b] = -1
+        root = w if p == -1 else tree[inblossom[endpoint[p]]]
+        tree[b] = root
+        members[root].append(b)
         if t == 1:
-            queue.extend(blossom_leaves(b))
+            if b >= n:
+                set_rate(b, 1)
+            for v in blossom_leaves(b):
+                set_rate(v, -1)
+                queue.append(v)
         else:
+            if b >= n:
+                set_rate(b, -1)
+                heappush(heap, (off[b], _EXPAND, b, stamp[b], 0))
+            for v in blossom_leaves(b):
+                set_rate(v, 1)
             base = blossombase[b]
             assert mate[base] >= 0
             assign_label(endpoint[mate[base]], 1, mate[base] ^ 1)
 
     def scan_blossom(v: int, w: int) -> int:
-        """Trace back from v and w to find a common tree ancestor base."""
+        """Trace back from v and w to find a common tree ancestor base;
+        -1 when they lie in different trees."""
         path = []
         base = -1
         while v != -1 or w != -1:
@@ -232,7 +296,7 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
         return base
 
     def add_blossom(base: int, k: int) -> None:
-        """Shrink the cycle through edge k and base into a new blossom."""
+        """Shrink the cycle through edge k and base into a new S-blossom."""
         (v, w, _) = edges[k]
         bb = inblossom[base]
         bv = inblossom[v]
@@ -268,98 +332,96 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
         assert label[bb] == 1
         label[b] = 1
         labelend[b] = labelend[bb]
-        dualvar[b] = 0.0
+        tree[b] = tree[bb]
+        members[tree[b]].append(b)
+        off[b] = 0.0
+        rate[b] = 0
+        set_rate(b, 1)
         blossomchilds[b] = path
         blossomendps[b] = endps
+        for s in path:
+            if s >= n:
+                set_rate(s, 0)  # nested z freezes
         for leaf in blossom_leaves(b):
             if label[inblossom[leaf]] == 2:
+                set_rate(leaf, -1)
                 queue.append(leaf)
             inblossom[leaf] = b
-        # Merge least-slack edge lists of the sub-blossoms.
-        bestedgeto = [-1] * (2 * n)
-        for bv in path:
-            if blossombestedges[bv] is None:
-                nblists = [[p // 2 for p in neighbend[leaf]]
-                           for leaf in blossom_leaves(bv)]
-            else:
-                nblists = [blossombestedges[bv]]
-            for nblist in nblists:
-                for kk in nblist:
-                    (i, j, _) = edges[kk]
-                    if inblossom[j] == b:
-                        i, j = j, i
-                    bj = inblossom[j]
-                    if (bj != b and label[bj] == 1 and
-                            (bestedgeto[bj] == -1 or
-                             slack(kk) < slack(bestedgeto[bj]))):
-                        bestedgeto[bj] = kk
-            blossombestedges[bv] = None
-            bestedge[bv] = -1
-        blossombestedges[b] = [kk for kk in bestedgeto if kk != -1]
-        bestedge[b] = -1
-        for kk in blossombestedges[b]:
-            if bestedge[b] == -1 or slack(kk) < slack(bestedge[b]):
-                bestedge[b] = kk
 
-    def expand_blossom(b: int, endstage: bool) -> None:
+    def push_loose(loose: list[int]) -> None:
+        """Events for the edges from S vertices to newly unlabelled ones."""
+        for x in loose:
+            for p in neighbend[x]:
+                s = endpoint[p]
+                if label[inblossom[s]] == 1:
+                    push_edge(p ^ 1, off[s] + off[x] - wt2[p >> 1])
+
+    def expand_blossom(b: int) -> None:
+        """Dissolve top-level T-blossom b, whose z has reached zero."""
         for s in blossomchilds[b]:
             blossomparent[s] = -1
             if s < n:
                 inblossom[s] = s
-            elif endstage and dualvar[s] <= eps:
-                expand_blossom(s, endstage)
             else:
                 for leaf in blossom_leaves(s):
                     inblossom[leaf] = s
-        if (not endstage) and label[b] == 2:
-            # Relabel the path through the blossom that the tree uses.
-            assert labelend[b] >= 0
-            entrychild = inblossom[endpoint[labelend[b] ^ 1]]
-            j = blossomchilds[b].index(entrychild)
-            if j & 1:
-                j -= len(blossomchilds[b])
-                jstep = 1
-                endptrick = 0
-            else:
-                jstep = -1
-                endptrick = 1
-            p = labelend[b]
-            while j != 0:
-                label[endpoint[p ^ 1]] = 0
-                label[endpoint[blossomendps[b][j - endptrick] ^ endptrick ^ 1]] = 0
-                assign_label(endpoint[p ^ 1], 2, p)
-                allowedge[blossomendps[b][j - endptrick] // 2] = True
-                j += jstep
-                p = blossomendps[b][j - endptrick] ^ endptrick
-                allowedge[p // 2] = True
-                j += jstep
-            bv = blossomchilds[b][j]
-            label[endpoint[p ^ 1]] = label[bv] = 2
-            labelend[endpoint[p ^ 1]] = labelend[bv] = p
-            bestedge[bv] = -1
+        set_rate(b, 0)
+        # Relabel the path through the blossom that the tree uses.
+        assert labelend[b] >= 0
+        entrychild = inblossom[endpoint[labelend[b] ^ 1]]
+        j = blossomchilds[b].index(entrychild)
+        if j & 1:
+            j -= len(blossomchilds[b])
+            jstep = 1
+            endptrick = 0
+        else:
+            jstep = -1
+            endptrick = 1
+        p = labelend[b]
+        while j != 0:
+            label[endpoint[p ^ 1]] = 0
+            label[endpoint[blossomendps[b][j - endptrick] ^ endptrick ^ 1]] = 0
+            assign_label(endpoint[p ^ 1], 2, p)
             j += jstep
-            while blossomchilds[b][j] != entrychild:
-                bv = blossomchilds[b][j]
-                if label[bv] == 1:
-                    j += jstep
-                    continue
-                for leaf in blossom_leaves(bv):
-                    if label[leaf] != 0:
-                        break
-                else:
-                    leaf = -1
-                if leaf >= 0:
-                    assert label[leaf] == 2
-                    assert inblossom[leaf] == bv
-                    label[leaf] = 0
-                    label[endpoint[mate[blossombase[bv]]]] = 0
-                    assign_label(leaf, 2, labelend[leaf])
+            p = blossomendps[b][j - endptrick] ^ endptrick
+            j += jstep
+        bv = blossomchilds[b][j]
+        label[endpoint[p ^ 1]] = label[bv] = 2
+        labelend[endpoint[p ^ 1]] = labelend[bv] = p
+        tree[bv] = tree[b]
+        members[tree[b]].append(bv)
+        if bv >= n:
+            set_rate(bv, -1)
+            heappush(heap, (off[bv], _EXPAND, bv, stamp[bv], 0))
+        # The other children join a tree through a marked vertex, or
+        # become unlabelled.
+        loose: list[int] = []
+        j += jstep
+        while blossomchilds[b][j] != entrychild:
+            bv = blossomchilds[b][j]
+            if label[bv] == 1:
                 j += jstep
-        label[b] = labelend[b] = -1
+                continue
+            for leaf in blossom_leaves(bv):
+                if label[leaf] != 0:
+                    break
+            else:
+                leaf = -1
+            if leaf >= 0:
+                assert label[leaf] == 2
+                assert inblossom[leaf] == bv
+                label[leaf] = 0
+                label[endpoint[mate[blossombase[bv]]]] = 0
+                assign_label(leaf, 2, labelend[leaf])
+            else:
+                for leaf in blossom_leaves(bv):
+                    set_rate(leaf, 0)
+                    loose.append(leaf)
+            j += jstep
+        push_loose(loose)
+        label[b] = labelend[b] = tree[b] = -1
         blossomchilds[b] = blossomendps[b] = None
         blossombase[b] = -1
-        blossombestedges[b] = None
-        bestedge[b] = -1
         unusedblossoms.append(b)
 
     def augment_blossom(b: int, v: int) -> None:
@@ -418,124 +480,108 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
                 mate[j] = labelend[bt]
                 p = labelend[bt] ^ 1
 
-    for _stage in range(n):
-        label[:] = [0] * (2 * n)
-        bestedge[:] = [-1] * (2 * n)
-        for b in range(n, 2 * n):
-            blossombestedges[b] = None
-        allowedge[:] = [False] * nedge
-        queue[:] = []
-        for v in range(n):
-            if mate[v] == -1 and label[inblossom[v]] == 0:
-                assign_label(v, 1, -1)
-        augmented = False
-        while True:
-            while queue and not augmented:
-                v = queue.pop()
-                assert label[inblossom[v]] == 1
-                for p in neighbend[v]:
-                    k = p // 2
-                    w = endpoint[p]
-                    if inblossom[v] == inblossom[w]:
-                        continue
-                    if not allowedge[k]:
-                        kslack = slack(k)
-                        if kslack <= eps:
-                            allowedge[k] = True
-                    if allowedge[k]:
-                        if label[inblossom[w]] == 0:
-                            assign_label(w, 2, p ^ 1)
-                        elif label[inblossom[w]] == 1:
-                            base = scan_blossom(v, w)
-                            if base >= 0:
-                                add_blossom(base, k)
-                            else:
-                                augment_matching(k)
-                                augmented = True
-                                break
-                        elif label[w] == 0:
-                            assert label[inblossom[w]] == 2
-                            label[w] = 2
-                            labelend[w] = p ^ 1
-                    elif label[inblossom[w]] == 1:
-                        b = inblossom[v]
-                        if bestedge[b] == -1 or kslack < slack(bestedge[b]):
-                            bestedge[b] = k
-                    elif label[w] == 0:
-                        if bestedge[w] == -1 or kslack < slack(bestedge[w]):
-                            bestedge[w] = k
-            if augmented:
-                break
+    def clear(b: int, loose: list[int]) -> None:
+        label[b] = 0
+        labelend[b] = -1
+        if b < n:
+            set_rate(b, 0)
+            loose.append(b)
+        else:
+            for s in blossomchilds[b]:
+                clear(s, loose)
 
-            deltatype = -1
-            delta = deltaedge = deltablossom = None
-            if not maxcardinality:
-                deltatype = 1
-                delta = max(0.0, min(dualvar[:n]))
-            for v in range(n):
-                if label[inblossom[v]] == 0 and bestedge[v] != -1:
-                    d = slack(bestedge[v])
-                    if deltatype == -1 or d < delta:
-                        delta = d
-                        deltatype = 2
-                        deltaedge = bestedge[v]
-            for b in range(2 * n):
-                if (blossomparent[b] == -1 and label[b] == 1 and
-                        bestedge[b] != -1):
-                    kslack = slack(bestedge[b])
-                    d = kslack / 2.0
-                    if deltatype == -1 or d < delta:
-                        delta = d
-                        deltatype = 3
-                        deltaedge = bestedge[b]
-            for b in range(n, 2 * n):
-                if (blossombase[b] >= 0 and blossomparent[b] == -1 and
-                        label[b] == 2):
-                    if deltatype == -1 or dualvar[b] < delta:
-                        delta = dualvar[b]
-                        deltatype = 4
-                        deltablossom = b
-            if deltatype == -1:
-                # No improving move: maximum cardinality reached.
-                deltatype = 1
-                delta = max(0.0, min(dualvar[:n]))
+    def dissolve(root: int, loose: list[int]) -> None:
+        """Unlabel every blossom of the tree rooted at root, nested ones
+        included, and drop the marks its scans left in other trees."""
+        for b in members[root]:
+            if blossomparent[b] == -1 and label[b] > 0 and tree[b] == root:
+                tree[b] = -1
+                if b >= n:
+                    set_rate(b, 0)
+                clear(b, loose)
+        for w, q in marks[root]:
+            if labelend[w] == q:
+                label[w] = 0
+                labelend[w] = -1
+        members[root] = marks[root] = None
 
-            for v in range(n):
-                lbl = label[inblossom[v]]
-                if lbl == 1:
-                    dualvar[v] -= delta
-                elif lbl == 2:
-                    dualvar[v] += delta
-            for b in range(n, 2 * n):
-                if blossombase[b] >= 0 and blossomparent[b] == -1:
-                    if label[b] == 1:
-                        dualvar[b] += delta
-                    elif label[b] == 2:
-                        dualvar[b] -= delta
+    def tight_ss(v: int, w: int, k: int) -> bool:
+        """Act on tight edge k between S vertices v and w: shrink a
+        blossom, or augment and dissolve both trees (returns True)."""
+        base = scan_blossom(v, w)
+        if base >= 0:
+            add_blossom(base, k)
+            return False
+        roots = (tree[inblossom[v]], tree[inblossom[w]])
+        augment_matching(k)
+        loose: list[int] = []
+        for root in roots:
+            dissolve(root, loose)
+        push_loose(loose)
+        return True
 
-            if deltatype == 1:
-                break
-            if deltatype == 2:
-                allowedge[deltaedge] = True
-                (i, j, _) = edges[deltaedge]
-                if label[inblossom[i]] == 0:
-                    i, j = j, i
-                assert label[inblossom[i]] == 1
-                queue.append(i)
-            elif deltatype == 3:
-                allowedge[deltaedge] = True
-                (i, j, _) = edges[deltaedge]
-                assert label[inblossom[i]] == 1
-                queue.append(i)
-            else:
-                expand_blossom(deltablossom, False)
+    def scan(v: int) -> bool:
+        """Act on the tight edges of S vertex v and record an event for
+        each edge that will tighten; returns True if v's tree augmented."""
+        for p in neighbend[v]:
+            w = endpoint[p]
+            bv = inblossom[v]
+            bw = inblossom[w]
+            if bv == bw:
+                continue
+            lw = label[bw]
+            if lw == 2 and label[w]:
+                continue
+            # v is S: its dual is off[v] - now.
+            t0 = off[v] + off[w] - wt2[p >> 1]
+            if lw == 1:
+                if t0 - 2.0 * now <= eps:
+                    if tight_ss(v, w, p >> 1):
+                        return True
+                else:
+                    push_edge(p, 0.5 * t0)
+            elif lw == 0:
+                if t0 - now <= eps:
+                    assign_label(w, 2, p ^ 1)
+                else:
+                    push_edge(p, t0)
+            elif t0 <= eps:
+                label[w] = 2
+                labelend[w] = p ^ 1
+                marks[tree[bv]].append((w, p ^ 1))
+        return False
 
-        if not augmented:
+    for v in range(n):
+        assign_label(v, 1, -1)
+    free = n
+    while free >= 2:
+        if queue:
+            v = queue.pop()
+            if label[inblossom[v]] == 1 and scan(v):
+                free -= 2
+            continue
+        if not heap:
             break
-        for b in range(n, 2 * n):
-            if (blossomparent[b] == -1 and blossombase[b] >= 0 and
-                    label[b] == 1 and dualvar[b] <= eps):
-                expand_blossom(b, True)
+        t, kind, x, s1, s2 = heappop(heap)
+        if kind == _EDGE:
+            v = endpoint[x ^ 1]
+            w = endpoint[x]
+            if stamp[v] != s1 or stamp[w] != s2 or inblossom[v] == inblossom[w]:
+                continue
+            if t > now:
+                now = t
+            if label[inblossom[w]] == 0:
+                assign_label(w, 2, x ^ 1)
+            elif tight_ss(v, w, x >> 1):
+                free -= 2
+        elif kind == _EXPAND:
+            if stamp[x] != s1:
+                continue
+            if t > now:
+                now = t
+            expand_blossom(x)
+        else:
+            break  # free vertices' duals reach zero: the matching is optimal
 
     out = [-1] * n
     for v in range(n):

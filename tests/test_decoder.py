@@ -287,9 +287,27 @@ def test_decode_reads_only_the_tables(decoders_d3, metric, monkeypatch):
 def test_blossom_components_match_networkx(setup_d5, monkeypatch):
     """Components too large for the subset DP: the blossom's objective
     equals networkx's maximum-weight matching on the same gain graph."""
+    circ, model, table, dec = setup_d5
+    _check_blossom_against_networkx(circ, model, dec, monkeypatch,
+                                    seed=8, windows=10, rounds=50)
+
+
+def test_blossom_components_match_networkx_d7(monkeypatch):
+    """At d = 7 and p = 1% each graph of a window is one component of
+    hundreds of events."""
+    pytest.importorskip("networkx")
+    lat = build_lattice(7)
+    circ = compile_circuit(lat, standard_schedule(lat))
+    model = preset("standard", 0.01)
+    dec = Decoder(derive_edge_classes(circ, model), "dmax")
+    _check_blossom_against_networkx(circ, model, dec, monkeypatch,
+                                    seed=8, windows=2, rounds=70, min_nodes=100)
+
+
+def _check_blossom_against_networkx(circ, model, dec, monkeypatch, seed, windows,
+                                    rounds, min_nodes=0):
     nx = pytest.importorskip("networkx")
     import surfacesim.decoder as decoder_module
-    circ, model, table, dec = setup_d5
     captured = []
     original = decoder_module._solve_blossom
 
@@ -299,10 +317,11 @@ def test_blossom_components_match_networkx(setup_d5, monkeypatch):
         return pairs, bd
 
     monkeypatch.setattr(decoder_module, "_solve_blossom", capture)
-    for trial in range(10):
-        res = simulate_window(circ, model, trial_rng(8, trial), rounds=50)
+    for trial in range(windows):
+        res = simulate_window(circ, model, trial_rng(seed, trial), rounds=rounds)
         dec.decode(res.history, res.frame)
     assert captured
+    assert max(len(comp) for comp, *_ in captured) >= min_nodes
     for comp, edges, bweight, pairs, bd in captured:
         assert len(comp) > DP_MAX_NODES
         members = set(comp)

@@ -167,6 +167,41 @@ def test_estimate_threshold_requires_enough_curves():
         estimate_threshold(stats)
 
 
+def _all_fail_row(d, p, n=500):
+    return PointStats(d=d, p=p, model="standard", metric="dmax", T=10 * d,
+                      N=n, fail_x=n, fail_z=n, seed=0, wall_time=0.0)
+
+
+def _reject_constant(name):
+    raise ValueError(f"invalid JSON constant {name}")
+
+
+def test_all_fail_row_is_censored():
+    row = _all_fail_row(5, 0.05)
+    est = rounds_to_failure(row)
+    for logical in ("x", "z"):
+        assert math.isnan(est[logical]["estimate"])
+        assert math.isnan(est[logical]["lo"])
+        assert math.isfinite(est[logical]["hi"])
+    text = stats_to_json(SweepStats(rows=[row]))
+    doc = json.loads(text, parse_constant=_reject_constant)
+    (out,) = doc["rows"]
+    assert out["mttf_x_estimate"] is None and out["mttf_z_lo"] is None
+    assert out["mttf_x_hi"] == pytest.approx(est["x"]["hi"])
+    import jsonschema
+    with open("docs/results.schema.json") as fh:
+        jsonschema.validate(doc, json.load(fh))
+
+
+def test_all_fail_rows_leave_threshold_unchanged():
+    stats = _fake_stats(p_th=0.011)
+    base = estimate_threshold(stats, logical="x")
+    stats.rows.extend(_all_fail_row(d, 0.03) for d in (3, 5, 7))
+    with_censored = estimate_threshold(stats, logical="x")
+    assert with_censored["p_th"] == base["p_th"]
+    assert with_censored["pairwise"] == base["pairwise"]
+
+
 def test_plot_svg_contains_series():
     svg = plot_svg(_fake_stats())
     assert "<svg" in svg and "polyline" in svg and "d=7" in svg

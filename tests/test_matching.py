@@ -1,12 +1,15 @@
+import functools
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from surfacesim.matching import (
-    MatchGraph, Matching, MatchingError, brute_force_mwpm, mwpm,
+    MatchGraph, Matching, MatchingError, _max_weight_matching,
+    brute_force_mwpm, mwpm,
 )
 
 
@@ -198,3 +201,124 @@ def test_large_sparse_graph_against_dp_structure():
     # The even-chain pairing (0,1),(2,3),... has weight sum_{even u}(1+.001u).
     best_chain = sum(1.0 + 0.001 * u for u in range(0, n, 2))
     assert m.total_weight <= best_chain + 1e-9
+
+
+def _best_matching(n, edges, maxcardinality):
+    """Exhaustive optimum over all (not necessarily perfect) matchings, by
+    recursion over vertex subsets: (cardinality, weight) with
+    maxcardinality, else (0, weight)."""
+    weight_of = {}
+    for u, v, w in edges:
+        key = (min(u, v), max(u, v))
+        weight_of[key] = max(w, weight_of.get(key, -math.inf))
+
+    @functools.lru_cache(maxsize=None)
+    def best(mask):
+        if mask == 0:
+            return (0, 0.0)
+        u = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << u)
+        out = best(rest)
+        for v in range(u + 1, n):
+            w = weight_of.get((u, v))
+            if w is not None and rest >> v & 1:
+                card, total = best(rest ^ (1 << v))
+                cand = (card + 1 if maxcardinality else 0, total + w)
+                if cand > out:
+                    out = cand
+        return out
+
+    return best((1 << n) - 1)
+
+
+def _solver_value(n, edges, mate, maxcardinality):
+    """(cardinality, weight) of a mate list, checked to be a matching of
+    the graph's edges."""
+    weight_of = {}
+    for u, v, w in edges:
+        key = (min(u, v), max(u, v))
+        weight_of[key] = max(w, weight_of.get(key, -math.inf))
+    pairs = []
+    for v in range(n):
+        if mate[v] >= 0:
+            assert mate[mate[v]] == v
+            if v < mate[v]:
+                pairs.append((v, mate[v]))
+    total = math.fsum(weight_of[p] for p in pairs)
+    return (len(pairs) if maxcardinality else 0, total)
+
+
+def _random_int_edges(rng, n, density):
+    return [(u, v, float(rng.randint(1, 6)))
+            for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+
+
+@pytest.mark.parametrize("maxcardinality", [False, True])
+def test_matching_oracle_tie_heavy_weights(maxcardinality):
+    """Integer weights 1-6 make equal-weight optima common; every solve
+    must still reach the exhaustive optimum."""
+    rng = random.Random(2024)
+    for trial in range(400):
+        n = rng.randint(2, 12)
+        edges = _random_int_edges(rng, n, rng.choice([0.3, 0.5, 0.8, 1.0]))
+        mate = _max_weight_matching(n, edges, maxcardinality)
+        got = _solver_value(n, edges, mate, maxcardinality)
+        want = _best_matching(n, edges, maxcardinality)
+        assert got[0] == want[0] and got[1] == pytest.approx(want[1], abs=1e-9), \
+            (trial, n, edges)
+
+
+# Small graphs that drive the solver through particular steps; vertex 0
+# is isolated in the first group.
+HAND_BUILT = {
+    # An S-blossom is formed and used in an augmenting path.
+    "s_blossom": [(1, 2, 8), (1, 3, 9), (2, 3, 10), (3, 4, 7), (1, 6, 5), (4, 5, 6)],
+    # A blossom nested in another S-blossom.
+    "nested_s_blossom": [(1, 2, 9), (1, 3, 9), (2, 3, 10), (2, 4, 8), (3, 5, 8),
+                         (4, 5, 10), (5, 6, 6)],
+    "relabelled_nested": [(1, 2, 10), (1, 7, 10), (2, 3, 12), (3, 4, 20), (3, 5, 20),
+                          (4, 5, 25), (5, 6, 10), (6, 7, 10), (7, 8, 8)],
+    # A dissolved S-blossom is later labelled T and expanded; a child of
+    # the expansion is left unlabelled.
+    "t_blossom_expansion": [(1, 2, 23), (1, 5, 22), (1, 6, 15), (2, 3, 25), (3, 4, 22),
+                            (4, 5, 25), (4, 8, 14), (5, 7, 13)],
+    "nested_t_expansion": [(1, 2, 19), (1, 3, 20), (1, 8, 8), (2, 3, 25), (2, 4, 18),
+                           (3, 5, 18), (4, 5, 13), (4, 7, 7), (5, 6, 7)],
+    "t_expansion_two_entries": [(1, 2, 45), (1, 5, 45), (2, 3, 50), (3, 4, 45), (4, 5, 50),
+                                (1, 6, 30), (3, 9, 35), (4, 8, 35), (5, 7, 26), (9, 10, 5)],
+    "nested_t_expansion_on_path": [(1, 2, 45), (1, 7, 45), (2, 3, 50), (3, 4, 45),
+                                   (4, 5, 95), (4, 6, 94), (5, 6, 94), (6, 7, 50),
+                                   (1, 8, 30), (3, 11, 35), (5, 9, 36), (7, 10, 26),
+                                   (11, 12, 5)],
+    # A child of an expanded T-blossom joins a tree through a marked vertex.
+    "expansion_through_mark": [(0, 2, 8), (0, 3, 9), (0, 5, 5), (1, 3, 1), (2, 3, 6),
+                               (3, 5, 3)],
+    # A T-blossom becomes part of a new S-blossom.
+    "t_blossom_absorbed": [(1, 4, 2), (1, 5, 2), (2, 3, 8), (2, 4, 8), (3, 4, 6), (4, 5, 4)],
+    # An augmentation dissolves a tree whose scans marked vertices inside
+    # another tree's T-blossom; that tree keeps growing.
+    "marks_of_dissolved_tree": [(0, 4, 7), (0, 5, 9), (0, 6, 7), (0, 7, 7), (1, 3, 3),
+                                (1, 5, 7), (1, 6, 2), (2, 4, 5), (2, 5, 8), (3, 4, 5),
+                                (3, 5, 4), (3, 6, 6), (4, 5, 9), (4, 6, 3), (5, 7, 3),
+                                (6, 7, 8)],
+}
+
+
+@pytest.mark.parametrize("maxcardinality", [False, True])
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_graphs_reach_the_optimum(name, maxcardinality):
+    edges = [(u, v, float(w)) for u, v, w in HAND_BUILT[name]]
+    n = 1 + max(max(u, v) for u, v, _ in edges)
+    mate = _max_weight_matching(n, edges, maxcardinality)
+    got = _solver_value(n, edges, mate, maxcardinality)
+    want = _best_matching(n, edges, maxcardinality)
+    assert got[0] == want[0] and got[1] == pytest.approx(want[1], abs=1e-9)
+
+
+def test_max_weight_matching_is_deterministic():
+    rng = random.Random(99)
+    for _ in range(5):
+        edges = _random_int_edges(rng, 40, 0.2)
+        for maxcardinality in (False, True):
+            first = _max_weight_matching(40, edges, maxcardinality)
+            assert _max_weight_matching(40, list(edges), maxcardinality) == first
