@@ -23,6 +23,7 @@ from .harness import (
     ThresholdError, TrialConfig, emit_results, estimate_threshold, run_sweep,
 )
 from .lattice import STEP_ORDERS, build_lattice, standard_schedule
+from .metric import METRICS
 from .sim import compile_circuit
 
 CONFIG_KEYS = {
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--p2", type=float, help="custom model: CNOT error rate")
     ap.add_argument("--pI", type=float, dest="pi", help="custom model: idle rate")
     ap.add_argument("--pM", type=float, dest="pm", help="custom model: readout rate")
-    ap.add_argument("--metric", choices=["manhattan", "dmax", "d0", "d1", "d2", "dn"])
+    ap.add_argument("--metric", choices=[*METRICS, "dn"])
     ap.add_argument("--n", type=int, help="extra path links when --metric dn")
     ap.add_argument("--trials", type=int, help="windows per sweep point")
     ap.add_argument("--rounds", type=int, help="noisy rounds per window (default 10*d)")
@@ -116,6 +117,9 @@ def main(argv=None) -> int:
             if settings.get("n") is None:
                 raise ValueError("--metric dn requires --n")
             metric = f"d{settings['n']}"
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r} "
+                             f"(choose from {', '.join(METRICS)}, or dn with --n 0-2)")
 
         distances = [int(tok) for tok in str(settings["distance"]).split(",")]
         ps = [float(tok) for tok in str(settings["p"]).split(",")]

@@ -9,7 +9,17 @@ evaluated for every (stabilizer, stabilizer, round offset) within
 pruning reach, and per stabilizer for the boundary.  The circuit is
 periodic in time, so these cover every event pair of every window, and
 decoding a window evaluates no metric at all: candidate edges are table
-lookups between time-sorted events.
+lookups between time-sorted events.  Per metric the pair table is built
+by
+
+* dmax: one Dijkstra search per source stabilizer, cut off at twice the
+  largest boundary weight;
+* d0-d2: one `metric.path_sum_table` walk program per source stabilizer
+  over every target the single-link lower bound does not prune;
+* manhattan: the closed form per pair.
+
+Boundary weights are one `metric.boundary_distance` search per
+stabilizer (a closed form for manhattan).
 
 The match graph follows the virtual-twin construction: every real event
 gets a virtual partner at its boundary weight, virtual nodes pair among
@@ -41,7 +51,7 @@ import numpy as np
 from .edge_analysis import EdgeClassTable
 from .lattice import Lattice
 from .matching import MatchGraph, Matching, mwpm
-from .metric import LinkGraph, MetricCache
+from .metric import LinkGraph, MetricCache, path_sum_table
 from .sim import PauliFrame, SyndromeHistory
 
 DP_MAX_NODES = 6
@@ -64,9 +74,9 @@ class Decoder:
 
     Construction precomputes, per graph, the pair-weight table
     wtab[a][b][dt] over all stabilizer pairs within pruning reach and the
-    per-stabilizer boundary weights, using MetricCache as a build-time
-    helper.  Decoding a window then reads only these tables: candidate
-    edges are table lookups, followed by small exact matchings.
+    per-stabilizer boundary weights (see the module docstring).  Decoding
+    a window then reads only these tables: candidate edges are table
+    lookups, followed by small exact matchings.
     """
 
     def __init__(self, table: EdgeClassTable, metric: str = "dmax"):
@@ -138,7 +148,9 @@ class Decoder:
                          for cls in self.table.pair_classes[graph].values()
                          if cls.probability > 0.0]
                 w_min = -math.log(max(probs)) if probs else 1.0
+                lg = LinkGraph(self.table, graph)
             for a in range(S):
+                targets = []
                 for b in range(S):
                     cheb = max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1]))
                     if cheb > reach:
@@ -152,7 +164,16 @@ class Decoder:
                         if self.metric != "manhattan" and \
                                 links_lb * w_min >= bvals[a] + bvals[b]:
                             continue  # pruned anyway; leave inf
-                        wtab[a, b, dt] = cache.pair_weight(cells[a], 0, cells[b], dt)
+                        targets.append((b, dt))
+                if self.metric == "manhattan":
+                    weights = [cache.pair_weight(cells[a], 0, cells[b], dt)
+                               for b, dt in targets]
+                else:
+                    weights = path_sum_table(
+                        lg, (cells[a], 0), [(cells[b], dt) for b, dt in targets],
+                        int(self.metric[1]))
+                for (b, dt), w in zip(targets, weights):
+                    wtab[a, b, dt] = w
         return {"cells": cells, "bvals": bvals, "bsides": bsides,
                 "wtab": wtab.tolist(), "reach": reach}
 

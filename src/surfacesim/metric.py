@@ -15,6 +15,26 @@ the product of its link probabilities.
 
 Paths never repeat a node: a repeated node corresponds to error pairs
 that cancel rather than an error chain.
+
+`d_n` enumerates the paths of one pair by depth-first search; it is the
+definition and the test oracle.  `path_sum_table` gives the same sums
+from one source to many targets with one dynamic program over walks:
+
+* A walk of m <= l + n links to a target y, l = l(y) its fewest-link
+  count, that repeats a node contains a closed sub-walk; cutting it out
+  leaves a walk to y of at least l links, so the closed sub-walk has at
+  most n links.  Self-links are dropped (a path never takes them), so it
+  has at least 2.
+* The simple paths counted by d_n are therefore exactly the walks of
+  l .. l + n links that never return to a node within n steps: for
+  n <= 1 every such walk, for n = 2 every walk that does not step back
+  to the node it came from.  The same rule keeps a path from passing
+  through its target or its source.
+* A walk of at most max l(y) + n links stays inside the breadth-first
+  ball of that radius around the source, so the program runs on the
+  ball's links only.  Its state is the last link taken, which is enough
+  to forbid stepping back; each target sums the weight that arrives at
+  it after l(y) .. l(y) + n steps.
 """
 
 from __future__ import annotations
@@ -23,9 +43,12 @@ import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .edge_analysis import EdgeClassTable
 
 MAX_EXTRA_LINKS = 3  # largest supported n for d_n
+METRICS = ("manhattan", "dmax", "d0", "d1", "d2")  # decoder metric names
 
 
 @dataclass(frozen=True)
@@ -150,6 +173,81 @@ def d_n(graph: LinkGraph, s1, s2, n: int) -> tuple[float, int]:
     return -math.log(ps.value), ps.path_count
 
 
+def path_sum_table(graph: LinkGraph, source, targets, n: int) -> list[float]:
+    """d_n weights from one source node to every node of `targets`.
+
+    Equals [d_n(graph, source, y, n)[0] for y in targets] up to rounding,
+    from one walk dynamic program (see the module docstring).  A target
+    with no path of at most 64 links (min_links' limit) gets weight inf.
+    """
+    if not 0 <= n <= 2:
+        raise ValueError("n must be in [0, 2]")
+    if source in targets:
+        raise ValueError("source and target must differ")
+    limit = 64
+    # Breadth-first ball: l(y) per target, and every link a walk of at
+    # most max l(y) + n links can take.
+    index = {source: 0}
+    depth = [0]
+    tail, head, prob = [], [], []
+    missing = set(targets)
+    l_max = 0
+    frontier = [source]
+    level = 0
+    while frontier and ((missing and level < limit) or level < l_max + n):
+        nxt = []
+        for node in frontier:
+            u = index[node]
+            for other, p in graph.neighbors(node):
+                if other == node:
+                    continue
+                v = index.get(other)
+                if v is None:
+                    v = index[other] = len(depth)
+                    depth.append(level + 1)
+                    nxt.append(other)
+                    if other in missing and level < limit:
+                        missing.discard(other)
+                        l_max = level + 1
+                tail.append(u)
+                head.append(v)
+                prob.append(p)
+        frontier = nxt
+        level += 1
+
+    # State: the last link taken.  A step from link e = (u -> v) may take
+    # any link f = (v -> x), for n = 2 only with x != u.
+    size, n_links = len(depth), len(tail)
+    depth = np.array(depth)
+    tail = np.array(tail, dtype=np.intp)
+    head = np.array(head, dtype=np.intp)
+    prob = np.array(prob, dtype=np.float64)
+    out_deg = np.bincount(tail, minlength=size)
+    by_tail = np.argsort(tail, kind="stable")
+    fan = out_deg[head]
+    src = np.repeat(np.arange(n_links), fan)
+    dst = by_tail[np.repeat(np.cumsum(out_deg)[head] - fan, fan)
+                  + np.arange(len(src)) - np.repeat(np.cumsum(fan) - fan, fan)]
+    if n == 2:
+        keep = head[dst] != tail[src]
+        src, dst = src[keep], dst[keep]
+    total = np.zeros(size)
+    w = np.where(tail == 0, prob, 0.0)
+    for step in range(1, l_max + n + 1):
+        if step > 1:
+            w = np.bincount(dst, weights=w[src], minlength=n_links) * prob
+        at_node = np.bincount(head, weights=w, minlength=size)
+        # Weight reaching a node y after l(y) .. l(y) + n steps counts.
+        window = (depth <= step) & (step <= depth + n)
+        total[window] += at_node[window]
+
+    out = []
+    for y in targets:
+        s = 0.0 if y in missing else total[index[y]]
+        out.append(-math.log(s) if s > 0.0 else math.inf)
+    return out
+
+
 def boundary_distance(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]:
     """Cheapest escape from node s to a spatial boundary of its graph type.
 
@@ -190,16 +288,19 @@ def boundary_distance(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]
 
 
 class MetricCache:
-    """Memoized pair and boundary weights for decoding.
+    """Memoized pair and boundary weights, one metric evaluation per key.
 
     Pair weights depend only on (cell_u, cell_v, dt) because the circuit
     is periodic in time; boundary weights only on the cell.  Weights are
     evaluated on the unbounded-time graph, which matches the window
-    interior exactly.
+    interior exactly.  For d_n a pair weight is d_n itself (a minimum-link
+    search plus a path enumeration), so the cache is the reference the
+    decoder's path-sum tables are checked against, not a way to build
+    them.
     """
 
     def __init__(self, table: EdgeClassTable, graph: str, metric: str):
-        if metric not in ("manhattan", "dmax", "d0", "d1", "d2"):
+        if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}")
         self.table = table
         self.graph_name = graph
@@ -208,29 +309,6 @@ class MetricCache:
         self.lattice = table.lattice
         self._pair: dict[tuple[int, int, int], float] = {}
         self._boundary: dict[int, tuple[float, str]] = {}
-        # Per-source link-count balls for the d_n metrics: one BFS serves
-        # every target, instead of one search per pair.
-        self._balls: dict[int, dict[tuple[int, int], int]] = {}
-
-    def _min_links(self, cell_u: int, cell_v: int, dt: int) -> int:
-        ball = self._balls.get(cell_u)
-        if ball is None:
-            radius = 2 * self.lattice.distance + 4
-            ball = {(cell_u, 0): 0}
-            frontier = [(cell_u, 0)]
-            for depth in range(1, radius + 1):
-                nxt = []
-                for node in frontier:
-                    for other, _ in self.graph.neighbors(node):
-                        if other not in ball:
-                            ball[other] = depth
-                            nxt.append(other)
-                frontier = nxt
-            self._balls[cell_u] = ball
-        got = ball.get((cell_v, dt))
-        if got is None:
-            return min_links(self.graph, (cell_u, 0), (cell_v, dt))
-        return got
 
     def pair_weight(self, cell_u: int, t_u: int, cell_v: int, t_v: int) -> float:
         dt = t_v - t_u
@@ -247,9 +325,7 @@ class MetricCache:
             if self.metric == "dmax":
                 w = d_max(self.graph, s1, s2)
             else:
-                l = self._min_links(cell_u, cell_v, dt)
-                ps = path_sum(self.graph, s1, s2, l + int(self.metric[1]))
-                w = -math.log(ps.value)
+                w = d_n(self.graph, s1, s2, int(self.metric[1]))[0]
             self._pair[key] = w
         return w
 

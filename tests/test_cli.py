@@ -84,3 +84,17 @@ def test_export_edges(tmp_path):
     assert rc == 0
     doc = json.loads(path.read_text())
     assert [b["letter"] for b in doc["graphs"]["z"]["bulk"]] == list("ABCDEF")
+
+
+@pytest.mark.parametrize("n", ["3", "-1"])
+def test_metric_dn_out_of_range_returns_1(n, capsys):
+    rc = main(["--distance", "3", "--metric", "dn", "--n", n, "--trials", "2"])
+    assert rc == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_config_file_unknown_metric_returns_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("distance=3\ntrials=2\nmetric=foo\n")
+    assert main(["--config", str(cfg)]) == 1
+    assert "unknown metric 'foo'" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from surfacesim.decoder import (
     decode_window, _graph_events,
 )
 from surfacesim.matching import mwpm
-from surfacesim.metric import LinkGraph, MetricCache, d_max
+from surfacesim.metric import LinkGraph, MetricCache, d_max, d_n
 
 
 @pytest.fixture(scope="module")
@@ -236,21 +236,81 @@ def test_dmax_table_matches_d_max_oracle(d):
                 assert exact >= bvals[a] + bvals[b], (g, a, b, dt)
 
 
-def test_path_sum_table_matches_pair_weight():
+def _unpruned_entries(dec, table, g):
+    """(a, b, dt) table entries that survive the decoder's prune: within
+    Chebyshev reach and lighter, at one best link per step, than the two
+    boundary weights."""
+    lat = table.lattice
+    tab = dec._tables[g]
+    sub = [lat.sublattice_coord(c) for c in lat.stabilizers(g)]
+    p_max = max(cls.probability for cls in table.pair_classes[g].values())
+    w_min = -math.log(p_max)
+    bvals, reach = tab["bvals"], tab["reach"]
+    keep = set()
+    for a in range(len(sub)):
+        for b in range(len(sub)):
+            cheb = max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1]))
+            for dt in range(reach + 1):
+                if cheb <= reach and (a, dt) != (b, 0) and \
+                        max(cheb, dt) * w_min < bvals[a] + bvals[b]:
+                    keep.add((a, b, dt))
+    return keep
+
+
+@pytest.mark.parametrize("metric", ["d0", "d1", "d2"])
+def test_path_sum_table_matches_pair_weight(metric):
     lat = build_lattice(3)
     circ = compile_circuit(lat, standard_schedule(lat))
     table = derive_edge_classes(circ, preset("standard", 0.01))
-    dec = Decoder(table, "d2")
-    for g in ("x", "z"):
+    dec = Decoder(table, metric)
+    for g, count in (("x", 102), ("z", 98)):
         tab = dec._tables[g]
         cells = tab["cells"]
         wtab = np.array(tab["wtab"])
-        fresh = MetricCache(table, g, "d2")
-        finite = list(zip(*np.nonzero(np.isfinite(wtab))))
-        assert len(finite) > 50
+        fresh = MetricCache(table, g, metric)
+        finite = {(int(a), int(b), int(dt))
+                  for a, b, dt in zip(*np.nonzero(np.isfinite(wtab)))}
+        assert finite == _unpruned_entries(dec, table, g)
+        assert len(finite) == count
         for a, b, dt in finite:
-            exact = fresh.pair_weight(cells[a], 0, cells[b], int(dt))
+            exact = fresh.pair_weight(cells[a], 0, cells[b], dt)
             assert wtab[a, b, dt] == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_path_sum_table_d5_spot_check(setup_d5):
+    """Nearby d = 5 entries of the d1 table against the path enumeration."""
+    _, _, table, _ = setup_d5
+    dec = Decoder(table, "d1")
+    lat = table.lattice
+    rng = np.random.default_rng(5)
+    for g in ("x", "z"):
+        tab = dec._tables[g]
+        cells = tab["cells"]
+        sub = [lat.sublattice_coord(c) for c in lat.stabilizers(g)]
+        near = sorted((a, b, dt) for a, b, dt in _unpruned_entries(dec, table, g)
+                      if max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1]),
+                             dt) <= 2)
+        graph = LinkGraph(table, g)
+        for i in rng.choice(len(near), size=10, replace=False):
+            a, b, dt = near[i]
+            exact, _ = d_n(graph, (cells[a], 0), (cells[b], dt), 1)
+            assert tab["wtab"][a][b][dt] == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("metric", ["d0", "d1", "d2"])
+def test_path_sum_build_enumerates_no_paths(setup_d3, metric, monkeypatch):
+    """The d_n tables come from the walk program alone: no per-pair
+    minimum-link search or path enumeration runs during construction."""
+    _, _, table, _ = setup_d3
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-pair path search during construction")
+
+    import surfacesim.metric as metric_module
+    monkeypatch.setattr(metric_module, "path_sum", forbidden)
+    monkeypatch.setattr(metric_module, "min_links", forbidden)
+    dec = Decoder(table, metric)
+    assert np.isfinite(np.array(dec._tables["z"]["wtab"])).sum() > 50
 
 
 @pytest.fixture(scope="module")

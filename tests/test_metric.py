@@ -9,7 +9,7 @@ from surfacesim.sim import compile_circuit
 from surfacesim.edge_analysis import derive_edge_classes
 from surfacesim.metric import (
     LinkGraph, MetricCache, boundary_distance, d_max, d_n, manhattan, min_links,
-    path_sum,
+    path_sum, path_sum_table,
 )
 
 
@@ -144,9 +144,64 @@ def test_path_enumeration_oracle_small_window(table_d5):
         w, count = d_n(g, s1, s2, n)
         assert count == len(oracle_paths)
         assert w == pytest.approx(-math.log(math.fsum(oracle_paths)))
+        # The walk program needs no time periodicity either.
+        assert path_sum_table(g, s1, [s2], n)[0] == pytest.approx(w, rel=1e-12)
     best = min(-math.log(p) for p in _enumerate_all_paths(g, s1, s2, l + 3))
     # d_max must match the best path found over a generous link budget.
     assert d_max(g, s1, s2) == pytest.approx(best)
+
+
+def _walk_weight(graph, s1, s2, lengths):
+    """Summed probability of every walk (nodes may repeat) from s1 to s2
+    whose link count is in `lengths`."""
+    total = 0.0
+    layer = {s1: 1.0}
+    for m in range(1, max(lengths) + 1):
+        nxt = {}
+        for node, w in layer.items():
+            for other, p in graph.neighbors(node):
+                nxt[other] = nxt.get(other, 0.0) + w * p
+        layer = nxt
+        if m in lengths:
+            total += layer.get(s2, 0.0)
+    return total
+
+
+def test_path_sum_table_excludes_backtracking_with_equal_probabilities():
+    # On a synthetic uniform table the n = 2 sum is q^l times a path count;
+    # walks that step back and forth are longer than l by 2 and must not
+    # be counted.
+    lat = build_lattice(5)
+    circ = compile_circuit(lat, standard_schedule(lat))
+    table = derive_edge_classes(circ, preset("standard", 0.01))
+    q = 0.01
+    for key_classes in table.pair_classes.values():
+        for cls in key_classes.values():
+            cls.probability = q
+    table.finalize()
+    g = LinkGraph(table, "z")
+    s1 = (lat.index((4, 3)), 0)
+    targets = [(lat.index((4, 5)), 0),   # one horizontal link
+               (lat.index((4, 7)), 0),   # two horizontal links
+               (lat.index((4, 3)), 1)]   # one temporal link
+    got = path_sum_table(g, s1, targets, 2)
+    for s2, w in zip(targets, got):
+        l = min_links(g, s1, s2)
+        paths = _enumerate_all_paths(g, s1, s2, l + 2)
+        assert w == pytest.approx(-math.log(path_sum(g, s1, s2, l + 2).value),
+                                  rel=1e-12)
+        assert w == pytest.approx(-math.log(math.fsum(paths)), rel=1e-12)
+        walks = _walk_weight(g, s1, s2, range(l, l + 3))
+        assert walks > math.fsum(paths) * (1 + 1e-3)
+        assert w > -math.log(walks)
+
+
+def test_path_sum_table_rejects_bad_arguments(graph_z, table_d5):
+    s1 = (table_d5.lattice.index((4, 3)), 0)
+    with pytest.raises(ValueError):
+        path_sum_table(graph_z, s1, [(s1[0], 1)], 3)
+    with pytest.raises(ValueError):
+        path_sum_table(graph_z, s1, [s1], 1)
 
 
 def test_boundary_distance_single_link(table_d5, graph_z):
