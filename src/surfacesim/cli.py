@@ -21,6 +21,7 @@ import sys
 from .edge_analysis import derive_edge_classes
 from .harness import (
     ThresholdError, TrialConfig, emit_results, estimate_threshold, run_sweep,
+    sweep_configs,
 )
 from .lattice import STEP_ORDERS, build_lattice, standard_schedule
 from .metric import METRICS
@@ -135,6 +136,7 @@ def main(argv=None) -> int:
             seed=settings["seed"], schedule_order=settings["schedule"],
             custom_model=custom, jobs=settings["jobs"],
             debug_events=args.debug_events)
+        sweep_configs(base, distances, ps)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -151,7 +153,11 @@ def main(argv=None) -> int:
             print(f"edge table written to {args.export_edges}")
             return 0
 
-        stats = run_sweep(base, distances, ps)
+        traces: list[str] = []
+        stats = run_sweep(base, distances, ps, trace_sink=traces)
+        if traces:
+            # Event traces go to stderr so stdout stays pure CSV/JSON.
+            print("\n".join(traces), file=sys.stderr)
         text = emit_results(stats, fmt=settings["format"],
                             path=settings.get("out"),
                             plot_path=settings.get("plot"),

@@ -5,10 +5,13 @@ components: each CNOT's fifteen Pauli pairs collapse into control-only,
 target-only and both-legs components of probability 4*p2/15 each, every
 data identity contributes one component of probability 2*pI/3, and every
 measurement one wrong-eigenstate flip of probability pM.  Each component
-is propagated through a noiseless window to find its detection-event
-signature (at most two events).  Components of the same gate with the
-same signature are mutually exclusive outcomes of one error event, so
-they aggregate additively (4+4 -> 8*p2/15) before grouping.
+is the XOR of at most two unit faults of the circuit's fault table
+(`sim.FaultTable`, built by one batched noiseless propagation), which
+gives its detection-event signature (at most two events);
+`propagate_process`, which pushes one component through its own
+noiseless window, is the reference.  Components of the same gate with
+the same signature are mutually exclusive outcomes of one error event,
+so they aggregate additively (4+4 -> 8*p2/15) before grouping.
 
 Grouping components across circuit locations by signature yields the link
 classes: the probability of a link is the probability that an odd number
@@ -119,6 +122,35 @@ def propagate_process(circuit: CompiledCircuit, proc: ErrorProcess,
     return tuple(sorted((c, dt - lo) for c, dt in sig))
 
 
+def _unit_faults(circuit: CompiledCircuit, proc: ErrorProcess) -> tuple[int, ...]:
+    """The fault-table unit faults whose XOR is the process's component."""
+    table = circuit.fault_table
+    kind, where = proc.location
+    bit = 0 if proc.graph == "z" else 1  # the z graph sees x bits, the x graph z bits
+    if kind == "cnot":
+        ctl = table.cnot_unit(where, False, bit)
+        tgt = table.cnot_unit(where, True, bit)
+        # Merged components like "tgt+both" share a signature; take any one.
+        return {"ctl": (ctl,), "tgt": (tgt,), "both": (ctl, tgt)}[
+            proc.component.split("+")[0]]
+    if kind in ("idle5", "idle6"):
+        return (table.idle_unit(int(kind[-1]), where, bit),)
+    if kind == "meas":
+        return (table.meas_unit(where),)
+    raise ValueError(f"unknown location {proc.location}")
+
+
+def process_signature(circuit: CompiledCircuit,
+                      proc: ErrorProcess) -> tuple[tuple[int, int], ...]:
+    """`propagate_process`'s signature, read from the circuit's fault table."""
+    events = circuit.fault_table.events(_unit_faults(circuit, proc))
+    assert all(graph == proc.graph for graph, _, _ in events)
+    if not events:
+        return ()
+    lo = min(dt for _, _, dt in events)
+    return tuple(sorted((cell, dt - lo) for _, cell, dt in events))
+
+
 def enumerate_processes(circuit: CompiledCircuit, model: ErrorModel) -> list[ErrorProcess]:
     """All effective error components of one cycle, both graphs.
 
@@ -133,7 +165,7 @@ def enumerate_processes(circuit: CompiledCircuit, model: ErrorModel) -> list[Err
             sigs: dict[tuple, list[str]] = {}
             for comp in ("ctl", "tgt", "both"):
                 raw = ErrorProcess(graph, ("cnot", gate), comp, "4p2/15", p_cnot)
-                sig = propagate_process(circuit, raw)
+                sig = process_signature(circuit, raw)
                 if sig:
                     sigs.setdefault(sig, []).append(comp)
             for sig, comps in sigs.items():
@@ -237,7 +269,7 @@ def derive_edge_classes(circuit: CompiledCircuit, model: ErrorModel) -> EdgeClas
     lattice = circuit.lattice
     groups: dict[str, dict[tuple, list[ErrorProcess]]] = {"x": {}, "z": {}}
     for proc in enumerate_processes(circuit, model):
-        sig = propagate_process(circuit, proc)
+        sig = process_signature(circuit, proc)
         if not sig:
             continue
         if len(sig) > 2:

@@ -62,6 +62,8 @@ class TrialConfig:
             raise ValueError("trials must be >= 1")
         if self.distance < 3 or self.distance % 2 == 0:
             raise ValueError("distance must be odd and >= 3")
+        if self.rounds is not None and self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
 
     @property
     def window_rounds(self) -> int:
@@ -219,14 +221,25 @@ def run_trials(cfg: TrialConfig, trace_sink=None) -> SweepStats:
     return SweepStats(rows=[row])
 
 
-def run_sweep(base: TrialConfig, distances, ps) -> SweepStats:
-    """Cartesian sweep over distances and physical error rates."""
+def sweep_configs(base: TrialConfig, distances, ps) -> list[TrialConfig]:
+    """One validated configuration per (d, p) point, distance-major.
+
+    Raises ValueError for a bad distance or error model at any point, so a
+    sweep fails before its first window rather than midway.
+    """
     from dataclasses import replace
+    configs = [replace(base, distance=d, p=p) for d in distances for p in ps]
+    for cfg in configs:
+        cfg.error_model()
+    return configs
+
+
+def run_sweep(base: TrialConfig, distances, ps, trace_sink=None) -> SweepStats:
+    """Cartesian sweep over distances and physical error rates; per-window
+    event traces (with debug_events) are appended to trace_sink."""
     stats = SweepStats()
-    for d in distances:
-        for p in ps:
-            cfg = replace(base, distance=d, p=p)
-            stats.rows.extend(run_trials(cfg).rows)
+    for cfg in sweep_configs(base, distances, ps):
+        stats.rows.extend(run_trials(cfg, trace_sink).rows)
     return stats
 
 

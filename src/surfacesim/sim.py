@@ -3,7 +3,7 @@
 Only the error frame is tracked: two bit-planes (x and z) over the qubit
 grid, all zeros meaning the error-free state.  CNOTs move bits linearly
 (X spreads control->target, Z spreads target->control), so a cycle is a
-handful of vectorized XOR operations plus sparse sampled noise.
+handful of vectorized XOR operations.
 
 Syndrome qubits are never re-initialized.  A Z-type syndrome qubit is
 measured in the Z basis, so its report is flipped by its accumulated x
@@ -17,16 +17,45 @@ A simulated window consists of one implicit noiseless baseline round
 (round 0, all-zero frame), `rounds` noisy rounds, and one final noiseless
 round that closes the time boundary: with this closure every error chain
 ends either on another detection event or through a spatial boundary.
+
+Noisy windows are sampled, not stepped.  Every frame operation (the CNOT
+XORs, the readout, the zeroing of the unmeasured component) is linear
+over GF(2), so a window is the XOR of the effects of its faults, each
+fault taken alone.  `FaultTable`, built once per compiled circuit, holds
+the effect of every *unit fault* of one cycle: the x or z bit on the
+control or the target after a CNOT, the x or z bit of an idling data
+qubit, a readout flip.  It is built by one batched noiseless propagation,
+one frame row per unit fault, through `run_cycle`.  After the cycle of a
+fault only data bits and report accumulators are left; each later cycle
+XORs the same data parity into every report, so the signs stay constant
+and a fault's detection events all fall in its own round (dt = 0) or the
+next (dt = 1).  The build checks this and fails loudly otherwise.  A
+window then takes one draw of uniforms, one comparison against per-slot
+probabilities, the Pauli kind of each hit, and a parity count over the
+table rows of the hit unit faults; the signs are the running XOR of the
+events along time, and the final frame is the data parity of those rows
+plus the final reports (the XOR of each sign row).
+
+The windows are those of a round-by-round frame simulator fed by the same
+stream.  Per round, that simulator drew one uniform per slot of the
+layout cnot1-cnot4 (one per gate), idle5 (one per data qubit, if
+scheduled), the Z- then X-type readouts, idle6 (if scheduled), leaving a
+segment out when its probability is 0; a hit's Pauli kind was
+int((u / p) * 15) or int((u / p) * 3), clipped.  Philox `random(a)`
+followed by `random(b)` returns the numbers of one `random(a + b)`, so
+the single draw here gives the same uniforms, hits and kinds, and the
+same window bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .lattice import GateSchedule, Lattice
-from .noise import ErrorModel, PauliOp
+from .noise import ErrorModel
 
 # Bit payloads (xc, zc, xt, zt) of the 15 two-qubit Paulis, ordered as
 # noise.TWO_QUBIT_PAULIS.
@@ -44,10 +73,22 @@ PAULI1_BITS = np.array([(1, 0), (1, 1), (0, 1)], dtype=np.uint8)  # X, Y, Z
 
 PHASES = ("cnot1", "cnot2", "cnot3", "cnot4", "idle5", "meas", "idle6")
 
+# Unit-fault bits of every sampled kind, padded to four: rows 0-14 are the
+# CNOT Paulis (xc, zc, xt, zt), rows 15-17 the idle Paulis (x, z), row 18
+# the readout flip.  Per slot class: (first row, kind multiplier, max kind).
+_KIND_UNITS = np.zeros((19, 4), dtype=np.uint8)
+_KIND_UNITS[:15] = PAULI2_BITS
+_KIND_UNITS[15:18, :2] = PAULI1_BITS
+_KIND_UNITS[18, 0] = 1
+_SLOT_CLASSES = {"p2": (0, 15.0, 14), "pI": (15, 3.0, 2), "pM": (18, 0.0, 0)}
+
 
 @dataclass
 class PauliFrame:
-    """Accumulated error bits for every grid cell (flattened row-major)."""
+    """Accumulated error bits for every grid cell (flattened row-major).
+
+    The cell axis is the last one; a batch of frames adds leading axes.
+    """
 
     x: np.ndarray
     z: np.ndarray
@@ -55,9 +96,6 @@ class PauliFrame:
     @classmethod
     def zeros(cls, n_cells: int) -> "PauliFrame":
         return cls(np.zeros(n_cells, dtype=np.uint8), np.zeros(n_cells, dtype=np.uint8))
-
-    def copy(self) -> "PauliFrame":
-        return PauliFrame(self.x.copy(), self.z.copy())
 
 
 class CompiledCircuit:
@@ -91,6 +129,11 @@ class CompiledCircuit:
         self.n_x = len(self.x_idx)
         self.idle_steps = schedule.idle_steps
 
+    @cached_property
+    def fault_table(self) -> "FaultTable":
+        """Per-cycle unit-fault effects, built on first use."""
+        return FaultTable(self)
+
 
 def compile_circuit(lattice: Lattice, schedule: GateSchedule) -> CompiledCircuit:
     return CompiledCircuit(lattice, schedule)
@@ -113,15 +156,26 @@ def inject_error(frame: PauliFrame, targets, paulis) -> PauliFrame:
 
 
 class _Injection:
-    """Deterministic errors for specific circuit locations of one window."""
+    """Deterministic errors for specific circuit locations of one window.
+
+    An entry XORs (x_bits, z_bits) into `cells` of the frame rows `rows`:
+    Ellipsis for a single frame, or the row of each cell in a batch of
+    frames; repeated (row, cell) pairs accumulate.  x_bits of None marks
+    readout flips, whose bit follows the syndrome type.
+    """
 
     def __init__(self):
         self.by_key: dict[tuple[int, str], list] = {}
 
-    def add(self, round_index: int, phase: str, cells, pauli: PauliOp | None = None):
+    def add(self, round_index: int, phase: str, cells, x_bits, z_bits, rows=Ellipsis):
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}; choose from {PHASES}")
-        self.by_key.setdefault((round_index, phase), []).append((cells, pauli))
+        cells = np.atleast_1d(np.asarray(cells, dtype=np.intp))
+        if x_bits is not None:
+            x_bits = np.asarray(x_bits, dtype=np.uint8)
+            z_bits = np.asarray(z_bits, dtype=np.uint8)
+        self.by_key.setdefault((round_index, phase), []).append(
+            (rows, cells, x_bits, z_bits))
 
     def get(self, round_index: int, phase: str):
         return self.by_key.get((round_index, phase), ())
@@ -138,7 +192,13 @@ def make_injection(entries) -> _Injection:
     """
     inj = _Injection()
     for round_index, phase, cells, pauli in entries:
-        inj.add(round_index, phase, cells, pauli)
+        if phase == "meas":
+            inj.add(round_index, phase, cells, None, None)
+        elif phase.startswith("cnot"):
+            inj.add(round_index, phase, cells, (pauli[0].x, pauli[1].x),
+                    (pauli[0].z, pauli[1].z))
+        else:
+            inj.add(round_index, phase, cells, pauli.x, pauli.z)
     return inj
 
 
@@ -174,128 +234,280 @@ class DetectionEvent:
 class WindowResult:
     history: SyndromeHistory
     frame: PauliFrame
-    noise_log: list | None = None
 
 
-def _apply_pauli2(frame: PauliFrame, ctl: int, tgt: int, bits) -> None:
-    frame.x[ctl] ^= bits[0]
-    frame.z[ctl] ^= bits[1]
-    frame.x[tgt] ^= bits[2]
-    frame.z[tgt] ^= bits[3]
-
-
-def run_cycle(frame: PauliFrame, circuit: CompiledCircuit, model: ErrorModel,
-              rng: np.random.Generator | None, round_index: int,
-              injections: _Injection | None = None,
-              noise_log: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the frame through one full cycle; return (z_reports, x_reports).
+def run_cycle(frame: PauliFrame, circuit: CompiledCircuit, round_index: int = 0,
+              injections: _Injection | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the frame noiselessly through one full cycle, applying the
+    injections planned for `round_index`; return (z_reports, x_reports).
 
     Reports are frame-relative measurement bits: a report of 1 means the
-    physical measurement would differ from the noiseless reference.  With
-    rng=None (or a zero-probability model) the cycle is noiseless.
+    physical measurement would differ from the noiseless reference.  The
+    frame may be a batch (leading axes before the cell axis).
     """
     x, z = frame.x, frame.z
-    noisy = rng is not None
+
+    def inject(phase: str):
+        if injections is None:
+            return
+        for rows, cells, bx, bz in injections.get(round_index, phase):
+            if bx is None:
+                bx = np.isin(cells, circuit.z_idx).astype(np.uint8)
+                bz = np.isin(cells, circuit.x_idx).astype(np.uint8)
+                if not np.all(bx | bz):
+                    raise ValueError(f"cell {cells} is not a syndrome qubit")
+            np.bitwise_xor.at(x, (rows, cells), bx)
+            np.bitwise_xor.at(z, (rows, cells), bz)
 
     for k in range(4):
         ctl, tgt = circuit.step_ctl[k], circuit.step_tgt[k]
-        x[tgt] ^= x[ctl]
-        z[ctl] ^= z[tgt]
-        if noisy and model.p2 > 0.0:
-            u = rng.random(len(ctl))
-            hits = np.nonzero(u < model.p2)[0]
-            if hits.size:
-                kinds = ((u[hits] / model.p2) * 15).astype(np.intp)
-                np.clip(kinds, 0, 14, out=kinds)
-                for h, kind in zip(hits, kinds):
-                    _apply_pauli2(frame, ctl[h], tgt[h], PAULI2_BITS[kind])
-                    if noise_log is not None:
-                        noise_log.append((round_index, f"cnot{k+1}", int(h), int(kind)))
-        if injections is not None:
-            for cells, pauli in injections.get(round_index, f"cnot{k+1}"):
-                _apply_pauli2(frame, cells[0], cells[1],
-                              (pauli[0].x, pauli[0].z, pauli[1].x, pauli[1].z))
-
-    def idle_noise(phase: str):
-        if noisy and model.pI > 0.0:
-            u = rng.random(len(circuit.data_idx))
-            hits = np.nonzero(u < model.pI)[0]
-            if hits.size:
-                kinds = ((u[hits] / model.pI) * 3).astype(np.intp)
-                np.clip(kinds, 0, 2, out=kinds)
-                cells = circuit.data_idx[hits]
-                bits = PAULI1_BITS[kinds]
-                x[cells] ^= bits[:, 0]
-                z[cells] ^= bits[:, 1]
-                if noise_log is not None:
-                    for h, kind in zip(hits, kinds):
-                        noise_log.append((round_index, phase, int(h), int(kind)))
-        if injections is not None:
-            for cells, pauli in injections.get(round_index, phase):
-                frame.x[cells] ^= pauli.x
-                frame.z[cells] ^= pauli.z
+        x[..., tgt] ^= x[..., ctl]
+        z[..., ctl] ^= z[..., tgt]
+        inject(f"cnot{k + 1}")
 
     if 5 in circuit.idle_steps:
-        idle_noise("idle5")
+        inject("idle5")
 
     # Measurement step: wrong-eigenstate flips persist in the frame.
-    if noisy and model.pM > 0.0:
-        flips_z = (rng.random(circuit.n_z) < model.pM).astype(np.uint8)
-        flips_x = (rng.random(circuit.n_x) < model.pM).astype(np.uint8)
-        x[circuit.z_idx] ^= flips_z
-        z[circuit.x_idx] ^= flips_x
-        if noise_log is not None:
-            for a in np.nonzero(flips_z)[0]:
-                noise_log.append((round_index, "meas", int(a), 0))
-            for a in np.nonzero(flips_x)[0]:
-                noise_log.append((round_index, "meas", int(a) + circuit.n_z, 0))
-    if injections is not None:
-        for cells, _ in injections.get(round_index, "meas"):
-            if np.any(circuit.z_idx == cells):
-                x[cells] ^= 1
-            elif np.any(circuit.x_idx == cells):
-                z[cells] ^= 1
-            else:
-                raise ValueError(f"cell {cells} is not a syndrome qubit")
-
-    z_reports = x[circuit.z_idx].copy()
-    x_reports = z[circuit.x_idx].copy()
+    inject("meas")
+    z_reports = x[..., circuit.z_idx]
+    x_reports = z[..., circuit.x_idx]
     # Measurement destroys the non-measured component: a Z-basis projection
     # makes z bits on the measured qubit meaningless, and vice versa.
-    z[circuit.z_idx] = 0
-    x[circuit.x_idx] = 0
+    z[..., circuit.z_idx] = 0
+    x[..., circuit.x_idx] = 0
 
     if 6 in circuit.idle_steps:
-        idle_noise("idle6")
+        inject("idle6")
 
     return z_reports, x_reports
 
 
+def _csr_rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry positions of the given CSR rows (concatenated) and each row's count."""
+    starts = ptr[rows]
+    counts = ptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts), counts
+
+
+def _csr(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, column) arrays of the nonzero entries of a 2-D array, by row."""
+    rows, cols = np.nonzero(matrix)
+    ptr = np.zeros(matrix.shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=matrix.shape[0]), out=ptr[1:])
+    return ptr, cols.astype(np.intp)
+
+
+class FaultTable:
+    """What each unit fault of one cycle flips, sparse over unit faults.
+
+    Unit faults, numbered in draw order: the x, z bits on the control and
+    then on the target after CNOT gate g (units 4g..4g+3, the columns of
+    PAULI2_BITS); the x, z bits of each data qubit at idle5, if scheduled;
+    the readout flip of each Z-type, then X-type, syndrome qubit; the x, z
+    bits of each data qubit at idle6, if scheduled.
+
+    Events of unit f are ev_off[ev_ptr[f]:ev_ptr[f + 1]], each coded
+    dt * n_stab + a: a indexes the Z-type and then the X-type syndrome
+    qubits, dt in {0, 1} counts rounds after the fault's.  The data bits
+    it leaves flipped in the final frame are data_col[data_ptr[f]:
+    data_ptr[f + 1]], coded cell (x bit) or n_cells + cell (z bit).
+    """
+
+    def __init__(self, circuit: CompiledCircuit):
+        c = circuit
+        self.circuit = circuit
+        self.n_stab = c.n_z + c.n_x
+        n_data = len(c.data_idx)
+        self._data_pos = {int(cell): i for i, cell in enumerate(c.data_idx)}
+        stab_cells = np.concatenate([c.z_idx, c.x_idx])
+        self._stab_pos = {int(cell): a for a, cell in enumerate(stab_cells)}
+        self._stab_key = [("z" if a < c.n_z else "x", int(cell))
+                          for a, cell in enumerate(stab_cells)]
+
+        # Unit-fault numbering, the injection of every unit fault in round 1,
+        # and the draw segments of one round: (probability attribute, first
+        # unit of each slot).  Unit f is bit f % 8 of frame row f // 8, so a
+        # byte carries eight unit faults through the bitwise XORs at once.
+        inj = _Injection()
+
+        def inject(phase: str, units, cells, x_bits, z_bits):
+            shift = units & 7
+            inj.add(1, phase, cells, np.left_shift(x_bits, shift),
+                    np.left_shift(z_bits, shift), rows=units >> 3)
+
+        segments = []
+        first_gate = 0
+        for k in range(4):
+            ctl, tgt = c.step_ctl[k], c.step_tgt[k]
+            base = 4 * np.arange(first_gate, first_gate + len(ctl))
+            first_gate += len(ctl)
+            inject(f"cnot{k + 1}", np.concatenate([base, base + 1, base + 2, base + 3]),
+                   np.concatenate([ctl, ctl, tgt, tgt]),
+                   np.repeat([1, 0, 1, 0], len(ctl)), np.repeat([0, 1, 0, 1], len(ctl)))
+            segments.append(("p2", base))
+        n_units = 4 * c.n_cnots
+        self.idle_base: dict[int, int] = {}
+
+        def add_idle(step: int):
+            nonlocal n_units
+            self.idle_base[step] = n_units
+            inject(f"idle{step}", n_units + np.arange(2 * n_data), np.repeat(c.data_idx, 2),
+                   np.tile([1, 0], n_data), np.tile([0, 1], n_data))
+            segments.append(("pI", n_units + 2 * np.arange(n_data)))
+            n_units += 2 * n_data
+
+        if 5 in c.idle_steps:
+            add_idle(5)
+        self.meas_base = n_units
+        meas = n_units + np.arange(self.n_stab)
+        inject("meas", meas, stab_cells, np.arange(self.n_stab) < c.n_z,
+               np.arange(self.n_stab) >= c.n_z)
+        segments += [("pM", meas[:c.n_z]), ("pM", meas[c.n_z:])]
+        n_units += self.n_stab
+        if 6 in c.idle_steps:
+            add_idle(6)
+        self.n_units = n_units
+        self._segments = segments
+        self._layouts: dict[ErrorModel, tuple] = {}
+
+        def unpack(packed: np.ndarray) -> np.ndarray:
+            return np.unpackbits(packed, axis=0, count=n_units, bitorder="little")
+
+        # Rounds 1-3 with every unit fault in round 1.  No data bit may move
+        # after round 1, round 3 must see no event and must leave the frame
+        # of round 1: then the frame repeats with period two, and no event
+        # follows round 2.  Frames are stored cell-major, so the per-cell
+        # gathers of each CNOT step read contiguous memory.
+        n_rows = -(-n_units // 8)
+        frame = PauliFrame(np.zeros((c.n_cells, n_rows), dtype=np.uint8).T,
+                           np.zeros((c.n_cells, n_rows), dtype=np.uint8).T)
+        report = sign = np.zeros((n_rows, self.n_stab), dtype=np.uint8)
+        events = []
+        for t in (1, 2, 3):
+            new_report = np.concatenate(run_cycle(frame, c, t, inj), axis=1)
+            events.append(new_report ^ report ^ sign)
+            report, sign = new_report, new_report ^ report
+            if t == 1:
+                first_x, first_z = frame.x.copy(), frame.z.copy()
+            cells = c.data_idx if t == 2 else slice(None)
+            if t > 1 and not (np.array_equal(frame.x[:, cells], first_x[:, cells])
+                              and np.array_equal(frame.z[:, cells], first_z[:, cells])):
+                raise ValueError("a noiseless cycle changes the frame a unit fault "
+                                 "leaves behind; the sampler needs it settled after "
+                                 "one cycle")
+        late = np.flatnonzero(unpack(events[2]).any(axis=1))
+        if late.size:
+            raise ValueError(
+                f"unit faults {late[:8].tolist()} flip detection events two rounds "
+                "after their own; the sampler needs every fault's events within "
+                "dt in {0, 1}")
+        self.ev_ptr, self.ev_off = _csr(unpack(np.concatenate(events[:2], axis=1)))
+        self.data_ptr, data_cols = _csr(unpack(np.concatenate(
+            [first_x[:, c.data_idx], first_z[:, c.data_idx]], axis=1)))
+        self.data_col = np.concatenate([c.data_idx, c.n_cells + c.data_idx])[data_cols]
+
+    def cnot_unit(self, gate: int, on_target: bool, bit: int) -> int:
+        """Unit fault of the x (bit 0) or z (bit 1) bit after a CNOT."""
+        return 4 * gate + 2 * on_target + bit
+
+    def idle_unit(self, step: int, cell: int, bit: int) -> int:
+        """Unit fault of the x (bit 0) or z (bit 1) bit of an idling data qubit."""
+        return self.idle_base[step] + 2 * self._data_pos[cell] + bit
+
+    def meas_unit(self, cell: int) -> int:
+        """Unit fault of a syndrome qubit's readout flip."""
+        return self.meas_base + self._stab_pos[cell]
+
+    def events(self, units) -> set[tuple[str, int, int]]:
+        """(graph, flat cell, dt) events of the XOR of the given unit faults."""
+        out: set = set()
+        for f in units:
+            for off in self.ev_off[self.ev_ptr[f]:self.ev_ptr[f + 1]]:
+                dt, a = divmod(int(off), self.n_stab)
+                out ^= {(*self._stab_key[a], dt)}
+        return out
+
+    def _layout(self, model: ErrorModel) -> tuple:
+        """Per-slot arrays of one round's draws under a model: probability,
+        kind multiplier, max kind, first _KIND_UNITS row, first unit."""
+        layout = self._layouts.get(model)
+        if layout is None:
+            cols = ([], [], [], [], [])
+            for attr, base in self._segments:
+                p = getattr(model, attr)
+                if p > 0.0:
+                    row, mult, max_kind = _SLOT_CLASSES[attr]
+                    for col, value in zip(cols, (p, mult, max_kind, row, base)):
+                        col.append(np.broadcast_to(value, base.shape))
+            dtypes = (np.float64, np.float64, np.intp, np.intp, np.intp)
+            layout = tuple(np.concatenate(col).astype(dtype) if col else np.zeros(0, dtype)
+                           for col, dtype in zip(cols, dtypes))
+            self._layouts[model] = layout
+        return layout
+
+    def sample(self, model: ErrorModel, rng: np.random.Generator,
+               rounds: int) -> WindowResult:
+        """One noisy window of `rounds` rounds plus the closure round."""
+        c = self.circuit
+        p, mult, max_kind, kind_row, first_unit = self._layout(model)
+        n_rounds = rounds + 2
+        units = t = np.zeros(0, dtype=np.intp)
+        if p.size:
+            u = rng.random(rounds * p.size).reshape(rounds, p.size)
+            t, s = np.nonzero(u < p)
+            kinds = np.clip(((u[t, s] / p[s]) * mult[s]).astype(np.intp), 0, max_kind[s])
+            hit, bit = np.nonzero(_KIND_UNITS[kind_row[s] + kinds])
+            units = first_unit[s[hit]] + bit
+            t = t[hit] + 1
+
+        pos, counts = _csr_rows(self.ev_ptr, units)
+        flat = np.repeat(t * self.n_stab, counts) + self.ev_off[pos]
+        events = np.bincount(flat, minlength=n_rounds * self.n_stab).astype(np.uint8) & 1
+        signs = np.bitwise_xor.accumulate(events.reshape(n_rounds, self.n_stab), axis=0).T
+        z_signs = np.ascontiguousarray(signs[:c.n_z])
+        x_signs = np.ascontiguousarray(signs[c.n_z:])
+
+        pos, _ = _csr_rows(self.data_ptr, units)
+        bits = np.bincount(self.data_col[pos], minlength=2 * c.n_cells).astype(np.uint8) & 1
+        frame = PauliFrame(bits[:c.n_cells], bits[c.n_cells:])
+        frame.x[c.z_idx] = np.bitwise_xor.reduce(z_signs, axis=1)
+        frame.z[c.x_idx] = np.bitwise_xor.reduce(x_signs, axis=1)
+
+        history = SyndromeHistory(lattice=c.lattice, signs={"z": z_signs, "x": x_signs},
+                                  noisy_rounds=rounds)
+        return WindowResult(history=history, frame=frame)
+
+
 def simulate_window(circuit: CompiledCircuit, model: ErrorModel,
                     rng: np.random.Generator | None, rounds: int,
-                    injections: _Injection | None = None,
-                    record_noise: bool = False) -> WindowResult:
+                    injections: _Injection | None = None) -> WindowResult:
     """Run `rounds` noisy cycles plus the closing noiseless cycle.
 
-    Rounds are indexed 1..rounds for noise/injection purposes; recorded
-    sign history additionally contains the baseline column 0 and the
-    closure column rounds+1.
+    With an rng the window is sampled from the circuit's fault table.
+    Without one it is noiseless, with the given injections propagated
+    through the frame; rounds are indexed 1..rounds for injections, and
+    the sign history adds the baseline column 0 and the closure column
+    rounds+1.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    frame = PauliFrame.zeros(circuit.n_cells)
-    noise_log: list | None = [] if record_noise else None
+    if rng is not None:
+        if injections is not None:
+            raise ValueError("injections are only propagated through noiseless "
+                             "windows; pass rng=None")
+        return circuit.fault_table.sample(model, rng, rounds)
 
+    frame = PauliFrame.zeros(circuit.n_cells)
     n_rounds = rounds + 2
     z_signs = np.zeros((circuit.n_z, n_rounds), dtype=np.uint8)
     x_signs = np.zeros((circuit.n_x, n_rounds), dtype=np.uint8)
-
     prev_z = np.zeros(circuit.n_z, dtype=np.uint8)
     prev_x = np.zeros(circuit.n_x, dtype=np.uint8)
     for t in range(1, rounds + 2):
-        noisy_rng = rng if t <= rounds else None
-        rz, rx = run_cycle(frame, circuit, model, noisy_rng, t,
-                           injections=injections, noise_log=noise_log)
+        rz, rx = run_cycle(frame, circuit, t, injections)
         z_signs[:, t] = rz ^ prev_z
         x_signs[:, t] = rx ^ prev_x
         prev_z, prev_x = rz, rx
@@ -305,7 +517,7 @@ def simulate_window(circuit: CompiledCircuit, model: ErrorModel,
         signs={"z": z_signs, "x": x_signs},
         noisy_rounds=rounds,
     )
-    return WindowResult(history=history, frame=frame, noise_log=noise_log)
+    return WindowResult(history=history, frame=frame)
 
 
 def detection_events(history: SyndromeHistory) -> list[DetectionEvent]:

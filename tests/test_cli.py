@@ -98,3 +98,33 @@ def test_config_file_unknown_metric_returns_1(tmp_path, capsys):
     cfg.write_text("distance=3\ntrials=2\nmetric=foo\n")
     assert main(["--config", str(cfg)]) == 1
     assert "unknown metric 'foo'" in capsys.readouterr().err
+
+
+def test_rounds_zero_returns_1(capsys):
+    assert main(["--distance", "3", "--trials", "2", "--rounds", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "rounds" in err
+
+
+@pytest.mark.parametrize("flag,values", [("--distance", "3,4"), ("--p", "0.01,1.5")])
+def test_bad_later_sweep_point_returns_1(monkeypatch, capsys, flag, values):
+    # Every point is checked before any runs: no window may be simulated.
+    import surfacesim.harness as harness
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a sweep point ran before the configuration was checked")
+
+    monkeypatch.setattr(harness, "run_trials", no_trials)
+    argv = ["--distance", "3", "--p", "0.01", "--trials", "2", flag, values]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_debug_events_go_to_stderr(capsys):
+    rc = main(["--distance", "3", "--p", "0.02", "--trials", "3",
+               "--rounds", "4", "--seed", "2", "--debug-events"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "# window 0" in captured.err
+    assert "# window 2" in captured.err
+    assert captured.out.startswith("d,p,model") and "#" not in captured.out

@@ -313,3 +313,46 @@ def test_mc_probability_validation_1e6(setup_d5):
         worst = max(worst, pull)
         assert pull < 5.0, (cls.graph, cls.cells, cls.dt, expected, observed)
     assert worst > 0.0
+
+
+def _class_snapshot(table):
+    pairs = {g: {key: (c.members, c.probability, c.cells, c.dt, c.offset)
+                 for key, c in table.pair_classes[g].items()} for g in ("x", "z")}
+    bounds = {g: {key: (c.members, c.probability, c.cells, c.side)
+                  for key, c in table.boundary_classes[g].items()} for g in ("x", "z")}
+    return table.to_json(), pairs, bounds
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("idle_steps", [(6,), (5,), (5, 6)], ids=["idle6", "idle5", "idle56"])
+def test_derivation_from_fault_table_matches_propagation(monkeypatch, d, idle_steps):
+    # The same EdgeClassTable as with every signature taken from
+    # propagate_process.  Signatures do not depend on the model, so each
+    # propagated one is reused across the presets.
+    import surfacesim.edge_analysis as ea
+
+    lat = build_lattice(d)
+    circ = compile_circuit(lat, standard_schedule(lat, idle_steps=idle_steps))
+    propagated: dict = {}
+
+    def oracle(circuit, proc):
+        key = (proc.graph, proc.location, proc.component.split("+")[0])
+        if key not in propagated:
+            propagated[key] = propagate_process(circuit, proc)
+        return propagated[key]
+
+    for name in ("standard", "balanced", "iontrap"):
+        model = preset(name, 0.01)
+        with monkeypatch.context() as m:
+            m.setattr(ea, "process_signature", oracle)
+            want = derive_edge_classes(circ, model)
+        got = derive_edge_classes(circ, model)
+        assert _class_snapshot(got) == _class_snapshot(want), name
+
+
+def test_process_signature_matches_propagation_d3():
+    lat = build_lattice(3)
+    circ = compile_circuit(lat, standard_schedule(lat, idle_steps=(5, 6)))
+    from surfacesim.edge_analysis import process_signature
+    for proc in enumerate_processes(circ, preset("standard", 0.01)):
+        assert process_signature(circ, proc) == propagate_process(circ, proc), proc

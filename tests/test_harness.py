@@ -20,6 +20,13 @@ def test_config_validation():
     assert TrialConfig(distance=5, p=0.01, rounds=20).window_rounds == 20
 
 
+def test_rounds_must_be_positive():
+    for rounds in (0, -3):
+        with pytest.raises(ValueError, match="rounds"):
+            TrialConfig(distance=3, p=0.01, rounds=rounds)
+    assert TrialConfig(distance=3, p=0.01, rounds=1).window_rounds == 1
+
+
 def test_custom_model():
     cfg = TrialConfig(distance=3, p=0.0, model="custom",
                       custom_model=(0.01, 0.002, 0.003))

@@ -161,3 +161,146 @@ def test_every_single_fault_makes_at_most_two_events(circuit_d3, graph):
             continue
         events = propagate_process(circuit_d3, proc)
         assert len(events) <= 2
+
+
+# --- fault-table sampler ---------------------------------------------------
+
+def _circuit(d, idle_steps=(6,)):
+    lat = build_lattice(d)
+    return compile_circuit(lat, standard_schedule(lat, idle_steps=idle_steps))
+
+
+SAMPLER_CASES = [
+    (d, model, idle, rounds)
+    for d in (3, 5)
+    for model, idle, rounds in (
+        [(preset(name, 0.01), (6,), 10 * d) for name in ("standard", "balanced", "iontrap")]
+        + [(ErrorModel(*m), (6,), rounds)
+           for m in ((0.01, 0, 0.01), (0, 0.01, 0), (1.0, 0, 0))
+           for rounds in (1, 10 * d)]
+        + [(preset("standard", 0.01), idle, 10 * d) for idle in ((5,), (5, 6))]
+    )
+]
+
+
+@pytest.mark.parametrize("d,model,idle_steps,rounds", SAMPLER_CASES)
+def test_sampler_matches_frozen_reference(d, model, idle_steps, rounds):
+    # Signs and the whole final frame, window by window, against the
+    # round-by-round simulator fed by the same stream.
+    import frame_reference
+
+    circ = _circuit(d, idle_steps)
+    for idx in range(30):
+        got = simulate_window(circ, model, trial_rng(21, idx), rounds)
+        want = frame_reference.simulate_window(circ, model, trial_rng(21, idx), rounds)
+        for graph in ("x", "z"):
+            assert got.history.signs[graph].dtype == want.history.signs[graph].dtype
+            assert np.array_equal(got.history.signs[graph], want.history.signs[graph]), idx
+        assert np.array_equal(got.frame.x, want.frame.x), idx
+        assert np.array_equal(got.frame.z, want.frame.z), idx
+
+
+def _unit_fault_injection(circ, unit, round_index):
+    """The injection of one unit fault, numbered as FaultTable documents."""
+    table = circ.fault_table
+    if unit < 4 * circ.n_cnots:
+        gate, bit = divmod(unit, 4)
+        one = (X, Z)[bit % 2]
+        pair = (one, I) if bit < 2 else (I, one)
+        cells = (int(circ.gate_ctl[gate]), int(circ.gate_tgt[gate]))
+        return make_injection([(round_index, f"cnot{circ.gate_step[gate] + 1}", cells, pair)])
+    if unit >= table.meas_base and unit < table.meas_base + circ.n_z + circ.n_x:
+        cell = np.concatenate([circ.z_idx, circ.x_idx])[unit - table.meas_base]
+        return make_injection([(round_index, "meas", int(cell), None)])
+    for step, base in table.idle_base.items():
+        if base <= unit < base + 2 * len(circ.data_idx):
+            i, bit = divmod(unit - base, 2)
+            return make_injection([(round_index, f"idle{step}", int(circ.data_idx[i]),
+                                    (X, Z)[bit])])
+    raise AssertionError(f"unit {unit} has no location")
+
+
+@pytest.mark.parametrize("d,idle_steps", [(3, (5, 6)), (5, (6,))])
+def test_fault_table_entries_match_injected_faults(d, idle_steps):
+    # Every entry against the noiseless propagator with that one unit fault
+    # injected: in the last noisy round (dt = 1 lands in the closure column)
+    # and in an earlier one.
+    circ = _circuit(d, idle_steps)
+    table = circ.fault_table
+    n_stab = circ.n_z + circ.n_x
+    zero = ErrorModel(0, 0, 0)
+    assert table.n_units == (4 * circ.n_cnots + n_stab
+                             + 2 * len(circ.data_idx) * len(idle_steps))
+    for unit in range(table.n_units):
+        for rounds, r0 in ((2, 2), (3, 1)):
+            res = simulate_window(circ, zero, None, rounds,
+                                  injections=_unit_fault_injection(circ, unit, r0))
+            signs = np.concatenate([res.history.signs["z"], res.history.signs["x"]])
+            events = signs ^ np.concatenate([np.zeros((n_stab, 1), np.uint8),
+                                             signs[:, :-1]], axis=1)
+            want = np.zeros_like(events)
+            for off in table.ev_off[table.ev_ptr[unit]:table.ev_ptr[unit + 1]]:
+                dt, a = divmod(int(off), n_stab)
+                want[a, r0 + dt] = 1
+            assert np.array_equal(events, want), (unit, rounds, r0)
+
+            data = np.zeros(2 * circ.n_cells, dtype=np.uint8)
+            data[table.data_col[table.data_ptr[unit]:table.data_ptr[unit + 1]]] = 1
+            frame = np.concatenate([res.frame.x, res.frame.z])
+            cols = np.concatenate([circ.data_idx, circ.n_cells + circ.data_idx])
+            assert np.array_equal(frame[cols], data[cols]), (unit, rounds, r0)
+
+
+def test_fault_table_units_touch_one_graph(circuit_d5):
+    # An x bit is seen only by Z-type stabilizers and a z bit only by X-type
+    # ones, and no unit fault flips more than two events.
+    table = circuit_d5.fault_table
+    n_z, n_stab = circuit_d5.n_z, circuit_d5.n_z + circuit_d5.n_x
+    assert set(np.diff(table.ev_ptr)) <= {0, 1, 2}
+    for unit in range(table.n_units):
+        graphs = {int(off) % n_stab < n_z
+                  for off in table.ev_off[table.ev_ptr[unit]:table.ev_ptr[unit + 1]]}
+        assert len(graphs) <= 1, unit
+
+
+def _patched_cycle(monkeypatch, tamper):
+    import surfacesim.sim as sim
+
+    original = sim.run_cycle
+
+    def cycle(frame, circuit, round_index=0, injections=None):
+        reports = original(frame, circuit, round_index, injections)
+        tamper(frame, reports, round_index)
+        return reports
+
+    monkeypatch.setattr(sim, "run_cycle", cycle)
+    return sim
+
+
+def test_fault_table_rejects_events_two_rounds_late(monkeypatch):
+    def late_report(frame, reports, round_index):
+        if round_index == 3:
+            reports[0][5, 0] ^= 1
+
+    sim = _patched_cycle(monkeypatch, late_report)
+    with pytest.raises(ValueError, match="two rounds"):
+        sim.FaultTable(_circuit(3))
+
+
+def test_fault_table_rejects_an_unsettled_frame(monkeypatch):
+    def moving_data(frame, reports, round_index):
+        if round_index == 3:
+            frame.x[7, 0] ^= 1
+
+    sim = _patched_cycle(monkeypatch, moving_data)
+    with pytest.raises(ValueError, match="settled"):
+        sim.FaultTable(_circuit(3))
+
+
+def test_simulate_window_rejects_bad_calls(circuit_d3):
+    model = preset("standard", 0.01)
+    inj = make_injection([(1, "meas", circuit_d3.lattice.index((2, 1)), None)])
+    with pytest.raises(ValueError, match="noiseless"):
+        simulate_window(circuit_d3, model, trial_rng(0, 0), 3, injections=inj)
+    with pytest.raises(ValueError, match="rounds"):
+        simulate_window(circuit_d3, model, trial_rng(0, 0), 0)
