@@ -7,7 +7,7 @@ from .sim import SyndromeHistory, DetectionEvent, PauliFrame, simulate_window, d
 from .edge_analysis import EdgeClassTable, derive_edge_classes, odd_parity_probability
 from .metric import LinkGraph, manhattan, d_max, d_n, boundary_distance
 from .matching import MatchGraph, Matching, mwpm, brute_force_mwpm
-from .decoder import DecodeOutcome, decode_window
+from .decoder import DecodeOutcome
 from .harness import TrialConfig, SweepStats, run_trials, rounds_to_failure, estimate_threshold
 
 __version__ = "0.1.0"
@@ -19,6 +19,6 @@ __all__ = [
     "EdgeClassTable", "derive_edge_classes", "odd_parity_probability",
     "LinkGraph", "manhattan", "d_max", "d_n", "boundary_distance",
     "MatchGraph", "Matching", "mwpm", "brute_force_mwpm",
-    "DecodeOutcome", "decode_window",
+    "DecodeOutcome",
     "TrialConfig", "SweepStats", "run_trials", "rounds_to_failure", "estimate_threshold",
 ]

@@ -143,7 +143,6 @@ def main(argv=None) -> int:
 
     try:
         if args.export_edges:
-            from .noise import preset
             lat = build_lattice(base.distance)
             sched = standard_schedule(lat, order=base.schedule_order)
             table = derive_edge_classes(compile_circuit(lat, sched),

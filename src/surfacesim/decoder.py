@@ -50,8 +50,8 @@ import numpy as np
 
 from .edge_analysis import EdgeClassTable
 from .lattice import Lattice
-from .matching import MatchGraph, Matching, mwpm
-from .metric import LinkGraph, MetricCache, path_sum_table
+from .matching import MatchGraph, Matching
+from .metric import MetricCache, path_sum_table
 from .sim import PauliFrame, SyndromeHistory
 
 DP_MAX_NODES = 6
@@ -89,21 +89,6 @@ class Decoder:
         self._lx = np.array([lat.index(c) for c in lat.logical_x_support], dtype=np.intp)
         self._lz = np.array([lat.index(c) for c in lat.logical_z_support], dtype=np.intp)
 
-    def _max_reach(self, graph: str, cache: MetricCache) -> int:
-        """Chebyshev-distance cutoff beyond which real-real edges are
-        always pruned.  One link moves at most one sublattice unit per
-        axis, so a pair at offset L needs at least L links."""
-        if self.metric == "manhattan":
-            return self.lattice.distance + 1
-        probs = [cls.probability for cls in self.table.pair_classes[graph].values()
-                 if cls.probability > 0.0]
-        if not probs:
-            return 1
-        w_min = -math.log(max(probs))
-        b_max = max(cache.boundary_weight(self.lattice.index(c))[0]
-                    for c in self.lattice.stabilizers(graph))
-        return max(1, int(math.ceil(2.0 * b_max / w_min)))
-
     def _precompute(self, graph: str, cache: MetricCache) -> dict:
         """Per-stabilizer tables of one graph, as plain Python lists: the
         decode loop indexes them per candidate pair, where list lookups
@@ -117,12 +102,23 @@ class Decoder:
         bw = [cache.boundary_weight(c) for c in cells]
         bvals = [w for w, _ in bw]
         bsides = [side for _, side in bw]
-        reach = self._max_reach(graph, cache)
+        # An edge no lighter than two boundary matches is pruned.  Every
+        # link weighs at least w_min (one unit for manhattan) and moves at
+        # most one sublattice unit per axis and one round, so a pair more
+        # than 2 * b_max / w_min apart in space or time never gets one.
+        b_max = max(bvals)
+        if self.metric == "manhattan":
+            w_min = 1.0
+        else:
+            probs = [cls.probability for cls in self.table.pair_classes[graph].values()
+                     if cls.probability > 0.0]
+            w_min = -math.log(max(probs)) if probs else math.inf
+        reach = max(1, math.ceil(2.0 * b_max / w_min)) if math.isfinite(w_min) else 1
 
         wtab = np.full((S, S, reach + 1), np.inf, dtype=np.float64)
+        lg = cache.graph
         if self.metric == "dmax":
-            cutoff = 2.0 * max(bvals) + 1e-9
-            lg = LinkGraph(self.table, graph)
+            cutoff = 2.0 * b_max + 1e-9
             for a in range(S):
                 src = (cells[a], 0)
                 dist = {src: 0.0}
@@ -142,13 +138,6 @@ class Decoder:
                             dist[other] = nd
                             heapq.heappush(heap, (nd, other))
         else:
-            w_min = 0.0
-            if self.metric != "manhattan":
-                probs = [cls.probability
-                         for cls in self.table.pair_classes[graph].values()
-                         if cls.probability > 0.0]
-                w_min = -math.log(max(probs)) if probs else 1.0
-                lg = LinkGraph(self.table, graph)
             for a in range(S):
                 targets = []
                 for b in range(S):
@@ -160,9 +149,7 @@ class Decoder:
                     for dt in range(reach + 1):
                         if a == b and dt == 0:
                             continue
-                        links_lb = max(cheb, dt)
-                        if self.metric != "manhattan" and \
-                                links_lb * w_min >= bvals[a] + bvals[b]:
+                        if max(cheb, dt) * w_min >= bvals[a] + bvals[b]:
                             continue  # pruned anyway; leave inf
                         targets.append((b, dt))
                 if self.metric == "manhattan":
@@ -487,10 +474,3 @@ def _assert_trivial_syndrome(lattice: Lattice, res_x: np.ndarray,
         parity = sum(int(res_z[lattice.index(q)]) for q in lattice.supports[stab]) % 2
         if parity:
             raise AssertionError(f"residual Z syndrome at {stab}")
-
-
-def decode_window(history: SyndromeHistory, frame: PauliFrame,
-                  table: EdgeClassTable, metric: str = "dmax",
-                  verify: bool = False) -> DecodeOutcome:
-    """One-shot convenience wrapper around Decoder."""
-    return Decoder(table, metric).decode(history, frame, verify=verify)

@@ -23,7 +23,6 @@ for any valid schedule, lattice size and error model.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,8 +98,8 @@ def _injection_for(circuit: CompiledCircuit, proc: ErrorProcess, round_index: in
     raise ValueError(f"unknown location {proc.location}")
 
 
-def propagate_process(circuit: CompiledCircuit, proc: ErrorProcess,
-                      _round_index: int = 2) -> tuple[tuple[int, int], ...]:
+def propagate_process(circuit: CompiledCircuit,
+                      proc: ErrorProcess) -> tuple[tuple[int, int], ...]:
     """Detection-event signature of a single injected process.
 
     Returns a tuple of (flat_cell, dt) pairs with dt relative to the
@@ -108,12 +107,12 @@ def propagate_process(circuit: CompiledCircuit, proc: ErrorProcess,
     is invisible to its graph.
     """
     model = ErrorModel(0.0, 0.0, 0.0)
-    inj = _injection_for(circuit, proc, _round_index)
-    res = simulate_window(circuit, model, None, rounds=_round_index + 2, injections=inj)
+    inj = _injection_for(circuit, proc, 2)  # injected in round 2 of 4
+    res = simulate_window(circuit, model, None, rounds=4, injections=inj)
     events = detection_events(res.history)
     assert all(e.graph == proc.graph for e in events)
     sig = tuple(sorted(
-        (circuit.lattice.index((e.i, e.j)), e.t - _round_index) for e in events))
+        (circuit.lattice.index((e.i, e.j)), e.t - 2) for e in events))
     if not sig:
         return sig
     dts = [dt for _, dt in sig]
@@ -197,11 +196,6 @@ class EdgeClassTable:
     boundary_classes: dict[str, dict[int, EdgeClass]]
     bulk_classes: dict[str, list[EdgeClass]] = field(default_factory=dict)
 
-    def pair_key(self, cell_u: int, cell_v: int, dt: int) -> tuple:
-        if dt == 0:
-            return (min(cell_u, cell_v), max(cell_u, cell_v), 0)
-        return (cell_u, cell_v, dt)
-
     def neighbors(self, graph: str, cell: int):
         """Iterate (other_cell, signed_dt, probability) links from a cell."""
         return self._adjacency[graph].get(cell, ())
@@ -248,13 +242,6 @@ class EdgeClassTable:
         return json.dumps(out, indent=2)
 
 
-def _boundary_side(lattice: Lattice, graph: str, cell: int) -> str:
-    i, j = lattice.cell(cell)
-    if graph == "z":
-        return "left" if j <= lattice.size // 2 else "right"
-    return "top" if i <= lattice.size // 2 else "bottom"
-
-
 def _sublattice_offset(lattice: Lattice, graph: str, cells: tuple, dt: int) -> tuple:
     (a1, b1) = lattice.sublattice_coord(lattice.cell(cells[0]))
     (a2, b2) = lattice.sublattice_coord(lattice.cell(cells[1]))
@@ -289,7 +276,7 @@ def derive_edge_classes(circuit: CompiledCircuit, model: ErrorModel) -> EdgeClas
                 cls = EdgeClass(
                     graph=graph, kind="boundary", cells=(lattice.cell(cell),),
                     dt=0, probability=prob, members=tuple(members),
-                    side=_boundary_side(lattice, graph, cell))
+                    side=lattice.nearest_boundary(lattice.cell(cell))[1])
                 boundary_classes[graph][cell] = cls
             else:
                 (cu, dtu), (cv, dtv) = sig

@@ -7,8 +7,12 @@ aggregation is order-independent and results are reproducible for a
 given configuration regardless of scheduling.
 
 Mean rounds-to-failure is estimated from the per-window failure
-probability P as -T / ln(1 - P), which is unbiased for rare failures
-and reduces to T/P in the small-P limit.  Confidence intervals come
+probability P as -T / ln(1 - P), which reduces to T/P in the small-P
+limit.  The estimate treats P as the probability that a first failure
+falls within T rounds at a constant per-round rate.  A window's verdict
+is a parity, though: two flips cancel, so P saturates near 0.5 rather
+than 1, and the estimate then reads about T / ln 2 whatever the error
+rate.  Confidence intervals come
 from the Wilson binomial interval.  The threshold is the crossing point
 of rounds-to-failure curves for different distances, fitted log-linearly
 in p, with uncertainty from a bootstrap over trial counts.
@@ -16,6 +20,7 @@ in p, with uncertainty from a bootstrap over trial counts.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import time
@@ -54,7 +59,6 @@ class TrialConfig:
     idle_steps: tuple[int, ...] = (6,)
     custom_model: tuple[float, float, float] | None = None
     jobs: int = 1
-    verify: bool = False
     debug_events: bool = False
 
     def __post_init__(self):
@@ -92,19 +96,10 @@ class PointStats:
     seed: int
     wall_time: float
 
-    def failure_probability(self, logical: str) -> float:
-        return (self.fail_x if logical == "x" else self.fail_z) / self.N
-
 
 @dataclass
 class SweepStats:
     rows: list[PointStats] = field(default_factory=list)
-
-    def row(self, d: int, p: float) -> PointStats:
-        for r in self.rows:
-            if r.d == d and abs(r.p - p) < 1e-12:
-                return r
-        raise KeyError(f"no row for d={d}, p={p}")
 
 
 def wilson_interval(k: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -178,8 +173,7 @@ def _run_chunk(args) -> tuple[int, int, list[str]]:
     for idx in range(start, start + count):
         rng = trial_rng(cfg.seed, idx)
         res = simulate_window(circuit, model, rng, T)
-        outcome = decoder.decode(res.history, res.frame, verify=cfg.verify,
-                                 collect_matches=cfg.debug_events)
+        outcome = decoder.decode(res.history, res.frame, collect_matches=False)
         fail_x += outcome.logical_x_failed
         fail_z += outcome.logical_z_failed
         if cfg.debug_events:
@@ -199,17 +193,13 @@ def run_trials(cfg: TrialConfig, trace_sink=None) -> SweepStats:
     chunks = [(cfg, start, min(chunk, cfg.trials - start))
               for start in range(0, cfg.trials, chunk)]
     fail_x = fail_z = 0
-    if cfg.jobs > 1:
-        import multiprocessing as mp
-        with mp.get_context("spawn").Pool(cfg.jobs) as pool:
-            for cx, cz, traces in pool.imap_unordered(_run_chunk, chunks):
-                fail_x += cx
-                fail_z += cz
-                if trace_sink is not None:
-                    trace_sink.extend(traces)
-    else:
-        for args in chunks:
-            cx, cz, traces = _run_chunk(args)
+    with contextlib.ExitStack() as stack:
+        results = map(_run_chunk, chunks)
+        if cfg.jobs > 1:
+            import multiprocessing as mp
+            pool = stack.enter_context(mp.get_context("spawn").Pool(cfg.jobs))
+            results = pool.imap_unordered(_run_chunk, chunks)
+        for cx, cz, traces in results:
             fail_x += cx
             fail_z += cz
             if trace_sink is not None:

@@ -15,7 +15,7 @@ Z operator along column 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DIRECTIONS = {"n": (-1, 0), "e": (0, 1), "s": (1, 0), "w": (0, -1)}
 
@@ -91,6 +91,18 @@ class Lattice:
         if role == X_SYNDROME:
             return ((i - 1) // 2, j // 2)
         raise ValueError(f"{cell} is not a syndrome qubit")
+
+    def nearest_boundary(self, cell: tuple[int, int]) -> tuple[int, str]:
+        """Nearest boundary that a syndrome qubit's error chains end on, and
+        its distance in sublattice units (one more than the stabilizers
+        lying between).  Z-type qubits exit left or right, X-type top or
+        bottom; a tie goes left or top."""
+        a, b = self.sublattice_coord(cell)
+        if cell_role(*cell) == Z_SYNDROME:
+            left, right = b + 1, self.distance - 1 - b
+            return (left, "left") if left <= right else (right, "right")
+        top, bottom = a + 1, self.distance - 1 - a
+        return (top, "top") if top <= bottom else (bottom, "bottom")
 
     def describe(self) -> dict:
         """JSON-friendly dump of roles, supports and logical operators."""

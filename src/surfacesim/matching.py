@@ -35,13 +35,13 @@ roundoff can never lose an event.  In max-weight mode the run ends when
 the free vertices' duals reach zero (now = max weight); in both modes it
 ends when fewer than two free vertices remain or no event is left.
 
-`eps` (1e-12, absolute) decides only whether an edge found during a scan
+`EPS` (1e-12, absolute) decides only whether an edge found during a scan
 is tight enough to act on at once rather than through an event; duals
 are combinations of halved input weights, so this is far above
 accumulated rounding error for decoder-scale weights.
 
 A brute-force oracle over all perfect matchings is provided for small
-graphs, plus a plain "u v w" edge-list text format for test harnesses.
+graphs.
 """
 
 from __future__ import annotations
@@ -71,20 +71,6 @@ class MatchGraph:
             raise ValueError(f"bad edge ({u}, {v})")
         self.edges.append((u, v, float(w)))
 
-    def dumps(self) -> str:
-        lines = [f"{self.n_nodes}"]
-        lines += [f"{u} {v} {w!r}" for u, v, w in self.edges]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "MatchGraph":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        graph = cls(n_nodes=int(lines[0]))
-        for ln in lines[1:]:
-            u, v, w = ln.split()
-            graph.add_edge(int(u), int(v), float(w))
-        return graph
-
 
 @dataclass
 class Matching:
@@ -92,13 +78,6 @@ class Matching:
 
     pairs: tuple[tuple[int, int], ...]
     total_weight: float
-
-    def partner(self) -> dict[int, int]:
-        out = {}
-        for u, v in self.pairs:
-            out[u] = v
-            out[v] = u
-        return out
 
 
 def mwpm(graph: MatchGraph) -> Matching:
@@ -165,7 +144,7 @@ def brute_force_mwpm(graph: MatchGraph) -> Matching:
 
 
 def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
-                         maxcardinality: bool, eps: float = EPS) -> list[int]:
+                         maxcardinality: bool) -> list[int]:
     """Maximum-weight matching; returns mate[v] = partner vertex or -1.
 
     With maxcardinality=True the matching has maximum cardinality, and
@@ -535,17 +514,17 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
             # v is S: its dual is off[v] - now.
             t0 = off[v] + off[w] - wt2[p >> 1]
             if lw == 1:
-                if t0 - 2.0 * now <= eps:
+                if t0 - 2.0 * now <= EPS:
                     if tight_ss(v, w, p >> 1):
                         return True
                 else:
                     push_edge(p, 0.5 * t0)
             elif lw == 0:
-                if t0 - now <= eps:
+                if t0 - now <= EPS:
                     assign_label(w, 2, p ^ 1)
                 else:
                     push_edge(p, t0)
-            elif t0 <= eps:
+            elif t0 <= EPS:
                 label[w] = 2
                 labelend[w] = p ^ 1
                 marks[tree[bv]].append((w, p ^ 1))

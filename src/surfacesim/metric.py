@@ -47,7 +47,8 @@ import numpy as np
 
 from .edge_analysis import EdgeClassTable
 
-MAX_EXTRA_LINKS = 3  # largest supported n for d_n
+MAX_LINKS = 64  # longest fewest-link path searched for
+MAX_PATHS = 2_000_000  # path enumeration guard of path_sum
 METRICS = ("manhattan", "dmax", "d0", "d1", "d2")  # decoder metric names
 
 
@@ -117,13 +118,14 @@ def d_max(graph: LinkGraph, s1: tuple[int, int], s2: tuple[int, int]) -> float:
     raise ValueError(f"nodes {s1} and {s2} are not connected")
 
 
-def min_links(graph: LinkGraph, s1, s2, limit: int = 64) -> int:
-    """Fewest links connecting two nodes (breadth-first search)."""
+def min_links(graph: LinkGraph, s1, s2) -> int:
+    """Fewest links, at most MAX_LINKS, connecting two nodes (breadth-first
+    search)."""
     if s1 == s2:
         return 0
     frontier = {s1}
     seen = {s1}
-    for depth in range(1, limit + 1):
+    for depth in range(1, MAX_LINKS + 1):
         nxt = set()
         for node in frontier:
             for other, _ in graph.neighbors(node):
@@ -135,11 +137,10 @@ def min_links(graph: LinkGraph, s1, s2, limit: int = 64) -> int:
         frontier = nxt
         if not frontier:
             break
-    raise ValueError(f"no path of <= {limit} links between {s1} and {s2}")
+    raise ValueError(f"no path of <= {MAX_LINKS} links between {s1} and {s2}")
 
 
-def path_sum(graph: LinkGraph, s1, s2, max_links: int,
-             max_paths: int = 2_000_000) -> PathSum:
+def path_sum(graph: LinkGraph, s1, s2, max_links: int) -> PathSum:
     """Sum of path probabilities over simple paths of <= max_links links."""
     total = 0.0
     count = 0
@@ -151,9 +152,9 @@ def path_sum(graph: LinkGraph, s1, s2, max_links: int,
             if other == s2:
                 total += prob * p
                 count += 1
-                if count > max_paths:
+                if count > MAX_PATHS:
                     raise RuntimeError(
-                        f"path enumeration exceeded {max_paths} paths")
+                        f"path enumeration exceeded {MAX_PATHS} paths")
             elif links_left > 1 and other not in on_path:
                 on_path.add(other)
                 dfs(other, prob * p, links_left - 1)
@@ -166,8 +167,8 @@ def path_sum(graph: LinkGraph, s1, s2, max_links: int,
 def d_n(graph: LinkGraph, s1, s2, n: int) -> tuple[float, int]:
     """-ln of the probability summed over minimum-length and up to
     l+n-link simple paths; also returns the admitted path count."""
-    if not 0 <= n <= MAX_EXTRA_LINKS:
-        raise ValueError(f"n must be in [0, {MAX_EXTRA_LINKS}]")
+    if not 0 <= n <= 2:
+        raise ValueError("n must be in [0, 2]")
     l = min_links(graph, s1, s2)
     ps = path_sum(graph, s1, s2, l + n)
     return -math.log(ps.value), ps.path_count
@@ -178,13 +179,12 @@ def path_sum_table(graph: LinkGraph, source, targets, n: int) -> list[float]:
 
     Equals [d_n(graph, source, y, n)[0] for y in targets] up to rounding,
     from one walk dynamic program (see the module docstring).  A target
-    with no path of at most 64 links (min_links' limit) gets weight inf.
+    with no path of at most MAX_LINKS links gets weight inf.
     """
     if not 0 <= n <= 2:
         raise ValueError("n must be in [0, 2]")
     if source in targets:
         raise ValueError("source and target must differ")
-    limit = 64
     # Breadth-first ball: l(y) per target, and every link a walk of at
     # most max l(y) + n links can take.
     index = {source: 0}
@@ -194,7 +194,7 @@ def path_sum_table(graph: LinkGraph, source, targets, n: int) -> list[float]:
     l_max = 0
     frontier = [source]
     level = 0
-    while frontier and ((missing and level < limit) or level < l_max + n):
+    while frontier and ((missing and level < MAX_LINKS) or level < l_max + n):
         nxt = []
         for node in frontier:
             u = index[node]
@@ -206,7 +206,7 @@ def path_sum_table(graph: LinkGraph, source, targets, n: int) -> list[float]:
                     v = index[other] = len(depth)
                     depth.append(level + 1)
                     nxt.append(other)
-                    if other in missing and level < limit:
+                    if other in missing and level < MAX_LINKS:
                         missing.discard(other)
                         l_max = level + 1
                 tail.append(u)
@@ -278,12 +278,7 @@ def boundary_distance(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]
         # geometrically nearest side at infinite weight; no detection
         # events can occur in this regime, so the weight is never used.
         lat = graph.table.lattice
-        a, b = lat.sublattice_coord(lat.cell(s[0]))
-        if graph.graph == "z":
-            side = "left" if b + 1 <= lat.distance - 1 - b else "right"
-        else:
-            side = "top" if a + 1 <= lat.distance - 1 - a else "bottom"
-        return math.inf, side
+        return math.inf, lat.nearest_boundary(lat.cell(s[0]))[1]
     return best, best_side
 
 
@@ -303,7 +298,6 @@ class MetricCache:
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}")
         self.table = table
-        self.graph_name = graph
         self.metric = metric
         self.graph = LinkGraph(table, graph)
         self.lattice = table.lattice
@@ -333,16 +327,8 @@ class MetricCache:
         got = self._boundary.get(cell)
         if got is None:
             if self.metric == "manhattan":
-                i, j = self.lattice.cell(cell)
-                a, b = self.lattice.sublattice_coord((i, j))
-                if self.graph_name == "z":
-                    n_cols = self.lattice.distance - 1
-                    left, right = b + 1.0, float(n_cols - b)
-                    got = (left, "left") if left <= right else (right, "right")
-                else:
-                    n_rows = self.lattice.distance - 1
-                    top, bottom = a + 1.0, float(n_rows - a)
-                    got = (top, "top") if top <= bottom else (bottom, "bottom")
+                links, side = self.lattice.nearest_boundary(self.lattice.cell(cell))
+                got = (float(links), side)
             else:
                 got = boundary_distance(self.graph, (cell, 0))
             self._boundary[cell] = got

@@ -22,12 +22,6 @@ class PauliOp:
     x: int
     z: int
 
-    def __mul__(self, other: "PauliOp") -> "PauliOp":
-        return PauliOp(self.x ^ other.x, self.z ^ other.z)
-
-    def name(self) -> str:
-        return {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[(self.x, self.z)]
-
 
 I = PauliOp(0, 0)
 X = PauliOp(1, 0)
@@ -82,22 +76,3 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """
     seq = np.random.SeedSequence(master_seed, spawn_key=(trial_index,))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def sample_two_qubit_error(model: ErrorModel, rng: np.random.Generator) -> tuple[PauliOp, PauliOp]:
-    """II with probability 1-p2, otherwise uniform over the 15 pairs."""
-    if rng.random() >= model.p2:
-        return (I, I)
-    return TWO_QUBIT_PAULIS[rng.integers(15)]
-
-
-def sample_single_qubit_error(model: ErrorModel, rng: np.random.Generator) -> PauliOp:
-    """I with probability 1-pI, otherwise uniform over X, Y, Z."""
-    if rng.random() >= model.pI:
-        return I
-    return SINGLE_PAULIS[rng.integers(3)]
-
-
-def sample_measurement_flip(model: ErrorModel, rng: np.random.Generator) -> int:
-    """1 with probability pM."""
-    return int(rng.random() < model.pM)

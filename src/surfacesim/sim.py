@@ -139,22 +139,6 @@ def compile_circuit(lattice: Lattice, schedule: GateSchedule) -> CompiledCircuit
     return CompiledCircuit(lattice, schedule)
 
 
-def inject_error(frame: PauliFrame, targets, paulis) -> PauliFrame:
-    """XOR Pauli bits into the frame at the given cells (involution).
-
-    `targets` is one flat cell index or a sequence of them, with matching
-    PauliOp(s).  Mutates and returns the frame.
-    """
-    if isinstance(targets, (int, np.integer)):
-        targets, paulis = [targets], [paulis]
-    for cell, op in zip(targets, paulis, strict=True):
-        if not 0 <= cell < frame.x.shape[-1]:
-            raise ValueError(f"cell index {cell} outside grid")
-        frame.x[..., cell] ^= op.x
-        frame.z[..., cell] ^= op.z
-    return frame
-
-
 class _Injection:
     """Deterministic errors for specific circuit locations of one window.
 

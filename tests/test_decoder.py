@@ -10,7 +10,7 @@ from surfacesim.sim import compile_circuit, make_injection, simulate_window
 from surfacesim.edge_analysis import derive_edge_classes
 from surfacesim.decoder import (
     DP_MAX_NODES, Decoder, build_match_graph, corrections_from_matching,
-    decode_window, _graph_events,
+    _graph_events,
 )
 from surfacesim.matching import mwpm
 from surfacesim.metric import LinkGraph, MetricCache, d_max, d_n
@@ -142,13 +142,6 @@ def test_half_distance_chain_fails(setup_d3):
     out = dec.decode(res.history, res.frame, verify=True)
     assert out.logical_z_failed
     assert not out.logical_x_failed
-
-
-def test_decode_window_convenience(setup_d3):
-    circ, model, table, _ = setup_d3
-    res = simulate_window(circ, model, trial_rng(5, 1), rounds=10)
-    out = decode_window(res.history, res.frame, table, metric="dmax", verify=True)
-    assert out.logical_x_failed in (False, True)
 
 
 def test_build_match_graph_empty():

@@ -229,3 +229,23 @@ def test_debug_event_trace():
     run_trials(cfg, trace_sink=sink)
     assert len(sink) == 5
     assert sink[0].startswith("# window 0")
+
+
+# Verdicts pinned at seed 1, standard model, p = 0.01, T = 10d.  A change
+# that alters verdicts on purpose updates these pins and says why.
+GOLDEN_VERDICTS = [
+    (3, "manhattan", 1000, (467, 497)),
+    (3, "dmax", 1000, (349, 411)),
+    (3, "d0", 1000, (351, 378)),
+    (3, "d1", 1000, (345, 374)),
+    (3, "d2", 1000, (345, 374)),
+    (5, "dmax", 200, (82, 97)),
+]
+
+
+@pytest.mark.parametrize("d, metric, trials, fails", GOLDEN_VERDICTS,
+                         ids=[f"d{d}-{m}" for d, m, _, _ in GOLDEN_VERDICTS])
+def test_golden_verdicts(d, metric, trials, fails):
+    cfg = TrialConfig(distance=d, p=0.01, metric=metric, trials=trials, seed=1)
+    row = run_trials(cfg).rows[0]
+    assert (row.fail_x, row.fail_z) == fails

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from surfacesim.lattice import build_lattice, standard_schedule
-from surfacesim.noise import preset
+from surfacesim.noise import ErrorModel, preset
 from surfacesim.sim import compile_circuit
 from surfacesim.edge_analysis import derive_edge_classes
 from surfacesim.metric import (
@@ -291,3 +291,35 @@ def test_equal_probability_ranking_matches_weighted_manhattan():
     ranked_w = sorted(range(3), key=lambda i: weights[i])
     ranked_c = sorted(range(3), key=lambda i: link_counts[i])
     assert ranked_w == ranked_c
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_nearest_boundary_serves_every_side_choice(d):
+    """`Lattice.nearest_boundary` counts the stabilizers between a cell and
+    each boundary of its type, and it decides the side of every boundary
+    class, the manhattan boundary weight and the zero-probability escape."""
+    lat = build_lattice(d)
+    circ = compile_circuit(lat, standard_schedule(lat))
+    noisy = derive_edge_classes(circ, preset("standard", 0.01))
+    silent = derive_edge_classes(circ, ErrorModel(0, 0, 0))
+    for graph, sides in (("z", ("left", "right")), ("x", ("top", "bottom"))):
+        stabs = lat.stabilizers(graph)
+        cache = MetricCache(noisy, graph, "manhattan")
+        escape = LinkGraph(silent, graph)
+        for i, j in stabs:
+            if graph == "z":  # along the row
+                line = [jj for ii, jj in stabs if ii == i]
+                pos = j
+            else:  # along the column
+                line = [ii for ii, jj in stabs if jj == j]
+                pos = i
+            before = 1 + sum(q < pos for q in line)
+            after = 1 + sum(q > pos for q in line)
+            expect = (before, sides[0]) if before <= after else (after, sides[1])
+            assert lat.nearest_boundary((i, j)) == expect
+            cell = lat.index((i, j))
+            assert cache.boundary_weight(cell) == (float(expect[0]), expect[1])
+            assert boundary_distance(escape, (cell, 0)) == (math.inf, expect[1])
+        assert noisy.boundary_classes[graph]
+        for cell, cls in noisy.boundary_classes[graph].items():
+            assert lat.nearest_boundary(lat.cell(cell)) == (1, cls.side)

@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
-from surfacesim.noise import (
-    ErrorModel, I, TWO_QUBIT_PAULIS, X, Y, Z, preset, sample_measurement_flip,
-    sample_single_qubit_error, sample_two_qubit_error, trial_rng,
-)
+from surfacesim.lattice import build_lattice, standard_schedule
+from surfacesim.noise import ErrorModel, preset, trial_rng
+from surfacesim.sim import compile_circuit, simulate_window
 
 
 def test_presets():
@@ -30,98 +27,22 @@ def test_preset_rejects_unknown_name_and_bad_p():
         ErrorModel(-0.1, 0, 0)
 
 
-def test_pauli_composition_is_xor():
-    assert X * Z == Y
-    assert Y * Y == I
-    assert (X * Y).name() == "Z"
-    assert len(TWO_QUBIT_PAULIS) == 15
-
-
-def test_two_qubit_sampler_degenerate():
-    rng = trial_rng(1, 0)
-    model = ErrorModel(0.0, 0.0, 0.0)
-    assert all(sample_two_qubit_error(model, rng) == (I, I) for _ in range(200))
-    model = ErrorModel(1.0, 0.0, 0.0)
-    assert all(sample_two_qubit_error(model, rng) != (I, I) for _ in range(200))
-
-
-def test_two_qubit_sampler_uniform_at_p1():
-    rng = trial_rng(2, 0)
-    model = ErrorModel(1.0, 0.0, 0.0)
-    n = 10**6
-    counts = {}
-    for _ in range(n):
-        pair = sample_two_qubit_error(model, rng)
-        counts[pair] = counts.get(pair, 0) + 1
-    # Each of the 15 pairs within 3 sigma of n/15.
-    sigma = math.sqrt(n * (1 / 15) * (14 / 15))
-    for pair in TWO_QUBIT_PAULIS:
-        assert abs(counts.get(pair, 0) - n / 15) < 3.5 * sigma
-
-
-def test_two_qubit_sampler_xi_rate():
-    # P(X x I) = p2/15 = 0.01 at p2 = 0.15.
-    rng = trial_rng(3, 0)
-    model = ErrorModel(0.15, 0.0, 0.0)
-    n = 10**6
-    hits = sum(sample_two_qubit_error(model, rng) == (X, I) for _ in range(n))
-    sigma = math.sqrt(n * 0.01 * 0.99)
-    assert abs(hits - n * 0.01) < 4 * sigma
-
-
 def test_single_qubit_sampler():
-    rng = trial_rng(4, 0)
-    model = ErrorModel(0.0, 0.0, 0.0)
-    assert all(sample_single_qubit_error(model, rng) == I for _ in range(200))
-
-    model = ErrorModel(0.0, 0.3, 0.0)
-    n = 10**6
-    counts = {I: 0, X: 0, Y: 0, Z: 0}
-    for _ in range(n):
-        counts[sample_single_qubit_error(model, rng)] += 1
-    sigma = math.sqrt(n * 0.1 * 0.9)
-    assert abs(counts[X] - 0.1 * n) < 4 * sigma
-    assert abs(counts[Y] - 0.1 * n) < 4 * sigma
-    assert abs(counts[Z] - 0.1 * n) < 4 * sigma
-
-
-def test_anticommute_with_z_rate():
-    # P(X) + P(Y) = 2 pI / 3.
-    rng = trial_rng(5, 0)
-    model = ErrorModel(0.0, 0.01, 0.0)
-    n = 10**6
-    rate = 2 * 0.01 / 3
-    hits = sum(sample_single_qubit_error(model, rng).x == 1 for _ in range(n))
-    sigma = math.sqrt(n * rate * (1 - rate))
-    assert abs(hits - rate * n) < 4 * sigma
-
-
-def test_measurement_flip():
-    rng = trial_rng(6, 0)
-    assert all(sample_measurement_flip(ErrorModel(0, 0, 0.0), rng) == 0 for _ in range(100))
-    assert all(sample_measurement_flip(ErrorModel(0, 0, 1.0), rng) == 1 for _ in range(100))
-    n = 10**6
-    model = ErrorModel(0, 0, 0.01)
-    hits = sum(sample_measurement_flip(model, rng) for _ in range(n))
-    sigma = math.sqrt(n * 0.01 * 0.99)
-    assert abs(hits - n * 0.01) < 4 * sigma
-
-
-def test_chi_square_two_qubit_distribution():
-    rng = trial_rng(7, 0)
-    p2 = 0.5
-    model = ErrorModel(p2, 0.0, 0.0)
-    n = 10**6
-    counts = {}
-    for _ in range(n):
-        pair = sample_two_qubit_error(model, rng)
-        counts[pair] = counts.get(pair, 0) + 1
-    expected = {(I, I): n * (1 - p2)}
-    for pair in TWO_QUBIT_PAULIS:
-        expected[pair] = n * p2 / 15
-    chi2 = sum((counts.get(k, 0) - e) ** 2 / e for k, e in expected.items())
-    # 15 degrees of freedom: mean 15, std sqrt(30); 7 sigma is generous.
-    assert chi2 < 15 + 7 * math.sqrt(30)
+    # The window sampler's idle faults: at pI = 1 every data qubit idles
+    # once in a one-round window, and noiseless cycles leave data bits
+    # alone, so each data qubit's final bits are its idle Pauli.
+    lat = build_lattice(3)
+    circ = compile_circuit(lat, standard_schedule(lat))
+    counts = np.zeros(4, dtype=np.int64)  # indexed 2x + z: I, Z, X, Y
+    for i in range(300):
+        res = simulate_window(circ, ErrorModel(0, 1, 0), trial_rng(0, i), rounds=1)
+        x, z = res.frame.x[circ.data_idx], res.frame.z[circ.data_idx]
+        counts += np.bincount(2 * x + z, minlength=4)
+    assert counts[0] == 0
+    n = 300 * len(circ.data_idx)
+    chi2 = sum((k - n / 3) ** 2 / (n / 3) for k in counts[1:])
+    # 2 degrees of freedom: P(chi2 > 13.8) = 0.001.
+    assert chi2 < 13.8
 
 
 def test_trial_rng_reproducible_and_independent():

@@ -4,8 +4,8 @@ import pytest
 from surfacesim.lattice import build_lattice, standard_schedule
 from surfacesim.noise import ErrorModel, I, PauliOp, X, Y, Z, preset, trial_rng
 from surfacesim.sim import (
-    PauliFrame, SyndromeHistory, compile_circuit, detection_events,
-    events_to_text, inject_error, make_injection, simulate_window,
+    SyndromeHistory, compile_circuit, detection_events,
+    events_to_text, make_injection, simulate_window,
 )
 
 
@@ -75,19 +75,6 @@ def test_measurement_flip_gives_double_temporal_event(circuit_d3):
     events = detection_events(res.history)
     assert sorted((e.graph, e.i, e.j, e.t) for e in events) == [
         ("z", 2, 1, 3), ("z", 2, 1, 4)]
-
-
-def test_inject_error_identity_and_involution(circuit_d3):
-    frame = PauliFrame.zeros(circuit_d3.n_cells)
-    inject_error(frame, 12, I)
-    assert not frame.x.any() and not frame.z.any()
-    inject_error(frame, 12, X)
-    inject_error(frame, 12, X)
-    assert not frame.x.any() and not frame.z.any()
-    inject_error(frame, 12, Y)
-    assert frame.x[12] == 1 and frame.z[12] == 1
-    with pytest.raises(ValueError):
-        inject_error(frame, 10**6, X)
 
 
 def test_frame_linearity(circuit_d5):
