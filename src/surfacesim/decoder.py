@@ -99,6 +99,15 @@ class Decoder:
         cells = [lat.index(c) for c in stabs]
         stab_of_cell = {c: a for a, c in enumerate(cells)}
         sub = [lat.sublattice_coord(c) for c in stabs]
+        probs = [cls.probability for cls in self.table.pair_classes[graph].values()
+                 if cls.probability > 0.0]
+        if (probs and self.metric != "manhattan"
+                and not any(cls.probability > 0.0
+                            for cls in self.table.boundary_classes[graph].values())):
+            # Each boundary weight would be a search of the unbounded time
+            # axis for a boundary link that does not exist.
+            raise ValueError(f"{graph} graph has links but no boundary link "
+                             f"of positive probability")
         bw = [cache.boundary_weight(c) for c in cells]
         bvals = [w for w, _ in bw]
         bsides = [side for _, side in bw]
@@ -110,8 +119,6 @@ class Decoder:
         if self.metric == "manhattan":
             w_min = 1.0
         else:
-            probs = [cls.probability for cls in self.table.pair_classes[graph].values()
-                     if cls.probability > 0.0]
             w_min = -math.log(max(probs)) if probs else math.inf
         reach = max(1, math.ceil(2.0 * b_max / w_min)) if math.isfinite(w_min) else 1
 

@@ -46,17 +46,18 @@ CSV_COLUMNS = [
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """One Monte Carlo point: code distance, error model, decode metric."""
+    """One Monte Carlo point: code distance, error model, decode metric.
 
-    distance: int
-    p: float
+    The field defaults are the run defaults of the command line too.
+    """
+
+    distance: int = 5
+    p: float = 0.01
     model: str = "standard"
     metric: str = "dmax"
     rounds: int | None = None
     trials: int = 1000
     seed: int = 0
-    schedule_order: str = "interleaved"
-    idle_steps: tuple[int, ...] = (6,)
     custom_model: tuple[float, float, float] | None = None
     jobs: int = 1
     debug_events: bool = False
@@ -68,6 +69,8 @@ class TrialConfig:
             raise ValueError("distance must be odd and >= 3")
         if self.rounds is not None and self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
 
     @property
     def window_rounds(self) -> int:
@@ -77,7 +80,13 @@ class TrialConfig:
         if self.model == "custom":
             if self.custom_model is None:
                 raise ValueError("custom model requires a (p2, pI, pM) triple")
-            return ErrorModel(*self.custom_model)
+            model = ErrorModel(*self.custom_model)
+            if model.p2 == model.pI == 0.0 < model.pM:
+                # Readout errors alone make only time-like links: no error
+                # chain can reach a boundary, so there is nothing to decode.
+                raise ValueError("a readout-only model (p2 = pI = 0 < pM) "
+                                 "has no boundary links")
+            return model
         return preset(self.model, self.p)
 
 
@@ -147,14 +156,11 @@ _WORKER_STATE: dict = {}
 
 
 def _build_state(cfg: TrialConfig):
-    key = (cfg.distance, cfg.model, cfg.p, cfg.custom_model, cfg.metric,
-           cfg.schedule_order, cfg.idle_steps)
+    key = (cfg.distance, cfg.model, cfg.p, cfg.custom_model, cfg.metric)
     state = _WORKER_STATE.get(key)
     if state is None:
         lattice = build_lattice(cfg.distance)
-        schedule = standard_schedule(lattice, order=cfg.schedule_order,
-                                     idle_steps=cfg.idle_steps)
-        circuit = compile_circuit(lattice, schedule)
+        circuit = compile_circuit(lattice, standard_schedule(lattice))
         table = derive_edge_classes(circuit, cfg.error_model())
         decoder = Decoder(table, cfg.metric)
         _WORKER_STATE.clear()
@@ -365,8 +371,8 @@ def stats_to_json(stats: SweepStats) -> str:
 
 
 def emit_results(stats: SweepStats, fmt: str = "csv", path: str | None = None,
-                 plot_path: str | None = None, gnuplot_path: str | None = None) -> str:
-    """Serialize results; optionally write files (CSV/JSON, .dat, SVG)."""
+                 plot_path: str | None = None) -> str:
+    """Serialize results; optionally write files (CSV/JSON, SVG)."""
     if fmt == "csv":
         text = stats_to_csv(stats)
     elif fmt == "json":
@@ -376,16 +382,6 @@ def emit_results(stats: SweepStats, fmt: str = "csv", path: str | None = None,
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
-    if gnuplot_path is not None:
-        with open(gnuplot_path, "w") as fh:
-            fh.write("# p mttf_x mttf_z  (one block per distance)\n")
-            for d in sorted({r.d for r in stats.rows}):
-                fh.write(f'\n\n# d = {d}\n')
-                for r in sorted((r for r in stats.rows if r.d == d),
-                                key=lambda r: r.p):
-                    mttf = rounds_to_failure(r)
-                    fh.write(f'{r.p:.6g} {_fmt(mttf["x"]["estimate"])} '
-                             f'{_fmt(mttf["z"]["estimate"])}\n')
     if plot_path is not None:
         with open(plot_path, "w") as fh:
             fh.write(plot_svg(stats))

@@ -25,9 +25,7 @@ DIRECTIONS = {"n": (-1, 0), "e": (0, 1), "s": (1, 0), "w": (0, -1)}
 # Orderings outside this interleaved family (e.g. both types sweeping
 # n, e, s, w) are conflict-free too, but their hook errors split across
 # rounds into 3- and 4-event signatures that no pair-link model captures.
-STEP_ORDERS = {
-    "interleaved": {"x": ("n", "w", "e", "s"), "z": ("n", "e", "w", "s")},
-}
+STEP_ORDER = {"x": ("n", "w", "e", "s"), "z": ("n", "e", "w", "s")}
 
 DATA = "data"
 X_SYNDROME = "x"
@@ -179,7 +177,6 @@ class GateSchedule:
 
     cnot_steps: tuple[tuple[tuple[tuple[int, int], tuple[int, int]], ...], ...]
     idle_steps: tuple[int, ...] = (6,)
-    order_name: str = "interleaved"
 
     @property
     def n_cnots(self) -> int:
@@ -187,7 +184,6 @@ class GateSchedule:
 
     def describe(self) -> dict:
         return {
-            "order": self.order_name,
             "idle_steps": list(self.idle_steps),
             "cnot_steps": [
                 [[list(c), list(t)] for (c, t) in step] for step in self.cnot_steps
@@ -195,30 +191,28 @@ class GateSchedule:
         }
 
 
-def standard_schedule(lattice: Lattice, order: str = "interleaved",
+def standard_schedule(lattice: Lattice,
                       idle_steps: tuple[int, ...] = (6,)) -> GateSchedule:
     """The tiled four-step CNOT ordering, identical for every stabilizer.
 
-    Every X stabilizer touches its neighbors in STEP_ORDERS[order]["x"]
-    order (as control) and every Z stabilizer in the "z" order (as target);
-    missing boundary neighbors are skipped.
+    Every X stabilizer touches its neighbors in STEP_ORDER["x"] order (as
+    control) and every Z stabilizer in the "z" order (as target); missing
+    boundary neighbors are skipped.
     """
-    orders = STEP_ORDERS[order]
     steps: list[list[tuple[tuple[int, int], tuple[int, int]]]] = [[] for _ in range(4)]
     for cell in lattice.x_stabilizers:
         neigh = lattice.neighbors(cell)
-        for k, direction in enumerate(orders["x"]):
+        for k, direction in enumerate(STEP_ORDER["x"]):
             if direction in neigh:
                 steps[k].append((cell, neigh[direction]))
     for cell in lattice.z_stabilizers:
         neigh = lattice.neighbors(cell)
-        for k, direction in enumerate(orders["z"]):
+        for k, direction in enumerate(STEP_ORDER["z"]):
             if direction in neigh:
                 steps[k].append((neigh[direction], cell))
     return GateSchedule(
         cnot_steps=tuple(tuple(sorted(step)) for step in steps),
         idle_steps=tuple(idle_steps),
-        order_name=order,
     )
 
 

@@ -23,18 +23,9 @@ class PauliOp:
     z: int
 
 
-I = PauliOp(0, 0)
 X = PauliOp(1, 0)
 Z = PauliOp(0, 1)
 Y = PauliOp(1, 1)
-
-SINGLE_PAULIS = (X, Y, Z)
-
-# The 15 non-identity two-qubit Paulis, in a fixed order so that sampled
-# indices are reproducible.
-TWO_QUBIT_PAULIS = tuple(
-    (a, b) for a in (I, X, Y, Z) for b in (I, X, Y, Z) if (a, b) != (I, I)
-)
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,9 @@ import numpy as np
 from .lattice import GateSchedule, Lattice
 from .noise import ErrorModel
 
-# Bit payloads (xc, zc, xt, zt) of the 15 two-qubit Paulis, ordered as
-# noise.TWO_QUBIT_PAULIS.
+# Bit payloads (xc, zc, xt, zt) of the 15 non-identity two-qubit Paulis:
+# control Pauli major, each qubit in the order I, X, Y, Z (the order of
+# TWO_QUBIT_PAULIS in the tests' Pauli helper).
 PAULI2_BITS = np.array(
     [
         (a_x, a_z, b_x, b_z)

@@ -1,0 +1,16 @@
+"""Pauli enumerations for the test oracles.  Not part of the package.
+
+TWO_QUBIT_PAULIS lists the 15 non-identity two-qubit Paulis in the order
+of `surfacesim.sim.PAULI2_BITS`, so a sampled kind index names the same
+Pauli pair in both.
+"""
+
+from surfacesim.noise import PauliOp, X, Y, Z
+
+I = PauliOp(0, 0)
+
+SINGLE_PAULIS = (X, Y, Z)
+
+TWO_QUBIT_PAULIS = tuple(
+    (a, b) for a in (I, X, Y, Z) for b in (I, X, Y, Z) if (a, b) != (I, I)
+)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import surfacesim
 
 from surfacesim.cli import main
 
@@ -71,8 +77,8 @@ def test_custom_model_flags(capsys):
     assert ",custom," in out
 
 
-def test_metric_dn_requires_n_and_works(capsys):
-    rc = main(["--metric", "dn", "--n", "1", "--distance", "3", "--p", "0.02",
+def test_metric_d1_works(capsys):
+    rc = main(["--metric", "d1", "--distance", "3", "--p", "0.02",
                "--trials", "15", "--rounds", "6"])
     assert rc == 0
     assert ",d1," in capsys.readouterr().out
@@ -97,7 +103,9 @@ def test_config_file_unknown_metric_returns_1(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("distance=3\ntrials=2\nmetric=foo\n")
     assert main(["--config", str(cfg)]) == 1
-    assert "unknown metric 'foo'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "--metric" in err and "'foo'" in err
 
 
 def test_rounds_zero_returns_1(capsys):
@@ -106,15 +114,19 @@ def test_rounds_zero_returns_1(capsys):
     assert err.startswith("configuration error:") and "rounds" in err
 
 
-@pytest.mark.parametrize("flag,values", [("--distance", "3,4"), ("--p", "0.01,1.5")])
-def test_bad_later_sweep_point_returns_1(monkeypatch, capsys, flag, values):
-    # Every point is checked before any runs: no window may be simulated.
+@pytest.fixture
+def no_windows(monkeypatch):
     import surfacesim.harness as harness
 
     def no_trials(*args, **kwargs):
-        raise AssertionError("a sweep point ran before the configuration was checked")
+        raise AssertionError("a window ran before the configuration was checked")
 
     monkeypatch.setattr(harness, "run_trials", no_trials)
+
+
+@pytest.mark.parametrize("flag,values", [("--distance", "3,4"), ("--p", "0.01,1.5")])
+def test_bad_later_sweep_point_returns_1(capsys, no_windows, flag, values):
+    # Every point is checked before any runs: no window may be simulated.
     argv = ["--distance", "3", "--p", "0.01", "--trials", "2", flag, values]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("configuration error:")
@@ -128,3 +140,57 @@ def test_debug_events_go_to_stderr(capsys):
     assert "# window 0" in captured.err
     assert "# window 2" in captured.err
     assert captured.out.startswith("d,p,model") and "#" not in captured.out
+
+
+@pytest.mark.parametrize("line", ["format=xml", "schedule=foo", "metric=foo",
+                                  "jobs=0", "pi=0.01", "dist=3"])
+def test_bad_config_file_value_returns_1(tmp_path, capsys, no_windows, line):
+    # Config lines go through the flag parser: same checks, same spelling.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"distance=3\ntrials=2\n{line}\n")
+    assert main(["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--metric", "foo"], ["--trials", "abc"],
+                                  ["--distance", "3,x"], ["--jobs", "0"],
+                                  ["--jobs", "-3"], ["--schedule", "interleaved"]])
+def test_bad_flag_value_returns_1(capsys, no_windows, argv):
+    assert main(["--distance", "3", "--trials", "2", *argv]) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_config_file_custom_model_keys_keep_their_case(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=custom\np2=0.02\npI=0.001\npM=0.002\n"
+                   "distance=3\np=0\ntrials=5\nrounds=4\n")
+    assert main(["--config", str(cfg)]) == 0
+    assert ",custom," in capsys.readouterr().out
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--metric" in capsys.readouterr().out
+
+
+def test_readout_only_model_returns_1_without_hanging():
+    # A model with only readout errors has no boundary links to decode
+    # against.  The run must stop as a configuration error; a child process
+    # with a timeout turns a hang into a failure instead of a stalled suite.
+    src = str(Path(surfacesim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "surfacesim.cli", "--model", "custom",
+            "--p2", "0", "--pI", "0", "--pM", "0.01", "--distance", "3",
+            "--trials", "2"]
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                              timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("readout-only model did not return within 60 s")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("configuration error:")
+    assert proc.stdout == ""

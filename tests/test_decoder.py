@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surfacesim
 from surfacesim.lattice import build_lattice, standard_schedule
-from surfacesim.noise import ErrorModel, I, PauliOp, X, Y, Z, preset, trial_rng
-from surfacesim.noise import SINGLE_PAULIS, TWO_QUBIT_PAULIS
+from surfacesim.noise import ErrorModel, PauliOp, X, Y, Z, preset, trial_rng
 from surfacesim.sim import compile_circuit, make_injection, simulate_window
 from surfacesim.edge_analysis import derive_edge_classes
 from surfacesim.decoder import (
@@ -14,6 +18,8 @@ from surfacesim.decoder import (
 )
 from surfacesim.matching import mwpm
 from surfacesim.metric import LinkGraph, MetricCache, d_max, d_n
+
+from paulis import I, SINGLE_PAULIS, TWO_QUBIT_PAULIS
 
 
 @pytest.fixture(scope="module")
@@ -450,3 +456,34 @@ def test_verify_catches_bad_corrections(setup_d3):
     res_x[lat.index((2, 2))] = 1  # uncorrected data error
     with pytest.raises(AssertionError):
         _assert_trivial_syndrome(lat, res_x, res_z)
+
+
+@pytest.mark.parametrize("metric", ["dmax", "d1"])
+def test_decoder_rejects_graph_without_boundary_links(metric):
+    # Readout errors alone make time-like links only.  Each boundary weight
+    # would search the unbounded time axis for a boundary link that does
+    # not exist, so the build must refuse instead; a child process with a
+    # timeout keeps a hang from stalling the suite.
+    code = f"""
+from surfacesim.decoder import Decoder
+from surfacesim.edge_analysis import derive_edge_classes
+from surfacesim.lattice import build_lattice, standard_schedule
+from surfacesim.noise import ErrorModel
+from surfacesim.sim import compile_circuit
+lat = build_lattice(3)
+table = derive_edge_classes(compile_circuit(lat, standard_schedule(lat)),
+                            ErrorModel(0.0, 0.0, 0.01))
+try:
+    Decoder(table, {metric!r})
+except ValueError as exc:
+    print("ValueError:", exc)
+"""
+    src = str(Path(surfacesim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("Decoder build on a graph without boundary links hung")
+    assert proc.returncode == 0, proc.stderr
+    assert "ValueError:" in proc.stdout and "boundary link" in proc.stdout

@@ -61,7 +61,7 @@ def test_single_cnot_z_view_mass_is_12_fifteenths():
     # Oracle: enumerate the 15 Pauli pairs and project onto X components of
     # the two legs; {XI, IX, XX} each collect 4 Paulis, so the X-visible
     # mass of one CNOT is 12*p2/15 split into three 4*p2/15 components.
-    from surfacesim.noise import TWO_QUBIT_PAULIS
+    from paulis import TWO_QUBIT_PAULIS
     p2 = 0.15
     counts = {}
     for a, b in TWO_QUBIT_PAULIS:
@@ -231,7 +231,8 @@ def test_predicted_events_match_simulator(setup_d5):
     """
     circ, model, _table = setup_d5
     lat = circ.lattice
-    from surfacesim.noise import SINGLE_PAULIS, TWO_QUBIT_PAULIS, trial_rng
+    from paulis import SINGLE_PAULIS, TWO_QUBIT_PAULIS
+    from surfacesim.noise import trial_rng
     from surfacesim.sim import detection_events, make_injection, simulate_window
 
     r0 = 2

@@ -20,6 +20,12 @@ def test_config_validation():
     assert TrialConfig(distance=5, p=0.01, rounds=20).window_rounds == 20
 
 
+def test_jobs_must_be_positive():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            TrialConfig(distance=3, p=0.01, jobs=jobs)
+
+
 def test_rounds_must_be_positive():
     for rounds in (0, -3):
         with pytest.raises(ValueError, match="rounds"):
@@ -34,6 +40,10 @@ def test_custom_model():
     assert (m.p2, m.pI, m.pM) == (0.01, 0.002, 0.003)
     with pytest.raises(ValueError):
         TrialConfig(distance=3, p=0.0, model="custom").error_model()
+    readout_only = TrialConfig(distance=3, p=0.0, model="custom",
+                               custom_model=(0.0, 0.0, 0.01))
+    with pytest.raises(ValueError, match="readout-only"):
+        readout_only.error_model()
 
 
 def test_zero_noise_run_has_no_failures():
@@ -121,12 +131,9 @@ def test_emit_results_files(tmp_path):
     stats = run_trials(cfg)
     out = tmp_path / "r.csv"
     svg = tmp_path / "r.svg"
-    dat = tmp_path / "r.dat"
-    emit_results(stats, fmt="csv", path=str(out), plot_path=str(svg),
-                 gnuplot_path=str(dat))
+    emit_results(stats, fmt="csv", path=str(out), plot_path=str(svg))
     assert out.read_text().startswith("d,p,model")
     assert svg.read_text().startswith("<svg")
-    assert "# d = 3" in dat.read_text()
     with pytest.raises(ValueError):
         emit_results(stats, fmt="xml")
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from surfacesim.lattice import (
-    STEP_ORDERS, GateSchedule, build_lattice, cell_role, standard_schedule,
+    STEP_ORDER, GateSchedule, build_lattice, cell_role, standard_schedule,
     validate_schedule,
 )
 
@@ -83,24 +83,22 @@ def test_d3_total_cnots():
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
-@pytest.mark.parametrize("order", sorted(STEP_ORDERS))
-def test_standard_schedule_validates(d, order):
+def test_standard_schedule_validates(d):
     lat = build_lattice(d)
-    sched = standard_schedule(lat, order=order)
+    sched = standard_schedule(lat)
     assert validate_schedule(lat, sched) == []
 
 
 def test_step_counts_match_direction_presence():
     lat = build_lattice(3)
     sched = standard_schedule(lat)
-    orders = STEP_ORDERS["interleaved"]
     for k, step in enumerate(sched.cnot_steps):
         expect = 0
         for cell in lat.x_stabilizers:
-            if orders["x"][k] in lat.neighbors(cell):
+            if STEP_ORDER["x"][k] in lat.neighbors(cell):
                 expect += 1
         for cell in lat.z_stabilizers:
-            if orders["z"][k] in lat.neighbors(cell):
+            if STEP_ORDER["z"][k] in lat.neighbors(cell):
                 expect += 1
         assert len(step) == expect
 

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from surfacesim.lattice import build_lattice, standard_schedule
-from surfacesim.noise import ErrorModel, I, PauliOp, X, Y, Z, preset, trial_rng
+from surfacesim.noise import ErrorModel, PauliOp, X, Y, Z, preset, trial_rng
 from surfacesim.sim import (
     SyndromeHistory, compile_circuit, detection_events,
     events_to_text, make_injection, simulate_window,
 )
+
+from paulis import I
 
 
 @pytest.fixture(scope="module")
