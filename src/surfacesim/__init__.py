@@ -2,11 +2,10 @@
 analysis, and minimum-weight perfect-matching decoding."""
 
 from .lattice import Lattice, GateSchedule, build_lattice, standard_schedule, validate_schedule
-from .noise import ErrorModel, PauliOp, preset
+from .noise import ErrorModel, preset
 from .sim import SyndromeHistory, DetectionEvent, PauliFrame, simulate_window, detection_events
 from .edge_analysis import EdgeClassTable, derive_edge_classes, odd_parity_probability
 from .metric import LinkGraph, manhattan, d_max, d_n, boundary_distance
-from .matching import MatchGraph, Matching, mwpm, brute_force_mwpm
 from .decoder import DecodeOutcome
 from .harness import TrialConfig, SweepStats, run_trials, rounds_to_failure, estimate_threshold
 
@@ -14,11 +13,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Lattice", "GateSchedule", "build_lattice", "standard_schedule", "validate_schedule",
-    "ErrorModel", "PauliOp", "preset",
+    "ErrorModel", "preset",
     "SyndromeHistory", "DetectionEvent", "PauliFrame", "simulate_window", "detection_events",
     "EdgeClassTable", "derive_edge_classes", "odd_parity_probability",
     "LinkGraph", "manhattan", "d_max", "d_n", "boundary_distance",
-    "MatchGraph", "Matching", "mwpm", "brute_force_mwpm",
     "DecodeOutcome",
     "TrialConfig", "SweepStats", "run_trials", "rounds_to_failure", "estimate_threshold",
 ]

@@ -106,7 +106,7 @@ def main(argv=None) -> int:
         if args.config:
             args = ap.parse_args(_config_args(args.config) + argv)
 
-        if args.dump_lattice:
+        if args.dump_lattice is not None:
             lat = build_lattice(args.dump_lattice)
             print(json.dumps({"lattice": lat.describe(),
                               "schedule": standard_schedule(lat).describe()},
@@ -117,10 +117,13 @@ def main(argv=None) -> int:
                if getattr(args, f.name, None) is not None}
         distances = run.pop("distance", [TrialConfig.distance])
         ps = run.pop("p", [TrialConfig.p])
+        rates = (args.p2, args.pi, args.pm)
         if args.model == "custom":
-            if None in (args.p2, args.pi, args.pm):
+            if None in rates:
                 raise ValueError("custom model requires --p2, --pI and --pM")
-            run["custom_model"] = (args.p2, args.pi, args.pm)
+            run["custom_model"] = rates
+        elif rates != (None, None, None):
+            raise ValueError("--p2, --pI and --pM need --model custom")
         base = TrialConfig(distance=distances[0], p=ps[0], **run)
         sweep_configs(base, distances, ps)
     except (ValueError, OSError) as exc:
@@ -128,7 +131,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        if args.export_edges:
+        if args.export_edges is not None:
             lat = build_lattice(base.distance)
             table = derive_edge_classes(
                 compile_circuit(lat, standard_schedule(lat)), base.error_model())

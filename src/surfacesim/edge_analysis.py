@@ -7,9 +7,9 @@ data identity contributes one component of probability 2*pI/3, and every
 measurement one wrong-eigenstate flip of probability pM.  Each component
 is the XOR of at most two unit faults of the circuit's fault table
 (`sim.FaultTable`, built by one batched noiseless propagation), which
-gives its detection-event signature (at most two events);
-`propagate_process`, which pushes one component through its own
-noiseless window, is the reference.  Components of the same gate with
+gives its detection-event signature (at most two events); the tests
+check it against each component pushed through its own noiseless
+window by the frozen frame stepper.  Components of the same gate with
 the same signature are mutually exclusive outcomes of one error event,
 so they aggregate additively (4+4 -> 8*p2/15) before grouping.
 
@@ -25,13 +25,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .lattice import Lattice
-from .noise import ErrorModel, PauliOp, X, Z
-from .sim import CompiledCircuit, detection_events, make_injection, simulate_window
-
-PROB_CLASSES = ("4p2/15", "8p2/15", "2pI/3", "pM")
+from .noise import ErrorModel
+from .sim import CompiledCircuit
 
 
 @dataclass(frozen=True)
@@ -41,7 +37,7 @@ class ErrorProcess:
     graph: str                 # detection graph it can touch: "x" or "z"
     location: tuple            # ("cnot", gate_index) | ("idle5"|"idle6", cell) | ("meas", cell)
     component: str             # "ctl" | "tgt" | "both" | "flip" (merged: "ctl+both" etc.)
-    prob_class: str            # one of PROB_CLASSES
+    prob_class: str            # "4p2/15" | "8p2/15" | "2pI/3" | "pM"
     probability: float
 
 
@@ -73,54 +69,6 @@ def odd_parity_probability(probs) -> float:
     return 0.5 * (1.0 - prod)
 
 
-def _component_paulis(graph: str) -> dict[str, tuple[PauliOp, PauliOp]]:
-    # The z graph (Z stabilizers) sees X components; the x graph sees Z.
-    p = X if graph == "z" else Z
-    ident = PauliOp(0, 0)
-    return {"ctl": (p, ident), "tgt": (ident, p), "both": (p, p)}
-
-
-def _injection_for(circuit: CompiledCircuit, proc: ErrorProcess, round_index: int):
-    kind = proc.location[0]
-    if kind == "cnot":
-        gate = proc.location[1]
-        step = int(circuit.gate_step[gate])
-        # Merged components like "tgt+both" share a signature; inject any one.
-        comp = proc.component.split("+")[0]
-        pauli = _component_paulis(proc.graph)[comp]
-        cells = (int(circuit.gate_ctl[gate]), int(circuit.gate_tgt[gate]))
-        return make_injection([(round_index, f"cnot{step + 1}", cells, pauli)])
-    if kind in ("idle5", "idle6"):
-        pauli = X if proc.graph == "z" else Z
-        return make_injection([(round_index, kind, proc.location[1], pauli)])
-    if kind == "meas":
-        return make_injection([(round_index, "meas", proc.location[1], None)])
-    raise ValueError(f"unknown location {proc.location}")
-
-
-def propagate_process(circuit: CompiledCircuit,
-                      proc: ErrorProcess) -> tuple[tuple[int, int], ...]:
-    """Detection-event signature of a single injected process.
-
-    Returns a tuple of (flat_cell, dt) pairs with dt relative to the
-    injection round, canonicalized so min dt is 0; empty if the process
-    is invisible to its graph.
-    """
-    model = ErrorModel(0.0, 0.0, 0.0)
-    inj = _injection_for(circuit, proc, 2)  # injected in round 2 of 4
-    res = simulate_window(circuit, model, None, rounds=4, injections=inj)
-    events = detection_events(res.history)
-    assert all(e.graph == proc.graph for e in events)
-    sig = tuple(sorted(
-        (circuit.lattice.index((e.i, e.j)), e.t - 2) for e in events))
-    if not sig:
-        return sig
-    dts = [dt for _, dt in sig]
-    assert all(dt in (0, 1) for dt in dts), f"signature spans >1 round: {sig}"
-    lo = min(dts)
-    return tuple(sorted((c, dt - lo) for c, dt in sig))
-
-
 def _unit_faults(circuit: CompiledCircuit, proc: ErrorProcess) -> tuple[int, ...]:
     """The fault-table unit faults whose XOR is the process's component."""
     table = circuit.fault_table
@@ -141,7 +89,9 @@ def _unit_faults(circuit: CompiledCircuit, proc: ErrorProcess) -> tuple[int, ...
 
 def process_signature(circuit: CompiledCircuit,
                       proc: ErrorProcess) -> tuple[tuple[int, int], ...]:
-    """`propagate_process`'s signature, read from the circuit's fault table."""
+    """Detection-event signature of one process, read from the circuit's
+    fault table: (flat_cell, dt) pairs with dt counted from the earliest
+    event, empty if the process is invisible to its graph."""
     events = circuit.fault_table.events(_unit_faults(circuit, proc))
     assert all(graph == proc.graph for graph, _, _ in events)
     if not events:
@@ -298,114 +248,6 @@ def derive_edge_classes(circuit: CompiledCircuit, model: ErrorModel) -> EdgeClas
                            boundary_classes=boundary_classes)
     table.bulk_classes = {g: _bulk_classes(table, g) for g in ("x", "z")}
     return table.finalize()
-
-
-def component_group_maps(table: EdgeClassTable):
-    """Lookup from (graph, location, component-part) to group id.
-
-    Groups are numbered over all pair and boundary classes of both graphs;
-    returns (group_list, part_map) where group_list[i] is the EdgeClass.
-    """
-    group_list: list[EdgeClass] = []
-    part_map: dict[tuple, int] = {}
-    for graph in ("x", "z"):
-        classes = list(table.pair_classes[graph].values()) + \
-            list(table.boundary_classes[graph].values())
-        for cls in classes:
-            gid = len(group_list)
-            group_list.append(cls)
-            for member in cls.members:
-                for part in member.component.split("+"):
-                    part_map[(graph, member.location, part)] = gid
-    return group_list, part_map
-
-
-def mc_validate(circuit: CompiledCircuit, model: ErrorModel,
-                table: EdgeClassTable, n_samples: int, seed: int = 0,
-                batch: int = 20_000):
-    """Monte Carlo check of every link probability.
-
-    Samples n_samples independent noisy cycles (error locations only; no
-    frame propagation needed) and counts, per link class, how often an
-    odd number of its member processes fired.  Returns a list of
-    (class, expected_probability, observed_frequency, n) tuples.
-    """
-    group_list, part_map = component_group_maps(table)
-    n_groups = len(group_list)
-
-    from .sim import PAULI1_BITS, PAULI2_BITS
-
-    # CNOT kind -> group, per gate and graph: shape (n_cnots, 15).
-    gate_gid = {g: np.full((circuit.n_cnots, 15), -1, dtype=np.int32)
-                for g in ("x", "z")}
-    for gate in range(circuit.n_cnots):
-        for kind in range(15):
-            xc, zc, xt, zt = PAULI2_BITS[kind]
-            for graph, (bc, bt) in (("z", (xc, xt)), ("x", (zc, zt))):
-                part = {(1, 0): "ctl", (0, 1): "tgt", (1, 1): "both"}.get(
-                    (int(bc), int(bt)))
-                if part is None:
-                    continue
-                gid = part_map.get((graph, ("cnot", gate), part))
-                if gid is not None:
-                    gate_gid[graph][gate, kind] = gid
-
-    idle_locs = [(f"idle{step}", int(cell))
-                 for step in circuit.idle_steps for cell in circuit.data_idx]
-    idle_gid = {g: np.full((len(idle_locs), 3), -1, dtype=np.int32)
-                for g in ("x", "z")}
-    for loc_i, loc in enumerate(idle_locs):
-        for kind in range(3):
-            bx, bz = PAULI1_BITS[kind]
-            for graph, bit in (("z", bx), ("x", bz)):
-                if bit:
-                    gid = part_map.get((graph, loc, "flip"))
-                    if gid is not None:
-                        idle_gid[graph][loc_i, kind] = gid
-
-    meas_locs = ([("z", ("meas", int(c))) for c in circuit.z_idx]
-                 + [("x", ("meas", int(c))) for c in circuit.x_idx])
-    meas_gid = np.full(len(meas_locs), -1, dtype=np.int32)
-    for loc_i, (graph, loc) in enumerate(meas_locs):
-        gid = part_map.get((graph, loc, "flip"))
-        if gid is not None:
-            meas_gid[loc_i] = gid
-
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    odd_counts = np.zeros(n_groups, dtype=np.int64)
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        parity = np.zeros((b, n_groups), dtype=np.uint8)
-
-        if model.p2 > 0:
-            u = rng.random((b, circuit.n_cnots))
-            rows, gates = np.nonzero(u < model.p2)
-            kinds = np.minimum((u[rows, gates] / model.p2 * 15).astype(np.intp), 14)
-            for graph in ("x", "z"):
-                gids = gate_gid[graph][gates, kinds]
-                ok = gids >= 0
-                np.bitwise_xor.at(parity, (rows[ok], gids[ok]), 1)
-        if model.pI > 0 and idle_locs:
-            u = rng.random((b, len(idle_locs)))
-            rows, locs = np.nonzero(u < model.pI)
-            kinds = np.minimum((u[rows, locs] / model.pI * 3).astype(np.intp), 2)
-            for graph in ("x", "z"):
-                gids = idle_gid[graph][locs, kinds]
-                ok = gids >= 0
-                np.bitwise_xor.at(parity, (rows[ok], gids[ok]), 1)
-        if model.pM > 0:
-            u = rng.random((b, len(meas_locs)))
-            rows, locs = np.nonzero(u < model.pM)
-            gids = meas_gid[locs]
-            ok = gids >= 0
-            np.bitwise_xor.at(parity, (rows[ok], gids[ok]), 1)
-
-        odd_counts += parity.sum(axis=0, dtype=np.int64)
-        done += b
-
-    return [(cls, cls.probability, odd_counts[gid] / n_samples, n_samples)
-            for gid, cls in enumerate(group_list)]
 
 
 def _bulk_classes(table: EdgeClassTable, graph: str) -> list[EdgeClass]:

@@ -1,4 +1,4 @@
-"""Exact minimum-weight perfect matching on general weighted graphs.
+"""Exact maximum-weight matching on general weighted graphs.
 
 `_max_weight_matching` is a primal-dual blossom algorithm (Edmonds) run
 as one continuous stage over many alternating trees, in the manner of
@@ -9,9 +9,9 @@ T-blossoms whose dual reaches zero.  An augmentation joins two trees,
 flips the matching along the path and dissolves only those two trees:
 their blossoms, nested ones included, lose their labels, and so do the
 marks their scans left inside other trees' T-blossoms.  Every other tree
-carries on.  Minimization is realized by maximizing the uniformly shifted
-weights (max_w - w) in maximum-cardinality mode, which preserves the
-optimal perfect matching.
+carries on.  The decoder maximizes pair gains (see
+`decoder._solve_blossom`); maximum-cardinality mode on uniformly shifted
+weights (max_w - w) gives a minimum-weight perfect matching.
 
 Duals are lazy.  All trees move their duals together as time `now`
 advances, so the dual of a vertex, or the z of a blossom, is stored as
@@ -39,108 +39,16 @@ ends when fewer than two free vertices remain or no event is left.
 is tight enough to act on at once rather than through an event; duals
 are combinations of halved input weights, so this is far above
 accumulated rounding error for decoder-scale weights.
-
-A brute-force oracle over all perfect matchings is provided for small
-graphs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 EPS = 1e-12
 # Kinds of timeline event in _max_weight_matching.
 _STOP, _EDGE, _EXPAND = range(3)
-
-
-class MatchingError(ValueError):
-    """Structural failure: odd node count or no perfect matching."""
-
-
-@dataclass
-class MatchGraph:
-    """Undirected weighted graph; nodes are 0..n_nodes-1."""
-
-    n_nodes: int
-    edges: list[tuple[int, int, float]] = field(default_factory=list)
-
-    def add_edge(self, u: int, v: int, w: float) -> None:
-        if u == v or not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
-            raise ValueError(f"bad edge ({u}, {v})")
-        self.edges.append((u, v, float(w)))
-
-
-@dataclass
-class Matching:
-    """A perfect matching: every node paired exactly once."""
-
-    pairs: tuple[tuple[int, int], ...]
-    total_weight: float
-
-
-def mwpm(graph: MatchGraph) -> Matching:
-    """Globally minimum-weight perfect matching (exact)."""
-    n = graph.n_nodes
-    if n % 2 != 0:
-        raise MatchingError(f"odd node count {n}")
-    if n == 0:
-        return Matching(pairs=(), total_weight=0.0)
-    max_w = max((w for _, _, w in graph.edges), default=0.0)
-    shifted = [(u, v, max_w - w) for u, v, w in graph.edges]
-    mate = _max_weight_matching(n, shifted, maxcardinality=True)
-    pairs = []
-    for v in range(n):
-        if mate[v] == -1:
-            raise MatchingError("no perfect matching exists")
-        if v < mate[v]:
-            pairs.append((v, mate[v]))
-    weight_of = {}
-    for u, v, w in graph.edges:
-        key = (min(u, v), max(u, v))
-        weight_of[key] = min(w, weight_of.get(key, math.inf))
-    total = math.fsum(weight_of[p] for p in pairs)
-    return Matching(pairs=tuple(pairs), total_weight=total)
-
-
-def brute_force_mwpm(graph: MatchGraph) -> Matching:
-    """Exhaustive minimum over all perfect matchings (test oracle)."""
-    n = graph.n_nodes
-    if n % 2 != 0:
-        raise MatchingError(f"odd node count {n}")
-    if n > 12:
-        raise MatchingError(f"brute force limited to 12 nodes, got {n}")
-    if n == 0:
-        return Matching(pairs=(), total_weight=0.0)
-    weight_of: dict[tuple[int, int], float] = {}
-    for u, v, w in graph.edges:
-        key = (min(u, v), max(u, v))
-        weight_of[key] = min(w, weight_of.get(key, math.inf))
-
-    best: list = [math.inf, None]
-
-    def recurse(unmatched: list[int], chosen: list[tuple[int, int]], acc: float):
-        if not unmatched:
-            if acc < best[0]:
-                best[0] = acc
-                best[1] = list(chosen)
-            return
-        u = unmatched[0]
-        rest = unmatched[1:]
-        for idx, v in enumerate(rest):
-            w = weight_of.get((min(u, v), max(u, v)))
-            if w is None:
-                continue
-            chosen.append((u, v))
-            recurse(rest[:idx] + rest[idx + 1:], chosen, acc + w)
-            chosen.pop()
-
-    recurse(list(range(n)), [], 0.0)
-    if best[1] is None:
-        raise MatchingError("no perfect matching exists")
-    total = math.fsum(weight_of[(min(u, v), max(u, v))] for u, v in best[1])
-    return Matching(pairs=tuple(sorted(best[1])), total_weight=total)
 
 
 def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],

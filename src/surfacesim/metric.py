@@ -64,23 +64,19 @@ class PathSum:
 class LinkGraph:
     """Neighbor iteration over (cell, t) nodes for one graph type.
 
-    Rounds outside [t_min, t_max] do not exist; by default the graph is
-    unbounded in time, which models the interior of a long window.
+    The graph is unbounded in time, which models the interior of a long
+    window.
     """
 
-    def __init__(self, table: EdgeClassTable, graph: str,
-                 t_min: float = -math.inf, t_max: float = math.inf):
+    def __init__(self, table: EdgeClassTable, graph: str):
         self.table = table
         self.graph = graph
-        self.t_min = t_min
-        self.t_max = t_max
 
     def neighbors(self, node: tuple[int, int]):
         cell, t = node
         for other, dt, prob in self.table.neighbors(self.graph, cell):
-            t2 = t + dt
-            if self.t_min <= t2 <= self.t_max and prob > 0.0:
-                yield (other, t2), prob
+            if prob > 0.0:
+                yield (other, t + dt), prob
 
     def boundary_link(self, cell: int):
         cls = self.table.boundary(self.graph, cell)

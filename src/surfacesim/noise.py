@@ -16,19 +16,6 @@ PRESET_NAMES = ("standard", "balanced", "iontrap")
 
 
 @dataclass(frozen=True)
-class PauliOp:
-    """Single-qubit Pauli as X/Z bits: I=(0,0), X=(1,0), Z=(0,1), Y=(1,1)."""
-
-    x: int
-    z: int
-
-
-X = PauliOp(1, 0)
-Z = PauliOp(0, 1)
-Y = PauliOp(1, 1)
-
-
-@dataclass(frozen=True)
 class ErrorModel:
     p2: float
     pI: float

@@ -72,8 +72,6 @@ PAULI2_BITS = np.array(
 
 PAULI1_BITS = np.array([(1, 0), (1, 1), (0, 1)], dtype=np.uint8)  # X, Y, Z
 
-PHASES = ("cnot1", "cnot2", "cnot3", "cnot4", "idle5", "meas", "idle6")
-
 # Unit-fault bits of every sampled kind, padded to four: rows 0-14 are the
 # CNOT Paulis (xc, zc, xt, zt), rows 15-17 the idle Paulis (x, z), row 18
 # the readout flip.  Per slot class: (first row, kind multiplier, max kind).
@@ -93,10 +91,6 @@ class PauliFrame:
 
     x: np.ndarray
     z: np.ndarray
-
-    @classmethod
-    def zeros(cls, n_cells: int) -> "PauliFrame":
-        return cls(np.zeros(n_cells, dtype=np.uint8), np.zeros(n_cells, dtype=np.uint8))
 
 
 class CompiledCircuit:
@@ -141,50 +135,22 @@ def compile_circuit(lattice: Lattice, schedule: GateSchedule) -> CompiledCircuit
 
 
 class _Injection:
-    """Deterministic errors for specific circuit locations of one window.
+    """Unit-fault bits XORed into a batch of frames during a cycle.
 
-    An entry XORs (x_bits, z_bits) into `cells` of the frame rows `rows`:
-    Ellipsis for a single frame, or the row of each cell in a batch of
-    frames; repeated (row, cell) pairs accumulate.  x_bits of None marks
-    readout flips, whose bit follows the syndrome type.
+    An entry XORs (x_bits, z_bits) into `cells` of the frame rows `rows`,
+    the row of each cell; repeated (row, cell) pairs accumulate.
     """
 
     def __init__(self):
         self.by_key: dict[tuple[int, str], list] = {}
 
-    def add(self, round_index: int, phase: str, cells, x_bits, z_bits, rows=Ellipsis):
-        if phase not in PHASES:
-            raise ValueError(f"unknown phase {phase!r}; choose from {PHASES}")
-        cells = np.atleast_1d(np.asarray(cells, dtype=np.intp))
-        if x_bits is not None:
-            x_bits = np.asarray(x_bits, dtype=np.uint8)
-            z_bits = np.asarray(z_bits, dtype=np.uint8)
+    def add(self, round_index: int, phase: str, cells, x_bits, z_bits, rows):
         self.by_key.setdefault((round_index, phase), []).append(
-            (rows, cells, x_bits, z_bits))
+            (rows, np.asarray(cells, dtype=np.intp), np.asarray(x_bits, dtype=np.uint8),
+             np.asarray(z_bits, dtype=np.uint8)))
 
     def get(self, round_index: int, phase: str):
         return self.by_key.get((round_index, phase), ())
-
-
-def make_injection(entries) -> _Injection:
-    """Build an injection plan from (round, phase, cells, pauli) tuples.
-
-    For CNOT phases, cells is the (control, target) pair of flat indices
-    and pauli is a (PauliOp, PauliOp) pair applied after that step's gates.
-    For idle phases, cells is a flat data index with a single PauliOp.  For
-    "meas", cells is the syndrome qubit's flat index (pauli ignored): the
-    report flip for that round.
-    """
-    inj = _Injection()
-    for round_index, phase, cells, pauli in entries:
-        if phase == "meas":
-            inj.add(round_index, phase, cells, None, None)
-        elif phase.startswith("cnot"):
-            inj.add(round_index, phase, cells, (pauli[0].x, pauli[1].x),
-                    (pauli[0].z, pauli[1].z))
-        else:
-            inj.add(round_index, phase, cells, pauli.x, pauli.z)
-    return inj
 
 
 @dataclass
@@ -221,8 +187,8 @@ class WindowResult:
     frame: PauliFrame
 
 
-def run_cycle(frame: PauliFrame, circuit: CompiledCircuit, round_index: int = 0,
-              injections: _Injection | None = None) -> tuple[np.ndarray, np.ndarray]:
+def run_cycle(frame: PauliFrame, circuit: CompiledCircuit, round_index: int,
+              injections: _Injection) -> tuple[np.ndarray, np.ndarray]:
     """Advance the frame noiselessly through one full cycle, applying the
     injections planned for `round_index`; return (z_reports, x_reports).
 
@@ -233,14 +199,7 @@ def run_cycle(frame: PauliFrame, circuit: CompiledCircuit, round_index: int = 0,
     x, z = frame.x, frame.z
 
     def inject(phase: str):
-        if injections is None:
-            return
         for rows, cells, bx, bz in injections.get(round_index, phase):
-            if bx is None:
-                bx = np.isin(cells, circuit.z_idx).astype(np.uint8)
-                bz = np.isin(cells, circuit.x_idx).astype(np.uint8)
-                if not np.all(bx | bz):
-                    raise ValueError(f"cell {cells} is not a syndrome qubit")
             np.bitwise_xor.at(x, (rows, cells), bx)
             np.bitwise_xor.at(z, (rows, cells), bz)
 
@@ -467,42 +426,12 @@ class FaultTable:
 
 
 def simulate_window(circuit: CompiledCircuit, model: ErrorModel,
-                    rng: np.random.Generator | None, rounds: int,
-                    injections: _Injection | None = None) -> WindowResult:
-    """Run `rounds` noisy cycles plus the closing noiseless cycle.
-
-    With an rng the window is sampled from the circuit's fault table.
-    Without one it is noiseless, with the given injections propagated
-    through the frame; rounds are indexed 1..rounds for injections, and
-    the sign history adds the baseline column 0 and the closure column
-    rounds+1.
-    """
+                    rng: np.random.Generator, rounds: int) -> WindowResult:
+    """`rounds` noisy cycles plus the closing noiseless cycle, sampled from
+    the circuit's fault table."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if rng is not None:
-        if injections is not None:
-            raise ValueError("injections are only propagated through noiseless "
-                             "windows; pass rng=None")
-        return circuit.fault_table.sample(model, rng, rounds)
-
-    frame = PauliFrame.zeros(circuit.n_cells)
-    n_rounds = rounds + 2
-    z_signs = np.zeros((circuit.n_z, n_rounds), dtype=np.uint8)
-    x_signs = np.zeros((circuit.n_x, n_rounds), dtype=np.uint8)
-    prev_z = np.zeros(circuit.n_z, dtype=np.uint8)
-    prev_x = np.zeros(circuit.n_x, dtype=np.uint8)
-    for t in range(1, rounds + 2):
-        rz, rx = run_cycle(frame, circuit, t, injections)
-        z_signs[:, t] = rz ^ prev_z
-        x_signs[:, t] = rx ^ prev_x
-        prev_z, prev_x = rz, rx
-
-    history = SyndromeHistory(
-        lattice=circuit.lattice,
-        signs={"z": z_signs, "x": x_signs},
-        noisy_rounds=rounds,
-    )
-    return WindowResult(history=history, frame=frame)
+    return circuit.fault_table.sample(model, rng, rounds)
 
 
 def detection_events(history: SyndromeHistory) -> list[DetectionEvent]:

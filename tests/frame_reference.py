@@ -4,7 +4,12 @@
 simulator that stepped a Pauli frame through every noisy round, drawing
 each segment's uniforms as it went.  The sampler in `surfacesim.sim`
 must reproduce its windows bit for bit from the same RNG stream; the
-tests compare the two.  Not part of the package.
+tests compare the two.
+
+With rng=None the stepper is also the noiseless injection oracle: it
+propagates the errors of a `make_injection` plan through the frame, one
+cycle at a time, without the fault table or the `run_cycle` of
+`surfacesim.sim` that builds it.  Not part of the package.
 """
 
 from __future__ import annotations
@@ -17,6 +22,38 @@ from surfacesim.noise import ErrorModel
 from surfacesim.sim import (
     PAULI1_BITS, PAULI2_BITS, CompiledCircuit, PauliFrame, SyndromeHistory,
 )
+
+
+PHASES = ("cnot1", "cnot2", "cnot3", "cnot4", "idle5", "meas", "idle6")
+
+
+class InjectionPlan:
+    """Deterministic errors for specific circuit locations of one window:
+    (round, phase) -> [(cells, pauli)] entries, as `make_injection` takes
+    them."""
+
+    def __init__(self):
+        self.by_key: dict[tuple[int, str], list] = {}
+
+    def get(self, round_index: int, phase: str):
+        return self.by_key.get((round_index, phase), ())
+
+
+def make_injection(entries) -> InjectionPlan:
+    """Build an injection plan from (round, phase, cells, pauli) tuples.
+
+    For CNOT phases, cells is the (control, target) pair of flat indices
+    and pauli is a (PauliOp, PauliOp) pair applied after that step's gates.
+    For idle phases, cells is a flat data index with a single PauliOp.  For
+    "meas", cells is the syndrome qubit's flat index (pauli ignored): the
+    report flip for that round.
+    """
+    plan = InjectionPlan()
+    for round_index, phase, cells, pauli in entries:
+        if phase not in PHASES:
+            raise ValueError(f"unknown phase {phase!r}; choose from {PHASES}")
+        plan.by_key.setdefault((round_index, phase), []).append((cells, pauli))
+    return plan
 
 
 @dataclass
@@ -35,7 +72,7 @@ def _apply_pauli2(frame: PauliFrame, ctl: int, tgt: int, bits) -> None:
 
 def run_cycle(frame: PauliFrame, circuit: CompiledCircuit, model: ErrorModel,
               rng: np.random.Generator | None, round_index: int,
-              injections: _Injection | None = None,
+              injections: InjectionPlan | None = None,
               noise_log: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Advance the frame through one full cycle; return (z_reports, x_reports).
 
@@ -122,7 +159,7 @@ def run_cycle(frame: PauliFrame, circuit: CompiledCircuit, model: ErrorModel,
 
 def simulate_window(circuit: CompiledCircuit, model: ErrorModel,
                     rng: np.random.Generator | None, rounds: int,
-                    injections: _Injection | None = None,
+                    injections: InjectionPlan | None = None,
                     record_noise: bool = False) -> WindowResult:
     """Run `rounds` noisy cycles plus the closing noiseless cycle.
 
@@ -132,7 +169,8 @@ def simulate_window(circuit: CompiledCircuit, model: ErrorModel,
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    frame = PauliFrame.zeros(circuit.n_cells)
+    frame = PauliFrame(np.zeros(circuit.n_cells, dtype=np.uint8),
+                       np.zeros(circuit.n_cells, dtype=np.uint8))
     noise_log: list | None = [] if record_noise else None
 
     n_rounds = rounds + 2

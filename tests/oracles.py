@@ -1,0 +1,326 @@
+"""Reference implementations the tests check the package against.  Not part
+of the package.
+
+* Matching: `mwpm`, the virtual-twin minimum-weight perfect matching on
+  `_max_weight_matching` in maximum-cardinality mode, and
+  `brute_force_mwpm`, an exhaustive minimum for graphs of up to 12 nodes.
+* Decoding: `build_match_graph`, the full augmented match graph of one
+  graph type's events with every weight taken from a `MetricCache`, and
+  `corrections_from_matching`, the flip plane of a matching of it.
+* Link classes: `propagate_process`, the signature of one error component
+  pushed through its own noiseless window by the frozen frame stepper,
+  and `mc_validate`, a Monte Carlo check of every link probability.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from surfacesim.decoder import PRUNE_EPS, _boundary_flip, _staircase_flip
+from surfacesim.edge_analysis import EdgeClass, EdgeClassTable, ErrorProcess
+from surfacesim.lattice import Lattice
+from surfacesim.matching import _max_weight_matching
+from surfacesim.metric import MetricCache
+from surfacesim.noise import ErrorModel
+from surfacesim.sim import PAULI1_BITS, PAULI2_BITS, CompiledCircuit, detection_events
+
+from frame_reference import make_injection, simulate_window
+from paulis import PauliOp, X, Z
+
+
+# --- matching --------------------------------------------------------------
+
+class MatchingError(ValueError):
+    """Structural failure: odd node count or no perfect matching."""
+
+
+@dataclass
+class MatchGraph:
+    """Undirected weighted graph; nodes are 0..n_nodes-1."""
+
+    n_nodes: int
+    edges: list[tuple[int, int, float]] = field(default_factory=list)
+
+    def add_edge(self, u: int, v: int, w: float) -> None:
+        if u == v or not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
+            raise ValueError(f"bad edge ({u}, {v})")
+        self.edges.append((u, v, float(w)))
+
+
+@dataclass
+class Matching:
+    """A perfect matching: every node paired exactly once."""
+
+    pairs: tuple[tuple[int, int], ...]
+    total_weight: float
+
+
+def mwpm(graph: MatchGraph) -> Matching:
+    """Globally minimum-weight perfect matching (exact)."""
+    n = graph.n_nodes
+    if n % 2 != 0:
+        raise MatchingError(f"odd node count {n}")
+    if n == 0:
+        return Matching(pairs=(), total_weight=0.0)
+    max_w = max((w for _, _, w in graph.edges), default=0.0)
+    shifted = [(u, v, max_w - w) for u, v, w in graph.edges]
+    mate = _max_weight_matching(n, shifted, maxcardinality=True)
+    pairs = []
+    for v in range(n):
+        if mate[v] == -1:
+            raise MatchingError("no perfect matching exists")
+        if v < mate[v]:
+            pairs.append((v, mate[v]))
+    weight_of = {}
+    for u, v, w in graph.edges:
+        key = (min(u, v), max(u, v))
+        weight_of[key] = min(w, weight_of.get(key, math.inf))
+    total = math.fsum(weight_of[p] for p in pairs)
+    return Matching(pairs=tuple(pairs), total_weight=total)
+
+
+def brute_force_mwpm(graph: MatchGraph) -> Matching:
+    """Exhaustive minimum over all perfect matchings (test oracle)."""
+    n = graph.n_nodes
+    if n % 2 != 0:
+        raise MatchingError(f"odd node count {n}")
+    if n > 12:
+        raise MatchingError(f"brute force limited to 12 nodes, got {n}")
+    if n == 0:
+        return Matching(pairs=(), total_weight=0.0)
+    weight_of: dict[tuple[int, int], float] = {}
+    for u, v, w in graph.edges:
+        key = (min(u, v), max(u, v))
+        weight_of[key] = min(w, weight_of.get(key, math.inf))
+
+    best: list = [math.inf, None]
+
+    def recurse(unmatched: list[int], chosen: list[tuple[int, int]], acc: float):
+        if not unmatched:
+            if acc < best[0]:
+                best[0] = acc
+                best[1] = list(chosen)
+            return
+        u = unmatched[0]
+        rest = unmatched[1:]
+        for idx, v in enumerate(rest):
+            w = weight_of.get((min(u, v), max(u, v)))
+            if w is None:
+                continue
+            chosen.append((u, v))
+            recurse(rest[:idx] + rest[idx + 1:], chosen, acc + w)
+            chosen.pop()
+
+    recurse(list(range(n)), [], 0.0)
+    if best[1] is None:
+        raise MatchingError("no perfect matching exists")
+    total = math.fsum(weight_of[(min(u, v), max(u, v))] for u, v in best[1])
+    return Matching(pairs=tuple(sorted(best[1])), total_weight=total)
+
+
+# --- decoding --------------------------------------------------------------
+
+def build_match_graph(events: list[tuple[int, int]], cache: MetricCache,
+                      prune: bool = True) -> tuple[MatchGraph, list[str]]:
+    """Augmented match graph over one graph type's events.
+
+    Nodes 0..k-1 are the real events, k..2k-1 their boundary twins; twin
+    pairs carry zero weight so unused twins absorb each other.  Returns
+    the graph and the boundary side label per real node.
+    """
+    k = len(events)
+    graph = MatchGraph(n_nodes=2 * k)
+    sides = []
+    bweight = []
+    for cell, _t in events:
+        w, side = cache.boundary_weight(cell)
+        bweight.append(w)
+        sides.append(side)
+    for u in range(k):
+        cu, tu = events[u]
+        for v in range(u + 1, k):
+            cv, tv = events[v]
+            w = cache.pair_weight(cu, tu, cv, tv)
+            if prune and w >= bweight[u] + bweight[v] - PRUNE_EPS:
+                continue
+            graph.add_edge(u, v, w)
+    for u in range(k):
+        graph.add_edge(u, k + u, bweight[u])
+    for u in range(k):
+        for v in range(u + 1, k):
+            graph.add_edge(k + u, k + v, 0.0)
+    return graph, sides
+
+
+def corrections_from_matching(matching: Matching, events: list[tuple[int, int]],
+                              sides: list[str], lattice: Lattice) -> np.ndarray:
+    """Data-qubit flip plane realizing a matching from build_match_graph."""
+    k = len(events)
+    corr = np.zeros(lattice.size * lattice.size, dtype=np.uint8)
+    for u, v in matching.pairs:
+        if u < k and v < k:
+            _staircase_flip(lattice, corr, events[u][0], events[v][0])
+        elif u < k <= v:
+            _boundary_flip(lattice, corr, events[u][0], sides[u])
+        elif v < k <= u:
+            _boundary_flip(lattice, corr, events[v][0], sides[v])
+    return corr
+
+
+# --- link classes ----------------------------------------------------------
+
+def _component_paulis(graph: str) -> dict[str, tuple[PauliOp, PauliOp]]:
+    # The z graph (Z stabilizers) sees X components; the x graph sees Z.
+    p = X if graph == "z" else Z
+    ident = PauliOp(0, 0)
+    return {"ctl": (p, ident), "tgt": (ident, p), "both": (p, p)}
+
+
+def _injection_for(circuit: CompiledCircuit, proc: ErrorProcess, round_index: int):
+    kind = proc.location[0]
+    if kind == "cnot":
+        gate = proc.location[1]
+        step = int(circuit.gate_step[gate])
+        # Merged components like "tgt+both" share a signature; inject any one.
+        comp = proc.component.split("+")[0]
+        pauli = _component_paulis(proc.graph)[comp]
+        cells = (int(circuit.gate_ctl[gate]), int(circuit.gate_tgt[gate]))
+        return make_injection([(round_index, f"cnot{step + 1}", cells, pauli)])
+    if kind in ("idle5", "idle6"):
+        pauli = X if proc.graph == "z" else Z
+        return make_injection([(round_index, kind, proc.location[1], pauli)])
+    if kind == "meas":
+        return make_injection([(round_index, "meas", proc.location[1], None)])
+    raise ValueError(f"unknown location {proc.location}")
+
+
+def propagate_process(circuit: CompiledCircuit,
+                      proc: ErrorProcess) -> tuple[tuple[int, int], ...]:
+    """Detection-event signature of a single injected process.
+
+    Returns a tuple of (flat_cell, dt) pairs with dt relative to the
+    injection round, canonicalized so min dt is 0; empty if the process
+    is invisible to its graph.
+    """
+    model = ErrorModel(0.0, 0.0, 0.0)
+    inj = _injection_for(circuit, proc, 2)  # injected in round 2 of 4
+    res = simulate_window(circuit, model, None, rounds=4, injections=inj)
+    events = detection_events(res.history)
+    assert all(e.graph == proc.graph for e in events)
+    sig = tuple(sorted(
+        (circuit.lattice.index((e.i, e.j)), e.t - 2) for e in events))
+    if not sig:
+        return sig
+    dts = [dt for _, dt in sig]
+    assert all(dt in (0, 1) for dt in dts), f"signature spans >1 round: {sig}"
+    lo = min(dts)
+    return tuple(sorted((c, dt - lo) for c, dt in sig))
+
+
+def component_group_maps(table: EdgeClassTable):
+    """Lookup from (graph, location, component-part) to group id.
+
+    Groups are numbered over all pair and boundary classes of both graphs;
+    returns (group_list, part_map) where group_list[i] is the EdgeClass.
+    """
+    group_list: list[EdgeClass] = []
+    part_map: dict[tuple, int] = {}
+    for graph in ("x", "z"):
+        classes = list(table.pair_classes[graph].values()) + \
+            list(table.boundary_classes[graph].values())
+        for cls in classes:
+            gid = len(group_list)
+            group_list.append(cls)
+            for member in cls.members:
+                for part in member.component.split("+"):
+                    part_map[(graph, member.location, part)] = gid
+    return group_list, part_map
+
+
+def mc_validate(circuit: CompiledCircuit, model: ErrorModel,
+                table: EdgeClassTable, n_samples: int, seed: int = 0,
+                batch: int = 20_000):
+    """Monte Carlo check of every link probability.
+
+    Samples n_samples independent noisy cycles (error locations only; no
+    frame propagation needed) and counts, per link class, how often an
+    odd number of its member processes fired.  Returns a list of
+    (class, expected_probability, observed_frequency, n) tuples.
+    """
+    group_list, part_map = component_group_maps(table)
+    n_groups = len(group_list)
+
+    # CNOT kind -> group, per gate and graph: shape (n_cnots, 15).
+    gate_gid = {g: np.full((circuit.n_cnots, 15), -1, dtype=np.int32)
+                for g in ("x", "z")}
+    for gate in range(circuit.n_cnots):
+        for kind in range(15):
+            xc, zc, xt, zt = PAULI2_BITS[kind]
+            for graph, (bc, bt) in (("z", (xc, xt)), ("x", (zc, zt))):
+                part = {(1, 0): "ctl", (0, 1): "tgt", (1, 1): "both"}.get(
+                    (int(bc), int(bt)))
+                if part is None:
+                    continue
+                gid = part_map.get((graph, ("cnot", gate), part))
+                if gid is not None:
+                    gate_gid[graph][gate, kind] = gid
+
+    idle_locs = [(f"idle{step}", int(cell))
+                 for step in circuit.idle_steps for cell in circuit.data_idx]
+    idle_gid = {g: np.full((len(idle_locs), 3), -1, dtype=np.int32)
+                for g in ("x", "z")}
+    for loc_i, loc in enumerate(idle_locs):
+        for kind in range(3):
+            bx, bz = PAULI1_BITS[kind]
+            for graph, bit in (("z", bx), ("x", bz)):
+                if bit:
+                    gid = part_map.get((graph, loc, "flip"))
+                    if gid is not None:
+                        idle_gid[graph][loc_i, kind] = gid
+
+    meas_locs = ([("z", ("meas", int(c))) for c in circuit.z_idx]
+                 + [("x", ("meas", int(c))) for c in circuit.x_idx])
+    meas_gid = np.full(len(meas_locs), -1, dtype=np.int32)
+    for loc_i, (graph, loc) in enumerate(meas_locs):
+        gid = part_map.get((graph, loc, "flip"))
+        if gid is not None:
+            meas_gid[loc_i] = gid
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    odd_counts = np.zeros(n_groups, dtype=np.int64)
+    done = 0
+    while done < n_samples:
+        b = min(batch, n_samples - done)
+        parity = np.zeros((b, n_groups), dtype=np.uint8)
+
+        if model.p2 > 0:
+            u = rng.random((b, circuit.n_cnots))
+            rows, gates = np.nonzero(u < model.p2)
+            kinds = np.minimum((u[rows, gates] / model.p2 * 15).astype(np.intp), 14)
+            for graph in ("x", "z"):
+                gids = gate_gid[graph][gates, kinds]
+                ok = gids >= 0
+                np.bitwise_xor.at(parity, (rows[ok], gids[ok]), 1)
+        if model.pI > 0 and idle_locs:
+            u = rng.random((b, len(idle_locs)))
+            rows, locs = np.nonzero(u < model.pI)
+            kinds = np.minimum((u[rows, locs] / model.pI * 3).astype(np.intp), 2)
+            for graph in ("x", "z"):
+                gids = idle_gid[graph][locs, kinds]
+                ok = gids >= 0
+                np.bitwise_xor.at(parity, (rows[ok], gids[ok]), 1)
+        if model.pM > 0:
+            u = rng.random((b, len(meas_locs)))
+            rows, locs = np.nonzero(u < model.pM)
+            gids = meas_gid[locs]
+            ok = gids >= 0
+            np.bitwise_xor.at(parity, (rows[ok], gids[ok]), 1)
+
+        odd_counts += parity.sum(axis=0, dtype=np.int64)
+        done += b
+
+    return [(cls, cls.probability, odd_counts[gid] / n_samples, n_samples)
+            for gid, cls in enumerate(group_list)]

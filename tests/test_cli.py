@@ -132,6 +132,11 @@ def test_bad_later_sweep_point_returns_1(capsys, no_windows, flag, values):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+def test_export_edges_empty_path_returns_2(capsys, no_windows):
+    assert main(["--export-edges", "", "--distance", "3", "--p", "0.01"]) == 2
+    assert capsys.readouterr().err.startswith("I/O error:")
+
+
 def test_debug_events_go_to_stderr(capsys):
     rc = main(["--distance", "3", "--p", "0.02", "--trials", "3",
                "--rounds", "4", "--seed", "2", "--debug-events"])
@@ -143,7 +148,7 @@ def test_debug_events_go_to_stderr(capsys):
 
 
 @pytest.mark.parametrize("line", ["format=xml", "schedule=foo", "metric=foo",
-                                  "jobs=0", "pi=0.01", "dist=3"])
+                                  "jobs=0", "pi=0.01", "dist=3", "p2=0.5"])
 def test_bad_config_file_value_returns_1(tmp_path, capsys, no_windows, line):
     # Config lines go through the flag parser: same checks, same spelling.
     cfg = tmp_path / "run.cfg"
@@ -156,7 +161,11 @@ def test_bad_config_file_value_returns_1(tmp_path, capsys, no_windows, line):
 
 @pytest.mark.parametrize("argv", [["--metric", "foo"], ["--trials", "abc"],
                                   ["--distance", "3,x"], ["--jobs", "0"],
-                                  ["--jobs", "-3"], ["--schedule", "interleaved"]])
+                                  ["--jobs", "-3"], ["--schedule", "interleaved"],
+                                  # Custom rates need --model custom.
+                                  ["--p2", "0.5"], ["--model", "standard", "--pM", "0.01"],
+                                  # A falsy distance is still a dump request.
+                                  ["--dump-lattice", "0"]])
 def test_bad_flag_value_returns_1(capsys, no_windows, argv):
     assert main(["--distance", "3", "--trials", "2", *argv]) == 1
     assert capsys.readouterr().err.startswith("configuration error:")

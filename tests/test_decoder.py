@@ -9,17 +9,16 @@ import pytest
 
 import surfacesim
 from surfacesim.lattice import build_lattice, standard_schedule
-from surfacesim.noise import ErrorModel, PauliOp, X, Y, Z, preset, trial_rng
-from surfacesim.sim import compile_circuit, make_injection, simulate_window
+from surfacesim.noise import ErrorModel, preset, trial_rng
+from surfacesim.sim import compile_circuit, simulate_window
 from surfacesim.edge_analysis import derive_edge_classes
-from surfacesim.decoder import (
-    DP_MAX_NODES, Decoder, build_match_graph, corrections_from_matching,
-    _graph_events,
-)
-from surfacesim.matching import mwpm
+from surfacesim.decoder import DP_MAX_NODES, Decoder, _graph_events
 from surfacesim.metric import LinkGraph, MetricCache, d_max, d_n
 
-from paulis import I, SINGLE_PAULIS, TWO_QUBIT_PAULIS
+import frame_reference
+from frame_reference import make_injection
+from oracles import build_match_graph, corrections_from_matching, mwpm
+from paulis import SINGLE_PAULIS, TWO_QUBIT_PAULIS, X
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +53,8 @@ def test_bulk_data_error_matched_as_pair(setup_d5):
     lat = circ.lattice
     cell = lat.index((4, 4))
     inj = make_injection([(3, "idle6", cell, X)])
-    res = simulate_window(circ, ErrorModel(0, 0, 0), None, rounds=8, injections=inj)
+    res = frame_reference.simulate_window(circ, ErrorModel(0, 0, 0), None, rounds=8,
+                                          injections=inj)
     out = dec.decode(res.history, res.frame, verify=True)
     # Single-link pair beats two boundary matches at p = 0.01.
     (pair,) = out.matches["z"]
@@ -69,7 +69,8 @@ def test_boundary_adjacent_error_matched_to_boundary(setup_d3):
     lat = circ.lattice
     cell = lat.index((2, 0))  # column-0 data: single Z-graph event
     inj = make_injection([(2, "idle6", cell, X)])
-    res = simulate_window(circ, ErrorModel(0, 0, 0), None, rounds=6, injections=inj)
+    res = frame_reference.simulate_window(circ, ErrorModel(0, 0, 0), None, rounds=6,
+                                          injections=inj)
     out = dec.decode(res.history, res.frame, verify=True)
     (match,) = out.matches["z"]
     assert match[1] == "left"
@@ -83,7 +84,8 @@ def test_two_link_pair_restores_syndromes(setup_d5):
     lat = circ.lattice
     inj = make_injection([(3, "idle6", lat.index((4, 2)), X),
                           (3, "idle6", lat.index((4, 4)), X)])
-    res = simulate_window(circ, ErrorModel(0, 0, 0), None, rounds=8, injections=inj)
+    res = frame_reference.simulate_window(circ, ErrorModel(0, 0, 0), None, rounds=8,
+                                          injections=inj)
     out = dec.decode(res.history, res.frame, verify=True)  # verify asserts syndromes
     assert not out.logical_z_failed
     assert out.corrections["z"].sum() in (0, 2)
@@ -93,7 +95,8 @@ def test_measurement_flip_needs_no_data_correction(setup_d5):
     circ, model, table, dec = setup_d5
     lat = circ.lattice
     inj = make_injection([(4, "meas", lat.index((4, 3)), None)])
-    res = simulate_window(circ, ErrorModel(0, 0, 0), None, rounds=8, injections=inj)
+    res = frame_reference.simulate_window(circ, ErrorModel(0, 0, 0), None, rounds=8,
+                                          injections=inj)
     out = dec.decode(res.history, res.frame, verify=True)
     assert not out.corrections["z"].any()
     assert not out.logical_z_failed and not out.logical_x_failed
@@ -116,7 +119,7 @@ def test_exhaustive_single_fault_correction(d):
         cells = (int(circ.gate_ctl[gate]), int(circ.gate_tgt[gate]))
         for pair in TWO_QUBIT_PAULIS:
             inj = make_injection([(r0, f"cnot{step + 1}", cells, pair)])
-            res = simulate_window(circ, zero, None, rounds, injections=inj)
+            res = frame_reference.simulate_window(circ, zero, None, rounds, injections=inj)
             out = dec.decode(res.history, res.frame, verify=True)
             assert not out.logical_x_failed, (gate, pair)
             assert not out.logical_z_failed, (gate, pair)
@@ -125,13 +128,13 @@ def test_exhaustive_single_fault_correction(d):
         for cell in circ.data_idx:
             for op in SINGLE_PAULIS:
                 inj = make_injection([(r0, f"idle{idle_step}", int(cell), op)])
-                res = simulate_window(circ, zero, None, rounds, injections=inj)
+                res = frame_reference.simulate_window(circ, zero, None, rounds, injections=inj)
                 out = dec.decode(res.history, res.frame, verify=True)
                 assert not out.logical_x_failed and not out.logical_z_failed
                 cases += 1
     for cell in list(circ.z_idx) + list(circ.x_idx):
         inj = make_injection([(r0, "meas", int(cell), None)])
-        res = simulate_window(circ, zero, None, rounds, injections=inj)
+        res = frame_reference.simulate_window(circ, zero, None, rounds, injections=inj)
         out = dec.decode(res.history, res.frame, verify=True)
         assert not out.logical_x_failed and not out.logical_z_failed
         cases += 1
@@ -144,7 +147,8 @@ def test_half_distance_chain_fails(setup_d3):
     lat = circ.lattice
     inj = make_injection([(2, "idle6", lat.index((0, 0)), X),
                           (2, "idle6", lat.index((0, 2)), X)])
-    res = simulate_window(circ, ErrorModel(0, 0, 0), None, rounds=6, injections=inj)
+    res = frame_reference.simulate_window(circ, ErrorModel(0, 0, 0), None, rounds=6,
+                                          injections=inj)
     out = dec.decode(res.history, res.frame, verify=True)
     assert out.logical_z_failed
     assert not out.logical_x_failed

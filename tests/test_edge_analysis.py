@@ -10,8 +10,9 @@ from surfacesim.noise import ErrorModel, preset
 from surfacesim.sim import compile_circuit
 from surfacesim.edge_analysis import (
     derive_edge_classes, enumerate_processes, odd_parity_probability,
-    propagate_process,
 )
+
+from oracles import propagate_process
 
 
 def eq1(p):
@@ -233,13 +234,15 @@ def test_predicted_events_match_simulator(setup_d5):
     lat = circ.lattice
     from paulis import SINGLE_PAULIS, TWO_QUBIT_PAULIS
     from surfacesim.noise import trial_rng
-    from surfacesim.sim import detection_events, make_injection, simulate_window
+    from surfacesim.sim import detection_events
+    from frame_reference import make_injection, simulate_window
 
     r0 = 2
     zero = ErrorModel(0, 0, 0)
 
     # Absolute event sets per raw component, from one injection each.
-    from surfacesim.edge_analysis import ErrorProcess, _injection_for
+    from surfacesim.edge_analysis import ErrorProcess
+    from oracles import _injection_for
     abs_sig: dict = {}
     for graph in ("x", "z"):
         raw_components = (
@@ -302,7 +305,7 @@ def test_predicted_events_match_simulator(setup_d5):
 def test_mc_probability_validation_1e6(setup_d5):
     # Smaller-N version of the acceptance-scale validation: every class
     # frequency within 5 sigma at N = 10^6.
-    from surfacesim.edge_analysis import mc_validate
+    from oracles import mc_validate
     circ, model, table = setup_d5
     n = 10**6
     results = mc_validate(circ, model, table, n_samples=n, seed=77)

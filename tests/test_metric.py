@@ -132,10 +132,23 @@ def _enumerate_all_paths(graph, s1, s2, max_links):
     return results
 
 
+class _WindowLinkGraph(LinkGraph):
+    """A link graph whose rounds outside [t_min, t_max] do not exist."""
+
+    def __init__(self, table, graph, t_min, t_max):
+        super().__init__(table, graph)
+        self.t_min, self.t_max = t_min, t_max
+
+    def neighbors(self, node):
+        for other, prob in super().neighbors(node):
+            if self.t_min <= other[1] <= self.t_max:
+                yield other, prob
+
+
 def test_path_enumeration_oracle_small_window(table_d5):
     # 5x5x5 window: d_max and d_n reproduced exactly by brute force.
     lat = table_d5.lattice
-    g = LinkGraph(table_d5, "z", t_min=0, t_max=4)
+    g = _WindowLinkGraph(table_d5, "z", t_min=0, t_max=4)
     s1 = (lat.index((2, 3)), 1)
     s2 = (lat.index((4, 5)), 2)
     l = min_links(g, s1, s2)

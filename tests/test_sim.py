@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from surfacesim.lattice import build_lattice, standard_schedule
-from surfacesim.noise import ErrorModel, PauliOp, X, Y, Z, preset, trial_rng
+from surfacesim.noise import ErrorModel, preset, trial_rng
 from surfacesim.sim import (
-    SyndromeHistory, compile_circuit, detection_events,
-    events_to_text, make_injection, simulate_window,
+    SyndromeHistory, compile_circuit, detection_events, events_to_text, simulate_window,
 )
 
-from paulis import I
+import frame_reference
+from frame_reference import make_injection
+from paulis import I, X, Y, Z
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +46,8 @@ def test_single_data_x_flips_two_z_stabilizers(circuit_d3):
     # Bulk data qubit (2, 2): Z-stabilizer neighbors east and west.
     cell = lat.index((2, 2))
     inj = make_injection([(2, "idle6", cell, X)])
-    res = simulate_window(circuit_d3, ErrorModel(0, 0, 0), None, rounds=6,
-                          injections=inj)
+    res = frame_reference.simulate_window(circuit_d3, ErrorModel(0, 0, 0), None, rounds=6,
+                                          injections=inj)
     events = detection_events(res.history)
     assert sorted((e.graph, e.i, e.j, e.t) for e in events) == [
         ("z", 2, 1, 3), ("z", 2, 3, 3)]
@@ -61,8 +62,8 @@ def test_single_data_z_flips_two_x_stabilizers(circuit_d3):
     # Bulk data qubit (2, 2): X-stabilizer neighbors north and south.
     cell = lat.index((2, 2))
     inj = make_injection([(2, "idle6", cell, Z)])
-    res = simulate_window(circuit_d3, ErrorModel(0, 0, 0), None, rounds=6,
-                          injections=inj)
+    res = frame_reference.simulate_window(circuit_d3, ErrorModel(0, 0, 0), None, rounds=6,
+                                          injections=inj)
     events = detection_events(res.history)
     assert sorted((e.graph, e.i, e.j, e.t) for e in events) == [
         ("x", 1, 2, 3), ("x", 3, 2, 3)]
@@ -72,8 +73,8 @@ def test_measurement_flip_gives_double_temporal_event(circuit_d3):
     lat = circuit_d3.lattice
     cell = lat.index((2, 1))
     inj = make_injection([(3, "meas", cell, None)])
-    res = simulate_window(circuit_d3, ErrorModel(0, 0, 0), None, rounds=7,
-                          injections=inj)
+    res = frame_reference.simulate_window(circuit_d3, ErrorModel(0, 0, 0), None, rounds=7,
+                                          injections=inj)
     events = detection_events(res.history)
     assert sorted((e.graph, e.i, e.j, e.t) for e in events) == [
         ("z", 2, 1, 3), ("z", 2, 1, 4)]
@@ -92,12 +93,12 @@ def test_frame_linearity(circuit_d5):
                    for p, op in zip(picks, paulis)]
         e1, e2 = entries[:2], entries[2:]
         model = ErrorModel(0, 0, 0)
-        f_both = simulate_window(circuit_d5, model, None, 5,
-                                 injections=make_injection(e1 + e2)).frame
-        f1 = simulate_window(circuit_d5, model, None, 5,
-                             injections=make_injection(e1)).frame
-        f2 = simulate_window(circuit_d5, model, None, 5,
-                             injections=make_injection(e2)).frame
+        f_both = frame_reference.simulate_window(circuit_d5, model, None, 5,
+                                                 injections=make_injection(e1 + e2)).frame
+        f1 = frame_reference.simulate_window(circuit_d5, model, None, 5,
+                                             injections=make_injection(e1)).frame
+        f2 = frame_reference.simulate_window(circuit_d5, model, None, 5,
+                                             injections=make_injection(e2)).frame
         assert np.array_equal(f_both.x, f1.x ^ f2.x)
         assert np.array_equal(f_both.z, f1.z ^ f2.z)
 
@@ -132,8 +133,8 @@ def test_windows_reproducible(circuit_d3):
 def test_event_trace_format(circuit_d3):
     lat = circuit_d3.lattice
     inj = make_injection([(2, "meas", lat.index((2, 1)), None)])
-    res = simulate_window(circuit_d3, ErrorModel(0, 0, 0), None, rounds=4,
-                          injections=inj)
+    res = frame_reference.simulate_window(circuit_d3, ErrorModel(0, 0, 0), None, rounds=4,
+                                          injections=inj)
     text = events_to_text(detection_events(res.history))
     assert text.splitlines() == ["z 2 1 2", "z 2 1 3"]
 
@@ -142,7 +143,8 @@ def test_event_trace_format(circuit_d3):
 def test_every_single_fault_makes_at_most_two_events(circuit_d3, graph):
     # Exhaustive over single Pauli components on every location at d=3;
     # the d=5 sweep happens in the edge-analysis tests.
-    from surfacesim.edge_analysis import enumerate_processes, propagate_process
+    from surfacesim.edge_analysis import enumerate_processes
+    from oracles import propagate_process
 
     model = preset("standard", 0.01)
     for proc in enumerate_processes(circuit_d3, model):
@@ -176,8 +178,6 @@ SAMPLER_CASES = [
 def test_sampler_matches_frozen_reference(d, model, idle_steps, rounds):
     # Signs and the whole final frame, window by window, against the
     # round-by-round simulator fed by the same stream.
-    import frame_reference
-
     circ = _circuit(d, idle_steps)
     for idx in range(30):
         got = simulate_window(circ, model, trial_rng(21, idx), rounds)
@@ -211,9 +211,10 @@ def _unit_fault_injection(circ, unit, round_index):
 
 @pytest.mark.parametrize("d,idle_steps", [(3, (5, 6)), (5, (6,))])
 def test_fault_table_entries_match_injected_faults(d, idle_steps):
-    # Every entry against the noiseless propagator with that one unit fault
+    # Every entry against the frozen frame stepper with that one unit fault
     # injected: in the last noisy round (dt = 1 lands in the closure column)
-    # and in an earlier one.
+    # and in an earlier one.  The stepper shares no code with the
+    # `run_cycle` that builds the table.
     circ = _circuit(d, idle_steps)
     table = circ.fault_table
     n_stab = circ.n_z + circ.n_x
@@ -222,8 +223,8 @@ def test_fault_table_entries_match_injected_faults(d, idle_steps):
                              + 2 * len(circ.data_idx) * len(idle_steps))
     for unit in range(table.n_units):
         for rounds, r0 in ((2, 2), (3, 1)):
-            res = simulate_window(circ, zero, None, rounds,
-                                  injections=_unit_fault_injection(circ, unit, r0))
+            res = frame_reference.simulate_window(
+                circ, zero, None, rounds, injections=_unit_fault_injection(circ, unit, r0))
             signs = np.concatenate([res.history.signs["z"], res.history.signs["x"]])
             events = signs ^ np.concatenate([np.zeros((n_stab, 1), np.uint8),
                                              signs[:, :-1]], axis=1)
@@ -288,8 +289,5 @@ def test_fault_table_rejects_an_unsettled_frame(monkeypatch):
 
 def test_simulate_window_rejects_bad_calls(circuit_d3):
     model = preset("standard", 0.01)
-    inj = make_injection([(1, "meas", circuit_d3.lattice.index((2, 1)), None)])
-    with pytest.raises(ValueError, match="noiseless"):
-        simulate_window(circuit_d3, model, trial_rng(0, 0), 3, injections=inj)
     with pytest.raises(ValueError, match="rounds"):
         simulate_window(circuit_d3, model, trial_rng(0, 0), 0)
