@@ -5,21 +5,25 @@ matched against each other or against their nearest spatial boundary;
 the matching minimizes total separation under the chosen metric.
 
 Separations come from tables built once per Decoder: the metric is
-evaluated for every (stabilizer, stabilizer, round offset) within
-pruning reach, and per stabilizer for the boundary.  The circuit is
-periodic in time, so these cover every event pair of every window, and
-decoding a window evaluates no metric at all: candidate edges are table
-lookups between time-sorted events.  Per metric the pair table is built
-by
+evaluated for every (stabilizer, stabilizer, round offset) within reach,
+and per stabilizer for the boundary.  The circuit is periodic in time,
+so these cover every event pair of every window, and decoding a window
+evaluates no metric at all: candidate edges are table lookups between
+time-sorted events.  Reach bounds the space and time separation (in
+sublattice units and rounds) of a pair whose best single path can be
+lighter than two boundary matches, since every link weighs at least as
+much as the most probable one.  One loop over source stabilizers fills
+the pair table of every metric:
 
-* dmax: one Dijkstra search per source stabilizer, cut off at twice the
-  largest boundary weight;
-* d0-d2: one `metric.path_sum_table` walk program per source stabilizer
-  over every target the single-link lower bound does not prune;
-* manhattan: the closed form per pair.
+* dmax: every node `metric.settled` reaches within twice the largest
+  boundary weight;
+* d0-d2: one `metric.path_sum_table` walk program over every target
+  within reach;
+* manhattan: the closed form over the same targets.
 
 Boundary weights are one `metric.boundary_distance` search per
-stabilizer (a closed form for manhattan).
+stabilizer (a closed form for manhattan).  The tables keep every weight
+they compute: the one prune rule is the candidate scan's, below.
 
 The match graph follows the virtual-twin construction: every real event
 gets a virtual partner at its boundary weight, virtual nodes pair among
@@ -42,7 +46,6 @@ maximum-probability path, so the failure verdict is unchanged.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -51,7 +54,7 @@ import numpy as np
 from . import matching
 from .edge_analysis import EdgeClassTable
 from .lattice import Lattice
-from .metric import MetricCache, path_sum_table
+from .metric import MetricCache, manhattan, path_sum_table, settled
 from .sim import PauliFrame, SyndromeHistory
 
 DP_MAX_NODES = 6
@@ -113,8 +116,9 @@ class Decoder:
         bsides = [side for _, side in bw]
         # An edge no lighter than two boundary matches is pruned.  Every
         # link weighs at least w_min (one unit for manhattan) and moves at
-        # most one sublattice unit per axis and one round, so a pair more
-        # than 2 * b_max / w_min apart in space or time never gets one.
+        # most one sublattice unit per axis and one round, so no single
+        # path of a pair more than 2 * b_max / w_min apart in space or
+        # time is that light; the tables end there.
         b_max = max(bvals)
         if self.metric == "manhattan":
             w_min = 1.0
@@ -124,50 +128,25 @@ class Decoder:
 
         wtab = np.full((S, S, reach + 1), np.inf, dtype=np.float64)
         lg = cache.graph
-        if self.metric == "dmax":
-            cutoff = 2.0 * b_max + 1e-9
-            for a in range(S):
-                src = (cells[a], 0)
-                dist = {src: 0.0}
-                heap = [(0.0, src)]
-                while heap:
-                    d, node = heapq.heappop(heap)
-                    if d > dist.get(node, math.inf) or d > cutoff:
-                        continue
-                    cell, t = node
+        for a in range(S):
+            if self.metric == "dmax":
+                # Nodes in earlier rounds are settled too; only 0 <= t is
+                # a table entry.
+                for d, (cell, t) in settled(lg, (cells[a], 0), 2.0 * b_max + 1e-9):
                     if 0 <= t <= reach:
-                        b = stab_of_cell[cell]
-                        if d < wtab[a, b, t]:
-                            wtab[a, b, t] = d
-                    for other, prob in lg.neighbors(node):
-                        nd = d - math.log(prob)
-                        if nd <= cutoff and nd < dist.get(other, math.inf):
-                            dist[other] = nd
-                            heapq.heappush(heap, (nd, other))
-        else:
-            for a in range(S):
-                targets = []
-                for b in range(S):
-                    cheb = max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1]))
-                    if cheb > reach:
-                        continue
-                    if not math.isfinite(bvals[a] + bvals[b]):
-                        continue  # zero-probability model: never matched
-                    for dt in range(reach + 1):
-                        if a == b and dt == 0:
-                            continue
-                        if max(cheb, dt) * w_min >= bvals[a] + bvals[b]:
-                            continue  # pruned anyway; leave inf
-                        targets.append((b, dt))
-                if self.metric == "manhattan":
-                    weights = [cache.pair_weight(cells[a], 0, cells[b], dt)
-                               for b, dt in targets]
-                else:
-                    weights = path_sum_table(
-                        lg, (cells[a], 0), [(cells[b], dt) for b, dt in targets],
-                        int(self.metric[1]))
-                for (b, dt), w in zip(targets, weights):
-                    wtab[a, b, dt] = w
+                        wtab[a, stab_of_cell[cell], t] = d
+                continue
+            targets = [(b, dt) for b in range(S)
+                       if max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1])) <= reach
+                       for dt in range(reach + 1) if (b, dt) != (a, 0)]
+            if self.metric == "manhattan":
+                weights = [manhattan((*sub[a], 0), (*sub[b], dt)) for b, dt in targets]
+            else:
+                weights = path_sum_table(
+                    lg, (cells[a], 0), [(cells[b], dt) for b, dt in targets],
+                    int(self.metric[1]))
+            for (b, dt), w in zip(targets, weights):
+                wtab[a, b, dt] = w
         return {"cells": cells, "bvals": bvals, "bsides": bsides,
                 "wtab": wtab.tolist(), "reach": reach}
 

@@ -107,7 +107,12 @@ def enumerate_processes(circuit: CompiledCircuit, model: ErrorModel) -> list[Err
     (exclusive outcomes of the same error event), which is what produces
     the 8*p2/15 class.
     """
-    procs: list[ErrorProcess] = []
+    return [proc for proc, _ in _signed_processes(circuit, model)]
+
+
+def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
+    """(process, signature) for every process of enumerate_processes, in
+    its order; each component's signature is read once."""
     p_cnot = model.p2 * 4.0 / 15.0
     for graph in ("z", "x"):
         for gate in range(circuit.n_cnots):
@@ -119,21 +124,21 @@ def enumerate_processes(circuit: CompiledCircuit, model: ErrorModel) -> list[Err
                     sigs.setdefault(sig, []).append(comp)
             for sig, comps in sigs.items():
                 if len(comps) == 1:
-                    procs.append(ErrorProcess(graph, ("cnot", gate), comps[0],
-                                              "4p2/15", p_cnot))
+                    yield ErrorProcess(graph, ("cnot", gate), comps[0],
+                                       "4p2/15", p_cnot), sig
                 else:
-                    procs.append(ErrorProcess(graph, ("cnot", gate), "+".join(comps),
-                                              "8p2/15", len(comps) * p_cnot))
+                    yield ErrorProcess(graph, ("cnot", gate), "+".join(comps),
+                                       "8p2/15", len(comps) * p_cnot), sig
         p_idle = model.pI * 2.0 / 3.0
         for step in circuit.idle_steps:
             for cell in circuit.data_idx:
-                procs.append(ErrorProcess(graph, (f"idle{step}", int(cell)),
-                                          "flip", "2pI/3", p_idle))
+                proc = ErrorProcess(graph, (f"idle{step}", int(cell)),
+                                    "flip", "2pI/3", p_idle)
+                yield proc, process_signature(circuit, proc)
         stab_idx = circuit.z_idx if graph == "z" else circuit.x_idx
         for cell in stab_idx:
-            procs.append(ErrorProcess(graph, ("meas", int(cell)), "flip",
-                                      "pM", model.pM))
-    return procs
+            proc = ErrorProcess(graph, ("meas", int(cell)), "flip", "pM", model.pM)
+            yield proc, process_signature(circuit, proc)
 
 
 @dataclass
@@ -205,8 +210,7 @@ def derive_edge_classes(circuit: CompiledCircuit, model: ErrorModel) -> EdgeClas
     """Group all processes by signature and compute exact link probabilities."""
     lattice = circuit.lattice
     groups: dict[str, dict[tuple, list[ErrorProcess]]] = {"x": {}, "z": {}}
-    for proc in enumerate_processes(circuit, model):
-        sig = process_signature(circuit, proc)
+    for proc, sig in _signed_processes(circuit, model):
         if not sig:
             continue
         if len(sig) > 2:

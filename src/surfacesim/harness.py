@@ -204,7 +204,7 @@ def run_trials(cfg: TrialConfig, trace_sink=None) -> SweepStats:
         if cfg.jobs > 1:
             import multiprocessing as mp
             pool = stack.enter_context(mp.get_context("spawn").Pool(cfg.jobs))
-            results = pool.imap_unordered(_run_chunk, chunks)
+            results = pool.imap(_run_chunk, chunks)
         for cx, cz, traces in results:
             fail_x += cx
             fail_z += cz

@@ -12,6 +12,8 @@ the product of its link probabilities.
 * d_n: -ln of the summed probability of all simple paths using the
   minimum number of links l, plus paths up to l+n links.
 * boundary_distance: cheapest d_max-style escape to a spatial boundary.
+* settled: d_max from one source to every node within a cutoff, lightest
+  first; the decoder's dmax tables and boundary_distance walk it.
 
 Paths never repeat a node: a repeated node corresponds to error pairs
 that cancel rather than an error chain.
@@ -46,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edge_analysis import EdgeClassTable
+from .sim import _csr_rows
 
 MAX_LINKS = 64  # longest fewest-link path searched for
 MAX_PATHS = 2_000_000  # path enumeration guard of path_sum
@@ -218,12 +221,10 @@ def path_sum_table(graph: LinkGraph, source, targets, n: int) -> list[float]:
     tail = np.array(tail, dtype=np.intp)
     head = np.array(head, dtype=np.intp)
     prob = np.array(prob, dtype=np.float64)
-    out_deg = np.bincount(tail, minlength=size)
-    by_tail = np.argsort(tail, kind="stable")
-    fan = out_deg[head]
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(tail, minlength=size))))
+    pos, fan = _csr_rows(ptr, head)
     src = np.repeat(np.arange(n_links), fan)
-    dst = by_tail[np.repeat(np.cumsum(out_deg)[head] - fan, fan)
-                  + np.arange(len(src)) - np.repeat(np.cumsum(fan) - fan, fan)]
+    dst = np.argsort(tail, kind="stable")[pos]
     if n == 2:
         keep = head[dst] != tail[src]
         src, dst = src[keep], dst[keep]
@@ -244,6 +245,24 @@ def path_sum_table(graph: LinkGraph, source, targets, n: int) -> list[float]:
     return out
 
 
+def settled(graph: LinkGraph, source, cutoff: float = math.inf):
+    """Dijkstra from a source node: yields (weight, node) for every node
+    whose single-path weight is at most cutoff, lightest first, each node
+    once."""
+    dist: dict[tuple[int, int], float] = {source: 0.0}
+    heap = [(0.0, source)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        yield d, node
+        for other, prob in graph.neighbors(node):
+            nd = d - math.log(prob)
+            if nd <= cutoff and nd < dist.get(other, math.inf):
+                dist[other] = nd
+                heapq.heappush(heap, (nd, other))
+
+
 def boundary_distance(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]:
     """Cheapest escape from node s to a spatial boundary of its graph type.
 
@@ -251,12 +270,7 @@ def boundary_distance(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]
     """
     best = math.inf
     best_side = None
-    dist: dict[tuple[int, int], float] = {s: 0.0}
-    heap = [(0.0, s)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist.get(node, math.inf):
-            continue
+    for d, node in settled(graph, s):
         if d >= best:
             break
         link = graph.boundary_link(node[0])
@@ -264,11 +278,6 @@ def boundary_distance(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]
             w = d - math.log(link[0])
             if w < best:
                 best, best_side = w, link[1]
-        for other, prob in graph.neighbors(node):
-            nd = d - math.log(prob)
-            if nd < dist.get(other, math.inf) and nd < best:
-                dist[other] = nd
-                heapq.heappush(heap, (nd, other))
     if best_side is None:
         # Zero-probability model: nothing is reachable.  Report the
         # geometrically nearest side at infinite weight; no detection
@@ -284,10 +293,12 @@ class MetricCache:
     Pair weights depend only on (cell_u, cell_v, dt) because the circuit
     is periodic in time; boundary weights only on the cell.  Weights are
     evaluated on the unbounded-time graph, which matches the window
-    interior exactly.  For d_n a pair weight is d_n itself (a minimum-link
-    search plus a path enumeration), so the cache is the reference the
-    decoder's path-sum tables are checked against, not a way to build
-    them.
+    interior exactly.  The decoder takes only boundary weights from here.
+    Its pair tables come from `settled` (dmax), `path_sum_table` (d0-d2)
+    and the closed form (manhattan); `pair_weight` evaluates one pair by
+    definition (a d_max search, or a minimum-link search plus a path
+    enumeration for d_n) and is the reference those tables are checked
+    against.
     """
 
     def __init__(self, table: EdgeClassTable, graph: str, metric: str):

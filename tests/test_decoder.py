@@ -13,7 +13,7 @@ from surfacesim.noise import ErrorModel, preset, trial_rng
 from surfacesim.sim import compile_circuit, simulate_window
 from surfacesim.edge_analysis import derive_edge_classes
 from surfacesim.decoder import DP_MAX_NODES, Decoder, _graph_events
-from surfacesim.metric import LinkGraph, MetricCache, d_max, d_n
+from surfacesim.metric import METRICS, LinkGraph, MetricCache, d_max, d_n, path_sum_table
 
 import frame_reference
 from frame_reference import make_injection
@@ -239,45 +239,62 @@ def test_dmax_table_matches_d_max_oracle(d):
                 assert exact >= bvals[a] + bvals[b], (g, a, b, dt)
 
 
-def _unpruned_entries(dec, table, g):
-    """(a, b, dt) table entries that survive the decoder's prune: within
-    Chebyshev reach and lighter, at one best link per step, than the two
-    boundary weights."""
+def _in_reach_entries(dec, table, g):
+    """(a, b, dt) table entries within Chebyshev and time reach, except
+    the source point itself: the targets of every table fill."""
     lat = table.lattice
-    tab = dec._tables[g]
     sub = [lat.sublattice_coord(c) for c in lat.stabilizers(g)]
-    p_max = max(cls.probability for cls in table.pair_classes[g].values())
-    w_min = -math.log(p_max)
-    bvals, reach = tab["bvals"], tab["reach"]
-    keep = set()
-    for a in range(len(sub)):
-        for b in range(len(sub)):
-            cheb = max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1]))
-            for dt in range(reach + 1):
-                if cheb <= reach and (a, dt) != (b, 0) and \
-                        max(cheb, dt) * w_min < bvals[a] + bvals[b]:
-                    keep.add((a, b, dt))
-    return keep
+    reach = dec._tables[g]["reach"]
+    return {(a, b, dt) for a in range(len(sub)) for b in range(len(sub))
+            if max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1])) <= reach
+            for dt in range(reach + 1) if (a, dt) != (b, 0)}
 
 
 @pytest.mark.parametrize("metric", ["d0", "d1", "d2"])
 def test_path_sum_table_matches_pair_weight(metric):
+    """Every in-reach entry is filled, none is pre-pruned, and each equals
+    the d_n definition."""
     lat = build_lattice(3)
     circ = compile_circuit(lat, standard_schedule(lat))
     table = derive_edge_classes(circ, preset("standard", 0.01))
     dec = Decoder(table, metric)
-    for g, count in (("x", 102), ("z", 98)):
+    for g in ("x", "z"):
         tab = dec._tables[g]
         cells = tab["cells"]
         wtab = np.array(tab["wtab"])
         fresh = MetricCache(table, g, metric)
         finite = {(int(a), int(b), int(dt))
                   for a, b, dt in zip(*np.nonzero(np.isfinite(wtab)))}
-        assert finite == _unpruned_entries(dec, table, g)
-        assert len(finite) == count
+        assert finite == _in_reach_entries(dec, table, g)
+        assert len(finite) == 138
         for a, b, dt in finite:
             exact = fresh.pair_weight(cells[a], 0, cells[b], dt)
             assert wtab[a, b, dt] == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_path_sum_table_keeps_pairs_lighter_than_two_boundaries(setup_d5):
+    """A path sum can be lighter than the one-best-link-per-step bound on
+    its single paths, so the table prunes nothing: every in-reach d2 pair
+    lighter than two boundary matches is in it, at its path-sum weight."""
+    _, _, table, _ = setup_d5
+    dec = Decoder(table, "d2")
+    kept = 0
+    for g in ("x", "z"):
+        tab = dec._tables[g]
+        cells, bvals, wtab = tab["cells"], tab["bvals"], tab["wtab"]
+        graph = LinkGraph(table, g)
+        by_source: dict = {}
+        for a, b, dt in _in_reach_entries(dec, table, g):
+            by_source.setdefault(a, []).append((b, dt))
+        for a, targets in by_source.items():
+            weights = path_sum_table(graph, (cells[a], 0),
+                                     [(cells[b], dt) for b, dt in targets], 2)
+            for (b, dt), w in zip(targets, weights):
+                if w < bvals[a] + bvals[b]:
+                    assert wtab[a][b][dt] == pytest.approx(w, rel=1e-12, abs=0), \
+                        (g, a, b, dt)
+                    kept += 1
+    assert kept > 1000
 
 
 def test_path_sum_table_d5_spot_check(setup_d5):
@@ -290,7 +307,7 @@ def test_path_sum_table_d5_spot_check(setup_d5):
         tab = dec._tables[g]
         cells = tab["cells"]
         sub = [lat.sublattice_coord(c) for c in lat.stabilizers(g)]
-        near = sorted((a, b, dt) for a, b, dt in _unpruned_entries(dec, table, g)
+        near = sorted((a, b, dt) for a, b, dt in _in_reach_entries(dec, table, g)
                       if max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1]),
                              dt) <= 2)
         graph = LinkGraph(table, g)
@@ -300,20 +317,21 @@ def test_path_sum_table_d5_spot_check(setup_d5):
             assert tab["wtab"][a][b][dt] == pytest.approx(exact, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("metric", ["d0", "d1", "d2"])
+@pytest.mark.parametrize("metric", METRICS)
 def test_path_sum_build_enumerates_no_paths(setup_d3, metric, monkeypatch):
-    """The d_n tables come from the walk program alone: no per-pair
-    minimum-link search or path enumeration runs during construction."""
+    """Every pair table comes from one fill route: no per-pair search,
+    path enumeration or cache lookup runs during construction."""
     _, _, table, _ = setup_d3
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("per-pair path search during construction")
+        raise AssertionError("per-pair metric evaluation during construction")
 
     import surfacesim.metric as metric_module
-    monkeypatch.setattr(metric_module, "path_sum", forbidden)
-    monkeypatch.setattr(metric_module, "min_links", forbidden)
+    for name in ("d_max", "path_sum", "min_links"):
+        monkeypatch.setattr(metric_module, name, forbidden)
+    monkeypatch.setattr(MetricCache, "pair_weight", forbidden)
     dec = Decoder(table, metric)
-    assert np.isfinite(np.array(dec._tables["z"]["wtab"])).sum() > 50
+    assert np.isfinite(np.array(dec._tables["z"]["wtab"])).sum() > 30
 
 
 @pytest.fixture(scope="module")

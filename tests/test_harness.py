@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -236,6 +237,16 @@ def test_debug_event_trace():
     run_trials(cfg, trace_sink=sink)
     assert len(sink) == 5
     assert sink[0].startswith("# window 0")
+
+
+def test_debug_event_trace_in_window_order_with_jobs():
+    cfg = TrialConfig(distance=3, p=0.05, trials=16, seed=1, rounds=6,
+                      debug_events=True)
+    serial: list = []
+    parallel: list = []
+    run_trials(cfg, trace_sink=serial)
+    run_trials(replace(cfg, jobs=2), trace_sink=parallel)
+    assert parallel == serial
 
 
 # Verdicts pinned at seed 1, standard model, p = 0.01, T = 10d.  A change

@@ -9,7 +9,7 @@ from surfacesim.sim import compile_circuit
 from surfacesim.edge_analysis import derive_edge_classes
 from surfacesim.metric import (
     LinkGraph, MetricCache, boundary_distance, d_max, d_n, manhattan, min_links,
-    path_sum, path_sum_table,
+    path_sum, path_sum_table, settled,
 )
 
 
@@ -215,6 +215,17 @@ def test_path_sum_table_rejects_bad_arguments(graph_z, table_d5):
         path_sum_table(graph_z, s1, [(s1[0], 1)], 3)
     with pytest.raises(ValueError):
         path_sum_table(graph_z, s1, [s1], 1)
+
+
+def test_settled_yields_d_max_lightest_first(table_d5, graph_z):
+    src = (table_d5.lattice.index((4, 3)), 0)
+    out = list(settled(graph_z, src, cutoff=10.0))
+    weights = [w for w, _ in out]
+    assert out[0] == (0.0, src)
+    assert weights == sorted(weights) and weights[-1] <= 10.0
+    assert len({node for _, node in out}) == len(out) > 40
+    for w, node in out[1::7]:
+        assert w == pytest.approx(d_max(graph_z, src, node), rel=1e-12, abs=0)
 
 
 def test_boundary_distance_single_link(table_d5, graph_z):
