@@ -20,20 +20,28 @@ blossom (S -1, T +1, unlabelled 0); a top-level blossom's z moves the
 other way and nested z are frozen.  A value is rewritten only when its
 rate changes.  Nothing else is updated as time passes: a heap holds the
 times at which something becomes tight, and the solver jumps from one
-to the next.  There are three kinds of event:
+to the next.  Each S or unlabelled vertex owns at most one edge event:
+its least-slack edge to an S vertex of another blossom (between S
+vertices the slack falls at rate 2, else at rate 1).  An S vertex finds
+it when it is scanned, an unlabelled one when it turns unlabelled, and a
+scanned S vertex replaces an unlabelled neighbour's event when its own
+edge to it is tighter.  A T-blossom owns the event of its z reaching
+zero, pushed when it is labelled T.
 
-* an edge between S vertices of different blossoms (its slack falls at
-  rate 2), pushed when one end is scanned as S;
-* an edge from an S vertex to an unlabelled one (rate 1), pushed when
-  either end turns S or unlabelled;
-* a T-blossom whose z reaches zero, pushed when it is labelled T.
-
-An event carries the rate-change stamps of its vertices (or blossom) at
-push time.  A popped event whose stamps no longer match is stale and is
-dropped; a current one is acted on whatever its recomputed slack, so
-roundoff can never lose an event.  In max-weight mode the run ends when
-the free vertices' duals reach zero (now = max weight); in both modes it
-ends when fewer than two free vertices remain or no event is left.
+An edge's slack is fixed while neither end changes rate, so every edge
+that can tighten is covered by an owner event no later than its own.
+Events are keyed (time, kind, edge or blossom index, stamps, owner),
+where the stamps count the rate changes of the edge's ends at push time;
+equal times resolve by kind, then index.  A popped event its owner has
+replaced, or whose owner changed rate since, is dropped.  One whose
+other end changed rate, or whose ends now share a blossom, is stale: its
+owner recomputes its event from its edges.  A current event is acted on
+whatever its recomputed slack, so roundoff can never lose an event, and
+an owner still S afterwards recomputes its event.  Either way the new
+event is never earlier than the one popped.  Nothing at or after the
+stop time (in max-weight mode, now = max weight, where the free
+vertices' duals reach zero) is pushed; the run ends there, when fewer
+than two free vertices remain, or when no event is left.
 
 `EPS` (1e-12, absolute) decides only whether an edge found during a scan
 is tight enough to act on at once rather than through an event; duals
@@ -62,27 +70,30 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
         return [-1] * n
 
     # endpoint[p] is the vertex at endpoint p; edge k has endpoints 2k, 2k+1.
-    endpoint = []
-    for (i, j, _) in edges:
+    # neighbend[v] lists the remote endpoints of edges incident to v.
+    endpoint: list[int] = []
+    neighbend: list[list[int]] = [[] for _ in range(n)]
+    wt2: list[float] = []
+    p = 0
+    for (i, j, wt) in edges:
         endpoint.append(i)
         endpoint.append(j)
-    # neighbend[v] lists the remote endpoints of edges incident to v.
-    neighbend: list[list[int]] = [[] for _ in range(n)]
-    for k, (i, j, _) in enumerate(edges):
-        neighbend[i].append(2 * k + 1)
-        neighbend[j].append(2 * k)
-    wt2 = [2.0 * wt for _, _, wt in edges]
-    maxweight = max(0.0, max(w for _, _, w in edges))
+        neighbend[i].append(p + 1)
+        neighbend[j].append(p)
+        wt2.append(2.0 * wt)
+        p += 2
+    maxweight = max(0.0, 0.5 * max(wt2))
 
     # mate[v] = remote endpoint of its matched edge, or -1.
     mate = [-1] * n
     # label per top-level blossom: 0 unlabelled, 1 = S (outer), 2 = T (inner).
     # On a vertex inside a T-blossom, 2 marks a tight edge from an S vertex.
-    label = [0] * (2 * n)
+    # Every vertex starts as the S root of its own tree.
+    label = [1] * n + [0] * n
     # labelend[b] = endpoint through which b got its label (or -1).
     labelend = [-1] * (2 * n)
     # tree[b] = root vertex of the alternating tree holding top-level b.
-    tree = [-1] * (2 * n)
+    tree = list(range(n)) + [-1] * n
     # inblossom[v] = top-level blossom containing vertex v.
     inblossom = list(range(n))
     blossomparent = [-1] * (2 * n)
@@ -94,16 +105,18 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
     # x) is off[x] + rate[x] * now.  stamp[x] counts the changes of
     # rate[x]; an event recorded under an older stamp is stale.
     off = [maxweight] * n + [0.0] * n
-    rate = [0] * (2 * n)
+    rate = [-1] * n + [0] * n
     stamp = [0] * (2 * n)
+    # cur[v] = the edge event vertex v owns, or None.  set_rate clears it:
+    # a vertex that changes rate makes a new event, if any, as it does.
+    cur: list = [None] * (2 * n)
     # Per tree root: the blossoms labelled into the tree, and the
     # (vertex, endpoint) marks its scans wrote inside T-blossoms.
-    members: list = [[] for _ in range(n)]
+    members: list = [[v] for v in range(n)]
     marks: list = [[] for _ in range(n)]
-    queue: list[int] = []
-    # Events (time, kind, endpoint or blossom, stamp, stamp); equal times
-    # resolve by kind, then index.  In max-weight mode nothing at or after
-    # the stop time can fire, so such events are not recorded.
+    queue = list(range(n))
+    # Events (time, kind, edge or blossom, stamp, stamp[, owner]); see the
+    # module docstring.
     stop = math.inf if maxcardinality else maxweight
     heap: list = [] if maxcardinality else [(stop, _STOP, 0, 0, 0)]
     now = 0.0
@@ -113,12 +126,34 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
             off[x] += (rate[x] - r) * now
             rate[x] = r
             stamp[x] += 1
+            cur[x] = None
 
-    def push_edge(e: int, t: float) -> None:
-        """Event: the edge of endpoint e becomes tight at time t; the
-        S vertex is at e ^ 1, the S or unlabelled vertex at e."""
-        if t < stop:
-            heappush(heap, (t, _EDGE, e, stamp[endpoint[e ^ 1]], stamp[endpoint[e]]))
+    def push_edge(k: int, t: float, owner: int) -> None:
+        """Make `owner`'s event: edge k becomes tight at time t."""
+        ev = (t, _EDGE, k, stamp[endpoint[2 * k]], stamp[endpoint[2 * k + 1]], owner)
+        cur[owner] = ev
+        heappush(heap, ev)
+
+    def push_own(x: int) -> None:
+        """Make the event of S or unlabelled vertex x: its least-slack edge
+        to an S vertex of another blossom."""
+        bx = inblossom[x]
+        ox = off[x]
+        # Slack falls at rate 2 between S vertices, at rate 1 otherwise.
+        scale = 0.5 if label[bx] == 1 else 1.0
+        best = stop
+        bk = -1
+        for p in neighbend[x]:
+            w = endpoint[p]
+            bw = inblossom[w]
+            if bw != bx and label[bw] == 1:
+                k = p >> 1
+                t = (ox + off[w] - wt2[k]) * scale
+                if t < best or (t == best and k < bk):
+                    best = t
+                    bk = k
+        if bk >= 0:
+            push_edge(bk, best, x)
 
     def blossom_leaves(b: int):
         if b < n:
@@ -135,7 +170,7 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
         assert label[w] == 0 and label[b] == 0
         label[w] = label[b] = t
         labelend[w] = labelend[b] = p
-        root = w if p == -1 else tree[inblossom[endpoint[p]]]
+        root = tree[inblossom[endpoint[p]]]
         tree[b] = root
         members[root].append(b)
         if t == 1:
@@ -235,14 +270,6 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
                 queue.append(leaf)
             inblossom[leaf] = b
 
-    def push_loose(loose: list[int]) -> None:
-        """Events for the edges from S vertices to newly unlabelled ones."""
-        for x in loose:
-            for p in neighbend[x]:
-                s = endpoint[p]
-                if label[inblossom[s]] == 1:
-                    push_edge(p ^ 1, off[s] + off[x] - wt2[p >> 1])
-
     def expand_blossom(b: int) -> None:
         """Dissolve top-level T-blossom b, whose z has reached zero."""
         for s in blossomchilds[b]:
@@ -305,7 +332,8 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
                     set_rate(leaf, 0)
                     loose.append(leaf)
             j += jstep
-        push_loose(loose)
+        for x in loose:
+            push_own(x)
         label[b] = labelend[b] = tree[b] = -1
         blossomchilds[b] = blossomendps[b] = None
         blossombase[b] = -1
@@ -404,12 +432,16 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
         loose: list[int] = []
         for root in roots:
             dissolve(root, loose)
-        push_loose(loose)
+        for x in loose:
+            push_own(x)
         return True
 
     def scan(v: int) -> bool:
-        """Act on the tight edges of S vertex v and record an event for
-        each edge that will tighten; returns True if v's tree augmented."""
+        """Act on the tight edges of S vertex v, make v's event and offer
+        each unlabelled neighbour its edge; returns True if v's tree
+        augmented."""
+        best = stop
+        bk = -1
         for p in neighbend[v]:
             w = endpoint[p]
             bv = inblossom[v]
@@ -420,26 +452,32 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
             if lw == 2 and label[w]:
                 continue
             # v is S: its dual is off[v] - now.
-            t0 = off[v] + off[w] - wt2[p >> 1]
+            k = p >> 1
+            t0 = off[v] + off[w] - wt2[k]
             if lw == 1:
                 if t0 - 2.0 * now <= EPS:
-                    if tight_ss(v, w, p >> 1):
+                    if tight_ss(v, w, k):
                         return True
                 else:
-                    push_edge(p, 0.5 * t0)
+                    t = 0.5 * t0
+                    if t < best or (t == best and k < bk):
+                        best = t
+                        bk = k
             elif lw == 0:
                 if t0 - now <= EPS:
                     assign_label(w, 2, p ^ 1)
-                else:
-                    push_edge(p, t0)
+                elif t0 < stop:
+                    ev = cur[w]
+                    if ev is None or t0 < ev[0] or (t0 == ev[0] and k < ev[2]):
+                        push_edge(k, t0, w)
             elif t0 <= EPS:
                 label[w] = 2
                 labelend[w] = p ^ 1
                 marks[tree[bv]].append((w, p ^ 1))
+        if bk >= 0:
+            push_edge(bk, best, v)
         return False
 
-    for v in range(n):
-        assign_label(v, 1, -1)
     free = n
     while free >= 2:
         if queue:
@@ -449,20 +487,30 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
             continue
         if not heap:
             break
-        t, kind, x, s1, s2 = heappop(heap)
+        ev = heappop(heap)
+        t, kind, x = ev[0], ev[1], ev[2]
         if kind == _EDGE:
-            v = endpoint[x ^ 1]
-            w = endpoint[x]
-            if stamp[v] != s1 or stamp[w] != s2 or inblossom[v] == inblossom[w]:
+            owner = ev[5]
+            if cur[owner] is not ev:
+                continue  # replaced, or its owner changed rate
+            cur[owner] = None
+            v = endpoint[2 * x]
+            w = endpoint[2 * x + 1]
+            if stamp[v] != ev[3] or stamp[w] != ev[4] or inblossom[v] == inblossom[w]:
+                push_own(owner)
                 continue
             if t > now:
                 now = t
-            if label[inblossom[w]] == 0:
-                assign_label(w, 2, x ^ 1)
-            elif tight_ss(v, w, x >> 1):
+            if label[inblossom[v]] == 0:
+                assign_label(v, 2, 2 * x + 1)
+            elif label[inblossom[w]] == 0:
+                assign_label(w, 2, 2 * x)
+            elif tight_ss(w, v, x):
                 free -= 2
+            elif label[inblossom[owner]] == 1:
+                push_own(owner)
         elif kind == _EXPAND:
-            if stamp[x] != s1:
+            if stamp[x] != ev[3]:
                 continue
             if t > now:
                 now = t

@@ -366,8 +366,8 @@ def test_decode_reads_only_the_tables(decoders_d3, metric, monkeypatch):
 
 
 def test_blossom_components_match_networkx(setup_d5, monkeypatch):
-    """Components too large for the subset DP: the blossom's objective
-    equals networkx's maximum-weight matching on the same gain graph."""
+    """Components too large for the subset DP: each blossom solve reaches
+    networkx's maximum total gain on the same gain graph."""
     circ, model, table, dec = setup_d5
     _check_blossom_against_networkx(circ, model, dec, monkeypatch,
                                     seed=8, windows=10, rounds=50)
@@ -382,40 +382,39 @@ def test_blossom_components_match_networkx_d7(monkeypatch):
     model = preset("standard", 0.01)
     dec = Decoder(derive_edge_classes(circ, model), "dmax")
     _check_blossom_against_networkx(circ, model, dec, monkeypatch,
-                                    seed=8, windows=2, rounds=70, min_nodes=100)
+                                    seed=8, windows=1, rounds=70, min_nodes=100)
 
 
 def _check_blossom_against_networkx(circ, model, dec, monkeypatch, seed, windows,
                                     rounds, min_nodes=0):
+    """Capture every call of the solver the decoder makes and compare each
+    solve's total gain with networkx's on the same edge list."""
     nx = pytest.importorskip("networkx")
-    import surfacesim.decoder as decoder_module
+    import surfacesim.matching as matching_module
     captured = []
-    original = decoder_module._solve_blossom
+    original = matching_module._max_weight_matching
 
-    def capture(comp, edges, bweight):
-        pairs, bd = original(comp, edges, bweight)
-        captured.append((comp, dict(edges), list(bweight), pairs, bd))
-        return pairs, bd
+    def capture(n, edges, maxcardinality):
+        mate = original(n, edges, maxcardinality)
+        captured.append((n, list(edges), maxcardinality, mate))
+        return mate
 
-    monkeypatch.setattr(decoder_module, "_solve_blossom", capture)
+    monkeypatch.setattr(matching_module, "_max_weight_matching", capture)
     for trial in range(windows):
         res = simulate_window(circ, model, trial_rng(seed, trial), rounds=rounds)
         dec.decode(res.history, res.frame)
     assert captured
-    assert max(len(comp) for comp, *_ in captured) >= min_nodes
-    for comp, edges, bweight, pairs, bd in captured:
-        assert len(comp) > DP_MAX_NODES
-        members = set(comp)
-        assert sorted([u for p in pairs for u in p] + bd) == sorted(comp)
-        ours = math.fsum([edges[(min(u, v), max(u, v))] for u, v in pairs]
-                         + [bweight[u] for u in bd])
-        gains = nx.Graph()
-        for (u, v), w in edges.items():
-            if u in members:
-                gains.add_edge(u, v, weight=bweight[u] + bweight[v] - w)
-        mate = nx.max_weight_matching(gains, maxcardinality=False)
-        theirs = math.fsum(bweight[u] for u in comp) - math.fsum(
-            gains[u][v]["weight"] for u, v in mate)
+    assert max(n for n, *_ in captured) >= min_nodes
+    for n, edges, maxcardinality, mate in captured:
+        assert n > DP_MAX_NODES and not maxcardinality
+        assert edges == sorted(edges)
+        gain = {(u, v): g for u, v, g in edges}
+        assert all(mate[mate[u]] == u for u in range(n) if mate[u] >= 0)
+        ours = math.fsum(gain[(u, mate[u])] for u in range(n) if u < mate[u])
+        graph = nx.Graph()
+        graph.add_weighted_edges_from(edges)
+        theirs = math.fsum(graph[u][v]["weight"]
+                           for u, v in nx.max_weight_matching(graph, maxcardinality=False))
         assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-9)
 
 
