@@ -23,13 +23,12 @@ import json
 import sys
 from dataclasses import fields
 
+from . import harness
 from .edge_analysis import derive_edge_classes
-from .harness import (
-    ThresholdError, TrialConfig, emit_results, estimate_threshold, run_sweep,
-    sweep_configs,
-)
+from .harness import SweepStats, ThresholdError, TrialConfig, emit_results, estimate_threshold
 from .lattice import build_lattice, standard_schedule
 from .metric import METRICS
+from .noise import PRESET_NAMES
 from .sim import compile_circuit
 
 
@@ -73,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="code distance, or comma list for a sweep")
     ap.add_argument("--p", type=_floats,
                     help="gate error rate, or comma list for a sweep")
-    ap.add_argument("--model", choices=["standard", "balanced", "iontrap", "custom"])
+    ap.add_argument("--model", choices=[*PRESET_NAMES, "custom"])
     ap.add_argument("--p2", type=float, help="custom model: CNOT error rate")
     ap.add_argument("--pI", type=float, dest="pi", help="custom model: idle rate")
     ap.add_argument("--pM", type=float, dest="pm", help="custom model: readout rate")
@@ -124,24 +123,31 @@ def main(argv=None) -> int:
             run["custom_model"] = rates
         elif rates != (None, None, None):
             raise ValueError("--p2, --pI and --pM need --model custom")
-        base = TrialConfig(distance=distances[0], p=ps[0], **run)
-        sweep_configs(base, distances, ps)
+        configs = [TrialConfig(distance=d, p=p, **run) for d in distances for p in ps]
+        if args.export_edges is not None and len(configs) > 1:
+            raise ValueError("--export-edges writes one table: give one distance and one rate")
+        if args.estimate_threshold and (len(set(distances)) < harness.THRESHOLD_MIN_DISTANCES
+                                        or len(set(ps)) < harness.THRESHOLD_MIN_RATES):
+            raise ValueError(f"--estimate-threshold needs >= {harness.THRESHOLD_MIN_DISTANCES} "
+                             f"distances and >= {harness.THRESHOLD_MIN_RATES} rates")
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
     try:
         if args.export_edges is not None:
-            lat = build_lattice(base.distance)
+            (cfg,) = configs
+            lat = build_lattice(cfg.distance)
             table = derive_edge_classes(
-                compile_circuit(lat, standard_schedule(lat)), base.error_model())
+                compile_circuit(lat, standard_schedule(lat)), cfg.error_model())
             with open(args.export_edges, "w") as fh:
                 fh.write(table.to_json())
             print(f"edge table written to {args.export_edges}")
             return 0
 
         traces: list[str] = []
-        stats = run_sweep(base, distances, ps, trace_sink=traces)
+        stats = SweepStats(rows=[row for cfg in configs
+                                 for row in harness.run_trials(cfg, traces).rows])
         if traces:
             # Event traces go to stderr so stdout stays pure CSV/JSON.
             print("\n".join(traces), file=sys.stderr)

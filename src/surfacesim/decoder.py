@@ -57,7 +57,7 @@ from . import matching
 from .edge_analysis import EdgeClassTable
 from .lattice import Lattice
 from .metric import MetricCache, manhattan, path_sum_table, settled
-from .sim import PauliFrame, SyndromeHistory
+from .sim import PauliFrame, SyndromeHistory, _graph_events
 
 DP_MAX_NODES = 6
 PRUNE_EPS = 1e-9
@@ -254,15 +254,6 @@ class Decoder:
             pairs.extend(local_pairs)
             boundary.extend(local_bd)
         return pairs, boundary
-
-
-def _graph_events(history: SyndromeHistory, graph: str) -> tuple[list[int], list[int]]:
-    """Detection events of one graph in scan order (by stabilizer, then
-    round), as parallel lists of stabilizer indices (into
-    lattice.stabilizers(graph)) and rounds."""
-    signs = history.signs[graph]
-    a_idx, t_idx = np.nonzero(signs[:, 1:] != signs[:, :-1])
-    return a_idx.tolist(), (t_idx + 1).tolist()
 
 
 def _components(nbrs: list[list[tuple[int, float]]]) -> list[list[int]]:

@@ -31,11 +31,19 @@ import numpy as np
 from .decoder import Decoder
 from .edge_analysis import derive_edge_classes
 from .lattice import build_lattice, standard_schedule
+from .metric import METRICS
 from .noise import ErrorModel, preset, trial_rng
 from .sim import compile_circuit, detection_events, events_to_text, simulate_window
 
 DEFAULT_ROUNDS_FACTOR = 10
 WILSON_Z = 1.959963984540054  # two-sided 95%
+# A threshold fit needs at least this many distinct distances and rates.
+THRESHOLD_MIN_DISTANCES = 3
+THRESHOLD_MIN_RATES = 5
+# A point enters the fit with at least this many failures.
+MIN_FAILURES = 3
+N_BOOTSTRAP = 200
+BOOTSTRAP_SEED = 1234
 
 CSV_COLUMNS = [
     "d", "p", "model", "metric", "T", "N", "fail_x", "fail_z",
@@ -48,7 +56,9 @@ CSV_COLUMNS = [
 class TrialConfig:
     """One Monte Carlo point: code distance, error model, decode metric.
 
-    The field defaults are the run defaults of the command line too.
+    Valid once constructed: a bad value of any field raises ValueError
+    here, before any window runs.  The field defaults are the run
+    defaults of the command line too.
     """
 
     distance: int = 5
@@ -71,6 +81,11 @@ class TrialConfig:
             raise ValueError("rounds must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.metric not in METRICS:
+            raise ValueError(f"unknown metric {self.metric!r}; choose from {METRICS}")
+        self.error_model()
 
     @property
     def window_rounds(self) -> int:
@@ -111,10 +126,11 @@ class SweepStats:
     rows: list[PointStats] = field(default_factory=list)
 
 
-def wilson_interval(k: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """95% binomial confidence interval for k successes out of n."""
     if n == 0:
         return (0.0, 1.0)
+    z = WILSON_Z
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -217,35 +233,11 @@ def run_trials(cfg: TrialConfig, trace_sink=None) -> SweepStats:
     return SweepStats(rows=[row])
 
 
-def sweep_configs(base: TrialConfig, distances, ps) -> list[TrialConfig]:
-    """One validated configuration per (d, p) point, distance-major.
-
-    Raises ValueError for a bad distance or error model at any point, so a
-    sweep fails before its first window rather than midway.
-    """
-    from dataclasses import replace
-    configs = [replace(base, distance=d, p=p) for d in distances for p in ps]
-    for cfg in configs:
-        cfg.error_model()
-    return configs
-
-
-def run_sweep(base: TrialConfig, distances, ps, trace_sink=None) -> SweepStats:
-    """Cartesian sweep over distances and physical error rates; per-window
-    event traces (with debug_events) are appended to trace_sink."""
-    stats = SweepStats()
-    for cfg in sweep_configs(base, distances, ps):
-        stats.rows.extend(run_trials(cfg, trace_sink).rows)
-    return stats
-
-
 class ThresholdError(RuntimeError):
     pass
 
 
-def estimate_threshold(stats: SweepStats, logical: str = "x",
-                       n_bootstrap: int = 200, seed: int = 1234,
-                       min_failures: int = 3) -> dict:
+def estimate_threshold(stats: SweepStats, logical: str = "x") -> dict:
     """Crossing point of rounds-to-failure curves over >= 3 distances.
 
     For every pair of distances, log(mttf) difference is fitted linearly
@@ -255,10 +247,10 @@ def estimate_threshold(stats: SweepStats, logical: str = "x",
     """
     distances = sorted({r.d for r in stats.rows})
     ps = sorted({r.p for r in stats.rows})
-    if len(distances) < 3:
-        raise ThresholdError(f"need >= 3 distances, got {distances}")
-    if len(ps) < 5:
-        raise ThresholdError(f"need >= 5 p values, got {ps}")
+    if len(distances) < THRESHOLD_MIN_DISTANCES:
+        raise ThresholdError(f"need >= {THRESHOLD_MIN_DISTANCES} distances, got {distances}")
+    if len(ps) < THRESHOLD_MIN_RATES:
+        raise ThresholdError(f"need >= {THRESHOLD_MIN_RATES} p values, got {ps}")
 
     def crossings(curve) -> list[float]:
         roots = []
@@ -280,7 +272,7 @@ def estimate_threshold(stats: SweepStats, logical: str = "x",
                     roots.append(float(root))
         return roots
 
-    real = crossings(_curves(stats, logical, min_failures))
+    real = crossings(_curves(stats, logical))
     if not real:
         order = {}
         for r in stats.rows:
@@ -291,9 +283,9 @@ def estimate_threshold(stats: SweepStats, logical: str = "x",
             f"counts by p: {order}")
     p_th = float(np.mean(real))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
     boots = []
-    for _ in range(n_bootstrap):
+    for _ in range(N_BOOTSTRAP):
         resampled = SweepStats(rows=[
             PointStats(d=r.d, p=r.p, model=r.model, metric=r.metric, T=r.T,
                        N=r.N, seed=r.seed, wall_time=0.0,
@@ -301,7 +293,7 @@ def estimate_threshold(stats: SweepStats, logical: str = "x",
                        fail_z=int(rng.binomial(r.N, r.fail_z / r.N)))
             for r in stats.rows
         ])
-        got = crossings(_curves(resampled, logical, min_failures))
+        got = crossings(_curves(resampled, logical))
         if got:
             boots.append(float(np.mean(got)))
     sigma = float(np.std(boots)) if len(boots) >= 10 else float("nan")
@@ -309,14 +301,14 @@ def estimate_threshold(stats: SweepStats, logical: str = "x",
             "bootstrap_samples": len(boots), "logical": logical}
 
 
-def _curves(stats: SweepStats, logical: str, min_failures: int):
+def _curves(stats: SweepStats, logical: str):
     """log(rounds to failure) per distance and p, over the rows whose
-    estimate is resolved: at least min_failures failures, and not every
+    estimate is resolved: at least MIN_FAILURES failures, and not every
     window failed."""
     out: dict[int, dict[float, float]] = {}
     for r in stats.rows:
         k = r.fail_x if logical == "x" else r.fail_z
-        if min_failures <= k < r.N:
+        if MIN_FAILURES <= k < r.N:
             out.setdefault(r.d, {})[r.p] = math.log(_mttf(r.T, k / r.N))
     return out
 
@@ -388,12 +380,13 @@ def emit_results(stats: SweepStats, fmt: str = "csv", path: str | None = None,
     return text
 
 
-def plot_svg(stats: SweepStats, logical: str = "x",
-             width: int = 640, height: int = 440) -> str:
-    """Minimal SVG: rounds-to-failure vs p, one polyline per distance."""
+def plot_svg(stats: SweepStats) -> str:
+    """Minimal SVG: rounds to logical x failure vs p, one polyline per
+    distance."""
+    width, height = 640, 440
     pts = []
     for r in stats.rows:
-        mttf = rounds_to_failure(r)[logical]["estimate"]
+        mttf = rounds_to_failure(r)["x"]["estimate"]
         if math.isfinite(mttf):
             pts.append((r.d, r.p, mttf))
     if not pts:
@@ -419,7 +412,7 @@ def plot_svg(stats: SweepStats, logical: str = "x",
              f"font-size='12'>gate error rate p</text>",
              f"<text x='14' y='{height//2}' font-size='12' "
              f"transform='rotate(-90 14 {height//2})' text-anchor='middle'>"
-             f"log10 rounds to logical {logical} failure</text>"]
+             "log10 rounds to logical x failure</text>"]
     for ci, d in enumerate(sorted({d for d, _, _ in pts})):
         series = sorted((p, y) for dd, p, y in
                         ((dd, p, math.log10(m)) for dd, p, m in pts) if dd == d)

@@ -134,25 +134,6 @@ def compile_circuit(lattice: Lattice, schedule: GateSchedule) -> CompiledCircuit
     return CompiledCircuit(lattice, schedule)
 
 
-class _Injection:
-    """Unit-fault bits XORed into a batch of frames during a cycle.
-
-    An entry XORs (x_bits, z_bits) into `cells` of the frame rows `rows`,
-    the row of each cell; repeated (row, cell) pairs accumulate.
-    """
-
-    def __init__(self):
-        self.by_key: dict[tuple[int, str], list] = {}
-
-    def add(self, round_index: int, phase: str, cells, x_bits, z_bits, rows):
-        self.by_key.setdefault((round_index, phase), []).append(
-            (rows, np.asarray(cells, dtype=np.intp), np.asarray(x_bits, dtype=np.uint8),
-             np.asarray(z_bits, dtype=np.uint8)))
-
-    def get(self, round_index: int, phase: str):
-        return self.by_key.get((round_index, phase), ())
-
-
 @dataclass
 class SyndromeHistory:
     """Measured stabilizer signs, one row per syndrome qubit.
@@ -187,21 +168,24 @@ class WindowResult:
     frame: PauliFrame
 
 
-def run_cycle(frame: PauliFrame, circuit: CompiledCircuit, round_index: int,
-              injections: _Injection) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the frame noiselessly through one full cycle, applying the
-    injections planned for `round_index`; return (z_reports, x_reports).
+def run_cycle(frame: PauliFrame, circuit: CompiledCircuit,
+              injections: dict[str, tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Advance a batch of frames (rows by cells) noiselessly through one
+    full cycle; return (z_reports, x_reports).
 
-    Reports are frame-relative measurement bits: a report of 1 means the
-    physical measurement would differ from the noiseless reference.  The
-    frame may be a batch (leading axes before the cell axis).
+    `injections` maps a phase ("cnot1".."cnot4", "idle5", "meas", "idle6")
+    to (rows, cells, x_bits, z_bits): bit i is XORed into cell cells[i] of
+    frame row rows[i] there, and no (row, cell) pair repeats.  Reports are
+    frame-relative measurement bits: a report of 1 means the physical
+    measurement would differ from the noiseless reference.
     """
     x, z = frame.x, frame.z
 
     def inject(phase: str):
-        for rows, cells, bx, bz in injections.get(round_index, phase):
-            np.bitwise_xor.at(x, (rows, cells), bx)
-            np.bitwise_xor.at(z, (rows, cells), bz)
+        if phase in injections:
+            rows, cells, bx, bz = injections[phase]
+            x[rows, cells] ^= bx
+            z[rows, cells] ^= bz
 
     for k in range(4):
         ctl, tgt = circuit.step_ctl[k], circuit.step_tgt[k]
@@ -271,16 +255,14 @@ class FaultTable:
         self._stab_key = [("z" if a < c.n_z else "x", int(cell))
                           for a, cell in enumerate(stab_cells)]
 
-        # Unit-fault numbering, the injection of every unit fault in round 1,
-        # and the draw segments of one round: (probability attribute, first
-        # unit of each slot).  Unit f is bit f % 8 of frame row f // 8, so a
-        # byte carries eight unit faults through the bitwise XORs at once.
-        inj = _Injection()
+        # Unit-fault numbering, the injection of every unit fault in round 1
+        # (unit f in frame row f), and the draw segments of one round:
+        # (probability attribute, first unit of each slot).
+        inj: dict[str, tuple] = {}
 
         def inject(phase: str, units, cells, x_bits, z_bits):
-            shift = units & 7
-            inj.add(1, phase, cells, np.left_shift(x_bits, shift),
-                    np.left_shift(z_bits, shift), rows=units >> 3)
+            inj[phase] = (units, cells, np.asarray(x_bits, dtype=np.uint8),
+                          np.asarray(z_bits, dtype=np.uint8))
 
         segments = []
         first_gate = 0
@@ -317,21 +299,17 @@ class FaultTable:
         self._segments = segments
         self._layouts: dict[ErrorModel, tuple] = {}
 
-        def unpack(packed: np.ndarray) -> np.ndarray:
-            return np.unpackbits(packed, axis=0, count=n_units, bitorder="little")
-
         # Rounds 1-3 with every unit fault in round 1.  No data bit may move
         # after round 1, round 3 must see no event and must leave the frame
         # of round 1: then the frame repeats with period two, and no event
         # follows round 2.  Frames are stored cell-major, so the per-cell
         # gathers of each CNOT step read contiguous memory.
-        n_rows = -(-n_units // 8)
-        frame = PauliFrame(np.zeros((c.n_cells, n_rows), dtype=np.uint8).T,
-                           np.zeros((c.n_cells, n_rows), dtype=np.uint8).T)
-        report = sign = np.zeros((n_rows, self.n_stab), dtype=np.uint8)
+        frame = PauliFrame(np.zeros((c.n_cells, n_units), dtype=np.uint8).T,
+                           np.zeros((c.n_cells, n_units), dtype=np.uint8).T)
+        report = sign = np.zeros((n_units, self.n_stab), dtype=np.uint8)
         events = []
         for t in (1, 2, 3):
-            new_report = np.concatenate(run_cycle(frame, c, t, inj), axis=1)
+            new_report = np.concatenate(run_cycle(frame, c, inj if t == 1 else {}), axis=1)
             events.append(new_report ^ report ^ sign)
             report, sign = new_report, new_report ^ report
             if t == 1:
@@ -342,15 +320,15 @@ class FaultTable:
                 raise ValueError("a noiseless cycle changes the frame a unit fault "
                                  "leaves behind; the sampler needs it settled after "
                                  "one cycle")
-        late = np.flatnonzero(unpack(events[2]).any(axis=1))
+        late = np.flatnonzero(events[2].any(axis=1))
         if late.size:
             raise ValueError(
                 f"unit faults {late[:8].tolist()} flip detection events two rounds "
                 "after their own; the sampler needs every fault's events within "
                 "dt in {0, 1}")
-        self.ev_ptr, self.ev_off = _csr(unpack(np.concatenate(events[:2], axis=1)))
-        self.data_ptr, data_cols = _csr(unpack(np.concatenate(
-            [first_x[:, c.data_idx], first_z[:, c.data_idx]], axis=1)))
+        self.ev_ptr, self.ev_off = _csr(np.concatenate(events[:2], axis=1))
+        self.data_ptr, data_cols = _csr(np.concatenate(
+            [first_x[:, c.data_idx], first_z[:, c.data_idx]], axis=1))
         self.data_col = np.concatenate([c.data_idx, c.n_cells + c.data_idx])[data_cols]
 
     def cnot_unit(self, gate: int, on_target: bool, bit: int) -> int:
@@ -434,18 +412,25 @@ def simulate_window(circuit: CompiledCircuit, model: ErrorModel,
     return circuit.fault_table.sample(model, rng, rounds)
 
 
+def _graph_events(history: SyndromeHistory, graph: str) -> tuple[list[int], list[int]]:
+    """Detection events of one graph in scan order (by stabilizer, then
+    round), as parallel lists of stabilizer indices (into
+    lattice.stabilizers(graph)) and rounds."""
+    signs = history.signs[graph]
+    a_idx, t_idx = np.nonzero(signs[:, 1:] != signs[:, :-1])
+    return a_idx.tolist(), (t_idx + 1).tolist()
+
+
 def detection_events(history: SyndromeHistory) -> list[DetectionEvent]:
     """Space-time points where consecutive stabilizer signs differ."""
     if history.n_rounds < 2:
         raise ValueError("need at least two recorded rounds")
     events = []
     for graph in ("x", "z"):
-        signs = history.signs[graph]
         stabs = history.lattice.stabilizers(graph)
-        changed = signs[:, 1:] != signs[:, :-1]
-        for a, t in zip(*np.nonzero(changed)):
+        for a, t in zip(*_graph_events(history, graph)):
             i, j = stabs[a]
-            events.append(DetectionEvent(i=i, j=j, t=int(t) + 1, graph=graph))
+            events.append(DetectionEvent(i=i, j=j, t=t, graph=graph))
     return events
 
 

@@ -137,6 +137,17 @@ def test_export_edges_empty_path_returns_2(capsys, no_windows):
     assert capsys.readouterr().err.startswith("I/O error:")
 
 
+@pytest.mark.parametrize("sweep", [["--distance", "3,5"], ["--p", "0.01,0.02"]])
+def test_export_edges_of_a_sweep_returns_1(tmp_path, capsys, no_windows, sweep):
+    # One table per file: a list must not silently export its first point.
+    path = tmp_path / "edges.json"
+    assert main(["--export-edges", str(path), "--distance", "3", "--p", "0.01",
+                 *sweep]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert captured.out == "" and not path.exists()
+
+
 def test_debug_events_go_to_stderr(capsys):
     rc = main(["--distance", "3", "--p", "0.02", "--trials", "3",
                "--rounds", "4", "--seed", "2", "--debug-events"])
@@ -165,7 +176,13 @@ def test_bad_config_file_value_returns_1(tmp_path, capsys, no_windows, line):
                                   # Custom rates need --model custom.
                                   ["--p2", "0.5"], ["--model", "standard", "--pM", "0.01"],
                                   # A falsy distance is still a dump request.
-                                  ["--dump-lattice", "0"]])
+                                  ["--dump-lattice", "0"],
+                                  ["--seed", "-1"],
+                                  # A threshold fit needs 3 distances and 5 rates.
+                                  ["--estimate-threshold", "--distance", "3,5",
+                                   "--p", "0.01,0.011,0.012,0.013,0.014"],
+                                  ["--estimate-threshold", "--distance", "3,5,7",
+                                   "--p", "0.01,0.011,0.012,0.013"]])
 def test_bad_flag_value_returns_1(capsys, no_windows, argv):
     assert main(["--distance", "3", "--trials", "2", *argv]) == 1
     assert capsys.readouterr().err.startswith("configuration error:")

@@ -10,9 +10,9 @@ import pytest
 import surfacesim
 from surfacesim.lattice import build_lattice, standard_schedule
 from surfacesim.noise import ErrorModel, preset, trial_rng
-from surfacesim.sim import compile_circuit, simulate_window
+from surfacesim.sim import _graph_events, compile_circuit, simulate_window
 from surfacesim.edge_analysis import derive_edge_classes
-from surfacesim.decoder import DP_MAX_NODES, Decoder, _graph_events
+from surfacesim.decoder import DP_MAX_NODES, Decoder
 from surfacesim.metric import METRICS, LinkGraph, MetricCache, d_max, d_n, path_sum_table
 
 import frame_reference

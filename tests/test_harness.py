@@ -16,6 +16,12 @@ def test_config_validation():
         TrialConfig(distance=4, p=0.01)
     with pytest.raises(ValueError):
         TrialConfig(distance=3, p=0.01, trials=0)
+    with pytest.raises(ValueError, match="seed"):
+        TrialConfig(distance=3, p=0.01, seed=-1)
+    with pytest.raises(ValueError, match="metric"):
+        TrialConfig(distance=3, p=0.01, metric="foo")
+    with pytest.raises(ValueError, match="error model"):
+        TrialConfig(distance=3, p=0.01, model="foo")
     cfg = TrialConfig(distance=5, p=0.01)
     assert cfg.window_rounds == 50
     assert TrialConfig(distance=5, p=0.01, rounds=20).window_rounds == 20
@@ -41,10 +47,8 @@ def test_custom_model():
     assert (m.p2, m.pI, m.pM) == (0.01, 0.002, 0.003)
     with pytest.raises(ValueError):
         TrialConfig(distance=3, p=0.0, model="custom").error_model()
-    readout_only = TrialConfig(distance=3, p=0.0, model="custom",
-                               custom_model=(0.0, 0.0, 0.01))
     with pytest.raises(ValueError, match="readout-only"):
-        readout_only.error_model()
+        TrialConfig(distance=3, p=0.0, model="custom", custom_model=(0.0, 0.0, 0.01))
 
 
 def test_zero_noise_run_has_no_failures():

@@ -257,10 +257,13 @@ def _patched_cycle(monkeypatch, tamper):
     import surfacesim.sim as sim
 
     original = sim.run_cycle
+    cycles = 0
 
-    def cycle(frame, circuit, round_index=0, injections=None):
-        reports = original(frame, circuit, round_index, injections)
-        tamper(frame, reports, round_index)
+    def cycle(frame, circuit, injections):
+        nonlocal cycles
+        cycles += 1
+        reports = original(frame, circuit, injections)
+        tamper(frame, reports, cycles)
         return reports
 
     monkeypatch.setattr(sim, "run_cycle", cycle)
@@ -268,8 +271,8 @@ def _patched_cycle(monkeypatch, tamper):
 
 
 def test_fault_table_rejects_events_two_rounds_late(monkeypatch):
-    def late_report(frame, reports, round_index):
-        if round_index == 3:
+    def late_report(frame, reports, cycle):
+        if cycle == 3:
             reports[0][5, 0] ^= 1
 
     sim = _patched_cycle(monkeypatch, late_report)
@@ -278,8 +281,8 @@ def test_fault_table_rejects_events_two_rounds_late(monkeypatch):
 
 
 def test_fault_table_rejects_an_unsettled_frame(monkeypatch):
-    def moving_data(frame, reports, round_index):
-        if round_index == 3:
+    def moving_data(frame, reports, cycle):
+        if cycle == 3:
             frame.x[7, 0] ^= 1
 
     sim = _patched_cycle(monkeypatch, moving_data)
