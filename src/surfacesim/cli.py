@@ -145,7 +145,7 @@ def main(argv=None) -> int:
             print(f"edge table written to {args.export_edges}")
             return 0
 
-        traces: list[str] = []
+        traces: list[str] | None = [] if args.debug_events else None
         stats = SweepStats(rows=[row for cfg in configs
                                  for row in harness.run_trials(cfg, traces).rows])
         if traces:

@@ -22,8 +22,9 @@ the pair table of every metric:
 * manhattan: the closed form over the same targets.
 
 Boundary weights are one `metric.boundary_distance` search per
-stabilizer (a closed form for manhattan).  The tables keep every weight
-they compute: the one prune rule is the candidate scan's, below.
+stabilizer (`Lattice.nearest_boundary` for manhattan).  The tables keep
+every weight they compute: the one prune rule is the candidate scan's,
+below.
 
 The match graph follows the virtual-twin construction: every real event
 gets a virtual partner at its boundary weight, virtual nodes pair among
@@ -56,7 +57,7 @@ import numpy as np
 from . import matching
 from .edge_analysis import EdgeClassTable
 from .lattice import Lattice
-from .metric import MetricCache, manhattan, path_sum_table, settled
+from .metric import LinkGraph, boundary_distance, manhattan, path_sum_table, settled
 from .sim import PauliFrame, SyndromeHistory, _graph_events
 
 DP_MAX_NODES = 6
@@ -85,36 +86,34 @@ class Decoder:
     """
 
     def __init__(self, table: EdgeClassTable, metric: str = "dmax"):
-        self.table = table
         self.lattice = table.lattice
         self.metric = metric
-        self._tables = {g: self._precompute(g, MetricCache(table, g, metric))
-                        for g in ("x", "z")}
+        self._tables = {g: self._precompute(LinkGraph(table, g)) for g in ("x", "z")}
         lat = self.lattice
         self._lx = np.array([lat.index(c) for c in lat.logical_x_support], dtype=np.intp)
         self._lz = np.array([lat.index(c) for c in lat.logical_z_support], dtype=np.intp)
 
-    def _precompute(self, graph: str, cache: MetricCache) -> dict:
+    def _precompute(self, lg: LinkGraph) -> dict:
         """Per-stabilizer tables of one graph, as plain Python lists: the
         decode loop indexes them per candidate pair, where list lookups
         are much cheaper than numpy scalar indexing."""
         lat = self.lattice
-        stabs = lat.stabilizers(graph)
+        stabs = lat.stabilizers(lg.graph)
         S = len(stabs)
         cells = [lat.index(c) for c in stabs]
         stab_of_cell = {c: a for a, c in enumerate(cells)}
         sub = [lat.sublattice_coord(c) for c in stabs]
-        probs = [cls.probability for cls in self.table.pair_classes[graph].values()
-                 if cls.probability > 0.0]
-        if (probs and self.metric != "manhattan"
-                and not any(cls.probability > 0.0
-                            for cls in self.table.boundary_classes[graph].values())):
+        probs = [p for links in lg.links.values() for _, _, p in links]
+        if self.metric == "manhattan":
+            bw = [lat.nearest_boundary(c) for c in stabs]
+        elif probs and not lg.exits:
             # Each boundary weight would be a search of the unbounded time
             # axis for a boundary link that does not exist.
-            raise ValueError(f"{graph} graph has links but no boundary link "
+            raise ValueError(f"{lg.graph} graph has links but no boundary link "
                              f"of positive probability")
-        bw = [cache.boundary_weight(c) for c in cells]
-        bvals = [w for w, _ in bw]
+        else:
+            bw = [boundary_distance(lg, (c, 0)) for c in cells]
+        bvals = [float(w) for w, _ in bw]
         bsides = [side for _, side in bw]
         # An edge no lighter than two boundary matches is pruned.  Every
         # link weighs at least w_min (one unit for manhattan) and moves at
@@ -129,7 +128,6 @@ class Decoder:
         reach = max(1, math.ceil(2.0 * b_max / w_min)) if math.isfinite(w_min) else 1
 
         wtab = np.full((S, S, reach + 1), np.inf, dtype=np.float64)
-        lg = cache.graph
         for a in range(S):
             if self.metric == "dmax":
                 # Nodes in earlier rounds are settled too; only 0 <= t is

@@ -23,7 +23,7 @@ for any valid schedule, lattice size and error model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .lattice import Lattice
 from .noise import ErrorModel
@@ -46,7 +46,6 @@ class EdgeClass:
     """A link class: all processes producing one detection-event signature."""
 
     graph: str
-    kind: str                          # "pair" or "boundary"
     cells: tuple                       # ((i,j), (i,j)) earlier-first, or ((i,j),)
     dt: int
     probability: float
@@ -143,31 +142,14 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
 
 @dataclass
 class EdgeClassTable:
-    """All link classes for one (lattice, schedule, model) configuration."""
+    """All link classes for one (lattice, schedule, model) configuration;
+    `metric.LinkGraph` reads them as a graph."""
 
     lattice: Lattice
     model: ErrorModel
     pair_classes: dict[str, dict[tuple, EdgeClass]]
     boundary_classes: dict[str, dict[int, EdgeClass]]
-    bulk_classes: dict[str, list[EdgeClass]] = field(default_factory=dict)
-
-    def neighbors(self, graph: str, cell: int):
-        """Iterate (other_cell, signed_dt, probability) links from a cell."""
-        return self._adjacency[graph].get(cell, ())
-
-    def boundary(self, graph: str, cell: int) -> EdgeClass | None:
-        return self.boundary_classes[graph].get(cell)
-
-    def finalize(self) -> "EdgeClassTable":
-        adjacency: dict[str, dict[int, list]] = {}
-        for graph, classes in self.pair_classes.items():
-            adj: dict[int, list] = {}
-            for (u, v, dt), cls in classes.items():
-                adj.setdefault(u, []).append((v, dt, cls.probability))
-                adj.setdefault(v, []).append((u, -dt, cls.probability))
-            adjacency[graph] = {c: tuple(links) for c, links in adj.items()}
-        self._adjacency = adjacency
-        return self
+    bulk_classes: dict[str, list[EdgeClass]]
 
     def to_json(self) -> str:
         lat = self.lattice
@@ -228,7 +210,7 @@ def derive_edge_classes(circuit: CompiledCircuit, model: ErrorModel) -> EdgeClas
             if len(sig) == 1:
                 cell = sig[0][0]
                 cls = EdgeClass(
-                    graph=graph, kind="boundary", cells=(lattice.cell(cell),),
+                    graph=graph, cells=(lattice.cell(cell),),
                     dt=0, probability=prob, members=tuple(members),
                     side=lattice.nearest_boundary(lattice.cell(cell))[1])
                 boundary_classes[graph][cell] = cls
@@ -240,21 +222,18 @@ def derive_edge_classes(circuit: CompiledCircuit, model: ErrorModel) -> EdgeClas
                 if dt == 0:
                     cu, cv = min(cu, cv), max(cu, cv)
                 cls = EdgeClass(
-                    graph=graph, kind="pair",
-                    cells=(lattice.cell(cu), lattice.cell(cv)), dt=dt,
-                    probability=prob, members=tuple(members),
-                    offset=_sublattice_offset(
-                        lattice, graph, (cu, cv), dt))
+                    graph=graph, cells=(lattice.cell(cu), lattice.cell(cv)),
+                    dt=dt, probability=prob, members=tuple(members),
+                    offset=_sublattice_offset(lattice, graph, (cu, cv), dt))
                 pair_classes[graph][(cu, cv, dt)] = cls
 
-    table = EdgeClassTable(lattice=lattice, model=model,
-                           pair_classes=pair_classes,
-                           boundary_classes=boundary_classes)
-    table.bulk_classes = {g: _bulk_classes(table, g) for g in ("x", "z")}
-    return table.finalize()
+    return EdgeClassTable(
+        lattice=lattice, model=model, pair_classes=pair_classes,
+        boundary_classes=boundary_classes,
+        bulk_classes={g: _bulk_classes(pair_classes[g]) for g in ("x", "z")})
 
 
-def _bulk_classes(table: EdgeClassTable, graph: str) -> list[EdgeClass]:
+def _bulk_classes(pair_classes: dict[tuple, EdgeClass]) -> list[EdgeClass]:
     """One representative per translation class, letter-labeled.
 
     The representative of each offset is the instance with the most
@@ -266,7 +245,7 @@ def _bulk_classes(table: EdgeClassTable, graph: str) -> list[EdgeClass]:
     probability.
     """
     by_offset: dict[tuple, EdgeClass] = {}
-    for cls in table.pair_classes[graph].values():
+    for cls in pair_classes.values():
         best = by_offset.get(cls.offset)
         if best is None or len(cls.members) > len(best.members):
             by_offset[cls.offset] = cls
@@ -277,11 +256,5 @@ def _bulk_classes(table: EdgeClassTable, graph: str) -> list[EdgeClass]:
 
     classes.sort(key=lambda c: (not has_meas(c), -c.probability, c.offset))
     letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    out = []
-    for rank, cls in enumerate(classes):
-        letter = letters[rank] if rank < len(letters) else f"Z{rank}"
-        out.append(EdgeClass(
-            graph=cls.graph, kind=cls.kind, cells=cls.cells, dt=cls.dt,
-            probability=cls.probability, members=cls.members,
-            offset=cls.offset, letter=letter))
-    return out
+    return [replace(cls, letter=letters[rank] if rank < len(letters) else f"Z{rank}")
+            for rank, cls in enumerate(classes)]

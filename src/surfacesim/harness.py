@@ -24,7 +24,7 @@ import contextlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -46,7 +46,7 @@ N_BOOTSTRAP = 200
 BOOTSTRAP_SEED = 1234
 
 CSV_COLUMNS = [
-    "d", "p", "model", "metric", "T", "N", "fail_x", "fail_z",
+    "d", "p", "model", "p2", "pI", "pM", "metric", "T", "N", "fail_x", "fail_z",
     "mttf_x", "mttf_x_lo", "mttf_x_hi", "mttf_z", "mttf_z_lo", "mttf_z_hi",
     "seed", "wall_time",
 ]
@@ -70,7 +70,6 @@ class TrialConfig:
     seed: int = 0
     custom_model: tuple[float, float, float] | None = None
     jobs: int = 1
-    debug_events: bool = False
 
     def __post_init__(self):
         if self.trials < 1:
@@ -112,6 +111,9 @@ class PointStats:
     d: int
     p: float
     model: str
+    p2: float  # the error model's rates, custom or derived from p
+    pI: float
+    pM: float
     metric: str
     T: int
     N: int
@@ -186,7 +188,7 @@ def _build_state(cfg: TrialConfig):
 
 
 def _run_chunk(args) -> tuple[int, int, list[str]]:
-    cfg, start, count = args
+    cfg, start, count, trace = args
     circuit, decoder = _build_state(cfg)
     model = cfg.error_model()
     T = cfg.window_rounds
@@ -198,21 +200,24 @@ def _run_chunk(args) -> tuple[int, int, list[str]]:
         outcome = decoder.decode(res.history, res.frame, collect_matches=False)
         fail_x += outcome.logical_x_failed
         fail_z += outcome.logical_z_failed
-        if cfg.debug_events:
+        if trace:
             traces.append(f"# window {idx}\n"
                           + events_to_text(detection_events(res.history)))
     return fail_x, fail_z, traces
 
 
 def run_trials(cfg: TrialConfig, trace_sink=None) -> SweepStats:
-    """Run cfg.trials independent windows and aggregate failure counts."""
+    """Run cfg.trials independent windows and aggregate failure counts.
+
+    Given a trace_sink list, each window's detection events are appended
+    to it as text, in window order."""
     if cfg.window_rounds < cfg.distance:
         import warnings
         warnings.warn(f"rounds={cfg.window_rounds} below distance {cfg.distance}; "
                       "time-like errors will be under-sampled")
     t0 = time.perf_counter()
     chunk = max(1, min(500, cfg.trials // max(1, 4 * cfg.jobs)))
-    chunks = [(cfg, start, min(chunk, cfg.trials - start))
+    chunks = [(cfg, start, min(chunk, cfg.trials - start), trace_sink is not None)
               for start in range(0, cfg.trials, chunk)]
     fail_x = fail_z = 0
     with contextlib.ExitStack() as stack:
@@ -227,7 +232,9 @@ def run_trials(cfg: TrialConfig, trace_sink=None) -> SweepStats:
             if trace_sink is not None:
                 trace_sink.extend(traces)
     wall = time.perf_counter() - t0
-    row = PointStats(d=cfg.distance, p=cfg.p, model=cfg.model, metric=cfg.metric,
+    model = cfg.error_model()
+    row = PointStats(d=cfg.distance, p=cfg.p, model=cfg.model, p2=model.p2,
+                     pI=model.pI, pM=model.pM, metric=cfg.metric,
                      T=cfg.window_rounds, N=cfg.trials, fail_x=fail_x,
                      fail_z=fail_z, seed=cfg.seed, wall_time=wall)
     return SweepStats(rows=[row])
@@ -287,10 +294,9 @@ def estimate_threshold(stats: SweepStats, logical: str = "x") -> dict:
     boots = []
     for _ in range(N_BOOTSTRAP):
         resampled = SweepStats(rows=[
-            PointStats(d=r.d, p=r.p, model=r.model, metric=r.metric, T=r.T,
-                       N=r.N, seed=r.seed, wall_time=0.0,
-                       fail_x=int(rng.binomial(r.N, r.fail_x / r.N)),
-                       fail_z=int(rng.binomial(r.N, r.fail_z / r.N)))
+            replace(r, wall_time=0.0,
+                    fail_x=int(rng.binomial(r.N, r.fail_x / r.N)),
+                    fail_z=int(rng.binomial(r.N, r.fail_z / r.N)))
             for r in stats.rows
         ])
         got = crossings(_curves(resampled, logical))
@@ -325,7 +331,8 @@ def stats_to_csv(stats: SweepStats) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in stats.rows:
         mttf = rounds_to_failure(r)
-        values = [r.d, r.p, r.model, r.metric, r.T, r.N, r.fail_x, r.fail_z,
+        values = [r.d, r.p, r.model, r.p2, r.pI, r.pM, r.metric, r.T, r.N,
+                  r.fail_x, r.fail_z,
                   mttf["x"]["estimate"], mttf["x"]["lo"], mttf["x"]["hi"],
                   mttf["z"]["estimate"], mttf["z"]["lo"], mttf["z"]["hi"],
                   r.seed, r.wall_time]
@@ -343,6 +350,7 @@ def csv_to_stats(text: str) -> SweepStats:
         vals = dict(zip(header, ln.split(",")))
         rows.append(PointStats(
             d=int(vals["d"]), p=float(vals["p"]), model=vals["model"],
+            p2=float(vals["p2"]), pI=float(vals["pI"]), pM=float(vals["pM"]),
             metric=vals["metric"], T=int(vals["T"]), N=int(vals["N"]),
             fail_x=int(vals["fail_x"]), fail_z=int(vals["fail_z"]),
             seed=int(vals["seed"]), wall_time=float(vals["wall_time"])))

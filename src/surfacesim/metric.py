@@ -65,27 +65,34 @@ class PathSum:
 
 
 class LinkGraph:
-    """Neighbor iteration over (cell, t) nodes for one graph type.
+    """The links and boundary exits of positive probability of one graph
+    type, read from an EdgeClassTable when built, over (cell, t) nodes.
 
     The graph is unbounded in time, which models the interior of a long
-    window.
+    window.  A cell's links follow the table's class order, which fixes
+    how searches break ties.
     """
 
     def __init__(self, table: EdgeClassTable, graph: str):
-        self.table = table
         self.graph = graph
+        self.lattice = table.lattice
+        self.links: dict[int, list[tuple[int, int, float]]] = {}
+        for (u, v, dt), cls in table.pair_classes[graph].items():
+            if cls.probability > 0.0:
+                self.links.setdefault(u, []).append((v, dt, cls.probability))
+                self.links.setdefault(v, []).append((u, -dt, cls.probability))
+        self.exits = {cell: (cls.probability, cls.side)
+                      for cell, cls in table.boundary_classes[graph].items()
+                      if cls.probability > 0.0}
 
     def neighbors(self, node: tuple[int, int]):
         cell, t = node
-        for other, dt, prob in self.table.neighbors(self.graph, cell):
-            if prob > 0.0:
-                yield (other, t + dt), prob
+        for other, dt, prob in self.links.get(cell, ()):
+            yield (other, t + dt), prob
 
     def boundary_link(self, cell: int):
-        cls = self.table.boundary(self.graph, cell)
-        if cls is None or cls.probability <= 0.0:
-            return None
-        return cls.probability, cls.side
+        """(probability, side) of the cell's boundary exit, or None."""
+        return self.exits.get(cell)
 
 
 def manhattan(s1: tuple[int, int, int], s2: tuple[int, int, int]) -> float:
@@ -282,29 +289,28 @@ def boundary_distance(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]
         # Zero-probability model: nothing is reachable.  Report the
         # geometrically nearest side at infinite weight; no detection
         # events can occur in this regime, so the weight is never used.
-        lat = graph.table.lattice
+        lat = graph.lattice
         return math.inf, lat.nearest_boundary(lat.cell(s[0]))[1]
     return best, best_side
 
 
 class MetricCache:
-    """Memoized pair and boundary weights, one metric evaluation per key.
+    """The per-pair reference: memoized weights by definition, one metric
+    evaluation per key.
 
-    Pair weights depend only on (cell_u, cell_v, dt) because the circuit
-    is periodic in time; boundary weights only on the cell.  Weights are
-    evaluated on the unbounded-time graph, which matches the window
-    interior exactly.  The decoder takes only boundary weights from here.
-    Its pair tables come from `settled` (dmax), `path_sum_table` (d0-d2)
-    and the closed form (manhattan); `pair_weight` evaluates one pair by
-    definition (a d_max search, or a minimum-link search plus a path
-    enumeration for d_n) and is the reference those tables are checked
-    against.
+    The decoder does not use it; its tables come from `settled` (dmax),
+    `path_sum_table` (d0-d2), `boundary_distance` and the closed forms
+    (manhattan).  `pair_weight` evaluates one pair by definition (a d_max
+    search, or a minimum-link search plus a path enumeration for d_n) and
+    `boundary_weight` one cell; the tests check the decoder's tables
+    against them, and the benchmark traces both by name.  Pair weights depend only on (cell_u, cell_v, dt)
+    because the circuit is periodic in time, boundary weights only on the
+    cell.
     """
 
     def __init__(self, table: EdgeClassTable, graph: str, metric: str):
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}")
-        self.table = table
         self.metric = metric
         self.graph = LinkGraph(table, graph)
         self.lattice = table.lattice

@@ -45,10 +45,10 @@ def test_config_file_with_flag_override(tmp_path, capsys):
                    "# comment line\nmetric=manhattan\n")
     rc = main(["--config", str(cfg), "--trials", "10"])
     assert rc == 0
-    out = capsys.readouterr().out
-    row = out.splitlines()[1].split(",")
-    assert row[0] == "3" and row[3] == "manhattan"
-    assert row[5] == "10"  # flag overrides file
+    header, line = capsys.readouterr().out.splitlines()[:2]
+    row = dict(zip(header.split(","), line.split(",")))
+    assert row["d"] == "3" and row["metric"] == "manhattan"
+    assert row["N"] == "10"  # flag overrides file
 
 
 def test_bad_config_returns_1(tmp_path, capsys):

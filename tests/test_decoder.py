@@ -326,11 +326,23 @@ def test_path_sum_build_enumerates_no_paths(setup_d3, metric, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-pair metric evaluation during construction")
 
+    import surfacesim.decoder as decoder_module
     import surfacesim.metric as metric_module
     for name in ("d_max", "path_sum", "min_links"):
         monkeypatch.setattr(metric_module, name, forbidden)
     monkeypatch.setattr(MetricCache, "pair_weight", forbidden)
+    monkeypatch.setattr(MetricCache, "boundary_weight", forbidden)
+    # Boundary weights are one search per stabilizer, and none for manhattan.
+    searched = []
+
+    def boundary_search(graph, node):
+        searched.append(node)
+        return metric_module.boundary_distance(graph, node)
+
+    monkeypatch.setattr(decoder_module, "boundary_distance", boundary_search)
     dec = Decoder(table, metric)
+    stabs = len(table.lattice.x_stabilizers) + len(table.lattice.z_stabilizers)
+    assert len(searched) == (0 if metric == "manhattan" else stabs)
     assert np.isfinite(np.array(dec._tables["z"]["wtab"])).sum() > 30
 
 
@@ -352,9 +364,13 @@ def test_decode_reads_only_the_tables(decoders_d3, metric, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("metric evaluated during decode")
 
+    import surfacesim.decoder as decoder_module
     import surfacesim.metric as metric_module
     for name in ("d_max", "path_sum", "boundary_distance", "min_links"):
         monkeypatch.setattr(metric_module, name, forbidden)
+    # The decoder's own bindings of the build-time searches.
+    for name in ("boundary_distance", "settled", "path_sum_table"):
+        monkeypatch.setattr(decoder_module, name, forbidden)
     monkeypatch.setattr(MetricCache, "pair_weight", forbidden)
     monkeypatch.setattr(MetricCache, "boundary_weight", forbidden)
     events = 0

@@ -62,8 +62,9 @@ def test_zero_noise_run_has_no_failures():
 
 
 def test_rounds_to_failure_examples():
-    row = PointStats(d=3, p=0.01, model="standard", metric="dmax", T=100,
-                     N=10**6, fail_x=int((1 - 1 / math.e) * 10**6), fail_z=10**4,
+    row = PointStats(d=3, p=0.01, model="standard", p2=0.01, pI=0.01, pM=0.01,
+                     metric="dmax", T=100, N=10**6,
+                     fail_x=int((1 - 1 / math.e) * 10**6), fail_z=10**4,
                      seed=0, wall_time=0.0)
     est = rounds_to_failure(row)
     assert est["x"]["estimate"] == pytest.approx(100, rel=1e-3)
@@ -105,6 +106,25 @@ def test_csv_roundtrip_and_reproducibility():
         return ["," .join(ln.split(",")[:-1]) for ln in t.splitlines()]
 
     assert strip_wall(text) == strip_wall(text2)
+
+
+def test_custom_rows_record_their_rates():
+    """Two custom points at the same p that differ only in (p2, pI, pM)
+    give rows that tell them apart, and both survive a CSV round trip."""
+    cfgs = [TrialConfig(distance=3, p=0.01, model="custom", custom_model=rates,
+                        trials=20, rounds=3, seed=1)
+            for rates in ((0.01, 0.002, 0.003), (0.0, 0.015, 0.01))]
+    stats = SweepStats(rows=[run_trials(cfg).rows[0] for cfg in cfgs])
+    lines = stats_to_csv(stats).splitlines()
+    assert lines[1].split(",")[:-1] != lines[2].split(",")[:-1]
+    back = csv_to_stats("\n".join(lines))
+    for row, orig, cfg in zip(back.rows, stats.rows, cfgs):
+        assert (row.model, row.p) == ("custom", 0.01)
+        assert (row.p2, row.pI, row.pM) == cfg.custom_model
+        assert replace(row, wall_time=0.0) == replace(orig, wall_time=0.0)
+    doc = json.loads(stats_to_json(stats))
+    assert [(r["p2"], r["pI"], r["pM"]) for r in doc["rows"]] == \
+        [cfg.custom_model for cfg in cfgs]
 
 
 def test_csv_to_stats_rejects_a_bad_header():
@@ -156,8 +176,8 @@ def _fake_stats(p_th=0.011, distances=(3, 5, 7), ps=(0.008, 0.009, 0.01, 0.011,
             log_mttf = 5.0 - slope * (p - p_th)
             mttf = math.exp(log_mttf)
             p_fail = 1 - math.exp(-T / mttf)
-            rows.append(PointStats(d=d, p=p, model="standard", metric="dmax",
-                                   T=T, N=n, fail_x=round(p_fail * n),
+            rows.append(PointStats(d=d, p=p, model="standard", p2=p, pI=p, pM=p,
+                                   metric="dmax", T=T, N=n, fail_x=round(p_fail * n),
                                    fail_z=round(p_fail * n), seed=0,
                                    wall_time=0.0))
     return SweepStats(rows=rows)
@@ -187,7 +207,8 @@ def test_estimate_threshold_requires_enough_curves():
 
 
 def _all_fail_row(d, p, n=500):
-    return PointStats(d=d, p=p, model="standard", metric="dmax", T=10 * d,
+    return PointStats(d=d, p=p, model="standard", p2=p, pI=p, pM=p,
+                      metric="dmax", T=10 * d,
                       N=n, fail_x=n, fail_z=n, seed=0, wall_time=0.0)
 
 
@@ -235,8 +256,7 @@ def test_parallel_jobs_bit_identical():
 
 
 def test_debug_event_trace():
-    cfg = TrialConfig(distance=3, p=0.05, trials=5, seed=1, rounds=6,
-                      debug_events=True)
+    cfg = TrialConfig(distance=3, p=0.05, trials=5, seed=1, rounds=6)
     sink: list = []
     run_trials(cfg, trace_sink=sink)
     assert len(sink) == 5
@@ -244,8 +264,7 @@ def test_debug_event_trace():
 
 
 def test_debug_event_trace_in_window_order_with_jobs():
-    cfg = TrialConfig(distance=3, p=0.05, trials=16, seed=1, rounds=6,
-                      debug_events=True)
+    cfg = TrialConfig(distance=3, p=0.05, trials=16, seed=1, rounds=6)
     serial: list = []
     parallel: list = []
     run_trials(cfg, trace_sink=serial)

@@ -38,6 +38,29 @@ def test_dmax_single_temporal_link(table_d5, graph_z):
     assert d_max(graph_z, (cell, 0), (cell, 1)) == pytest.approx(-math.log(p_a))
 
 
+def test_link_graph_reads_probabilities_when_built():
+    """A class probability edited after the derivation is the one a
+    LinkGraph built afterwards uses; a link or exit edited to zero is
+    dropped."""
+    lat = build_lattice(5)
+    circ = compile_circuit(lat, standard_schedule(lat))
+    table = derive_edge_classes(circ, preset("standard", 0.01))
+    cell = lat.index((4, 3))
+    temporal = table.pair_classes["z"][(cell, cell, 1)]
+    temporal.probability = 0.125
+    g = LinkGraph(table, "z")
+    assert ((cell, 1), 0.125) in list(g.neighbors((cell, 0)))
+    assert ((cell, -1), 0.125) in list(g.neighbors((cell, 0)))
+    assert d_max(g, (cell, 0), (cell, 1)) == pytest.approx(-math.log(0.125))
+    temporal.probability = 0.0
+    edge = lat.index((4, 1))
+    table.boundary_classes["z"][edge].probability = 0.0
+    g = LinkGraph(table, "z")
+    assert (cell, 1) not in [other for other, _ in g.neighbors((cell, 0))]
+    assert d_max(g, (cell, 0), (cell, 1)) > -math.log(0.01)
+    assert g.boundary_link(edge) is None
+
+
 def test_dmax_requires_distinct_nodes(graph_z, table_d5):
     cell = table_d5.lattice.index((4, 3))
     with pytest.raises(ValueError):
@@ -53,7 +76,6 @@ def test_dmax_two_links_with_equal_probabilities():
     for key_classes in table.pair_classes.values():
         for cls in key_classes.values():
             cls.probability = q
-    table.finalize()
     g = LinkGraph(table, "z")
     a = lat.index((4, 3))
     b = lat.index((4, 5))  # one horizontal link apart
@@ -191,7 +213,6 @@ def test_path_sum_table_excludes_backtracking_with_equal_probabilities():
     for key_classes in table.pair_classes.values():
         for cls in key_classes.values():
             cls.probability = q
-    table.finalize()
     g = LinkGraph(table, "z")
     s1 = (lat.index((4, 3)), 0)
     targets = [(lat.index((4, 5)), 0),   # one horizontal link
@@ -304,7 +325,6 @@ def test_equal_probability_ranking_matches_weighted_manhattan():
     for classes in table.pair_classes.values():
         for cls in classes.values():
             cls.probability = q
-    table.finalize()
     g = LinkGraph(table, "z")
     a = lat.index((2, 3))
     pairs = [((a, 0), (lat.index((2, 5)), 0)),
