@@ -103,7 +103,7 @@ class Decoder:
         cells = [lat.index(c) for c in stabs]
         stab_of_cell = {c: a for a, c in enumerate(cells)}
         sub = [lat.sublattice_coord(c) for c in stabs]
-        probs = [p for links in lg.links.values() for _, _, p in links]
+        probs = [p for links in lg.links.values() for _, _, p, _, _ in links]
         if self.metric == "manhattan":
             bw = [lat.nearest_boundary(c) for c in stabs]
         elif probs and not lg.exits:
@@ -127,14 +127,15 @@ class Decoder:
             w_min = -math.log(max(probs)) if probs else math.inf
         reach = max(1, math.ceil(2.0 * b_max / w_min)) if math.isfinite(w_min) else 1
 
-        wtab = np.full((S, S, reach + 1), np.inf, dtype=np.float64)
+        wtab = [[[math.inf] * (reach + 1) for _ in range(S)] for _ in range(S)]
         for a in range(S):
+            row = wtab[a]
             if self.metric == "dmax":
                 # Nodes in earlier rounds are settled too; only 0 <= t is
                 # a table entry.
                 for d, (cell, t) in settled(lg, (cells[a], 0), 2.0 * b_max + 1e-9):
                     if 0 <= t <= reach:
-                        wtab[a, stab_of_cell[cell], t] = d
+                        row[stab_of_cell[cell]][t] = d
                 continue
             targets = [(b, dt) for b in range(S)
                        if max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1])) <= reach
@@ -146,9 +147,9 @@ class Decoder:
                     lg, (cells[a], 0), [(cells[b], dt) for b, dt in targets],
                     int(self.metric[1]))
             for (b, dt), w in zip(targets, weights):
-                wtab[a, b, dt] = w
+                row[b][dt] = w
         return {"cells": cells, "bvals": bvals, "bsides": bsides,
-                "wtab": wtab.tolist(), "reach": reach}
+                "wtab": wtab, "reach": reach}
 
     def decode(self, history: SyndromeHistory, frame: PauliFrame,
                verify: bool = False, collect_matches: bool = True) -> DecodeOutcome:

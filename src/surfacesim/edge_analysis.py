@@ -68,37 +68,6 @@ def odd_parity_probability(probs) -> float:
     return 0.5 * (1.0 - prod)
 
 
-def _unit_faults(circuit: CompiledCircuit, proc: ErrorProcess) -> tuple[int, ...]:
-    """The fault-table unit faults whose XOR is the process's component."""
-    table = circuit.fault_table
-    kind, where = proc.location
-    bit = 0 if proc.graph == "z" else 1  # the z graph sees x bits, the x graph z bits
-    if kind == "cnot":
-        ctl = table.cnot_unit(where, False, bit)
-        tgt = table.cnot_unit(where, True, bit)
-        # Merged components like "tgt+both" share a signature; take any one.
-        return {"ctl": (ctl,), "tgt": (tgt,), "both": (ctl, tgt)}[
-            proc.component.split("+")[0]]
-    if kind in ("idle5", "idle6"):
-        return (table.idle_unit(int(kind[-1]), where, bit),)
-    if kind == "meas":
-        return (table.meas_unit(where),)
-    raise ValueError(f"unknown location {proc.location}")
-
-
-def process_signature(circuit: CompiledCircuit,
-                      proc: ErrorProcess) -> tuple[tuple[int, int], ...]:
-    """Detection-event signature of one process, read from the circuit's
-    fault table: (flat_cell, dt) pairs with dt counted from the earliest
-    event, empty if the process is invisible to its graph."""
-    events = circuit.fault_table.events(_unit_faults(circuit, proc))
-    assert all(graph == proc.graph for graph, _, _ in events)
-    if not events:
-        return ()
-    lo = min(dt for _, _, dt in events)
-    return tuple(sorted((cell, dt - lo) for _, cell, dt in events))
-
-
 def enumerate_processes(circuit: CompiledCircuit, model: ErrorModel) -> list[ErrorProcess]:
     """All effective error components of one cycle, both graphs.
 
@@ -111,14 +80,44 @@ def enumerate_processes(circuit: CompiledCircuit, model: ErrorModel) -> list[Err
 
 def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
     """(process, signature) for every process of enumerate_processes, in
-    its order; each component's signature is read once."""
+    its order.
+
+    A signature is the process's detection events as sorted (flat_cell,
+    dt) pairs, dt counted from the earliest event, empty if the process
+    is invisible to its graph.  All of them come from one pass over the
+    fault table's event arrays: a component's events are those of its
+    unit faults (numbered as `sim.FaultTable` documents), XOR-ed.
+    """
+    table = circuit.fault_table
+    stab_cells = circuit.z_idx.tolist() + circuit.x_idx.tolist()
+    n_z = circuit.n_z
+    ptr = table.ev_ptr.tolist()
+    ev = [divmod(off, table.n_stab) for off in table.ev_off.tolist()]
+    unit_events = [ev[ptr[f]:ptr[f + 1]] for f in range(table.n_units)]  # (dt, a) pairs
+
+    def signature(graph: str, events) -> tuple:
+        if not events:
+            return ()
+        lo = min(events)[0]
+        sig = []
+        for dt, a in events:
+            assert (a < n_z) == (graph == "z")
+            sig.append((stab_cells[a], dt - lo))
+        sig.sort()
+        return tuple(sig)
+
     p_cnot = model.p2 * 4.0 / 15.0
+    p_idle = model.pI * 2.0 / 3.0
+    data_cells = circuit.data_idx.tolist()
     for graph in ("z", "x"):
+        bit = 0 if graph == "z" else 1  # the z graph sees x bits, the x graph z bits
         for gate in range(circuit.n_cnots):
+            ctl = unit_events[4 * gate + bit]
+            tgt = unit_events[4 * gate + 2 + bit]
+            both = [e for e in ctl if e not in tgt] + [e for e in tgt if e not in ctl]
             sigs: dict[tuple, list[str]] = {}
-            for comp in ("ctl", "tgt", "both"):
-                raw = ErrorProcess(graph, ("cnot", gate), comp, "4p2/15", p_cnot)
-                sig = process_signature(circuit, raw)
+            for comp, events in (("ctl", ctl), ("tgt", tgt), ("both", both)):
+                sig = signature(graph, events)
                 if sig:
                     sigs.setdefault(sig, []).append(comp)
             for sig, comps in sigs.items():
@@ -128,16 +127,14 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
                 else:
                     yield ErrorProcess(graph, ("cnot", gate), "+".join(comps),
                                        "8p2/15", len(comps) * p_cnot), sig
-        p_idle = model.pI * 2.0 / 3.0
         for step in circuit.idle_steps:
-            for cell in circuit.data_idx:
-                proc = ErrorProcess(graph, (f"idle{step}", int(cell)),
-                                    "flip", "2pI/3", p_idle)
-                yield proc, process_signature(circuit, proc)
-        stab_idx = circuit.z_idx if graph == "z" else circuit.x_idx
-        for cell in stab_idx:
-            proc = ErrorProcess(graph, ("meas", int(cell)), "flip", "pM", model.pM)
-            yield proc, process_signature(circuit, proc)
+            base = table.idle_base[step] + bit
+            for i, cell in enumerate(data_cells):
+                yield (ErrorProcess(graph, (f"idle{step}", cell), "flip", "2pI/3", p_idle),
+                       signature(graph, unit_events[base + 2 * i]))
+        for a in (range(n_z) if graph == "z" else range(n_z, len(stab_cells))):
+            yield (ErrorProcess(graph, ("meas", stab_cells[a]), "flip", "pM", model.pM),
+                   signature(graph, unit_events[table.meas_base + a]))
 
 
 @dataclass
@@ -190,9 +187,14 @@ def _sublattice_offset(lattice: Lattice, graph: str, cells: tuple, dt: int) -> t
 
 def derive_edge_classes(circuit: CompiledCircuit, model: ErrorModel) -> EdgeClassTable:
     """Group all processes by signature and compute exact link probabilities."""
-    lattice = circuit.lattice
+    return group_processes(circuit.lattice, model, _signed_processes(circuit, model))
+
+
+def group_processes(lattice: Lattice, model: ErrorModel, signed) -> EdgeClassTable:
+    """The link classes of (process, signature) pairs given in
+    enumerate_processes order."""
     groups: dict[str, dict[tuple, list[ErrorProcess]]] = {"x": {}, "z": {}}
-    for proc, sig in _signed_processes(circuit, model):
+    for proc, sig in signed:
         if not sig:
             continue
         if len(sig) > 2:

@@ -319,14 +319,6 @@ def _curves(stats: SweepStats, logical: str):
     return out
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return f"{x:.10g}"
-    return str(x)
-
-
 def stats_to_csv(stats: SweepStats) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in stats.rows:
@@ -336,7 +328,9 @@ def stats_to_csv(stats: SweepStats) -> str:
                   mttf["x"]["estimate"], mttf["x"]["lo"], mttf["x"]["hi"],
                   mttf["z"]["estimate"], mttf["z"]["lo"], mttf["z"]["hi"],
                   r.seed, r.wall_time]
-        lines.append(",".join(_fmt(v) for v in values))
+        # str() of a float is its shortest round-trip form, so every rate
+        # reads back bit for bit.
+        lines.append(",".join(str(v) for v in values))
     return "\n".join(lines) + "\n"
 
 

@@ -53,6 +53,7 @@ from .sim import _csr_rows
 MAX_LINKS = 64  # longest fewest-link path searched for
 MAX_PATHS = 2_000_000  # path enumeration guard of path_sum
 METRICS = ("manhattan", "dmax", "d0", "d1", "d2")  # decoder metric names
+_T_SPAN = 1 << 32  # node codes: see LinkGraph
 
 
 @dataclass(frozen=True)
@@ -68,26 +69,34 @@ class LinkGraph:
     """The links and boundary exits of positive probability of one graph
     type, read from an EdgeClassTable when built, over (cell, t) nodes.
 
-    The graph is unbounded in time, which models the interior of a long
-    window.  A cell's links follow the table's class order, which fixes
-    how searches break ties.
+    links[cell] lists (other cell, dt, probability, -ln probability,
+    step) per link, each link once from either end; adding -ln p rounds
+    exactly as subtracting ln p does.  `settled` codes node (cell, t) as
+    the int cell * _T_SPAN + t + _T_SPAN // 2, which orders as the tuple
+    does while |t| < _T_SPAN // 2; a link's step is the code of its far
+    end minus the code of its near one.  The graph is unbounded in time,
+    which models the interior of a long window.  A cell's links follow
+    the table's class order, which fixes how searches break ties.
     """
 
     def __init__(self, table: EdgeClassTable, graph: str):
         self.graph = graph
         self.lattice = table.lattice
-        self.links: dict[int, list[tuple[int, int, float]]] = {}
+        self.links: dict[int, list[tuple[int, int, float, float, int]]] = {}
         for (u, v, dt), cls in table.pair_classes[graph].items():
-            if cls.probability > 0.0:
-                self.links.setdefault(u, []).append((v, dt, cls.probability))
-                self.links.setdefault(v, []).append((u, -dt, cls.probability))
+            p = cls.probability
+            if p > 0.0:
+                w = -math.log(p)
+                step = (v - u) * _T_SPAN + dt
+                self.links.setdefault(u, []).append((v, dt, p, w, step))
+                self.links.setdefault(v, []).append((u, -dt, p, w, -step))
         self.exits = {cell: (cls.probability, cls.side)
                       for cell, cls in table.boundary_classes[graph].items()
                       if cls.probability > 0.0}
 
     def neighbors(self, node: tuple[int, int]):
         cell, t = node
-        for other, dt, prob in self.links.get(cell, ()):
+        for other, dt, prob, _, _ in self.links.get(cell, ()):
             yield (other, t + dt), prob
 
     def boundary_link(self, cell: int):
@@ -255,19 +264,27 @@ def path_sum_table(graph: LinkGraph, source, targets, n: int) -> list[float]:
 def settled(graph: LinkGraph, source, cutoff: float = math.inf):
     """Dijkstra from a source node: yields (weight, node) for every node
     whose single-path weight is at most cutoff, lightest first, each node
-    once."""
-    dist: dict[tuple[int, int], float] = {source: 0.0}
-    heap = [(0.0, source)]
+    once.  Equal weights settle in (cell, t) order.  The search runs on
+    node codes and link weights (see LinkGraph)."""
+    links, half = graph.links, _T_SPAN // 2
+    inf = math.inf
+    heappop, heappush = heapq.heappop, heapq.heappush
+    start = source[0] * _T_SPAN + source[1] + half
+    dist = {start: 0.0}
+    heap = [(0.0, start)]
     while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist[node]:
+        d, code = heappop(heap)
+        if d > dist[code]:
             continue
-        yield d, node
-        for other, prob in graph.neighbors(node):
-            nd = d - math.log(prob)
-            if nd <= cutoff and nd < dist.get(other, math.inf):
-                dist[other] = nd
-                heapq.heappush(heap, (nd, other))
+        cell, t_code = divmod(code, _T_SPAN)
+        yield d, (cell, t_code - half)
+        for _, _, _, w, step in links.get(cell, ()):
+            nd = d + w
+            if nd <= cutoff:
+                nxt = code + step
+                if nd < dist.get(nxt, inf):
+                    dist[nxt] = nd
+                    heappush(heap, (nd, nxt))
 
 
 def boundary_distance(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]:

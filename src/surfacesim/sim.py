@@ -249,11 +249,7 @@ class FaultTable:
         self.circuit = circuit
         self.n_stab = c.n_z + c.n_x
         n_data = len(c.data_idx)
-        self._data_pos = {int(cell): i for i, cell in enumerate(c.data_idx)}
         stab_cells = np.concatenate([c.z_idx, c.x_idx])
-        self._stab_pos = {int(cell): a for a, cell in enumerate(stab_cells)}
-        self._stab_key = [("z" if a < c.n_z else "x", int(cell))
-                          for a, cell in enumerate(stab_cells)]
 
         # Unit-fault numbering, the injection of every unit fault in round 1
         # (unit f in frame row f), and the draw segments of one round:
@@ -330,27 +326,6 @@ class FaultTable:
         self.data_ptr, data_cols = _csr(np.concatenate(
             [first_x[:, c.data_idx], first_z[:, c.data_idx]], axis=1))
         self.data_col = np.concatenate([c.data_idx, c.n_cells + c.data_idx])[data_cols]
-
-    def cnot_unit(self, gate: int, on_target: bool, bit: int) -> int:
-        """Unit fault of the x (bit 0) or z (bit 1) bit after a CNOT."""
-        return 4 * gate + 2 * on_target + bit
-
-    def idle_unit(self, step: int, cell: int, bit: int) -> int:
-        """Unit fault of the x (bit 0) or z (bit 1) bit of an idling data qubit."""
-        return self.idle_base[step] + 2 * self._data_pos[cell] + bit
-
-    def meas_unit(self, cell: int) -> int:
-        """Unit fault of a syndrome qubit's readout flip."""
-        return self.meas_base + self._stab_pos[cell]
-
-    def events(self, units) -> set[tuple[str, int, int]]:
-        """(graph, flat cell, dt) events of the XOR of the given unit faults."""
-        out: set = set()
-        for f in units:
-            for off in self.ev_off[self.ev_ptr[f]:self.ev_ptr[f + 1]]:
-                dt, a = divmod(int(off), self.n_stab)
-                out ^= {(*self._stab_key[a], dt)}
-        return out
 
     def _layout(self, model: ErrorModel) -> tuple:
         """Per-slot arrays of one round's draws under a model: probability,

@@ -8,8 +8,10 @@ of the package.
   graph type's events with every weight taken from a `MetricCache`, and
   `corrections_from_matching`, the flip plane of a matching of it.
 * Link classes: `propagate_process`, the signature of one error component
-  pushed through its own noiseless window by the frozen frame stepper,
-  and `mc_validate`, a Monte Carlo check of every link probability.
+  pushed through its own noiseless window by the frozen frame stepper;
+  `propagated_processes`, every process of a cycle with its propagated
+  signature; and `mc_validate`, a Monte Carlo check of every link
+  probability.
 """
 
 from __future__ import annotations
@@ -218,6 +220,35 @@ def propagate_process(circuit: CompiledCircuit,
     assert all(dt in (0, 1) for dt in dts), f"signature spans >1 round: {sig}"
     lo = min(dts)
     return tuple(sorted((c, dt - lo) for c, dt in sig))
+
+
+def propagated_processes(circuit: CompiledCircuit, model: ErrorModel,
+                         signature=propagate_process):
+    """(process, signature) for every process of enumerate_processes, in
+    its order, with each component's signature taken from
+    `signature(circuit, process)` (by default propagate_process) and CNOT
+    components of one gate merged by those signatures: the reference for
+    the package's one-pass read of signatures from the fault table."""
+    p_cnot = model.p2 * 4.0 / 15.0
+    for graph in ("z", "x"):
+        for gate in range(circuit.n_cnots):
+            sigs: dict[tuple, list[str]] = {}
+            for comp in ("ctl", "tgt", "both"):
+                sig = signature(circuit, ErrorProcess(graph, ("cnot", gate), comp,
+                                                      "4p2/15", p_cnot))
+                if sig:
+                    sigs.setdefault(sig, []).append(comp)
+            for sig, comps in sigs.items():
+                yield ErrorProcess(graph, ("cnot", gate), "+".join(comps),
+                                   "4p2/15" if len(comps) == 1 else "8p2/15",
+                                   len(comps) * p_cnot), sig
+        procs = [ErrorProcess(graph, (f"idle{step}", cell), "flip", "2pI/3",
+                              model.pI * 2.0 / 3.0)
+                 for step in circuit.idle_steps for cell in circuit.data_idx.tolist()]
+        procs += [ErrorProcess(graph, ("meas", cell), "flip", "pM", model.pM)
+                  for cell in (circuit.z_idx if graph == "z" else circuit.x_idx).tolist()]
+        for proc in procs:
+            yield proc, signature(circuit, proc)
 
 
 def component_group_maps(table: EdgeClassTable):

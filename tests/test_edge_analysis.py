@@ -12,7 +12,7 @@ from surfacesim.edge_analysis import (
     derive_edge_classes, enumerate_processes, odd_parity_probability,
 )
 
-from oracles import propagate_process
+from oracles import propagate_process, propagated_processes
 
 
 def eq1(p):
@@ -329,34 +329,27 @@ def _class_snapshot(table):
 
 @pytest.mark.parametrize("d", [3, 5, 7])
 @pytest.mark.parametrize("idle_steps", [(6,), (5,), (5, 6)], ids=["idle6", "idle5", "idle56"])
-def test_derivation_from_fault_table_matches_propagation(monkeypatch, d, idle_steps):
-    # The same EdgeClassTable as with every signature taken from
-    # propagate_process.  Signatures do not depend on the model, so each
-    # propagated one is reused across the presets.
+def test_derivation_from_fault_table_matches_propagation(d, idle_steps):
+    # The same processes and signatures, and so the same EdgeClassTable,
+    # as with every signature taken from propagate_process.  Signatures do
+    # not depend on the model, so each propagated one is reused across
+    # the presets.
     import surfacesim.edge_analysis as ea
 
     lat = build_lattice(d)
     circ = compile_circuit(lat, standard_schedule(lat, idle_steps=idle_steps))
     propagated: dict = {}
 
-    def oracle(circuit, proc):
-        key = (proc.graph, proc.location, proc.component.split("+")[0])
+    def signature(circuit, proc):
+        key = (proc.graph, proc.location, proc.component)
         if key not in propagated:
             propagated[key] = propagate_process(circuit, proc)
         return propagated[key]
 
     for name in ("standard", "balanced", "iontrap"):
         model = preset(name, 0.01)
-        with monkeypatch.context() as m:
-            m.setattr(ea, "process_signature", oracle)
-            want = derive_edge_classes(circ, model)
+        signed = list(propagated_processes(circ, model, signature))
+        assert list(ea._signed_processes(circ, model)) == signed, name
+        want = ea.group_processes(lat, model, signed)
         got = derive_edge_classes(circ, model)
         assert _class_snapshot(got) == _class_snapshot(want), name
-
-
-def test_process_signature_matches_propagation_d3():
-    lat = build_lattice(3)
-    circ = compile_circuit(lat, standard_schedule(lat, idle_steps=(5, 6)))
-    from surfacesim.edge_analysis import process_signature
-    for proc in enumerate_processes(circ, preset("standard", 0.01)):
-        assert process_signature(circ, proc) == propagate_process(circ, proc), proc

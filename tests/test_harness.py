@@ -127,6 +127,18 @@ def test_custom_rows_record_their_rates():
         [cfg.custom_model for cfg in cfgs]
 
 
+def test_preset_rows_read_back_their_exact_rates():
+    """A preset's rates need not be short decimals (balanced pM = 8p/15);
+    each row reads back the model's rates bit for bit."""
+    cfgs = [TrialConfig(distance=3, p=0.01, model=name, trials=5, rounds=3, seed=1)
+            for name in ("balanced", "iontrap")]
+    stats = SweepStats(rows=[run_trials(cfg).rows[0] for cfg in cfgs])
+    back = csv_to_stats(stats_to_csv(stats))
+    for row, cfg in zip(back.rows, cfgs):
+        model = cfg.error_model()
+        assert (row.p2, row.pI, row.pM) == (model.p2, model.pI, model.pM)
+
+
 def test_csv_to_stats_rejects_a_bad_header():
     good = stats_to_csv(SweepStats())
     with pytest.raises(ValueError, match="header"):
