@@ -319,6 +319,20 @@ def test_mc_probability_validation_1e6(setup_d5):
     assert worst > 0.0
 
 
+def test_process_signature_matches_propagation_d3():
+    # Every process's one-pass signature, read from the fault table,
+    # equals the one propagated gate by gate.
+    import surfacesim.edge_analysis as ea
+
+    lat = build_lattice(3)
+    circ = compile_circuit(lat, standard_schedule(lat, idle_steps=(5, 6)))
+    model = preset("standard", 0.01)
+    signed = list(ea._signed_processes(circ, model))
+    assert [proc for proc, _ in signed] == enumerate_processes(circ, model)
+    for proc, sig in signed:
+        assert sig == propagate_process(circ, proc), proc
+
+
 def _class_snapshot(table):
     pairs = {g: {key: (c.members, c.probability, c.cells, c.dt, c.offset)
                  for key, c in table.pair_classes[g].items()} for g in ("x", "z")}
