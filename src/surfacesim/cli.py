@@ -11,7 +11,8 @@ A config file (--config) holds KEY=VALUE lines whose keys are the long
 flags that take a value, without the dashes and with their case
 (distance=5, p=0.01, pI=0.002 ...).  Each line becomes a --KEY=VALUE
 argument ahead of the command line, so one parser checks both and
-command-line flags win.  Run defaults are those of harness.TrialConfig.
+command-line flags win.  Config files do not nest: a config= line is an
+error.  Run defaults are those of harness.TrialConfig.
 Exit codes: 0 success, 1 configuration error (bad flag values included),
 2 resource or I/O error.
 """
@@ -59,6 +60,8 @@ def _config_args(path: str) -> list[str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected KEY=VALUE")
             key, val = (part.strip() for part in line.split("=", 1))
+            if key == "config":
+                raise ValueError(f"{path}:{lineno}: config files do not nest")
             args.append(f"--{key}={val}")
     return args
 

@@ -104,13 +104,20 @@ class Decoder:
         stab_of_cell = {c: a for a, c in enumerate(cells)}
         sub = [lat.sublattice_coord(c) for c in stabs]
         probs = [p for links in lg.links.values() for _, _, p, _, _ in links]
+        w_min = -math.log(max(probs)) if probs else math.inf
         if self.metric == "manhattan":
             bw = [lat.nearest_boundary(c) for c in stabs]
+            w_min = 1.0
         elif probs and not lg.exits:
             # Each boundary weight would be a search of the unbounded time
             # axis for a boundary link that does not exist.
             raise ValueError(f"{lg.graph} graph has links but no boundary link "
                              f"of positive probability")
+        elif w_min == 0.0:
+            # A link of weight 0 makes steps along it free; along the
+            # unbounded time axis a search would never finish settling.
+            raise ValueError(f"{lg.graph} graph has a link of probability 1 "
+                             f"(weight 0)")
         else:
             bw = [boundary_distance(lg, (c, 0)) for c in cells]
         bvals = [float(w) for w, _ in bw]
@@ -121,10 +128,6 @@ class Decoder:
         # path of a pair more than 2 * b_max / w_min apart in space or
         # time is that light; the tables end there.
         b_max = max(bvals)
-        if self.metric == "manhattan":
-            w_min = 1.0
-        else:
-            w_min = -math.log(max(probs)) if probs else math.inf
         reach = max(1, math.ceil(2.0 * b_max / w_min)) if math.isfinite(w_min) else 1
 
         wtab = [[[math.inf] * (reach + 1) for _ in range(S)] for _ in range(S)]

@@ -68,19 +68,13 @@ def odd_parity_probability(probs) -> float:
     return 0.5 * (1.0 - prod)
 
 
-def enumerate_processes(circuit: CompiledCircuit, model: ErrorModel) -> list[ErrorProcess]:
-    """All effective error components of one cycle, both graphs.
+def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
+    """(process, signature) for every effective error component of one
+    cycle, both graphs.
 
     CNOT components of one gate that share a signature are merged here
     (exclusive outcomes of the same error event), which is what produces
     the 8*p2/15 class.
-    """
-    return [proc for proc, _ in _signed_processes(circuit, model)]
-
-
-def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
-    """(process, signature) for every process of enumerate_processes, in
-    its order.
 
     A signature is the process's detection events as sorted (flat_cell,
     dt) pairs, dt counted from the earliest event, empty if the process
@@ -192,7 +186,7 @@ def derive_edge_classes(circuit: CompiledCircuit, model: ErrorModel) -> EdgeClas
 
 def group_processes(lattice: Lattice, model: ErrorModel, signed) -> EdgeClassTable:
     """The link classes of (process, signature) pairs given in
-    enumerate_processes order."""
+    _signed_processes order."""
     groups: dict[str, dict[tuple, list[ErrorProcess]]] = {"x": {}, "z": {}}
     for proc, sig in signed:
         if not sig:

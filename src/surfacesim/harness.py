@@ -21,6 +21,7 @@ in p, with uncertainty from a bootstrap over trial counts.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import time
@@ -100,6 +101,11 @@ class TrialConfig:
                 # chain can reach a boundary, so there is nothing to decode.
                 raise ValueError("a readout-only model (p2 = pI = 0 < pM) "
                                  "has no boundary links")
+            if model.p2 == 0.0 and model.pM == 1.0:
+                # Every time-like link is then certain: weight 0, so a
+                # separation search would walk the time axis for free.
+                raise ValueError("a model with p2 = 0 and pM = 1 has time-like "
+                                 "links of probability 1 (weight 0)")
             return model
         return preset(self.model, self.p)
 
@@ -169,28 +175,20 @@ def rounds_to_failure(row: PointStats) -> dict[str, dict[str, float]]:
     return out
 
 
-# Per-process state for worker pools: rebuilt once per (config) per process.
-_WORKER_STATE: dict = {}
-
-
-def _build_state(cfg: TrialConfig):
-    key = (cfg.distance, cfg.model, cfg.p, cfg.custom_model, cfg.metric)
-    state = _WORKER_STATE.get(key)
-    if state is None:
-        lattice = build_lattice(cfg.distance)
-        circuit = compile_circuit(lattice, standard_schedule(lattice))
-        table = derive_edge_classes(circuit, cfg.error_model())
-        decoder = Decoder(table, cfg.metric)
-        _WORKER_STATE.clear()
-        state = (circuit, decoder)
-        _WORKER_STATE[key] = state
-    return state
+@functools.lru_cache(maxsize=1)
+def _setup(distance: int, model: ErrorModel, metric: str):
+    """The compiled circuit and decoder of one set-up.  Seed, trials and
+    rounds do not change them, so each process keeps the last one built
+    for its next chunks and runs."""
+    lattice = build_lattice(distance)
+    circuit = compile_circuit(lattice, standard_schedule(lattice))
+    return circuit, Decoder(derive_edge_classes(circuit, model), metric)
 
 
 def _run_chunk(args) -> tuple[int, int, list[str]]:
     cfg, start, count, trace = args
-    circuit, decoder = _build_state(cfg)
     model = cfg.error_model()
+    circuit, decoder = _setup(cfg.distance, model, cfg.metric)
     T = cfg.window_rounds
     fail_x = fail_z = 0
     traces: list[str] = []

@@ -178,10 +178,6 @@ class GateSchedule:
     cnot_steps: tuple[tuple[tuple[tuple[int, int], tuple[int, int]], ...], ...]
     idle_steps: tuple[int, ...] = (6,)
 
-    @property
-    def n_cnots(self) -> int:
-        return sum(len(step) for step in self.cnot_steps)
-
     def describe(self) -> dict:
         return {
             "idle_steps": list(self.idle_steps),
@@ -214,45 +210,3 @@ def standard_schedule(lattice: Lattice,
         cnot_steps=tuple(tuple(sorted(step)) for step in steps),
         idle_steps=tuple(idle_steps),
     )
-
-
-def validate_schedule(lattice: Lattice, schedule: GateSchedule) -> list[str]:
-    """Check the schedule invariants; return one message per violation."""
-    violations = []
-
-    for k, step in enumerate(schedule.cnot_steps, start=1):
-        used: set[tuple[int, int]] = set()
-        for ctrl, tgt in step:
-            for q in (ctrl, tgt):
-                if q in used:
-                    violations.append(f"step {k}: qubit {q} used twice")
-                used.add(q)
-
-    seen: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
-    for k, step in enumerate(schedule.cnot_steps, start=1):
-        for ctrl, tgt in step:
-            croles = cell_role(*ctrl), cell_role(*tgt)
-            if croles == (X_SYNDROME, DATA):
-                stab, dq = ctrl, tgt
-            elif croles == (DATA, Z_SYNDROME):
-                stab, dq = tgt, ctrl
-            else:
-                violations.append(
-                    f"step {k}: CNOT {ctrl}->{tgt} is not X-control/Z-target")
-                continue
-            if dq not in lattice.supports.get(stab, ()):
-                violations.append(
-                    f"step {k}: CNOT {ctrl}->{tgt} not within support of {stab}")
-            key = (stab, dq)
-            if key in seen:
-                violations.append(
-                    f"step {k}: stabilizer {stab} repeats gate on {dq} "
-                    f"(first in step {seen[key]})")
-            seen[key] = k
-
-    for stab, support in lattice.supports.items():
-        for dq in support:
-            if (stab, dq) not in seen:
-                violations.append(f"stabilizer {stab} never touches {dq}")
-
-    return violations

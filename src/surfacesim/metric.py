@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,22 +55,14 @@ METRICS = ("manhattan", "dmax", "d0", "d1", "d2")  # decoder metric names
 _T_SPAN = 1 << 32  # node codes: see LinkGraph
 
 
-@dataclass(frozen=True)
-class PathSum:
-    """Total probability over an admitted path set."""
-
-    value: float
-    path_count: int
-    max_links: int
-
-
 class LinkGraph:
     """The links and boundary exits of positive probability of one graph
     type, read from an EdgeClassTable when built, over (cell, t) nodes.
 
     links[cell] lists (other cell, dt, probability, -ln probability,
     step) per link, each link once from either end; adding -ln p rounds
-    exactly as subtracting ln p does.  `settled` codes node (cell, t) as
+    exactly as subtracting ln p does.  exits[cell] is the (probability,
+    side) of the cell's boundary exit.  `settled` codes node (cell, t) as
     the int cell * _T_SPAN + t + _T_SPAN // 2, which orders as the tuple
     does while |t| < _T_SPAN // 2; a link's step is the code of its far
     end minus the code of its near one.  The graph is unbounded in time,
@@ -98,10 +89,6 @@ class LinkGraph:
         cell, t = node
         for other, dt, prob, _, _ in self.links.get(cell, ()):
             yield (other, t + dt), prob
-
-    def boundary_link(self, cell: int):
-        """(probability, side) of the cell's boundary exit, or None."""
-        return self.exits.get(cell)
 
 
 def manhattan(s1: tuple[int, int, int], s2: tuple[int, int, int]) -> float:
@@ -155,8 +142,9 @@ def min_links(graph: LinkGraph, s1, s2) -> int:
     raise ValueError(f"no path of <= {MAX_LINKS} links between {s1} and {s2}")
 
 
-def path_sum(graph: LinkGraph, s1, s2, max_links: int) -> PathSum:
-    """Sum of path probabilities over simple paths of <= max_links links."""
+def path_sum(graph: LinkGraph, s1, s2, max_links: int) -> tuple[float, int]:
+    """Sum of path probabilities over simple paths of <= max_links links,
+    and the number of those paths."""
     total = 0.0
     count = 0
     on_path = {s1}
@@ -176,7 +164,7 @@ def path_sum(graph: LinkGraph, s1, s2, max_links: int) -> PathSum:
                 on_path.discard(other)
 
     dfs(s1, 1.0, max_links)
-    return PathSum(value=total, path_count=count, max_links=max_links)
+    return total, count
 
 
 def d_n(graph: LinkGraph, s1, s2, n: int) -> tuple[float, int]:
@@ -185,8 +173,8 @@ def d_n(graph: LinkGraph, s1, s2, n: int) -> tuple[float, int]:
     if not 0 <= n <= 2:
         raise ValueError("n must be in [0, 2]")
     l = min_links(graph, s1, s2)
-    ps = path_sum(graph, s1, s2, l + n)
-    return -math.log(ps.value), ps.path_count
+    total, count = path_sum(graph, s1, s2, l + n)
+    return -math.log(total), count
 
 
 def path_sum_table(graph: LinkGraph, source, targets, n: int) -> list[float]:
@@ -297,7 +285,7 @@ def boundary_distance(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]
     for d, node in settled(graph, s):
         if d >= best:
             break
-        link = graph.boundary_link(node[0])
+        link = graph.exits.get(node[0])
         if link is not None:
             w = d - math.log(link[0])
             if w < best:

@@ -98,7 +98,6 @@ class CompiledCircuit:
 
     def __init__(self, lattice: Lattice, schedule: GateSchedule):
         self.lattice = lattice
-        self.schedule = schedule
         self.n_cells = lattice.size * lattice.size
 
         self.step_ctl = []
@@ -139,13 +138,12 @@ class SyndromeHistory:
     """Measured stabilizer signs, one row per syndrome qubit.
 
     signs[graph][a, t] for t in [0, n_rounds); column 0 is the baseline
-    (noiseless round on a clean frame), columns 1..noisy_rounds are noisy,
-    and the final column is the noiseless closure round.
+    (noiseless round on a clean frame), the middle columns are the noisy
+    rounds, and the final column is the noiseless closure round.
     """
 
     lattice: Lattice
     signs: dict[str, np.ndarray]
-    noisy_rounds: int
 
     @property
     def n_rounds(self) -> int:
@@ -373,8 +371,7 @@ class FaultTable:
         frame.x[c.z_idx] = np.bitwise_xor.reduce(z_signs, axis=1)
         frame.z[c.x_idx] = np.bitwise_xor.reduce(x_signs, axis=1)
 
-        history = SyndromeHistory(lattice=c.lattice, signs={"z": z_signs, "x": x_signs},
-                                  noisy_rounds=rounds)
+        history = SyndromeHistory(lattice=c.lattice, signs={"z": z_signs, "x": x_signs})
         return WindowResult(history=history, frame=frame)
 
 

@@ -190,6 +190,5 @@ def simulate_window(circuit: CompiledCircuit, model: ErrorModel,
     history = SyndromeHistory(
         lattice=circuit.lattice,
         signs={"z": z_signs, "x": x_signs},
-        noisy_rounds=rounds,
     )
     return WindowResult(history=history, frame=frame, noise_log=noise_log)

@@ -224,11 +224,12 @@ def propagate_process(circuit: CompiledCircuit,
 
 def propagated_processes(circuit: CompiledCircuit, model: ErrorModel,
                          signature=propagate_process):
-    """(process, signature) for every process of enumerate_processes, in
-    its order, with each component's signature taken from
-    `signature(circuit, process)` (by default propagate_process) and CNOT
-    components of one gate merged by those signatures: the reference for
-    the package's one-pass read of signatures from the fault table."""
+    """(process, signature) for every process of
+    `edge_analysis._signed_processes`, in its order, with each component's
+    signature taken from `signature(circuit, process)` (by default
+    propagate_process) and CNOT components of one gate merged by those
+    signatures: the reference for the package's one-pass read of
+    signatures from the fault table."""
     p_cnot = model.p2 * 4.0 / 15.0
     for graph in ("z", "x"):
         for gate in range(circuit.n_cnots):

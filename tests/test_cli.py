@@ -159,7 +159,9 @@ def test_debug_events_go_to_stderr(capsys):
 
 
 @pytest.mark.parametrize("line", ["format=xml", "schedule=foo", "metric=foo",
-                                  "jobs=0", "pi=0.01", "dist=3", "p2=0.5"])
+                                  "jobs=0", "pi=0.01", "dist=3", "p2=0.5",
+                                  # Config files do not nest.
+                                  "config=/nonexistent.cfg"])
 def test_bad_config_file_value_returns_1(tmp_path, capsys, no_windows, line):
     # Config lines go through the flag parser: same checks, same spelling.
     cfg = tmp_path / "run.cfg"
@@ -182,7 +184,10 @@ def test_bad_config_file_value_returns_1(tmp_path, capsys, no_windows, line):
                                   ["--estimate-threshold", "--distance", "3,5",
                                    "--p", "0.01,0.011,0.012,0.013,0.014"],
                                   ["--estimate-threshold", "--distance", "3,5,7",
-                                   "--p", "0.01,0.011,0.012,0.013"]])
+                                   "--p", "0.01,0.011,0.012,0.013"],
+                                  # Time-like links of probability 1 weigh 0.
+                                  ["--model", "custom", "--p2", "0", "--pI", "0.01",
+                                   "--pM", "1"]])
 def test_bad_flag_value_returns_1(capsys, no_windows, argv):
     assert main(["--distance", "3", "--trials", "2", *argv]) == 1
     assert capsys.readouterr().err.startswith("configuration error:")

@@ -524,3 +524,22 @@ except ValueError as exc:
         pytest.fail("Decoder build on a graph without boundary links hung")
     assert proc.returncode == 0, proc.stderr
     assert "ValueError:" in proc.stdout and "boundary link" in proc.stdout
+
+
+@pytest.mark.parametrize("metric", ["dmax", "d1"])
+def test_decoder_rejects_links_of_weight_zero(metric, monkeypatch):
+    # With p2 = 0 and pM = 1 every time-like link has probability 1.  A
+    # search along them would never finish settling, so the build refuses
+    # the graph before any search starts.
+    import surfacesim.decoder as decoder_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("search started on a graph with weight-0 links")
+
+    monkeypatch.setattr(decoder_module, "boundary_distance", forbidden)
+    monkeypatch.setattr(decoder_module, "settled", forbidden)
+    lat = build_lattice(3)
+    table = derive_edge_classes(compile_circuit(lat, standard_schedule(lat)),
+                                ErrorModel(0.0, 0.01, 1.0))
+    with pytest.raises(ValueError, match="probability 1"):
+        Decoder(table, metric)

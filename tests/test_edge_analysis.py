@@ -9,7 +9,7 @@ from surfacesim.lattice import build_lattice, standard_schedule
 from surfacesim.noise import ErrorModel, preset
 from surfacesim.sim import compile_circuit
 from surfacesim.edge_analysis import (
-    derive_edge_classes, enumerate_processes, odd_parity_probability,
+    _signed_processes, derive_edge_classes, odd_parity_probability,
 )
 
 from oracles import propagate_process, propagated_processes
@@ -54,7 +54,7 @@ def test_odd_parity_matches_enumeration(qs):
 def test_processes_all_probabilities_zero_at_p0():
     lat = build_lattice(3)
     circ = compile_circuit(lat, standard_schedule(lat))
-    procs = enumerate_processes(circ, ErrorModel(0, 0, 0))
+    procs = [p for p, _ in _signed_processes(circ, ErrorModel(0, 0, 0))]
     assert procs and all(p.probability == 0.0 for p in procs)
 
 
@@ -82,14 +82,14 @@ def test_single_cnot_z_view_mass_is_12_fifteenths():
     from surfacesim.lattice import cell_role
     z_gates = [g for g in range(circ.n_cnots)
                if cell_role(*lat.cell(int(circ.gate_tgt[g]))) == "z"]
-    procs = [p for p in enumerate_processes(circ, model)
+    procs = [p for p, _ in _signed_processes(circ, model)
              if p.graph == "z" and p.location == ("cnot", z_gates[0])]
     assert sum(p.probability for p in procs) == pytest.approx(12 * p2 / 15)
 
 
 def test_idle_process_class(setup_d5):
     circ, model, _ = setup_d5
-    idles = [p for p in enumerate_processes(circ, model)
+    idles = [p for p, _ in _signed_processes(circ, model)
              if p.location[0].startswith("idle") and p.graph == "x"]
     assert len(idles) == len(circ.data_idx) * len(circ.idle_steps)
     assert all(p.prob_class == "2pI/3" for p in idles)
@@ -122,7 +122,7 @@ def test_measurement_flip_is_temporal_link(setup_d5):
 
 def test_all_signatures_at_most_two_events_d5(setup_d5):
     circ, model, _ = setup_d5
-    for proc in enumerate_processes(circ, model):
+    for proc, _ in _signed_processes(circ, model):
         assert len(propagate_process(circ, proc)) <= 2
 
 
@@ -176,7 +176,7 @@ def test_zero_probability_classes_at_p0():
 def test_completeness_every_visible_process_grouped(setup_d5):
     circ, model, table = setup_d5
     visible = 0
-    for proc in enumerate_processes(circ, model):
+    for proc, _ in _signed_processes(circ, model):
         if propagate_process(circ, proc):
             visible += 1
     grouped = 0
@@ -322,13 +322,12 @@ def test_mc_probability_validation_1e6(setup_d5):
 def test_process_signature_matches_propagation_d3():
     # Every process's one-pass signature, read from the fault table,
     # equals the one propagated gate by gate.
-    import surfacesim.edge_analysis as ea
-
     lat = build_lattice(3)
     circ = compile_circuit(lat, standard_schedule(lat, idle_steps=(5, 6)))
     model = preset("standard", 0.01)
-    signed = list(ea._signed_processes(circ, model))
-    assert [proc for proc, _ in signed] == enumerate_processes(circ, model)
+    signed = list(_signed_processes(circ, model))
+    assert ([proc for proc, _ in signed]
+            == [proc for proc, _ in propagated_processes(circ, model)])
     for proc, sig in signed:
         assert sig == propagate_process(circ, proc), proc
 

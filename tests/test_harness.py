@@ -9,6 +9,7 @@ from surfacesim.harness import (
     emit_results, estimate_threshold, plot_svg, rounds_to_failure, run_trials,
     stats_to_csv, stats_to_json, wilson_interval,
 )
+from surfacesim.metric import METRICS
 
 
 def test_config_validation():
@@ -49,6 +50,12 @@ def test_custom_model():
         TrialConfig(distance=3, p=0.0, model="custom").error_model()
     with pytest.raises(ValueError, match="readout-only"):
         TrialConfig(distance=3, p=0.0, model="custom", custom_model=(0.0, 0.0, 0.01))
+    # p2 = 0 with pM = 1 gives every time-like link probability 1, so
+    # weight 0: the separation searches would never finish.
+    for metric in METRICS:
+        with pytest.raises(ValueError, match="probability 1"):
+            TrialConfig(distance=3, p=0.0, model="custom", metric=metric,
+                        custom_model=(0.0, 0.01, 1.0))
 
 
 def test_zero_noise_run_has_no_failures():
@@ -89,6 +96,28 @@ def test_reproducible_counts():
     c = run_trials(TrialConfig(distance=3, p=0.02, trials=200, seed=12,
                                rounds=10)).rows[0]
     assert (a.fail_x, a.fail_z) != (c.fail_x, c.fail_z)
+
+
+def test_setup_is_built_once_per_distance_model_and_metric(monkeypatch):
+    # Seed, trial count and rounds do not change the set-up, so repeated
+    # run_trials calls that differ only there reuse one decoder.
+    import surfacesim.harness as harness
+
+    real_decoder = harness.Decoder
+    builds = []
+
+    def counting_decoder(table, metric):
+        builds.append(metric)
+        return real_decoder(table, metric)
+
+    monkeypatch.setattr(harness, "Decoder", counting_decoder)
+    harness._setup.cache_clear()
+    for seed, trials, rounds in ((1, 3, None), (2, 5, None), (3, 2, 4)):
+        run_trials(TrialConfig(distance=3, p=0.01, seed=seed, trials=trials,
+                               rounds=rounds))
+    assert builds == ["dmax"]
+    run_trials(TrialConfig(distance=3, p=0.01, metric="manhattan", trials=2))
+    assert builds == ["dmax", "manhattan"]
 
 
 def test_csv_roundtrip_and_reproducibility():

@@ -1,11 +1,7 @@
-import itertools
-
 import pytest
 
-from surfacesim.lattice import (
-    STEP_ORDER, GateSchedule, build_lattice, cell_role, standard_schedule,
-    validate_schedule,
-)
+from surfacesim.lattice import STEP_ORDER, build_lattice, cell_role, standard_schedule
+from surfacesim.sim import compile_circuit
 
 
 def test_rejects_bad_distance():
@@ -78,15 +74,27 @@ def test_roles_partition_grid():
 
 def test_d3_total_cnots():
     lat = build_lattice(3)
-    sched = standard_schedule(lat)
-    assert sched.n_cnots == sum(len(s) for s in lat.supports.values()) == 40
+    circ = compile_circuit(lat, standard_schedule(lat))
+    assert circ.n_cnots == sum(len(s) for s in lat.supports.values()) == 40
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_standard_schedule_validates(d):
+    # No step uses a qubit twice, and the steps make each (stabilizer,
+    # support qubit) gate exactly once, X-type qubits as control and
+    # Z-type qubits as target.
     lat = build_lattice(d)
     sched = standard_schedule(lat)
-    assert validate_schedule(lat, sched) == []
+    gates = []
+    for step in sched.cnot_steps:
+        used = [q for gate in step for q in gate]
+        assert len(used) == len(set(used))
+        for ctrl, tgt in step:
+            roles = cell_role(*ctrl), cell_role(*tgt)
+            assert roles in (("x", "data"), ("data", "z")), (ctrl, tgt)
+            gates.append((ctrl, tgt) if roles[0] == "x" else (tgt, ctrl))
+    assert sorted(gates) == sorted((stab, q) for stab, support in lat.supports.items()
+                                   for q in support)
 
 
 def test_step_counts_match_direction_presence():
@@ -101,39 +109,6 @@ def test_step_counts_match_direction_presence():
             if STEP_ORDER["z"][k] in lat.neighbors(cell):
                 expect += 1
         assert len(step) == expect
-
-
-def test_validate_catches_duplicate_gate():
-    lat = build_lattice(3)
-    sched = standard_schedule(lat)
-    steps = [list(s) for s in sched.cnot_steps]
-    dup = steps[0][0]
-    steps[1] = steps[1] + [dup]
-    bad = GateSchedule(cnot_steps=tuple(tuple(s) for s in steps))
-    msgs = validate_schedule(lat, bad)
-    assert any("repeats" in m or "used twice" in m for m in msgs)
-
-
-def test_validate_catches_collision():
-    lat = build_lattice(3)
-    sched = standard_schedule(lat)
-    steps = [list(s) for s in sched.cnot_steps]
-    moved = steps[1][0]
-    steps[1] = steps[1][1:]
-    steps[0] = steps[0] + [moved]
-    bad = GateSchedule(cnot_steps=tuple(tuple(s) for s in steps))
-    msgs = validate_schedule(lat, bad)
-    assert any("used twice" in m for m in msgs)
-
-
-def test_validate_catches_missing_gate():
-    lat = build_lattice(3)
-    sched = standard_schedule(lat)
-    steps = [list(s) for s in sched.cnot_steps]
-    steps[3] = steps[3][1:]
-    bad = GateSchedule(cnot_steps=tuple(tuple(s) for s in steps))
-    msgs = validate_schedule(lat, bad)
-    assert any("never touches" in m for m in msgs)
 
 
 def test_describe_roundtrips_roles():

@@ -58,7 +58,7 @@ def test_link_graph_reads_probabilities_when_built():
     g = LinkGraph(table, "z")
     assert (cell, 1) not in [other for other, _ in g.neighbors((cell, 0))]
     assert d_max(g, (cell, 0), (cell, 1)) > -math.log(0.01)
-    assert g.boundary_link(edge) is None
+    assert edge not in g.exits
 
 
 def test_dmax_requires_distinct_nodes(graph_z, table_d5):
@@ -222,7 +222,7 @@ def test_path_sum_table_excludes_backtracking_with_equal_probabilities():
     for s2, w in zip(targets, got):
         l = min_links(g, s1, s2)
         paths = _enumerate_all_paths(g, s1, s2, l + 2)
-        assert w == pytest.approx(-math.log(path_sum(g, s1, s2, l + 2).value),
+        assert w == pytest.approx(-math.log(path_sum(g, s1, s2, l + 2)[0]),
                                   rel=1e-12)
         assert w == pytest.approx(-math.log(math.fsum(paths)), rel=1e-12)
         walks = _walk_weight(g, s1, s2, range(l, l + 3))

@@ -108,7 +108,7 @@ def test_detection_events_from_constructed_history(circuit_d3):
     nz, nx = circuit_d3.n_z, circuit_d3.n_x
     signs = {"z": np.zeros((nz, 5), dtype=np.uint8),
              "x": np.zeros((nx, 5), dtype=np.uint8)}
-    hist = SyndromeHistory(lattice=lat, signs=signs, noisy_rounds=3)
+    hist = SyndromeHistory(lattice=lat, signs=signs)
     assert detection_events(hist) == []
 
     signs["z"][0, :] = [0, 0, 1, 1, 1]
@@ -143,11 +143,11 @@ def test_event_trace_format(circuit_d3):
 def test_every_single_fault_makes_at_most_two_events(circuit_d3, graph):
     # Exhaustive over single Pauli components on every location at d=3;
     # the d=5 sweep happens in the edge-analysis tests.
-    from surfacesim.edge_analysis import enumerate_processes
+    from surfacesim.edge_analysis import _signed_processes
     from oracles import propagate_process
 
     model = preset("standard", 0.01)
-    for proc in enumerate_processes(circuit_d3, model):
+    for proc, _ in _signed_processes(circuit_d3, model):
         if proc.graph != graph:
             continue
         events = propagate_process(circuit_d3, proc)
