@@ -26,7 +26,7 @@ from dataclasses import fields
 
 from . import harness
 from .edge_analysis import derive_edge_classes
-from .harness import SweepStats, ThresholdError, TrialConfig, emit_results, estimate_threshold
+from .harness import ThresholdError, TrialConfig, emit_results, estimate_threshold
 from .lattice import build_lattice, standard_schedule
 from .metric import METRICS
 from .noise import PRESET_NAMES
@@ -123,16 +123,16 @@ def main(argv=None) -> int:
         if args.model == "custom":
             if None in rates:
                 raise ValueError("custom model requires --p2, --pI and --pM")
+            if len(ps) > 1:
+                raise ValueError("--model custom ignores --p: give one rate, not a sweep")
             run["custom_model"] = rates
         elif rates != (None, None, None):
             raise ValueError("--p2, --pI and --pM need --model custom")
         configs = [TrialConfig(distance=d, p=p, **run) for d in distances for p in ps]
         if args.export_edges is not None and len(configs) > 1:
             raise ValueError("--export-edges writes one table: give one distance and one rate")
-        if args.estimate_threshold and (len(set(distances)) < harness.THRESHOLD_MIN_DISTANCES
-                                        or len(set(ps)) < harness.THRESHOLD_MIN_RATES):
-            raise ValueError(f"--estimate-threshold needs >= {harness.THRESHOLD_MIN_DISTANCES} "
-                             f"distances and >= {harness.THRESHOLD_MIN_RATES} rates")
+        if args.estimate_threshold:
+            harness.check_fit_grid(distances, ps)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -149,8 +149,7 @@ def main(argv=None) -> int:
             return 0
 
         traces: list[str] | None = [] if args.debug_events else None
-        stats = SweepStats(rows=[row for cfg in configs
-                                 for row in harness.run_trials(cfg, traces).rows])
+        stats = harness.run_trials(*configs, trace_sink=traces)
         if traces:
             # Event traces go to stderr so stdout stays pure CSV/JSON.
             print("\n".join(traces), file=sys.stderr)

@@ -2,9 +2,10 @@
 
 A trial simulates one window of T noisy rounds plus the noiseless
 closure, decodes both graphs, and records the two logical failure bits.
-Windows are independent work items with counter-derived RNG streams, so
-aggregation is order-independent and results are reproducible for a
-given configuration regardless of scheduling.
+Windows have counter-derived RNG streams, and a sweep runs them as one
+queue of chunks (one pool per sweep), merged per point in chunk order,
+so results are reproducible for a given configuration regardless of
+scheduling.
 
 Mean rounds-to-failure is estimated from the per-window failure
 probability P as -T / ln(1 - P), which reduces to T/P in the small-P
@@ -25,6 +26,7 @@ import functools
 import json
 import math
 import time
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -185,8 +187,9 @@ def _setup(distance: int, model: ErrorModel, metric: str):
     return circuit, Decoder(derive_edge_classes(circuit, model), metric)
 
 
-def _run_chunk(args) -> tuple[int, int, list[str]]:
-    cfg, start, count, trace = args
+def _run_chunk(args) -> tuple[int, int, float, list[str]]:
+    _point, cfg, start, count, trace = args
+    t0 = time.perf_counter()
     model = cfg.error_model()
     circuit, decoder = _setup(cfg.distance, model, cfg.metric)
     T = cfg.window_rounds
@@ -201,45 +204,66 @@ def _run_chunk(args) -> tuple[int, int, list[str]]:
         if trace:
             traces.append(f"# window {idx}\n"
                           + events_to_text(detection_events(res.history)))
-    return fail_x, fail_z, traces
+    return fail_x, fail_z, time.perf_counter() - t0, traces
 
 
-def run_trials(cfg: TrialConfig, trace_sink=None) -> SweepStats:
-    """Run cfg.trials independent windows and aggregate failure counts.
+def run_trials(*configs: TrialConfig, trace_sink=None) -> SweepStats:
+    """Run every point of a sweep; one row per config, in the order given.
 
-    Given a trace_sink list, each window's detection events are appended
-    to it as text, in window order."""
-    if cfg.window_rounds < cfg.distance:
-        import warnings
-        warnings.warn(f"rounds={cfg.window_rounds} below distance {cfg.distance}; "
-                      "time-like errors will be under-sampled")
-    t0 = time.perf_counter()
-    chunk = max(1, min(500, cfg.trials // max(1, 4 * cfg.jobs)))
-    chunks = [(cfg, start, min(chunk, cfg.trials - start), trace_sink is not None)
-              for start in range(0, cfg.trials, chunk)]
-    fail_x = fail_z = 0
+    The points' windows form one queue of (point, cfg, start, count,
+    trace) chunks, a point's chunks adjacent so that each process builds
+    its set-up (`_setup`) once.  The configs share one jobs value: the
+    chunks run in this process, or in one spawn pool of min(jobs,
+    chunks) workers when that is more than one.  Counts merge per point
+    in chunk order.  A row's wall_time is the seconds its chunks took,
+    summed over workers, set-up included.  Given a trace_sink list, each
+    window's detection events are appended to it as text, in (point,
+    window) order."""
+    jobs = {cfg.jobs for cfg in configs}
+    if len(jobs) > 1:
+        raise ValueError(f"the points of one sweep share one jobs value, got {sorted(jobs)}")
+    jobs = max(jobs, default=1)
+    chunks = []
+    rows = []
+    for point, cfg in enumerate(configs):
+        if cfg.window_rounds < cfg.distance:
+            warnings.warn(f"rounds={cfg.window_rounds} below distance {cfg.distance}; "
+                          "time-like errors will be under-sampled")
+        size = max(1, min(500, cfg.trials // (4 * jobs)))
+        chunks += [(point, cfg, start, min(size, cfg.trials - start), trace_sink is not None)
+                   for start in range(0, cfg.trials, size)]
+        model = cfg.error_model()
+        rows.append(PointStats(d=cfg.distance, p=cfg.p, model=cfg.model, p2=model.p2,
+                               pI=model.pI, pM=model.pM, metric=cfg.metric,
+                               T=cfg.window_rounds, N=cfg.trials, fail_x=0,
+                               fail_z=0, seed=cfg.seed, wall_time=0.0))
+    workers = min(jobs, len(chunks))
     with contextlib.ExitStack() as stack:
         results = map(_run_chunk, chunks)
-        if cfg.jobs > 1:
+        if workers > 1:
             import multiprocessing as mp
-            pool = stack.enter_context(mp.get_context("spawn").Pool(cfg.jobs))
+            pool = stack.enter_context(mp.get_context("spawn").Pool(workers))
             results = pool.imap(_run_chunk, chunks)
-        for cx, cz, traces in results:
-            fail_x += cx
-            fail_z += cz
+        for (point, *_), (fail_x, fail_z, seconds, traces) in zip(chunks, results):
+            row = rows[point]
+            row.fail_x += fail_x
+            row.fail_z += fail_z
+            row.wall_time += seconds
             if trace_sink is not None:
                 trace_sink.extend(traces)
-    wall = time.perf_counter() - t0
-    model = cfg.error_model()
-    row = PointStats(d=cfg.distance, p=cfg.p, model=cfg.model, p2=model.p2,
-                     pI=model.pI, pM=model.pM, metric=cfg.metric,
-                     T=cfg.window_rounds, N=cfg.trials, fail_x=fail_x,
-                     fail_z=fail_z, seed=cfg.seed, wall_time=wall)
-    return SweepStats(rows=[row])
+    return SweepStats(rows=rows)
 
 
-class ThresholdError(RuntimeError):
-    pass
+class ThresholdError(ValueError):
+    """No fit: too few distances or rates (a configuration error), or no crossing."""
+
+
+def check_fit_grid(distances, ps) -> None:
+    """Raise ThresholdError unless a fit has enough distinct distances and rates."""
+    distances, ps = sorted(set(distances)), sorted(set(ps))
+    if len(distances) < THRESHOLD_MIN_DISTANCES or len(ps) < THRESHOLD_MIN_RATES:
+        raise ThresholdError(f"a threshold fit needs >= {THRESHOLD_MIN_DISTANCES} distances and "
+                             f">= {THRESHOLD_MIN_RATES} rates, got {distances} and {ps}")
 
 
 def estimate_threshold(stats: SweepStats, logical: str = "x") -> dict:
@@ -251,11 +275,7 @@ def estimate_threshold(stats: SweepStats, logical: str = "x") -> dict:
     deviation over resampled failure counts.
     """
     distances = sorted({r.d for r in stats.rows})
-    ps = sorted({r.p for r in stats.rows})
-    if len(distances) < THRESHOLD_MIN_DISTANCES:
-        raise ThresholdError(f"need >= {THRESHOLD_MIN_DISTANCES} distances, got {distances}")
-    if len(ps) < THRESHOLD_MIN_RATES:
-        raise ThresholdError(f"need >= {THRESHOLD_MIN_RATES} p values, got {ps}")
+    check_fit_grid(distances, (r.p for r in stats.rows))
 
     def crossings(curve) -> list[float]:
         roots = []

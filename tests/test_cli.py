@@ -193,6 +193,24 @@ def test_bad_flag_value_returns_1(capsys, no_windows, argv):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+def test_custom_model_sweep_over_p_returns_1(capsys, no_windows):
+    # A custom model ignores --p, so a sweep over it would repeat one point.
+    rc = main(["--model", "custom", "--p2", "0.01", "--pI", "0.002", "--pM", "0.003",
+               "--distance", "3", "--trials", "2", "--p", "0.01,0.02"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:") and "--p" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_opens_one_pool(capsys, pool_sizes):
+    rc = main(["--distance", "3,5", "--p", "0.008,0.01,0.012,0.014",
+               "--trials", "40", "--seed", "3", "--jobs", "2"])
+    assert rc == 0
+    assert pool_sizes == [2]
+    assert capsys.readouterr().out.count("\n") == 9
+
+
 def test_config_file_custom_model_keys_keep_their_case(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model=custom\np2=0.02\npI=0.001\npM=0.002\n"

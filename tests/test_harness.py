@@ -143,7 +143,7 @@ def test_custom_rows_record_their_rates():
     cfgs = [TrialConfig(distance=3, p=0.01, model="custom", custom_model=rates,
                         trials=20, rounds=3, seed=1)
             for rates in ((0.01, 0.002, 0.003), (0.0, 0.015, 0.01))]
-    stats = SweepStats(rows=[run_trials(cfg).rows[0] for cfg in cfgs])
+    stats = run_trials(*cfgs)
     lines = stats_to_csv(stats).splitlines()
     assert lines[1].split(",")[:-1] != lines[2].split(",")[:-1]
     back = csv_to_stats("\n".join(lines))
@@ -161,7 +161,7 @@ def test_preset_rows_read_back_their_exact_rates():
     each row reads back the model's rates bit for bit."""
     cfgs = [TrialConfig(distance=3, p=0.01, model=name, trials=5, rounds=3, seed=1)
             for name in ("balanced", "iontrap")]
-    stats = SweepStats(rows=[run_trials(cfg).rows[0] for cfg in cfgs])
+    stats = run_trials(*cfgs)
     back = csv_to_stats(stats_to_csv(stats))
     for row, cfg in zip(back.rows, cfgs):
         model = cfg.error_model()
@@ -311,6 +311,44 @@ def test_debug_event_trace_in_window_order_with_jobs():
     run_trials(cfg, trace_sink=serial)
     run_trials(replace(cfg, jobs=2), trace_sink=parallel)
     assert parallel == serial
+
+
+SWEEP = [TrialConfig(distance=d, p=p, trials=10, seed=4, rounds=5)
+         for d, p in ((3, 0.01), (3, 0.03), (5, 0.01))]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_matches_one_call_per_point(jobs):
+    """One call over a sweep gives the rows (wall_time aside) and the
+    event traces of one call per point, traces in (point, window) order."""
+    alone_traces: list = []
+    alone = [run_trials(cfg, trace_sink=alone_traces).rows[0] for cfg in SWEEP]
+    swept_traces: list = []
+    swept = run_trials(*(replace(cfg, jobs=jobs) for cfg in SWEEP),
+                       trace_sink=swept_traces).rows
+    assert [replace(r, wall_time=0.0) for r in swept] == \
+        [replace(r, wall_time=0.0) for r in alone]
+    assert all(r.wall_time > 0.0 for r in swept)
+    assert swept_traces == alone_traces
+    assert [t.split("\n", 1)[0] for t in swept_traces] == \
+        [f"# window {i}" for cfg in SWEEP for i in range(cfg.trials)]
+
+
+def test_sweep_with_mixed_jobs_raises(pool_sizes):
+    with pytest.raises(ValueError, match="jobs"):
+        run_trials(TrialConfig(distance=3, trials=2),
+                   TrialConfig(distance=3, trials=2, jobs=2))
+    assert pool_sizes == []
+
+
+def test_pool_is_sized_to_the_work(pool_sizes):
+    # 64 jobs over 2 windows make 2 one-window chunks: 2 workers, not 64.
+    row = run_trials(TrialConfig(distance=3, trials=2, rounds=3, jobs=64)).rows[0]
+    assert pool_sizes == [2] and row.N == 2
+    # One chunk needs no pool, and jobs == 1 never opens one.
+    run_trials(TrialConfig(distance=3, trials=1, rounds=3, jobs=2))
+    run_trials(*SWEEP)
+    assert pool_sizes == [2]
 
 
 # Verdicts pinned at seed 1, standard model, p = 0.01, T = 10d.  A change
