@@ -41,10 +41,15 @@ from real windows: the DP doubles its work per added event, blossom
 grows slowly.  Both routes return the same optimum as blossom
 on the full graph.
 
-Corrections walk a canonical staircase (vertical leg then horizontal
-leg) between matched stabilizers, or straight out of the recorded
+Corrections follow a canonical staircase (vertical leg then horizontal
+leg) between matched stabilizers, or run straight out of the recorded
 boundary side; any such chain is homologically equivalent to the
-maximum-probability path, so the failure verdict is unchanged.
+maximum-probability path, so the failure verdict is unchanged.  The data
+cells of each chain are listed once per Decoder: the boundary chain of
+every stabilizer at construction, the staircase of an ordered stabilizer
+pair when it is first matched.  A graph's correction plane is then one
+parity count over the listed cells of its matched pairs and
+boundary-matched events.
 """
 
 from __future__ import annotations
@@ -79,10 +84,11 @@ class Decoder:
     """Reusable decoder for one (lattice, schedule, model, metric) setup.
 
     Construction precomputes, per graph, the pair-weight table
-    wtab[a][b][dt] over all stabilizer pairs within pruning reach and the
-    per-stabilizer boundary weights (see the module docstring).  Decoding
-    a window then reads only these tables: candidate edges are table
-    lookups, followed by small exact matchings.
+    wtab[a][b][dt] over all stabilizer pairs within pruning reach, the
+    per-stabilizer boundary weights and the boundary chains (see the
+    module docstring).  Decoding a window then reads only these tables:
+    candidate edges are table lookups, followed by small exact matchings,
+    and corrections are lists of chain cells.
     """
 
     def __init__(self, table: EdgeClassTable, metric: str = "dmax"):
@@ -122,6 +128,7 @@ class Decoder:
             bw = [boundary_distance(lg, (c, 0)) for c in cells]
         bvals = [float(w) for w, _ in bw]
         bsides = [side for _, side in bw]
+        bchains = [_boundary_chain(lat, c, side) for c, side in zip(cells, bsides)]
         # An edge no lighter than two boundary matches is pruned.  Every
         # link weighs at least w_min (one unit for manhattan) and moves at
         # most one sublattice unit per axis and one round, so no single
@@ -152,7 +159,8 @@ class Decoder:
             for (b, dt), w in zip(targets, weights):
                 row[b][dt] = w
         return {"cells": cells, "bvals": bvals, "bsides": bsides,
-                "wtab": wtab, "reach": reach}
+                "wtab": wtab, "reach": reach,
+                "stairs": _Staircases(lat, cells), "bchains": bchains}
 
     def decode(self, history: SyndromeHistory, frame: PauliFrame,
                verify: bool = False, collect_matches: bool = True) -> DecodeOutcome:
@@ -167,14 +175,16 @@ class Decoder:
         for graph in ("x", "z"):
             tab = self._tables[graph]
             cells, bsides = tab["cells"], tab["bsides"]
+            stairs, bchains = tab["stairs"], tab["bchains"]
             stabs, ts = _graph_events(history, graph)
             pairs, bd = self._match_graph_events(graph, stabs, ts)
-            corr = np.zeros(lat.size * lat.size, dtype=np.uint8)
+            flips: list[int] = []
             for u, v in pairs:
-                _staircase_flip(lat, corr, cells[stabs[u]], cells[stabs[v]])
+                flips += stairs[stabs[u], stabs[v]]
             for u in bd:
-                _boundary_flip(lat, corr, cells[stabs[u]], bsides[stabs[u]])
-            corrections[graph] = corr
+                flips += bchains[stabs[u]]
+            corrections[graph] = (np.bincount(flips, minlength=lat.size * lat.size)
+                                  & 1).astype(np.uint8)
             if collect_matches:
                 events = [(cells[a], t) for a, t in zip(stabs, ts)]
                 matches[graph] = [(events[u], events[v]) for u, v in pairs]
@@ -357,36 +367,36 @@ def _solve_blossom(comp: list[int], nbrs: list[list[tuple[int, float]]],
     return pairs, bd
 
 
-def _staircase_flip(lattice: Lattice, corr: np.ndarray,
-                    cell_u: int, cell_v: int) -> None:
-    """Toggle data qubits along the vertical-then-horizontal lattice path."""
-    size = lattice.size
-    i1, j1 = lattice.cell(cell_u)
-    i2, j2 = lattice.cell(cell_v)
-    for i in range(min(i1, i2), max(i1, i2), 2):
-        corr[(i + 1) * size + j1] ^= 1
-    for j in range(min(j1, j2), max(j1, j2), 2):
-        corr[i2 * size + (j + 1)] ^= 1
+class _Staircases(dict):
+    """Data cells of the staircase between stabilizers a and b (indices
+    into `cells`), keyed (a, b) and filled on first use: the vertical leg
+    runs in a's column, then the horizontal leg in b's row."""
+
+    def __init__(self, lattice: Lattice, cells: list[int]):
+        super().__init__()
+        self.size = lattice.size
+        self.coords = [lattice.cell(c) for c in cells]
+
+    def __missing__(self, key: tuple[int, int]) -> list[int]:
+        (i1, j1), (i2, j2) = self.coords[key[0]], self.coords[key[1]]
+        size = self.size
+        chain = self[key] = [
+            *range((min(i1, i2) + 1) * size + j1, (max(i1, i2) + 1) * size + j1, 2 * size),
+            *range(i2 * size + min(j1, j2) + 1, i2 * size + max(j1, j2) + 1, 2)]
+        return chain
 
 
-def _boundary_flip(lattice: Lattice, corr: np.ndarray, cell: int, side: str) -> None:
+def _boundary_chain(lattice: Lattice, cell: int, side: str) -> list[int]:
+    """Data cells from a stabilizer straight out of its boundary side."""
     size = lattice.size
     i, j = lattice.cell(cell)
-    if side == "left":
-        cols = range(j - 1, -1, -2)
-        for jj in cols:
-            corr[i * size + jj] ^= 1
-    elif side == "right":
-        for jj in range(j + 1, size, 2):
-            corr[i * size + jj] ^= 1
-    elif side == "top":
-        for ii in range(i - 1, -1, -2):
-            corr[ii * size + j] ^= 1
-    elif side == "bottom":
-        for ii in range(i + 1, size, 2):
-            corr[ii * size + j] ^= 1
-    else:
+    steps = {"left": (i * size + j - 1, i * size - 1, -2),
+             "right": (i * size + j + 1, (i + 1) * size, 2),
+             "top": ((i - 1) * size + j, j - size, -2 * size),
+             "bottom": ((i + 1) * size + j, size * size, 2 * size)}
+    if side not in steps:
         raise ValueError(f"unknown boundary side {side!r}")
+    return list(range(*steps[side]))
 
 
 def _assert_trivial_syndrome(lattice: Lattice, res_x: np.ndarray,

@@ -29,10 +29,12 @@ one frame row per unit fault, through `run_cycle`.  After the cycle of a
 fault only data bits and report accumulators are left; each later cycle
 XORs the same data parity into every report, so the signs stay constant
 and a fault's detection events all fall in its own round (dt = 0) or the
-next (dt = 1).  The build checks this and fails loudly otherwise.  A
-window then takes one draw of uniforms, one comparison against per-slot
-probabilities, the Pauli kind of each hit, and a parity count over the
-table rows of the hit unit faults; the signs are the running XOR of the
+next (dt = 1).  The build checks this and fails loudly otherwise.  On
+first use the table also lists, per (slot, Pauli kind), the entries of
+that kind's unit faults as one effect row.  A window then takes one draw
+of uniforms, one comparison against per-slot probabilities, the effect
+row of each hit (its slot's first row plus its Pauli kind), one gather
+of those rows and one parity count; the signs are the running XOR of the
 events along time, and the final frame is the data parity of those rows
 plus the final reports (the XOR of each sign row).
 
@@ -41,7 +43,8 @@ stream.  Per round, that simulator drew one uniform per slot of the
 layout cnot1-cnot4 (one per gate), idle5 (one per data qubit, if
 scheduled), the Z- then X-type readouts, idle6 (if scheduled), leaving a
 segment out when its probability is 0; a hit's Pauli kind was
-int((u / p) * 15) or int((u / p) * 3), clipped.  Philox `random(a)`
+int((u / p) * 15) or int((u / p) * 3), clipped (a clip that never
+acts: u < p keeps u / p below 1 in floating point).  Philox `random(a)`
 followed by `random(b)` returns the numbers of one `random(a + b)`, so
 the single draw here gives the same uniforms, hits and kinds, and the
 same window bit for bit.
@@ -102,19 +105,13 @@ class CompiledCircuit:
 
         self.step_ctl = []
         self.step_tgt = []
-        gates = []
-        for k, step in enumerate(schedule.cnot_steps):
-            ctl = np.array([lattice.index(c) for c, _ in step], dtype=np.int32)
-            tgt = np.array([lattice.index(t) for _, t in step], dtype=np.int32)
-            self.step_ctl.append(ctl)
-            self.step_tgt.append(tgt)
-            for g, (c, t) in enumerate(step):
-                gates.append((k, lattice.index(c), lattice.index(t)))
+        for step in schedule.cnot_steps:
+            self.step_ctl.append(np.array([lattice.index(c) for c, _ in step], dtype=np.int32))
+            self.step_tgt.append(np.array([lattice.index(t) for _, t in step], dtype=np.int32))
         # Per-gate arrays, ordered by (step, position within step).
-        self.gate_step = np.array([g[0] for g in gates], dtype=np.int32)
-        self.gate_ctl = np.array([g[1] for g in gates], dtype=np.int32)
-        self.gate_tgt = np.array([g[2] for g in gates], dtype=np.int32)
-        self.n_cnots = len(gates)
+        self.gate_ctl = np.concatenate(self.step_ctl)
+        self.gate_tgt = np.concatenate(self.step_tgt)
+        self.n_cnots = len(self.gate_ctl)
 
         self.data_idx = np.array([lattice.index(c) for c in lattice.data_qubits], dtype=np.int32)
         self.z_idx = np.array([lattice.index(c) for c in lattice.z_stabilizers], dtype=np.int32)
@@ -240,6 +237,8 @@ class FaultTable:
     qubits, dt in {0, 1} counts rounds after the fault's.  The data bits
     it leaves flipped in the final frame are data_col[data_ptr[f]:
     data_ptr[f + 1]], coded cell (x bit) or n_cells + cell (z bit).
+    `sample` reads the same entries grouped per (slot, Pauli kind), as
+    `_effects` documents.
     """
 
     def __init__(self, circuit: CompiledCircuit):
@@ -291,6 +290,7 @@ class FaultTable:
             add_idle(6)
         self.n_units = n_units
         self._segments = segments
+        self._report_codes = np.concatenate([c.z_idx, c.n_cells + c.x_idx])
         self._layouts: dict[ErrorModel, tuple] = {}
 
         # Rounds 1-3 with every unit fault in round 1.  No data bit may move
@@ -325,19 +325,59 @@ class FaultTable:
             [first_x[:, c.data_idx], first_z[:, c.data_idx]], axis=1))
         self.data_col = np.concatenate([c.data_idx, c.n_cells + c.data_idx])[data_cols]
 
+    @cached_property
+    def _effects(self) -> tuple[np.ndarray, np.ndarray]:
+        """What one slot's fault of each Pauli kind flips: CSR rows
+        (ptr, code) over effect rows, numbered by segment in draw order,
+        then by slot, then by Pauli kind.
+
+        A row lists the entries of the kind's unit faults (its _KIND_UNITS
+        bits), each unit's data bits and then its events; a code twice in
+        a row cancels in the parity count.  Codes: data bit cell (x) or
+        n_cells + cell (z); detection event 2 * n_cells + dt * n_stab + a,
+        to be shifted by the fault's round times n_stab.
+        """
+        data_end = 2 * self.circuit.n_cells
+        # Per unit fault, its data entries and then its event entries: a
+        # data entry moves up by the event entries of earlier units, an
+        # event entry by the data entries of its own and earlier units.
+        unit_ptr = self.data_ptr + self.ev_ptr
+        unit_code = np.empty(unit_ptr[-1], dtype=np.int32)
+        unit_code[np.arange(self.data_ptr[-1])
+                  + np.repeat(self.ev_ptr[:-1], np.diff(self.data_ptr))] = self.data_col
+        unit_code[np.arange(self.ev_ptr[-1])
+                  + np.repeat(self.data_ptr[1:], np.diff(self.ev_ptr))] = data_end + self.ev_off
+        # A segment at a time, to bound the temporaries: every (effect row,
+        # unit fault) pair, by slot and then by kind, so each row's units
+        # are adjacent; every row has one, as no kind is the identity.
+        codes, row_counts = [], []
+        for attr, base in self._segments:
+            first, _, max_kind = _SLOT_CLASSES[attr]
+            kind, bit = np.nonzero(_KIND_UNITS[first:first + max_kind + 1])
+            pos, counts = _csr_rows(unit_ptr, (base[:, None] + bit).ravel())
+            codes.append(unit_code[pos])
+            rows = (np.arange(len(base))[:, None] * (max_kind + 1) + kind).ravel()
+            row_counts.append(np.bincount(rows, weights=counts).astype(np.intp))
+        code = np.concatenate(codes)
+        ptr = np.concatenate([[0], np.cumsum(np.concatenate(row_counts))])
+        return ptr, code
+
     def _layout(self, model: ErrorModel) -> tuple:
         """Per-slot arrays of one round's draws under a model: probability,
-        kind multiplier, max kind, first _KIND_UNITS row, first unit."""
+        kind multiplier, first effect row."""
         layout = self._layouts.get(model)
         if layout is None:
-            cols = ([], [], [], [], [])
+            cols = ([], [], [])
+            first_row = 0
             for attr, base in self._segments:
                 p = getattr(model, attr)
+                _, mult, max_kind = _SLOT_CLASSES[attr]
                 if p > 0.0:
-                    row, mult, max_kind = _SLOT_CLASSES[attr]
-                    for col, value in zip(cols, (p, mult, max_kind, row, base)):
+                    rows = first_row + (max_kind + 1) * np.arange(len(base))
+                    for col, value in zip(cols, (p, mult, rows)):
                         col.append(np.broadcast_to(value, base.shape))
-            dtypes = (np.float64, np.float64, np.intp, np.intp, np.intp)
+                first_row += (max_kind + 1) * len(base)
+            dtypes = (np.float64, np.float64, np.intp)
             layout = tuple(np.concatenate(col).astype(dtype) if col else np.zeros(0, dtype)
                            for col, dtype in zip(cols, dtypes))
             self._layouts[model] = layout
@@ -347,32 +387,34 @@ class FaultTable:
                rounds: int) -> WindowResult:
         """One noisy window of `rounds` rounds plus the closure round."""
         c = self.circuit
-        p, mult, max_kind, kind_row, first_unit = self._layout(model)
+        p, mult, first_row = self._layout(model)
+        ptr, code = self._effects
         n_rounds = rounds + 2
-        units = t = np.zeros(0, dtype=np.intp)
+        rows = shift = np.zeros(0, dtype=np.intp)
         if p.size:
             u = rng.random(rounds * p.size).reshape(rounds, p.size)
             t, s = np.nonzero(u < p)
-            kinds = np.clip(((u[t, s] / p[s]) * mult[s]).astype(np.intp), 0, max_kind[s])
-            hit, bit = np.nonzero(_KIND_UNITS[kind_row[s] + kinds])
-            units = first_unit[s[hit]] + bit
-            t = t[hit] + 1
+            # u < p makes u / p < 1 in floating point, so the kind stays
+            # below the multiplier.
+            rows = first_row[s] + ((u[t, s] / p[s]) * mult[s]).astype(np.intp)
+            shift = (t + 1) * self.n_stab  # round t + 1 of the window
 
-        pos, counts = _csr_rows(self.ev_ptr, units)
-        flat = np.repeat(t * self.n_stab, counts) + self.ev_off[pos]
-        events = np.bincount(flat, minlength=n_rounds * self.n_stab).astype(np.uint8) & 1
-        signs = np.bitwise_xor.accumulate(events.reshape(n_rounds, self.n_stab), axis=0).T
-        z_signs = np.ascontiguousarray(signs[:c.n_z])
-        x_signs = np.ascontiguousarray(signs[c.n_z:])
-
-        pos, _ = _csr_rows(self.data_ptr, units)
-        bits = np.bincount(self.data_col[pos], minlength=2 * c.n_cells).astype(np.uint8) & 1
-        frame = PauliFrame(bits[:c.n_cells], bits[c.n_cells:])
-        frame.x[c.z_idx] = np.bitwise_xor.reduce(z_signs, axis=1)
-        frame.z[c.x_idx] = np.bitwise_xor.reduce(x_signs, axis=1)
-
-        history = SyndromeHistory(lattice=c.lattice, signs={"z": z_signs, "x": x_signs})
-        return WindowResult(history=history, frame=frame)
+        pos, counts = _csr_rows(ptr, rows)
+        flat = code[pos]
+        # Event codes (past the data bits) move to their fault's round.
+        flat = flat + np.repeat(shift, counts) * (flat >= 2 * c.n_cells)
+        bits = np.bincount(flat, minlength=2 * c.n_cells + n_rounds * self.n_stab)
+        bits = bits.astype(np.uint8) & 1
+        signs = np.bitwise_xor.accumulate(
+            bits[2 * c.n_cells:].reshape(n_rounds, self.n_stab), axis=0)
+        # The final reports, one per syndrome qubit, are the XOR of its signs.
+        bits[self._report_codes] = np.bitwise_xor.reduce(signs, axis=0)
+        signs = signs.T
+        history = SyndromeHistory(lattice=c.lattice, signs={
+            "z": np.ascontiguousarray(signs[:c.n_z]),
+            "x": np.ascontiguousarray(signs[c.n_z:])})
+        return WindowResult(history=history,
+                            frame=PauliFrame(bits[:c.n_cells], bits[c.n_cells:2 * c.n_cells]))
 
 
 def simulate_window(circuit: CompiledCircuit, model: ErrorModel,

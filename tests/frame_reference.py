@@ -56,6 +56,13 @@ def make_injection(entries) -> InjectionPlan:
     return plan
 
 
+def cnot_phase(circuit: CompiledCircuit, gate: int) -> str:
+    """The phase ("cnot1".."cnot4") of a CNOT gate, gates numbered by
+    step and then by position within the step."""
+    ends = np.cumsum([len(ctl) for ctl in circuit.step_ctl])
+    return f"cnot{int(np.searchsorted(ends, gate, side='right')) + 1}"
+
+
 @dataclass
 class WindowResult:
     history: SyndromeHistory

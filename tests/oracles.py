@@ -6,7 +6,8 @@ of the package.
   `brute_force_mwpm`, an exhaustive minimum for graphs of up to 12 nodes.
 * Decoding: `build_match_graph`, the full augmented match graph of one
   graph type's events with every weight taken from a `MetricCache`, and
-  `corrections_from_matching`, the flip plane of a matching of it.
+  `corrections_from_matching`, the flip plane of a matching of it, walked
+  one chain step at a time (`_staircase_flip`, `_boundary_flip`).
 * Link classes: `propagate_process`, the signature of one error component
   pushed through its own noiseless window by the frozen frame stepper;
   `propagated_processes`, every process of a cycle with its propagated
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from surfacesim.decoder import PRUNE_EPS, _boundary_flip, _staircase_flip
+from surfacesim.decoder import PRUNE_EPS
 from surfacesim.edge_analysis import EdgeClass, EdgeClassTable, ErrorProcess
 from surfacesim.lattice import Lattice
 from surfacesim.matching import _max_weight_matching
@@ -29,7 +30,7 @@ from surfacesim.metric import MetricCache
 from surfacesim.noise import ErrorModel
 from surfacesim.sim import PAULI1_BITS, PAULI2_BITS, CompiledCircuit, detection_events
 
-from frame_reference import make_injection, simulate_window
+from frame_reference import cnot_phase, make_injection, simulate_window
 from paulis import PauliOp, X, Z
 
 
@@ -157,6 +158,39 @@ def build_match_graph(events: list[tuple[int, int]], cache: MetricCache,
     return graph, sides
 
 
+def _staircase_flip(lattice: Lattice, corr: np.ndarray,
+                    cell_u: int, cell_v: int) -> None:
+    """Toggle data qubits along the vertical-then-horizontal lattice path,
+    one step at a time."""
+    size = lattice.size
+    i1, j1 = lattice.cell(cell_u)
+    i2, j2 = lattice.cell(cell_v)
+    for i in range(min(i1, i2), max(i1, i2), 2):
+        corr[(i + 1) * size + j1] ^= 1
+    for j in range(min(j1, j2), max(j1, j2), 2):
+        corr[i2 * size + (j + 1)] ^= 1
+
+
+def _boundary_flip(lattice: Lattice, corr: np.ndarray, cell: int, side: str) -> None:
+    """Toggle data qubits straight out of a boundary side, one step at a time."""
+    size = lattice.size
+    i, j = lattice.cell(cell)
+    if side == "left":
+        for jj in range(j - 1, -1, -2):
+            corr[i * size + jj] ^= 1
+    elif side == "right":
+        for jj in range(j + 1, size, 2):
+            corr[i * size + jj] ^= 1
+    elif side == "top":
+        for ii in range(i - 1, -1, -2):
+            corr[ii * size + j] ^= 1
+    elif side == "bottom":
+        for ii in range(i + 1, size, 2):
+            corr[ii * size + j] ^= 1
+    else:
+        raise ValueError(f"unknown boundary side {side!r}")
+
+
 def corrections_from_matching(matching: Matching, events: list[tuple[int, int]],
                               sides: list[str], lattice: Lattice) -> np.ndarray:
     """Data-qubit flip plane realizing a matching from build_match_graph."""
@@ -185,12 +219,11 @@ def _injection_for(circuit: CompiledCircuit, proc: ErrorProcess, round_index: in
     kind = proc.location[0]
     if kind == "cnot":
         gate = proc.location[1]
-        step = int(circuit.gate_step[gate])
         # Merged components like "tgt+both" share a signature; inject any one.
         comp = proc.component.split("+")[0]
         pauli = _component_paulis(proc.graph)[comp]
         cells = (int(circuit.gate_ctl[gate]), int(circuit.gate_tgt[gate]))
-        return make_injection([(round_index, f"cnot{step + 1}", cells, pauli)])
+        return make_injection([(round_index, cnot_phase(circuit, gate), cells, pauli)])
     if kind in ("idle5", "idle6"):
         pauli = X if proc.graph == "z" else Z
         return make_injection([(round_index, kind, proc.location[1], pauli)])

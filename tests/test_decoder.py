@@ -16,8 +16,10 @@ from surfacesim.decoder import DP_MAX_NODES, Decoder
 from surfacesim.metric import METRICS, LinkGraph, MetricCache, d_max, d_n, path_sum_table
 
 import frame_reference
-from frame_reference import make_injection
-from oracles import build_match_graph, corrections_from_matching, mwpm
+from frame_reference import cnot_phase, make_injection
+from oracles import (
+    _boundary_flip, _staircase_flip, build_match_graph, corrections_from_matching, mwpm,
+)
 from paulis import SINGLE_PAULIS, TWO_QUBIT_PAULIS, X
 
 
@@ -115,10 +117,10 @@ def test_exhaustive_single_fault_correction(d):
     rounds = 5
     cases = 0
     for gate in range(circ.n_cnots):
-        step = int(circ.gate_step[gate])
+        phase = cnot_phase(circ, gate)
         cells = (int(circ.gate_ctl[gate]), int(circ.gate_tgt[gate]))
         for pair in TWO_QUBIT_PAULIS:
-            inj = make_injection([(r0, f"cnot{step + 1}", cells, pair)])
+            inj = make_injection([(r0, phase, cells, pair)])
             res = frame_reference.simulate_window(circ, zero, None, rounds, injections=inj)
             out = dec.decode(res.history, res.frame, verify=True)
             assert not out.logical_x_failed, (gate, pair)
@@ -449,6 +451,27 @@ def test_corrections_from_matching_roundtrip(setup_d5):
     assert set(np.nonzero(corr)[0]) <= data_cells
 
 
+def test_correction_planes_match_chain_walk(setup_d5):
+    """The decoder's chain tables flip exactly the cells that walking each
+    matched pair's chain step by step flips."""
+    circ, model, table, dec = setup_d5
+    lat = circ.lattice
+    sides = set()
+    for trial in range(30):
+        res = simulate_window(circ, model, trial_rng(78, trial), rounds=10)
+        out = dec.decode(res.history, res.frame)
+        for graph in ("x", "z"):
+            corr = np.zeros(lat.size * lat.size, dtype=np.uint8)
+            for (cu, _tu), end in out.matches[graph]:
+                if isinstance(end, str):
+                    _boundary_flip(lat, corr, cu, end)
+                    sides.add(end)
+                else:
+                    _staircase_flip(lat, corr, cu, end[0])
+            assert np.array_equal(out.corrections[graph], corr), (trial, graph)
+    assert sides == {"left", "right", "top", "bottom"}
+
+
 def test_homology_verdict_stable_under_path_choice(setup_d5):
     """Transposed staircases (horizontal leg first) give identical verdicts."""
     circ, model, table, dec = setup_d5
@@ -459,7 +482,6 @@ def test_homology_verdict_stable_under_path_choice(setup_d5):
         corr = np.zeros(size * size, dtype=np.uint8)
         for m in matches:
             if isinstance(m[1], str):
-                from surfacesim.decoder import _boundary_flip
                 _boundary_flip(lat, corr, m[0][0], m[1])
             else:
                 (cu, _tu), (cv, _tv) = m

@@ -12,6 +12,7 @@ from surfacesim.edge_analysis import (
     _signed_processes, derive_edge_classes, odd_parity_probability,
 )
 
+from frame_reference import cnot_phase
 from oracles import propagate_process, propagated_processes
 
 
@@ -268,9 +269,8 @@ def test_predicted_events_match_simulator(setup_d5):
             if rng.random() < 0.02:
                 kind = int(rng.integers(15))
                 pair = TWO_QUBIT_PAULIS[kind]
-                step = int(circ.gate_step[gate])
                 cells = (int(circ.gate_ctl[gate]), int(circ.gate_tgt[gate]))
-                entries.append((r0, f"cnot{step + 1}", cells, pair))
+                entries.append((r0, cnot_phase(circ, gate), cells, pair))
                 for graph, (bc, bt) in (("z", (pair[0].x, pair[1].x)),
                                         ("x", (pair[0].z, pair[1].z))):
                     part = {(1, 0): "ctl", (0, 1): "tgt", (1, 1): "both"}.get((bc, bt))

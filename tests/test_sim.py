@@ -8,7 +8,7 @@ from surfacesim.sim import (
 )
 
 import frame_reference
-from frame_reference import make_injection
+from frame_reference import cnot_phase, make_injection
 from paulis import I, X, Y, Z
 
 
@@ -197,7 +197,7 @@ def _unit_fault_injection(circ, unit, round_index):
         one = (X, Z)[bit % 2]
         pair = (one, I) if bit < 2 else (I, one)
         cells = (int(circ.gate_ctl[gate]), int(circ.gate_tgt[gate]))
-        return make_injection([(round_index, f"cnot{circ.gate_step[gate] + 1}", cells, pair)])
+        return make_injection([(round_index, cnot_phase(circ, gate), cells, pair)])
     if unit >= table.meas_base and unit < table.meas_base + circ.n_z + circ.n_x:
         cell = np.concatenate([circ.z_idx, circ.x_idx])[unit - table.meas_base]
         return make_injection([(round_index, "meas", int(cell), None)])
