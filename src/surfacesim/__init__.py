@@ -7,7 +7,7 @@ from .sim import SyndromeHistory, DetectionEvent, PauliFrame, simulate_window, d
 from .edge_analysis import EdgeClassTable, derive_edge_classes, odd_parity_probability
 from .metric import LinkGraph, manhattan, d_max, d_n, boundary_distance
 from .decoder import DecodeOutcome
-from .harness import TrialConfig, SweepStats, run_trials, rounds_to_failure, estimate_threshold
+from .harness import TrialConfig, SweepStats, run_trials, flip_rate, estimate_threshold
 
 __version__ = "0.1.0"
 
@@ -18,5 +18,5 @@ __all__ = [
     "EdgeClassTable", "derive_edge_classes", "odd_parity_probability",
     "LinkGraph", "manhattan", "d_max", "d_n", "boundary_distance",
     "DecodeOutcome",
-    "TrialConfig", "SweepStats", "run_trials", "rounds_to_failure", "estimate_threshold",
+    "TrialConfig", "SweepStats", "run_trials", "flip_rate", "estimate_threshold",
 ]

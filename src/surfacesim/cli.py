@@ -2,8 +2,8 @@
 
 Examples:
     surfacesim --distance 5 --p 0.01 --trials 2000 --seed 1 --out run.csv
-    surfacesim --distance 3,5,7 --p 0.008,0.01,0.012,0.014 --trials 30000 \
-        --metric dmax --estimate-threshold --out sweep.csv --plot sweep.svg
+    surfacesim --distance 3,5,7 --p 0.006,0.008,0.01,0.012,0.014 --trials 4000 \
+        --rounds 20 --metric dmax --estimate-threshold --out sweep.csv --plot sweep.svg
     surfacesim --dump-lattice 5
     surfacesim --export-edges edges.json --distance 5 --p 0.01
 
@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="results format")
     ap.add_argument("--plot", help="write a minimal SVG of the curves here")
     ap.add_argument("--estimate-threshold", action="store_true",
-                    help="fit the crossing of rounds-to-failure curves")
+                    help="fit a threshold to the flip rates per d rounds of every "
+                         "distance at once (finite-size scaling)")
     ap.add_argument("--debug-events", action="store_true",
                     help="print per-window detection events")
     ap.add_argument("--dump-lattice", type=int, metavar="D",
@@ -161,9 +162,11 @@ def main(argv=None) -> int:
             for logical in ("x", "z"):
                 try:
                     fit = estimate_threshold(stats, logical=logical)
-                    print(f"p_th ({logical}) = {fit['p_th']:.4%} "
-                          f"+/- {fit['sigma']:.4%}  "
-                          f"(pairwise: {[f'{c:.4%}' for c in fit['pairwise']]})",
+                    per_round = ", ".join(
+                        f"{a}/{b} " + ("none" if c is None else f"{c:.4%}")
+                        for (a, b), c in fit["per_round"].items())
+                    print(f"p_c ({logical}) = {fit['p_c']:.4%} +/- {fit['sigma']:.4%}  "
+                          f"nu = {fit['nu']:.2f}  (per-round crossings: {per_round})",
                           file=sys.stderr)
                 except ThresholdError as exc:
                     print(f"threshold fit ({logical}) failed: {exc}",

@@ -7,16 +7,16 @@ queue of chunks (one pool per sweep), merged per point in chunk order,
 so results are reproducible for a given configuration regardless of
 scheduling.
 
-Mean rounds-to-failure is estimated from the per-window failure
-probability P as -T / ln(1 - P), which reduces to T/P in the small-P
-limit.  The estimate treats P as the probability that a first failure
-falls within T rounds at a constant per-round rate.  A window's verdict
-is a parity, though: two flips cancel, so P saturates near 0.5 rather
-than 1, and the estimate then reads about T / ln 2 whatever the error
-rate.  Confidence intervals come
-from the Wilson binomial interval.  The threshold is the crossing point
-of rounds-to-failure curves for different distances, fitted log-linearly
-in p, with uncertainty from a bootstrap over trial counts.
+A window's verdict is a parity: two logical flips cancel, so the
+failure probability P of a window saturates at 0.5, not 1.  Each row is
+read as T independent per-round flips of rate eps whose parity is odd
+with probability P, so eps = (1 - (1 - 2P)^(1/T)) / 2.  The Wilson 95%
+bounds on P map through the same increasing function; P >= 0.5 is
+censored (NaN).  The threshold comes from one finite-size-scaling fit
+over every distance (Wang, Harrington & Preskill, Ann. Phys. 303, 31,
+2003): the rate per d rounds, eps_d = d * eps, is fitted as
+A + B x + C x^2 with x = (p - p_c) d^(1/nu), and the uncertainty of p_c
+comes from a bootstrap over trial counts.
 """
 
 from __future__ import annotations
@@ -43,14 +43,17 @@ WILSON_Z = 1.959963984540054  # two-sided 95%
 # A threshold fit needs at least this many distinct distances and rates.
 THRESHOLD_MIN_DISTANCES = 3
 THRESHOLD_MIN_RATES = 5
-# A point enters the fit with at least this many failures.
-MIN_FAILURES = 3
 N_BOOTSTRAP = 200
 BOOTSTRAP_SEED = 1234
+# The scaling fit's (p_c, nu) grid: p_c spans the swept rates, nu
+# NU_RANGE; each later pass spans two steps either side of the best point.
+FIT_GRID = 21
+FIT_PASSES = 4
+NU_RANGE = (0.5, 3.0)
 
 CSV_COLUMNS = [
     "d", "p", "model", "p2", "pI", "pM", "metric", "T", "N", "fail_x", "fail_z",
-    "mttf_x", "mttf_x_lo", "mttf_x_hi", "mttf_z", "mttf_z_lo", "mttf_z_hi",
+    "eps_x", "eps_x_lo", "eps_x_hi", "eps_z", "eps_z_lo", "eps_z_hi",
     "seed", "wall_time",
 ]
 
@@ -150,30 +153,20 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _mttf(T: int, p_fail: float) -> float:
-    if p_fail <= 0.0:
-        return math.inf
-    if p_fail >= 1.0:
-        return math.nan  # every window fails: censored below one window
-    return -T / math.log1p(-p_fail)
+def flip_rate(row: PointStats) -> dict[str, float]:
+    """Per-round flip rate of each logical type and its 95% CI, keyed by
+    result column: eps_x, eps_x_lo, eps_x_hi, then the same for z.
 
-
-def rounds_to_failure(row: PointStats) -> dict[str, dict[str, float]]:
-    """Per logical type: point estimate and 95% CI of rounds to failure.
-
-    With zero observed failures the point estimate is unbounded (inf) and
-    only the lower bound, from the Wilson upper limit on P, is reported.
-    When every window fails the estimate and the lower bound are censored
-    (nan): the failure time lies below one window and is not resolved.
+    Zero failures give 0.  A logical whose failure fraction is 0.5 or
+    more is censored: rate and bounds are NaN.  Otherwise a Wilson upper
+    bound on P above 0.5 maps to 0.5, the largest per-round rate.
     """
     out = {}
     for logical, k in (("x", row.fail_x), ("z", row.fail_z)):
         lo_p, hi_p = wilson_interval(k, row.N)
-        out[logical] = {
-            "estimate": _mttf(row.T, k / row.N),
-            "lo": _mttf(row.T, hi_p),
-            "hi": _mttf(row.T, lo_p),
-        }
+        ps = (k / row.N, lo_p, min(hi_p, 0.5)) if k / row.N < 0.5 else (math.nan,) * 3
+        for suffix, P in zip(("", "_lo", "_hi"), ps):
+            out[f"eps_{logical}{suffix}"] = (1 - (1 - 2 * P) ** (1 / row.T)) / 2
     return out
 
 
@@ -259,102 +252,112 @@ class ThresholdError(ValueError):
 
 
 def check_fit_grid(distances, ps) -> None:
-    """Raise ThresholdError unless a fit has enough distinct distances and rates."""
+    """Raise ThresholdError unless a fit has enough distinct distances and
+    rates: those swept, and then those of the uncensored rows."""
     distances, ps = sorted(set(distances)), sorted(set(ps))
     if len(distances) < THRESHOLD_MIN_DISTANCES or len(ps) < THRESHOLD_MIN_RATES:
         raise ThresholdError(f"a threshold fit needs >= {THRESHOLD_MIN_DISTANCES} distances and "
                              f">= {THRESHOLD_MIN_RATES} rates, got {distances} and {ps}")
 
 
+def _scaling_fit(rows, logical: str):
+    """Weighted least-squares fit of eps_d = F(x) = A + B x + C x^2,
+    x = (p - p_c) d^(1/nu), over the uncensored rows.
+
+    x is taken in units of the swept span of p, so the normal equations
+    stay well conditioned.  Returns p_c, nu, (A, B, C) in those units,
+    the span and the lowest swept rate.  Raises ThresholdError when the
+    uncensored rows fail check_fit_grid or p_c lands on the edge of
+    their rates."""
+    p, d, y, w = [], [], [], []
+    for r in rows:
+        rates = flip_rate(r)
+        eps, eps_lo, eps_hi = (rates[f"eps_{logical}{s}"] for s in ("", "_lo", "_hi"))
+        if not math.isnan(eps):
+            p.append(r.p)
+            d.append(r.d)
+            y.append(r.d * eps)
+            w.append((2 * WILSON_Z / (r.d * (eps_hi - eps_lo))) ** 2)
+    check_fit_grid(d, p)
+    p, d, y, w = map(np.array, (p, d, y, w))
+    lo, span = p.min(), np.ptp(p)
+    pc_range, nu_range = (lo, lo + span), NU_RANGE
+    for _ in range(FIT_PASSES):
+        pcs, nus = np.linspace(*pc_range, FIT_GRID), np.linspace(*nu_range, FIT_GRID)
+        x = (p - pcs[:, None, None]) / span * d ** (1 / nus[:, None])  # (pc, nu, row)
+        X = np.stack([np.ones_like(x), x, x * x], axis=-1)
+        XtW = X.swapaxes(-1, -2) * w
+        coef = np.linalg.solve(XtW @ X, XtW @ y[:, None])
+        chi2 = (w * (y - (X @ coef)[..., 0]) ** 2).sum(axis=-1)
+        i, j = np.unravel_index(np.argmin(chi2), chi2.shape)
+        pc_step, nu_step = 2 * (pcs[1] - pcs[0]), 2 * (nus[1] - nus[0])
+        pc_range = (max(lo, pcs[i] - pc_step), min(lo + span, pcs[i] + pc_step))
+        nu_range = (max(NU_RANGE[0], nus[j] - nu_step), min(NU_RANGE[1], nus[j] + nu_step))
+    p_c = float(pcs[i])
+    if not lo < p_c < lo + span:
+        raise ThresholdError(f"fitted p_c = {p_c:.4%} lies on the edge of the swept rates "
+                             f"{lo:.4%}-{lo + span:.4%}: no crossing inside them")
+    return p_c, float(nus[j]), coef[i, j, :, 0], span, lo
+
+
 def estimate_threshold(stats: SweepStats, logical: str = "x") -> dict:
-    """Crossing point of rounds-to-failure curves over >= 3 distances.
+    """Threshold from one finite-size-scaling fit over every distance.
 
-    For every pair of distances, log(mttf) difference is fitted linearly
-    in p and its zero crossing located; the threshold is the mean of the
-    pairwise crossings and the uncertainty is the bootstrap standard
-    deviation over resampled failure counts.
+    The flip rate per d rounds of every uncensored row is fitted as
+    F((p - p_c) d^(1/nu)), F quadratic, weighted by the Wilson width; sigma
+    is the bootstrap standard deviation of p_c over resampled failure
+    counts.  per_round maps each adjacent distance pair (a, b) to the
+    rate where the fitted per-round rates cross, F(x_a) / a = F(x_b) / b:
+    the lowest root from p_c up to the highest swept rate, or None.  At
+    p_c the larger code flips less per round (A / b < A / a), so the
+    curves can cross only above it.
     """
+    p_c, nu, (A, B, C), span, lo = _scaling_fit(stats.rows, logical)
+
     distances = sorted({r.d for r in stats.rows})
-    check_fit_grid(distances, (r.p for r in stats.rows))
-
-    def crossings(curve) -> list[float]:
-        roots = []
-        for a in range(len(distances)):
-            for b in range(a + 1, len(distances)):
-                d1, d2 = distances[a], distances[b]
-                shared = sorted(set(curve.get(d1, {})) & set(curve.get(d2, {})))
-                if len(shared) < 2:
-                    continue
-                xs = np.array(shared)
-                ys = np.array([curve[d2][p] - curve[d1][p] for p in shared])
-                if not (ys.max() > 0 > ys.min()):
-                    continue
-                slope, intercept = np.polyfit(xs, ys, 1)
-                if slope >= 0:
-                    continue
-                root = -intercept / slope
-                if xs[0] <= root <= xs[-1]:
-                    roots.append(float(root))
-        return roots
-
-    real = crossings(_curves(stats, logical))
-    if not real:
-        order = {}
-        for r in stats.rows:
-            order.setdefault(r.p, []).append(
-                (r.d, r.fail_x if logical == "x" else r.fail_z, r.N))
-        raise ThresholdError(
-            "no bracketing crossing between distance curves; "
-            f"counts by p: {order}")
-    p_th = float(np.mean(real))
+    per_round = {}
+    for a, b in zip(distances, distances[1:]):
+        sa, sb = a ** (1 / nu), b ** (1 / nu)
+        roots = np.roots([C * (sa * sa / a - sb * sb / b), B * (sa / a - sb / b),
+                          A * (1 / a - 1 / b)])
+        cross = [p_c + u.real * span for u in roots if u.imag == 0]
+        cross = [c for c in cross if p_c <= c <= lo + span]
+        per_round[(a, b)] = float(min(cross)) if cross else None
 
     rng = np.random.default_rng(BOOTSTRAP_SEED)
+    key = f"fail_{logical}"
     boots = []
     for _ in range(N_BOOTSTRAP):
-        resampled = SweepStats(rows=[
-            replace(r, wall_time=0.0,
-                    fail_x=int(rng.binomial(r.N, r.fail_x / r.N)),
-                    fail_z=int(rng.binomial(r.N, r.fail_z / r.N)))
-            for r in stats.rows
-        ])
-        got = crossings(_curves(resampled, logical))
-        if got:
-            boots.append(float(np.mean(got)))
+        resampled = [replace(r, **{key: int(rng.binomial(r.N, getattr(r, key) / r.N))})
+                     for r in stats.rows]
+        with contextlib.suppress(ThresholdError):
+            boots.append(_scaling_fit(resampled, logical)[0])
     sigma = float(np.std(boots)) if len(boots) >= 10 else float("nan")
-    return {"p_th": p_th, "sigma": sigma, "pairwise": real,
-            "bootstrap_samples": len(boots), "logical": logical}
+    return {"p_c": p_c, "sigma": sigma, "nu": nu, "bootstrap_samples": len(boots),
+            "logical": logical, "per_round": per_round}
 
 
-def _curves(stats: SweepStats, logical: str):
-    """log(rounds to failure) per distance and p, over the rows whose
-    estimate is resolved: at least MIN_FAILURES failures, and not every
-    window failed."""
-    out: dict[int, dict[float, float]] = {}
-    for r in stats.rows:
-        k = r.fail_x if logical == "x" else r.fail_z
-        if MIN_FAILURES <= k < r.N:
-            out.setdefault(r.d, {})[r.p] = math.log(_mttf(r.T, k / r.N))
-    return out
+def _fields(r: PointStats) -> dict:
+    """A row's values by CSV column, its flip rates included."""
+    values = {**asdict(r), **flip_rate(r)}
+    return {c: values[c] for c in CSV_COLUMNS}
 
 
 def stats_to_csv(stats: SweepStats) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in stats.rows:
-        mttf = rounds_to_failure(r)
-        values = [r.d, r.p, r.model, r.p2, r.pI, r.pM, r.metric, r.T, r.N,
-                  r.fail_x, r.fail_z,
-                  mttf["x"]["estimate"], mttf["x"]["lo"], mttf["x"]["hi"],
-                  mttf["z"]["estimate"], mttf["z"]["lo"], mttf["z"]["hi"],
-                  r.seed, r.wall_time]
         # str() of a float is its shortest round-trip form, so every rate
         # reads back bit for bit.
-        lines.append(",".join(str(v) for v in values))
+        lines.append(",".join(str(v) for v in _fields(r).values()))
     return "\n".join(lines) + "\n"
 
 
 def csv_to_stats(text: str) -> SweepStats:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split(",") if lines else []
+    if header[:11] == CSV_COLUMNS[:11] and header != CSV_COLUMNS:
+        raise ValueError(f"CSV header with rate columns {header[11:-2]}: results v2 replaced "
+                         f"mean rounds to failure by the per-round flip rates {CSV_COLUMNS[11:-2]}")
     if header != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header {header}")
     rows = []
@@ -370,16 +373,9 @@ def csv_to_stats(text: str) -> SweepStats:
 
 
 def stats_to_json(stats: SweepStats) -> str:
-    rows = []
-    for r in stats.rows:
-        d = asdict(r)
-        mttf = rounds_to_failure(r)
-        for logical in ("x", "z"):
-            for key in ("estimate", "lo", "hi"):
-                v = mttf[logical][key]
-                d[f"mttf_{logical}_{key}"] = v if math.isfinite(v) else None
-        rows.append(d)
-    return json.dumps({"schema": "surfacesim-results-v1", "rows": rows}, indent=2)
+    rows = [{k: None if isinstance(v, float) and math.isnan(v) else v
+             for k, v in _fields(r).items()} for r in stats.rows]
+    return json.dumps({"schema": "surfacesim-results-v2", "rows": rows}, indent=2)
 
 
 def emit_results(stats: SweepStats, fmt: str = "csv", path: str | None = None,
@@ -401,18 +397,18 @@ def emit_results(stats: SweepStats, fmt: str = "csv", path: str | None = None,
 
 
 def plot_svg(stats: SweepStats) -> str:
-    """Minimal SVG: rounds to logical x failure vs p, one polyline per
-    distance."""
+    """Minimal SVG: logical x flip rate per d rounds vs p, one polyline
+    per distance."""
     width, height = 640, 440
     pts = []
     for r in stats.rows:
-        mttf = rounds_to_failure(r)["x"]["estimate"]
-        if math.isfinite(mttf):
-            pts.append((r.d, r.p, mttf))
+        eps_d = r.d * flip_rate(r)["eps_x"]
+        if eps_d > 0:  # neither censored (NaN) nor zero
+            pts.append((r.d, r.p, eps_d))
     if not pts:
         return "<svg xmlns='http://www.w3.org/2000/svg'/>"
     ps = [p for _, p, _ in pts]
-    ys = [math.log10(m) for _, _, m in pts]
+    ys = [math.log10(e) for _, _, e in pts]
     pmin, pmax = min(ps), max(ps)
     ymin, ymax = min(ys), max(ys)
     pspan = (pmax - pmin) or 1.0
@@ -432,10 +428,10 @@ def plot_svg(stats: SweepStats) -> str:
              f"font-size='12'>gate error rate p</text>",
              f"<text x='14' y='{height//2}' font-size='12' "
              f"transform='rotate(-90 14 {height//2})' text-anchor='middle'>"
-             "log10 rounds to logical x failure</text>"]
+             "log10 logical x flip rate per d rounds</text>"]
     for ci, d in enumerate(sorted({d for d, _, _ in pts})):
         series = sorted((p, y) for dd, p, y in
-                        ((dd, p, math.log10(m)) for dd, p, m in pts) if dd == d)
+                        ((dd, p, math.log10(e)) for dd, p, e in pts) if dd == d)
         path = " ".join(f"{sx(p):.1f},{sy(y):.1f}" for p, y in series)
         color = colors[ci % len(colors)]
         parts.append(f"<polyline points='{path}' fill='none' stroke='{color}' "

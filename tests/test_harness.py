@@ -2,11 +2,12 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from surfacesim.harness import (
-    PointStats, SweepStats, ThresholdError, TrialConfig, csv_to_stats,
-    emit_results, estimate_threshold, plot_svg, rounds_to_failure, run_trials,
+    CSV_COLUMNS, PointStats, SweepStats, ThresholdError, TrialConfig, csv_to_stats,
+    emit_results, estimate_threshold, flip_rate, plot_svg, run_trials,
     stats_to_csv, stats_to_json, wilson_interval,
 )
 from surfacesim.metric import METRICS
@@ -63,21 +64,50 @@ def test_zero_noise_run_has_no_failures():
     stats = run_trials(cfg)
     row = stats.rows[0]
     assert row.fail_x == 0 and row.fail_z == 0
-    est = rounds_to_failure(row)
-    assert math.isinf(est["x"]["estimate"])
-    assert est["x"]["lo"] > 0 and math.isfinite(est["x"]["lo"])
+    est = flip_rate(row)
+    assert est["eps_x"] == 0.0 and est["eps_x_lo"] == 0.0
+    assert 0.0 < est["eps_x_hi"] < 0.5
+    # No value is ever inf, and a zero rate is written as 0.0, not -0.0.
+    assert stats_to_csv(stats).splitlines()[1].split(",")[11:13] == ["0.0", "0.0"]
 
 
-def test_rounds_to_failure_examples():
+def test_flip_rate_examples():
+    # Per-round rate 0.001 over T = 100: P = (1 - 0.998^100) / 2.
+    p_fail = (1 - 0.998 ** 100) / 2
     row = PointStats(d=3, p=0.01, model="standard", p2=0.01, pI=0.01, pM=0.01,
                      metric="dmax", T=100, N=10**6,
-                     fail_x=int((1 - 1 / math.e) * 10**6), fail_z=10**4,
+                     fail_x=round(p_fail * 10**6), fail_z=10**4,
                      seed=0, wall_time=0.0)
-    est = rounds_to_failure(row)
-    assert est["x"]["estimate"] == pytest.approx(100, rel=1e-3)
-    # P = 0.01 over T=100: -100/ln(0.99) ~ 9950
-    assert est["z"]["estimate"] == pytest.approx(9950, rel=1e-2)
-    assert est["z"]["lo"] < est["z"]["estimate"] < est["z"]["hi"]
+    est = flip_rate(row)
+    assert est["eps_x"] == pytest.approx(0.001, rel=1e-3)
+    # P = 0.01 over T = 100: (1 - 0.98^(1/100)) / 2 ~ 1.0101e-4
+    assert est["eps_z"] == pytest.approx(1.0101e-4, rel=1e-3)
+    assert est["eps_z_lo"] < est["eps_z"] < est["eps_z_hi"]
+
+
+def test_flip_rate_covers_the_per_round_rate():
+    """Windows of T independent per-round flips of rate eps fail when an
+    odd number of flips land.  For P from 0.05 to 0.45 the flip-rate
+    interval covers eps about 95% of the time over 200 repeated runs.
+    The rate read from P as a first-failure time, -ln(1 - P) / T (the
+    reciprocal of the mean rounds to failure -T / ln(1 - P)), ignores
+    that two flips cancel and misses eps from P = 0.3 up."""
+    rng = np.random.default_rng(1)
+    T, n, repeats = 20, 2000, 200
+    for p_fail in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45):
+        eps = (1 - (1 - 2 * p_fail) ** (1 / T)) / 2
+        covered = first_failure_covered = 0
+        for fails in (rng.binomial(T, eps, size=(repeats, n)) % 2).sum(axis=1).tolist():
+            row = PointStats(d=5, p=0.01, model="standard", p2=0.01, pI=0.01, pM=0.01,
+                             metric="dmax", T=T, N=n, fail_x=fails, fail_z=fails,
+                             seed=0, wall_time=0.0)
+            est = flip_rate(row)
+            covered += est["eps_x_lo"] <= eps <= est["eps_x_hi"]
+            lo_p, hi_p = wilson_interval(fails, n)
+            first_failure_covered += -math.log1p(-lo_p) / T <= eps <= -math.log1p(-hi_p) / T
+        assert covered >= 0.9 * repeats, p_fail
+        if p_fail >= 0.3:
+            assert first_failure_covered < 0.1 * repeats, p_fail
 
 
 def test_wilson_interval_basic():
@@ -172,6 +202,9 @@ def test_csv_to_stats_rejects_a_bad_header():
     good = stats_to_csv(SweepStats())
     with pytest.raises(ValueError, match="header"):
         csv_to_stats(good.replace("fail_x", "failx"))
+    v1 = good.replace("eps_", "mttf_")  # the v1 rate columns
+    with pytest.raises(ValueError, match="per-round flip rates"):
+        csv_to_stats(v1)
     with pytest.raises(ValueError, match="header"):
         csv_to_stats("")
     assert csv_to_stats(good).rows == []
@@ -204,37 +237,63 @@ def test_emit_results_files(tmp_path):
         emit_results(stats, fmt="xml")
 
 
-def _fake_stats(p_th=0.011, distances=(3, 5, 7), ps=(0.008, 0.009, 0.01, 0.011,
-                                                     0.012, 0.013, 0.014),
-                n=20000):
-    # Synthetic curves: log mttf = base - s_d * (p - p_th), steeper for
-    # larger d, all crossing exactly at p_th.
+def _fake_stats(p_c=0.0095, nu=1.3, distances=(3, 5, 7),
+                ps=(0.006, 0.007, 0.008, 0.009, 0.01, 0.011, 0.012, 0.013, 0.014),
+                n=4000, seed=1):
+    """Rows drawn from the per-round model: at T = 4d each window fails
+    with the odd-parity probability of T flips at rate eps = F(x) / d,
+    F(x) = 0.03 + 2 x + 60 x^2, x = (p - p_c) d^(1/nu)."""
+    rng = np.random.default_rng(seed)
     rows = []
     for d in distances:
-        T = 10 * d
-        slope = 120.0 * d
+        T = 4 * d
         for p in ps:
-            log_mttf = 5.0 - slope * (p - p_th)
-            mttf = math.exp(log_mttf)
-            p_fail = 1 - math.exp(-T / mttf)
+            x = (p - p_c) * d ** (1 / nu)
+            eps = (0.03 + 2.0 * x + 60.0 * x * x) / d
+            fail_x, fail_z = rng.binomial(n, (1 - (1 - 2 * eps) ** T) / 2, size=2)
             rows.append(PointStats(d=d, p=p, model="standard", p2=p, pI=p, pM=p,
-                                   metric="dmax", T=T, N=n, fail_x=round(p_fail * n),
-                                   fail_z=round(p_fail * n), seed=0,
-                                   wall_time=0.0))
+                                   metric="dmax", T=T, N=n, fail_x=int(fail_x),
+                                   fail_z=int(fail_z), seed=0, wall_time=0.0))
     return SweepStats(rows=rows)
 
 
 def test_estimate_threshold_recovers_crossing():
-    stats = _fake_stats(p_th=0.011)
-    fit = estimate_threshold(stats, logical="x")
-    assert fit["p_th"] == pytest.approx(0.011, abs=2e-4)
-    assert fit["sigma"] < 5e-4
-    assert len(fit["pairwise"]) == 3
+    stats = _fake_stats(p_c=0.0095)
+    for logical in ("x", "z"):
+        fit = estimate_threshold(stats, logical=logical)
+        assert fit["bootstrap_samples"] >= 190
+        assert 0 < fit["sigma"] < 5e-4
+        assert abs(fit["p_c"] - 0.0095) <= 2 * fit["sigma"]
+        assert 0.8 < fit["nu"] < 2.0
+        assert list(fit["per_round"]) == [(3, 5), (5, 7)]
+
+
+def test_per_round_crossing_solves_the_fitted_form(monkeypatch):
+    """Each per-round crossing q satisfies F(x_a) / a = F(x_b) / b for the
+    fitted F, and lies above p_c."""
+    import surfacesim.harness as harness
+
+    monkeypatch.setattr(harness, "N_BOOTSTRAP", 0)
+    stats = _fake_stats(p_c=0.007, nu=1.0)
+    fit = estimate_threshold(stats)
+    p_c, _, (A, B, C), span, _ = harness._scaling_fit(stats.rows, "x")
+    crossings = {pair: q for pair, q in fit["per_round"].items() if q is not None}
+    assert crossings
+    for (a, b), q in crossings.items():
+        assert p_c < q <= 0.014
+
+        def F(d):
+            x = (q - p_c) / span * d ** (1 / fit["nu"])
+            return (A + B * x + C * x * x) / d
+
+        assert F(a) == pytest.approx(F(b), rel=1e-9)
 
 
 def test_estimate_threshold_needs_bracketing():
-    stats = _fake_stats(p_th=0.05)  # crossing far outside the swept range
-    with pytest.raises(ThresholdError):
+    # Every swept rate lies above the crossing: the fit puts p_c on the
+    # lowest swept rate.
+    stats = _fake_stats(p_c=0.003)
+    with pytest.raises(ThresholdError, match="edge"):
         estimate_threshold(stats, logical="x")
 
 
@@ -247,10 +306,11 @@ def test_estimate_threshold_requires_enough_curves():
         estimate_threshold(stats)
 
 
-def _all_fail_row(d, p, n=500):
+def _all_fail_row(d, p, n=500, fails=None):
+    fails = n if fails is None else fails
     return PointStats(d=d, p=p, model="standard", p2=p, pI=p, pM=p,
-                      metric="dmax", T=10 * d,
-                      N=n, fail_x=n, fail_z=n, seed=0, wall_time=0.0)
+                      metric="dmax", T=4 * d,
+                      N=n, fail_x=fails, fail_z=fails, seed=0, wall_time=0.0)
 
 
 def _reject_constant(name):
@@ -258,29 +318,33 @@ def _reject_constant(name):
 
 
 def test_all_fail_row_is_censored():
-    row = _all_fail_row(5, 0.05)
-    est = rounds_to_failure(row)
-    for logical in ("x", "z"):
-        assert math.isnan(est[logical]["estimate"])
-        assert math.isnan(est[logical]["lo"])
-        assert math.isfinite(est[logical]["hi"])
-    text = stats_to_json(SweepStats(rows=[row]))
-    doc = json.loads(text, parse_constant=_reject_constant)
-    (out,) = doc["rows"]
-    assert out["mttf_x_estimate"] is None and out["mttf_z_lo"] is None
-    assert out["mttf_x_hi"] == pytest.approx(est["x"]["hi"])
     import jsonschema
-    with open("docs/results.schema.json") as fh:
-        jsonschema.validate(doc, json.load(fh))
+
+    for fails in (500, 250, 300):  # every window fails; P = 0.5; P > 0.5
+        row = _all_fail_row(5, 0.05, fails=fails)
+        assert all(math.isnan(v) for v in flip_rate(row).values())
+        text = stats_to_json(SweepStats(rows=[row]))
+        doc = json.loads(text, parse_constant=_reject_constant)
+        assert doc["schema"] == "surfacesim-results-v2"
+        (out,) = doc["rows"]
+        assert [out[c] for c in CSV_COLUMNS[11:-2]] == [None] * 6
+        with open("docs/results.schema.json") as fh:
+            jsonschema.validate(doc, json.load(fh))
+    # Just below 0.5 the estimate stands and a Wilson bound above 0.5
+    # maps to the largest per-round rate.
+    est = flip_rate(_all_fail_row(5, 0.05, n=60, fails=29))
+    assert 0 < est["eps_x_lo"] < est["eps_x"] < est["eps_x_hi"] == 0.5
 
 
 def test_all_fail_rows_leave_threshold_unchanged():
-    stats = _fake_stats(p_th=0.011)
+    stats = _fake_stats(p_c=0.0095)
     base = estimate_threshold(stats, logical="x")
     stats.rows.extend(_all_fail_row(d, 0.03) for d in (3, 5, 7))
+    stats.rows.extend(_all_fail_row(d, 0.012, fails=fails)
+                      for d in (3, 5, 7) for fails in (250, 400))
     with_censored = estimate_threshold(stats, logical="x")
-    assert with_censored["p_th"] == base["p_th"]
-    assert with_censored["pairwise"] == base["pairwise"]
+    for key in ("p_c", "nu", "per_round"):
+        assert with_censored[key] == base[key]
 
 
 def test_plot_svg_contains_series():
