@@ -5,13 +5,13 @@ components: each CNOT's fifteen Pauli pairs collapse into control-only,
 target-only and both-legs components of probability 4*p2/15 each, every
 data identity contributes one component of probability 2*pI/3, and every
 measurement one wrong-eigenstate flip of probability pM.  Each component
-is the XOR of at most two unit faults of the circuit's fault table
-(`sim.FaultTable`, built by one batched noiseless propagation), which
-gives its detection-event signature (at most two events); the tests
-check it against each component pushed through its own noiseless
-window by the frozen frame stepper.  Components of the same gate with
-the same signature are mutually exclusive outcomes of one error event,
-so they aggregate additively (4+4 -> 8*p2/15) before grouping.
+is one row of the circuit's fault table (`sim.FaultTable`, the rows the
+sampler draws), which gives its detection-event signature (at most two
+events); the tests check it against each component pushed through its
+own noiseless window by the frozen frame stepper.  Components of the
+same gate with the same signature are mutually exclusive outcomes of one
+error event, so they aggregate additively (4+4 -> 8*p2/15) before
+grouping.
 
 Grouping components across circuit locations by signature yields the link
 classes: the probability of a link is the probability that an odd number
@@ -25,9 +25,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .lattice import Lattice
 from .noise import ErrorModel
-from .sim import CompiledCircuit
+from .sim import PAULI1_BITS, PAULI2_BITS, CompiledCircuit, _csr_rows
 
 
 @dataclass(frozen=True)
@@ -78,16 +80,29 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
 
     A signature is the process's detection events as sorted (flat_cell,
     dt) pairs, dt counted from the earliest event, empty if the process
-    is invisible to its graph.  All of them come from one pass over the
-    fault table's event arrays: a component's events are those of its
-    unit faults (numbered as `sim.FaultTable` documents), XOR-ed.
+    is invisible to its graph.  All of them are read from the rows of the
+    fault table (`sim.FaultTable`) that the sampler draws: for the z
+    graph, gate g's X⊗I, I⊗X and X⊗X rows (15 g + kind; the control-only,
+    target-only and both-legs components), each idle data qubit's X row
+    and each Z-type readout row; for the x graph, the same with Z and the
+    X-type readouts.
     """
     table = circuit.fault_table
     stab_cells = circuit.z_idx.tolist() + circuit.x_idx.tolist()
     n_z = circuit.n_z
-    ptr = table.ev_ptr.tolist()
-    ev = [divmod(off, table.n_stab) for off in table.ev_off.tolist()]
-    unit_events = [ev[ptr[f]:ptr[f + 1]] for f in range(table.n_units)]  # (dt, a) pairs
+    ev_start = 2 * circuit.n_cells
+    kinds2, kinds1 = PAULI2_BITS.tolist(), PAULI1_BITS.tolist()
+
+    def row_events(rows: np.ndarray):
+        """The (dt, a) events of each given row, one list per row, in order."""
+        pos, counts = _csr_rows(table.ptr, rows)
+        code = table.code[pos]
+        is_event = code >= ev_start
+        dt, a = np.divmod(code[is_event] - ev_start, table.n_stab)
+        events = list(zip(dt.tolist(), a.tolist()))
+        row_of = np.repeat(np.arange(len(rows)), counts)[is_event]
+        ends = np.cumsum(np.bincount(row_of, minlength=len(rows))).tolist()
+        return (events[start:end] for start, end in zip([0] + ends, ends))
 
     def signature(graph: str, events) -> tuple:
         if not events:
@@ -105,13 +120,21 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
     data_cells = circuit.data_idx.tolist()
     for graph in ("z", "x"):
         bit = 0 if graph == "z" else 1  # the z graph sees x bits, the x graph z bits
+        one = [int(i == bit) for i in range(2)]  # X or Z on one qubit
+        comp_kind = {"ctl": kinds2.index(one + [0, 0]), "tgt": kinds2.index([0, 0] + one),
+                     "both": kinds2.index(one + one)}
+        stabs = range(n_z) if graph == "z" else range(n_z, len(stab_cells))
+        # Every row this graph reads, in the order the loops below take them.
+        events = row_events(np.concatenate(
+            [(len(kinds2) * np.arange(circuit.n_cnots)[:, None]
+              + list(comp_kind.values())).ravel()]
+            + [table.first_row[f"idle{step}"] + kinds1.index(one)
+               + len(kinds1) * np.arange(len(data_cells)) for step in circuit.idle_steps]
+            + [table.first_row["meas"] + np.array(stabs)]))
         for gate in range(circuit.n_cnots):
-            ctl = unit_events[4 * gate + bit]
-            tgt = unit_events[4 * gate + 2 + bit]
-            both = [e for e in ctl if e not in tgt] + [e for e in tgt if e not in ctl]
             sigs: dict[tuple, list[str]] = {}
-            for comp, events in (("ctl", ctl), ("tgt", tgt), ("both", both)):
-                sig = signature(graph, events)
+            for comp in comp_kind:
+                sig = signature(graph, next(events))
                 if sig:
                     sigs.setdefault(sig, []).append(comp)
             for sig, comps in sigs.items():
@@ -122,13 +145,12 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
                     yield ErrorProcess(graph, ("cnot", gate), "+".join(comps),
                                        "8p2/15", len(comps) * p_cnot), sig
         for step in circuit.idle_steps:
-            base = table.idle_base[step] + bit
-            for i, cell in enumerate(data_cells):
+            for cell in data_cells:
                 yield (ErrorProcess(graph, (f"idle{step}", cell), "flip", "2pI/3", p_idle),
-                       signature(graph, unit_events[base + 2 * i]))
-        for a in (range(n_z) if graph == "z" else range(n_z, len(stab_cells))):
+                       signature(graph, next(events)))
+        for a in stabs:
             yield (ErrorProcess(graph, ("meas", stab_cells[a]), "flip", "pM", model.pM),
-                   signature(graph, unit_events[table.meas_base + a]))
+                   signature(graph, next(events)))
 
 
 @dataclass

@@ -219,13 +219,14 @@ def run_trials(*configs: TrialConfig, trace_sink=None) -> SweepStats:
     chunks = []
     rows = []
     for point, cfg in enumerate(configs):
-        if cfg.window_rounds < cfg.distance:
+        model = cfg.error_model()
+        # Only CNOT and readout faults make time-like links.
+        if cfg.window_rounds < cfg.distance and (model.p2 > 0.0 or model.pM > 0.0):
             warnings.warn(f"rounds={cfg.window_rounds} below distance {cfg.distance}; "
                           "time-like errors will be under-sampled")
         size = max(1, min(500, cfg.trials // (4 * jobs)))
         chunks += [(point, cfg, start, min(size, cfg.trials - start), trace_sink is not None)
                    for start in range(0, cfg.trials, size)]
-        model = cfg.error_model()
         rows.append(PointStats(d=cfg.distance, p=cfg.p, model=cfg.model, p2=model.p2,
                                pI=model.pI, pM=model.pM, metric=cfg.metric,
                                T=cfg.window_rounds, N=cfg.trials, fail_x=0,
@@ -265,10 +266,10 @@ def _scaling_fit(rows, logical: str):
     x = (p - p_c) d^(1/nu), over the uncensored rows.
 
     x is taken in units of the swept span of p, so the normal equations
-    stay well conditioned.  Returns p_c, nu, (A, B, C) in those units,
-    the span and the lowest swept rate.  Raises ThresholdError when the
-    uncensored rows fail check_fit_grid or p_c lands on the edge of
-    their rates."""
+    stay well conditioned.  Returns the grid optimum p_c, nu, (A, B, C) in
+    those units, the span and the lowest swept rate; p_c may lie on the
+    edge of the swept rates.  Raises ThresholdError when the uncensored
+    rows fail check_fit_grid."""
     p, d, y, w = [], [], [], []
     for r in rows:
         rates = flip_rate(r)
@@ -293,11 +294,7 @@ def _scaling_fit(rows, logical: str):
         pc_step, nu_step = 2 * (pcs[1] - pcs[0]), 2 * (nus[1] - nus[0])
         pc_range = (max(lo, pcs[i] - pc_step), min(lo + span, pcs[i] + pc_step))
         nu_range = (max(NU_RANGE[0], nus[j] - nu_step), min(NU_RANGE[1], nus[j] + nu_step))
-    p_c = float(pcs[i])
-    if not lo < p_c < lo + span:
-        raise ThresholdError(f"fitted p_c = {p_c:.4%} lies on the edge of the swept rates "
-                             f"{lo:.4%}-{lo + span:.4%}: no crossing inside them")
-    return p_c, float(nus[j]), coef[i, j, :, 0], span, lo
+    return float(pcs[i]), float(nus[j]), coef[i, j, :, 0], span, lo
 
 
 def estimate_threshold(stats: SweepStats, logical: str = "x") -> dict:
@@ -306,13 +303,19 @@ def estimate_threshold(stats: SweepStats, logical: str = "x") -> dict:
     The flip rate per d rounds of every uncensored row is fitted as
     F((p - p_c) d^(1/nu)), F quadratic, weighted by the Wilson width; sigma
     is the bootstrap standard deviation of p_c over resampled failure
-    counts.  per_round maps each adjacent distance pair (a, b) to the
+    counts.  A p_c on the edge of the swept rates means no crossing inside
+    them and raises ThresholdError; a resample's p_c on the edge counts at
+    the edge value, and only resamples that fail check_fit_grid drop out.
+    per_round maps each adjacent distance pair (a, b) to the
     rate where the fitted per-round rates cross, F(x_a) / a = F(x_b) / b:
     the lowest root from p_c up to the highest swept rate, or None.  At
     p_c the larger code flips less per round (A / b < A / a), so the
     curves can cross only above it.
     """
     p_c, nu, (A, B, C), span, lo = _scaling_fit(stats.rows, logical)
+    if not lo < p_c < lo + span:
+        raise ThresholdError(f"fitted p_c = {p_c:.4%} lies on the edge of the swept rates "
+                             f"{lo:.4%}-{lo + span:.4%}: no crossing inside them")
 
     distances = sorted({r.d for r in stats.rows})
     per_round = {}

@@ -22,21 +22,22 @@ Noisy windows are sampled, not stepped.  Every frame operation (the CNOT
 XORs, the readout, the zeroing of the unmeasured component) is linear
 over GF(2), so a window is the XOR of the effects of its faults, each
 fault taken alone.  `FaultTable`, built once per compiled circuit, holds
-the effect of every *unit fault* of one cycle: the x or z bit on the
-control or the target after a CNOT, the x or z bit of an idling data
-qubit, a readout flip.  It is built by one batched noiseless propagation,
-one frame row per unit fault, through `run_cycle`.  After the cycle of a
-fault only data bits and report accumulators are left; each later cycle
-XORs the same data parity into every report, so the signs stay constant
-and a fault's detection events all fall in its own round (dt = 0) or the
-next (dt = 1).  The build checks this and fails loudly otherwise.  On
-first use the table also lists, per (slot, Pauli kind), the entries of
-that kind's unit faults as one effect row.  A window then takes one draw
-of uniforms, one comparison against per-slot probabilities, the effect
-row of each hit (its slot's first row plus its Pauli kind), one gather
-of those rows and one parity count; the signs are the running XOR of the
-events along time, and the final frame is the data parity of those rows
-plus the final reports (the XOR of each sign row).
+one row per (slot, Pauli kind) of one cycle: the data bits and detection
+events that fault flips.  One batched noiseless propagation through
+`run_cycle`, one frame row per single-bit fault (the x or z bit on the
+control or the target after a CNOT, of an idling data qubit, a readout
+flip), gives each bit's effect.  After the cycle of a fault only data
+bits and report accumulators are left; each later cycle XORs the same
+data parity into every report, so the signs stay constant and a fault's
+detection events all fall in its own round (dt = 0) or the next
+(dt = 1).  The build checks this and fails loudly otherwise.  A kind's
+row is then its Pauli bits times its slot's bit effects, mod 2.  A
+window takes one draw of uniforms, one comparison against per-slot
+probabilities, the row of each hit (its slot's first row plus its Pauli
+kind), one gather of those rows and one parity count; the signs are the
+running XOR of the events along time, and the final frame is the data
+parity of those rows plus the final reports (the XOR of each sign row).
+`edge_analysis` reads its link classes from the same rows.
 
 The windows are those of a round-by-round frame simulator fed by the same
 stream.  Per round, that simulator drew one uniform per slot of the
@@ -215,81 +216,65 @@ def _csr_rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.arange(total) + np.repeat(starts - ends + counts, counts), counts
 
 
-def _csr(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ptr, column) arrays of the nonzero entries of a 2-D array, by row."""
-    rows, cols = np.nonzero(matrix)
-    ptr = np.zeros(matrix.shape[0] + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=matrix.shape[0]), out=ptr[1:])
-    return ptr, cols.astype(np.intp)
-
-
 class FaultTable:
-    """What each unit fault of one cycle flips, sparse over unit faults.
+    """What a fault of each (slot, Pauli kind) of one cycle flips, as CSR
+    rows (ptr, code).
 
-    Unit faults, numbered in draw order: the x, z bits on the control and
-    then on the target after CNOT gate g (units 4g..4g+3, the columns of
-    PAULI2_BITS); the x, z bits of each data qubit at idle5, if scheduled;
-    the readout flip of each Z-type, then X-type, syndrome qubit; the x, z
-    bits of each data qubit at idle6, if scheduled.
+    Rows are numbered by phase in draw order ("cnot", the four CNOT
+    steps; "idle5" if scheduled; "meas"; "idle6" if scheduled), then by
+    slot, then by Pauli kind; the row of a slot's kind is its phase's
+    `first_row` plus slot times the kind count plus kind.  A CNOT slot is a
+    gate (gates numbered by step, then by position within the step, so
+    gate g's rows are 15 g + kind, kinds in PAULI2_BITS order); an idle
+    slot is a data qubit (kinds in PAULI1_BITS order); a meas slot is a
+    Z-type, then X-type, syndrome qubit, with the one kind "readout flip".
 
-    Events of unit f are ev_off[ev_ptr[f]:ev_ptr[f + 1]], each coded
-    dt * n_stab + a: a indexes the Z-type and then the X-type syndrome
-    qubits, dt in {0, 1} counts rounds after the fault's.  The data bits
-    it leaves flipped in the final frame are data_col[data_ptr[f]:
-    data_ptr[f + 1]], coded cell (x bit) or n_cells + cell (z bit).
-    `sample` reads the same entries grouped per (slot, Pauli kind), as
-    `_effects` documents.
+    Row r lists code[ptr[r]:ptr[r + 1]]: the data bits the fault leaves
+    flipped in the final frame, coded cell (x bit) or n_cells + cell
+    (z bit), and its detection events, coded 2 * n_cells + dt * n_stab + a,
+    where a indexes the Z-type and then the X-type syndrome qubits and
+    dt in {0, 1} counts rounds after the fault's.
     """
 
     def __init__(self, circuit: CompiledCircuit):
         c = circuit
         self.circuit = circuit
         self.n_stab = c.n_z + c.n_x
-        n_data = len(c.data_idx)
         stab_cells = np.concatenate([c.z_idx, c.x_idx])
 
-        # Unit-fault numbering, the injection of every unit fault in round 1
-        # (unit f in frame row f), and the draw segments of one round:
-        # (probability attribute, first unit of each slot).
+        # Every unit fault (one x or z bit on one cell) of one round, injected
+        # in round 1, unit f in frame row f, and the draw segments of one
+        # round: (phase, probability attribute, each kind's bits over a
+        # slot's units, the units of each slot).  A slot's units are the
+        # columns of its kind bits: (xc, zc, xt, zt) for a CNOT, (x, z) for
+        # an idle qubit, the one readout flip.
         inj: dict[str, tuple] = {}
+        n_units = 0
 
-        def inject(phase: str, units, cells, x_bits, z_bits):
-            inj[phase] = (units, cells, np.asarray(x_bits, dtype=np.uint8),
-                          np.asarray(z_bits, dtype=np.uint8))
+        def inject(phase: str, cells, x_bits, z_bits):
+            nonlocal n_units
+            units = n_units + np.arange(cells.size).reshape(cells.shape)
+            n_units += cells.size
+            inj[phase] = (units.ravel(), cells.ravel(),
+                          np.broadcast_to(x_bits, cells.shape).ravel().astype(np.uint8),
+                          np.broadcast_to(z_bits, cells.shape).ravel().astype(np.uint8))
+            return units
 
-        segments = []
-        first_gate = 0
-        for k in range(4):
-            ctl, tgt = c.step_ctl[k], c.step_tgt[k]
-            base = 4 * np.arange(first_gate, first_gate + len(ctl))
-            first_gate += len(ctl)
-            inject(f"cnot{k + 1}", np.concatenate([base, base + 1, base + 2, base + 3]),
-                   np.concatenate([ctl, ctl, tgt, tgt]),
-                   np.repeat([1, 0, 1, 0], len(ctl)), np.repeat([0, 1, 0, 1], len(ctl)))
-            segments.append(("p2", base))
-        n_units = 4 * c.n_cnots
-        self.idle_base: dict[int, int] = {}
+        segments = [("cnot", "p2", PAULI2_BITS, np.concatenate([
+            inject(f"cnot{k + 1}", np.stack([ctl, ctl, tgt, tgt], axis=1), [1, 0, 1, 0],
+                   [0, 1, 0, 1]) for k, (ctl, tgt) in enumerate(zip(c.step_ctl, c.step_tgt))]))]
 
         def add_idle(step: int):
-            nonlocal n_units
-            self.idle_base[step] = n_units
-            inject(f"idle{step}", n_units + np.arange(2 * n_data), np.repeat(c.data_idx, 2),
-                   np.tile([1, 0], n_data), np.tile([0, 1], n_data))
-            segments.append(("pI", n_units + 2 * np.arange(n_data)))
-            n_units += 2 * n_data
+            segments.append((f"idle{step}", "pI", PAULI1_BITS, inject(
+                f"idle{step}", np.repeat(c.data_idx[:, None], 2, axis=1), [1, 0], [0, 1])))
 
         if 5 in c.idle_steps:
             add_idle(5)
-        self.meas_base = n_units
-        meas = n_units + np.arange(self.n_stab)
-        inject("meas", meas, stab_cells, np.arange(self.n_stab) < c.n_z,
-               np.arange(self.n_stab) >= c.n_z)
-        segments += [("pM", meas[:c.n_z]), ("pM", meas[c.n_z:])]
-        n_units += self.n_stab
+        is_z = (np.arange(self.n_stab) < c.n_z)[:, None]
+        segments.append(("meas", "pM", np.ones((1, 1), dtype=np.uint8),
+                         inject("meas", stab_cells[:, None], is_z, ~is_z)))
         if 6 in c.idle_steps:
             add_idle(6)
-        self.n_units = n_units
-        self._segments = segments
         self._report_codes = np.concatenate([c.z_idx, c.n_cells + c.x_idx])
         self._layouts: dict[ErrorModel, tuple] = {}
 
@@ -320,63 +305,45 @@ class FaultTable:
                 f"unit faults {late[:8].tolist()} flip detection events two rounds "
                 "after their own; the sampler needs every fault's events within "
                 "dt in {0, 1}")
-        self.ev_ptr, self.ev_off = _csr(np.concatenate(events[:2], axis=1))
-        self.data_ptr, data_cols = _csr(np.concatenate(
-            [first_x[:, c.data_idx], first_z[:, c.data_idx]], axis=1))
-        self.data_col = np.concatenate([c.data_idx, c.n_cells + c.data_idx])[data_cols]
 
-    @cached_property
-    def _effects(self) -> tuple[np.ndarray, np.ndarray]:
-        """What one slot's fault of each Pauli kind flips: CSR rows
-        (ptr, code) over effect rows, numbered by segment in draw order,
-        then by slot, then by Pauli kind.
-
-        A row lists the entries of the kind's unit faults (its _KIND_UNITS
-        bits), each unit's data bits and then its events; a code twice in
-        a row cancels in the parity count.  Codes: data bit cell (x) or
-        n_cells + cell (z); detection event 2 * n_cells + dt * n_stab + a,
-        to be shifted by the fault's round times n_stab.
-        """
-        data_end = 2 * self.circuit.n_cells
-        # Per unit fault, its data entries and then its event entries: a
-        # data entry moves up by the event entries of earlier units, an
-        # event entry by the data entries of its own and earlier units.
-        unit_ptr = self.data_ptr + self.ev_ptr
-        unit_code = np.empty(unit_ptr[-1], dtype=np.int32)
-        unit_code[np.arange(self.data_ptr[-1])
-                  + np.repeat(self.ev_ptr[:-1], np.diff(self.data_ptr))] = self.data_col
-        unit_code[np.arange(self.ev_ptr[-1])
-                  + np.repeat(self.data_ptr[1:], np.diff(self.ev_ptr))] = data_end + self.ev_off
-        # A segment at a time, to bound the temporaries: every (effect row,
-        # unit fault) pair, by slot and then by kind, so each row's units
-        # are adjacent; every row has one, as no kind is the identity.
-        codes, row_counts = [], []
-        for attr, base in self._segments:
-            first, _, max_kind = _SLOT_CLASSES[attr]
-            kind, bit = np.nonzero(_KIND_UNITS[first:first + max_kind + 1])
-            pos, counts = _csr_rows(unit_ptr, (base[:, None] + bit).ravel())
-            codes.append(unit_code[pos])
-            rows = (np.arange(len(base))[:, None] * (max_kind + 1) + kind).ravel()
-            row_counts.append(np.bincount(rows, weights=counts).astype(np.intp))
-        code = np.concatenate(codes)
-        ptr = np.concatenate([[0], np.cumsum(np.concatenate(row_counts))])
-        return ptr, code
+        # Each unit's entries as one 0/1 row, packed eight columns to a byte;
+        # a kind's row is the XOR of its units' rows, formed and made sparse
+        # a segment at a time.
+        unit_rows = np.packbits(np.concatenate([first_x[:, c.data_idx], first_z[:, c.data_idx],
+                                                events[0], events[1]], axis=1), axis=1)
+        col_code = np.concatenate([c.data_idx, c.n_cells + c.data_idx,
+                                   2 * c.n_cells + np.arange(2 * self.n_stab, dtype=np.int32)])
+        n_cols = len(col_code)
+        self.first_row: dict[str, int] = {}
+        self._segments = []
+        codes, entry_rows = [], []
+        n_rows = 0
+        for phase, attr, kinds, units in segments:
+            self.first_row[phase] = n_rows
+            self._segments.append((attr, n_rows, len(units), len(kinds)))
+            words = np.zeros((len(units), len(kinds), unit_rows.shape[1]), dtype=np.uint8)
+            for unit, bits in zip(unit_rows[units].swapaxes(0, 1), kinds.T):
+                words ^= unit[:, None] * bits[:, None]  # slot, kind, packed column
+            hit = np.flatnonzero(np.unpackbits(words, axis=-1, count=n_cols).view(bool))
+            entry_rows.append(n_rows + hit // n_cols)
+            codes.append(col_code[hit % n_cols])
+            n_rows += len(kinds) * len(units)
+        self.code = np.concatenate(codes)
+        self.ptr = np.zeros(n_rows + 1, dtype=np.intp)
+        np.cumsum(np.bincount(np.concatenate(entry_rows), minlength=n_rows), out=self.ptr[1:])
 
     def _layout(self, model: ErrorModel) -> tuple:
         """Per-slot arrays of one round's draws under a model: probability,
-        kind multiplier, first effect row."""
+        kind count, first row."""
         layout = self._layouts.get(model)
         if layout is None:
             cols = ([], [], [])
-            first_row = 0
-            for attr, base in self._segments:
+            for attr, first, n_slots, n_kinds in self._segments:
                 p = getattr(model, attr)
-                _, mult, max_kind = _SLOT_CLASSES[attr]
                 if p > 0.0:
-                    rows = first_row + (max_kind + 1) * np.arange(len(base))
-                    for col, value in zip(cols, (p, mult, rows)):
-                        col.append(np.broadcast_to(value, base.shape))
-                first_row += (max_kind + 1) * len(base)
+                    rows = first + n_kinds * np.arange(n_slots)
+                    for col, value in zip(cols, (p, n_kinds, rows)):
+                        col.append(np.broadcast_to(value, rows.shape))
             dtypes = (np.float64, np.float64, np.intp)
             layout = tuple(np.concatenate(col).astype(dtype) if col else np.zeros(0, dtype)
                            for col, dtype in zip(cols, dtypes))
@@ -388,7 +355,6 @@ class FaultTable:
         """One noisy window of `rounds` rounds plus the closure round."""
         c = self.circuit
         p, mult, first_row = self._layout(model)
-        ptr, code = self._effects
         n_rounds = rounds + 2
         rows = shift = np.zeros(0, dtype=np.intp)
         if p.size:
@@ -399,8 +365,8 @@ class FaultTable:
             rows = first_row[s] + ((u[t, s] / p[s]) * mult[s]).astype(np.intp)
             shift = (t + 1) * self.n_stab  # round t + 1 of the window
 
-        pos, counts = _csr_rows(ptr, rows)
-        flat = code[pos]
+        pos, counts = _csr_rows(self.ptr, rows)
+        flat = self.code[pos]
         # Event codes (past the data bits) move to their fault's round.
         flat = flat + np.repeat(shift, counts) * (flat >= 2 * c.n_cells)
         bits = np.bincount(flat, minlength=2 * c.n_cells + n_rounds * self.n_stab)

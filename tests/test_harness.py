@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from surfacesim.harness import (
-    CSV_COLUMNS, PointStats, SweepStats, ThresholdError, TrialConfig, csv_to_stats,
+    CSV_COLUMNS, N_BOOTSTRAP, PointStats, SweepStats, ThresholdError, TrialConfig, csv_to_stats,
     emit_results, estimate_threshold, flip_rate, plot_svg, run_trials,
     stats_to_csv, stats_to_json, wilson_interval,
 )
@@ -297,6 +298,16 @@ def test_estimate_threshold_needs_bracketing():
         estimate_threshold(stats, logical="x")
 
 
+def test_bootstrap_keeps_resamples_on_the_edge():
+    # p_c sits just above the lowest swept rate: the point estimate lies
+    # inside the rates, but some resampled fits put p_c on the edge.  They
+    # count at the edge value rather than dropping out of sigma.
+    fit = estimate_threshold(_fake_stats(p_c=0.0065), logical="x")
+    assert 0.006 < fit["p_c"] < 0.014
+    assert fit["bootstrap_samples"] == N_BOOTSTRAP
+    assert fit["sigma"] > 0
+
+
 def test_estimate_threshold_requires_enough_curves():
     stats = _fake_stats(distances=(3, 5))
     with pytest.raises(ThresholdError):
@@ -304,6 +315,24 @@ def test_estimate_threshold_requires_enough_curves():
     stats = _fake_stats(ps=(0.01, 0.011, 0.012))
     with pytest.raises(ThresholdError):
         estimate_threshold(stats)
+
+
+@pytest.mark.parametrize("custom_model,warns", [
+    ((0.0, 0.15, 0.0), False),   # code capacity: no time-like links
+    ((0.01, 0.0, 0.0), True),
+    ((0.0, 0.01, 0.01), True),
+])
+def test_short_window_warns_only_with_time_like_links(custom_model, warns):
+    cfg = TrialConfig(distance=3, model="custom", custom_model=custom_model,
+                      rounds=1, trials=2, seed=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_trials(cfg)
+    messages = [str(w.message) for w in caught]
+    if warns:
+        assert any("under-sampled" in m for m in messages), messages
+    else:
+        assert messages == []
 
 
 def _all_fail_row(d, p, n=500, fails=None):

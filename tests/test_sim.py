@@ -9,7 +9,7 @@ from surfacesim.sim import (
 
 import frame_reference
 from frame_reference import cnot_phase, make_injection
-from paulis import I, X, Y, Z
+from paulis import SINGLE_PAULIS, TWO_QUBIT_PAULIS, X, Y, Z
 
 
 @pytest.fixture(scope="module")
@@ -189,68 +189,77 @@ def test_sampler_matches_frozen_reference(d, model, idle_steps, rounds):
         assert np.array_equal(got.frame.z, want.frame.z), idx
 
 
-def _unit_fault_injection(circ, unit, round_index):
-    """The injection of one unit fault, numbered as FaultTable documents."""
+def _kind_rows(circ):
+    """(row, phase, cells, pauli) of every fault-table row, numbered as
+    FaultTable documents: pauli is a (control, target) pair for a CNOT,
+    one Pauli for an idle qubit, and for a readout the bit it flips (X on
+    a Z-type syndrome qubit, Z on an X-type one)."""
     table = circ.fault_table
-    if unit < 4 * circ.n_cnots:
-        gate, bit = divmod(unit, 4)
-        one = (X, Z)[bit % 2]
-        pair = (one, I) if bit < 2 else (I, one)
+    entries = []
+    for gate in range(circ.n_cnots):
         cells = (int(circ.gate_ctl[gate]), int(circ.gate_tgt[gate]))
-        return make_injection([(round_index, cnot_phase(circ, gate), cells, pair)])
-    if unit >= table.meas_base and unit < table.meas_base + circ.n_z + circ.n_x:
-        cell = np.concatenate([circ.z_idx, circ.x_idx])[unit - table.meas_base]
-        return make_injection([(round_index, "meas", int(cell), None)])
-    for step, base in table.idle_base.items():
-        if base <= unit < base + 2 * len(circ.data_idx):
-            i, bit = divmod(unit - base, 2)
-            return make_injection([(round_index, f"idle{step}", int(circ.data_idx[i]),
-                                    (X, Z)[bit])])
-    raise AssertionError(f"unit {unit} has no location")
+        entries += [(15 * gate + kind, cnot_phase(circ, gate), cells, pair)
+                    for kind, pair in enumerate(TWO_QUBIT_PAULIS)]
+    for step in circ.idle_steps:
+        first = table.first_row[f"idle{step}"]
+        entries += [(first + 3 * i + kind, f"idle{step}", int(cell), op)
+                    for i, cell in enumerate(circ.data_idx)
+                    for kind, op in enumerate(SINGLE_PAULIS)]
+    stab_cells = np.concatenate([circ.z_idx, circ.x_idx])
+    entries += [(table.first_row["meas"] + a, "meas", int(cell), X if a < circ.n_z else Z)
+                for a, cell in enumerate(stab_cells)]
+    return entries
 
 
 @pytest.mark.parametrize("d,idle_steps", [(3, (5, 6)), (5, (6,))])
 def test_fault_table_entries_match_injected_faults(d, idle_steps):
-    # Every entry against the frozen frame stepper with that one unit fault
-    # injected: in the last noisy round (dt = 1 lands in the closure column)
-    # and in an earlier one.  The stepper shares no code with the
+    # Each kind row against the frozen frame stepper with that one Pauli
+    # injected: in the last noisy round (dt = 1 lands in the closure
+    # column) and in an earlier one.  The stepper shares no code with the
     # `run_cycle` that builds the table.
     circ = _circuit(d, idle_steps)
     table = circ.fault_table
     n_stab = circ.n_z + circ.n_x
     zero = ErrorModel(0, 0, 0)
-    assert table.n_units == (4 * circ.n_cnots + n_stab
-                             + 2 * len(circ.data_idx) * len(idle_steps))
-    for unit in range(table.n_units):
+    entries = _kind_rows(circ)
+    assert sorted(row for row, *_ in entries) == list(range(len(table.ptr) - 1))
+    data_cols = np.concatenate([circ.data_idx, circ.n_cells + circ.data_idx])
+    for row, phase, cells, pauli in entries:
+        codes = table.code[table.ptr[row]:table.ptr[row + 1]]
         for rounds, r0 in ((2, 2), (3, 1)):
             res = frame_reference.simulate_window(
-                circ, zero, None, rounds, injections=_unit_fault_injection(circ, unit, r0))
+                circ, zero, None, rounds, injections=make_injection([(r0, phase, cells, pauli)]))
             signs = np.concatenate([res.history.signs["z"], res.history.signs["x"]])
             events = signs ^ np.concatenate([np.zeros((n_stab, 1), np.uint8),
                                              signs[:, :-1]], axis=1)
             want = np.zeros_like(events)
-            for off in table.ev_off[table.ev_ptr[unit]:table.ev_ptr[unit + 1]]:
-                dt, a = divmod(int(off), n_stab)
+            for code in codes[codes >= 2 * circ.n_cells]:
+                dt, a = divmod(int(code) - 2 * circ.n_cells, n_stab)
                 want[a, r0 + dt] = 1
-            assert np.array_equal(events, want), (unit, rounds, r0)
+            assert np.array_equal(events, want), (row, rounds, r0)
 
             data = np.zeros(2 * circ.n_cells, dtype=np.uint8)
-            data[table.data_col[table.data_ptr[unit]:table.data_ptr[unit + 1]]] = 1
+            data[codes[codes < 2 * circ.n_cells]] = 1
             frame = np.concatenate([res.frame.x, res.frame.z])
-            cols = np.concatenate([circ.data_idx, circ.n_cells + circ.data_idx])
-            assert np.array_equal(frame[cols], data[cols]), (unit, rounds, r0)
+            assert np.array_equal(frame[data_cols], data[data_cols]), (row, rounds, r0)
 
 
-def test_fault_table_units_touch_one_graph(circuit_d5):
+def test_fault_table_kinds_touch_their_graph(circuit_d5):
     # An x bit is seen only by Z-type stabilizers and a z bit only by X-type
-    # ones, and no unit fault flips more than two events.
+    # ones: pure-X kinds touch only the z graph, pure-Z kinds only the x
+    # graph.  No row flips more than two events in one graph.
     table = circuit_d5.fault_table
     n_z, n_stab = circuit_d5.n_z, circuit_d5.n_z + circuit_d5.n_x
-    assert set(np.diff(table.ev_ptr)) <= {0, 1, 2}
-    for unit in range(table.n_units):
-        graphs = {int(off) % n_stab < n_z
-                  for off in table.ev_off[table.ev_ptr[unit]:table.ev_ptr[unit + 1]]}
-        assert len(graphs) <= 1, unit
+    ev_start = 2 * circuit_d5.n_cells
+    for row, _, _, pauli in _kind_rows(circuit_d5):
+        codes = table.code[table.ptr[row]:table.ptr[row + 1]]
+        in_z = (codes[codes >= ev_start] - ev_start) % n_stab < n_z
+        assert in_z.sum() <= 2 and (~in_z).sum() <= 2, row
+        ops = pauli if isinstance(pauli, tuple) else (pauli,)
+        if not any(op.z for op in ops):
+            assert in_z.all(), row
+        if not any(op.x for op in ops):
+            assert not in_z.any(), row
 
 
 def _patched_cycle(monkeypatch, tamper):
