@@ -3,7 +3,7 @@
 Examples:
     surfacesim --distance 5 --p 0.01 --trials 2000 --seed 1 --out run.csv
     surfacesim --distance 3,5,7 --p 0.006,0.008,0.01,0.012,0.014 --trials 4000 \
-        --rounds 20 --metric dmax --estimate-threshold --out sweep.csv --plot sweep.svg
+        --rounds 28 --metric dmax --estimate-threshold --out sweep.csv --plot sweep.svg
     surfacesim --dump-lattice 5
     surfacesim --export-edges edges.json --distance 5 --p 0.01
 
@@ -134,6 +134,7 @@ def main(argv=None) -> int:
             raise ValueError("--export-edges writes one table: give one distance and one rate")
         if args.estimate_threshold:
             harness.check_fit_grid(distances, ps)
+            harness.check_fit_rounds((c.distance, c.window_rounds) for c in configs)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

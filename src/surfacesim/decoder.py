@@ -216,10 +216,6 @@ class Decoder:
         (by stabilizer, then round) to keep every verdict reproducible.
         """
         k = len(stabs)
-        if k == 0:
-            return [], []
-        if k == 1:
-            return [], [0]
         tab = self._tables[graph]
         wtab, reach, bvals = tab["wtab"], tab["reach"], tab["bvals"]
         bweight = [bvals[a] for a in stabs]

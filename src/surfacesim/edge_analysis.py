@@ -76,13 +76,13 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
 
     CNOT components of one gate that share a signature are merged here
     (exclusive outcomes of the same error event), which is what produces
-    the 8*p2/15 class.
+    the 8*p2/15 class; components invisible to the graph are dropped.
 
-    A signature is the process's detection events as sorted (flat_cell,
-    dt) pairs, dt counted from the earliest event, empty if the process
-    is invisible to its graph.  All of them are read from the rows of the
-    fault table (`sim.FaultTable`) that the sampler draws: for the z
-    graph, gate g's X⊗I, I⊗X and X⊗X rows (15 g + kind; the control-only,
+    A signature is the process's detection events as (flat_cell, dt)
+    pairs, earliest first and then by cell, dt counted from the earliest
+    event; never empty.  All of them are read from the rows of the fault
+    table (`sim.FaultTable`) that the sampler draws: for the z graph,
+    gate g's X⊗I, I⊗X and X⊗X rows (15 g + kind; the control-only,
     target-only and both-legs components), each idle data qubit's X row
     and each Z-type readout row; for the x graph, the same with Z and the
     X-type readouts.
@@ -105,14 +105,12 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
         return (events[start:end] for start, end in zip([0] + ends, ends))
 
     def signature(graph: str, events) -> tuple:
-        if not events:
-            return ()
         lo = min(events)[0]
         sig = []
         for dt, a in events:
             assert (a < n_z) == (graph == "z")
             sig.append((stab_cells[a], dt - lo))
-        sig.sort()
+        sig.sort(key=lambda e: (e[1], e[0]))
         return tuple(sig)
 
     p_cnot = model.p2 * 4.0 / 15.0
@@ -134,9 +132,9 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
         for gate in range(circuit.n_cnots):
             sigs: dict[tuple, list[str]] = {}
             for comp in comp_kind:
-                sig = signature(graph, next(events))
-                if sig:
-                    sigs.setdefault(sig, []).append(comp)
+                comp_events = next(events)
+                if comp_events:
+                    sigs.setdefault(signature(graph, comp_events), []).append(comp)
             for sig, comps in sigs.items():
                 if len(comps) == 1:
                     yield ErrorProcess(graph, ("cnot", gate), comps[0],
@@ -192,13 +190,10 @@ class EdgeClassTable:
         return json.dumps(out, indent=2)
 
 
-def _sublattice_offset(lattice: Lattice, graph: str, cells: tuple, dt: int) -> tuple:
+def _sublattice_offset(lattice: Lattice, cells: tuple, dt: int) -> tuple:
     (a1, b1) = lattice.sublattice_coord(lattice.cell(cells[0]))
     (a2, b2) = lattice.sublattice_coord(lattice.cell(cells[1]))
-    da, db = a2 - a1, b2 - b1
-    if dt == 0 and (da, db) < (-da, -db):
-        da, db = -da, -db
-    return (da, db, dt)
+    return (a2 - a1, b2 - b1, dt)
 
 
 def derive_edge_classes(circuit: CompiledCircuit, model: ErrorModel) -> EdgeClassTable:
@@ -211,8 +206,6 @@ def group_processes(lattice: Lattice, model: ErrorModel, signed) -> EdgeClassTab
     _signed_processes order."""
     groups: dict[str, dict[tuple, list[ErrorProcess]]] = {"x": {}, "z": {}}
     for proc, sig in signed:
-        if not sig:
-            continue
         if len(sig) > 2:
             raise ValueError(
                 f"process {proc.location}/{proc.component} flips {len(sig)} "
@@ -233,16 +226,11 @@ def group_processes(lattice: Lattice, model: ErrorModel, signed) -> EdgeClassTab
                     side=lattice.nearest_boundary(lattice.cell(cell))[1])
                 boundary_classes[graph][cell] = cls
             else:
-                (cu, dtu), (cv, dtv) = sig
-                if dtu > dtv:
-                    (cu, dtu), (cv, dtv) = (cv, dtv), (cu, dtu)
-                dt = dtv - dtu
-                if dt == 0:
-                    cu, cv = min(cu, cv), max(cu, cv)
+                (cu, _), (cv, dt) = sig
                 cls = EdgeClass(
                     graph=graph, cells=(lattice.cell(cu), lattice.cell(cv)),
                     dt=dt, probability=prob, members=tuple(members),
-                    offset=_sublattice_offset(lattice, graph, (cu, cv), dt))
+                    offset=_sublattice_offset(lattice, (cu, cv), dt))
                 pair_classes[graph][(cu, cv, dt)] = cls
 
     return EdgeClassTable(

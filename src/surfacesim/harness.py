@@ -26,6 +26,7 @@ import functools
 import json
 import math
 import time
+import typing
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
@@ -261,6 +262,15 @@ def check_fit_grid(distances, ps) -> None:
                              f">= {THRESHOLD_MIN_RATES} rates, got {distances} and {ps}")
 
 
+def check_fit_rounds(points) -> None:
+    """Raise ThresholdError unless every (d, T) point's window spans at
+    least d rounds: eps_d = d * eps is scale-invariant only then (at T = 1
+    it is d * P_fail, which grows with d at every rate)."""
+    short = sorted({(d, T) for d, T in points if T < d})
+    if short:
+        raise ThresholdError(f"a threshold fit needs windows of T >= d rounds, got (d, T) = {short}")
+
+
 def _scaling_fit(rows, logical: str):
     """Weighted least-squares fit of eps_d = F(x) = A + B x + C x^2,
     x = (p - p_c) d^(1/nu), over the uncensored rows.
@@ -310,8 +320,10 @@ def estimate_threshold(stats: SweepStats, logical: str = "x") -> dict:
     rate where the fitted per-round rates cross, F(x_a) / a = F(x_b) / b:
     the lowest root from p_c up to the highest swept rate, or None.  At
     p_c the larger code flips less per round (A / b < A / a), so the
-    curves can cross only above it.
+    curves can cross only above it.  Rows with T < d raise ThresholdError
+    (check_fit_rounds).
     """
+    check_fit_rounds((r.d, r.T) for r in stats.rows)
     p_c, nu, (A, B, C), span, lo = _scaling_fit(stats.rows, logical)
     if not lo < p_c < lo + span:
         raise ThresholdError(f"fitted p_c = {p_c:.4%} lies on the edge of the swept rates "
@@ -363,15 +375,11 @@ def csv_to_stats(text: str) -> SweepStats:
                          f"mean rounds to failure by the per-round flip rates {CSV_COLUMNS[11:-2]}")
     if header != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header {header}")
+    types = typing.get_type_hints(PointStats)
     rows = []
     for ln in lines[1:]:
         vals = dict(zip(header, ln.split(",")))
-        rows.append(PointStats(
-            d=int(vals["d"]), p=float(vals["p"]), model=vals["model"],
-            p2=float(vals["p2"]), pI=float(vals["pI"]), pM=float(vals["pM"]),
-            metric=vals["metric"], T=int(vals["T"]), N=int(vals["N"]),
-            fail_x=int(vals["fail_x"]), fail_z=int(vals["fail_z"]),
-            seed=int(vals["seed"]), wall_time=float(vals["wall_time"])))
+        rows.append(PointStats(**{name: typ(vals[name]) for name, typ in types.items()}))
     return SweepStats(rows=rows)
 
 

@@ -38,6 +38,13 @@ def cell_role(i: int, j: int) -> str:
     return X_SYNDROME if i % 2 == 1 else Z_SYNDROME
 
 
+def _grid_neighbors(size: int, cell: tuple[int, int]) -> dict[str, tuple[int, int]]:
+    """The neighbors of a cell inside a size x size grid, keyed by direction."""
+    i, j = cell
+    return {name: (i + di, j + dj) for name, (di, dj) in DIRECTIONS.items()
+            if 0 <= i + di < size and 0 <= j + dj < size}
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Distance-d planar code layout.  Immutable once built."""
@@ -57,9 +64,6 @@ class Lattice:
     def cell(self, index: int) -> tuple[int, int]:
         return divmod(index, self.size)
 
-    def in_grid(self, i: int, j: int) -> bool:
-        return 0 <= i < self.size and 0 <= j < self.size
-
     def stabilizers(self, graph: str) -> tuple[tuple[int, int], ...]:
         if graph == X_SYNDROME:
             return self.x_stabilizers
@@ -69,12 +73,7 @@ class Lattice:
 
     def neighbors(self, cell: tuple[int, int]) -> dict[str, tuple[int, int]]:
         """On-grid neighbors of a syndrome qubit, keyed by direction."""
-        i, j = cell
-        out = {}
-        for name, (di, dj) in DIRECTIONS.items():
-            if self.in_grid(i + di, j + dj):
-                out[name] = (i + di, j + dj)
-        return out
+        return _grid_neighbors(self.size, cell)
 
     def sublattice_coord(self, cell: tuple[int, int]) -> tuple[int, int]:
         """Map a syndrome cell to unit-spaced coordinates of its own graph.
@@ -140,14 +139,8 @@ def build_lattice(distance: int) -> Lattice:
             else:
                 zstabs.append((i, j))
 
-    supports = {}
-    for cell in xstabs + zstabs:
-        i, j = cell
-        neigh = []
-        for di, dj in DIRECTIONS.values():
-            if 0 <= i + di < size and 0 <= j + dj < size:
-                neigh.append((i + di, j + dj))
-        supports[cell] = tuple(sorted(neigh))
+    supports = {cell: tuple(sorted(_grid_neighbors(size, cell).values()))
+                for cell in xstabs + zstabs}
 
     logical_x = tuple((0, j) for j in range(0, size, 2))
     logical_z = tuple((i, 0) for i in range(0, size, 2))

@@ -25,7 +25,7 @@ from one source to many targets with one dynamic program over walks:
 * A walk of m <= l + n links to a target y, l = l(y) its fewest-link
   count, that repeats a node contains a closed sub-walk; cutting it out
   leaves a walk to y of at least l links, so the closed sub-walk has at
-  most n links.  Self-links are dropped (a path never takes them), so it
+  most n links.  No link joins a node to itself (see LinkGraph), so it
   has at least 2.
 * The simple paths counted by d_n are therefore exactly the walks of
   l .. l + n links that never return to a node within n steps: for
@@ -67,7 +67,8 @@ class LinkGraph:
     does while |t| < _T_SPAN // 2; a link's step is the code of its far
     end minus the code of its near one.  The graph is unbounded in time,
     which models the interior of a long window.  A cell's links follow
-    the table's class order, which fixes how searches break ties.
+    the table's class order, which fixes how searches break ties.  No link
+    joins a node to itself: two events of one stabilizer in one round cancel.
     """
 
     def __init__(self, table: EdgeClassTable, graph: str):
@@ -202,8 +203,6 @@ def path_sum_table(graph: LinkGraph, source, targets, n: int) -> list[float]:
         for node in frontier:
             u = index[node]
             for other, p in graph.neighbors(node):
-                if other == node:
-                    continue
                 v = index.get(other)
                 if v is None:
                     v = index[other] = len(depth)

@@ -76,15 +76,6 @@ PAULI2_BITS = np.array(
 
 PAULI1_BITS = np.array([(1, 0), (1, 1), (0, 1)], dtype=np.uint8)  # X, Y, Z
 
-# Unit-fault bits of every sampled kind, padded to four: rows 0-14 are the
-# CNOT Paulis (xc, zc, xt, zt), rows 15-17 the idle Paulis (x, z), row 18
-# the readout flip.  Per slot class: (first row, kind multiplier, max kind).
-_KIND_UNITS = np.zeros((19, 4), dtype=np.uint8)
-_KIND_UNITS[:15] = PAULI2_BITS
-_KIND_UNITS[15:18, :2] = PAULI1_BITS
-_KIND_UNITS[18, 0] = 1
-_SLOT_CLASSES = {"p2": (0, 15.0, 14), "pI": (15, 3.0, 2), "pM": (18, 0.0, 0)}
-
 
 @dataclass
 class PauliFrame:

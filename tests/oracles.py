@@ -252,7 +252,7 @@ def propagate_process(circuit: CompiledCircuit,
     dts = [dt for _, dt in sig]
     assert all(dt in (0, 1) for dt in dts), f"signature spans >1 round: {sig}"
     lo = min(dts)
-    return tuple(sorted((c, dt - lo) for c, dt in sig))
+    return tuple(sorted(((c, dt - lo) for c, dt in sig), key=lambda e: (e[1], e[0])))
 
 
 def propagated_processes(circuit: CompiledCircuit, model: ErrorModel,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 import surfacesim
 
 from surfacesim.cli import main
+from surfacesim.harness import estimate_threshold
+from test_harness import _fake_stats
 
 
 def test_dump_lattice(capsys):
@@ -201,6 +204,61 @@ def test_custom_model_sweep_over_p_returns_1(capsys, no_windows):
     captured = capsys.readouterr()
     assert captured.err.startswith("configuration error:") and "--p" in captured.err
     assert captured.out == ""
+
+
+FIT_ARGS = ["--estimate-threshold", "--distance", "3,5,7",
+            "--p", "0.006,0.008,0.01,0.012,0.014", "--trials", "2"]
+
+
+def test_threshold_fit_with_short_windows_returns_1(capsys, no_windows):
+    # The fit needs windows of at least d rounds: --rounds 5 is too short
+    # for d = 7, and that is known before any window runs.
+    assert main([*FIT_ARGS, "--rounds", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:") and "T >= d" in captured.err
+    assert captured.out == ""
+
+
+@pytest.fixture
+def fake_sweep(monkeypatch):
+    """Make harness.run_trials return the given rows instead of running
+    windows, with a short bootstrap."""
+    import surfacesim.harness as harness
+
+    monkeypatch.setattr(harness, "N_BOOTSTRAP", 20)
+
+    def use(stats):
+        monkeypatch.setattr(harness, "run_trials", lambda *args, **kwargs: stats)
+
+    return use
+
+
+def test_threshold_fit_report(capsys, fake_sweep):
+    stats = _fake_stats(p_c=0.0095)
+    fake_sweep(stats)
+    assert main(FIT_ARGS) == 0
+    report = capsys.readouterr().err.splitlines()
+    assert len(report) == 2
+    pct = r"\d\.\d{4}%"
+    for logical, line in zip("xz", report):
+        crossing = f"(none|{pct})"
+        assert re.fullmatch(
+            rf"p_c \({logical}\) = {pct} \+/- {pct}  nu = \d\.\d\d  "
+            rf"\(per-round crossings: 3/5 {crossing}, 5/7 {crossing}\)", line), line
+        fit = estimate_threshold(stats, logical=logical)
+        assert line.startswith(f"p_c ({logical}) = {fit['p_c']:.4%} +/- {fit['sigma']:.4%}  "
+                               f"nu = {fit['nu']:.2f}  ")
+
+
+def test_threshold_fit_failure_is_reported_not_an_error(capsys, fake_sweep):
+    # Every swept rate lies above the crossing: the fit puts p_c on the
+    # lowest rate and says so, and the run still succeeds.
+    fake_sweep(_fake_stats(p_c=0.003))
+    assert main(FIT_ARGS) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("d,p,model")
+    line = captured.err.splitlines()[0]
+    assert line.startswith("threshold fit (x) failed: fitted p_c = 0.6000% lies on the edge")
 
 
 def test_sweep_opens_one_pool(capsys, pool_sizes):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from surfacesim.harness import (
-    CSV_COLUMNS, N_BOOTSTRAP, PointStats, SweepStats, ThresholdError, TrialConfig, csv_to_stats,
-    emit_results, estimate_threshold, flip_rate, plot_svg, run_trials,
+    CSV_COLUMNS, N_BOOTSTRAP, PointStats, SweepStats, ThresholdError, TrialConfig,
+    check_fit_rounds, csv_to_stats, emit_results, estimate_threshold, flip_rate, plot_svg, run_trials,
     stats_to_csv, stats_to_json, wilson_interval,
 )
 from surfacesim.metric import METRICS
@@ -315,6 +315,20 @@ def test_estimate_threshold_requires_enough_curves():
     stats = _fake_stats(ps=(0.01, 0.011, 0.012))
     with pytest.raises(ThresholdError):
         estimate_threshold(stats)
+
+
+def test_estimate_threshold_refuses_windows_shorter_than_d():
+    # eps_d = d * eps is scale-invariant only when a window spans at least
+    # d rounds; at T = 1 the fit would read eps_d = d * P_fail, which grows
+    # with d at every rate.
+    stats = _fake_stats()
+    with pytest.raises(ThresholdError, match="T >= d"):
+        estimate_threshold(SweepStats(rows=[replace(r, T=1) for r in stats.rows]))
+    # One short distance is enough to refuse the fit.
+    with pytest.raises(ThresholdError, match=r"\(7, 6\)"):
+        estimate_threshold(SweepStats(rows=[replace(r, T=6) if r.d == 7 else r
+                                            for r in stats.rows]))
+    check_fit_rounds([(3, 3), (5, 5), (7, 7)])  # T = d is long enough
 
 
 @pytest.mark.parametrize("custom_model,warns", [
