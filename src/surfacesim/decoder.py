@@ -352,7 +352,7 @@ def _solve_blossom(comp: list[int], nbrs: list[list[tuple[int, float]]],
     redges.sort()  # by position pair; the edge order breaks exact ties
     # Looked up on the module at call time, so a patched solver (the
     # bench's span tracer) is the one called.
-    mate = matching._max_weight_matching(len(comp), redges, maxcardinality=False)
+    mate = matching._max_weight_matching(len(comp), redges)
     pairs = []
     bd = []
     for a, u in enumerate(comp):

@@ -10,8 +10,7 @@ flips the matching along the path and dissolves only those two trees:
 their blossoms, nested ones included, lose their labels, and so do the
 marks their scans left inside other trees' T-blossoms.  Every other tree
 carries on.  The decoder maximizes pair gains (see
-`decoder._solve_blossom`); maximum-cardinality mode on uniformly shifted
-weights (max_w - w) gives a minimum-weight perfect matching.
+`decoder._solve_blossom`).
 
 Duals are lazy.  All trees move their duals together as time `now`
 advances, so the dual of a vertex, or the z of a blossom, is stored as
@@ -39,9 +38,9 @@ owner recomputes its event from its edges.  A current event is acted on
 whatever its recomputed slack, so roundoff can never lose an event, and
 an owner still S afterwards recomputes its event.  Either way the new
 event is never earlier than the one popped.  Nothing at or after the
-stop time (in max-weight mode, now = max weight, where the free
-vertices' duals reach zero) is pushed; the run ends there, when fewer
-than two free vertices remain, or when no event is left.
+stop time (now = max weight, where the free vertices' duals reach zero)
+is pushed; the run ends there or when fewer than two free vertices
+remain.
 
 `EPS` (1e-12, absolute) decides only whether an edge found during a scan
 is tight enough to act on at once rather than through an event; duals
@@ -51,7 +50,6 @@ accumulated rounding error for decoder-scale weights.
 
 from __future__ import annotations
 
-import math
 from heapq import heappop, heappush
 
 EPS = 1e-12
@@ -59,12 +57,10 @@ EPS = 1e-12
 _STOP, _EDGE, _EXPAND = range(3)
 
 
-def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
-                         maxcardinality: bool) -> list[int]:
+def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
     """Maximum-weight matching; returns mate[v] = partner vertex or -1.
 
-    With maxcardinality=True the matching has maximum cardinality, and
-    maximum weight among those.  Edge weights may be any floats.
+    Edge weights may be any floats.
     """
     if not edges:
         return [-1] * n
@@ -116,9 +112,9 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
     marks: list = [[] for _ in range(n)]
     queue = list(range(n))
     # Events (time, kind, edge or blossom, stamp, stamp[, owner]); see the
-    # module docstring.
-    stop = math.inf if maxcardinality else maxweight
-    heap: list = [] if maxcardinality else [(stop, _STOP, 0, 0, 0)]
+    # module docstring.  The stop event ends the run when popped, so the
+    # heap is never empty.
+    heap: list = [(maxweight, _STOP, 0, 0, 0)]
     now = 0.0
 
     def set_rate(x: int, r: int) -> None:
@@ -141,7 +137,7 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
         ox = off[x]
         # Slack falls at rate 2 between S vertices, at rate 1 otherwise.
         scale = 0.5 if label[bx] == 1 else 1.0
-        best = stop
+        best = maxweight
         bk = -1
         for p in neighbend[x]:
             w = endpoint[p]
@@ -440,7 +436,7 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
         """Act on the tight edges of S vertex v, make v's event and offer
         each unlabelled neighbour its edge; returns True if v's tree
         augmented."""
-        best = stop
+        best = maxweight
         bk = -1
         for p in neighbend[v]:
             w = endpoint[p]
@@ -466,7 +462,7 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
             elif lw == 0:
                 if t0 - now <= EPS:
                     assign_label(w, 2, p ^ 1)
-                elif t0 < stop:
+                elif t0 < maxweight:
                     ev = cur[w]
                     if ev is None or t0 < ev[0] or (t0 == ev[0] and k < ev[2]):
                         push_edge(k, t0, w)
@@ -485,8 +481,6 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]],
             if label[inblossom[v]] == 1 and scan(v):
                 free -= 2
             continue
-        if not heap:
-            break
         ev = heappop(heap)
         t, kind, x = ev[0], ev[1], ev[2]
         if kind == _EDGE:

@@ -1,9 +1,11 @@
 """Reference implementations the tests check the package against.  Not part
 of the package.
 
-* Matching: `mwpm`, the virtual-twin minimum-weight perfect matching on
-  `_max_weight_matching` in maximum-cardinality mode, and
-  `brute_force_mwpm`, an exhaustive minimum for graphs of up to 12 nodes.
+* Matching: `max_cardinality_matching`, a maximum-cardinality matching of
+  maximum weight from `_max_weight_matching` on weights shifted up by a
+  constant; `mwpm`, the minimum-weight perfect matching it gives on
+  weights max_w - w; and `brute_force_mwpm`, an exhaustive minimum for
+  graphs of up to 12 nodes.
 * Decoding: `build_match_graph`, the full augmented match graph of one
   graph type's events with every weight taken from a `MetricCache`, and
   `corrections_from_matching`, the flip plane of a matching of it, walked
@@ -61,6 +63,22 @@ class Matching:
     total_weight: float
 
 
+def max_cardinality_matching(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
+    """Maximum-cardinality matching of maximum weight among those; returns
+    mate[v] = partner vertex or -1.
+
+    Adds C = (n // 2) * R + 1 to every weight, where R = max(max_w, 0) -
+    min(min_w, 0).  A matching of k + 1 edges then outweighs one of k by
+    at least C + (k + 1) * min_w - k * max_w >= C - (k + 1) * R > 0, since
+    k + 1 <= n // 2; so the maximum-weight matching of the shifted weights
+    has maximum cardinality, and maximum weight among those.
+    """
+    max_w = max((w for _, _, w in edges), default=0.0)
+    min_w = min((w for _, _, w in edges), default=0.0)
+    c = (n // 2) * (max(max_w, 0.0) - min(min_w, 0.0)) + 1.0
+    return _max_weight_matching(n, [(u, v, w + c) for u, v, w in edges])
+
+
 def mwpm(graph: MatchGraph) -> Matching:
     """Globally minimum-weight perfect matching (exact)."""
     n = graph.n_nodes
@@ -69,8 +87,7 @@ def mwpm(graph: MatchGraph) -> Matching:
     if n == 0:
         return Matching(pairs=(), total_weight=0.0)
     max_w = max((w for _, _, w in graph.edges), default=0.0)
-    shifted = [(u, v, max_w - w) for u, v, w in graph.edges]
-    mate = _max_weight_matching(n, shifted, maxcardinality=True)
+    mate = max_cardinality_matching(n, [(u, v, max_w - w) for u, v, w in graph.edges])
     pairs = []
     for v in range(n):
         if mate[v] == -1:

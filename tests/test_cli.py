@@ -193,7 +193,9 @@ def test_bad_config_file_value_returns_1(tmp_path, capsys, no_windows, line):
                                    "--pM", "1"]])
 def test_bad_flag_value_returns_1(capsys, no_windows, argv):
     assert main(["--distance", "3", "--trials", "2", *argv]) == 1
-    assert capsys.readouterr().err.startswith("configuration error:")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert captured.out == ""
 
 
 def test_custom_model_sweep_over_p_returns_1(capsys, no_windows):

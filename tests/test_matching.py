@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from surfacesim.matching import _max_weight_matching
 
-from oracles import MatchGraph, Matching, MatchingError, brute_force_mwpm, mwpm
+from oracles import (MatchGraph, Matching, MatchingError, brute_force_mwpm,
+                     max_cardinality_matching, mwpm)
 
 
 def complete_graph(weights):
@@ -236,6 +237,14 @@ def _solver_value(n, edges, mate, maxcardinality):
     return (len(pairs) if maxcardinality else 0, total)
 
 
+def _solve(n, edges, maxcardinality):
+    """The solver's mates: maximum weight, or with maxcardinality maximum
+    cardinality first, through the oracle's constant weight shift."""
+    if maxcardinality:
+        return max_cardinality_matching(n, edges)
+    return _max_weight_matching(n, edges)
+
+
 def _random_int_edges(rng, n, density):
     return [(u, v, float(rng.randint(1, 6)))
             for u in range(n) for v in range(u + 1, n) if rng.random() < density]
@@ -249,7 +258,7 @@ def test_matching_oracle_tie_heavy_weights(maxcardinality):
     for trial in range(400):
         n = rng.randint(2, 12)
         edges = _random_int_edges(rng, n, rng.choice([0.3, 0.5, 0.8, 1.0]))
-        mate = _max_weight_matching(n, edges, maxcardinality)
+        mate = _solve(n, edges, maxcardinality)
         got = _solver_value(n, edges, mate, maxcardinality)
         want = _best_matching(n, edges, maxcardinality)
         assert got[0] == want[0] and got[1] == pytest.approx(want[1], abs=1e-9), \
@@ -297,7 +306,7 @@ HAND_BUILT = {
 def test_hand_built_graphs_reach_the_optimum(name, maxcardinality):
     edges = [(u, v, float(w)) for u, v, w in HAND_BUILT[name]]
     n = 1 + max(max(u, v) for u, v, _ in edges)
-    mate = _max_weight_matching(n, edges, maxcardinality)
+    mate = _solve(n, edges, maxcardinality)
     got = _solver_value(n, edges, mate, maxcardinality)
     want = _best_matching(n, edges, maxcardinality)
     assert got[0] == want[0] and got[1] == pytest.approx(want[1], abs=1e-9)
@@ -308,12 +317,12 @@ def test_max_weight_matching_is_deterministic():
     for _ in range(5):
         edges = _random_int_edges(rng, 40, 0.2)
         for maxcardinality in (False, True):
-            first = _max_weight_matching(40, edges, maxcardinality)
-            assert _max_weight_matching(40, list(edges), maxcardinality) == first
+            first = _solve(40, edges, maxcardinality)
+            assert _solve(40, list(edges), maxcardinality) == first
 
 
 # sha256 of the mate lists of the 40 graphs in `_tie_heavy_graphs`, per
-# mode, as the solver returned them when pinned.
+# `_solve` mode, as the solver returned them when pinned.
 PINNED_TIE_MATES = {
     False: "acd9a0ad84310650a218ac522f9a423b09db324145300f62840e29bb74651cac",
     True: "7fb9cd28d8f2381ccf65eb114a358eb16160ab77a97805533e6ae0f5e51e0701",
@@ -334,5 +343,5 @@ def test_max_weight_matching_keeps_pinned_tie_order(maxcardinality):
     these graphs must stay the pinned ones."""
     digest = hashlib.sha256()
     for n, edges in _tie_heavy_graphs():
-        digest.update(repr(_max_weight_matching(n, edges, maxcardinality)).encode())
+        digest.update(repr(_solve(n, edges, maxcardinality)).encode())
     assert digest.hexdigest() == PINNED_TIE_MATES[maxcardinality]
