@@ -13,8 +13,9 @@ flags that take a value, without the dashes and with their case
 argument ahead of the command line, so one parser checks both and
 command-line flags win.  Config files do not nest: a config= line is an
 error.  Run defaults are those of harness.TrialConfig.
-Exit codes: 0 success, 1 configuration error (bad flag values included),
-2 resource or I/O error.
+Exit codes: 0 success, 1 configuration error (bad flag values included)
+or a sweep aborted because a worker process died, 2 resource or I/O
+error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import fields
 
 from . import harness
@@ -175,6 +177,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
+    except BrokenExecutor as exc:
+        # A worker process died, so its chunk of windows was lost.
+        print(f"sweep aborted: {exc}", file=sys.stderr)
+        return 1
 
     return 0
 

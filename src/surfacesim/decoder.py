@@ -12,19 +12,25 @@ evaluates no metric at all: candidate edges are table lookups between
 time-sorted events.  Reach bounds the space and time separation (in
 sublattice units and rounds) of a pair whose best single path can be
 lighter than two boundary matches, since every link weighs at least as
-much as the most probable one.  One loop over source stabilizers fills
-the pair table of every metric:
+much as the most probable one.  Boundary weights are one
+`metric.boundary_search` per stabilizer (`Lattice.nearest_boundary` for
+manhattan).  One loop over source stabilizers then fills the pair table
+of every metric:
 
-* dmax: every node `metric.settled` reaches within twice the largest
-  boundary weight;
+* dmax: the source's boundary search, read on to twice its boundary
+  weight b_a.  Each pair {a, c} is filled once, by its owner, the
+  endpoint with the larger (b, index): a node (c, t) that the owner a
+  settles gives wtab[a][c][t] for t >= 0 and wtab[c][a][-t] for t <= 0,
+  since links are undirected and the circuit is periodic in time.  The
+  candidate scan keeps a pair only if it is lighter than b_a + b_c, at
+  most twice the owner's boundary weight, so the owner's search reaches
+  every entry the scan can keep; an entry no owner reaches stays inf.
 * d0-d2: one `metric.path_sum_table` walk program over every target
   within reach;
 * manhattan: the closed form over the same targets.
 
-Boundary weights are one `metric.boundary_distance` search per
-stabilizer (`Lattice.nearest_boundary` for manhattan).  The tables keep
-every weight they compute: the one prune rule is the candidate scan's,
-below.
+The tables prune nothing by weight: the one prune rule is the candidate
+scan's, below.
 
 The match graph follows the virtual-twin construction: every real event
 gets a virtual partner at its boundary weight, virtual nodes pair among
@@ -62,7 +68,7 @@ import numpy as np
 from . import matching
 from .edge_analysis import EdgeClassTable
 from .lattice import Lattice
-from .metric import LinkGraph, boundary_distance, manhattan, path_sum_table, settled
+from .metric import LinkGraph, boundary_search, manhattan, path_sum_table
 from .sim import PauliFrame, SyndromeHistory, _graph_events
 
 DP_MAX_NODES = 6
@@ -107,7 +113,6 @@ class Decoder:
         stabs = lat.stabilizers(lg.graph)
         S = len(stabs)
         cells = [lat.index(c) for c in stabs]
-        stab_of_cell = {c: a for a, c in enumerate(cells)}
         sub = [lat.sublattice_coord(c) for c in stabs]
         probs = [p for links in lg.links.values() for _, _, p, _, _ in links]
         w_min = -math.log(max(probs)) if probs else math.inf
@@ -125,9 +130,9 @@ class Decoder:
             raise ValueError(f"{lg.graph} graph has a link of probability 1 "
                              f"(weight 0)")
         else:
-            bw = [boundary_distance(lg, (c, 0)) for c in cells]
-        bvals = [float(w) for w, _ in bw]
-        bsides = [side for _, side in bw]
+            bw = [boundary_search(lg, (c, 0)) for c in cells]
+        bvals = [float(b[0]) for b in bw]
+        bsides = [b[1] for b in bw]
         bchains = [_boundary_chain(lat, c, side) for c, side in zip(cells, bsides)]
         # An edge no lighter than two boundary matches is pruned.  Every
         # link weighs at least w_min (one unit for manhattan) and moves at
@@ -138,14 +143,24 @@ class Decoder:
         reach = max(1, math.ceil(2.0 * b_max / w_min)) if math.isfinite(w_min) else 1
 
         wtab = [[[math.inf] * (reach + 1) for _ in range(S)] for _ in range(S)]
-        for a in range(S):
+        # Sources run in (b, index) order: when dmax reaches source a,
+        # `owned` holds the cells of a and of every stabilizer before it,
+        # whose pairs with a are a's to fill.
+        owned: dict[int, int] = {}
+        for a in sorted(range(S), key=lambda a: (bvals[a], a)):
             row = wtab[a]
             if self.metric == "dmax":
-                # Nodes in earlier rounds are settled too; only 0 <= t is
-                # a table entry.
-                for d, (cell, t) in settled(lg, (cells[a], 0), 2.0 * b_max + 1e-9):
-                    if 0 <= t <= reach:
-                        row[stab_of_cell[cell]][t] = d
+                # a's boundary search, read on to 2 * b_a, fills both
+                # orientations of each pair a owns.
+                owned[cells[a]] = a
+                for d, (cell, t) in bw[a][2]:
+                    c = owned.get(cell)
+                    if c is None or not -reach <= t <= reach:
+                        continue
+                    if t >= 0:
+                        row[c][t] = d
+                    if t <= 0 and c != a:
+                        wtab[c][a][-t] = d
                 continue
             targets = [(b, dt) for b in range(S)
                        if max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1])) <= reach

@@ -208,11 +208,12 @@ def run_trials(*configs: TrialConfig, trace_sink=None) -> SweepStats:
     trace) chunks, a point's chunks adjacent so that each process builds
     its set-up (`_setup`) once.  The configs share one jobs value: the
     chunks run in this process, or in one spawn pool of min(jobs,
-    chunks) workers when that is more than one.  Counts merge per point
-    in chunk order.  A row's wall_time is the seconds its chunks took,
-    summed over workers, set-up included.  Given a trace_sink list, each
-    window's detection events are appended to it as text, in (point,
-    window) order."""
+    chunks) workers when that is more than one; a worker that dies
+    raises BrokenProcessPool instead of leaving its chunk unawaited.
+    Counts merge per point in chunk order.  A row's wall_time is the
+    seconds its chunks took, summed over workers, set-up included.  Given
+    a trace_sink list, each window's detection events are appended to it
+    as text, in (point, window) order."""
     jobs = {cfg.jobs for cfg in configs}
     if len(jobs) > 1:
         raise ValueError(f"the points of one sweep share one jobs value, got {sorted(jobs)}")
@@ -237,8 +238,10 @@ def run_trials(*configs: TrialConfig, trace_sink=None) -> SweepStats:
         results = map(_run_chunk, chunks)
         if workers > 1:
             import multiprocessing as mp
-            pool = stack.enter_context(mp.get_context("spawn").Pool(workers))
-            results = pool.imap(_run_chunk, chunks)
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, mp_context=mp.get_context("spawn")))
+            results = pool.map(_run_chunk, chunks)
         for (point, *_), (fail_x, fail_z, seconds, traces) in zip(chunks, results):
             row = rows[point]
             row.fail_x += fail_x

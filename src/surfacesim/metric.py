@@ -13,7 +13,9 @@ the product of its link probabilities.
   minimum number of links l, plus paths up to l+n links.
 * boundary_distance: cheapest d_max-style escape to a spatial boundary.
 * settled: d_max from one source to every node within a cutoff, lightest
-  first; the decoder's dmax tables and boundary_distance walk it.
+  first.  boundary_search runs one per source: it reads the boundary
+  weight b from the search's start and returns the search, cut at 2 b,
+  for the decoder's dmax table to read on.
 
 Paths never repeat a node: a repeated node corresponds to error pairs
 that cancel rather than an error chain.
@@ -252,7 +254,9 @@ def settled(graph: LinkGraph, source, cutoff: float = math.inf):
     """Dijkstra from a source node: yields (weight, node) for every node
     whose single-path weight is at most cutoff, lightest first, each node
     once.  Equal weights settle in (cell, t) order.  The search runs on
-    node codes and link weights (see LinkGraph)."""
+    node codes and link weights (see LinkGraph).  Sending it a weight
+    lowers the cutoff to that weight from the node last yielded on; the
+    send returns the next (weight, node)."""
     links, half = graph.links, _T_SPAN // 2
     inf = math.inf
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -261,10 +265,14 @@ def settled(graph: LinkGraph, source, cutoff: float = math.inf):
     heap = [(0.0, start)]
     while heap:
         d, code = heappop(heap)
+        if d > cutoff:
+            return
         if d > dist[code]:
             continue
         cell, t_code = divmod(code, _T_SPAN)
-        yield d, (cell, t_code - half)
+        lowered = yield d, (cell, t_code - half)
+        if lowered is not None:
+            cutoff = lowered
         for _, _, _, w, step in links.get(cell, ()):
             nd = d + w
             if nd <= cutoff:
@@ -274,14 +282,23 @@ def settled(graph: LinkGraph, source, cutoff: float = math.inf):
                     heappush(heap, (nd, nxt))
 
 
-def boundary_distance(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]:
-    """Cheapest escape from node s to a spatial boundary of its graph type.
+def boundary_search(graph: LinkGraph, s: tuple[int, int]):
+    """Cheapest escape from node s to a spatial boundary of its graph
+    type, and the search that found it.
 
-    Returns (-ln probability of the best escape chain, boundary side).
+    Returns (weight, side, nodes): weight is -ln probability of the best
+    escape chain and side its boundary side, as `boundary_distance`
+    gives them; nodes iterates the same `settled` search, from s on, over
+    every (weight, node) within twice the escape weight, lightest first.
+    The search relaxes nothing past that cutoff once the weight is known,
+    and runs on only as far as nodes is read.
     """
+    search = settled(graph, s)
+    seen = []
     best = math.inf
     best_side = None
-    for d, node in settled(graph, s):
+    for d, node in search:
+        seen.append((d, node))
         if d >= best:
             break
         link = graph.exits.get(node[0])
@@ -294,17 +311,36 @@ def boundary_distance(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]
         # geometrically nearest side at infinite weight; no detection
         # events can occur in this regime, so the weight is never used.
         lat = graph.lattice
-        return math.inf, lat.nearest_boundary(lat.cell(s[0]))[1]
-    return best, best_side
+        return math.inf, lat.nearest_boundary(lat.cell(s[0]))[1], iter(seen)
+    cutoff = 2.0 * best
+
+    def nodes():
+        yield from (item for item in seen if item[0] <= cutoff)
+        try:
+            yield search.send(cutoff)
+        except StopIteration:
+            return
+        yield from search
+
+    return best, best_side, nodes()
+
+
+def boundary_distance(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]:
+    """Cheapest escape from node s to a spatial boundary of its graph type.
+
+    Returns (-ln probability of the best escape chain, boundary side).
+    """
+    best, side, _ = boundary_search(graph, s)
+    return best, side
 
 
 class MetricCache:
     """The per-pair reference: memoized weights by definition, one metric
     evaluation per key.
 
-    The decoder does not use it; its tables come from `settled` (dmax),
-    `path_sum_table` (d0-d2), `boundary_distance` and the closed forms
-    (manhattan).  `pair_weight` evaluates one pair by definition (a d_max
+    The decoder does not use it; its tables come from `boundary_search`
+    (boundary weights and dmax), `path_sum_table` (d0-d2) and the closed
+    forms (manhattan).  `pair_weight` evaluates one pair by definition (a d_max
     search, or a minimum-link search plus a path enumeration for d_n) and
     `boundary_weight` one cell; the tests check the decoder's tables
     against them, and the benchmark traces both by name.  Pair weights depend only on (cell_u, cell_v, dt)

@@ -1,17 +1,17 @@
-import multiprocessing as mp
+import concurrent.futures
 
 import pytest
 
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The worker count of every spawn pool asked for, in order.  The
+    """The worker count of every process pool asked for, in order.  The
     pools start no process: their chunks run in this one."""
     sizes: list[int] = []
 
-    class InProcessPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    class InProcessExecutor:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -19,8 +19,8 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, func, items):
+        def map(self, func, items):
             return map(func, items)
 
-    monkeypatch.setattr(mp.get_context("spawn"), "Pool", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
     return sizes

@@ -10,6 +10,9 @@ of the package.
   graph type's events with every weight taken from a `MetricCache`, and
   `corrections_from_matching`, the flip plane of a matching of it, walked
   one chain step at a time (`_staircase_flip`, `_boundary_flip`).
+* dmax tables: `dmax_table_reference`, the pair table filled from one
+  search per stabilizer to twice the largest boundary weight, each
+  keeping the nodes of rounds t >= 0.
 * Link classes: `propagate_process`, the signature of one error component
   pushed through its own noiseless window by the frozen frame stepper;
   `propagated_processes`, every process of a cycle with its propagated
@@ -28,7 +31,7 @@ from surfacesim.decoder import PRUNE_EPS
 from surfacesim.edge_analysis import EdgeClass, EdgeClassTable, ErrorProcess
 from surfacesim.lattice import Lattice
 from surfacesim.matching import _max_weight_matching
-from surfacesim.metric import MetricCache
+from surfacesim.metric import LinkGraph, MetricCache, settled
 from surfacesim.noise import ErrorModel
 from surfacesim.sim import PAULI1_BITS, PAULI2_BITS, CompiledCircuit, detection_events
 
@@ -173,6 +176,22 @@ def build_match_graph(events: list[tuple[int, int]], cache: MetricCache,
         for v in range(u + 1, k):
             graph.add_edge(k + u, k + v, 0.0)
     return graph, sides
+
+
+def dmax_table_reference(graph: LinkGraph, cells: list[int], b_max: float,
+                         reach: int) -> list[list[list[float]]]:
+    """wtab[a][b][t], 0 <= t <= reach: the d_max weight from (cells[a], 0)
+    to (cells[b], t) for every node that a search from a settles within
+    2 * b_max, inf elsewhere.  Every stabilizer is searched, and each
+    search keeps its nodes of rounds t >= 0 only."""
+    S = len(cells)
+    stab_of_cell = {c: a for a, c in enumerate(cells)}
+    wtab = [[[math.inf] * (reach + 1) for _ in range(S)] for _ in range(S)]
+    for a in range(S):
+        for d, (cell, t) in settled(graph, (cells[a], 0), 2.0 * b_max + 1e-9):
+            if 0 <= t <= reach:
+                wtab[a][stab_of_cell[cell]][t] = d
+    return wtab
 
 
 def _staircase_flip(lattice: Lattice, corr: np.ndarray,

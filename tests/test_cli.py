@@ -271,6 +271,33 @@ def test_sweep_opens_one_pool(capsys, pool_sizes):
     assert capsys.readouterr().out.count("\n") == 9
 
 
+def test_dead_worker_returns_1(capsys, monkeypatch):
+    # A worker that dies loses its chunk: the sweep stops with exit code 1
+    # and a message, and writes no rows.
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
+    class DeadExecutor:
+        def __init__(self, max_workers, mp_context):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            raise BrokenProcessPool("a worker process was terminated")
+            yield
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadExecutor)
+    assert main(["--distance", "3", "--trials", "4", "--seed", "1", "--jobs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sweep aborted: a worker process was terminated\n"
+
+
 def test_config_file_custom_model_keys_keep_their_case(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model=custom\np2=0.02\npI=0.001\npM=0.002\n"

@@ -13,14 +13,17 @@ from surfacesim.lattice import build_lattice, standard_schedule
 from surfacesim.noise import ErrorModel, preset, trial_rng
 from surfacesim.sim import _graph_events, compile_circuit, simulate_window
 from surfacesim.edge_analysis import derive_edge_classes
-from surfacesim.decoder import DP_MAX_NODES, Decoder
+from surfacesim.decoder import DP_MAX_NODES, PRUNE_EPS, Decoder
 from surfacesim.harness import _setup
-from surfacesim.metric import METRICS, LinkGraph, MetricCache, d_max, d_n, path_sum_table
+from surfacesim.metric import (
+    METRICS, LinkGraph, MetricCache, boundary_distance, d_max, d_n, path_sum_table,
+)
 
 import frame_reference
 from frame_reference import cnot_phase, make_injection
 from oracles import (
-    _boundary_flip, _staircase_flip, build_match_graph, corrections_from_matching, mwpm,
+    _boundary_flip, _staircase_flip, build_match_graph, corrections_from_matching,
+    dmax_table_reference, mwpm,
 )
 from paulis import SINGLE_PAULIS, TWO_QUBIT_PAULIS, X
 
@@ -243,6 +246,53 @@ def test_dmax_table_matches_d_max_oracle(d):
                 assert exact >= bvals[a] + bvals[b], (g, a, b, dt)
 
 
+def _preset_table(d, model, p=0.01):
+    lat = build_lattice(d)
+    return derive_edge_classes(compile_circuit(lat, standard_schedule(lat)), preset(model, p))
+
+
+@pytest.mark.parametrize("d,model", [(3, "standard"), (5, "standard"), (7, "standard"),
+                                     (9, "standard"), (5, "balanced"), (5, "iontrap")])
+def test_owner_fill_matches_reference_fill(d, model):
+    """Each pair filled once, from the search of the endpoint with the
+    larger (b, index), keeps and prunes exactly what the fill that
+    searches every stabilizer to 2 * b_max keeps and prunes."""
+    table = _preset_table(d, model)
+    dec = Decoder(table, "dmax")
+    kept = 0
+    for g in ("x", "z"):
+        tab = dec._tables[g]
+        b, wtab, reach = tab["bvals"], tab["wtab"], tab["reach"]
+        ref = dmax_table_reference(LinkGraph(table, g), tab["cells"], max(b), reach)
+        for a, c, dt in np.ndindex(len(b), len(b), reach + 1):
+            w, w_ref = wtab[a][c][dt], ref[a][c][dt]
+            bound = b[a] + b[c] - PRUNE_EPS
+            assert (w < bound) == (w_ref < bound), (g, a, c, dt)
+            if w < bound:
+                assert w == pytest.approx(w_ref, rel=1e-12, abs=0), (g, a, c, dt)
+                kept += 1
+            elif w == math.inf:
+                assert w_ref >= b[a] + b[c], (g, a, c, dt)
+    assert kept > 80
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("model,p", [("standard", 0.01), ("balanced", 0.01),
+                                     ("iontrap", 0.01), ("standard", 0.0)])
+def test_dmax_boundary_weights_are_boundary_distance(d, model, p):
+    """The search that fills the dmax table gives each stabilizer the
+    boundary weight and side of `boundary_distance`, bit for bit; at
+    p = 0 that is the nearest side at weight inf."""
+    table = _preset_table(d, model, p)
+    dec = Decoder(table, "dmax")
+    for g in ("x", "z"):
+        tab = dec._tables[g]
+        graph = LinkGraph(table, g)
+        got = list(zip(tab["bvals"], tab["bsides"]))
+        assert got == [boundary_distance(graph, (c, 0)) for c in tab["cells"]]
+        assert all(w == math.inf for w, _ in got) == (p == 0.0)
+
+
 def _in_reach_entries(dec, table, g):
     """(a, b, dt) table entries within Chebyshev and time reach, except
     the source point itself: the targets of every table fill."""
@@ -330,23 +380,25 @@ def test_path_sum_build_enumerates_no_paths(setup_d3, metric, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-pair metric evaluation during construction")
 
-    import surfacesim.decoder as decoder_module
     import surfacesim.metric as metric_module
     for name in ("d_max", "path_sum", "min_links"):
         monkeypatch.setattr(metric_module, name, forbidden)
     monkeypatch.setattr(MetricCache, "pair_weight", forbidden)
     monkeypatch.setattr(MetricCache, "boundary_weight", forbidden)
-    # Boundary weights are one search per stabilizer, and none for manhattan.
+    # One `settled` search per stabilizer gives its boundary weight and,
+    # for dmax, its share of the pair table; manhattan searches nothing.
     searched = []
+    search = metric_module.settled
 
-    def boundary_search(graph, node):
-        searched.append(node)
-        return metric_module.boundary_distance(graph, node)
+    def counted(graph, source, *args):
+        searched.append(source)
+        return search(graph, source, *args)
 
-    monkeypatch.setattr(decoder_module, "boundary_distance", boundary_search)
+    monkeypatch.setattr(metric_module, "settled", counted)
     dec = Decoder(table, metric)
-    stabs = len(table.lattice.x_stabilizers) + len(table.lattice.z_stabilizers)
-    assert len(searched) == (0 if metric == "manhattan" else stabs)
+    lat = table.lattice
+    stabs = [(lat.index(c), 0) for g in ("x", "z") for c in lat.stabilizers(g)]
+    assert sorted(searched) == ([] if metric == "manhattan" else sorted(stabs))
     assert np.isfinite(np.array(dec._tables["z"]["wtab"])).sum() > 30
 
 
@@ -370,10 +422,10 @@ def test_decode_reads_only_the_tables(decoders_d3, metric, monkeypatch):
 
     import surfacesim.decoder as decoder_module
     import surfacesim.metric as metric_module
-    for name in ("d_max", "path_sum", "boundary_distance", "min_links"):
+    for name in ("d_max", "path_sum", "boundary_distance", "min_links", "settled"):
         monkeypatch.setattr(metric_module, name, forbidden)
     # The decoder's own bindings of the build-time searches.
-    for name in ("boundary_distance", "settled", "path_sum_table"):
+    for name in ("boundary_search", "path_sum_table"):
         monkeypatch.setattr(decoder_module, name, forbidden)
     monkeypatch.setattr(MetricCache, "pair_weight", forbidden)
     monkeypatch.setattr(MetricCache, "boundary_weight", forbidden)
@@ -556,12 +608,13 @@ def test_decoder_rejects_links_of_weight_zero(metric, monkeypatch):
     # search along them would never finish settling, so the build refuses
     # the graph before any search starts.
     import surfacesim.decoder as decoder_module
+    import surfacesim.metric as metric_module
 
     def forbidden(*args, **kwargs):
         raise AssertionError("search started on a graph with weight-0 links")
 
-    monkeypatch.setattr(decoder_module, "boundary_distance", forbidden)
-    monkeypatch.setattr(decoder_module, "settled", forbidden)
+    monkeypatch.setattr(decoder_module, "boundary_search", forbidden)
+    monkeypatch.setattr(metric_module, "settled", forbidden)
     lat = build_lattice(3)
     table = derive_edge_classes(compile_circuit(lat, standard_schedule(lat)),
                                 ErrorModel(0.0, 0.01, 1.0))

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surfacesim
 from surfacesim.harness import (
     CSV_COLUMNS, N_BOOTSTRAP, PointStats, SweepStats, ThresholdError, TrialConfig,
     check_fit_rounds, csv_to_stats, emit_results, estimate_threshold, flip_rate, plot_svg, run_trials,
@@ -446,6 +451,24 @@ def test_sweep_with_mixed_jobs_raises(pool_sizes):
         run_trials(TrialConfig(distance=3, trials=2),
                    TrialConfig(distance=3, trials=2, jobs=2))
     assert pool_sizes == []
+
+
+def test_dead_worker_fails_the_sweep_instead_of_hanging():
+    # A script read from stdin has no __main__ module that a spawn worker
+    # can import, so every worker dies at start-up.  The sweep must raise
+    # rather than wait for the lost chunks; the timeout turns a hang into
+    # a failure instead of a stalled suite.
+    script = ("from surfacesim.harness import TrialConfig, run_trials\n"
+              "run_trials(TrialConfig(distance=3, trials=20, rounds=3, seed=1, jobs=2))\n")
+    src = str(Path(surfacesim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        proc = subprocess.run([sys.executable, "-"], input=script, capture_output=True,
+                              text=True, env=env, timeout=120)
+    except subprocess.TimeoutExpired:
+        pytest.fail("run_trials with a dead worker did not return within 120 s")
+    assert proc.returncode != 0
+    assert "BrokenProcessPool" in proc.stderr
 
 
 def test_pool_is_sized_to_the_work(pool_sizes):

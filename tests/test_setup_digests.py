@@ -77,7 +77,7 @@ DECODER_DIGESTS = {
     (3, "manhattan"):
         "98b5fb8620ea8977fc9bf7a45b4dc05cef6d3a4cfc5d969c34204fe619b8aef5",
     (3, "dmax"):
-        "14e2fd60da24750e5aed4dea06082f7483a1f333459034bae4e6a987ac3465d3",
+        "7c19c079e4fd9ed87580861f05de2690b64164d97143d86963e3239784ffddcd",
     (3, "d0"):
         "11662e946f0e90ba82211234f4d65e8ebff038901e9ad0e975391d69293adf3c",
     (3, "d1"):
@@ -85,7 +85,7 @@ DECODER_DIGESTS = {
     (3, "d2"):
         "83b5cfc512efd4959365f4dd0a92797a732821edf159bbad09cd2fa403a91fa0",
     (5, "dmax"):
-        "4ac22aadcc6144cc4d5e9d89909fbe7e7a7e9a167ec3b0804abc8c6a9670f24a",
+        "5a59e5349eb6d09146e7ae211bf493e6d4a952486807987ee039688105fa33df",
     (5, "manhattan"):
         "83d64292062c7315bc0be4df2232e49092b968567494e5b031151d097d691d9e",
 }
