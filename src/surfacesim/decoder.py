@@ -36,16 +36,35 @@ The match graph follows the virtual-twin construction: every real event
 gets a virtual partner at its boundary weight, virtual nodes pair among
 themselves at zero weight, and real-real edges heavier than the sum of
 the two boundary weights are pruned (they can never improve an optimal
-matching).  The candidate scan keeps the surviving edges as one
-adjacency list per event, which the component split and both solvers
-read directly.  Each connected component is solved exactly: a lone pair
-is matched (its edge survived the prune), clusters of up to DP_MAX_NODES
-events go to dynamic programming over subsets, larger ones to a
-maximum-weight matching of pair gains by the event-driven blossom solver
-in `matching`.  The cutoff is where the two cost the same on components
-from real windows: the DP doubles its work per added event, blossom
-grows slowly.  Both routes return the same optimum as blossom
-on the full graph.
+matching).  Each connected component of the surviving candidate graph
+is solved exactly: a lone pair is matched (its edge survived the
+prune), clusters of up to DP_MAX_NODES events go to dynamic programming
+over subsets, larger ones to a maximum-weight matching of pair gains by
+the event-driven blossom solver in `matching`.  The cutoff is where the
+two cost the same on components from real windows: the DP doubles its
+work per added event, blossom grows slowly.  Both solvers return the
+same optimum as blossom on the full graph.
+
+The candidate graph has two builders, chosen by the graph's event
+count.  Below ARRAY_MIN_EVENTS a Python scan over the time-sorted events
+looks each pair within reach up in the table and appends the survivors
+to one adjacency list per event.  From ARRAY_MIN_EVENTS on, numpy builds
+the same graph: a stable sort by round, every pair within reach from one
+searchsorted/repeat pass, one gather from a dense copy of the pair table
+(made on first use), adjacency rows in the scan's append order, and one
+sort that orders the edges of every blossom-sized component.  The scan
+costs about one step per pair within reach, the arrays a fixed numpy
+overhead per graph plus a little per edge.  On standard-model windows
+(p = 0.6-1.4%, T = 4d and 10d) the two cost the same at about 44 events
+at d = 5 (42 for d2, 52 for manhattan); d = 3 graphs of such windows
+stay below 48 events, where the scan is 1.6-4.5x faster, and every d = 7
+or 9 graph is above the cutoff, where the arrays are 1.8-3.2x faster.
+Both builders keep identical the time order (equal rounds in label
+order), the prune's float expression w < (b_u + b_v) - PRUNE_EPS, each
+event's neighbours in scan order, the components with their depth-first
+order, and each blossom component's position-sorted gain edges, so the
+solvers are called with the same arguments and every matching is the
+same.
 
 Corrections follow a canonical staircase (vertical leg then horizontal
 leg) between matched stabilizers, or run straight out of the recorded
@@ -72,6 +91,7 @@ from .metric import LinkGraph, boundary_search, manhattan, path_sum_table
 from .sim import PauliFrame, SyndromeHistory, _graph_events
 
 DP_MAX_NODES = 6
+ARRAY_MIN_EVENTS = 48
 PRUNE_EPS = 1e-9
 
 
@@ -232,37 +252,19 @@ class Decoder:
         """
         k = len(stabs)
         tab = self._tables[graph]
-        wtab, reach, bvals = tab["wtab"], tab["reach"], tab["bvals"]
+        bvals = tab["bvals"]
         bweight = [bvals[a] for a in stabs]
-        order = sorted(range(k), key=ts.__getitem__)
-        st = [stabs[u] for u in order]
-        tt = [ts[u] for u in order]
-        bt = [bweight[u] for u in order]
-        # nbrs[u] lists (v, weight) per candidate edge of event u, in scan
-        # order; this order fixes the component order, and so tie order.
-        nbrs: list[list[tuple[int, float]]] = [[] for _ in range(k)]
-        for i in range(k):
-            row = wtab[st[i]]
-            ti = tt[i]
-            bi = bt[i]
-            u = order[i]
-            nu = nbrs[u]
-            for j in range(i + 1, k):
-                dt = tt[j] - ti
-                if dt > reach:
-                    break
-                # Pairs beyond Chebyshev reach hold inf, so the table
-                # lookup also does the spatial cut.
-                w = row[st[j]][dt]
-                if w < bi + bt[j] - PRUNE_EPS:
-                    v = order[j]
-                    nu.append((v, w))
-                    nbrs[v].append((u, w))
+        if k < ARRAY_MIN_EVENTS:
+            nbrs = _scan_graph(tab, stabs, ts, bweight)
+            comps = _components(nbrs)
+            gain_edges = None
+        else:
+            comps, nbrs, gain_edges = _array_graph(tab, stabs, ts)
 
         pairs: list[tuple[int, int]] = []
         boundary: list[int] = []
         pos = [0] * k
-        for comp in _components(nbrs):
+        for comp in comps:
             n = len(comp)
             if n == 1:
                 boundary.append(comp[0])
@@ -272,11 +274,109 @@ class Decoder:
                 continue
             for a, u in enumerate(comp):
                 pos[u] = a
-            solve = _solve_dp if n <= DP_MAX_NODES else _solve_blossom
-            local_pairs, local_bd = solve(comp, nbrs, pos, bweight)
+            if n <= DP_MAX_NODES:
+                local_pairs, local_bd = _solve_dp(comp, nbrs, pos, bweight)
+            else:
+                redges = (next(gain_edges) if gain_edges is not None
+                          else _gain_edges(comp, nbrs, pos, bweight))
+                local_pairs, local_bd = _solve_blossom(comp, redges)
             pairs.extend(local_pairs)
             boundary.extend(local_bd)
         return pairs, boundary
+
+
+def _scan_graph(tab: dict, stabs: list[int], ts: list[int],
+                bweight: list[float]) -> list[list[tuple[int, float]]]:
+    """The candidate graph of a few events, by a Python scan over the
+    time-sorted events: nbrs[u] lists (v, weight) per candidate edge of
+    event u, in scan order; this order fixes the component order, and so
+    tie order."""
+    k = len(stabs)
+    wtab, reach = tab["wtab"], tab["reach"]
+    order = sorted(range(k), key=ts.__getitem__)
+    st = [stabs[u] for u in order]
+    tt = [ts[u] for u in order]
+    bt = [bweight[u] for u in order]
+    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(k)]
+    for i in range(k):
+        row = wtab[st[i]]
+        ti = tt[i]
+        bi = bt[i]
+        u = order[i]
+        nu = nbrs[u]
+        for j in range(i + 1, k):
+            dt = tt[j] - ti
+            if dt > reach:
+                break
+            # Pairs beyond Chebyshev reach hold inf, so the table
+            # lookup also does the spatial cut.
+            w = row[st[j]][dt]
+            if w < bi + bt[j] - PRUNE_EPS:
+                v = order[j]
+                nu.append((v, w))
+                nbrs[v].append((u, w))
+    return nbrs
+
+
+def _array_graph(tab: dict, stabs: list[int], ts: list[int]):
+    """The same candidate graph of many events, from numpy arrays; returns
+    its components (as `_components` walks them), the neighbour lists of
+    the events in components the subset DP solves (a dict by event), and
+    an iterator over the `_gain_edges` of the larger components, in
+    component order."""
+    k = len(stabs)
+    reach = tab["reach"]
+    S, R = len(tab["bvals"]), reach + 1
+    dense = tab.get("dense")
+    if dense is None:
+        # Built on first use: a decoder that meets only small graphs never
+        # pays for it.
+        dense = tab["dense"] = np.array(tab["wtab"], dtype=float).ravel()
+    t = np.array(ts, dtype=np.intp)
+    order = np.argsort(t, kind="stable")
+    tt = t[order]
+    st = np.array(stabs, dtype=np.intp)[order]
+    bt = np.array(tab["bvals"])[st]
+    # Every pair (i, j), i < j in scan order, at most reach rounds apart,
+    # ordered as the scan visits them; wtab[st_i][st_j][tt_j - tt_i] is
+    # dense[key_i + key_j] with the keys below.
+    idx = np.arange(k)
+    cnt = np.searchsorted(tt, tt + reach, side="right") - idx - 1
+    i = np.repeat(idx, cnt)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt - idx - 1, cnt)
+    key_i, key_j = st * (S * R) - tt, st * R + tt
+    w = dense[key_i[i] + key_j[j]]
+    bsum = bt[i] + bt[j]
+    keep = np.flatnonzero(w < bsum - PRUNE_EPS)
+    i, j, w, bsum = i[keep], j[keep], w[keep], bsum[keep]
+    u, v = order[i], order[j]
+    # Adjacency rows by event label, each row's neighbours in scan order:
+    # the order in which the scan appends them.
+    src = np.concatenate([u, v])
+    dst = np.concatenate([j, i])
+    perm = np.argsort(src * k + dst)
+    ptr = [0, *np.cumsum(np.bincount(src, minlength=k)).tolist()]
+    lab = order[dst[perm]].tolist()
+    comps, cid, pos = _row_components(ptr, lab)
+    small = [x for comp in comps if 2 < len(comp) <= DP_MAX_NODES for x in comp]
+    nbrs: dict[int, list[tuple[int, float]]] = {}
+    if small:
+        entries = list(zip(lab, np.concatenate([w, w])[perm].tolist()))
+        nbrs = {x: entries[ptr[x]:ptr[x + 1]] for x in small}
+    large = [len(comp) > DP_MAX_NODES for comp in comps]
+    if not any(large):
+        return comps, nbrs, iter(())
+    # One sort orders the edges of every blossom component by (component,
+    # lower position, upper position).
+    cid, pos = np.array(cid), np.array(pos)
+    sel = np.flatnonzero(np.array(large)[cid[u]])
+    u, v, gain = u[sel], v[sel], bsum[sel] - w[sel]
+    cu, pu, pv = cid[u], pos[u], pos[v]
+    a, b = np.minimum(pu, pv), np.maximum(pu, pv)
+    o = np.argsort((cu * k + a) * k + b)
+    rows = list(zip(a[o].tolist(), b[o].tolist(), gain[o].tolist()))
+    ends = np.cumsum(np.bincount(cu, minlength=len(comps))).tolist()
+    return comps, nbrs, (rows[s:e] for s, e, blossom in zip([0, *ends], ends, large) if blossom)
 
 
 def _components(nbrs: list[list[tuple[int, float]]]) -> list[list[int]]:
@@ -298,6 +398,32 @@ def _components(nbrs: list[list[tuple[int, float]]]) -> list[list[int]]:
                     stack.append(v)
         comps.append(comp)
     return comps
+
+
+def _row_components(ptr: list[int], lab: list[int]):
+    """The walk of `_components` over adjacency rows, event u's
+    neighbours being lab[ptr[u]:ptr[u + 1]] in scan order; also returns
+    each event's component index and position in its component."""
+    cid = [-1] * (len(ptr) - 1)
+    pos = [0] * len(cid)
+    comps: list[list[int]] = []
+    for start in range(len(cid)):
+        if cid[start] >= 0:
+            continue
+        c = len(comps)
+        comp = [start]
+        cid[start] = c
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in lab[ptr[u]:ptr[u + 1]]:
+                if cid[v] < 0:
+                    cid[v] = c
+                    pos[v] = len(comp)
+                    comp.append(v)
+                    stack.append(v)
+        comps.append(comp)
+    return comps, cid, pos
 
 
 def _solve_dp(comp: list[int], nbrs: list[list[tuple[int, float]]],
@@ -348,15 +474,10 @@ def _solve_dp(comp: list[int], nbrs: list[list[tuple[int, float]]],
     return pairs, bd
 
 
-def _solve_blossom(comp: list[int], nbrs: list[list[tuple[int, float]]],
-                   pos: list[int], bweight: list[float]):
-    """The same minimum in reduced form: maximize the gains
-    (b_u + b_v - w_uv) of matched pairs.
-
-    A maximum-weight (not perfect) matching over positive gains minimizes
-    sum(pair weights) + sum(boundary weights of the unmatched), exactly the
-    virtual-twin objective, without the zero-weight twin clique.
-    """
+def _gain_edges(comp: list[int], nbrs: list[list[tuple[int, float]]],
+               pos: list[int], bweight: list[float]) -> list[tuple[int, int, float]]:
+    """One component's candidate edges as (a, b, b_u + b_v - w_uv) over
+    positions a < b in comp, sorted by position pair."""
     redges = []
     for a, u in enumerate(comp):
         bu = bweight[u]
@@ -364,7 +485,19 @@ def _solve_blossom(comp: list[int], nbrs: list[list[tuple[int, float]]],
             b = pos[v]
             if a < b:
                 redges.append((a, b, bu + bweight[v] - w))
-    redges.sort()  # by position pair; the edge order breaks exact ties
+    redges.sort()
+    return redges
+
+
+def _solve_blossom(comp: list[int], redges: list[tuple[int, int, float]]):
+    """The same minimum in reduced form: maximize the gains
+    (b_u + b_v - w_uv) of matched pairs, given as position-sorted
+    `_gain_edges` (the edge order breaks exact ties).
+
+    A maximum-weight (not perfect) matching over positive gains minimizes
+    sum(pair weights) + sum(boundary weights of the unmatched), exactly the
+    virtual-twin objective, without the zero-weight twin clique.
+    """
     # Looked up on the module at call time, so a patched solver (the
     # bench's span tracer) is the one called.
     mate = matching._max_weight_matching(len(comp), redges)

@@ -490,6 +490,66 @@ def _check_blossom_against_networkx(circ, model, dec, monkeypatch, seed, windows
         assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("d,metric,windows", [
+    (3, "dmax", 40), (3, "manhattan", 40), (3, "d2", 40),
+    (5, "dmax", 8), (5, "manhattan", 8), (5, "d2", 8), (7, "dmax", 2)])
+def test_array_route_builds_the_scan_routes_graph(d, metric, windows, monkeypatch):
+    """Both builders of the candidate graph give the same matching, in the
+    same order, and hand each solver the same arguments: every graph is
+    matched once with every event count below ARRAY_MIN_EVENTS (the scan)
+    and once with none below it (the arrays), in scan order and with its
+    events shuffled."""
+    import surfacesim.decoder as decoder_module
+    import surfacesim.matching as matching_module
+
+    model = preset("standard", 0.01)
+    circ, dec = _setup(d, model, metric)
+    rng = random.Random(1)
+    graphs = [("x", [], []), ("z", [0], [3])]
+    for trial in range(windows):
+        res = simulate_window(circ, model, trial_rng(1, trial), 10 * d)
+        for graph in ("x", "z"):
+            stabs, ts = _graph_events(res.history, graph)
+            order = rng.sample(range(len(stabs)), len(stabs))
+            graphs.append((graph, stabs, ts))
+            graphs.append((graph, [stabs[i] for i in order], [ts[i] for i in order]))
+
+    calls: list = []
+    solve_dp, solve = decoder_module._solve_dp, matching_module._max_weight_matching
+
+    def dp(comp, nbrs, pos, bweight):
+        # What the DP can read: its events' neighbour lists, the
+        # positions and the boundary weights.
+        calls.append(("dp", list(comp), [list(nbrs[u]) for u in comp], list(pos),
+                      list(bweight)))
+        return solve_dp(comp, nbrs, pos, bweight)
+
+    def blossom(n, edges):
+        calls.append(("blossom", n, list(edges)))
+        return solve(n, edges)
+
+    monkeypatch.setattr(decoder_module, "_solve_dp", dp)
+    monkeypatch.setattr(matching_module, "_max_weight_matching", blossom)
+    routes = {}
+    for name, min_events in (("scan", 10**9), ("array", 0)):
+        monkeypatch.setattr(decoder_module, "ARRAY_MIN_EVENTS", min_events)
+        calls.clear()
+        out = [dec._match_graph_events(*g) for g in graphs]
+        routes[name] = out, list(calls)
+    (scan, scan_calls), (array, array_calls) = routes["scan"], routes["array"]
+    assert array == scan
+    assert len(array_calls) == len(scan_calls)
+    for got, want in zip(array_calls, scan_calls):
+        assert got == want
+    # repr also compares floats bit for bit and tells a numpy scalar from
+    # a Python number.  Its result is asserted on its own: a report diffing
+    # the two strings would take minutes.
+    same_repr = repr(routes["array"]) == repr(routes["scan"])
+    assert same_repr
+    # Both solvers are reached; at d = 7 each graph is one large component.
+    assert {call[0] for call in calls} == ({"blossom"} if d == 7 else {"dp", "blossom"})
+
+
 def test_corrections_from_matching_roundtrip(setup_d5):
     circ, model, table, dec = setup_d5
     res = simulate_window(circ, model, trial_rng(77, 3), rounds=15)
