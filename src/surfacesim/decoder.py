@@ -134,12 +134,11 @@ class Decoder:
         S = len(stabs)
         cells = [lat.index(c) for c in stabs]
         sub = [lat.sublattice_coord(c) for c in stabs]
-        probs = [p for links in lg.links.values() for _, _, p, _, _ in links]
-        w_min = -math.log(max(probs)) if probs else math.inf
+        w_min = lg.w_min
         if self.metric == "manhattan":
             bw = [lat.nearest_boundary(c) for c in stabs]
             w_min = 1.0
-        elif probs and not lg.exits:
+        elif lg.links and not lg.exits:
             # Each boundary weight would be a search of the unbounded time
             # axis for a boundary link that does not exist.
             raise ValueError(f"{lg.graph} graph has links but no boundary link "

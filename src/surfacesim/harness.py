@@ -81,6 +81,9 @@ class TrialConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0.0 <= self.p <= 1.0:
+            # A custom model ignores p, but its row still records it.
+            raise ValueError(f"p={self.p} outside [0, 1]")
         if self.distance < 3 or self.distance % 2 == 0:
             raise ValueError("distance must be odd and >= 3")
         if self.rounds is not None and self.rounds < 1:

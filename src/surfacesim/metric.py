@@ -3,7 +3,13 @@
 All measures operate on the space-time link graph implied by an
 EdgeClassTable: nodes are (syndrome qubit, round) points of one graph
 type, edges carry the link probabilities, and a path's probability is
-the product of its link probabilities.
+the product of its link probabilities.  `LinkGraph` owns the link
+layout, (probability, weight, step), and the node encoding: one integer
+code per (cell, t), which a link's step moves to the code of its far
+end.  The table searches (`settled`, `path_sum_table`) walk codes and
+convert (cell, t) nodes only at their edge; the per-pair definitions
+(`d_max`, `min_links`, `path_sum`) walk (cell, t) nodes through
+`LinkGraph.neighbors`.
 
 * manhattan: the legacy |di| + |dj| + |dt| count in unit stabilizer
   spacing, kept as a comparison baseline.
@@ -59,39 +65,48 @@ _T_SPAN = 1 << 32  # node codes: see LinkGraph
 
 class LinkGraph:
     """The links and boundary exits of positive probability of one graph
-    type, read from an EdgeClassTable when built, over (cell, t) nodes.
+    type, read from an EdgeClassTable when built.
 
-    links[cell] lists (other cell, dt, probability, -ln probability,
-    step) per link, each link once from either end; adding -ln p rounds
-    exactly as subtracting ln p does.  exits[cell] is the (probability,
-    side) of the cell's boundary exit.  `settled` codes node (cell, t) as
-    the int cell * _T_SPAN + t + _T_SPAN // 2, which orders as the tuple
-    does while |t| < _T_SPAN // 2; a link's step is the code of its far
-    end minus the code of its near one.  The graph is unbounded in time,
-    which models the interior of a long window.  A cell's links follow
-    the table's class order, which fixes how searches break ties.  No link
-    joins a node to itself: two events of one stabilizer in one round cancel.
+    Node (cell, t) has the integer code cell * _T_SPAN + t + _T_SPAN // 2,
+    which orders as the tuple does while |t| < _T_SPAN // 2; the searches
+    (`settled`, `path_sum_table`) run on codes.  links[cell] lists
+    (probability, -ln probability, step) per link of the cell, each link
+    once from either end, where step is the code of the far end minus the
+    code of the near one; adding -ln p rounds exactly as subtracting ln p
+    does.  w_min is the lightest link's weight (inf without links).
+    exits[cell] is the (probability, side) of the cell's boundary exit.
+    The graph is unbounded in time, which models the interior of a long
+    window.  A cell's links follow the table's class order, which fixes
+    how searches break ties.  No link joins a node to itself: two events
+    of one stabilizer in one round cancel.
     """
 
     def __init__(self, table: EdgeClassTable, graph: str):
         self.graph = graph
         self.lattice = table.lattice
-        self.links: dict[int, list[tuple[int, int, float, float, int]]] = {}
+        self.links: dict[int, list[tuple[float, float, int]]] = {}
+        p_max = 0.0
         for (u, v, dt), cls in table.pair_classes[graph].items():
             p = cls.probability
             if p > 0.0:
                 w = -math.log(p)
                 step = (v - u) * _T_SPAN + dt
-                self.links.setdefault(u, []).append((v, dt, p, w, step))
-                self.links.setdefault(v, []).append((u, -dt, p, w, -step))
+                self.links.setdefault(u, []).append((p, w, step))
+                self.links.setdefault(v, []).append((p, w, -step))
+                p_max = max(p_max, p)
+        self.w_min = -math.log(p_max) if p_max > 0.0 else math.inf
         self.exits = {cell: (cls.probability, cls.side)
                       for cell, cls in table.boundary_classes[graph].items()
                       if cls.probability > 0.0}
 
     def neighbors(self, node: tuple[int, int]):
+        """Yields ((cell, t), probability) per link of node (cell, t), for
+        the per-pair definitions below."""
         cell, t = node
-        for other, dt, prob, _, _ in self.links.get(cell, ()):
-            yield (other, t + dt), prob
+        half = _T_SPAN // 2
+        for prob, _, step in self.links.get(cell, ()):
+            dcell, dt = divmod(step + half, _T_SPAN)
+            yield (cell + dcell, t + dt - half), prob
 
 
 def manhattan(s1: tuple[int, int, int], s2: tuple[int, int, int]) -> float:
@@ -189,22 +204,26 @@ def path_sum_table(graph: LinkGraph, source, targets, n: int) -> list[float]:
     """
     if not 0 <= n <= 2:
         raise ValueError("n must be in [0, 2]")
-    if source in targets:
+    links, half = graph.links, _T_SPAN // 2
+    start = source[0] * _T_SPAN + source[1] + half
+    codes = [cell * _T_SPAN + t + half for cell, t in targets]
+    if start in codes:
         raise ValueError("source and target must differ")
-    # Breadth-first ball: l(y) per target, and every link a walk of at
-    # most max l(y) + n links can take.
-    index = {source: 0}
+    # Breadth-first ball over node codes: l(y) per target, and every link
+    # a walk of at most max l(y) + n links can take.
+    index = {start: 0}
     depth = [0]
     tail, head, prob = [], [], []
-    missing = set(targets)
+    missing = set(codes)
     l_max = 0
-    frontier = [source]
+    frontier = [start]
     level = 0
     while frontier and ((missing and level < MAX_LINKS) or level < l_max + n):
         nxt = []
-        for node in frontier:
-            u = index[node]
-            for other, p in graph.neighbors(node):
+        for code in frontier:
+            u = index[code]
+            for p, _, step in links.get(code // _T_SPAN, ()):
+                other = code + step
                 v = index.get(other)
                 if v is None:
                     v = index[other] = len(depth)
@@ -244,7 +263,7 @@ def path_sum_table(graph: LinkGraph, source, targets, n: int) -> list[float]:
         total[window] += at_node[window]
 
     out = []
-    for y in targets:
+    for y in codes:
         s = 0.0 if y in missing else total[index[y]]
         out.append(-math.log(s) if s > 0.0 else math.inf)
     return out
@@ -273,7 +292,7 @@ def settled(graph: LinkGraph, source, cutoff: float = math.inf):
         lowered = yield d, (cell, t_code - half)
         if lowered is not None:
             cutoff = lowered
-        for _, _, _, w, step in links.get(cell, ()):
+        for _, w, step in links.get(cell, ()):
             nd = d + w
             if nd <= cutoff:
                 nxt = code + step

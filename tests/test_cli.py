@@ -190,7 +190,12 @@ def test_bad_config_file_value_returns_1(tmp_path, capsys, no_windows, line):
                                    "--p", "0.01,0.011,0.012,0.013"],
                                   # Time-like links of probability 1 weigh 0.
                                   ["--model", "custom", "--p2", "0", "--pI", "0.01",
-                                   "--pM", "1"]])
+                                   "--pM", "1"],
+                                  # A custom model's row records p too.
+                                  ["--model", "custom", "--p2", "0.01", "--pI", "0.01",
+                                   "--pM", "0.01", "--p", "-5"],
+                                  ["--model", "custom", "--p2", "0.01", "--pI", "0.01",
+                                   "--pM", "0.01", "--p", "nan"]])
 def test_bad_flag_value_returns_1(capsys, no_windows, argv):
     assert main(["--distance", "3", "--trials", "2", *argv]) == 1
     captured = capsys.readouterr()

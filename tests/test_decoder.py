@@ -374,15 +374,18 @@ def test_path_sum_table_d5_spot_check(setup_d5):
 @pytest.mark.parametrize("metric", METRICS)
 def test_path_sum_build_enumerates_no_paths(setup_d3, metric, monkeypatch):
     """Every pair table comes from one fill route: no per-pair search,
-    path enumeration or cache lookup runs during construction."""
-    _, _, table, _ = setup_d3
+    path enumeration or cache lookup runs during construction.  The
+    table searches walk node codes, so neither building nor decoding
+    steps through the per-pair definitions' `LinkGraph.neighbors`."""
+    circ, model, table, _ = setup_d3
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("per-pair metric evaluation during construction")
+        raise AssertionError("per-pair metric evaluation")
 
     import surfacesim.metric as metric_module
     for name in ("d_max", "path_sum", "min_links"):
         monkeypatch.setattr(metric_module, name, forbidden)
+    monkeypatch.setattr(LinkGraph, "neighbors", forbidden)
     monkeypatch.setattr(MetricCache, "pair_weight", forbidden)
     monkeypatch.setattr(MetricCache, "boundary_weight", forbidden)
     # One `settled` search per stabilizer gives its boundary weight and,
@@ -400,6 +403,40 @@ def test_path_sum_build_enumerates_no_paths(setup_d3, metric, monkeypatch):
     stabs = [(lat.index(c), 0) for g in ("x", "z") for c in lat.stabilizers(g)]
     assert sorted(searched) == ([] if metric == "manhattan" else sorted(stabs))
     assert np.isfinite(np.array(dec._tables["z"]["wtab"])).sum() > 30
+    res = simulate_window(circ, model, trial_rng(12, 0), rounds=10)
+    out = dec.decode(res.history, res.frame, verify=True)
+    assert sum(len(m) for m in out.matches.values()) > 0
+
+
+@pytest.mark.parametrize("d,metric", [(3, "d0"), (3, "d1"), (3, "d2"), (5, "d2")])
+def test_path_sum_reach_drops_no_keepable_pair(d, metric):
+    """Reach comes from a single-path bound, but a path sum can be lighter
+    than its best single path.  Every pair just outside the table (a
+    Chebyshev offset above reach, or reach + 1 .. reach + 2 rounds apart)
+    is still no lighter than two boundary matches, so the candidate scan
+    would prune it anyway."""
+    table = _preset_table(d, "standard")
+    dec = Decoder(table, metric)
+    lat = table.lattice
+    checked = 0
+    for g in ("x", "z"):
+        tab = dec._tables[g]
+        cells, bvals, reach = tab["cells"], tab["bvals"], tab["reach"]
+        sub = [lat.sublattice_coord(c) for c in lat.stabilizers(g)]
+        graph = LinkGraph(table, g)
+        for a in range(len(cells)):
+            targets = [(b, dt) for b in range(len(cells))
+                       for dt in (range(reach + 3)
+                                  if max(abs(sub[a][0] - sub[b][0]),
+                                         abs(sub[a][1] - sub[b][1])) > reach
+                                  else (reach + 1, reach + 2))]
+            weights = path_sum_table(graph, (cells[a], 0),
+                                     [(cells[b], dt) for b, dt in targets],
+                                     int(metric[1]))
+            for (b, dt), w in zip(targets, weights):
+                assert w >= bvals[a] + bvals[b] - PRUNE_EPS, (g, a, b, dt)
+            checked += len(targets)
+    assert checked == 2 * {3: 72, 5: 800}[d]
 
 
 @pytest.fixture(scope="module")

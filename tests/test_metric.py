@@ -179,7 +179,9 @@ def test_path_enumeration_oracle_small_window(table_d5):
         w, count = d_n(g, s1, s2, n)
         assert count == len(oracle_paths)
         assert w == pytest.approx(-math.log(math.fsum(oracle_paths)))
-        # The walk program needs no time periodicity either.
+        # The walk program walks the unbounded graph's node codes, not
+        # `neighbors`; no path of at most l + 2 links leaves this window,
+        # so its sums are the window's too.
         assert path_sum_table(g, s1, [s2], n)[0] == pytest.approx(w, rel=1e-12)
     best = min(-math.log(p) for p in _enumerate_all_paths(g, s1, s2, l + 3))
     # d_max must match the best path found over a generous link budget.
