@@ -19,28 +19,67 @@ blossom (S -1, T +1, unlabelled 0); a top-level blossom's z moves the
 other way and nested z are frozen.  A value is rewritten only when its
 rate changes.  Nothing else is updated as time passes: a heap holds the
 times at which something becomes tight, and the solver jumps from one
-to the next.  Each S or unlabelled vertex owns at most one edge event:
-its least-slack edge to an S vertex of another blossom (between S
-vertices the slack falls at rate 2, else at rate 1).  An S vertex finds
-it when it is scanned, an unlabelled one when it turns unlabelled, and a
-scanned S vertex replaces an unlabelled neighbour's event when its own
-edge to it is tighter.  A T-blossom owns the event of its z reaching
-zero, pushed when it is labelled T.
+to the next.  A T-blossom owns the event of its z reaching zero, pushed
+when it is labelled T.
 
-An edge's slack is fixed while neither end changes rate, so every edge
-that can tighten is covered by an owner event no later than its own.
+Only S vertices own edge events, at most one each: a scanned S vertex's
+event is its least-slack edge to an S or unlabelled vertex of another
+blossom (between S vertices the slack falls at rate 2, else at rate 1).
+An edge's slack is fixed while neither end changes rate, so the run
+keeps one invariant: every edge that can tighten is covered, at each of
+its S ends, by an owner event no later than its own (by time, then edge
+index).  Every way an edge starts to tighten, or to tighten faster,
+restores it:
+- a vertex that turns S is scanned before the next event is popped; its
+  scan makes its own event and offers each edge to a scanned S
+  neighbour whose event is later;
+- a vertex that leaves T (its tree dissolved, or its T-blossom expanded
+  around it) offers its edges to its scanned S neighbours the same way,
+  and so does one whose tree dissolves before its scan as S finished;
+- a scanned S vertex that leaves S only slows its edges, so the events
+  its S neighbours hold for them stay lower bounds, and it makes no
+  rescan.
+Since every event is a lower bound on what its owner covers, the
+earliest event in the heap always names the earliest tightening edge,
+and the solver takes the same actions in the same order as one that
+recomputes the event of every changed vertex after every change.  That
+holds exactly where the duals are computed exactly (integer or other
+dyadic weights); elsewhere a lower bound can come out a rounding unit
+above the edge's recomputed time when the edge is tight at the moment
+its end leaves S, and events that tie before rounding may then be taken
+in another order, still reaching a maximum-weight matching.
+
 Events are keyed (time, kind, edge or blossom index, stamps, owner),
-where the stamps count the rate changes of the edge's ends at push time;
-equal times resolve by kind, then index.  A popped event its owner has
-replaced, or whose owner changed rate since, is dropped.  One whose
-other end changed rate, or whose ends now share a blossom, is stale: its
-owner recomputes its event from its edges.  A current event is acted on
-whatever its recomputed slack, so roundoff can never lose an event, and
-an owner still S afterwards recomputes its event.  Either way the new
-event is never earlier than the one popped.  Nothing at or after the
-stop time (now = max weight, where the free vertices' duals reach zero)
-is pushed; the run ends there or when fewer than two free vertices
+where the stamps count the rate changes of the edge's ends when the
+edge was found; equal times resolve by kind, then index.  A scan takes
+a candidate's stamps when it finds it, because a later tight edge in
+the same scan can label the candidate's blossom T.  A popped event its
+owner has replaced, or whose owner changed rate since, is dropped.  One
+whose other end changed rate, or whose ends now share a blossom, is
+stale: its owner recomputes its event from its edges.  A current event
+is acted on whatever its recomputed slack, so roundoff can never lose an
+event, and its owner, if still S, then recomputes its event.  Either way
+the new event is never earlier than the one popped.  Nothing at or after
+the stop time (now = max weight, where the free vertices' duals reach
+zero) is pushed; the run ends there or when fewer than two free vertices
 remain.
+
+Two shortcuts skip work whose outcome is known.  Both rest on one fact:
+every scan or recompute of an S vertex covers its edges to the roots
+that have been S since the start, so such a root never needs to offer.
+- Until the first event is popped, time is 0 and only edges tight at 0
+  act, so a vertex that is no end of such an edge keeps its first label
+  and dual, and its first scan can act on nothing.  Its least-slack edge
+  over all of its edges, recorded while the edges are read in, is its
+  event: exact while the neighbour is still an S root, and a lower bound
+  found stale when popped otherwise.  The vertex starts with it instead
+  of waiting in the scan queue.
+- A tight edge between two trees that are each a lone root augments by
+  setting the two mates: the trace-back, the path flip and the dissolve
+  of such trees reduce to that, even when a root leaves S in the middle
+  of its own scan.
+Tree member and mark lists are made when a tree first needs one, so a
+lone root has neither.
 
 `EPS` (1e-12, absolute) decides only whether an edge found during a scan
 is tight enough to act on at once rather than through an event; duals
@@ -50,7 +89,8 @@ accumulated rounding error for decoder-scale weights.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
 
 EPS = 1e-12
 # Kinds of timeline event in _max_weight_matching.
@@ -65,20 +105,42 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
     if not edges:
         return [-1] * n
 
+    maxweight = max(0.0, max(map(itemgetter(2), edges)))
+    # The slack of edge k while both ends are unchanged S roots, as a scan
+    # computes it: (maxweight + maxweight) - wt2[k], falling at rate 2.
+    root_slack = maxweight + maxweight
     # endpoint[p] is the vertex at endpoint p; edge k has endpoints 2k, 2k+1.
-    # neighbend[v] lists the remote endpoints of edges incident to v.
+    # neighbend[v] lists the remote endpoints of edges incident to v, in
+    # edge order.
     endpoint: list[int] = []
     neighbend: list[list[int]] = [[] for _ in range(n)]
     wt2: list[float] = []
+    # first_t[v], first_p[v]: the time and remote endpoint of v's least-
+    # slack edge among all of its edges, found as a first scan at time 0
+    # would find it; touched[v]: v is an end of an edge tight at time 0.
+    first_t = [maxweight] * n
+    first_p = [-1] * n
+    touched = [False] * n
     p = 0
     for (i, j, wt) in edges:
         endpoint.append(i)
         endpoint.append(j)
         neighbend[i].append(p + 1)
         neighbend[j].append(p)
-        wt2.append(2.0 * wt)
+        w2 = 2.0 * wt
+        wt2.append(w2)
+        t0 = root_slack - w2
+        if t0 <= EPS:
+            touched[i] = touched[j] = True
+        else:
+            t = 0.5 * t0
+            if t < first_t[i]:
+                first_t[i] = t
+                first_p[i] = p + 1
+            if t < first_t[j]:
+                first_t[j] = t
+                first_p[j] = p
         p += 2
-    maxweight = max(0.0, 0.5 * max(wt2))
 
     # mate[v] = remote endpoint of its matched edge, or -1.
     mate = [-1] * n
@@ -103,19 +165,36 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
     off = [maxweight] * n + [0.0] * n
     rate = [-1] * n + [0] * n
     stamp = [0] * (2 * n)
-    # cur[v] = the edge event vertex v owns, or None.  set_rate clears it:
-    # a vertex that changes rate makes a new event, if any, as it does.
+    # cur[v] = the edge event S vertex v owns, `no_event` once v is
+    # scanned without one, or None while v is not a scanned S vertex.
+    # set_rate clears it: a vertex that turns S is queued for a scan.
     cur: list = [None] * (2 * n)
-    # Per tree root: the blossoms labelled into the tree, and the
-    # (vertex, endpoint) marks its scans wrote inside T-blossoms.
-    members: list = [[v] for v in range(n)]
-    marks: list = [[] for _ in range(n)]
-    queue = list(range(n))
+    no_event = (maxweight, _EDGE, -1)
+    # Per tree root, made on first use: the blossoms labelled into the
+    # tree, and the (vertex, endpoint) marks its scans wrote inside
+    # T-blossoms.  A tree with neither list is its lone root.
+    members: dict[int, list[int]] = {}
+    marks: dict[int, list[tuple[int, int]]] = {}
     # Events (time, kind, edge or blossom, stamp, stamp[, owner]); see the
     # module docstring.  The stop event ends the run when popped, so the
     # heap is never empty.
     heap: list = [(maxweight, _STOP, 0, 0, 0)]
     now = 0.0
+
+    # The ends of edges tight at time 0 wait in the queue for a full first
+    # scan; every other vertex starts with its recorded edge.
+    queue = []
+    for v in range(n):
+        if touched[v]:
+            queue.append(v)
+        elif first_p[v] >= 0:
+            p = first_p[v]
+            ev = (first_t[v], _EDGE, p >> 1, 0, 0, v)
+            cur[v] = ev
+            heap.append(ev)
+        else:
+            cur[v] = no_event
+    heapify(heap)
 
     def set_rate(x: int, r: int) -> None:
         if rate[x] != r:
@@ -131,25 +210,47 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
         heappush(heap, ev)
 
     def push_own(x: int) -> None:
-        """Make the event of S or unlabelled vertex x: its least-slack edge
-        to an S vertex of another blossom."""
+        """Recompute the event of scanned S vertex x: its least-slack edge
+        to an S or unlabelled vertex of another blossom."""
         bx = inblossom[x]
         ox = off[x]
-        # Slack falls at rate 2 between S vertices, at rate 1 otherwise.
-        scale = 0.5 if label[bx] == 1 else 1.0
         best = maxweight
-        bk = -1
+        bp = -1
+        for p in neighbend[x]:
+            w = endpoint[p]
+            bw = inblossom[w]
+            if bw != bx:
+                lw = label[bw]
+                if lw == 1:
+                    t = (ox + off[w] - wt2[p >> 1]) * 0.5
+                elif lw == 0:
+                    t = ox + off[w] - wt2[p >> 1]
+                else:
+                    continue
+                if t < best:
+                    best = t
+                    bp = p
+        if bp >= 0:
+            push_edge(bp >> 1, best, x)
+        else:
+            cur[x] = no_event
+
+    def offer(x: int) -> None:
+        """Offer each edge of x, just unlabelled without a finished scan as
+        S (from T, or from S mid-scan), to its scanned S neighbour when it
+        tightens before that neighbour's event."""
+        bx = inblossom[x]
+        ox = off[x]
         for p in neighbend[x]:
             w = endpoint[p]
             bw = inblossom[w]
             if bw != bx and label[bw] == 1:
-                k = p >> 1
-                t = (ox + off[w] - wt2[k]) * scale
-                if t < best or (t == best and k < bk):
-                    best = t
-                    bk = k
-        if bk >= 0:
-            push_edge(bk, best, x)
+                ev = cur[w]
+                if ev is not None:
+                    k = p >> 1
+                    t = ox + off[w] - wt2[k]
+                    if t < ev[0] or (t == ev[0] and k < ev[2]):
+                        push_edge(k, t, w)
 
     def blossom_leaves(b: int):
         if b < n:
@@ -168,7 +269,7 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
         labelend[w] = labelend[b] = p
         root = tree[inblossom[endpoint[p]]]
         tree[b] = root
-        members[root].append(b)
+        members.setdefault(root, [root]).append(b)
         if t == 1:
             if b >= n:
                 set_rate(b, 1)
@@ -251,7 +352,7 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
         label[b] = 1
         labelend[b] = labelend[bb]
         tree[b] = tree[bb]
-        members[tree[b]].append(b)
+        members.setdefault(tree[b], [tree[b]]).append(b)
         off[b] = 0.0
         rate[b] = 0
         set_rate(b, 1)
@@ -299,7 +400,7 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
         label[endpoint[p ^ 1]] = label[bv] = 2
         labelend[endpoint[p ^ 1]] = labelend[bv] = p
         tree[bv] = tree[b]
-        members[tree[b]].append(bv)
+        members.setdefault(tree[b], [tree[b]]).append(bv)
         if bv >= n:
             set_rate(bv, -1)
             heappush(heap, (off[bv], _EXPAND, bv, stamp[bv], 0))
@@ -329,7 +430,7 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
                     loose.append(leaf)
             j += jstep
         for x in loose:
-            push_own(x)
+            offer(x)
         label[b] = labelend[b] = tree[b] = -1
         blossomchilds[b] = blossomendps[b] = None
         blossombase[b] = -1
@@ -391,56 +492,68 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
                 mate[j] = labelend[bt]
                 p = labelend[bt] ^ 1
 
-    def clear(b: int, loose: list[int]) -> None:
+    def clear(b: int, unscanned: list[int]) -> None:
+        """Unlabel b and what it holds; its vertices that leave without a
+        finished scan as S (T vertices included) go to unscanned."""
         label[b] = 0
         labelend[b] = -1
         if b < n:
+            if cur[b] is None:
+                unscanned.append(b)
             set_rate(b, 0)
-            loose.append(b)
         else:
             for s in blossomchilds[b]:
-                clear(s, loose)
+                clear(s, unscanned)
 
-    def dissolve(root: int, loose: list[int]) -> None:
+    def dissolve(root: int, unscanned: list[int]) -> None:
         """Unlabel every blossom of the tree rooted at root, nested ones
         included, and drop the marks its scans left in other trees."""
-        for b in members[root]:
+        for b in members.pop(root, (root,)):
             if blossomparent[b] == -1 and label[b] > 0 and tree[b] == root:
                 tree[b] = -1
                 if b >= n:
                     set_rate(b, 0)
-                clear(b, loose)
-        for w, q in marks[root]:
+                clear(b, unscanned)
+        for w, q in marks.pop(root, ()):
             if labelend[w] == q:
                 label[w] = 0
                 labelend[w] = -1
-        members[root] = marks[root] = None
 
     def tight_ss(v: int, w: int, k: int) -> bool:
         """Act on tight edge k between S vertices v and w: shrink a
         blossom, or augment and dissolve both trees (returns True)."""
+        rv = tree[inblossom[v]]
+        rw = tree[inblossom[w]]
+        if (rv not in members and rv not in marks
+                and rw not in members and rw not in marks):
+            # Two lone roots: v and w themselves.
+            mate[endpoint[2 * k]] = 2 * k + 1
+            mate[endpoint[2 * k + 1]] = 2 * k
+            for x in (v, w):
+                label[x] = 0
+                tree[x] = -1
+                set_rate(x, 0)
+            return True
         base = scan_blossom(v, w)
         if base >= 0:
             add_blossom(base, k)
             return False
-        roots = (tree[inblossom[v]], tree[inblossom[w]])
         augment_matching(k)
-        loose: list[int] = []
-        for root in roots:
-            dissolve(root, loose)
-        for x in loose:
-            push_own(x)
+        unscanned: list[int] = []
+        dissolve(rv, unscanned)
+        dissolve(rw, unscanned)
+        for x in unscanned:
+            offer(x)
         return True
 
     def scan(v: int) -> bool:
         """Act on the tight edges of S vertex v, make v's event and offer
-        each unlabelled neighbour its edge; returns True if v's tree
+        each scanned S neighbour its edge; returns True if v's tree
         augmented."""
-        best = maxweight
-        bk = -1
+        best = no_event
+        bv = inblossom[v]
         for p in neighbend[v]:
             w = endpoint[p]
-            bv = inblossom[v]
             bw = inblossom[w]
             if bv == bw:
                 continue
@@ -454,24 +567,28 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
                 if t0 - 2.0 * now <= EPS:
                     if tight_ss(v, w, k):
                         return True
-                else:
-                    t = 0.5 * t0
-                    if t < best or (t == best and k < bk):
-                        best = t
-                        bk = k
+                    bv = inblossom[v]  # v's new blossom
+                    continue
+                t = 0.5 * t0
+                ev = cur[w]
+                if ev is not None and (t < ev[0] or (t == ev[0] and k < ev[2])):
+                    push_edge(k, t, w)
             elif lw == 0:
                 if t0 - now <= EPS:
                     assign_label(w, 2, p ^ 1)
-                elif t0 < maxweight:
-                    ev = cur[w]
-                    if ev is None or t0 < ev[0] or (t0 == ev[0] and k < ev[2]):
-                        push_edge(k, t0, w)
-            elif t0 <= EPS:
-                label[w] = 2
-                labelend[w] = p ^ 1
-                marks[tree[bv]].append((w, p ^ 1))
-        if bk >= 0:
-            push_edge(bk, best, v)
+                    continue
+                t = t0
+            else:
+                if t0 <= EPS:
+                    label[w] = 2
+                    labelend[w] = p ^ 1
+                    marks.setdefault(tree[bv], []).append((w, p ^ 1))
+                continue
+            if t < best[0]:
+                best = (t, _EDGE, k, stamp[endpoint[2 * k]], stamp[endpoint[2 * k + 1]], v)
+        cur[v] = best
+        if best is not no_event:
+            heappush(heap, best)
         return False
 
     free = n
@@ -487,22 +604,20 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
             owner = ev[5]
             if cur[owner] is not ev:
                 continue  # replaced, or its owner changed rate
-            cur[owner] = None
             v = endpoint[2 * x]
             w = endpoint[2 * x + 1]
-            if stamp[v] != ev[3] or stamp[w] != ev[4] or inblossom[v] == inblossom[w]:
-                push_own(owner)
-                continue
-            if t > now:
-                now = t
-            if label[inblossom[v]] == 0:
-                assign_label(v, 2, 2 * x + 1)
-            elif label[inblossom[w]] == 0:
-                assign_label(w, 2, 2 * x)
-            elif tight_ss(w, v, x):
-                free -= 2
-            elif label[inblossom[owner]] == 1:
-                push_own(owner)
+            if stamp[v] == ev[3] and stamp[w] == ev[4] and inblossom[v] != inblossom[w]:
+                if t > now:
+                    now = t
+                if label[inblossom[v]] == 0:
+                    assign_label(v, 2, 2 * x + 1)
+                elif label[inblossom[w]] == 0:
+                    assign_label(w, 2, 2 * x)
+                elif tight_ss(w, v, x):
+                    free -= 2
+                    continue
+            # Stale, or acted on with the owner still S: recompute.
+            push_own(owner)
         elif kind == _EXPAND:
             if stamp[x] != ev[3]:
                 continue

@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from surfacesim import matching
+from surfacesim.harness import _setup
 from surfacesim.matching import _max_weight_matching
+from surfacesim.noise import preset, trial_rng
+from surfacesim.sim import simulate_window
 
 from oracles import (MatchGraph, Matching, MatchingError, brute_force_mwpm,
                      max_cardinality_matching, mwpm)
@@ -298,6 +302,16 @@ HAND_BUILT = {
                                 (1, 5, 7), (1, 6, 2), (2, 4, 5), (2, 5, 8), (3, 4, 5),
                                 (3, 5, 4), (3, 6, 6), (4, 5, 9), (4, 6, 3), (5, 7, 3),
                                 (6, 7, 8)],
+    # A vertex turns S, and its tree augments before its scan reaches its
+    # other edges; those edges reach the optimum only through what it
+    # offers its S neighbours as it becomes unlabelled.
+    "tree_dissolved_mid_scan": [(0, 1, 3.5), (0, 3, 3.5), (0, 4, 3.5), (0, 5, 3.0),
+                                (1, 2, 1.5), (3, 4, 3.0)],
+    # A tree that is a lone root marks a vertex inside another tree's
+    # T-blossom, then augments with another lone root: the mark must go
+    # with it.  Vertices 1, 3 and 7 are isolated.
+    "lone_root_with_mark": [(5, 8, 2), (5, 6, 2), (5, 11, 2), (5, 9, 2), (2, 11, 2),
+                            (4, 9, 2), (0, 2, 2), (10, 11, 2), (6, 8, 1), (4, 10, 2)],
 }
 
 
@@ -345,3 +359,42 @@ def test_max_weight_matching_keeps_pinned_tie_order(maxcardinality):
     for n, edges in _tie_heavy_graphs():
         digest.update(repr(_solve(n, edges, maxcardinality)).encode())
     assert digest.hexdigest() == PINNED_TIE_MATES[maxcardinality]
+
+
+# sha256 of the mates `_max_weight_matching` returns for every component
+# the decoder hands it, over fixed windows (standard model, p = 0.01,
+# seed 1), as the solver returned them when pinned:
+# (d, metric, rounds, windows) -> (components, digest).  `manhattan`
+# weights make exact ties common; the correction digests hash planes, in
+# which some mate changes do not show.
+DECODER_COMPONENT_MATES = {
+    (5, "dmax", 50, 60):
+        (336, "bd3158850043e830c312479faf4f334d5836cd2bc642b1422d5b8f98318e9f9d"),
+    (7, "dmax", 28, 20):
+        (40, "46a9fc23e4c84f0cdb085b235d43549097d42c37573fc90d56bb35f86c466756"),
+    (5, "manhattan", 50, 60):
+        (470, "690ef4dbfbdab44481e5432694db390cf184c1baac78b09113a31ff13b77c3b0"),
+}
+
+
+@pytest.mark.parametrize("key", list(DECODER_COMPONENT_MATES),
+                         ids=[f"d{d}-{m}-T{t}" for d, m, t, _ in DECODER_COMPONENT_MATES])
+def test_decoder_components_keep_pinned_mates(key, monkeypatch):
+    d, metric, rounds, windows = key
+    model = preset("standard", 0.01)
+    circuit, decoder = _setup(d, model, metric)
+    digest = hashlib.sha256()
+    count = 0
+
+    def solve(n, edges):
+        nonlocal count
+        mate = _max_weight_matching(n, edges)
+        digest.update(repr(mate).encode())
+        count += 1
+        return mate
+
+    monkeypatch.setattr(matching, "_max_weight_matching", solve)
+    for i in range(windows):
+        res = simulate_window(circuit, model, trial_rng(1, i), rounds)
+        decoder.decode(res.history, res.frame, collect_matches=False)
+    assert (count, digest.hexdigest()) == DECODER_COMPONENT_MATES[key]

@@ -167,25 +167,42 @@ class _WindowLinkGraph(LinkGraph):
                 yield other, prob
 
 
+def _check_window_oracle(g, s1, s2):
+    """Check d_n (n = 0, 1, 2) and d_max of s1, s2 on g against exhaustive
+    path enumeration; returns d_n's (weight, path count) per n."""
+    l = min_links(g, s1, s2)
+    out = []
+    for n in (0, 1, 2):
+        oracle_paths = _enumerate_all_paths(g, s1, s2, l + n)
+        w, count = d_n(g, s1, s2, n)
+        assert count == len(oracle_paths)
+        assert w == pytest.approx(-math.log(math.fsum(oracle_paths)))
+        out.append((w, count))
+    best = min(-math.log(p) for p in _enumerate_all_paths(g, s1, s2, l + 3))
+    # d_max must match the best path found over a generous link budget.
+    assert d_max(g, s1, s2) == pytest.approx(best)
+    return out
+
+
 def test_path_enumeration_oracle_small_window(table_d5):
     # 5x5x5 window: d_max and d_n reproduced exactly by brute force.
     lat = table_d5.lattice
     g = _WindowLinkGraph(table_d5, "z", t_min=0, t_max=4)
     s1 = (lat.index((2, 3)), 1)
     s2 = (lat.index((4, 5)), 2)
-    l = min_links(g, s1, s2)
-    for n in (0, 1, 2):
-        oracle_paths = _enumerate_all_paths(g, s1, s2, l + n)
-        w, count = d_n(g, s1, s2, n)
-        assert count == len(oracle_paths)
-        assert w == pytest.approx(-math.log(math.fsum(oracle_paths)))
+    for n, (w, _) in enumerate(_check_window_oracle(g, s1, s2)):
         # The walk program walks the unbounded graph's node codes, not
         # `neighbors`; no path of at most l + 2 links leaves this window,
         # so its sums are the window's too.
         assert path_sum_table(g, s1, [s2], n)[0] == pytest.approx(w, rel=1e-12)
-    best = min(-math.log(p) for p in _enumerate_all_paths(g, s1, s2, l + 3))
-    # d_max must match the best path found over a generous link budget.
-    assert d_max(g, s1, s2) == pytest.approx(best)
+    # A pair in round 0, where the window binds: some of its paths of at
+    # most l + 2 links, shortest ones included, step through round -1,
+    # so d_n counts fewer paths than on the unbounded graph.
+    s1 = (lat.index((2, 3)), 0)
+    s2 = (lat.index((0, 1)), 0)
+    counts = [c for _, c in _check_window_oracle(g, s1, s2)]
+    unbounded = LinkGraph(table_d5, "z")
+    assert all(c < d_n(unbounded, s1, s2, n)[1] for n, c in enumerate(counts))
 
 
 def _walk_weight(graph, s1, s2, lengths):
