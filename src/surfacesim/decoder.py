@@ -46,25 +46,29 @@ work per added event, blossom grows slowly.  Both solvers return the
 same optimum as blossom on the full graph.
 
 The candidate graph has two builders, chosen by the graph's event
-count.  Below ARRAY_MIN_EVENTS a Python scan over the time-sorted events
-looks each pair within reach up in the table and appends the survivors
-to one adjacency list per event.  From ARRAY_MIN_EVENTS on, numpy builds
-the same graph: a stable sort by round, every pair within reach from one
-searchsorted/repeat pass, one gather from a dense copy of the pair table
-(made on first use), adjacency rows in the scan's append order, and one
-sort that orders the edges of every blossom-sized component.  The scan
-costs about one step per pair within reach, the arrays a fixed numpy
-overhead per graph plus a little per edge.  On standard-model windows
-(p = 0.6-1.4%, T = 4d and 10d) the two cost the same at about 44 events
-at d = 5 (42 for d2, 52 for manhattan); d = 3 graphs of such windows
-stay below 48 events, where the scan is 1.6-4.5x faster, and every d = 7
-or 9 graph is above the cutoff, where the arrays are 1.8-3.2x faster.
-Both builders keep identical the time order (equal rounds in label
-order), the prune's float expression w < (b_u + b_v) - PRUNE_EPS, each
-event's neighbours in scan order, the components with their depth-first
-order, and each blossom component's position-sorted gain edges, so the
-solvers are called with the same arguments and every matching is the
-same.
+count, and they differ only in how they find the kept pairs.  Below
+ARRAY_MIN_EVENTS a Python scan over the time-sorted events looks each
+pair within reach up in the table; from ARRAY_MIN_EVENTS on, numpy does
+the same with a stable sort by round, every pair within reach from one
+searchsorted/repeat pass and one gather from a dense copy of the pair
+table (made on first use).  The scan costs about one step per pair
+within reach, the arrays a fixed numpy overhead per graph plus a little
+per edge.  On standard-model windows (p = 0.6-1.4%, T = 4d and 10d) the
+two cost the same at about 44 events at d = 5 (42 for d2, 52 for
+manhattan); d = 3 graphs of such windows stay below 48 events, where
+the scan is 1.6-4.5x faster, and every d = 7 or 9 graph is above the
+cutoff, where the arrays are 1.8-3.2x faster.
+
+Both hand the solvers the same thing: per event, parallel rows of
+neighbour labels and edge weights in scan order (time order, equal
+rounds in label order), pruned by the same float expression
+w < (b_u + b_v) - PRUNE_EPS.  One depth-first walk of the rows gives the
+components, each event's component and its position in it.  The subset
+DP reads the rows; a blossom component's position-sorted gain edges come
+from `_gain_edges` below ARRAY_MIN_EVENTS and from one numpy sort over
+all blossom components above it.  Both solvers return a mate per
+position, -1 for a boundary match, which one loop turns into pairs and
+boundary matches.  So every matching is the same whichever builder ran.
 
 Corrections follow a canonical staircase (vertical leg then horizontal
 leg) between matched stabilizers, or run straight out of the recorded
@@ -87,7 +91,7 @@ import numpy as np
 from . import matching
 from .edge_analysis import EdgeClassTable
 from .lattice import Lattice
-from .metric import LinkGraph, boundary_search, manhattan, path_sum_table
+from .metric import METRICS, LinkGraph, boundary_search, manhattan, path_sum_table
 from .sim import PauliFrame, SyndromeHistory, _graph_events
 
 DP_MAX_NODES = 6
@@ -118,6 +122,8 @@ class Decoder:
     """
 
     def __init__(self, table: EdgeClassTable, metric: str = "dmax"):
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
         self.lattice = table.lattice
         self.metric = metric
         self._tables = {g: self._precompute(LinkGraph(table, g)) for g in ("x", "z")}
@@ -249,20 +255,21 @@ class Decoder:
         are resolved by label order, so decode passes events in scan order
         (by stabilizer, then round) to keep every verdict reproducible.
         """
-        k = len(stabs)
         tab = self._tables[graph]
         bvals = tab["bvals"]
         bweight = [bvals[a] for a in stabs]
-        if k < ARRAY_MIN_EVENTS:
-            nbrs = _scan_graph(tab, stabs, ts, bweight)
-            comps = _components(nbrs)
-            gain_edges = None
+        if len(stabs) < ARRAY_MIN_EVENTS:
+            nbr, wts = _scan_graph(tab, stabs, ts, bweight)
+            comps, _, pos = _components(nbr)
+            blossom_edges = (_gain_edges(comp, pos, nbr, wts, bweight)
+                             for comp in comps if len(comp) > DP_MAX_NODES)
         else:
-            comps, nbrs, gain_edges = _array_graph(tab, stabs, ts)
+            nbr, wts, kept = _array_graph(tab, stabs, ts)
+            comps, cid, pos = _components(nbr)
+            blossom_edges = _sorted_gain_edges(kept, comps, cid, pos)
 
         pairs: list[tuple[int, int]] = []
         boundary: list[int] = []
-        pos = [0] * k
         for comp in comps:
             n = len(comp)
             if n == 1:
@@ -271,38 +278,39 @@ class Decoder:
             if n == 2:
                 pairs.append((comp[0], comp[1]))
                 continue
-            for a, u in enumerate(comp):
-                pos[u] = a
+            # Both solvers are looked up at call time, so a patched solver
+            # (the bench's span tracer) is the one called.
             if n <= DP_MAX_NODES:
-                local_pairs, local_bd = _solve_dp(comp, nbrs, pos, bweight)
+                mate = _solve_dp(comp, pos, nbr, wts, bweight)
             else:
-                redges = (next(gain_edges) if gain_edges is not None
-                          else _gain_edges(comp, nbrs, pos, bweight))
-                local_pairs, local_bd = _solve_blossom(comp, redges)
-            pairs.extend(local_pairs)
-            boundary.extend(local_bd)
+                mate = matching._max_weight_matching(n, next(blossom_edges))
+            for a, b in enumerate(mate):
+                if b < 0:
+                    boundary.append(comp[a])
+                elif a < b:
+                    pairs.append((comp[a], comp[b]))
         return pairs, boundary
 
 
-def _scan_graph(tab: dict, stabs: list[int], ts: list[int],
-                bweight: list[float]) -> list[list[tuple[int, float]]]:
+def _scan_graph(tab: dict, stabs: list[int], ts: list[int], bweight: list[float]):
     """The candidate graph of a few events, by a Python scan over the
-    time-sorted events: nbrs[u] lists (v, weight) per candidate edge of
-    event u, in scan order; this order fixes the component order, and so
-    tie order."""
+    time-sorted events; returns its neighbour rows: nbr[u] and wts[u] list
+    the other event and the weight of each candidate edge of event u, in
+    scan order.  This order fixes the component order, and so tie order."""
     k = len(stabs)
     wtab, reach = tab["wtab"], tab["reach"]
     order = sorted(range(k), key=ts.__getitem__)
     st = [stabs[u] for u in order]
     tt = [ts[u] for u in order]
     bt = [bweight[u] for u in order]
-    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(k)]
+    nbr: list[list[int]] = [[] for _ in range(k)]
+    wts: list[list[float]] = [[] for _ in range(k)]
     for i in range(k):
         row = wtab[st[i]]
         ti = tt[i]
         bi = bt[i]
         u = order[i]
-        nu = nbrs[u]
+        nu, wu = nbr[u], wts[u]
         for j in range(i + 1, k):
             dt = tt[j] - ti
             if dt > reach:
@@ -312,17 +320,17 @@ def _scan_graph(tab: dict, stabs: list[int], ts: list[int],
             w = row[st[j]][dt]
             if w < bi + bt[j] - PRUNE_EPS:
                 v = order[j]
-                nu.append((v, w))
-                nbrs[v].append((u, w))
-    return nbrs
+                nu.append(v)
+                wu.append(w)
+                nbr[v].append(u)
+                wts[v].append(w)
+    return nbr, wts
 
 
 def _array_graph(tab: dict, stabs: list[int], ts: list[int]):
-    """The same candidate graph of many events, from numpy arrays; returns
-    its components (as `_components` walks them), the neighbour lists of
-    the events in components the subset DP solves (a dict by event), and
-    an iterator over the `_gain_edges` of the larger components, in
-    component order."""
+    """The same neighbour rows for many events, from numpy arrays; also
+    returns the kept pairs as arrays (u, v, gain) for
+    `_sorted_gain_edges`."""
     k = len(stabs)
     reach = tab["reach"]
     S, R = len(tab["bvals"]), reach + 1
@@ -349,64 +357,47 @@ def _array_graph(tab: dict, stabs: list[int], ts: list[int]):
     keep = np.flatnonzero(w < bsum - PRUNE_EPS)
     i, j, w, bsum = i[keep], j[keep], w[keep], bsum[keep]
     u, v = order[i], order[j]
-    # Adjacency rows by event label, each row's neighbours in scan order:
-    # the order in which the scan appends them.
+    # Rows by event label, each row's neighbours in scan order: the order
+    # in which the scan appends them.
     src = np.concatenate([u, v])
     dst = np.concatenate([j, i])
     perm = np.argsort(src * k + dst)
     ptr = [0, *np.cumsum(np.bincount(src, minlength=k)).tolist()]
     lab = order[dst[perm]].tolist()
-    comps, cid, pos = _row_components(ptr, lab)
-    small = [x for comp in comps if 2 < len(comp) <= DP_MAX_NODES for x in comp]
-    nbrs: dict[int, list[tuple[int, float]]] = {}
-    if small:
-        entries = list(zip(lab, np.concatenate([w, w])[perm].tolist()))
-        nbrs = {x: entries[ptr[x]:ptr[x + 1]] for x in small}
+    wl = np.concatenate([w, w])[perm].tolist()
+    nbr = [lab[s:e] for s, e in zip(ptr, ptr[1:])]
+    wts = [wl[s:e] for s, e in zip(ptr, ptr[1:])]
+    return nbr, wts, (u, v, bsum - w)
+
+
+def _sorted_gain_edges(kept, comps: list[list[int]], cid: list[int], pos: list[int]):
+    """The `_gain_edges` of every component too large for the subset DP,
+    in component order, from the kept pairs of `_array_graph`: one sort
+    orders them all by (component, lower position, upper position)."""
     large = [len(comp) > DP_MAX_NODES for comp in comps]
     if not any(large):
-        return comps, nbrs, iter(())
-    # One sort orders the edges of every blossom component by (component,
-    # lower position, upper position).
+        return iter(())
+    k = len(cid)
+    u, v, gain = kept
     cid, pos = np.array(cid), np.array(pos)
     sel = np.flatnonzero(np.array(large)[cid[u]])
-    u, v, gain = u[sel], v[sel], bsum[sel] - w[sel]
+    u, v, gain = u[sel], v[sel], gain[sel]
     cu, pu, pv = cid[u], pos[u], pos[v]
     a, b = np.minimum(pu, pv), np.maximum(pu, pv)
     o = np.argsort((cu * k + a) * k + b)
     rows = list(zip(a[o].tolist(), b[o].tolist(), gain[o].tolist()))
     ends = np.cumsum(np.bincount(cu, minlength=len(comps))).tolist()
-    return comps, nbrs, (rows[s:e] for s, e, blossom in zip([0, *ends], ends, large) if blossom)
+    return (rows[s:e] for s, e, blossom in zip([0, *ends], ends, large) if blossom)
 
 
-def _components(nbrs: list[list[tuple[int, float]]]) -> list[list[int]]:
+def _components(nbr: list[list[int]]):
     """Connected components of the candidate graph, each in depth-first
-    discovery order from its lowest event."""
-    seen = [False] * len(nbrs)
+    discovery order from its lowest event; also returns each event's
+    component index and position in its component."""
+    cid = [-1] * len(nbr)
+    pos = [0] * len(nbr)
     comps: list[list[int]] = []
-    for start in range(len(nbrs)):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            for v, _ in nbrs[stack.pop()]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(comp)
-    return comps
-
-
-def _row_components(ptr: list[int], lab: list[int]):
-    """The walk of `_components` over adjacency rows, event u's
-    neighbours being lab[ptr[u]:ptr[u + 1]] in scan order; also returns
-    each event's component index and position in its component."""
-    cid = [-1] * (len(ptr) - 1)
-    pos = [0] * len(cid)
-    comps: list[list[int]] = []
-    for start in range(len(cid)):
+    for start in range(len(nbr)):
         if cid[start] >= 0:
             continue
         c = len(comps)
@@ -414,8 +405,7 @@ def _row_components(ptr: list[int], lab: list[int]):
         cid[start] = c
         stack = [start]
         while stack:
-            u = stack.pop()
-            for v in lab[ptr[u]:ptr[u + 1]]:
+            for v in nbr[stack.pop()]:
                 if cid[v] < 0:
                     cid[v] = c
                     pos[v] = len(comp)
@@ -425,16 +415,18 @@ def _row_components(ptr: list[int], lab: list[int]):
     return comps, cid, pos
 
 
-def _solve_dp(comp: list[int], nbrs: list[list[tuple[int, float]]],
-              pos: list[int], bweight: list[float]):
+def _solve_dp(comp: list[int], pos: list[int], nbr: list[list[int]],
+              wts: list[list[float]], bweight: list[float]) -> list[int]:
     """Exact minimum of sum(pair weights) + sum(boundary weights of the
     unpaired) over all pairings of one component, by dynamic programming
-    over subsets; pos[u] is event u's position in comp."""
+    over subsets; pos[u] is event u's position in comp.  Returns the mate
+    of each position, -1 for the unpaired, as `_max_weight_matching`
+    does."""
     k = len(comp)
     wmat = [[math.inf] * k for _ in range(k)]
     for a, u in enumerate(comp):
         row = wmat[a]
-        for v, w in nbrs[u]:
+        for v, w in zip(nbr[u], wts[u]):
             row[pos[v]] = w
     full = 1 << k
     dp = [math.inf] * full
@@ -458,56 +450,38 @@ def _solve_dp(comp: list[int], nbrs: list[list[tuple[int, float]]],
                     pick = b
         dp[mask] = best
         choice[mask] = pick
-    pairs = []
-    bd = []
+    mate = [-1] * k
     mask = full - 1
     while mask:
         a = (mask & -mask).bit_length() - 1
         pick = choice[mask]
-        if pick < 0:
-            bd.append(comp[a])
-            mask ^= 1 << a
-        else:
-            pairs.append((comp[a], comp[pick]))
-            mask ^= (1 << a) | (1 << pick)
-    return pairs, bd
+        mask ^= 1 << a
+        if pick >= 0:
+            mate[a], mate[pick] = pick, a
+            mask ^= 1 << pick
+    return mate
 
 
-def _gain_edges(comp: list[int], nbrs: list[list[tuple[int, float]]],
-               pos: list[int], bweight: list[float]) -> list[tuple[int, int, float]]:
+def _gain_edges(comp: list[int], pos: list[int], nbr: list[list[int]],
+                wts: list[list[float]], bweight: list[float]) -> list[tuple[int, int, float]]:
     """One component's candidate edges as (a, b, b_u + b_v - w_uv) over
-    positions a < b in comp, sorted by position pair."""
+    positions a < b in comp, sorted by position pair (the edge order
+    breaks exact ties).
+
+    A maximum-weight (not perfect) matching over these positive gains
+    minimizes sum(pair weights) + sum(boundary weights of the unmatched),
+    exactly the virtual-twin objective, without the zero-weight twin
+    clique.
+    """
     redges = []
     for a, u in enumerate(comp):
         bu = bweight[u]
-        for v, w in nbrs[u]:
+        for v, w in zip(nbr[u], wts[u]):
             b = pos[v]
             if a < b:
                 redges.append((a, b, bu + bweight[v] - w))
     redges.sort()
     return redges
-
-
-def _solve_blossom(comp: list[int], redges: list[tuple[int, int, float]]):
-    """The same minimum in reduced form: maximize the gains
-    (b_u + b_v - w_uv) of matched pairs, given as position-sorted
-    `_gain_edges` (the edge order breaks exact ties).
-
-    A maximum-weight (not perfect) matching over positive gains minimizes
-    sum(pair weights) + sum(boundary weights of the unmatched), exactly the
-    virtual-twin objective, without the zero-weight twin clique.
-    """
-    # Looked up on the module at call time, so a patched solver (the
-    # bench's span tracer) is the one called.
-    mate = matching._max_weight_matching(len(comp), redges)
-    pairs = []
-    bd = []
-    for a, u in enumerate(comp):
-        if mate[a] == -1:
-            bd.append(u)
-        elif a < mate[a]:
-            pairs.append((u, comp[mate[a]]))
-    return pairs, bd
 
 
 class _Staircases(dict):

@@ -13,8 +13,9 @@ from surfacesim.lattice import build_lattice, standard_schedule
 from surfacesim.noise import ErrorModel, preset, trial_rng
 from surfacesim.sim import _graph_events, compile_circuit, simulate_window
 from surfacesim.edge_analysis import derive_edge_classes
-from surfacesim.decoder import DP_MAX_NODES, PRUNE_EPS, Decoder
+from surfacesim.decoder import DP_MAX_NODES, PRUNE_EPS, Decoder, _solve_dp
 from surfacesim.harness import _setup
+from surfacesim.matching import _max_weight_matching
 from surfacesim.metric import (
     METRICS, LinkGraph, MetricCache, boundary_distance, d_max, d_n, path_sum_table,
 )
@@ -22,8 +23,8 @@ from surfacesim.metric import (
 import frame_reference
 from frame_reference import cnot_phase, make_injection
 from oracles import (
-    _boundary_flip, _staircase_flip, build_match_graph, corrections_from_matching,
-    dmax_table_reference, mwpm,
+    MatchGraph, _boundary_flip, _staircase_flip, brute_force_mwpm, build_match_graph,
+    corrections_from_matching, dmax_table_reference, mwpm,
 )
 from paulis import SINGLE_PAULIS, TWO_QUBIT_PAULIS, X
 
@@ -527,6 +528,69 @@ def _check_blossom_against_networkx(circ, model, dec, monkeypatch, seed, windows
         assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("ties", [False, True], ids=["float", "integer-ties"])
+def test_solve_dp_matches_brute_force_and_blossom(ties):
+    """The subset DP alone, on random components of 3 to DP_MAX_NODES
+    events (some holding an event with no edge): its mates pair up, and its
+    total is the brute-force minimum of the virtual-twin graph and the
+    total of the blossom solver's matching of the same gains."""
+    rng = random.Random(5)
+    for trial in range(80):
+        n = rng.randint(3, DP_MAX_NODES)
+        labels = 2 * n
+        comp = rng.sample(range(labels), n)
+        pos = [0] * labels
+        for a, u in enumerate(comp):
+            pos[u] = a
+        if ties:
+            bweight = [float(rng.randint(1, 3)) for _ in range(labels)]
+        else:
+            bweight = [rng.uniform(1.0, 4.0) for _ in range(labels)]
+        lone = comp[rng.randrange(n)] if trial % 3 == 0 else None
+        nbr: list[list[int]] = [[] for _ in range(labels)]
+        wts: list[list[float]] = [[] for _ in range(labels)]
+        weight = {}
+        for a in range(n):
+            for b in range(a + 1, n):
+                u, v = comp[a], comp[b]
+                if lone in (u, v) or rng.random() < 0.3:
+                    continue
+                bsum = bweight[u] + bweight[v]
+                # Only edges that survive the prune reach a solver.
+                w = (float(rng.randint(1, int(bsum) - 1)) if ties
+                     else rng.uniform(0.1, bsum - 0.01))
+                weight[a, b] = w
+                nbr[u].append(v)
+                wts[u].append(w)
+                nbr[v].append(u)
+                wts[v].append(w)
+
+        mate = _solve_dp(comp, pos, nbr, wts, bweight)
+        assert len(mate) == n
+        assert all(mate[b] == a and (min(a, b), max(a, b)) in weight
+                   for a, b in enumerate(mate) if b >= 0)
+        if lone is not None:
+            assert mate[pos[lone]] == -1
+
+        def total(mate):
+            return (math.fsum(weight[a, b] for a, b in enumerate(mate) if a < b)
+                    + math.fsum(bweight[comp[a]] for a, b in enumerate(mate) if b < 0))
+
+        twins = MatchGraph(2 * n)
+        for a, u in enumerate(comp):
+            twins.add_edge(a, n + a, bweight[u])
+            for b in range(a + 1, n):
+                twins.add_edge(n + a, n + b, 0.0)
+        for (a, b), w in weight.items():
+            twins.add_edge(a, b, w)
+        gains = sorted((a, b, bweight[comp[a]] + bweight[comp[b]] - w)
+                       for (a, b), w in weight.items())
+        assert total(mate) == pytest.approx(brute_force_mwpm(twins).total_weight,
+                                            abs=1e-9), trial
+        assert total(mate) == pytest.approx(total(_max_weight_matching(n, gains)),
+                                            abs=1e-9), trial
+
+
 @pytest.mark.parametrize("d,metric,windows", [
     (3, "dmax", 40), (3, "manhattan", 40), (3, "d2", 40),
     (5, "dmax", 8), (5, "manhattan", 8), (5, "d2", 8), (7, "dmax", 2)])
@@ -554,12 +618,12 @@ def test_array_route_builds_the_scan_routes_graph(d, metric, windows, monkeypatc
     calls: list = []
     solve_dp, solve = decoder_module._solve_dp, matching_module._max_weight_matching
 
-    def dp(comp, nbrs, pos, bweight):
-        # What the DP can read: its events' neighbour lists, the
-        # positions and the boundary weights.
-        calls.append(("dp", list(comp), [list(nbrs[u]) for u in comp], list(pos),
-                      list(bweight)))
-        return solve_dp(comp, nbrs, pos, bweight)
+    def dp(comp, pos, nbr, wts, bweight):
+        # What the DP can read: the positions, its events' neighbour and
+        # weight rows and the boundary weights.
+        calls.append(("dp", list(comp), list(pos), [list(nbr[u]) for u in comp],
+                      [list(wts[u]) for u in comp], list(bweight)))
+        return solve_dp(comp, pos, nbr, wts, bweight)
 
     def blossom(n, edges):
         calls.append(("blossom", n, list(edges)))
@@ -666,6 +730,13 @@ def test_verify_catches_bad_corrections(setup_d3):
     res_x[lat.index((2, 2))] = 1  # uncorrected data error
     with pytest.raises(AssertionError):
         _assert_trivial_syndrome(lat, res_x, res_z)
+
+
+@pytest.mark.parametrize("metric", ["d1-typo", "d", "Dmax", ""])
+def test_decoder_rejects_unknown_metric(setup_d3, metric):
+    table = setup_d3[2]
+    with pytest.raises(ValueError, match="unknown metric"):
+        Decoder(table, metric)
 
 
 @pytest.mark.parametrize("metric", ["dmax", "d1"])
