@@ -45,30 +45,39 @@ two cost the same on components from real windows: the DP doubles its
 work per added event, blossom grows slowly.  Both solvers return the
 same optimum as blossom on the full graph.
 
-The candidate graph has two builders, chosen by the graph's event
+The candidate graph has two builders, chosen per graph by its event
 count, and they differ only in how they find the kept pairs.  Below
 ARRAY_MIN_EVENTS a Python scan over the time-sorted events looks each
 pair within reach up in the table; from ARRAY_MIN_EVENTS on, numpy does
 the same with a stable sort by round, every pair within reach from one
 searchsorted/repeat pass and one gather from a dense copy of the pair
 table (made on first use).  The scan costs about one step per pair
-within reach, the arrays a fixed numpy overhead per graph plus a little
+within reach, the arrays a fixed numpy overhead per call plus a little
 per edge.  On standard-model windows (p = 0.6-1.4%, T = 4d and 10d) the
 two cost the same at about 44 events at d = 5 (42 for d2, 52 for
 manhattan); d = 3 graphs of such windows stay below 48 events, where
 the scan is 1.6-4.5x faster, and every d = 7 or 9 graph is above the
 cutoff, where the arrays are 1.8-3.2x faster.
 
-Both hand the solvers the same thing: per event, parallel rows of
-neighbour labels and edge weights in scan order (time order, equal
-rounds in label order), pruned by the same float expression
-w < (b_u + b_v) - PRUNE_EPS.  One depth-first walk of the rows gives the
-components, each event's component and its position in it.  The subset
-DP reads the rows; a blossom component's position-sorted gain edges come
-from `_gain_edges` below ARRAY_MIN_EVENTS and from one numpy sort over
-all blossom components above it.  Both solvers return a mate per
-position, -1 for a boundary match, which one loop turns into pairs and
-boundary matches.  So every matching is the same whichever builder ran.
+A window is matched as one: both graphs' events share one label space,
+x events first, then z, each in scan order.  All graphs of
+ARRAY_MIN_EVENTS events or more are built by one numpy call, over their
+dense tables laid end to end and with each graph's rounds shifted past
+the rounds and reach of the one before, so no pair crosses graphs; the
+smaller ones append the scan's rows.  Both builders give per event
+parallel rows of neighbour labels and edge weights in scan order (time
+order, equal rounds in label order), pruned by the same float
+expression w < (b_u + b_v) - PRUNE_EPS; the arrays slice weight rows
+only for the events the subset DP reads.  One depth-first walk of the
+window's rows gives the components, each event's component and its
+position in it; a graph's components are the ones it would have alone,
+in the same order.  The subset DP reads the rows; a blossom component's
+position-sorted gain edges come from `_gain_edges` in a scan-built graph
+and from one numpy sort over every array-built blossom component.  Both
+solvers return a mate per position, which one loop over the window's
+components turns into each graph's pairs and boundary matches.  So
+every matching is the same whichever builder ran, and the same as
+matching each graph alone.
 
 Corrections follow a canonical staircase (vertical leg then horizontal
 leg) between matched stabilizers, or run straight out of the recorded
@@ -212,12 +221,11 @@ class Decoder:
         lat = self.lattice
         matches: dict[str, list[tuple] | None] = {}
         corrections: dict[str, np.ndarray] = {}
-        for graph in ("x", "z"):
+        graphs = [(graph, *_graph_events(history, graph)) for graph in ("x", "z")]
+        for (graph, stabs, ts), (pairs, bd) in zip(graphs, self._match_window(graphs)):
             tab = self._tables[graph]
             cells, bsides = tab["cells"], tab["bsides"]
             stairs, bchains = tab["stairs"], tab["bchains"]
-            stabs, ts = _graph_events(history, graph)
-            pairs, bd = self._match_graph_events(graph, stabs, ts)
             flips: list[int] = []
             for u, v in pairs:
                 flips += stairs[stabs[u], stabs[v]]
@@ -245,64 +253,94 @@ class Decoder:
             logical_x_failed=x_failed, logical_z_failed=z_failed,
             residual={"x": res_x, "z": res_z})
 
-    def _match_graph_events(self, graph: str, stabs: list[int], ts: list[int]):
-        """Match one graph's events, given as parallel lists of stabilizer
-        indices and rounds; returns (real pairs, boundary-matched events)
-        as positions in those lists.
+    def _match_window(self, graphs: list[tuple[str, list[int], list[int]]]):
+        """Match the events of a window's graphs, each given as (graph,
+        stabilizer indices, rounds) in parallel lists; returns per graph
+        (real pairs, boundary-matched events) as positions in its lists.
 
-        Candidate pairs are scanned in time order, but events keep their
-        given positions as labels: exact ties between optimal matchings
-        are resolved by label order, so decode passes events in scan order
-        (by stabilizer, then round) to keep every verdict reproducible.
+        The events share one label space: each graph's events in the
+        order given, the graphs one after another.  No candidate edge
+        joins two graphs, so each graph's components, in their order and
+        with their positions, are the ones it would have alone.  Candidate
+        pairs are scanned in time order, but events keep their labels:
+        exact ties between optimal matchings are resolved by label order,
+        so decode passes events in scan order (by stabilizer, then round)
+        to keep every verdict reproducible.
         """
-        tab = self._tables[graph]
-        bvals = tab["bvals"]
-        bweight = [bvals[a] for a in stabs]
-        if len(stabs) < ARRAY_MIN_EVENTS:
-            nbr, wts = _scan_graph(tab, stabs, ts, bweight)
-            comps, _, pos = _components(nbr)
-            blossom_edges = (_gain_edges(comp, pos, nbr, wts, bweight)
-                             for comp in comps if len(comp) > DP_MAX_NODES)
-        else:
-            nbr, wts, kept = _array_graph(tab, stabs, ts)
-            comps, cid, pos = _components(nbr)
-            blossom_edges = _sorted_gain_edges(kept, comps, cid, pos)
-
-        pairs: list[tuple[int, int]] = []
-        boundary: list[int] = []
-        for comp in comps:
-            n = len(comp)
-            if n == 1:
-                boundary.append(comp[0])
-                continue
-            if n == 2:
-                pairs.append((comp[0], comp[1]))
-                continue
-            # Both solvers are looked up at call time, so a patched solver
-            # (the bench's span tracer) is the one called.
-            if n <= DP_MAX_NODES:
-                mate = _solve_dp(comp, pos, nbr, wts, bweight)
+        bweight: list[float] = []
+        nbr: list = []
+        wts: list = []
+        arrays = []
+        for graph, stabs, ts in graphs:
+            tab = self._tables[graph]
+            bvals = tab["bvals"]
+            bw = [bvals[a] for a in stabs]
+            if len(stabs) < ARRAY_MIN_EVENTS:
+                rows, wrows = _scan_graph(tab, stabs, ts, bw, len(nbr))
+                nbr += rows
+                wts += wrows
             else:
-                mate = matching._max_weight_matching(n, next(blossom_edges))
-            for a, b in enumerate(mate):
-                if b < 0:
-                    boundary.append(comp[a])
-                elif a < b:
-                    pairs.append((comp[a], comp[b]))
-        return pairs, boundary
+                # Rows made below; weight rows only for the subset DP.
+                arrays.append((tab, len(nbr), stabs, ts, bw))
+                nbr += [None] * len(stabs)
+                wts += [None] * len(stabs)
+            bweight += bw
+        if arrays:
+            ptr, wrow, kept = _array_graph(arrays, nbr)
+        comps, cid, pos = _components(nbr)
+        gain_edges = _sorted_gain_edges(kept, comps, cid, pos) if arrays else {}
+
+        out = []
+        c = off = 0
+        for _, stabs, _ in graphs:
+            end = off + len(stabs)
+            pairs: list[tuple[int, int]] = []
+            boundary: list[int] = []
+            while c < len(comps) and comps[c][0] < end:
+                comp = comps[c]
+                n = len(comp)
+                if n == 1:
+                    boundary.append(comp[0] - off)
+                elif n == 2:
+                    pairs.append((comp[0] - off, comp[1] - off))
+                else:
+                    # Both solvers are looked up at call time, so a patched
+                    # solver (the bench's span tracer) is the one called.
+                    if n <= DP_MAX_NODES:
+                        if wts[comp[0]] is None:
+                            for u in comp:
+                                wts[u] = wrow[ptr[u]:ptr[u + 1]].tolist()
+                        mate = _solve_dp(comp, pos, nbr, wts, bweight)
+                    else:
+                        edges = gain_edges.get(c)
+                        if edges is None:
+                            edges = _gain_edges(comp, pos, nbr, wts, bweight)
+                        mate = matching._max_weight_matching(n, edges)
+                    for a, b in enumerate(mate):
+                        if b < 0:
+                            boundary.append(comp[a] - off)
+                        elif a < b:
+                            pairs.append((comp[a] - off, comp[b] - off))
+                c += 1
+            out.append((pairs, boundary))
+            off = end
+        return out
 
 
-def _scan_graph(tab: dict, stabs: list[int], ts: list[int], bweight: list[float]):
+def _scan_graph(tab: dict, stabs: list[int], ts: list[int], bweight: list[float],
+                off: int):
     """The candidate graph of a few events, by a Python scan over the
     time-sorted events; returns its neighbour rows: nbr[u] and wts[u] list
-    the other event and the weight of each candidate edge of event u, in
-    scan order.  This order fixes the component order, and so tie order."""
+    the window label (off + position) and the weight of each candidate
+    edge of the event at position u, in scan order.  This order fixes the
+    component order, and so tie order."""
     k = len(stabs)
     wtab, reach = tab["wtab"], tab["reach"]
     order = sorted(range(k), key=ts.__getitem__)
     st = [stabs[u] for u in order]
     tt = [ts[u] for u in order]
     bt = [bweight[u] for u in order]
+    lab = [off + u for u in order]
     nbr: list[list[int]] = [[] for _ in range(k)]
     wts: list[list[float]] = [[] for _ in range(k)]
     for i in range(k):
@@ -320,63 +358,87 @@ def _scan_graph(tab: dict, stabs: list[int], ts: list[int], bweight: list[float]
             w = row[st[j]][dt]
             if w < bi + bt[j] - PRUNE_EPS:
                 v = order[j]
-                nu.append(v)
+                nu.append(lab[j])
                 wu.append(w)
-                nbr[v].append(u)
+                nbr[v].append(lab[i])
                 wts[v].append(w)
     return nbr, wts
 
 
-def _array_graph(tab: dict, stabs: list[int], ts: list[int]):
-    """The same neighbour rows for many events, from numpy arrays; also
-    returns the kept pairs as arrays (u, v, gain) for
-    `_sorted_gain_edges`."""
-    k = len(stabs)
-    reach = tab["reach"]
-    S, R = len(tab["bvals"]), reach + 1
-    dense = tab.get("dense")
-    if dense is None:
-        # Built on first use: a decoder that meets only small graphs never
-        # pays for it.
-        dense = tab["dense"] = np.array(tab["wtab"], dtype=float).ravel()
-    t = np.array(ts, dtype=np.intp)
+def _array_graph(graphs: list[tuple], nbr: list):
+    """The same neighbour rows for the events of many graphs in one numpy
+    pass.  graphs lists (table, label offset, stabs, ts, boundary weights)
+    per graph; each graph's rows are written into nbr at its offset.
+    Returns the row pointers into the window's edge ends and their weights
+    in row order, and the kept pairs as arrays (u, v, gain) for
+    `_sorted_gain_edges`.
+
+    Each graph's pair table sits at its own base in one dense array, and
+    its rounds are shifted past the rounds and reach of the graphs before
+    it, so no pair within reach crosses graphs."""
+    dense, sizes, params, stab, tl, bl = [], [], [], [], [], []
+    base = shift = 0
+    for tab, off, stabs, ts, bw in graphs:
+        d = tab.get("dense")
+        if d is None:
+            # Built on first use: a decoder that meets only small graphs
+            # never pays for it.
+            d = tab["dense"] = np.array(tab["wtab"], dtype=float).ravel()
+        R = tab["reach"] + 1
+        params.append((off - len(stab), shift, base, len(tab["bvals"]) * R, R, R - 1))
+        dense.append(d)
+        sizes.append(len(stabs))
+        base += len(d)
+        shift += max(ts, default=0) + R
+        stab += stabs
+        tl += ts
+        bl += bw
+    dense = dense[0] if len(dense) == 1 else np.concatenate(dense)
+    k = len(stab)
+    # Per event: label offset, round shift, table base, S * R, R, reach.
+    loff, shift, base, S_R, R, reach = np.repeat(np.array(params, dtype=np.intp),
+                                                 sizes, axis=0).T
+    t = np.array(tl, dtype=np.intp) + shift
+    st = np.array(stab, dtype=np.intp)
+    # wtab[st_i][st_j][t_j - t_i] of a graph is dense[key_i + key_j].
+    key_i = base + st * S_R - t
+    key_j = st * R + t
     order = np.argsort(t, kind="stable")
     tt = t[order]
-    st = np.array(stabs, dtype=np.intp)[order]
-    bt = np.array(tab["bvals"])[st]
+    key_i, key_j = key_i[order], key_j[order]
+    bt = np.array(bl)[order]
+    lab = (np.arange(k) + loff)[order]  # window labels
     # Every pair (i, j), i < j in scan order, at most reach rounds apart,
-    # ordered as the scan visits them; wtab[st_i][st_j][tt_j - tt_i] is
-    # dense[key_i + key_j] with the keys below.
+    # ordered as the scan visits them.
     idx = np.arange(k)
-    cnt = np.searchsorted(tt, tt + reach, side="right") - idx - 1
+    cnt = np.searchsorted(tt, tt + reach[order], side="right") - idx - 1
     i = np.repeat(idx, cnt)
     j = np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt - idx - 1, cnt)
-    key_i, key_j = st * (S * R) - tt, st * R + tt
     w = dense[key_i[i] + key_j[j]]
     bsum = bt[i] + bt[j]
     keep = np.flatnonzero(w < bsum - PRUNE_EPS)
     i, j, w, bsum = i[keep], j[keep], w[keep], bsum[keep]
-    u, v = order[i], order[j]
+    u, v = lab[i], lab[j]
     # Rows by event label, each row's neighbours in scan order: the order
     # in which the scan appends them.
     src = np.concatenate([u, v])
     dst = np.concatenate([j, i])
     perm = np.argsort(src * k + dst)
-    ptr = [0, *np.cumsum(np.bincount(src, minlength=k)).tolist()]
-    lab = order[dst[perm]].tolist()
-    wl = np.concatenate([w, w])[perm].tolist()
-    nbr = [lab[s:e] for s, e in zip(ptr, ptr[1:])]
-    wts = [wl[s:e] for s, e in zip(ptr, ptr[1:])]
-    return nbr, wts, (u, v, bsum - w)
+    ptr = [0, *np.cumsum(np.bincount(src, minlength=len(nbr))).tolist()]
+    nl = lab[dst[perm]].tolist()
+    for _, off, stabs, _, _ in graphs:
+        end = off + len(stabs)
+        nbr[off:end] = [nl[s:e] for s, e in zip(ptr[off:end], ptr[off + 1:end + 1])]
+    return ptr, np.concatenate([w, w])[perm], (u, v, bsum - w)
 
 
 def _sorted_gain_edges(kept, comps: list[list[int]], cid: list[int], pos: list[int]):
-    """The `_gain_edges` of every component too large for the subset DP,
-    in component order, from the kept pairs of `_array_graph`: one sort
-    orders them all by (component, lower position, upper position)."""
+    """The `_gain_edges` of every component too large for the subset DP
+    that holds kept pairs of `_array_graph`, keyed by component index: one
+    sort orders them all by (component, lower position, upper position)."""
     large = [len(comp) > DP_MAX_NODES for comp in comps]
     if not any(large):
-        return iter(())
+        return {}
     k = len(cid)
     u, v, gain = kept
     cid, pos = np.array(cid), np.array(pos)
@@ -386,8 +448,10 @@ def _sorted_gain_edges(kept, comps: list[list[int]], cid: list[int], pos: list[i
     a, b = np.minimum(pu, pv), np.maximum(pu, pv)
     o = np.argsort((cu * k + a) * k + b)
     rows = list(zip(a[o].tolist(), b[o].tolist(), gain[o].tolist()))
-    ends = np.cumsum(np.bincount(cu, minlength=len(comps))).tolist()
-    return (rows[s:e] for s, e, blossom in zip([0, *ends], ends, large) if blossom)
+    counts = np.bincount(cu, minlength=len(comps))
+    held = np.flatnonzero(counts)
+    ends = np.cumsum(counts[held]).tolist()
+    return {c: rows[s:e] for c, s, e in zip(held.tolist(), [0, *ends], ends)}
 
 
 def _components(nbr: list[list[int]]):

@@ -627,6 +627,9 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
         else:
             break  # free vertices' duals reach zero: the matching is optimal
 
+    # Each self-recursive closure holds the cell that holds it: emptied,
+    # the solve leaves no reference cycle for the collector.
+    del assign_label, blossom_leaves, augment_blossom, clear
     out = [-1] * n
     for v in range(n):
         if mate[v] >= 0:

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import random
@@ -204,7 +205,7 @@ def _check_against_full_blossom(d, metric, rounds, max_events):
                 continue
             events = _event_tuples(dec, graph_name, stabs, ts)
             cache = caches[graph_name]
-            pairs, bd = dec._match_graph_events(graph_name, stabs, ts)
+            ((pairs, bd),) = dec._match_window([(graph_name, stabs, ts)])
             assert sorted([u for p in pairs for u in p] + bd) == list(range(len(stabs)))
             fast_total = math.fsum(
                 cache.pair_weight(events[u][0], events[u][1],
@@ -591,29 +592,47 @@ def test_solve_dp_matches_brute_force_and_blossom(ties):
                                             abs=1e-9), trial
 
 
+# Rounds at which the two graphs of a window often fall on either side of
+# ARRAY_MIN_EVENTS (standard model, p = 0.01).
+STRADDLE_ROUNDS = {3: 80, 5: 20, 7: 10}
+
+
 @pytest.mark.parametrize("d,metric,windows", [
     (3, "dmax", 40), (3, "manhattan", 40), (3, "d2", 40),
     (5, "dmax", 8), (5, "manhattan", 8), (5, "d2", 8), (7, "dmax", 2)])
 def test_array_route_builds_the_scan_routes_graph(d, metric, windows, monkeypatch):
     """Both builders of the candidate graph give the same matching, in the
-    same order, and hand each solver the same arguments: every graph is
-    matched once with every event count below ARRAY_MIN_EVENTS (the scan)
-    and once with none below it (the arrays), in scan order and with its
-    events shuffled."""
+    same order, and hand each solver the same arguments: whole windows are
+    matched once with every event count below ARRAY_MIN_EVENTS (the scan),
+    once with none below it (the arrays) and once with the cutoff as it
+    is, in scan order and with each graph's events shuffled.  Windows
+    whose graphs fall on either side of the cutoff are among them, so the
+    natural route builds one graph by the scan and the other by arrays."""
     import surfacesim.decoder as decoder_module
     import surfacesim.matching as matching_module
 
     model = preset("standard", 0.01)
     circ, dec = _setup(d, model, metric)
     rng = random.Random(1)
-    graphs = [("x", [], []), ("z", [0], [3])]
-    for trial in range(windows):
-        res = simulate_window(circ, model, trial_rng(1, trial), 10 * d)
-        for graph in ("x", "z"):
-            stabs, ts = _graph_events(res.history, graph)
+
+    def window_graphs(res):
+        graphs = [(graph, *_graph_events(res.history, graph)) for graph in ("x", "z")]
+        shuffled = []
+        for graph, stabs, ts in graphs:
             order = rng.sample(range(len(stabs)), len(stabs))
-            graphs.append((graph, stabs, ts))
-            graphs.append((graph, [stabs[i] for i in order], [ts[i] for i in order]))
+            shuffled.append((graph, [stabs[i] for i in order], [ts[i] for i in order]))
+        return [graphs, shuffled]
+
+    plain = [[("x", [], [])], [("z", [0], [3])]]
+    for trial in range(windows):
+        plain += window_graphs(simulate_window(circ, model, trial_rng(1, trial), 10 * d))
+    straddling = []
+    for trial in range(20):
+        res = simulate_window(circ, model, trial_rng(2, trial), STRADDLE_ROUNDS[d])
+        sizes = [len(_graph_events(res.history, graph)[0]) for graph in ("x", "z")]
+        if min(sizes) < decoder_module.ARRAY_MIN_EVENTS <= max(sizes):
+            straddling += window_graphs(res)
+    assert len(straddling) >= 2 * 2  # two windows, each also shuffled
 
     calls: list = []
     solve_dp, solve = decoder_module._solve_dp, matching_module._max_weight_matching
@@ -632,23 +651,47 @@ def test_array_route_builds_the_scan_routes_graph(d, metric, windows, monkeypatc
     monkeypatch.setattr(decoder_module, "_solve_dp", dp)
     monkeypatch.setattr(matching_module, "_max_weight_matching", blossom)
     routes = {}
-    for name, min_events in (("scan", 10**9), ("array", 0)):
+    for name, min_events in (("scan", 10**9), ("array", 0),
+                             ("natural", decoder_module.ARRAY_MIN_EVENTS)):
         monkeypatch.setattr(decoder_module, "ARRAY_MIN_EVENTS", min_events)
         calls.clear()
-        out = [dec._match_graph_events(*g) for g in graphs]
+        out = [dec._match_window(w) for w in plain]
+        plain_calls = list(calls)
+        out += [dec._match_window(w) for w in straddling]
         routes[name] = out, list(calls)
-    (scan, scan_calls), (array, array_calls) = routes["scan"], routes["array"]
-    assert array == scan
-    assert len(array_calls) == len(scan_calls)
-    for got, want in zip(array_calls, scan_calls):
-        assert got == want
-    # repr also compares floats bit for bit and tells a numpy scalar from
-    # a Python number.  Its result is asserted on its own: a report diffing
-    # the two strings would take minutes.
-    same_repr = repr(routes["array"]) == repr(routes["scan"])
-    assert same_repr
-    # Both solvers are reached; at d = 7 each graph is one large component.
-    assert {call[0] for call in calls} == ({"blossom"} if d == 7 else {"dp", "blossom"})
+    scan, scan_calls = routes["scan"]
+    for name in ("array", "natural"):
+        got, got_calls = routes[name]
+        assert got == scan, name
+        assert len(got_calls) == len(scan_calls), name
+        for got_call, want in zip(got_calls, scan_calls):
+            assert got_call == want, name
+        # repr also compares floats bit for bit and tells a numpy scalar
+        # from a Python number.  Its result is asserted on its own: a
+        # report diffing the two strings would take minutes.
+        same_repr = repr(routes[name]) == repr(routes["scan"])
+        assert same_repr, name
+    # Both solvers are reached; at d = 7 each graph of a 10d-round window
+    # is one large component.
+    assert {call[0] for call in plain_calls} == ({"blossom"} if d == 7 else {"dp", "blossom"})
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_decoding_leaves_no_cyclic_garbage(d):
+    """Everything a decode allocates is freed by reference counting: with
+    the collector off, no solve leaves a reference cycle behind."""
+    model = preset("standard", 0.01)
+    circ, dec = _setup(d, model, "dmax")
+    windows = [simulate_window(circ, model, trial_rng(1, trial), 10 * d)
+               for trial in range(3)]
+    gc.collect()
+    gc.disable()
+    try:
+        for res in windows:
+            dec.decode(res.history, res.frame)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_corrections_from_matching_roundtrip(setup_d5):
