@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--trials", type=int, help="windows per sweep point")
     ap.add_argument("--rounds", type=int, help="noisy rounds per window (default 10*d)")
     ap.add_argument("--seed", type=int, help="master seed")
-    ap.add_argument("--jobs", type=int, help="parallel worker processes")
+    ap.add_argument("--jobs", type=int,
+                    help="parallel worker processes, at most one per usable CPU")
     ap.add_argument("--out", help="results file path")
     ap.add_argument("--format", choices=["csv", "json"], default="csv",
                     help="results format")

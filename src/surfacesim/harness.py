@@ -25,6 +25,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import time
 import typing
 import warnings
@@ -204,15 +205,24 @@ def _run_chunk(args) -> tuple[int, int, float, list[str]]:
     return fail_x, fail_z, time.perf_counter() - t0, traces
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux
+        return os.cpu_count() or 1
+
+
 def run_trials(*configs: TrialConfig, trace_sink=None) -> SweepStats:
     """Run every point of a sweep; one row per config, in the order given.
 
     The points' windows form one queue of (point, cfg, start, count,
     trace) chunks, a point's chunks adjacent so that each process builds
-    its set-up (`_setup`) once.  The configs share one jobs value: the
-    chunks run in this process, or in one spawn pool of min(jobs,
-    chunks) workers when that is more than one; a worker that dies
-    raises BrokenProcessPool instead of leaving its chunk unawaited.
+    its set-up (`_setup`) once.  The configs share one jobs value, capped
+    at the CPUs this process may use: the chunks run in this process, or
+    in one spawn pool of min(jobs, chunks) workers when that is more than
+    one; a worker that dies raises BrokenProcessPool instead of leaving
+    its chunk unawaited.
     Counts merge per point in chunk order.  A row's wall_time is the
     seconds its chunks took, summed over workers, set-up included.  Given
     a trace_sink list, each window's detection events are appended to it
@@ -220,7 +230,9 @@ def run_trials(*configs: TrialConfig, trace_sink=None) -> SweepStats:
     jobs = {cfg.jobs for cfg in configs}
     if len(jobs) > 1:
         raise ValueError(f"the points of one sweep share one jobs value, got {sorted(jobs)}")
-    jobs = max(jobs, default=1)
+    # Streams are per window and chunks merge in order, so the cap (and
+    # the chunk size it sets) leaves every count as it is.
+    jobs = min(max(jobs, default=1), _usable_cpus())
     chunks = []
     rows = []
     for point, cfg in enumerate(configs):

@@ -31,13 +31,16 @@ bits and report accumulators are left; each later cycle XORs the same
 data parity into every report, so the signs stay constant and a fault's
 detection events all fall in its own round (dt = 0) or the next
 (dt = 1).  The build checks this and fails loudly otherwise.  A kind's
-row is then its Pauli bits times its slot's bit effects, mod 2.  A
-window takes one draw of uniforms, one comparison against per-slot
-probabilities, the row of each hit (its slot's first row plus its Pauli
-kind), one gather of those rows and one parity count; the signs are the
+row is then its Pauli bits times its slot's bit effects, mod 2.  The
+table keeps its rows twice: as CSR rows, which `edge_analysis` reads its
+link classes from, and padded with -1 to the longest row (8 entries at
+d = 3, 5 and 7), which the sampler gathers.  A window takes one draw of
+uniforms, one comparison against per-slot probabilities, the row of each
+hit (its slot's first row plus its Pauli kind), one gather of those
+padded rows, a shift of their event entries to the hit's round, and one
+parity count over the entries that are not padding; the signs are the
 running XOR of the events along time, and the final frame is the data
 parity of those rows plus the final reports (the XOR of each sign row).
-`edge_analysis` reads its link classes from the same rows.
 
 The windows are those of a round-by-round frame simulator fed by the same
 stream.  Per round, that simulator drew one uniform per slot of the
@@ -209,7 +212,7 @@ def _csr_rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 class FaultTable:
     """What a fault of each (slot, Pauli kind) of one cycle flips, as CSR
-    rows (ptr, code).
+    rows (ptr, code) and as padded rows (pad).
 
     Rows are numbered by phase in draw order ("cnot", the four CNOT
     steps; "idle5" if scheduled; "meas"; "idle6" if scheduled), then by
@@ -224,7 +227,8 @@ class FaultTable:
     flipped in the final frame, coded cell (x bit) or n_cells + cell
     (z bit), and its detection events, coded 2 * n_cells + dt * n_stab + a,
     where a indexes the Z-type and then the X-type syndrome qubits and
-    dt in {0, 1} counts rounds after the fault's.
+    dt in {0, 1} counts rounds after the fault's.  pad[r] holds the same
+    entries in the same order, then -1 up to the longest row's length.
     """
 
     def __init__(self, circuit: CompiledCircuit):
@@ -322,6 +326,10 @@ class FaultTable:
         self.code = np.concatenate(codes)
         self.ptr = np.zeros(n_rows + 1, dtype=np.intp)
         np.cumsum(np.bincount(np.concatenate(entry_rows), minlength=n_rows), out=self.ptr[1:])
+        # The same rows, each padded with -1 to the longest row's length.
+        counts = np.diff(self.ptr)
+        self.pad = np.full((n_rows, counts.max(initial=0)), -1, dtype=np.intp)
+        self.pad[np.arange(self.pad.shape[1]) < counts[:, None]] = self.code
 
     def _layout(self, model: ErrorModel) -> tuple:
         """Per-slot arrays of one round's draws under a model: probability,
@@ -349,18 +357,19 @@ class FaultTable:
         n_rounds = rounds + 2
         rows = shift = np.zeros(0, dtype=np.intp)
         if p.size:
-            u = rng.random(rounds * p.size).reshape(rounds, p.size)
-            t, s = np.nonzero(u < p)
+            u = rng.random(rounds * p.size)
+            hit = np.flatnonzero(u.reshape(rounds, p.size) < p)
+            t, s = np.divmod(hit, p.size)
             # u < p makes u / p < 1 in floating point, so the kind stays
             # below the multiplier.
-            rows = first_row[s] + ((u[t, s] / p[s]) * mult[s]).astype(np.intp)
+            rows = first_row[s] + ((u[hit] / p[s]) * mult[s]).astype(np.intp)
             shift = (t + 1) * self.n_stab  # round t + 1 of the window
 
-        pos, counts = _csr_rows(self.ptr, rows)
-        flat = self.code[pos]
+        entries = self.pad[rows]
         # Event codes (past the data bits) move to their fault's round.
-        flat = flat + np.repeat(shift, counts) * (flat >= 2 * c.n_cells)
-        bits = np.bincount(flat, minlength=2 * c.n_cells + n_rounds * self.n_stab)
+        entries += shift[:, None] * (entries >= 2 * c.n_cells)
+        bits = np.bincount(entries[entries >= 0],
+                           minlength=2 * c.n_cells + n_rounds * self.n_stab)
         bits = bits.astype(np.uint8) & 1
         signs = np.bitwise_xor.accumulate(
             bits[2 * c.n_cells:].reshape(n_rounds, self.n_stab), axis=0)

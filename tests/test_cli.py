@@ -282,6 +282,8 @@ def test_dead_worker_returns_1(capsys, monkeypatch):
     import concurrent.futures
     from concurrent.futures.process import BrokenProcessPool
 
+    import surfacesim.harness as harness
+
     class DeadExecutor:
         def __init__(self, max_workers, mp_context):
             pass
@@ -297,6 +299,7 @@ def test_dead_worker_returns_1(capsys, monkeypatch):
             yield
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadExecutor)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     assert main(["--distance", "3", "--trials", "4", "--seed", "1", "--jobs", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

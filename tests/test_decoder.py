@@ -25,7 +25,7 @@ import frame_reference
 from frame_reference import cnot_phase, make_injection
 from oracles import (
     MatchGraph, _boundary_flip, _staircase_flip, brute_force_mwpm, build_match_graph,
-    corrections_from_matching, dmax_table_reference, mwpm,
+    corrections_from_matching, dmax_table_reference, mwpm, solve_dp_all_subsets,
 )
 from paulis import SINGLE_PAULIS, TWO_QUBIT_PAULIS, X
 
@@ -532,9 +532,10 @@ def _check_blossom_against_networkx(circ, model, dec, monkeypatch, seed, windows
 @pytest.mark.parametrize("ties", [False, True], ids=["float", "integer-ties"])
 def test_solve_dp_matches_brute_force_and_blossom(ties):
     """The subset DP alone, on random components of 3 to DP_MAX_NODES
-    events (some holding an event with no edge): its mates pair up, and its
-    total is the brute-force minimum of the virtual-twin graph and the
-    total of the blossom solver's matching of the same gains."""
+    events (some holding an event with no edge), neighbour rows in random
+    order: its mates pair up and are the all-subsets DP's, tie for tie,
+    and its total is the brute-force minimum of the virtual-twin graph and
+    the total of the blossom solver's matching of the same gains."""
     rng = random.Random(5)
     for trial in range(80):
         n = rng.randint(3, DP_MAX_NODES)
@@ -565,8 +566,13 @@ def test_solve_dp_matches_brute_force_and_blossom(ties):
                 wts[u].append(w)
                 nbr[v].append(u)
                 wts[v].append(w)
+        for u in comp:
+            row = list(zip(nbr[u], wts[u]))
+            rng.shuffle(row)
+            nbr[u], wts[u] = [v for v, _ in row], [w for _, w in row]
 
         mate = _solve_dp(comp, pos, nbr, wts, bweight)
+        assert mate == solve_dp_all_subsets(comp, pos, nbr, wts, bweight), trial
         assert len(mate) == n
         assert all(mate[b] == a and (min(a, b), max(a, b)) in weight
                    for a, b in enumerate(mate) if b >= 0)
@@ -590,6 +596,33 @@ def test_solve_dp_matches_brute_force_and_blossom(ties):
                                             abs=1e-9), trial
         assert total(mate) == pytest.approx(total(_max_weight_matching(n, gains)),
                                             abs=1e-9), trial
+
+
+@pytest.mark.parametrize("d,metric,windows", [
+    (3, "d2", 300), (3, "manhattan", 300), (5, "dmax", 30)])
+def test_solve_dp_matches_all_subsets_on_decoder_components(d, metric, windows,
+                                                            monkeypatch):
+    """Every subset DP call of real windows (standard model, p = 0.01,
+    T = 10d) returns the all-subsets DP's mates, ties included; the calls
+    cover every component size the DP takes."""
+    import surfacesim.decoder as decoder_module
+
+    model = preset("standard", 0.01)
+    circ, dec = _setup(d, model, metric)
+    solve_dp = decoder_module._solve_dp
+    sizes = set()
+
+    def checked(comp, pos, nbr, wts, bweight):
+        mate = solve_dp(comp, pos, nbr, wts, bweight)
+        assert mate == solve_dp_all_subsets(comp, pos, nbr, wts, bweight)
+        sizes.add(len(comp))
+        return mate
+
+    monkeypatch.setattr(decoder_module, "_solve_dp", checked)
+    for trial in range(windows):
+        res = simulate_window(circ, model, trial_rng(29, trial), 10 * d)
+        dec.decode(res.history, res.frame, collect_matches=False)
+    assert sizes == set(range(3, DP_MAX_NODES + 1))
 
 
 # Rounds at which the two graphs of a window often fall on either side of

@@ -458,8 +458,11 @@ def test_dead_worker_fails_the_sweep_instead_of_hanging():
     # can import, so every worker dies at start-up.  The sweep must raise
     # rather than wait for the lost chunks; the timeout turns a hang into
     # a failure instead of a stalled suite.
-    script = ("from surfacesim.harness import TrialConfig, run_trials\n"
-              "run_trials(TrialConfig(distance=3, trials=20, rounds=3, seed=1, jobs=2))\n")
+    # The pool opens on a one-CPU machine too.
+    script = ("import surfacesim.harness as harness\n"
+              "harness._usable_cpus = lambda: 2\n"
+              "harness.run_trials(harness.TrialConfig(distance=3, trials=20, rounds=3, "
+              "seed=1, jobs=2))\n")
     src = str(Path(surfacesim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     try:
@@ -471,14 +474,32 @@ def test_dead_worker_fails_the_sweep_instead_of_hanging():
     assert "BrokenProcessPool" in proc.stderr
 
 
-def test_pool_is_sized_to_the_work(pool_sizes):
+def test_pool_is_sized_to_the_work(pool_sizes, monkeypatch):
     # 64 jobs over 2 windows make 2 one-window chunks: 2 workers, not 64.
+    import surfacesim.harness as harness
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
     row = run_trials(TrialConfig(distance=3, trials=2, rounds=3, jobs=64)).rows[0]
     assert pool_sizes == [2] and row.N == 2
     # One chunk needs no pool, and jobs == 1 never opens one.
     run_trials(TrialConfig(distance=3, trials=1, rounds=3, jobs=2))
     run_trials(*SWEEP)
     assert pool_sizes == [2]
+
+
+def test_pool_is_capped_at_the_usable_cpus(pool_sizes, monkeypatch):
+    # 1000 jobs on 3 usable CPUs start 3 workers, and the counts are those
+    # of one process.
+    import surfacesim.harness as harness
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    cfg = TrialConfig(distance=3, trials=40, rounds=3, seed=3, jobs=1000)
+    row = run_trials(cfg).rows[0]
+    assert pool_sizes == [3]
+    alone = run_trials(replace(cfg, jobs=1)).rows[0]
+    assert replace(row, wall_time=0.0) == replace(alone, wall_time=0.0)
+    # One usable CPU opens no pool.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    run_trials(cfg)
+    assert pool_sizes == [3]
 
 
 # Verdicts pinned at seed 1, standard model, p = 0.01, T = 10d.  A change

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from surfacesim.lattice import build_lattice, standard_schedule
-from surfacesim.noise import ErrorModel, preset, trial_rng
+from surfacesim.noise import PRESET_NAMES, ErrorModel, preset, trial_rng
 from surfacesim.sim import (
     SyndromeHistory, compile_circuit, detection_events, events_to_text, simulate_window,
 )
@@ -187,6 +187,55 @@ def test_sampler_matches_frozen_reference(d, model, idle_steps, rounds):
             assert np.array_equal(got.history.signs[graph], want.history.signs[graph]), idx
         assert np.array_equal(got.frame.x, want.frame.x), idx
         assert np.array_equal(got.frame.z, want.frame.z), idx
+
+
+@pytest.mark.parametrize("d,idle_steps", [(d, idle) for d in (3, 5, 7)
+                                          for idle in ((5,), (6,), (5, 6))])
+def test_padded_rows_are_the_csr_rows(d, idle_steps):
+    # Each padded row is its CSR row in order, then -1 to the longest row's
+    # length; each preset's windows, sampled from the padded rows, are the
+    # frozen stepper's (the frozen-reference test covers d = 3 and 5).
+    circ = _circuit(d, idle_steps)
+    table = circ.fault_table
+    counts = np.diff(table.ptr)
+    assert table.pad.shape == (len(counts), counts.max())
+    for r, row in enumerate(table.pad):
+        assert row[:counts[r]].tolist() == table.code[table.ptr[r]:table.ptr[r + 1]].tolist(), r
+        assert (row[counts[r]:] == -1).all(), r
+    for name in PRESET_NAMES:
+        model = preset(name, 0.01)
+        for idx in range(3):
+            got = simulate_window(circ, model, trial_rng(23, idx), 2 * d)
+            want = frame_reference.simulate_window(circ, model, trial_rng(23, idx), 2 * d)
+            for graph in ("x", "z"):
+                assert np.array_equal(got.history.signs[graph], want.history.signs[graph])
+            assert np.array_equal(got.frame.x, want.frame.x)
+            assert np.array_equal(got.frame.z, want.frame.z)
+
+
+@pytest.mark.parametrize("model", [ErrorModel(0, 0, 0), ErrorModel(1e-300, 1e-300, 1e-300)],
+                         ids=["p=0", "no-hit"])
+def test_window_without_hits_samples_clean(circuit_d3, model, monkeypatch):
+    # p = 0 draws nothing; a tiny p draws every slot and hits none.  Either
+    # way the gather is empty and the window is clean, in every shape.
+    table = circuit_d3.fault_table
+    gathered = []
+
+    class Pad(np.ndarray):
+        def __getitem__(self, rows):
+            out = np.asarray(super().__getitem__(rows))
+            gathered.append(out.shape)
+            return out
+
+    monkeypatch.setattr(table, "pad", table.pad.view(Pad))
+    res = simulate_window(circuit_d3, model, trial_rng(2, 0), rounds=4)
+    assert gathered == [(0, table.pad.shape[1])]
+    n_stab = {"z": circuit_d3.n_z, "x": circuit_d3.n_x}
+    for graph in ("x", "z"):
+        signs = res.history.signs[graph]
+        assert signs.shape == (n_stab[graph], 6) and not signs.any()
+    for plane in (res.frame.x, res.frame.z):
+        assert plane.shape == (circuit_d3.n_cells,) and not plane.any()
 
 
 def _kind_rows(circ):
