@@ -14,8 +14,8 @@ sublattice units and rounds) of a pair whose best single path can be
 lighter than two boundary matches, since every link weighs at least as
 much as the most probable one.  Boundary weights are one
 `metric.boundary_search` per stabilizer (`Lattice.nearest_boundary` for
-manhattan).  One loop over source stabilizers then fills the pair table
-of every metric:
+manhattan).  Each metric then fills the pair table from every source
+stabilizer:
 
 * dmax: the source's boundary search, read on to twice its boundary
   weight b_a.  Each pair {a, c} is filled once, by its owner, the
@@ -25,8 +25,14 @@ of every metric:
   candidate scan keeps a pair only if it is lighter than b_a + b_c, at
   most twice the owner's boundary weight, so the owner's search reaches
   every entry the scan can keep; an entry no owner reaches stays inf.
-* d0-d2: one `metric.path_sum_table` walk program over every target
-  within reach;
+* d0-d2: one `metric.path_sum_table` call per graph, with every
+  stabilizer as a source and its targets within reach.  It walks each
+  source's breadth-first ball as a dynamic program over the last link
+  taken; a step onto a link takes its probability times the weight that
+  arrived at its near end, for d2 less the weight on its reverse link
+  (no stepping back).  Balls of fewer than `metric.GROUP_LINKS` links
+  are walked together, in order of the steps they need, so one numpy
+  pass per step serves many sources;
 * manhattan: the closed form over the same targets.
 
 The tables prune nothing by weight: the one prune rule is the candidate
@@ -181,13 +187,13 @@ class Decoder:
         reach = max(1, math.ceil(2.0 * b_max / w_min)) if math.isfinite(w_min) else 1
 
         wtab = [[[math.inf] * (reach + 1) for _ in range(S)] for _ in range(S)]
-        # Sources run in (b, index) order: when dmax reaches source a,
-        # `owned` holds the cells of a and of every stabilizer before it,
-        # whose pairs with a are a's to fill.
-        owned: dict[int, int] = {}
-        for a in sorted(range(S), key=lambda a: (bvals[a], a)):
-            row = wtab[a]
-            if self.metric == "dmax":
+        if self.metric == "dmax":
+            # Sources run in (b, index) order: when the fill reaches source
+            # a, `owned` holds the cells of a and of every stabilizer
+            # before it, whose pairs with a are a's to fill.
+            owned: dict[int, int] = {}
+            for a in sorted(range(S), key=lambda a: (bvals[a], a)):
+                row = wtab[a]
                 # a's boundary search, read on to 2 * b_a, fills both
                 # orientations of each pair a owns.
                 owned[cells[a]] = a
@@ -199,18 +205,20 @@ class Decoder:
                         row[c][t] = d
                     if t <= 0 and c != a:
                         wtab[c][a][-t] = d
-                continue
-            targets = [(b, dt) for b in range(S)
-                       if max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1])) <= reach
-                       for dt in range(reach + 1) if (b, dt) != (a, 0)]
+        else:
+            targets = [[(b, dt) for b in range(S)
+                        if max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1])) <= reach
+                        for dt in range(reach + 1) if (b, dt) != (a, 0)] for a in range(S)]
             if self.metric == "manhattan":
-                weights = [manhattan((*sub[a], 0), (*sub[b], dt)) for b, dt in targets]
+                weights = [[manhattan((*sub[a], 0), (*sub[b], dt)) for b, dt in targets[a]]
+                           for a in range(S)]
             else:
                 weights = path_sum_table(
-                    lg, (cells[a], 0), [(cells[b], dt) for b, dt in targets],
-                    int(self.metric[1]))
-            for (b, dt), w in zip(targets, weights):
-                row[b][dt] = w
+                    lg, [((cells[a], 0), [(cells[b], dt) for b, dt in targets[a]])
+                         for a in range(S)], int(self.metric[1]))
+            for a in range(S):
+                for (b, dt), w in zip(targets[a], weights[a]):
+                    wtab[a][b][dt] = w
         return {"cells": cells, "bvals": bvals, "bsides": bsides,
                 "wtab": wtab, "reach": reach,
                 "stairs": _Staircases(lat, cells), "bchains": bchains}

@@ -28,7 +28,8 @@ that cancel rather than an error chain.
 
 `d_n` enumerates the paths of one pair by depth-first search; it is the
 definition and the test oracle.  `path_sum_table` gives the same sums
-from one source to many targets with one dynamic program over walks:
+from each source of a graph to many targets, one walk dynamic program
+per source:
 
 * A walk of m <= l + n links to a target y, l = l(y) its fewest-link
   count, that repeats a node contains a closed sub-walk; cutting it out
@@ -42,24 +43,47 @@ from one source to many targets with one dynamic program over walks:
   through its target or its source.
 * A walk of at most max l(y) + n links stays inside the breadth-first
   ball of that radius around the source, so the program runs on the
-  ball's links only.  Its state is the last link taken, which is enough
-  to forbid stepping back; each target sums the weight that arrives at
-  it after l(y) .. l(y) + n steps.
+  ball's links only, nodes numbered in discovery order.  Its state is
+  the last link taken, which is enough to forbid stepping back; each
+  target sums the weight that arrives at it after l(y) .. l(y) + n
+  steps, read at its own node only.
+* A step gives link f = (v -> x) p_f times the weight that arrived at v
+  the step before; for n = 2, less the weight of the walks ending on
+  f's reverse link (x -> v), which would step back.  A node has no
+  link to itself and at most one link to another node, so that reverse
+  is the only link to leave out; when the ball lacks it (x is on the
+  ball's rim, whose links are not gathered), nothing is left out.  For
+  n <= 1 each link's sum has the terms and order of a sum over explicit
+  link-to-link transitions; for n = 2 the subtraction can move the last
+  bit.
+* Balls of fewer than GROUP_LINKS links are walked in groups, in order
+  of the steps they need, laid end to end with node and link offsets,
+  so that one bincount per step serves a whole group; a group walks as
+  many steps as its longest member needs.  Sources in a group share no
+  node, so each gets the sums it gets walked alone.  Larger balls walk
+  alone, where the per-call overhead a group saves is small next to the
+  extra steps it would cost.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
 from .edge_analysis import EdgeClassTable
-from .sim import _csr_rows
 
 MAX_LINKS = 64  # longest fewest-link path searched for
 MAX_PATHS = 2_000_000  # path enumeration guard of path_sum
 METRICS = ("manhattan", "dmax", "d0", "d1", "d2")  # decoder metric names
+# Links per group of small path-sum balls.  Walk time of standard-model
+# d2 builds at p = 1% (2-core box), one walk per ball against these
+# groups: 0.98 -> 0.52 ms at d = 3, 12.2 -> 10.2 ms at d = 5, 85 -> 80 ms
+# at d = 7; one group per graph took 23 and 213 ms at d = 5 and 7.
+GROUP_LINKS = 8192
 _T_SPAN = 1 << 32  # node codes: see LinkGraph
 
 
@@ -78,7 +102,8 @@ class LinkGraph:
     The graph is unbounded in time, which models the interior of a long
     window.  A cell's links follow the table's class order, which fixes
     how searches break ties.  No link joins a node to itself: two events
-    of one stabilizer in one round cancel.
+    of one stabilizer in one round cancel; one pair class gives at most
+    one link between two nodes, listed from both ends.
     """
 
     def __init__(self, table: EdgeClassTable, graph: str):
@@ -195,78 +220,181 @@ def d_n(graph: LinkGraph, s1, s2, n: int) -> tuple[float, int]:
     return -math.log(total), count
 
 
-def path_sum_table(graph: LinkGraph, source, targets, n: int) -> list[float]:
-    """d_n weights from one source node to every node of `targets`.
+def path_sum_table(graph: LinkGraph, queries, n: int) -> list[list[float]]:
+    """d_n weights from each source node to each of its targets.
 
-    Equals [d_n(graph, source, y, n)[0] for y in targets] up to rounding,
-    from one walk dynamic program (see the module docstring).  A target
+    `queries` lists (source, targets) pairs, one per source; the result
+    lists per pair its targets' weights, in target order.  Those equal
+    [d_n(graph, source, y, n)[0] for y in targets] up to rounding, from
+    one walk program per source (see the module docstring).  A target
     with no path of at most MAX_LINKS links gets weight inf.
     """
     if not 0 <= n <= 2:
         raise ValueError("n must be in [0, 2]")
-    links, half = graph.links, _T_SPAN // 2
+    link_rows = _link_rows(graph)
+    out: list[list[float]] = [[] for _ in queries]
+    # A ball of GROUP_LINKS links or more is walked alone; smaller ones
+    # are walked in groups of about GROUP_LINKS links, in step order, so
+    # that the members of a group need about the same number of steps.
+    small = []
+    for i, (source, targets) in enumerate(queries):
+        ball = _ball(link_rows, i, source, targets, n)
+        if ball.tail.size >= GROUP_LINKS:
+            _walk([ball], n, out)
+        else:
+            small.append(ball)
+    group: list[_Ball] = []
+    links = 0
+    for ball in sorted(small, key=lambda b: b.steps):
+        group.append(ball)
+        links += ball.tail.size
+        if links >= GROUP_LINKS:
+            _walk(group, n, out)
+            group, links = [], 0
+    if group:
+        _walk(group, n, out)
+    return out
+
+
+def _link_rows(graph: LinkGraph):
+    """Per cell of the graph: its links' steps, for the ball gather, and
+    rows padded to the largest link count of a cell: each link's
+    probability, the position of its reverse among the far cell's links,
+    and which slots hold a link."""
+    half = _T_SPAN // 2
+    steps = {cell: [s for _, _, s in row] for cell, row in graph.links.items()}
+    slots = {cell: {s: j for j, s in enumerate(row)} for cell, row in steps.items()}
+    for cell, row in steps.items():
+        if 0 in slots[cell] or len(slots[cell]) != len(row):
+            raise ValueError(f"cell {cell} has a link of step 0 or two links of one step")
+    size = graph.lattice.size ** 2  # every cell, sources without links included
+    width = max(map(len, steps.values()), default=0)
+    prob = np.zeros((size, width))
+    rev = np.zeros((size, width), dtype=np.intp)
+    used = np.zeros((size, width), dtype=bool)
+    for cell, row in graph.links.items():
+        k = len(row)
+        prob[cell, :k] = [p for p, _, _ in row]
+        rev[cell, :k] = [slots[(cell * _T_SPAN + half + s) // _T_SPAN][-s]
+                         for _, _, s in row]
+        used[cell, :k] = True
+    return steps, prob, rev, used
+
+
+class _Ball(NamedTuple):
+    """One source's ball as link arrays over its nodes, numbered in
+    discovery order with the source at 0; rev is -1 where the ball lacks
+    the reverse link.  Target j of query `query` sits at node rows[k] for
+    j = found[k], at depth l(y) = depth[k]; the others have no path of at
+    most MAX_LINKS links."""
+
+    query: int
+    size: int
+    tail: np.ndarray
+    head: np.ndarray
+    prob: np.ndarray
+    rev: np.ndarray | None
+    n_targets: int
+    found: list[int]
+    rows: np.ndarray
+    depth: np.ndarray
+    steps: int
+
+
+def _ball(link_rows, query: int, source, targets, n: int) -> _Ball:
+    """The breadth-first ball over node codes around one source: l(y) per
+    target, and every link a walk of at most max l(y) + n links can take."""
+    steps_of, prob_of, rev_of, used_of = link_rows
+    get, half = steps_of.get, _T_SPAN // 2
     start = source[0] * _T_SPAN + source[1] + half
     codes = [cell * _T_SPAN + t + half for cell, t in targets]
     if start in codes:
         raise ValueError("source and target must differ")
-    # Breadth-first ball over node codes: l(y) per target, and every link
-    # a walk of at most max l(y) + n links can take.
     index = {start: 0}
-    depth = [0]
-    tail, head, prob = [], [], []
+    setdefault = index.setdefault
+    heads: list[int] = []
+    ends = [1]  # nodes discovered by the end of each level
     missing = set(codes)
-    l_max = 0
+    l_max = level = gathered = 0
     frontier = [start]
-    level = 0
     while frontier and ((missing and level < MAX_LINKS) or level < l_max + n):
-        nxt = []
-        for code in frontier:
-            u = index[code]
-            for p, _, step in links.get(code // _T_SPAN, ()):
-                other = code + step
-                v = index.get(other)
-                if v is None:
-                    v = index[other] = len(depth)
-                    depth.append(level + 1)
-                    nxt.append(other)
-                    if other in missing and level < MAX_LINKS:
-                        missing.discard(other)
-                        l_max = level + 1
-                tail.append(u)
-                head.append(v)
-                prob.append(p)
-        frontier = nxt
+        # The links of the last level's nodes, in node then link order; a
+        # node is numbered when first reached.
+        gathered = len(index)
+        heads += [setdefault(code + s, len(index))
+                  for code in frontier for s in get(code // _T_SPAN, ())]
+        frontier = list(islice(reversed(index), len(index) - gathered))[::-1]
+        ends.append(len(index))
         level += 1
+        if missing and level <= MAX_LINKS:
+            hit = missing.intersection(frontier)
+            if hit:
+                missing -= hit
+                l_max = level
 
-    # State: the last link taken.  A step from link e = (u -> v) may take
-    # any link f = (v -> x), for n = 2 only with x != u.
-    size, n_links = len(depth), len(tail)
-    depth = np.array(depth)
-    tail = np.array(tail, dtype=np.intp)
-    head = np.array(head, dtype=np.intp)
-    prob = np.array(prob, dtype=np.float64)
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(tail, minlength=size))))
-    pos, fan = _csr_rows(ptr, head)
-    src = np.repeat(np.arange(n_links), fan)
-    dst = np.argsort(tail, kind="stable")[pos]
+    # Nodes 0 .. gathered - 1 had their links taken, each cell's in order.
+    cells = np.fromiter(islice(index, gathered), dtype=np.int64, count=gathered) // _T_SPAN
+    used = used_of[cells]
+    fan = used.sum(axis=1)
+    head = np.array(heads, dtype=np.intp)
+    rev = None
     if n == 2:
-        keep = head[dst] != tail[src]
-        src, dst = src[keep], dst[keep]
-    total = np.zeros(size)
-    w = np.where(tail == 0, prob, 0.0)
-    for step in range(1, l_max + n + 1):
-        if step > 1:
-            w = np.bincount(dst, weights=w[src], minlength=n_links) * prob
-        at_node = np.bincount(head, weights=w, minlength=size)
-        # Weight reaching a node y after l(y) .. l(y) + n steps counts.
-        window = (depth <= step) & (step <= depth + n)
-        total[window] += at_node[window]
+        first = np.zeros(gathered + 1, dtype=np.intp)
+        np.cumsum(fan, out=first[1:])
+        rev = np.where(head < gathered,
+                       first[np.minimum(head, gathered)] + rev_of[cells][used], -1)
+    found = [j for j, y in enumerate(codes) if y not in missing]
+    rows = np.array([index[codes[j]] for j in found], dtype=np.intp)
+    return _Ball(query, len(index), np.repeat(np.arange(gathered), fan), head,
+                 prob_of[cells][used], rev, len(codes), found, rows,
+                 np.searchsorted(ends, rows, side="right"), l_max + n)
 
-    out = []
-    for y in codes:
-        s = 0.0 if y in missing else total[index[y]]
-        out.append(-math.log(s) if s > 0.0 else math.inf)
-    return out
+
+def _walk(balls: list[_Ball], n: int, out: list[list[float]]) -> None:
+    """Walks balls as one program on their disjoint union, for as many
+    steps as the longest needs, and writes each query's weights to out."""
+    node_off = np.cumsum([0] + [b.size for b in balls])
+    link_off = np.cumsum([0] + [b.tail.size for b in balls])
+    size, n_links = int(node_off[-1]), int(link_off[-1])
+    tail = np.concatenate([b.tail + o for b, o in zip(balls, node_off)])
+    head = np.concatenate([b.head + o for b, o in zip(balls, node_off)])
+    prob = np.concatenate([b.prob for b in balls])
+    if n == 2:
+        rev = np.concatenate([np.where(b.rev < 0, n_links, b.rev + o)
+                              for b, o in zip(balls, link_off)])
+    rows = np.concatenate([b.rows + o for b, o in zip(balls, node_off)])
+    depth = np.concatenate([b.depth for b in balls])
+    # Targets by l(y): those read after `step` steps form one slice.
+    order = np.argsort(depth, kind="stable")
+    rows, depth = rows[order], depth[order]
+    step_no = np.arange(1, max(b.steps for b in balls) + 1)
+    lo = np.searchsorted(depth, step_no - n, side="left").tolist()
+    hi = np.searchsorted(depth, step_no, side="right").tolist()
+
+    total = np.zeros(rows.size)
+    at = np.zeros(size)
+    at[node_off[:-1]] = 1.0
+    w = np.zeros(n_links + 1)  # the last slot stands in for absent reverses
+    for a, b in zip(lo, hi):
+        # Weight of walks ending on each link, then at each node.
+        if n == 2:
+            w[:n_links] = prob * (at[tail] - w[rev])
+        else:
+            w[:n_links] = prob * at[tail]
+        at = np.bincount(head, weights=w[:n_links], minlength=size)
+        # Weight reaching a target y after l(y) .. l(y) + n steps counts.
+        if a < b:
+            total[a:b] += at[rows[a:b]]
+
+    sums = np.empty_like(total)
+    sums[order] = total
+    k = 0
+    for ball in balls:
+        weights = [math.inf] * ball.n_targets
+        for j, s in zip(ball.found, sums[k:k + len(ball.found)].tolist()):
+            weights[j] = -math.log(s) if s > 0.0 else math.inf
+        k += len(ball.found)
+        out[ball.query] = weights
 
 
 def settled(graph: LinkGraph, source, cutoff: float = math.inf):

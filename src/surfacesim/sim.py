@@ -233,7 +233,9 @@ class FaultTable:
 
     def __init__(self, circuit: CompiledCircuit):
         c = circuit
-        self.circuit = circuit
+        # Only what `sample` reads: the circuit caches this table, so a
+        # reference back to it would keep both alive until a collection.
+        self.n_cells, self.n_z, self.lattice = c.n_cells, c.n_z, c.lattice
         self.n_stab = c.n_z + c.n_x
         stab_cells = np.concatenate([c.z_idx, c.x_idx])
 
@@ -352,7 +354,7 @@ class FaultTable:
     def sample(self, model: ErrorModel, rng: np.random.Generator,
                rounds: int) -> WindowResult:
         """One noisy window of `rounds` rounds plus the closure round."""
-        c = self.circuit
+        n_cells, n_z = self.n_cells, self.n_z
         p, mult, first_row = self._layout(model)
         n_rounds = rounds + 2
         rows = shift = np.zeros(0, dtype=np.intp)
@@ -367,20 +369,20 @@ class FaultTable:
 
         entries = self.pad[rows]
         # Event codes (past the data bits) move to their fault's round.
-        entries += shift[:, None] * (entries >= 2 * c.n_cells)
+        entries += shift[:, None] * (entries >= 2 * n_cells)
         bits = np.bincount(entries[entries >= 0],
-                           minlength=2 * c.n_cells + n_rounds * self.n_stab)
+                           minlength=2 * n_cells + n_rounds * self.n_stab)
         bits = bits.astype(np.uint8) & 1
         signs = np.bitwise_xor.accumulate(
-            bits[2 * c.n_cells:].reshape(n_rounds, self.n_stab), axis=0)
+            bits[2 * n_cells:].reshape(n_rounds, self.n_stab), axis=0)
         # The final reports, one per syndrome qubit, are the XOR of its signs.
         bits[self._report_codes] = np.bitwise_xor.reduce(signs, axis=0)
         signs = signs.T
-        history = SyndromeHistory(lattice=c.lattice, signs={
-            "z": np.ascontiguousarray(signs[:c.n_z]),
-            "x": np.ascontiguousarray(signs[c.n_z:])})
+        history = SyndromeHistory(lattice=self.lattice, signs={
+            "z": np.ascontiguousarray(signs[:n_z]),
+            "x": np.ascontiguousarray(signs[n_z:])})
         return WindowResult(history=history,
-                            frame=PauliFrame(bits[:c.n_cells], bits[c.n_cells:2 * c.n_cells]))
+                            frame=PauliFrame(bits[:n_cells], bits[n_cells:2 * n_cells]))
 
 
 def simulate_window(circuit: CompiledCircuit, model: ErrorModel,

@@ -15,6 +15,8 @@ of the package.
 * dmax tables: `dmax_table_reference`, the pair table filled from one
   search per stabilizer to twice the largest boundary weight, each
   keeping the nodes of rounds t >= 0.
+* d0-d2 tables: `path_sum_table_reference`, one source's walk program
+  over an explicit list of transitions between links.
 * Link classes: `propagate_process`, the signature of one error component
   pushed through its own noiseless window by the frozen frame stepper;
   `propagated_processes`, every process of a cycle with its propagated
@@ -33,9 +35,9 @@ from surfacesim.decoder import PRUNE_EPS
 from surfacesim.edge_analysis import EdgeClass, EdgeClassTable, ErrorProcess
 from surfacesim.lattice import Lattice
 from surfacesim.matching import _max_weight_matching
-from surfacesim.metric import LinkGraph, MetricCache, settled
+from surfacesim.metric import _T_SPAN, MAX_LINKS, LinkGraph, MetricCache, settled
 from surfacesim.noise import ErrorModel
-from surfacesim.sim import PAULI1_BITS, PAULI2_BITS, CompiledCircuit, detection_events
+from surfacesim.sim import PAULI1_BITS, PAULI2_BITS, CompiledCircuit, _csr_rows, detection_events
 
 from frame_reference import cnot_phase, make_injection, simulate_window
 from paulis import PauliOp, X, Z
@@ -241,6 +243,76 @@ def dmax_table_reference(graph: LinkGraph, cells: list[int], b_max: float,
             if 0 <= t <= reach:
                 wtab[a][stab_of_cell[cell]][t] = d
     return wtab
+
+
+def path_sum_table_reference(graph: LinkGraph, source, targets, n: int) -> list[float]:
+    """d_n weights from one source to every node of `targets` by the walk
+    program on transitions between links: every pair of links e = (u -> v),
+    f = (v -> x) of the source's breadth-first ball, for n = 2 those with
+    x != u, is listed, and each step sums a link's weight over the
+    transitions into it.  The same ball and the same walks as
+    `metric.path_sum_table`, which sums the weight arriving at v once and,
+    for n = 2, subtracts the reverse link's instead."""
+    if not 0 <= n <= 2:
+        raise ValueError("n must be in [0, 2]")
+    links, half = graph.links, _T_SPAN // 2
+    start = source[0] * _T_SPAN + source[1] + half
+    codes = [cell * _T_SPAN + t + half for cell, t in targets]
+    if start in codes:
+        raise ValueError("source and target must differ")
+    index = {start: 0}
+    depth = [0]
+    tail, head, prob = [], [], []
+    missing = set(codes)
+    l_max = 0
+    frontier = [start]
+    level = 0
+    while frontier and ((missing and level < MAX_LINKS) or level < l_max + n):
+        nxt = []
+        for code in frontier:
+            u = index[code]
+            for p, _, step in links.get(code // _T_SPAN, ()):
+                other = code + step
+                v = index.get(other)
+                if v is None:
+                    v = index[other] = len(depth)
+                    depth.append(level + 1)
+                    nxt.append(other)
+                    if other in missing and level < MAX_LINKS:
+                        missing.discard(other)
+                        l_max = level + 1
+                tail.append(u)
+                head.append(v)
+                prob.append(p)
+        frontier = nxt
+        level += 1
+
+    size, n_links = len(depth), len(tail)
+    depth = np.array(depth)
+    tail = np.array(tail, dtype=np.intp)
+    head = np.array(head, dtype=np.intp)
+    prob = np.array(prob, dtype=np.float64)
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(tail, minlength=size))))
+    pos, fan = _csr_rows(ptr, head)
+    src = np.repeat(np.arange(n_links), fan)
+    dst = np.argsort(tail, kind="stable")[pos]
+    if n == 2:
+        keep = head[dst] != tail[src]
+        src, dst = src[keep], dst[keep]
+    total = np.zeros(size)
+    w = np.where(tail == 0, prob, 0.0)
+    for step in range(1, l_max + n + 1):
+        if step > 1:
+            w = np.bincount(dst, weights=w[src], minlength=n_links) * prob
+        at_node = np.bincount(head, weights=w, minlength=size)
+        window = (depth <= step) & (step <= depth + n)
+        total[window] += at_node[window]
+
+    out = []
+    for y in codes:
+        s = 0.0 if y in missing else total[index[y]]
+        out.append(-math.log(s) if s > 0.0 else math.inf)
+    return out
 
 
 def _staircase_flip(lattice: Lattice, corr: np.ndarray,

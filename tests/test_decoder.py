@@ -25,7 +25,8 @@ import frame_reference
 from frame_reference import cnot_phase, make_injection
 from oracles import (
     MatchGraph, _boundary_flip, _staircase_flip, brute_force_mwpm, build_match_graph,
-    corrections_from_matching, dmax_table_reference, mwpm, solve_dp_all_subsets,
+    corrections_from_matching, dmax_table_reference, mwpm, path_sum_table_reference,
+    solve_dp_all_subsets,
 )
 from paulis import SINGLE_PAULIS, TWO_QUBIT_PAULIS, X
 
@@ -343,8 +344,8 @@ def test_path_sum_table_keeps_pairs_lighter_than_two_boundaries(setup_d5):
         for a, b, dt in _in_reach_entries(dec, table, g):
             by_source.setdefault(a, []).append((b, dt))
         for a, targets in by_source.items():
-            weights = path_sum_table(graph, (cells[a], 0),
-                                     [(cells[b], dt) for b, dt in targets], 2)
+            (weights,) = path_sum_table(
+                graph, [((cells[a], 0), [(cells[b], dt) for b, dt in targets])], 2)
             for (b, dt), w in zip(targets, weights):
                 if w < bvals[a] + bvals[b]:
                     assert wtab[a][b][dt] == pytest.approx(w, rel=1e-12, abs=0), \
@@ -371,6 +372,37 @@ def test_path_sum_table_d5_spot_check(setup_d5):
             a, b, dt = near[i]
             exact, _ = d_n(graph, (cells[a], 0), (cells[b], dt), 1)
             assert tab["wtab"][a][b][dt] == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("d,model", [(5, "standard"), (5, "balanced"),
+                                     (7, "standard"), (7, "balanced")])
+def test_path_sum_tables_match_the_transition_walk(d, model):
+    """The decoder's d0-d2 tables against one walk per source over an
+    explicit list of link transitions: d0 and d1 add the same terms in
+    the same order, so they agree bit for bit; d2 subtracts a reverse
+    link's weight instead of leaving it out of the sum, which may move
+    the last bit but no inf and no keep decision."""
+    table = _preset_table(d, model)
+    for n in (0, 1, 2):
+        dec = Decoder(table, f"d{n}")
+        for g in ("x", "z"):
+            tab = dec._tables[g]
+            cells, bvals, wtab = tab["cells"], tab["bvals"], tab["wtab"]
+            graph = LinkGraph(table, g)
+            by_source: dict = {}
+            for a, b, dt in sorted(_in_reach_entries(dec, table, g)):
+                by_source.setdefault(a, []).append((b, dt))
+            for a, targets in by_source.items():
+                ref = path_sum_table_reference(
+                    graph, (cells[a], 0), [(cells[b], dt) for b, dt in targets], n)
+                for (b, dt), r in zip(targets, ref):
+                    w, cut = wtab[a][b][dt], bvals[a] + bvals[b] - PRUNE_EPS
+                    assert math.isinf(w) == math.isinf(r)
+                    assert (w < cut) == (r < cut)
+                    if n < 2:
+                        assert w == r
+                    else:
+                        assert w == pytest.approx(r, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -432,9 +464,9 @@ def test_path_sum_reach_drops_no_keepable_pair(d, metric):
                                   if max(abs(sub[a][0] - sub[b][0]),
                                          abs(sub[a][1] - sub[b][1])) > reach
                                   else (reach + 1, reach + 2))]
-            weights = path_sum_table(graph, (cells[a], 0),
-                                     [(cells[b], dt) for b, dt in targets],
-                                     int(metric[1]))
+            (weights,) = path_sum_table(
+                graph, [((cells[a], 0), [(cells[b], dt) for b, dt in targets])],
+                int(metric[1]))
             for (b, dt), w in zip(targets, weights):
                 assert w >= bvals[a] + bvals[b] - PRUNE_EPS, (g, a, b, dt)
             checked += len(targets)

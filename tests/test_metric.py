@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -7,9 +8,10 @@ from surfacesim.lattice import build_lattice, standard_schedule
 from surfacesim.noise import ErrorModel, preset
 from surfacesim.sim import compile_circuit
 from surfacesim.edge_analysis import derive_edge_classes
+from surfacesim import metric
 from surfacesim.metric import (
-    LinkGraph, MetricCache, boundary_distance, d_max, d_n, manhattan, min_links,
-    path_sum, path_sum_table, settled,
+    MAX_LINKS, LinkGraph, MetricCache, boundary_distance, d_max, d_n, manhattan,
+    min_links, path_sum, path_sum_table, settled,
 )
 
 
@@ -194,7 +196,7 @@ def test_path_enumeration_oracle_small_window(table_d5):
         # The walk program walks the unbounded graph's node codes, not
         # `neighbors`; no path of at most l + 2 links leaves this window,
         # so its sums are the window's too.
-        assert path_sum_table(g, s1, [s2], n)[0] == pytest.approx(w, rel=1e-12)
+        assert path_sum_table(g, [(s1, [s2])], n)[0][0] == pytest.approx(w, rel=1e-12)
     # A pair in round 0, where the window binds: some of its paths of at
     # most l + 2 links, shortest ones included, step through round -1,
     # so d_n counts fewer paths than on the unbounded graph.
@@ -237,7 +239,7 @@ def test_path_sum_table_excludes_backtracking_with_equal_probabilities():
     targets = [(lat.index((4, 5)), 0),   # one horizontal link
                (lat.index((4, 7)), 0),   # two horizontal links
                (lat.index((4, 3)), 1)]   # one temporal link
-    got = path_sum_table(g, s1, targets, 2)
+    (got,) = path_sum_table(g, [(s1, targets)], 2)
     for s2, w in zip(targets, got):
         l = min_links(g, s1, s2)
         paths = _enumerate_all_paths(g, s1, s2, l + 2)
@@ -252,9 +254,83 @@ def test_path_sum_table_excludes_backtracking_with_equal_probabilities():
 def test_path_sum_table_rejects_bad_arguments(graph_z, table_d5):
     s1 = (table_d5.lattice.index((4, 3)), 0)
     with pytest.raises(ValueError):
-        path_sum_table(graph_z, s1, [(s1[0], 1)], 3)
+        path_sum_table(graph_z, [(s1, [(s1[0], 1)])], 3)
     with pytest.raises(ValueError):
-        path_sum_table(graph_z, s1, [s1], 1)
+        path_sum_table(graph_z, [(s1, [s1])], 1)
+
+
+@functools.cache
+def _table(d, model):
+    lat = build_lattice(d)
+    return derive_edge_classes(compile_circuit(lat, standard_schedule(lat)),
+                               preset(model, 0.01) if isinstance(model, str) else model)
+
+
+@pytest.mark.parametrize("model", ["standard", "balanced", "iontrap", ErrorModel(0.0, 0.015, 0.01)],
+                         ids=["standard", "balanced", "iontrap", "phenomenological"])
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_links_meet_the_walks_premise(d, model):
+    """The walk's step onto a link subtracts the weight of its reverse
+    link, which needs: no link from a node to itself, at most one link
+    between two nodes, and every link's reverse, of the same probability,
+    at its far end."""
+    for g in ("x", "z"):
+        graph = LinkGraph(_table(d, model), g)
+        assert graph.links
+        for cell in graph.links:
+            node = (cell, 0)
+            others = list(graph.neighbors(node))
+            ends = [other for other, _ in others]
+            assert node not in ends
+            assert len(set(ends)) == len(ends)
+            for other, p in others:
+                assert (node, p) in list(graph.neighbors(other))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("d", [3, 5])
+def test_grouped_sources_do_not_interact(d, n, monkeypatch):
+    """Sources walked in one group, whatever the group size, get bit for
+    bit the weights each gets walked alone, also when they need different
+    step counts; a target beyond MAX_LINKS gets inf."""
+    table = _table(d, "standard")
+    lat = table.lattice
+    graph = LinkGraph(table, "z")
+    cells = [lat.index(c) for c in lat.stabilizers("z")]
+    queries = [((a, 0), [(b, dt) for b in cells for dt in range(4) if (b, dt) != (a, 0)])
+               for a in cells]
+    queries[1][1].insert(3, (cells[1], MAX_LINKS + 1))
+    alone = [path_sum_table(graph, [q], n)[0] for q in queries]
+    assert math.isinf(alone[1][3])
+    assert sum(map(math.isinf, itertools.chain(*alone))) == 1
+    groups = []
+    walk = metric._walk
+
+    def recorded(balls, *args):
+        groups.append(sorted(b.steps for b in balls))
+        walk(balls, *args)
+
+    monkeypatch.setattr(metric, "_walk", recorded)
+    for limit in (metric.GROUP_LINKS, 1 << 40):
+        monkeypatch.setattr(metric, "GROUP_LINKS", limit)
+        assert path_sum_table(graph, queries, n) == alone
+    assert max(len(steps) for steps in groups) == len(cells)
+    assert any(steps[0] < steps[-1] for steps in groups)
+    with pytest.raises(ValueError):
+        path_sum_table(graph, queries + [((cells[0], 0), [(cells[0], 0)])], n)
+
+
+def test_path_sum_table_without_links_reads_inf():
+    """A noiseless model has no links: every source, the last cell's
+    too, reaches no target."""
+    table = _table(3, ErrorModel(0.0, 0.0, 0.0))
+    lat = table.lattice
+    graph = LinkGraph(table, "z")
+    assert not graph.links
+    last = max(lat.index(c) for c in lat.stabilizers("z"))
+    for n in (0, 1, 2):
+        assert path_sum_table(graph, [((last, 0), [(last, 1), (0, 0)])], n) \
+            == [[math.inf, math.inf]]
 
 
 def test_settled_yields_d_max_lightest_first(table_d5, graph_z):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -236,6 +239,23 @@ def test_window_without_hits_samples_clean(circuit_d3, model, monkeypatch):
         assert signs.shape == (n_stab[graph], 6) and not signs.any()
     for plane in (res.frame.x, res.frame.z):
         assert plane.shape == (circuit_d3.n_cells,) and not plane.any()
+
+
+def test_dropped_circuit_frees_its_fault_table():
+    """A circuit caches its fault table and the table keeps no reference
+    back, so with the cyclic collector off, dropping the circuit frees
+    the table by reference counting."""
+    lat = build_lattice(3)
+    circ = compile_circuit(lat, standard_schedule(lat))
+    simulate_window(circ, preset("standard", 0.01), trial_rng(1, 0), rounds=3)
+    table = weakref.ref(circ.fault_table)
+    gc.collect()
+    gc.disable()
+    try:
+        del circ
+        assert table() is None
+    finally:
+        gc.enable()
 
 
 def _kind_rows(circ):
