@@ -29,7 +29,7 @@ import numpy as np
 
 from .lattice import Lattice
 from .noise import ErrorModel
-from .sim import PAULI1_BITS, PAULI2_BITS, CompiledCircuit, _csr_rows
+from .sim import PAULI1_BITS, PAULI2_BITS, CompiledCircuit
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,12 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
 
     A signature is the process's detection events as (flat_cell, dt)
     pairs, earliest first and then by cell, dt counted from the earliest
-    event; never empty.  All of them are read from the rows of the fault
-    table (`sim.FaultTable`) that the sampler draws: for the z graph,
-    gate g's X⊗I, I⊗X and X⊗X rows (15 g + kind; the control-only,
-    target-only and both-legs components), each idle data qubit's X row
-    and each Z-type readout row; for the x graph, the same with Z and the
-    X-type readouts.
+    event; never empty.  All of them are read from the padded rows of the
+    fault table (`sim.FaultTable`) that the sampler draws, each a slot's
+    `slot_rows` entry plus its kind: for the z graph, each gate's X⊗I,
+    I⊗X and X⊗X rows (the control-only, target-only and both-legs
+    components), each idle data qubit's X row and each Z-type readout
+    row; for the x graph, the same with Z and the X-type readouts.
     """
     table = circuit.fault_table
     stab_cells = circuit.z_idx.tolist() + circuit.x_idx.tolist()
@@ -95,13 +95,11 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
 
     def row_events(rows: np.ndarray):
         """The (dt, a) events of each given row, one list per row, in order."""
-        pos, counts = _csr_rows(table.ptr, rows)
-        code = table.code[pos]
-        is_event = code >= ev_start
+        code = table.pad[rows]
+        is_event = code >= ev_start  # padding (-1) lies below every event code
         dt, a = np.divmod(code[is_event] - ev_start, table.n_stab)
         events = list(zip(dt.tolist(), a.tolist()))
-        row_of = np.repeat(np.arange(len(rows)), counts)[is_event]
-        ends = np.cumsum(np.bincount(row_of, minlength=len(rows))).tolist()
+        ends = np.cumsum(is_event.sum(axis=1)).tolist()
         return (events[start:end] for start, end in zip([0] + ends, ends))
 
     def signature(graph: str, events) -> tuple:
@@ -124,11 +122,9 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
         stabs = range(n_z) if graph == "z" else range(n_z, len(stab_cells))
         # Every row this graph reads, in the order the loops below take them.
         events = row_events(np.concatenate(
-            [(len(kinds2) * np.arange(circuit.n_cnots)[:, None]
-              + list(comp_kind.values())).ravel()]
-            + [table.first_row[f"idle{step}"] + kinds1.index(one)
-               + len(kinds1) * np.arange(len(data_cells)) for step in circuit.idle_steps]
-            + [table.first_row["meas"] + np.array(stabs)]))
+            [(table.slot_rows("cnot")[:, None] + list(comp_kind.values())).ravel()]
+            + [table.slot_rows(f"idle{step}") + kinds1.index(one) for step in circuit.idle_steps]
+            + [table.slot_rows("meas")[stabs]]))
         for gate in range(circuit.n_cnots):
             sigs: dict[tuple, list[str]] = {}
             for comp in comp_kind:

@@ -95,6 +95,9 @@ class TrialConfig:
             raise ValueError("seed must be >= 0")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; choose from {METRICS}")
+        if self.custom_model is not None and self.model != "custom":
+            raise ValueError(f"custom_model needs model='custom'; the {self.model!r} "
+                             "preset takes its rates from p")
         self.error_model()
 
     @property

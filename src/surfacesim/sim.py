@@ -31,16 +31,16 @@ bits and report accumulators are left; each later cycle XORs the same
 data parity into every report, so the signs stay constant and a fault's
 detection events all fall in its own round (dt = 0) or the next
 (dt = 1).  The build checks this and fails loudly otherwise.  A kind's
-row is then its Pauli bits times its slot's bit effects, mod 2.  The
-table keeps its rows twice: as CSR rows, which `edge_analysis` reads its
-link classes from, and padded with -1 to the longest row (8 entries at
-d = 3, 5 and 7), which the sampler gathers.  A window takes one draw of
-uniforms, one comparison against per-slot probabilities, the row of each
-hit (its slot's first row plus its Pauli kind), one gather of those
-padded rows, a shift of their event entries to the hit's round, and one
-parity count over the entries that are not padding; the signs are the
-running XOR of the events along time, and the final frame is the data
-parity of those rows plus the final reports (the XOR of each sign row).
+row is then its Pauli bits times its slot's bit effects, mod 2, padded
+with -1 to the longest row (8 entries at d = 3, 5 and 7); the sampler
+gathers these rows, and `edge_analysis` reads its link classes from the
+same rows.  A window takes one draw of uniforms, one comparison against
+per-slot probabilities, the row of each hit (its slot's first row plus
+its Pauli kind), one gather of those rows, a shift of their event
+entries to the hit's round, and one parity count over the entries that
+are not padding; the signs are the running XOR of the events along
+time, and the final frame is the data parity of those rows plus the
+final reports (the XOR of each sign row).
 
 The windows are those of a round-by-round frame simulator fed by the same
 stream.  Per round, that simulator drew one uniform per slot of the
@@ -201,34 +201,24 @@ def run_cycle(frame: PauliFrame, circuit: CompiledCircuit,
     return z_reports, x_reports
 
 
-def _csr_rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entry positions of the given CSR rows (concatenated) and each row's count."""
-    starts = ptr[rows]
-    counts = ptr[rows + 1] - starts
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if ends.size else 0
-    return np.arange(total) + np.repeat(starts - ends + counts, counts), counts
-
-
 class FaultTable:
-    """What a fault of each (slot, Pauli kind) of one cycle flips, as CSR
-    rows (ptr, code) and as padded rows (pad).
+    """What a fault of each (slot, Pauli kind) of one cycle flips, one
+    padded row (pad) per kind.
 
     Rows are numbered by phase in draw order ("cnot", the four CNOT
     steps; "idle5" if scheduled; "meas"; "idle6" if scheduled), then by
-    slot, then by Pauli kind; the row of a slot's kind is its phase's
-    `first_row` plus slot times the kind count plus kind.  A CNOT slot is a
-    gate (gates numbered by step, then by position within the step, so
-    gate g's rows are 15 g + kind, kinds in PAULI2_BITS order); an idle
-    slot is a data qubit (kinds in PAULI1_BITS order); a meas slot is a
-    Z-type, then X-type, syndrome qubit, with the one kind "readout flip".
+    slot, then by Pauli kind: `slot_rows(phase)` gives each slot's first
+    row, and kind k of the slot is that row plus k.  A CNOT slot is a
+    gate (gates numbered by step, then by position within the step, kinds
+    in PAULI2_BITS order); an idle slot is a data qubit (kinds in
+    PAULI1_BITS order); a meas slot is a Z-type, then X-type, syndrome
+    qubit, with the one kind "readout flip".
 
-    Row r lists code[ptr[r]:ptr[r + 1]]: the data bits the fault leaves
-    flipped in the final frame, coded cell (x bit) or n_cells + cell
-    (z bit), and its detection events, coded 2 * n_cells + dt * n_stab + a,
-    where a indexes the Z-type and then the X-type syndrome qubits and
-    dt in {0, 1} counts rounds after the fault's.  pad[r] holds the same
-    entries in the same order, then -1 up to the longest row's length.
+    pad[r] lists the data bits the fault leaves flipped in the final
+    frame, coded cell (x bit) or n_cells + cell (z bit), then its
+    detection events, coded 2 * n_cells + dt * n_stab + a, where a indexes
+    the Z-type and then the X-type syndrome qubits and dt in {0, 1} counts
+    rounds after the fault's; then -1 up to the longest row's length.
     """
 
     def __init__(self, circuit: CompiledCircuit):
@@ -311,13 +301,12 @@ class FaultTable:
         col_code = np.concatenate([c.data_idx, c.n_cells + c.data_idx,
                                    2 * c.n_cells + np.arange(2 * self.n_stab, dtype=np.int32)])
         n_cols = len(col_code)
-        self.first_row: dict[str, int] = {}
-        self._segments = []
+        # Phase -> (probability attribute, first row, slot count, kind count).
+        self._phases: dict[str, tuple[str, int, int, int]] = {}
         codes, entry_rows = [], []
         n_rows = 0
         for phase, attr, kinds, units in segments:
-            self.first_row[phase] = n_rows
-            self._segments.append((attr, n_rows, len(units), len(kinds)))
+            self._phases[phase] = (attr, n_rows, len(units), len(kinds))
             words = np.zeros((len(units), len(kinds), unit_rows.shape[1]), dtype=np.uint8)
             for unit, bits in zip(unit_rows[units].swapaxes(0, 1), kinds.T):
                 words ^= unit[:, None] * bits[:, None]  # slot, kind, packed column
@@ -325,13 +314,14 @@ class FaultTable:
             entry_rows.append(n_rows + hit // n_cols)
             codes.append(col_code[hit % n_cols])
             n_rows += len(kinds) * len(units)
-        self.code = np.concatenate(codes)
-        self.ptr = np.zeros(n_rows + 1, dtype=np.intp)
-        np.cumsum(np.bincount(np.concatenate(entry_rows), minlength=n_rows), out=self.ptr[1:])
-        # The same rows, each padded with -1 to the longest row's length.
-        counts = np.diff(self.ptr)
+        counts = np.bincount(np.concatenate(entry_rows), minlength=n_rows)
         self.pad = np.full((n_rows, counts.max(initial=0)), -1, dtype=np.intp)
-        self.pad[np.arange(self.pad.shape[1]) < counts[:, None]] = self.code
+        self.pad[np.arange(self.pad.shape[1]) < counts[:, None]] = np.concatenate(codes)
+
+    def slot_rows(self, phase: str) -> np.ndarray:
+        """The first row of each slot of a phase; kind k is that row + k."""
+        _attr, first, n_slots, n_kinds = self._phases[phase]
+        return first + n_kinds * np.arange(n_slots)
 
     def _layout(self, model: ErrorModel) -> tuple:
         """Per-slot arrays of one round's draws under a model: probability,
@@ -339,10 +329,10 @@ class FaultTable:
         layout = self._layouts.get(model)
         if layout is None:
             cols = ([], [], [])
-            for attr, first, n_slots, n_kinds in self._segments:
+            for phase, (attr, _first, _n_slots, n_kinds) in self._phases.items():
                 p = getattr(model, attr)
                 if p > 0.0:
-                    rows = first + n_kinds * np.arange(n_slots)
+                    rows = self.slot_rows(phase)
                     for col, value in zip(cols, (p, n_kinds, rows)):
                         col.append(np.broadcast_to(value, rows.shape))
             dtypes = (np.float64, np.float64, np.intp)

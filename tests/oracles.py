@@ -37,7 +37,7 @@ from surfacesim.lattice import Lattice
 from surfacesim.matching import _max_weight_matching
 from surfacesim.metric import _T_SPAN, MAX_LINKS, LinkGraph, MetricCache, settled
 from surfacesim.noise import ErrorModel
-from surfacesim.sim import PAULI1_BITS, PAULI2_BITS, CompiledCircuit, _csr_rows, detection_events
+from surfacesim.sim import PAULI1_BITS, PAULI2_BITS, CompiledCircuit, detection_events
 
 from frame_reference import cnot_phase, make_injection, simulate_window
 from paulis import PauliOp, X, Z
@@ -243,6 +243,15 @@ def dmax_table_reference(graph: LinkGraph, cells: list[int], b_max: float,
             if 0 <= t <= reach:
                 wtab[a][stab_of_cell[cell]][t] = d
     return wtab
+
+
+def _csr_rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry positions of the given CSR rows (concatenated) and each row's count."""
+    starts = ptr[rows]
+    counts = ptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts), counts
 
 
 def path_sum_table_reference(graph: LinkGraph, source, targets, n: int) -> list[float]:

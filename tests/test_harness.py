@@ -17,6 +17,7 @@ from surfacesim.harness import (
     stats_to_csv, stats_to_json, wilson_interval,
 )
 from surfacesim.metric import METRICS
+from surfacesim.noise import PRESET_NAMES
 
 
 def test_config_validation():
@@ -63,6 +64,14 @@ def test_custom_model():
         with pytest.raises(ValueError, match="probability 1"):
             TrialConfig(distance=3, p=0.0, model="custom", metric=metric,
                         custom_model=(0.0, 0.01, 1.0))
+
+
+@pytest.mark.parametrize("model", PRESET_NAMES)
+def test_custom_rates_under_a_preset_are_refused(model):
+    # A preset takes its rates from p; custom rates given with it would
+    # otherwise be dropped while the row records the preset's.
+    with pytest.raises(ValueError, match="custom_model"):
+        TrialConfig(distance=3, p=0.01, model=model, custom_model=(0.0, 0.15, 0.0))
 
 
 def test_zero_noise_run_has_no_failures():

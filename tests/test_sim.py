@@ -194,17 +194,10 @@ def test_sampler_matches_frozen_reference(d, model, idle_steps, rounds):
 
 @pytest.mark.parametrize("d,idle_steps", [(d, idle) for d in (3, 5, 7)
                                           for idle in ((5,), (6,), (5, 6))])
-def test_padded_rows_are_the_csr_rows(d, idle_steps):
-    # Each padded row is its CSR row in order, then -1 to the longest row's
-    # length; each preset's windows, sampled from the padded rows, are the
-    # frozen stepper's (the frozen-reference test covers d = 3 and 5).
+def test_preset_windows_match_frozen_reference(d, idle_steps):
+    # Each preset's windows against the frozen stepper, at every idle
+    # layout (the frozen-reference test above covers d = 3 and 5).
     circ = _circuit(d, idle_steps)
-    table = circ.fault_table
-    counts = np.diff(table.ptr)
-    assert table.pad.shape == (len(counts), counts.max())
-    for r, row in enumerate(table.pad):
-        assert row[:counts[r]].tolist() == table.code[table.ptr[r]:table.ptr[r + 1]].tolist(), r
-        assert (row[counts[r]:] == -1).all(), r
     for name in PRESET_NAMES:
         model = preset(name, 0.01)
         for idx in range(3):
@@ -259,25 +252,29 @@ def test_dropped_circuit_frees_its_fault_table():
 
 
 def _kind_rows(circ):
-    """(row, phase, cells, pauli) of every fault-table row, numbered as
-    FaultTable documents: pauli is a (control, target) pair for a CNOT,
-    one Pauli for an idle qubit, and for a readout the bit it flips (X on
-    a Z-type syndrome qubit, Z on an X-type one)."""
-    table = circ.fault_table
-    entries = []
+    """(row, phase, cells, pauli) of every fault-table row, numbered by the
+    rule FaultTable documents (phases in draw order: the CNOT gates, idle5
+    if scheduled, the readouts, idle6 if scheduled; then slot, then kind)
+    without reading the table: pauli is a (control, target) pair for a
+    CNOT, one Pauli for an idle qubit, and for a readout the bit it flips
+    (X on a Z-type syndrome qubit, Z on an X-type one)."""
+    kinds = []
     for gate in range(circ.n_cnots):
         cells = (int(circ.gate_ctl[gate]), int(circ.gate_tgt[gate]))
-        entries += [(15 * gate + kind, cnot_phase(circ, gate), cells, pair)
-                    for kind, pair in enumerate(TWO_QUBIT_PAULIS)]
-    for step in circ.idle_steps:
-        first = table.first_row[f"idle{step}"]
-        entries += [(first + 3 * i + kind, f"idle{step}", int(cell), op)
-                    for i, cell in enumerate(circ.data_idx)
-                    for kind, op in enumerate(SINGLE_PAULIS)]
+        kinds += [(cnot_phase(circ, gate), cells, pair) for pair in TWO_QUBIT_PAULIS]
+    idle = {step: [(f"idle{step}", int(cell), op)
+                   for cell in circ.data_idx for op in SINGLE_PAULIS]
+            for step in circ.idle_steps}
+    kinds += idle.get(5, [])
     stab_cells = np.concatenate([circ.z_idx, circ.x_idx])
-    entries += [(table.first_row["meas"] + a, "meas", int(cell), X if a < circ.n_z else Z)
-                for a, cell in enumerate(stab_cells)]
-    return entries
+    kinds += [("meas", int(cell), X if a < circ.n_z else Z) for a, cell in enumerate(stab_cells)]
+    kinds += idle.get(6, [])
+    return [(row, *kind) for row, kind in enumerate(kinds)]
+
+
+def _row_entries(table, row: int) -> np.ndarray:
+    codes = table.pad[row]
+    return codes[codes >= 0]
 
 
 @pytest.mark.parametrize("d,idle_steps", [(3, (5, 6)), (5, (6,))])
@@ -291,10 +288,21 @@ def test_fault_table_entries_match_injected_faults(d, idle_steps):
     n_stab = circ.n_z + circ.n_x
     zero = ErrorModel(0, 0, 0)
     entries = _kind_rows(circ)
-    assert sorted(row for row, *_ in entries) == list(range(len(table.ptr) - 1))
+    assert len(entries) == len(table.pad)
+    # slot_rows(phase) + kind is the documented numbering.
+    n_kinds = {"cnot": 15, "meas": 1, **{f"idle{step}": 3 for step in idle_steps}}
+    for phase, n in n_kinds.items():
+        want = [row for row, ph, *_ in entries if ph.startswith(phase)]
+        assert (table.slot_rows(phase)[:, None] + np.arange(n)).ravel().tolist() == want
+    # Each padded row holds its entries in increasing code order, then
+    # -1 up to the longest row's length.
+    counts = (table.pad >= 0).sum(axis=1)
+    assert table.pad.shape[1] == counts.max()
+    for row, count in zip(table.pad, counts):
+        assert (row[count:] == -1).all() and (np.diff(row[:count]) > 0).all()
     data_cols = np.concatenate([circ.data_idx, circ.n_cells + circ.data_idx])
     for row, phase, cells, pauli in entries:
-        codes = table.code[table.ptr[row]:table.ptr[row + 1]]
+        codes = _row_entries(table, row)
         for rounds, r0 in ((2, 2), (3, 1)):
             res = frame_reference.simulate_window(
                 circ, zero, None, rounds, injections=make_injection([(r0, phase, cells, pauli)]))
@@ -321,7 +329,7 @@ def test_fault_table_kinds_touch_their_graph(circuit_d5):
     n_z, n_stab = circuit_d5.n_z, circuit_d5.n_z + circuit_d5.n_x
     ev_start = 2 * circuit_d5.n_cells
     for row, _, _, pauli in _kind_rows(circuit_d5):
-        codes = table.code[table.ptr[row]:table.ptr[row + 1]]
+        codes = _row_entries(table, row)
         in_z = (codes[codes >= ev_start] - ev_start) % n_stab < n_z
         assert in_z.sum() <= 2 and (~in_z).sum() <= 2, row
         ops = pauli if isinstance(pauli, tuple) else (pauli,)
