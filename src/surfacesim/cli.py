@@ -169,7 +169,8 @@ def main(argv=None) -> int:
                     per_round = ", ".join(
                         f"{a}/{b} " + ("none" if c is None else f"{c:.4%}")
                         for (a, b), c in fit["per_round"].items())
-                    print(f"p_c ({logical}) = {fit['p_c']:.4%} +/- {fit['sigma']:.4%}  "
+                    print(f"p_c ({logical}) = {fit['p_c']:.4%} +/- {fit['sigma']:.4%} "
+                          f"(failure-count bootstrap only)  "
                           f"nu = {fit['nu']:.2f}  (per-round crossings: {per_round})",
                           file=sys.stderr)
                 except ThresholdError as exc:

@@ -13,12 +13,12 @@ time-sorted events.  Reach bounds the space and time separation (in
 sublattice units and rounds) of a pair whose best single path can be
 lighter than two boundary matches, since every link weighs at least as
 much as the most probable one.  Boundary weights are one
-`metric.boundary_search` per stabilizer (`Lattice.nearest_boundary` for
-manhattan).  Each metric then fills the pair table from every source
+`metric.boundary_distance` per stabilizer (`Lattice.nearest_boundary`
+for manhattan).  Each metric then fills the pair table from every source
 stabilizer:
 
-* dmax: the source's boundary search, read on to twice its boundary
-  weight b_a.  Each pair {a, c} is filled once, by its owner, the
+* dmax: one `metric.settled` search from the source, cut at twice its
+  boundary weight b_a.  Each pair {a, c} is filled once, by its owner, the
   endpoint with the larger (b, index): a node (c, t) that the owner a
   settles gives wtab[a][c][t] for t >= 0 and wtab[c][a][-t] for t <= 0,
   since links are undirected and the circuit is periodic in time.  The
@@ -110,7 +110,8 @@ import numpy as np
 from . import matching
 from .edge_analysis import EdgeClassTable
 from .lattice import Lattice
-from .metric import METRICS, LinkGraph, boundary_search, manhattan, path_sum_table
+from .metric import (METRICS, LinkGraph, boundary_distance, manhattan, path_sum_table,
+                     settled)
 from .sim import PauliFrame, SyndromeHistory, _graph_events
 
 DP_MAX_NODES = 6
@@ -174,7 +175,7 @@ class Decoder:
             raise ValueError(f"{lg.graph} graph has a link of probability 1 "
                              f"(weight 0)")
         else:
-            bw = [boundary_search(lg, (c, 0)) for c in cells]
+            bw = [boundary_distance(lg, (c, 0)) for c in cells]
         bvals = [float(b[0]) for b in bw]
         bsides = [b[1] for b in bw]
         bchains = [_boundary_chain(lat, c, side) for c, side in zip(cells, bsides)]
@@ -194,10 +195,10 @@ class Decoder:
             owned: dict[int, int] = {}
             for a in sorted(range(S), key=lambda a: (bvals[a], a)):
                 row = wtab[a]
-                # a's boundary search, read on to 2 * b_a, fills both
-                # orientations of each pair a owns.
+                # a's search, cut at 2 * b_a, fills both orientations of
+                # each pair a owns.
                 owned[cells[a]] = a
-                for d, (cell, t) in bw[a][2]:
+                for d, (cell, t) in settled(lg, (cells[a], 0), 2.0 * bvals[a]):
                     c = owned.get(cell)
                     if c is None or not -reach <= t <= reach:
                         continue

@@ -334,7 +334,9 @@ def estimate_threshold(stats: SweepStats, logical: str = "x") -> dict:
     The flip rate per d rounds of every uncensored row is fitted as
     F((p - p_c) d^(1/nu)), F quadratic, weighted by the Wilson width; sigma
     is the bootstrap standard deviation of p_c over resampled failure
-    counts.  A p_c on the edge of the swept rates means no crossing inside
+    counts only.  It leaves out the error of the scaling form itself, which
+    can be larger: dropping the smallest distance can move p_c by several
+    sigma.  A p_c on the edge of the swept rates means no crossing inside
     them and raises ThresholdError; a resample's p_c on the edge counts at
     the edge value, and only resamples that fail check_fit_grid drop out.
     per_round maps each adjacent distance pair (a, b) to the

@@ -17,11 +17,11 @@ convert (cell, t) nodes only at their edge; the per-pair definitions
   path under additive -ln(p) weights).
 * d_n: -ln of the summed probability of all simple paths using the
   minimum number of links l, plus paths up to l+n links.
-* boundary_distance: cheapest d_max-style escape to a spatial boundary.
-* settled: d_max from one source to every node within a cutoff, lightest
-  first.  boundary_search runs one per source: it reads the boundary
-  weight b from the search's start and returns the search, cut at 2 b,
-  for the decoder's dmax table to read on.
+* boundary_distance: cheapest d_max-style escape to a spatial boundary,
+  read from the start of one `settled` search.
+* settled: d_max from one source to every node within a fixed cutoff,
+  lightest first.  The decoder's dmax table reads one per source, cut at
+  twice the source's boundary weight.
 
 Paths never repeat a node: a repeated node corresponds to error pairs
 that cancel rather than an error chain.
@@ -401,9 +401,7 @@ def settled(graph: LinkGraph, source, cutoff: float = math.inf):
     """Dijkstra from a source node: yields (weight, node) for every node
     whose single-path weight is at most cutoff, lightest first, each node
     once.  Equal weights settle in (cell, t) order.  The search runs on
-    node codes and link weights (see LinkGraph).  Sending it a weight
-    lowers the cutoff to that weight from the node last yielded on; the
-    send returns the next (weight, node)."""
+    node codes and link weights (see LinkGraph)."""
     links, half = graph.links, _T_SPAN // 2
     inf = math.inf
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -417,9 +415,7 @@ def settled(graph: LinkGraph, source, cutoff: float = math.inf):
         if d > dist[code]:
             continue
         cell, t_code = divmod(code, _T_SPAN)
-        lowered = yield d, (cell, t_code - half)
-        if lowered is not None:
-            cutoff = lowered
+        yield d, (cell, t_code - half)
         for _, w, step in links.get(cell, ()):
             nd = d + w
             if nd <= cutoff:
@@ -429,23 +425,16 @@ def settled(graph: LinkGraph, source, cutoff: float = math.inf):
                     heappush(heap, (nd, nxt))
 
 
-def boundary_search(graph: LinkGraph, s: tuple[int, int]):
-    """Cheapest escape from node s to a spatial boundary of its graph
-    type, and the search that found it.
+def boundary_distance(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]:
+    """Cheapest escape from node s to a spatial boundary of its graph type.
 
-    Returns (weight, side, nodes): weight is -ln probability of the best
-    escape chain and side its boundary side, as `boundary_distance`
-    gives them; nodes iterates the same `settled` search, from s on, over
-    every (weight, node) within twice the escape weight, lightest first.
-    The search relaxes nothing past that cutoff once the weight is known,
-    and runs on only as far as nodes is read.
+    Returns (-ln probability of the best escape chain, boundary side).  The
+    `settled` search from s stops at the first node no lighter than the
+    best escape found so far, since no escape through it can be lighter.
     """
-    search = settled(graph, s)
-    seen = []
     best = math.inf
     best_side = None
-    for d, node in search:
-        seen.append((d, node))
+    for d, node in settled(graph, s):
         if d >= best:
             break
         link = graph.exits.get(node[0])
@@ -458,36 +447,17 @@ def boundary_search(graph: LinkGraph, s: tuple[int, int]):
         # geometrically nearest side at infinite weight; no detection
         # events can occur in this regime, so the weight is never used.
         lat = graph.lattice
-        return math.inf, lat.nearest_boundary(lat.cell(s[0]))[1], iter(seen)
-    cutoff = 2.0 * best
-
-    def nodes():
-        yield from (item for item in seen if item[0] <= cutoff)
-        try:
-            yield search.send(cutoff)
-        except StopIteration:
-            return
-        yield from search
-
-    return best, best_side, nodes()
-
-
-def boundary_distance(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]:
-    """Cheapest escape from node s to a spatial boundary of its graph type.
-
-    Returns (-ln probability of the best escape chain, boundary side).
-    """
-    best, side, _ = boundary_search(graph, s)
-    return best, side
+        return math.inf, lat.nearest_boundary(lat.cell(s[0]))[1]
+    return best, best_side
 
 
 class MetricCache:
     """The per-pair reference: memoized weights by definition, one metric
     evaluation per key.
 
-    The decoder does not use it; its tables come from `boundary_search`
-    (boundary weights and dmax), `path_sum_table` (d0-d2) and the closed
-    forms (manhattan).  `pair_weight` evaluates one pair by definition (a d_max
+    The decoder does not use it; its tables come from `boundary_distance`
+    (boundary weights), `settled` (dmax), `path_sum_table` (d0-d2) and the
+    closed forms (manhattan).  `pair_weight` evaluates one pair by definition (a d_max
     search, or a minimum-link search plus a path enumeration for d_n) and
     `boundary_weight` one cell; the tests check the decoder's tables
     against them, and the benchmark traces both by name.  Pair weights depend only on (cell_u, cell_v, dt)

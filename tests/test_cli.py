@@ -250,10 +250,12 @@ def test_threshold_fit_report(capsys, fake_sweep):
     for logical, line in zip("xz", report):
         crossing = f"(none|{pct})"
         assert re.fullmatch(
-            rf"p_c \({logical}\) = {pct} \+/- {pct}  nu = \d\.\d\d  "
+            rf"p_c \({logical}\) = {pct} \+/- {pct} \(failure-count bootstrap only\)  "
+            rf"nu = \d\.\d\d  "
             rf"\(per-round crossings: 3/5 {crossing}, 5/7 {crossing}\)", line), line
         fit = estimate_threshold(stats, logical=logical)
-        assert line.startswith(f"p_c ({logical}) = {fit['p_c']:.4%} +/- {fit['sigma']:.4%}  "
+        assert line.startswith(f"p_c ({logical}) = {fit['p_c']:.4%} +/- {fit['sigma']:.4%} "
+                               f"(failure-count bootstrap only)  "
                                f"nu = {fit['nu']:.2f}  ")
 
 

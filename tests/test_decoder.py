@@ -112,43 +112,60 @@ def test_measurement_flip_needs_no_data_correction(setup_d5):
     assert not out.logical_z_failed and not out.logical_x_failed
 
 
-@pytest.mark.parametrize("d", [3, 5])
-def test_exhaustive_single_fault_correction(d):
-    """Any single Pauli error at any circuit location is corrected."""
+def _single_fault_windows(d):
+    """Every single fault of the distance-d circuit, injected in round 2 of
+    a 5-round window of the frozen stepper under a zero-noise model: per
+    fault its location kind ("cnot", "idle" or "meas") and the window.
+    The windows do not depend on the error model, so every decoder reads
+    the same ones."""
     lat = build_lattice(d)
     circ = compile_circuit(lat, standard_schedule(lat))
-    model = preset("standard", 0.01)
-    table = derive_edge_classes(circ, model)
-    dec = Decoder(table, "dmax")
     zero = ErrorModel(0, 0, 0)
-    r0 = 2
-    rounds = 5
-    cases = 0
-    for gate in range(circ.n_cnots):
-        phase = cnot_phase(circ, gate)
-        cells = (int(circ.gate_ctl[gate]), int(circ.gate_tgt[gate]))
-        for pair in TWO_QUBIT_PAULIS:
-            inj = make_injection([(r0, phase, cells, pair)])
-            res = frame_reference.simulate_window(circ, zero, None, rounds, injections=inj)
-            out = dec.decode(res.history, res.frame, verify=True)
-            assert not out.logical_x_failed, (gate, pair)
-            assert not out.logical_z_failed, (gate, pair)
-            cases += 1
-    for idle_step in circ.idle_steps:
-        for cell in circ.data_idx:
-            for op in SINGLE_PAULIS:
-                inj = make_injection([(r0, f"idle{idle_step}", int(cell), op)])
-                res = frame_reference.simulate_window(circ, zero, None, rounds, injections=inj)
-                out = dec.decode(res.history, res.frame, verify=True)
-                assert not out.logical_x_failed and not out.logical_z_failed
-                cases += 1
-    for cell in list(circ.z_idx) + list(circ.x_idx):
-        inj = make_injection([(r0, "meas", int(cell), None)])
-        res = frame_reference.simulate_window(circ, zero, None, rounds, injections=inj)
-        out = dec.decode(res.history, res.frame, verify=True)
-        assert not out.logical_x_failed and not out.logical_z_failed
-        cases += 1
-    assert cases > 15 * circ.n_cnots
+
+    def window(kind, *fault):
+        inj = make_injection([(2, *fault)])
+        return kind, frame_reference.simulate_window(circ, zero, None, 5, injections=inj)
+
+    windows = [window("cnot", cnot_phase(circ, gate),
+                      (int(circ.gate_ctl[gate]), int(circ.gate_tgt[gate])), pair)
+               for gate in range(circ.n_cnots) for pair in TWO_QUBIT_PAULIS]
+    windows += [window("idle", f"idle{step}", int(cell), op)
+                for step in circ.idle_steps for cell in circ.data_idx for op in SINGLE_PAULIS]
+    windows += [window("meas", "meas", int(cell), None)
+                for cell in list(circ.z_idx) + list(circ.x_idx)]
+    return circ, windows
+
+
+SINGLE_FAULT_MODELS = {
+    "standard": preset("standard", 0.01),
+    "balanced": preset("balanced", 0.01),
+    "iontrap": preset("iontrap", 0.01),
+    # The phenomenological point has no gate faults: only idle and readout.
+    "phenomenological": ErrorModel(0.0, 0.015, 0.01),
+}
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_exhaustive_single_fault_correction(d):
+    """Every single fault at every circuit location that the error model
+    can fail is corrected, under every table metric and every preset and
+    the phenomenological point: the decoders reach distance 3 and 5
+    (ROADMAP item 12).  Manhattan is measured, not required (it misses
+    92 of 651 at d = 3)."""
+    circ, windows = _single_fault_windows(d)
+    missed = {}
+    for name, model in SINGLE_FAULT_MODELS.items():
+        cases = [res for kind, res in windows if model.p2 > 0.0 or kind != "cnot"]
+        assert len(cases) == ({3: 651, 5: 2323} if model.p2 > 0.0 else {3: 51, 5: 163})[d]
+        table = derive_edge_classes(circ, model)
+        for metric in ("dmax", "d0", "d1", "d2"):
+            dec = Decoder(table, metric)
+            missed[name, metric] = 0
+            for res in cases:
+                out = dec.decode(res.history, res.frame, verify=True,
+                                 collect_matches=False)
+                missed[name, metric] += out.logical_x_failed or out.logical_z_failed
+    assert missed == dict.fromkeys(missed, 0)
 
 
 def test_half_distance_chain_fails(setup_d3):
@@ -422,8 +439,9 @@ def test_path_sum_build_enumerates_no_paths(setup_d3, metric, monkeypatch):
     monkeypatch.setattr(LinkGraph, "neighbors", forbidden)
     monkeypatch.setattr(MetricCache, "pair_weight", forbidden)
     monkeypatch.setattr(MetricCache, "boundary_weight", forbidden)
-    # One `settled` search per stabilizer gives its boundary weight and,
-    # for dmax, its share of the pair table; manhattan searches nothing.
+    # `boundary_distance` runs one `metric.settled` search per stabilizer
+    # (the dmax fill's searches go through the decoder's own binding);
+    # manhattan searches nothing.
     searched = []
     search = metric_module.settled
 
@@ -496,7 +514,7 @@ def test_decode_reads_only_the_tables(decoders_d3, metric, monkeypatch):
     for name in ("d_max", "path_sum", "boundary_distance", "min_links", "settled"):
         monkeypatch.setattr(metric_module, name, forbidden)
     # The decoder's own bindings of the build-time searches.
-    for name in ("boundary_search", "path_sum_table"):
+    for name in ("boundary_distance", "settled", "path_sum_table"):
         monkeypatch.setattr(decoder_module, name, forbidden)
     monkeypatch.setattr(MetricCache, "pair_weight", forbidden)
     monkeypatch.setattr(MetricCache, "boundary_weight", forbidden)
@@ -889,7 +907,8 @@ def test_decoder_rejects_links_of_weight_zero(metric, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("search started on a graph with weight-0 links")
 
-    monkeypatch.setattr(decoder_module, "boundary_search", forbidden)
+    monkeypatch.setattr(decoder_module, "boundary_distance", forbidden)
+    monkeypatch.setattr(decoder_module, "settled", forbidden)
     monkeypatch.setattr(metric_module, "settled", forbidden)
     lat = build_lattice(3)
     table = derive_edge_classes(compile_circuit(lat, standard_schedule(lat)),

@@ -344,6 +344,28 @@ def test_settled_yields_d_max_lightest_first(table_d5, graph_z):
         assert w == pytest.approx(d_max(graph_z, src, node), rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("d", [3, 5])
+def test_settled_cutoff_is_a_prefix_of_the_unbounded_search(d):
+    """The dmax fill cuts each search at twice its source's boundary
+    weight b from the start.  Weights are non-negative, so a search cut at
+    c settles exactly the unbounded search's prefix of weights up to c:
+    the same (weight, node) items in the same order, bit for bit."""
+    table = _table(d, "standard")
+    lat = table.lattice
+    checked = 0
+    for g in ("x", "z"):
+        graph = LinkGraph(table, g)
+        for c in lat.stabilizers(g):
+            source = (lat.index(c), 0)
+            b, _ = boundary_distance(graph, source)
+            for cutoff in (b, 2.0 * b):
+                prefix = list(itertools.takewhile(lambda item: item[0] <= cutoff,
+                                                  settled(graph, source)))
+                assert list(settled(graph, source, cutoff)) == prefix
+                checked += len(prefix)
+    assert checked > 100
+
+
 def test_boundary_distance_single_link(table_d5, graph_z):
     lat = table_d5.lattice
     cell = lat.index((4, 1))  # adjacent to the left boundary
