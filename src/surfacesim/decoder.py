@@ -30,9 +30,9 @@ stabilizer:
   source's breadth-first ball as a dynamic program over the last link
   taken; a step onto a link takes its probability times the weight that
   arrived at its near end, for d2 less the weight on its reverse link
-  (no stepping back).  Balls of fewer than `metric.GROUP_LINKS` links
-  are walked together, in order of the steps they need, so one numpy
-  pass per step serves many sources;
+  (no stepping back).  The balls are walked in groups, in source order,
+  each group walked once it holds `metric.GROUP_LINKS` links, so one
+  numpy pass per step serves several sources;
 * manhattan: the closed form over the same targets.
 
 The tables prune nothing by weight: the one prune rule is the candidate

@@ -56,13 +56,13 @@ per source:
   n <= 1 each link's sum has the terms and order of a sum over explicit
   link-to-link transitions; for n = 2 the subtraction can move the last
   bit.
-* Balls of fewer than GROUP_LINKS links are walked in groups, in order
-  of the steps they need, laid end to end with node and link offsets,
-  so that one bincount per step serves a whole group; a group walks as
-  many steps as its longest member needs.  Sources in a group share no
-  node, so each gets the sums it gets walked alone.  Larger balls walk
-  alone, where the per-call overhead a group saves is small next to the
-  extra steps it would cost.
+* Balls are walked in groups, laid end to end with node and link
+  offsets, so that one bincount per step serves a whole group; a group
+  walks as many steps as its longest member needs.  Sources join the
+  group being built in query order, and a group is walked once it holds
+  GROUP_LINKS links, so a ball of that many links or more closes its
+  group.  Sources in a group share no node and keep their own link
+  order, so each gets the sums it gets walked alone.
 """
 
 from __future__ import annotations
@@ -79,10 +79,11 @@ from .edge_analysis import EdgeClassTable
 MAX_LINKS = 64  # longest fewest-link path searched for
 MAX_PATHS = 2_000_000  # path enumeration guard of path_sum
 METRICS = ("manhattan", "dmax", "d0", "d1", "d2")  # decoder metric names
-# Links per group of small path-sum balls.  Walk time of standard-model
-# d2 builds at p = 1% (2-core box), one walk per ball against these
-# groups: 0.98 -> 0.52 ms at d = 3, 12.2 -> 10.2 ms at d = 5, 85 -> 80 ms
-# at d = 7; one group per graph took 23 and 213 ms at d = 5 and 7.
+# Links at which a group of path-sum balls is walked.  Walk time of
+# standard-model d2 builds at p = 1% (2-core box, best of 3-20 builds) at
+# d = 3 / 5 / 7: one walk per ball 1.0 / 12 / 84-96 ms, groups of this
+# size 0.54 / 11-12 / 85-93 ms, one group per graph 0.55 / 24-25 /
+# 221-253 ms.
 GROUP_LINKS = 8192
 _T_SPAN = 1 << 32  # node codes: see LinkGraph
 
@@ -232,20 +233,11 @@ def path_sum_table(graph: LinkGraph, queries, n: int) -> list[list[float]]:
     if not 0 <= n <= 2:
         raise ValueError("n must be in [0, 2]")
     link_rows = _link_rows(graph)
-    out: list[list[float]] = [[] for _ in queries]
-    # A ball of GROUP_LINKS links or more is walked alone; smaller ones
-    # are walked in groups of about GROUP_LINKS links, in step order, so
-    # that the members of a group need about the same number of steps.
-    small = []
-    for i, (source, targets) in enumerate(queries):
-        ball = _ball(link_rows, i, source, targets, n)
-        if ball.tail.size >= GROUP_LINKS:
-            _walk([ball], n, out)
-        else:
-            small.append(ball)
+    out: list[list[float]] = []
     group: list[_Ball] = []
     links = 0
-    for ball in sorted(small, key=lambda b: b.steps):
+    for source, targets in queries:
+        ball = _ball(link_rows, source, targets, n)
         group.append(ball)
         links += ball.tail.size
         if links >= GROUP_LINKS:
@@ -284,11 +276,10 @@ def _link_rows(graph: LinkGraph):
 class _Ball(NamedTuple):
     """One source's ball as link arrays over its nodes, numbered in
     discovery order with the source at 0; rev is -1 where the ball lacks
-    the reverse link.  Target j of query `query` sits at node rows[k] for
-    j = found[k], at depth l(y) = depth[k]; the others have no path of at
-    most MAX_LINKS links."""
+    the reverse link.  Target j sits at node rows[k] for j = found[k], at
+    depth l(y) = depth[k]; the others have no path of at most MAX_LINKS
+    links."""
 
-    query: int
     size: int
     tail: np.ndarray
     head: np.ndarray
@@ -301,7 +292,7 @@ class _Ball(NamedTuple):
     steps: int
 
 
-def _ball(link_rows, query: int, source, targets, n: int) -> _Ball:
+def _ball(link_rows, source, targets, n: int) -> _Ball:
     """The breadth-first ball over node codes around one source: l(y) per
     target, and every link a walk of at most max l(y) + n links can take."""
     steps_of, prob_of, rev_of, used_of = link_rows
@@ -345,14 +336,14 @@ def _ball(link_rows, query: int, source, targets, n: int) -> _Ball:
                        first[np.minimum(head, gathered)] + rev_of[cells][used], -1)
     found = [j for j, y in enumerate(codes) if y not in missing]
     rows = np.array([index[codes[j]] for j in found], dtype=np.intp)
-    return _Ball(query, len(index), np.repeat(np.arange(gathered), fan), head,
+    return _Ball(len(index), np.repeat(np.arange(gathered), fan), head,
                  prob_of[cells][used], rev, len(codes), found, rows,
                  np.searchsorted(ends, rows, side="right"), l_max + n)
 
 
 def _walk(balls: list[_Ball], n: int, out: list[list[float]]) -> None:
     """Walks balls as one program on their disjoint union, for as many
-    steps as the longest needs, and writes each query's weights to out."""
+    steps as the longest needs, and appends each ball's weights to out."""
     node_off = np.cumsum([0] + [b.size for b in balls])
     link_off = np.cumsum([0] + [b.tail.size for b in balls])
     size, n_links = int(node_off[-1]), int(link_off[-1])
@@ -394,7 +385,7 @@ def _walk(balls: list[_Ball], n: int, out: list[list[float]]) -> None:
         for j, s in zip(ball.found, sums[k:k + len(ball.found)].tolist()):
             weights[j] = -math.log(s) if s > 0.0 else math.inf
         k += len(ball.found)
-        out[ball.query] = weights
+        out.append(weights)
 
 
 def settled(graph: LinkGraph, source, cutoff: float = math.inf):

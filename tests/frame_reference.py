@@ -9,7 +9,8 @@ tests compare the two.
 With rng=None the stepper is also the noiseless injection oracle: it
 propagates the errors of a `make_injection` plan through the frame, one
 cycle at a time, without the fault table or the `run_cycle` of
-`surfacesim.sim` that builds it.  Not part of the package.
+`surfacesim.sim` that builds it; `single_fault_windows` injects every
+single fault of a circuit that way.  Not part of the package.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from surfacesim.noise import ErrorModel
 from surfacesim.sim import (
     PAULI1_BITS, PAULI2_BITS, CompiledCircuit, PauliFrame, SyndromeHistory,
 )
+
+from paulis import SINGLE_PAULIS, TWO_QUBIT_PAULIS
 
 
 PHASES = ("cnot1", "cnot2", "cnot3", "cnot4", "idle5", "meas", "idle6")
@@ -199,3 +202,26 @@ def simulate_window(circuit: CompiledCircuit, model: ErrorModel,
         signs={"z": z_signs, "x": x_signs},
     )
     return WindowResult(history=history, frame=frame, noise_log=noise_log)
+
+
+def single_fault_windows(circuit: CompiledCircuit) -> list:
+    """Every single fault of the circuit, injected in round 2 (round index
+    1) of a 5-round noiseless window: per fault its `FaultTable` phase
+    ("cnot", "idle5", "meas" or "idle6"), slot and Pauli kind, and the
+    window.  The windows do not depend on the error model, so every
+    decoder reads the same ones."""
+    zero = ErrorModel(0, 0, 0)
+
+    def window(phase, slot, kind, *fault):
+        inj = make_injection([(2, *fault)])
+        return phase, slot, kind, simulate_window(circuit, zero, None, 5, injections=inj)
+
+    stab_cells = list(circuit.z_idx) + list(circuit.x_idx)
+    return ([window("cnot", gate, kind, cnot_phase(circuit, gate),
+                    (int(circuit.gate_ctl[gate]), int(circuit.gate_tgt[gate])), pair)
+             for gate in range(circuit.n_cnots) for kind, pair in enumerate(TWO_QUBIT_PAULIS)]
+            + [window(f"idle{step}", slot, kind, f"idle{step}", int(cell), op)
+               for step in circuit.idle_steps for slot, cell in enumerate(circuit.data_idx)
+               for kind, op in enumerate(SINGLE_PAULIS)]
+            + [window("meas", slot, 0, "meas", int(cell), None)
+               for slot, cell in enumerate(stab_cells)])

@@ -22,13 +22,13 @@ from surfacesim.metric import (
 )
 
 import frame_reference
-from frame_reference import cnot_phase, make_injection
+from frame_reference import make_injection, single_fault_windows
 from oracles import (
     MatchGraph, _boundary_flip, _staircase_flip, brute_force_mwpm, build_match_graph,
     corrections_from_matching, dmax_table_reference, mwpm, path_sum_table_reference,
     solve_dp_all_subsets,
 )
-from paulis import SINGLE_PAULIS, TWO_QUBIT_PAULIS, X
+from paulis import X
 
 
 @pytest.fixture(scope="module")
@@ -112,30 +112,6 @@ def test_measurement_flip_needs_no_data_correction(setup_d5):
     assert not out.logical_z_failed and not out.logical_x_failed
 
 
-def _single_fault_windows(d):
-    """Every single fault of the distance-d circuit, injected in round 2 of
-    a 5-round window of the frozen stepper under a zero-noise model: per
-    fault its location kind ("cnot", "idle" or "meas") and the window.
-    The windows do not depend on the error model, so every decoder reads
-    the same ones."""
-    lat = build_lattice(d)
-    circ = compile_circuit(lat, standard_schedule(lat))
-    zero = ErrorModel(0, 0, 0)
-
-    def window(kind, *fault):
-        inj = make_injection([(2, *fault)])
-        return kind, frame_reference.simulate_window(circ, zero, None, 5, injections=inj)
-
-    windows = [window("cnot", cnot_phase(circ, gate),
-                      (int(circ.gate_ctl[gate]), int(circ.gate_tgt[gate])), pair)
-               for gate in range(circ.n_cnots) for pair in TWO_QUBIT_PAULIS]
-    windows += [window("idle", f"idle{step}", int(cell), op)
-                for step in circ.idle_steps for cell in circ.data_idx for op in SINGLE_PAULIS]
-    windows += [window("meas", "meas", int(cell), None)
-                for cell in list(circ.z_idx) + list(circ.x_idx)]
-    return circ, windows
-
-
 SINGLE_FAULT_MODELS = {
     "standard": preset("standard", 0.01),
     "balanced": preset("balanced", 0.01),
@@ -145,18 +121,21 @@ SINGLE_FAULT_MODELS = {
 }
 
 
-@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("d", [3, 5, 7])
 def test_exhaustive_single_fault_correction(d):
     """Every single fault at every circuit location that the error model
     can fail is corrected, under every table metric and every preset and
-    the phenomenological point: the decoders reach distance 3 and 5
+    the phenomenological point: the decoders reach distance 3, 5 and 7
     (ROADMAP item 12).  Manhattan is measured, not required (it misses
     92 of 651 at d = 3)."""
-    circ, windows = _single_fault_windows(d)
+    lat = build_lattice(d)
+    circ = compile_circuit(lat, standard_schedule(lat))
+    windows = single_fault_windows(circ)
     missed = {}
     for name, model in SINGLE_FAULT_MODELS.items():
-        cases = [res for kind, res in windows if model.p2 > 0.0 or kind != "cnot"]
-        assert len(cases) == ({3: 651, 5: 2323} if model.p2 > 0.0 else {3: 51, 5: 163})[d]
+        cases = [res for phase, _, _, res in windows if model.p2 > 0.0 or phase != "cnot"]
+        assert len(cases) == ({3: 651, 5: 2323, 7: 5019} if model.p2 > 0.0
+                              else {3: 51, 5: 163, 7: 339})[d]
         table = derive_edge_classes(circ, model)
         for metric in ("dmax", "d0", "d1", "d2"):
             dec = Decoder(table, metric)

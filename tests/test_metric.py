@@ -8,7 +8,7 @@ from surfacesim.lattice import build_lattice, standard_schedule
 from surfacesim.noise import ErrorModel, preset
 from surfacesim.sim import compile_circuit
 from surfacesim.edge_analysis import derive_edge_classes
-from surfacesim import metric
+from surfacesim import decoder, metric
 from surfacesim.metric import (
     MAX_LINKS, LinkGraph, MetricCache, boundary_distance, d_max, d_n, manhattan,
     min_links, path_sum, path_sum_table, settled,
@@ -318,6 +318,44 @@ def test_grouped_sources_do_not_interact(d, n, monkeypatch):
     assert any(steps[0] < steps[-1] for steps in groups)
     with pytest.raises(ValueError):
         path_sum_table(graph, queries + [((cells[0], 0), [(cells[0], 0)])], n)
+
+
+@pytest.mark.parametrize("limit", [metric.GROUP_LINKS, 4096])
+def test_balls_join_groups_in_query_order(limit, monkeypatch):
+    """A d = 5 `d2` decoder build makes one ball per query and walks each
+    once, in query order: a group is walked as soon as it holds `limit`
+    links, and the last one when the queries end."""
+    table = _table(5, "standard")
+    calls = []
+    table_call, ball, walk = metric.path_sum_table, metric._ball, metric._walk
+
+    def recorded_table(graph, queries, n):
+        calls.append(([source for source, _ in queries], [], []))
+        return table_call(graph, queries, n)
+
+    def recorded_ball(link_rows, source, *args):
+        calls[-1][1].append((source, ball(link_rows, source, *args)))
+        return calls[-1][1][-1][1]
+
+    def recorded_walk(balls, *args):
+        calls[-1][2].append(list(balls))
+        walk(balls, *args)
+
+    monkeypatch.setattr(decoder, "path_sum_table", recorded_table)
+    monkeypatch.setattr(metric, "_ball", recorded_ball)
+    monkeypatch.setattr(metric, "_walk", recorded_walk)
+    monkeypatch.setattr(metric, "GROUP_LINKS", limit)
+    decoder.Decoder(table, "d2")
+    assert len(calls) == 2
+    for sources, made, groups in calls:
+        assert [source for source, _ in made] == sources
+        walked = [b for group in groups for b in group]
+        assert len(walked) == len(made)
+        assert all(b is m for b, (_, m) in zip(walked, made))
+        links = [[b.tail.size for b in group] for group in groups]
+        assert all(sum(sizes) >= limit for sizes in links[:-1])
+        assert all(sum(sizes[:-1]) < limit for sizes in links)
+    assert any(len(group) > 1 for _, _, groups in calls for group in groups)
 
 
 def test_path_sum_table_without_links_reads_inf():
