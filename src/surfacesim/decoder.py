@@ -13,8 +13,10 @@ time-sorted events.  Reach bounds the space and time separation (in
 sublattice units and rounds) of a pair whose best single path can be
 lighter than two boundary matches, since every link weighs at least as
 much as the most probable one.  Boundary weights are one
-`metric.boundary_distance` per stabilizer (`Lattice.nearest_boundary`
-for manhattan).  Each metric then fills the pair table from every source
+`metric.boundary_distance` per stabilizer, a search of the graph's
+time-free cell view, which gives the space-time minimum bit for bit
+since exits do not depend on t (`Lattice.nearest_boundary` for
+manhattan).  Each metric then fills the pair table from every source
 stabilizer:
 
 * dmax: one `metric.settled` search from the source, cut at twice its
@@ -165,8 +167,9 @@ class Decoder:
             bw = [lat.nearest_boundary(c) for c in stabs]
             w_min = 1.0
         elif lg.links and not lg.exits:
-            # Each boundary weight would be a search of the unbounded time
-            # axis for a boundary link that does not exist.
+            # Every boundary weight would be inf, and so would the reach of
+            # the tables and the cut of each dmax search along the
+            # unbounded time axis.
             raise ValueError(f"{lg.graph} graph has links but no boundary link "
                              f"of positive probability")
         elif w_min == 0.0:

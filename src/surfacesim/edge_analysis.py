@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +33,7 @@ from .noise import ErrorModel
 from .sim import PAULI1_BITS, PAULI2_BITS, CompiledCircuit
 
 
-@dataclass(frozen=True)
-class ErrorProcess:
+class ErrorProcess(NamedTuple):
     """One effective error component at one circuit location, per graph."""
 
     graph: str                 # detection graph it can touch: "x" or "z"
@@ -88,28 +88,32 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
     row; for the x graph, the same with Z and the X-type readouts.
     """
     table = circuit.fault_table
-    stab_cells = circuit.z_idx.tolist() + circuit.x_idx.tolist()
-    n_z = circuit.n_z
-    ev_start = 2 * circuit.n_cells
+    stab_cells = np.concatenate([circuit.z_idx, circuit.x_idx])
+    n_z, n_cells = circuit.n_z, circuit.n_cells
+    ev_start = 2 * n_cells
     kinds2, kinds1 = PAULI2_BITS.tolist(), PAULI1_BITS.tolist()
 
-    def row_events(rows: np.ndarray):
-        """The (dt, a) events of each given row, one list per row, in order."""
+    def row_signatures(graph: str, rows: np.ndarray):
+        """The signature of each given row, () for a row without events, in
+        order: each event entry keyed (dt - lo) * n_cells + cell, each row's
+        keys sorted, in one pass over the rows' padded entries."""
         code = table.pad[rows]
         is_event = code >= ev_start  # padding (-1) lies below every event code
-        dt, a = np.divmod(code[is_event] - ev_start, table.n_stab)
-        events = list(zip(dt.tolist(), a.tolist()))
-        ends = np.cumsum(is_event.sum(axis=1)).tolist()
-        return (events[start:end] for start, end in zip([0] + ends, ends))
+        dt, a = np.divmod(code - ev_start, table.n_stab)
+        assert ((a[is_event] < n_z) == (graph == "z")).all()
+        lo = np.min(dt, axis=1, where=is_event, initial=np.iinfo(dt.dtype).max, keepdims=True)
+        key = np.where(is_event, (dt - lo) * n_cells + stab_cells[a], np.iinfo(dt.dtype).max)
+        key.sort(axis=1)
+        count = is_event.sum(axis=1)
+        dt_rel, cell = np.divmod(key[np.arange(key.shape[1]) < count[:, None]], n_cells)
+        events = list(zip(cell.tolist(), dt_rel.tolist()))
+        ends = np.cumsum(count).tolist()
+        return (tuple(events[start:end]) for start, end in zip([0] + ends, ends))
 
-    def signature(graph: str, events) -> tuple:
-        lo = min(events)[0]
-        sig = []
-        for dt, a in events:
-            assert (a < n_z) == (graph == "z")
-            sig.append((stab_cells[a], dt - lo))
-        sig.sort(key=lambda e: (e[1], e[0]))
-        return tuple(sig)
+    def flips(sig: tuple, location: tuple) -> tuple:
+        if not sig:
+            raise ValueError(f"the fault at {location} flips no detection event")
+        return sig
 
     p_cnot = model.p2 * 4.0 / 15.0
     p_idle = model.pI * 2.0 / 3.0
@@ -121,16 +125,16 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
                      "both": kinds2.index(one + one)}
         stabs = range(n_z) if graph == "z" else range(n_z, len(stab_cells))
         # Every row this graph reads, in the order the loops below take them.
-        events = row_events(np.concatenate(
+        sigs_of_rows = row_signatures(graph, np.concatenate(
             [(table.slot_rows("cnot")[:, None] + list(comp_kind.values())).ravel()]
             + [table.slot_rows(f"idle{step}") + kinds1.index(one) for step in circuit.idle_steps]
             + [table.slot_rows("meas")[stabs]]))
         for gate in range(circuit.n_cnots):
             sigs: dict[tuple, list[str]] = {}
             for comp in comp_kind:
-                comp_events = next(events)
-                if comp_events:
-                    sigs.setdefault(signature(graph, comp_events), []).append(comp)
+                sig = next(sigs_of_rows)
+                if sig:
+                    sigs.setdefault(sig, []).append(comp)
             for sig, comps in sigs.items():
                 if len(comps) == 1:
                     yield ErrorProcess(graph, ("cnot", gate), comps[0],
@@ -140,11 +144,13 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
                                        "8p2/15", len(comps) * p_cnot), sig
         for step in circuit.idle_steps:
             for cell in data_cells:
-                yield (ErrorProcess(graph, (f"idle{step}", cell), "flip", "2pI/3", p_idle),
-                       signature(graph, next(events)))
-        for a in stabs:
-            yield (ErrorProcess(graph, ("meas", stab_cells[a]), "flip", "pM", model.pM),
-                   signature(graph, next(events)))
+                location = (f"idle{step}", cell)
+                yield (ErrorProcess(graph, location, "flip", "2pI/3", p_idle),
+                       flips(next(sigs_of_rows), location))
+        for cell in stab_cells[stabs].tolist():
+            location = ("meas", cell)
+            yield (ErrorProcess(graph, location, "flip", "pM", model.pM),
+                   flips(next(sigs_of_rows), location))
 
 
 @dataclass

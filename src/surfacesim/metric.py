@@ -18,7 +18,9 @@ convert (cell, t) nodes only at their edge; the per-pair definitions
 * d_n: -ln of the summed probability of all simple paths using the
   minimum number of links l, plus paths up to l+n links.
 * boundary_distance: cheapest d_max-style escape to a spatial boundary,
-  read from the start of one `settled` search.
+  read from the start of one `settled` search on the graph's time-free
+  cell view (`LinkGraph.cells`), which gives it bit for bit, since exits
+  do not depend on t.
 * settled: d_max from one source to every node within a fixed cutoff,
   lightest first.  The decoder's dmax table reads one per source, cut at
   twice the source's boundary weight.
@@ -67,8 +69,10 @@ per source:
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
+from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
@@ -104,7 +108,8 @@ class LinkGraph:
     window.  A cell's links follow the table's class order, which fixes
     how searches break ties.  No link joins a node to itself: two events
     of one stabilizer in one round cancel; one pair class gives at most
-    one link between two nodes, listed from both ends.
+    one link between two nodes, listed from both ends.  `cells` is the
+    graph's time-free view, on which `boundary_distance` searches.
     """
 
     def __init__(self, table: EdgeClassTable, graph: str):
@@ -124,6 +129,25 @@ class LinkGraph:
         self.exits = {cell: (cls.probability, cls.side)
                       for cell, cls in table.boundary_classes[graph].items()
                       if cls.probability > 0.0}
+
+    @cached_property
+    def cells(self) -> LinkGraph:
+        """The time-free view, for boundary weights: one node (cell, 0) per
+        cell, and per neighbouring cell one link, the lightest of the
+        cell's links to it, with step dcell * _T_SPAN.  Links from a cell
+        to itself (moves in time only) are dropped; the other attributes,
+        exits and w_min among them, are the graph's."""
+        half = _T_SPAN // 2
+        view = copy.copy(self)
+        view.links = {}
+        for cell, row in self.links.items():
+            lightest: dict[int, tuple[float, float, int]] = {}
+            for p, w, step in row:
+                dcell = (step + half) // _T_SPAN
+                if dcell and (dcell not in lightest or w < lightest[dcell][1]):
+                    lightest[dcell] = (p, w, dcell * _T_SPAN)
+            view.links[cell] = list(lightest.values())
+        return view
 
     def neighbors(self, node: tuple[int, int]):
         """Yields ((cell, t), probability) per link of node (cell, t), for
@@ -420,15 +444,30 @@ def boundary_distance(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]
     """Cheapest escape from node s to a spatial boundary of its graph type.
 
     Returns (-ln probability of the best escape chain, boundary side).  The
-    `settled` search from s stops at the first node no lighter than the
-    best escape found so far, since no escape through it can be lighter.
+    search runs on the time-free view `graph.cells` from (cell, 0), since
+    exits do not depend on t; it stops at the first cell no lighter than
+    the best escape found so far, since no escape through it can be
+    lighter.  Weight and side are bit for bit those of the same loop over
+    `settled(graph, s)`:
+
+    * Float addition of non-negative weights is monotone, so `settled`
+      returns, per node, the minimum over paths of the path's left-to-right
+      float sum.  Every space-time path to some (c, t) projects onto a walk
+      of the view to c no heavier (a step in time only is dropped, a link
+      is replaced by the lightest between the same cells), and every walk
+      of the view lifts to a space-time walk of the same weight; so the
+      view's weight of c is min over t of the weight of (c, t).
+    * Escapes through later nodes of a cell weigh no less than through its
+      first, so they never win; the first nodes of the cells settle in
+      (weight, cell) order in both searches, so the strict `<` below keeps
+      the same side.
     """
     best = math.inf
     best_side = None
-    for d, node in settled(graph, s):
+    for d, (cell, _) in settled(graph.cells, (s[0], 0)):
         if d >= best:
             break
-        link = graph.exits.get(node[0])
+        link = graph.exits.get(cell)
         if link is not None:
             w = d - math.log(link[0])
             if w < best:

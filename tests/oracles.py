@@ -245,6 +245,26 @@ def dmax_table_reference(graph: LinkGraph, cells: list[int], b_max: float,
     return wtab
 
 
+def boundary_distance_reference(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]:
+    """`metric.boundary_distance` by one `settled` search of the space-time
+    graph from node s itself, stopped at the first node no lighter than
+    the best escape found so far."""
+    best = math.inf
+    best_side = None
+    for d, node in settled(graph, s):
+        if d >= best:
+            break
+        link = graph.exits.get(node[0])
+        if link is not None:
+            w = d - math.log(link[0])
+            if w < best:
+                best, best_side = w, link[1]
+    if best_side is None:
+        lat = graph.lattice
+        return math.inf, lat.nearest_boundary(lat.cell(s[0]))[1]
+    return best, best_side
+
+
 def _csr_rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entry positions of the given CSR rows (concatenated) and each row's count."""
     starts = ptr[rows]

@@ -332,6 +332,18 @@ def test_process_signature_matches_propagation_d3():
         assert sig == propagate_process(circ, proc), proc
 
 
+@pytest.mark.parametrize("phase,kinds", [("idle6", 3), ("meas", 1)])
+def test_idle_or_readout_fault_without_events_is_refused(phase, kinds):
+    # An idle or readout fault always flips a detection event; one whose
+    # fault-table rows flip none is refused by name, not grouped.
+    lat = build_lattice(3)
+    circ = compile_circuit(lat, standard_schedule(lat))
+    table = circ.fault_table
+    table.pad[table.slot_rows(phase)[0] + np.arange(kinds)] = -1
+    with pytest.raises(ValueError, match=f"fault at \\('{phase}', .*flips no detection event"):
+        derive_edge_classes(circ, preset("standard", 0.01))
+
+
 def _class_snapshot(table):
     pairs = {g: {key: (c.members, c.probability, c.cells, c.dt, c.offset)
                  for key, c in table.pair_classes[g].items()} for g in ("x", "z")}

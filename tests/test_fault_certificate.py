@@ -140,10 +140,11 @@ PAIR_SAMPLE = 4000
 PAIR_SEED = 12
 
 
-def _nearby_pairs(circ) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=1)
+def _nearby_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The unordered pairs (r < s) of distinct fault-table rows whose
     supports come within PAIR_RADIUS cells, in row-major order."""
-    xy = _supports(circ)
+    xy = _supports(_circuit(d))
     near = np.zeros((len(xy), len(xy)), dtype=bool)
     for a in range(2):
         for b in range(2):
@@ -152,23 +153,48 @@ def _nearby_pairs(circ) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(np.triu(near, k=1))
 
 
-def test_nearby_fault_pairs_are_corrected_d5():
+def _fired_rows(circ, model: ErrorModel) -> np.ndarray:
+    """Per fault-table row, whether the model can fire it: its phase's
+    probability is positive."""
+    table = circ.fault_table
+    fires = np.zeros(table.pad.shape[0], dtype=bool)
+    for phase, attr, kinds in _phases(circ):
+        if getattr(model, attr) > 0.0:
+            for k in range(kinds):
+                fires[table.slot_rows(phase) + k] = True
+    return fires
+
+
+NEARBY_MODELS = {"standard": STANDARD, "balanced": preset("balanced", 0.01),
+                 "iontrap": preset("iontrap", 0.01),
+                 "phenomenological": ErrorModel(0.0, 0.015, 0.01)}
+
+
+@pytest.mark.parametrize("model", list(NEARBY_MODELS))
+def test_nearby_fault_pairs_are_corrected_d5(model):
     """Pairs of faults whose supports lie within 4 cells (Chebyshev), in
     rounds at most one apart, are corrected at d = 5 under `dmax` and
-    `d0`-`d2`, standard model.  There are 1,832,593 such row pairs, each
-    in three round orders (the second row one round before, with or after
-    the first), about 5.5 million windows: too many for tier-1.  A fixed
-    seeded sample of 4,000 is decoded: the first row at round index 2 of
-    a 5-round window, the second at 1, 2 or 3."""
+    `d0`-`d2`.  Only pairs of rows the model can fire are drawn: all
+    1,832,593 such row pairs under the presets, 7,423 at the
+    phenomenological point, whose CNOT rows have probability 0.  Each pair
+    comes in three round orders (the second row one round before, with or
+    after the first), about 5.5 million windows under a preset: too many
+    for tier-1.  A fixed seeded sample of 4,000 is decoded: the first row
+    at round index 2 of a 5-round window, the second at 1, 2 or 3."""
     circ = _circuit(5)
-    first, second = _nearby_pairs(circ)
+    error_model = NEARBY_MODELS[model]
+    first, second = _nearby_pairs(5)
     assert first.size == 1_832_593
+    fires = _fired_rows(circ, error_model)
+    keep = fires[first] & fires[second]
+    first, second = first[keep], second[keep]
+    assert first.size == (7_423 if model == "phenomenological" else 1_832_593)
     rng = np.random.default_rng(PAIR_SEED)
     pick = rng.choice(first.size, PAIR_SAMPLE, replace=False)
     offsets = rng.integers(-1, 2, PAIR_SAMPLE)
     windows = [fault_window(circ, [(first[i], 2), (second[i], 2 + dt)], 5)
                for i, dt in zip(pick.tolist(), offsets.tolist())]
-    table = derive_edge_classes(circ, STANDARD)
+    table = derive_edge_classes(circ, error_model)
     missed = {}
     for metric in ("dmax", "d0", "d1", "d2"):
         dec = Decoder(table, metric)

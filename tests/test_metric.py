@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from oracles import boundary_distance_reference
 from surfacesim.lattice import build_lattice, standard_schedule
 from surfacesim.noise import ErrorModel, preset
 from surfacesim.sim import compile_circuit
@@ -424,6 +425,63 @@ def test_boundary_distance_monotone_row_sweep(table_d5, graph_z):
     assert weights[0] < weights[mid]
     assert weights[-1] < weights[mid]
     assert weights == pytest.approx(weights[::-1], rel=1e-9)
+
+
+BOUNDARY_MODELS = {"standard": "standard", "balanced": "balanced", "iontrap": "iontrap",
+                   "phenomenological": ErrorModel(0.0, 0.015, 0.01),
+                   "code_capacity": ErrorModel(0.0, 0.15, 0.0),
+                   "silent": ErrorModel(0.0, 0.0, 0.0)}
+
+
+@pytest.mark.parametrize("model", list(BOUNDARY_MODELS))
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_boundary_distance_is_the_space_time_search(d, model):
+    """The search on the time-free cell view gives the weight and side of
+    the search of the space-time graph from the node itself, bit for bit,
+    from sources at t = 0 and t != 0."""
+    table = _table(d, BOUNDARY_MODELS[model])
+    lat = table.lattice
+    finite = sources = 0
+    for g in ("x", "z"):
+        graph = LinkGraph(table, g)
+        for c in lat.stabilizers(g):
+            for t in (0, 3, -2):
+                source = (lat.index(c), t)
+                w, side = boundary_distance(graph, source)
+                ref_w, ref_side = boundary_distance_reference(graph, source)
+                assert (w.hex(), side) == (ref_w.hex(), ref_side)
+                finite += math.isfinite(w)
+                sources += 1
+    assert finite == (0 if model == "silent" else sources) and sources == 6 * d * (d - 1)
+
+
+@pytest.mark.parametrize("model", ["standard", "iontrap", "phenomenological"])
+def test_cell_view_keeps_the_lightest_link_per_neighbouring_cell(model):
+    """`LinkGraph.cells` has no link from a cell to itself and one link per
+    neighbouring cell, the lightest of the graph's links between the two
+    cells, with a step that changes the cell only; its exits are the
+    graph's."""
+    table = _table(5, BOUNDARY_MODELS[model])
+    several = 0
+    for g in ("x", "z"):
+        graph = LinkGraph(table, g)
+        view = graph.cells
+        assert view is graph.cells and view.exits == graph.exits
+        lightest: dict[tuple[int, int], list[float]] = {}
+        for (u, v, _), cls in table.pair_classes[g].items():
+            if cls.probability > 0.0 and u != v:
+                for key in ((u, v), (v, u)):
+                    lightest.setdefault(key, []).append(-math.log(cls.probability))
+        several += sum(len(set(ws)) > 1 for ws in lightest.values())
+        got: dict[tuple[int, int], float] = {}
+        for cell, row in view.links.items():
+            for p, w, step in row:
+                assert step % metric._T_SPAN == 0 and step != 0
+                key = (cell, cell + step // metric._T_SPAN)
+                assert key not in got and w == -math.log(p)
+                got[key] = w
+        assert got == {key: min(ws) for key, ws in lightest.items()}
+    assert several > 0 or model == "phenomenological"
 
 
 def test_paper_anchor_pair_values():
