@@ -84,6 +84,12 @@ DECODER_DIGESTS = {
         "86436f852ec2bbfb0e1b0eb8b7ea5439d508aa52c310cad131ce3634f5bd8aa5",
     (3, "d2"):
         "83b5cfc512efd4959365f4dd0a92797a732821edf159bbad09cd2fa403a91fa0",
+    (5, "d0"):
+        "b5c1d32c1adbe48d44bb38c18fa01497aad5fa82bd7d90ecef6fe74c179d12a8",
+    (5, "d1"):
+        "876bdabcf0dacb2439b5fef4b355269c40f2a9baddcccac5f678122f06719ee6",
+    (5, "d2"):
+        "d8acf8718239f3dc419bf5eca6745c971ebde6f392d0e86a88ed0d78d7d309b2",
     (5, "dmax"):
         "5a59e5349eb6d09146e7ae211bf493e6d4a952486807987ee039688105fa33df",
     (5, "manhattan"):
