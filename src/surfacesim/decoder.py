@@ -32,9 +32,10 @@ stabilizer:
   source's breadth-first ball as a dynamic program over the last link
   taken; a step onto a link takes its probability times the weight that
   arrived at its near end, for d2 less the weight on its reverse link
-  (no stepping back).  The balls are walked in groups, in source order,
-  each group walked once it holds `metric.GROUP_LINKS` links, so one
-  numpy pass per step serves several sources;
+  (no stepping back).  Sources form groups in stabilizer order, of about
+  `metric.GROUP_LINKS` links; a group's balls are gathered one level
+  of all of them per numpy pass and walked together, one numpy pass per
+  step;
 * manhattan: the closed form over the same targets.
 
 The tables prune nothing by weight: the one prune rule is the candidate

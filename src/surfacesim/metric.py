@@ -45,10 +45,9 @@ per source:
   through its target or its source.
 * A walk of at most max l(y) + n links stays inside the breadth-first
   ball of that radius around the source, so the program runs on the
-  ball's links only, nodes numbered in discovery order.  Its state is
-  the last link taken, which is enough to forbid stepping back; each
-  target sums the weight that arrives at it after l(y) .. l(y) + n
-  steps, read at its own node only.
+  ball's links only.  Its state is the last link taken, which is enough
+  to forbid stepping back; each target sums the weight that arrives at
+  it after l(y) .. l(y) + n steps, read at its own node only.
 * A step gives link f = (v -> x) p_f times the weight that arrived at v
   the step before; for n = 2, less the weight of the walks ending on
   f's reverse link (x -> v), which would step back.  A node has no
@@ -58,13 +57,24 @@ per source:
   n <= 1 each link's sum has the terms and order of a sum over explicit
   link-to-link transitions; for n = 2 the subtraction can move the last
   bit.
-* Balls are walked in groups, laid end to end with node and link
-  offsets, so that one bincount per step serves a whole group; a group
-  walks as many steps as its longest member needs.  Sources join the
-  group being built in query order, and a group is walked once it holds
-  GROUP_LINKS links, so a ball of that many links or more closes its
-  group.  Sources in a group share no node and keep their own link
-  order, so each gets the sums it gets walked alone.
+* The balls of a group of sources are gathered together, one level of
+  every ball per numpy pass, over a dense (source, cell, t) index that
+  numbers each ball's nodes.  A pass lists the last level's links in
+  (node, link) order and numbers the nodes they first reach by first
+  appearance, source by source, so each ball numbers its nodes and
+  orders its links as it would on its own; only the levels of different
+  balls interleave.  The links go straight into the group's walk arrays,
+  one program on the balls' disjoint union: one bincount per step
+  serves the whole group, and every node sums its incoming links in
+  its own ball's order, so each source gets, bit for bit, the weights
+  it gets walked alone.  A group walks as many steps as its longest
+  member needs; step s walks only the links leaving levels below s, as
+  the others carry no weight yet.
+* Sources join groups in query order, and a group is fixed before it is
+  gathered: a source is expected to bring the graph's links of
+  2 (|dt| + n) + 1 rounds, |dt| its farthest target's offset in time,
+  and a group is closed once its sources' expected links reach
+  GROUP_LINKS.
 """
 
 from __future__ import annotations
@@ -73,7 +83,7 @@ import copy
 import heapq
 import math
 from functools import cached_property
-from itertools import islice
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -83,12 +93,13 @@ from .edge_analysis import EdgeClassTable
 MAX_LINKS = 64  # longest fewest-link path searched for
 MAX_PATHS = 2_000_000  # path enumeration guard of path_sum
 METRICS = ("manhattan", "dmax", "d0", "d1", "d2")  # decoder metric names
-# Links at which a group of path-sum balls is walked.  Walk time of
-# standard-model d2 builds at p = 1% (2-core box, best of 3-20 builds) at
-# d = 3 / 5 / 7: one walk per ball 1.0 / 12 / 84-96 ms, groups of this
-# size 0.54 / 11-12 / 85-93 ms, one group per graph 0.55 / 24-25 /
-# 221-253 ms.
-GROUP_LINKS = 8192
+# Expected links at which a group of path-sum sources is closed (see
+# path_sum_table).  path_sum_table time for both graphs of standard-model
+# d2 builds at p = 1% (2-core box, best of 4-16 interleaved runs) at
+# d = 5 / 7 / 9: 17.9 / 138 / 583 ms at this value; 18.6 / 168 / 637 at
+# 8192, 17.4 / 148 / 679 at 16384, 20.3 / 149 / 603 at 65536.  At d = 3,
+# one group per graph from 8192 up, it does not matter.
+GROUP_LINKS = 32768
 _T_SPAN = 1 << 32  # node codes: see LinkGraph
 
 
@@ -253,163 +264,227 @@ def path_sum_table(graph: LinkGraph, queries, n: int) -> list[list[float]]:
     [d_n(graph, source, y, n)[0] for y in targets] up to rounding, from
     one walk program per source (see the module docstring).  A target
     with no path of at most MAX_LINKS links gets weight inf.
+
+    Sources are gathered and walked in groups, in query order; a group
+    is closed once its sources' expected links, the graph's links of
+    2 (|dt| + n) + 1 rounds each, |dt| the source's farthest target's
+    offset in time, reach GROUP_LINKS.
     """
     if not 0 <= n <= 2:
         raise ValueError("n must be in [0, 2]")
-    link_rows = _link_rows(graph)
+    links = _link_rows(graph, n)
+    queries = list(queries)
+    counts = np.array([len(targets) for _, targets in queries], dtype=np.intp)
+    sources = np.fromiter(chain.from_iterable(source for source, _ in queries),
+                          dtype=np.intp, count=2 * len(queries)).reshape(-1, 2)
+    targets = np.fromiter(chain.from_iterable(chain.from_iterable(t for _, t in queries)),
+                          dtype=np.intp, count=2 * int(counts.sum())).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(queries)), counts)
+    rounds = np.zeros(len(queries), dtype=np.intp)
+    np.maximum.at(rounds, owner, np.abs(targets[:, 1] - sources[owner, 1]))
+    expected = (links.move.size * (2 * (rounds + n) + 1)).tolist()
+    offsets = np.concatenate(([0], np.cumsum(counts))).tolist()
     out: list[list[float]] = []
-    group: list[_Ball] = []
-    links = 0
-    for source, targets in queries:
-        ball = _ball(link_rows, source, targets, n)
-        group.append(ball)
-        links += ball.tail.size
-        if links >= GROUP_LINKS:
-            _walk(group, n, out)
-            group, links = [], 0
-    if group:
+    i = 0
+    while i < len(queries):
+        j, total = i + 1, expected[i]
+        while j < len(queries) and total < GROUP_LINKS:
+            total += expected[j]
+            j += 1
+        group = _gather(links, sources[i:j], targets[offsets[i]:offsets[j]], counts[i:j], n)
         _walk(group, n, out)
+        i = j
     return out
 
 
-def _link_rows(graph: LinkGraph):
-    """Per cell of the graph: its links' steps, for the ball gather, and
-    rows padded to the largest link count of a cell: each link's
-    probability, the position of its reverse among the far cell's links,
-    and which slots hold a link."""
+class _Links(NamedTuple):
+    """A graph's links for the gather, cell by cell: cell c's are the fan[c]
+    entries from first[c] on, in the order of its row in LinkGraph.links.
+    Each has its probability, the position of its reverse among the far
+    cell's links, and its move: the far node's entry of a dense index
+    (see `_gather`) less the near node's, cell offset * span + t offset.
+    The index holds span = 2h + 1 rounds, every t within h of the source,
+    and no walk of at most MAX_LINKS + n links leaves them."""
+
+    first: np.ndarray
+    fan: np.ndarray
+    move: np.ndarray
+    prob: np.ndarray
+    rev: np.ndarray
+    cells: int
+    span: int
+
+
+def _link_rows(graph: LinkGraph, n: int) -> _Links:
+    """The graph's links for walks of at most MAX_LINKS + n links."""
     half = _T_SPAN // 2
-    steps = {cell: [s for _, _, s in row] for cell, row in graph.links.items()}
+    cells = graph.lattice.size ** 2  # every cell, sources without links included
+    order = sorted(graph.links)
+    steps = {cell: [s for _, _, s in graph.links[cell]] for cell in order}
     slots = {cell: {s: j for j, s in enumerate(row)} for cell, row in steps.items()}
     for cell, row in steps.items():
         if 0 in slots[cell] or len(slots[cell]) != len(row):
             raise ValueError(f"cell {cell} has a link of step 0 or two links of one step")
-    size = graph.lattice.size ** 2  # every cell, sources without links included
-    width = max(map(len, steps.values()), default=0)
-    prob = np.zeros((size, width))
-    rev = np.zeros((size, width), dtype=np.intp)
-    used = np.zeros((size, width), dtype=bool)
-    for cell, row in graph.links.items():
-        k = len(row)
-        prob[cell, :k] = [p for p, _, _ in row]
-        rev[cell, :k] = [slots[(cell * _T_SPAN + half + s) // _T_SPAN][-s]
-                         for _, _, s in row]
-        used[cell, :k] = True
-    return steps, prob, rev, used
+    moves = [divmod(s + half, _T_SPAN) for cell in order for s in steps[cell]]
+    span = 2 * (MAX_LINKS + n) * max((abs(t - half) for _, t in moves), default=0) + 1
+    fan = np.zeros(cells, dtype=np.intp)
+    fan[order] = [len(steps[cell]) for cell in order]
+    return _Links(
+        np.cumsum(fan) - fan, fan,
+        np.array([dcell * span + t - half for dcell, t in moves], dtype=np.intp),
+        np.array([p for cell in order for p, _, _ in graph.links[cell]], dtype=float),
+        np.array([slots[cell + (s + half) // _T_SPAN][-s] for cell in order for s in steps[cell]],
+                 dtype=np.intp),
+        cells, span)
 
 
-class _Ball(NamedTuple):
-    """One source's ball as link arrays over its nodes, numbered in
-    discovery order with the source at 0; rev is -1 where the ball lacks
-    the reverse link.  Target j sits at node rows[k] for j = found[k], at
-    depth l(y) = depth[k]; the others have no path of at most MAX_LINKS
-    links."""
+class _Group(NamedTuple):
+    """The balls of a group of sources as one link program over their
+    nodes; source i is node i.  rev is the position of each link's
+    reverse, or the link count where the ball lacks it (only for n = 2).
+    Flat target j (the group's targets end to end, counts[i] of them for
+    source i) sits at node rows[k] for j = found[k], at depth l(y) =
+    depth[k]; the others have no path of at most MAX_LINKS links.  Source
+    i's walk needs steps[i] steps.  Nodes and links are numbered level by
+    level: levels[s] counts the links leaving nodes of level < s and the
+    nodes of level <= s, for s up to the deepest level gathered."""
 
-    size: int
+    nodes: int
     tail: np.ndarray
     head: np.ndarray
     prob: np.ndarray
     rev: np.ndarray | None
-    n_targets: int
-    found: list[int]
+    counts: np.ndarray
+    found: np.ndarray
     rows: np.ndarray
     depth: np.ndarray
-    steps: int
+    steps: np.ndarray
+    levels: list[tuple[int, int]]
 
 
-def _ball(link_rows, source, targets, n: int) -> _Ball:
-    """The breadth-first ball over node codes around one source: l(y) per
-    target, and every link a walk of at most max l(y) + n links can take."""
-    steps_of, prob_of, rev_of, used_of = link_rows
-    get, half = steps_of.get, _T_SPAN // 2
-    start = source[0] * _T_SPAN + source[1] + half
-    codes = [cell * _T_SPAN + t + half for cell, t in targets]
-    if start in codes:
+def _gather(links: _Links, sources, targets, counts, n: int) -> _Group:
+    """The breadth-first balls around a group of sources, one level of
+    every ball per pass: l(y) per target, and every link a walk of at most
+    max l(y) + n links can take, straight into the group's link arrays."""
+    k, cells, span = len(sources), links.cells, links.span
+    half, slab = span // 2, cells * span
+    # index[(i * cells + cell) * span + t - t_i + half] numbers node
+    # (cell, t) of source i's ball; -1 while unreached.
+    index = np.full(k * slab, -1, dtype=np.intp)
+    keys = np.arange(k) * slab + sources[:, 0] * span + half
+    index[keys] = np.arange(k)
+    owner = np.repeat(np.arange(k), counts)
+    cell, dt = targets[:, 0], targets[:, 1] - sources[owner, 1]
+    valid = (cell >= 0) & (cell < cells) & (np.abs(dt) <= half)
+    tkey = np.where(valid, (owner * cells + cell) * span + dt + half, -1)
+    if np.any(tkey == keys[owner]):
         raise ValueError("source and target must differ")
-    index = {start: 0}
-    setdefault = index.setdefault
-    heads: list[int] = []
-    ends = [1]  # nodes discovered by the end of each level
-    missing = set(codes)
-    l_max = level = gathered = 0
-    frontier = [start]
-    while frontier and ((missing and level < MAX_LINKS) or level < l_max + n):
-        # The links of the last level's nodes, in node then link order; a
-        # node is numbered when first reached.
-        gathered = len(index)
-        heads += [setdefault(code + s, len(index))
-                  for code in frontier for s in get(code // _T_SPAN, ())]
-        frontier = list(islice(reversed(index), len(index) - gathered))[::-1]
-        ends.append(len(index))
-        level += 1
-        if missing and level <= MAX_LINKS:
-            hit = missing.intersection(frontier)
-            if hit:
-                missing -= hit
-                l_max = level
+    depth = np.full(owner.size, -1, dtype=np.intp)
+    wait = np.flatnonzero(valid)  # targets not reached yet
+    missing = np.bincount(owner, minlength=k)
+    steps = np.full(k, n, dtype=np.intp)  # l_max + n per source
 
-    # Nodes 0 .. gathered - 1 had their links taken, each cell's in order.
-    cells = np.fromiter(islice(index, gathered), dtype=np.int64, count=gathered) // _T_SPAN
-    used = used_of[cells]
-    fan = used.sum(axis=1)
-    head = np.array(heads, dtype=np.intp)
+    none = np.zeros(0, dtype=np.intp)
+    frontiers, fans, positions, heads = [none], [none], [none], [none]
+    levels = [(0, k)]
+    new_ids, new_keys = np.arange(k), keys
+    nodes, n_links, level = k, 0, 0
+    while new_keys.size:
+        # A ball grows to l_max + n levels, and to MAX_LINKS while a
+        # target is missing.
+        live = (level < steps) | ((missing > 0) & (level < MAX_LINKS))
+        if not live.all():
+            go = live[new_keys // slab]
+            new_ids, new_keys = new_ids[go], new_keys[go]
+            if not new_keys.size:
+                break
+        # The links of the last level's nodes, in node then link order.
+        cell = new_keys // span % cells
+        fan = links.fan[cell]
+        ends = fan.cumsum()
+        pos = np.arange(ends[-1]) + (links.first[cell] - ends + fan).repeat(fan)
+        far = new_keys.repeat(fan) + links.move[pos]
+        head = index[far]
+        # Nodes first reached are numbered by first appearance: the
+        # reversed scatter leaves each key the position of its first.
+        new = (head < 0).nonzero()[0]
+        fresh = far[new]
+        at = np.arange(fresh.size)
+        index[fresh[::-1]] = at[::-1]
+        frontiers.append(new_ids)
+        new_keys = fresh[index[fresh] == at]
+        new_ids = np.arange(nodes, nodes + new_keys.size)
+        index[new_keys] = new_ids
+        head[new] = index[fresh]
+        fans.append(fan)
+        positions.append(pos)
+        heads.append(head)
+        nodes += new_keys.size
+        n_links += pos.size
+        level += 1
+        levels.append((n_links, nodes))
+        if level <= MAX_LINKS and wait.size:
+            hit = index[tkey[wait]] >= 0
+            if hit.any():
+                found = wait[hit]
+                depth[found] = level
+                steps[owner[found]] = level + n
+                missing -= np.bincount(owner[found], minlength=k)
+                wait = wait[~hit]
+
+    frontier, fan = np.concatenate(frontiers), np.concatenate(fans)
+    pos, head = np.concatenate(positions), np.concatenate(heads)
     rev = None
     if n == 2:
-        first = np.zeros(gathered + 1, dtype=np.intp)
-        np.cumsum(fan, out=first[1:])
-        rev = np.where(head < gathered,
-                       first[np.minimum(head, gathered)] + rev_of[cells][used], -1)
-    found = [j for j, y in enumerate(codes) if y not in missing]
-    rows = np.array([index[codes[j]] for j in found], dtype=np.intp)
-    return _Ball(len(index), np.repeat(np.arange(gathered), fan), head,
-                 prob_of[cells][used], rev, len(codes), found, rows,
-                 np.searchsorted(ends, rows, side="right"), l_max + n)
+        start = np.full(nodes, -1, dtype=np.intp)  # each expanded node's first link
+        start[frontier] = np.cumsum(fan) - fan
+        ahead = start[head]
+        rev = np.where(ahead >= 0, ahead + links.rev[pos], n_links)
+    found = np.flatnonzero(depth >= 0)
+    return _Group(nodes, np.repeat(frontier, fan), head, links.prob[pos], rev, counts,
+                  found, index[tkey[found]], depth[found], steps, levels)
 
 
-def _walk(balls: list[_Ball], n: int, out: list[list[float]]) -> None:
-    """Walks balls as one program on their disjoint union, for as many
-    steps as the longest needs, and appends each ball's weights to out."""
-    node_off = np.cumsum([0] + [b.size for b in balls])
-    link_off = np.cumsum([0] + [b.tail.size for b in balls])
-    size, n_links = int(node_off[-1]), int(link_off[-1])
-    tail = np.concatenate([b.tail + o for b, o in zip(balls, node_off)])
-    head = np.concatenate([b.head + o for b, o in zip(balls, node_off)])
-    prob = np.concatenate([b.prob for b in balls])
-    if n == 2:
-        rev = np.concatenate([np.where(b.rev < 0, n_links, b.rev + o)
-                              for b, o in zip(balls, link_off)])
-    rows = np.concatenate([b.rows + o for b, o in zip(balls, node_off)])
-    depth = np.concatenate([b.depth for b in balls])
+def _walk(group: _Group, n: int, out: list[list[float]]) -> None:
+    """Walks a group's balls as one program, for as many steps as the
+    longest needs, and appends each source's weights to out."""
+    tail, head, prob, rev = group.tail, group.head, group.prob, group.rev
     # Targets by l(y): those read after `step` steps form one slice.
-    order = np.argsort(depth, kind="stable")
-    rows, depth = rows[order], depth[order]
-    step_no = np.arange(1, max(b.steps for b in balls) + 1)
+    order = np.argsort(group.depth, kind="stable")
+    rows, depth = group.rows[order], group.depth[order]
+    step_no = np.arange(1, int(group.steps.max(initial=0)) + 1)
     lo = np.searchsorted(depth, step_no - n, side="left").tolist()
     hi = np.searchsorted(depth, step_no, side="right").tolist()
 
     total = np.zeros(rows.size)
-    at = np.zeros(size)
-    at[node_off[:-1]] = 1.0
-    w = np.zeros(n_links + 1)  # the last slot stands in for absent reverses
-    for a, b in zip(lo, hi):
-        # Weight of walks ending on each link, then at each node.
+    at = np.zeros(group.nodes)
+    at[:group.steps.size] = 1.0
+    w = np.zeros(tail.size + 1)  # the last slot stands in for absent reverses
+    last = len(group.levels) - 1
+    for step, (a, b) in enumerate(zip(lo, hi), 1):
+        # Weight of walks ending on each link, then at each node.  Links
+        # leaving level `step` or deeper carry none yet, and adding their
+        # 0.0 would change no sum, so only the links before them are walked.
+        m, size = group.levels[min(step, last)]
         if n == 2:
-            w[:n_links] = prob * (at[tail] - w[rev])
+            w[:m] = prob[:m] * (at[tail[:m]] - w[rev[:m]])
         else:
-            w[:n_links] = prob * at[tail]
-        at = np.bincount(head, weights=w[:n_links], minlength=size)
+            w[:m] = prob[:m] * at[tail[:m]]
+        at = np.bincount(head[:m], weights=w[:m], minlength=size)
         # Weight reaching a target y after l(y) .. l(y) + n steps counts.
         if a < b:
             total[a:b] += at[rows[a:b]]
 
     sums = np.empty_like(total)
     sums[order] = total
+    reached = sums > 0.0
+    weights = np.full(int(group.counts.sum()), math.inf)
+    weights[group.found[reached]] = [-math.log(s) for s in sums[reached].tolist()]
+    weights = weights.tolist()
     k = 0
-    for ball in balls:
-        weights = [math.inf] * ball.n_targets
-        for j, s in zip(ball.found, sums[k:k + len(ball.found)].tolist()):
-            weights[j] = -math.log(s) if s > 0.0 else math.inf
-        k += len(ball.found)
-        out.append(weights)
+    for count in group.counts.tolist():
+        out.append(weights[k:k + count])
+        k += count
 
 
 def settled(graph: LinkGraph, source, cutoff: float = math.inf):

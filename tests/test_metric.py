@@ -307,9 +307,9 @@ def test_grouped_sources_do_not_interact(d, n, monkeypatch):
     groups = []
     walk = metric._walk
 
-    def recorded(balls, *args):
-        groups.append(sorted(b.steps for b in balls))
-        walk(balls, *args)
+    def recorded(group, *args):
+        groups.append(sorted(group.steps.tolist()))
+        walk(group, *args)
 
     monkeypatch.setattr(metric, "_walk", recorded)
     for limit in (metric.GROUP_LINKS, 1 << 40):
@@ -321,42 +321,146 @@ def test_grouped_sources_do_not_interact(d, n, monkeypatch):
         path_sum_table(graph, queries + [((cells[0], 0), [(cells[0], 0)])], n)
 
 
-@pytest.mark.parametrize("limit", [metric.GROUP_LINKS, 4096])
+def _batched_as_alone(graph, queries, n, monkeypatch):
+    """Asserts that queries walked in one group get, bit for bit, the rows
+    each gets walked alone, and returns those rows."""
+    alone = [path_sum_table(graph, [q], n)[0] for q in queries]
+    sizes = []
+    gather = metric._gather
+
+    def recorded(links, sources, *args):
+        sizes.append(len(sources))
+        return gather(links, sources, *args)
+
+    monkeypatch.setattr(metric, "_gather", recorded)
+    monkeypatch.setattr(metric, "GROUP_LINKS", 1 << 40)
+    assert path_sum_table(graph, queries, n) == alone
+    assert sizes == [len(queries)]
+    return alone
+
+
+@pytest.fixture(scope="module")
+def graph_z3():
+    return LinkGraph(_table(3, "standard"), "z")
+
+
+def _stabilizer_cells(graph, kind="z"):
+    lat = graph.lattice
+    return [lat.index(c) for c in lat.stabilizers(kind)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_path_sum_table_repeated_target(graph_z3, n, monkeypatch):
+    """A target listed twice gets the same weight at both places."""
+    a, b, c = _stabilizer_cells(graph_z3)[:3]
+    queries = [((a, 0), [(b, 1), (c, 0), (b, 1), (b, 1)]), ((c, 0), [(a, 2), (a, 2)])]
+    (row, other) = _batched_as_alone(graph_z3, queries, n, monkeypatch)
+    assert row[0] == row[2] == row[3] and other[0] == other[1]
+    assert row[0] < math.inf
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_path_sum_table_same_query_twice(graph_z3, n, monkeypatch):
+    """Two sources at one node keep separate balls."""
+    cells = _stabilizer_cells(graph_z3)
+    query = ((cells[0], 0), [(b, dt) for b in cells for dt in range(3) if (b, dt) != (cells[0], 0)])
+    first, second = _batched_as_alone(graph_z3, [query, query], n, monkeypatch)
+    assert first == second
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_path_sum_table_target_before_the_source(graph_z3, n, monkeypatch):
+    """A target at negative t, and a source away from t = 0, is found like
+    any other: the weight depends only on the two nodes' offset."""
+    cells = _stabilizer_cells(graph_z3)
+    a, b = cells[0], cells[3]
+    queries = [((a, 0), [(b, -2), (a, -1), (b, 1)]), ((a, 5), [(b, 3), (a, 4), (b, 6)])]
+    rows = _batched_as_alone(graph_z3, queries, n, monkeypatch)
+    assert rows[0] == rows[1]
+    assert rows[0][0] == pytest.approx(d_n(graph_z3, (a, 0), (b, -2), n)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_path_sum_table_source_without_links(graph_z3, n, monkeypatch):
+    """A source cell without links (an X stabilizer in the Z graph),
+    between linked ones, reaches no target and leaves theirs as they are."""
+    cells = _stabilizer_cells(graph_z3)
+    lone = _stabilizer_cells(graph_z3, "x")[0]
+    assert lone not in graph_z3.links
+    queries = [((cells[0], 0), [(cells[1], 0), (cells[2], 1)]),
+               ((lone, 0), [(cells[1], 0), (lone, 1)]),
+               ((cells[2], 0), [(cells[0], 1)])]
+    rows = _batched_as_alone(graph_z3, queries, n, monkeypatch)
+    assert rows[1] == [math.inf, math.inf]
+    assert all(w < math.inf for w in rows[0] + rows[2])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_path_sum_table_unreachable_target_batched(graph_z3, n, monkeypatch):
+    """A source with a target beyond MAX_LINKS gathers every level up to
+    MAX_LINKS, while sources batched with it stop after a few levels."""
+    cells = _stabilizer_cells(graph_z3)
+    queries = [((cells[0], 0), [(cells[1], 0)]),
+               ((cells[1], 0), [(cells[2], MAX_LINKS + 1), (cells[0], 1)]),
+               ((cells[2], 0), [(cells[3], 0), (cells[2], 1)])]
+    groups = []
+    walk = metric._walk
+
+    def recorded(group, *args):
+        groups.append(group)
+        walk(group, *args)
+
+    monkeypatch.setattr(metric, "_walk", recorded)
+    rows = _batched_as_alone(graph_z3, queries, n, monkeypatch)
+    assert math.isinf(rows[1][0]) and rows[1][1] < math.inf
+    assert all(w < math.inf for w in rows[0] + rows[2])
+    # The last group is the batch: it walks a few steps, on levels
+    # gathered up to MAX_LINKS.
+    assert len(groups[-1].levels) == MAX_LINKS + 1
+    assert max(groups[-1].steps) < 10
+
+
+@pytest.mark.parametrize("limit", [metric.GROUP_LINKS, 8192, 4096])
 def test_balls_join_groups_in_query_order(limit, monkeypatch):
-    """A d = 5 `d2` decoder build makes one ball per query and walks each
-    once, in query order: a group is walked as soon as it holds `limit`
-    links, and the last one when the queries end."""
+    """A d = 5 `d2` decoder build gathers and walks every source once, in
+    query order and in groups: a source is expected to bring its graph's
+    links of 2 |dt| + 1 rounds, |dt| its farthest target's offset in
+    time, and a group takes sources until their expected links reach
+    `limit`."""
     table = _table(5, "standard")
     calls = []
-    table_call, ball, walk = metric.path_sum_table, metric._ball, metric._walk
+    table_call, gather, walk = metric.path_sum_table, metric._gather, metric._walk
 
     def recorded_table(graph, queries, n):
-        calls.append(([source for source, _ in queries], [], []))
+        per_round = sum(map(len, graph.links.values()))
+        calls.append(([(tuple(source),
+                        per_round * (2 * (max(abs(t - source[1]) for _, t in targets) + n) + 1))
+                       for source, targets in queries], [], []))
         return table_call(graph, queries, n)
 
-    def recorded_ball(link_rows, source, *args):
-        calls[-1][1].append((source, ball(link_rows, source, *args)))
+    def recorded_gather(links, sources, *args):
+        calls[-1][1].append((sources.tolist(), gather(links, sources, *args)))
         return calls[-1][1][-1][1]
 
-    def recorded_walk(balls, *args):
-        calls[-1][2].append(list(balls))
-        walk(balls, *args)
+    def recorded_walk(group, *args):
+        calls[-1][2].append(group)
+        walk(group, *args)
 
     monkeypatch.setattr(decoder, "path_sum_table", recorded_table)
-    monkeypatch.setattr(metric, "_ball", recorded_ball)
+    monkeypatch.setattr(metric, "_gather", recorded_gather)
     monkeypatch.setattr(metric, "_walk", recorded_walk)
     monkeypatch.setattr(metric, "GROUP_LINKS", limit)
     decoder.Decoder(table, "d2")
     assert len(calls) == 2
-    for sources, made, groups in calls:
-        assert [source for source, _ in made] == sources
-        walked = [b for group in groups for b in group]
-        assert len(walked) == len(made)
-        assert all(b is m for b, (_, m) in zip(walked, made))
-        links = [[b.tail.size for b in group] for group in groups]
-        assert all(sum(sizes) >= limit for sizes in links[:-1])
-        assert all(sum(sizes[:-1]) < limit for sizes in links)
-    assert any(len(group) > 1 for _, _, groups in calls for group in groups)
+    for queries, gathered, walked in calls:
+        assert [tuple(s) for group, _ in gathered for s in group] == [s for s, _ in queries]
+        assert len(walked) == len(gathered)
+        assert all(w is g for w, (_, g) in zip(walked, gathered))
+        expected = iter(e for _, e in queries)
+        sizes = [[next(expected) for _ in group] for group, _ in gathered]
+        assert all(sum(group[:-1]) < limit for group in sizes)
+        assert all(sum(group) >= limit for group in sizes[:-1])
+    assert any(len(group) > 1 for _, gathered, _ in calls for group, _ in gathered)
 
 
 def test_path_sum_table_without_links_reads_inf():
