@@ -424,8 +424,8 @@ def test_path_sum_table_unreachable_target_batched(graph_z3, n, monkeypatch):
 def test_balls_join_groups_in_query_order(limit, monkeypatch):
     """A d = 5 `d2` decoder build gathers and walks every source once, in
     query order and in groups: a source is expected to bring its graph's
-    links of 2 |dt| + 1 rounds, |dt| its farthest target's offset in
-    time, and a group takes sources until their expected links reach
+    links of 2 (|dt| + n) + 1 rounds, |dt| its farthest target's offset
+    in time, and a group takes sources until their expected links reach
     `limit`."""
     table = _table(5, "standard")
     calls = []
