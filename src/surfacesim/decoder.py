@@ -47,16 +47,17 @@ themselves at zero weight, and real-real edges heavier than the sum of
 the two boundary weights are pruned (they can never improve an optimal
 matching).  Each connected component of the surviving candidate graph
 is solved exactly: a lone pair is matched (its edge survived the
-prune), clusters of up to DP_MAX_NODES events go to dynamic programming
-over subsets, larger ones to a maximum-weight matching of pair gains by
-the event-driven blossom solver in `matching`.  The DP solves only the
-subsets reachable from the whole component, where each step removes the
-lowest event alone (to the boundary) or with one neighbour above it; on
-the sparse components of real windows that is about 4 / 6 / 9 / 12 of
-the 7 / 15 / 31 / 63 subsets of 3 / 4 / 5 / 6 events (d = 3, `d2`).
-Both solvers return the same optimum as blossom on the full graph, but
-where optima tie they may pick different ones, so the cutoff also fixes
-which optimum a tie gets.
+prune), and every larger one gets a maximum-weight matching of the pair
+gains b_u + b_v - w_uv: by dynamic programming over subsets up to
+DP_MAX_NODES events, beyond that by the event-driven blossom solver in
+`matching`.  Both take the same (n, edges) and maximize the same float
+sum, so both return an optimum of one objective, but where optima tie
+they may pick different ones, so the cutoff also fixes which optimum a
+tie gets.  The DP solves only the subsets reachable from the whole
+component, where each step removes the lowest event alone (to the
+boundary) or with one neighbour above it; on the sparse components of
+real windows that is about 4 / 6 / 9 / 12 of the 7 / 15 / 31 / 63
+subsets of 3 / 4 / 5 / 6 events (d = 3, `d2`).
 
 The candidate graph has two builders, chosen per graph by its event
 count, and they differ only in how they find the kept pairs.  Below
@@ -77,20 +78,20 @@ x events first, then z, each in scan order.  All graphs of
 ARRAY_MIN_EVENTS events or more are built by one numpy call, over their
 dense tables laid end to end and with each graph's rounds shifted past
 the rounds and reach of the one before, so no pair crosses graphs; the
-smaller ones append the scan's rows.  Both builders give per event
-parallel rows of neighbour labels and edge weights in scan order (time
-order, equal rounds in label order), pruned by the same float
-expression w < (b_u + b_v) - PRUNE_EPS; the arrays slice weight rows
-only for the events the subset DP reads.  One depth-first walk of the
-window's rows gives the components, each event's component and its
-position in it; a graph's components are the ones it would have alone,
-in the same order.  The subset DP reads the rows; a blossom component's
-position-sorted gain edges come from `_gain_edges` in a scan-built graph
-and from one numpy sort over every array-built blossom component.  Both
-solvers return a mate per position, which one loop over the window's
-components turns into each graph's pairs and boundary matches.  So
-every matching is the same whichever builder ran, and the same as
-matching each graph alone.
+smaller ones append the scan's rows.  Both builders give per event a
+row of neighbour labels in scan order (time order, equal rounds in
+label order), pruned by the same float expression
+w < (b_u + b_v) - PRUNE_EPS, and the gain (b_u + b_v) - w of each kept
+pair: the scan in a parallel row per event, the arrays as one list of
+kept pairs.  One depth-first walk of the window's rows gives the
+components, each event's component and its position in it; a graph's
+components are the ones it would have alone, in the same order.  A
+component of three or more events gets its position-sorted gain edges
+from `_gain_edges` in a scan-built graph and from one numpy sort over
+every such array-built component.  Both solvers return a mate per
+position, which one loop over the window's components turns into each
+graph's pairs and boundary matches.  So every matching is the same
+whichever builder ran, and the same as matching each graph alone.
 
 Corrections follow a canonical staircase (vertical leg then horizontal
 leg) between matched stabilizers, or run straight out of the recorded
@@ -284,26 +285,23 @@ class Decoder:
         so decode passes events in scan order (by stabilizer, then round)
         to keep every verdict reproducible.
         """
-        bweight: list[float] = []
         nbr: list = []
-        wts: list = []
+        gns: list = []
         arrays = []
         for graph, stabs, ts in graphs:
             tab = self._tables[graph]
             bvals = tab["bvals"]
             bw = [bvals[a] for a in stabs]
             if len(stabs) < ARRAY_MIN_EVENTS:
-                rows, wrows = _scan_graph(tab, stabs, ts, bw, len(nbr))
+                rows, grows = _scan_graph(tab, stabs, ts, bw, len(nbr))
                 nbr += rows
-                wts += wrows
+                gns += grows
             else:
-                # Rows made below; weight rows only for the subset DP.
+                # Rows made below; gains come sorted per component.
                 arrays.append((tab, len(nbr), stabs, ts, bw))
                 nbr += [None] * len(stabs)
-                wts += [None] * len(stabs)
-            bweight += bw
-        if arrays:
-            ptr, wrow, kept = _array_graph(arrays, nbr)
+                gns += [None] * len(stabs)
+        kept = _array_graph(arrays, nbr) if arrays else None
         comps, cid, pos = _components(nbr)
         gain_edges = _sorted_gain_edges(kept, comps, cid, pos) if arrays else {}
 
@@ -321,17 +319,14 @@ class Decoder:
                 elif n == 2:
                     pairs.append((comp[0] - off, comp[1] - off))
                 else:
+                    edges = gain_edges.get(c)
+                    if edges is None:
+                        edges = _gain_edges(comp, pos, nbr, gns)
                     # Both solvers are looked up at call time, so a patched
                     # solver (the bench's span tracer) is the one called.
                     if n <= DP_MAX_NODES:
-                        if wts[comp[0]] is None:
-                            for u in comp:
-                                wts[u] = wrow[ptr[u]:ptr[u + 1]].tolist()
-                        mate = _solve_dp(comp, pos, nbr, wts, bweight)
+                        mate = _solve_dp(n, edges)
                     else:
-                        edges = gain_edges.get(c)
-                        if edges is None:
-                            edges = _gain_edges(comp, pos, nbr, wts, bweight)
                         mate = matching._max_weight_matching(n, edges)
                     for a, b in enumerate(mate):
                         if b < 0:
@@ -347,10 +342,10 @@ class Decoder:
 def _scan_graph(tab: dict, stabs: list[int], ts: list[int], bweight: list[float],
                 off: int):
     """The candidate graph of a few events, by a Python scan over the
-    time-sorted events; returns its neighbour rows: nbr[u] and wts[u] list
-    the window label (off + position) and the weight of each candidate
-    edge of the event at position u, in scan order.  This order fixes the
-    component order, and so tie order."""
+    time-sorted events; returns its neighbour rows: nbr[u] and gns[u] list
+    the window label (off + position) and the gain b_u + b_v - w_uv of
+    each candidate edge of the event at position u, in scan order.  This
+    order fixes the component order, and so tie order."""
     k = len(stabs)
     wtab, reach = tab["wtab"], tab["reach"]
     order = sorted(range(k), key=ts.__getitem__)
@@ -359,13 +354,13 @@ def _scan_graph(tab: dict, stabs: list[int], ts: list[int], bweight: list[float]
     bt = [bweight[u] for u in order]
     lab = [off + u for u in order]
     nbr: list[list[int]] = [[] for _ in range(k)]
-    wts: list[list[float]] = [[] for _ in range(k)]
+    gns: list[list[float]] = [[] for _ in range(k)]
     for i in range(k):
         row = wtab[st[i]]
         ti = tt[i]
         bi = bt[i]
         u = order[i]
-        nu, wu = nbr[u], wts[u]
+        nu, gu = nbr[u], gns[u]
         for j in range(i + 1, k):
             dt = tt[j] - ti
             if dt > reach:
@@ -373,22 +368,22 @@ def _scan_graph(tab: dict, stabs: list[int], ts: list[int], bweight: list[float]
             # Pairs beyond Chebyshev reach hold inf, so the table
             # lookup also does the spatial cut.
             w = row[st[j]][dt]
-            if w < bi + bt[j] - PRUNE_EPS:
+            bsum = bi + bt[j]
+            if w < bsum - PRUNE_EPS:
+                g = bsum - w
                 v = order[j]
                 nu.append(lab[j])
-                wu.append(w)
+                gu.append(g)
                 nbr[v].append(lab[i])
-                wts[v].append(w)
-    return nbr, wts
+                gns[v].append(g)
+    return nbr, gns
 
 
 def _array_graph(graphs: list[tuple], nbr: list):
     """The same neighbour rows for the events of many graphs in one numpy
     pass.  graphs lists (table, label offset, stabs, ts, boundary weights)
     per graph; each graph's rows are written into nbr at its offset.
-    Returns the row pointers into the window's edge ends and their weights
-    in row order, and the kept pairs as arrays (u, v, gain) for
-    `_sorted_gain_edges`.
+    Returns the kept pairs as arrays (u, v, gain) for `_sorted_gain_edges`.
 
     Each graph's pair table sits at its own base in one dense array, and
     its rounds are shifted past the rounds and reach of the graphs before
@@ -434,7 +429,7 @@ def _array_graph(graphs: list[tuple], nbr: list):
     w = dense[key_i[i] + key_j[j]]
     bsum = bt[i] + bt[j]
     keep = np.flatnonzero(w < bsum - PRUNE_EPS)
-    i, j, w, bsum = i[keep], j[keep], w[keep], bsum[keep]
+    i, j = i[keep], j[keep]
     u, v = lab[i], lab[j]
     # Rows by event label, each row's neighbours in scan order: the order
     # in which the scan appends them.
@@ -446,20 +441,20 @@ def _array_graph(graphs: list[tuple], nbr: list):
     for _, off, stabs, _, _ in graphs:
         end = off + len(stabs)
         nbr[off:end] = [nl[s:e] for s, e in zip(ptr[off:end], ptr[off + 1:end + 1])]
-    return ptr, np.concatenate([w, w])[perm], (u, v, bsum - w)
+    return u, v, bsum[keep] - w[keep]
 
 
 def _sorted_gain_edges(kept, comps: list[list[int]], cid: list[int], pos: list[int]):
-    """The `_gain_edges` of every component too large for the subset DP
-    that holds kept pairs of `_array_graph`, keyed by component index: one
-    sort orders them all by (component, lower position, upper position)."""
-    large = [len(comp) > DP_MAX_NODES for comp in comps]
-    if not any(large):
+    """The `_gain_edges` of every component of three or more events that
+    holds kept pairs of `_array_graph`, keyed by component index: one sort
+    orders them all by (component, lower position, upper position)."""
+    solved = [len(comp) > 2 for comp in comps]
+    if not any(solved):
         return {}
     k = len(cid)
     u, v, gain = kept
     cid, pos = np.array(cid), np.array(pos)
-    sel = np.flatnonzero(np.array(large)[cid[u]])
+    sel = np.flatnonzero(np.array(solved)[cid[u]])
     u, v, gain = u[sel], v[sel], gain[sel]
     cu, pu, pv = cid[u], pos[u], pos[v]
     a, b = np.minimum(pu, pv), np.maximum(pu, pv)
@@ -496,31 +491,24 @@ def _components(nbr: list[list[int]]):
     return comps, cid, pos
 
 
-def _solve_dp(comp: list[int], pos: list[int], nbr: list[list[int]],
-              wts: list[list[float]], bweight: list[float]) -> list[int]:
-    """Exact minimum of sum(pair weights) + sum(boundary weights of the
-    unpaired) over all pairings of one component, by dynamic programming
-    over subsets; pos[u] is event u's position in comp.  Returns the mate
-    of each position, -1 for the unpaired, as `_max_weight_matching`
-    does.
+def _solve_dp(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
+    """Exact maximum of the summed gains of a matching of n positions, by
+    dynamic programming over subsets; edges are `_gain_edges`' (a, b,
+    gain), a < b, sorted by position pair.  Returns the mate of each
+    position, -1 for the unmatched, as `matching._max_weight_matching`
+    does on the same edges.
 
-    A subset's lowest event goes to the boundary or pairs with a
-    neighbour above it that is still in the subset, so only the subsets
-    reachable from the whole component by such steps are solved, in
-    increasing bit-mask order.  Each is solved with the boundary first,
-    then partners by ascending position, replaced only when strictly
-    lighter: exact ties go to the earliest choice."""
-    k = len(comp)
-    # Per position, (bit, weight) of each neighbour above it, by position.
-    up: list[list[tuple[int, float]]] = [[] for _ in range(k)]
-    for a, u in enumerate(comp):
-        row = up[a]
-        for v, w in zip(nbr[u], wts[u]):
-            b = pos[v]
-            if b > a:
-                row.append((1 << b, w))
-        row.sort()
-    full = (1 << k) - 1
+    A subset's lowest position stays unmatched (goes to the boundary) or
+    pairs with a neighbour above it that is still in the subset, so only
+    the subsets reachable from all n positions by such steps are solved,
+    in increasing bit-mask order.  Each is solved with the boundary first,
+    then partners by ascending position, replaced only when the gain is
+    strictly larger: exact ties go to the earliest choice."""
+    # Per position, (bit, gain) of each neighbour above it, by position.
+    up: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for a, b, g in edges:
+        up[a].append((1 << b, g))
+    full = (1 << n) - 1
     # Every step clears bits, so a top-down sweep marks all reachable masks.
     seen = [False] * full + [True]
     masks = []
@@ -538,18 +526,17 @@ def _solve_dp(comp: list[int], pos: list[int], nbr: list[list[int]],
     for mask in reversed(masks):
         low = mask & -mask
         rest = mask ^ low
-        a = low.bit_length() - 1
-        best = dp[rest] + bweight[comp[a]]
+        best = dp[rest]
         pick = 0
-        for bit, w in up[a]:
+        for bit, g in up[low.bit_length() - 1]:
             if rest & bit:
-                cand = dp[rest ^ bit] + w
-                if cand < best:
+                cand = dp[rest ^ bit] + g
+                if cand > best:
                     best = cand
                     pick = bit
         dp[mask] = best
         choice[mask] = pick
-    mate = [-1] * k
+    mate = [-1] * n
     mask = full
     while mask:
         low = mask & -mask
@@ -562,7 +549,7 @@ def _solve_dp(comp: list[int], pos: list[int], nbr: list[list[int]],
 
 
 def _gain_edges(comp: list[int], pos: list[int], nbr: list[list[int]],
-                wts: list[list[float]], bweight: list[float]) -> list[tuple[int, int, float]]:
+                gns: list[list[float]]) -> list[tuple[int, int, float]]:
     """One component's candidate edges as (a, b, b_u + b_v - w_uv) over
     positions a < b in comp, sorted by position pair (the edge order
     breaks exact ties).
@@ -574,11 +561,10 @@ def _gain_edges(comp: list[int], pos: list[int], nbr: list[list[int]],
     """
     redges = []
     for a, u in enumerate(comp):
-        bu = bweight[u]
-        for v, w in zip(nbr[u], wts[u]):
+        for v, g in zip(nbr[u], gns[u]):
             b = pos[v]
             if a < b:
-                redges.append((a, b, bu + bweight[v] - w))
+                redges.append((a, b, g))
     redges.sort()
     return redges
 

@@ -6,8 +6,8 @@ of the package.
   constant; `mwpm`, the minimum-weight perfect matching it gives on
   weights max_w - w; and `brute_force_mwpm`, an exhaustive minimum for
   graphs of up to 12 nodes; `solve_dp_all_subsets`, the decoder's subset
-  DP solved over every subset of a component, which the decoder's DP
-  must match mate for mate.
+  DP on pair gains solved over every subset of a component, which the
+  decoder's DP must match mate for mate.
 * Decoding: `build_match_graph`, the full augmented match graph of one
   graph type's events with every weight taken from a `MetricCache`, and
   `corrections_from_matching`, the flip plane of a matching of it, walked
@@ -148,42 +148,38 @@ def brute_force_mwpm(graph: MatchGraph) -> Matching:
     return Matching(pairs=tuple(sorted(best[1])), total_weight=total)
 
 
-def solve_dp_all_subsets(comp: list[int], pos: list[int], nbr: list[list[int]],
-                         wts: list[list[float]], bweight: list[float]) -> list[int]:
-    """`decoder._solve_dp` over all 2^k subsets of the component, in
-    increasing bit-mask order: each subset's lowest event goes to the
-    boundary first, then pairs with partners by ascending position,
-    replaced only when strictly lighter.  Returns the mate of each
-    position, -1 for the unpaired."""
-    k = len(comp)
-    wmat = [[math.inf] * k for _ in range(k)]
-    for a, u in enumerate(comp):
-        row = wmat[a]
-        for v, w in zip(nbr[u], wts[u]):
-            row[pos[v]] = w
-    full = 1 << k
-    dp = [math.inf] * full
-    choice: list = [None] * full
-    dp[0] = 0.0
+def solve_dp_all_subsets(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
+    """`decoder._solve_dp` over all 2^n subsets of the positions, in
+    increasing bit-mask order: each subset's lowest position stays
+    unmatched first, then pairs with partners by ascending position,
+    replaced only when the summed gain is strictly larger.  edges are
+    (a, b, gain), a < b.  Returns the mate of each position, -1 for the
+    unmatched."""
+    gmat: list[list[float | None]] = [[None] * n for _ in range(n)]
+    for a, b, g in edges:
+        gmat[a][b] = g
+    full = 1 << n
+    dp = [0.0] * full
+    choice = [-1] * full
     for mask in range(1, full):
         a = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << a)
-        best = dp[rest] + bweight[comp[a]]
+        best = dp[rest]
         pick = -1
-        row = wmat[a]
+        row = gmat[a]
         m = rest
         while m:
             b = (m & -m).bit_length() - 1
             m &= m - 1
-            w = row[b]
-            if w < math.inf:
-                cand = dp[rest ^ (1 << b)] + w
-                if cand < best:
+            g = row[b]
+            if g is not None:
+                cand = dp[rest ^ (1 << b)] + g
+                if cand > best:
                     best = cand
                     pick = b
         dp[mask] = best
         choice[mask] = pick
-    mate = [-1] * k
+    mate = [-1] * n
     mask = full - 1
     while mask:
         a = (mask & -mask).bit_length() - 1

@@ -558,73 +558,58 @@ def _check_blossom_against_networkx(circ, model, dec, monkeypatch, seed, windows
         assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-9)
 
 
+def _summed_gain(edges: list[tuple[int, int, float]], mate: list[int]) -> float:
+    gain = {(a, b): g for a, b, g in edges}
+    return math.fsum(gain[a, b] for a, b in enumerate(mate) if a < b)
+
+
 @pytest.mark.parametrize("ties", [False, True], ids=["float", "integer-ties"])
 def test_solve_dp_matches_brute_force_and_blossom(ties):
-    """The subset DP alone, on random components of 3 to DP_MAX_NODES
-    events (some holding an event with no edge), neighbour rows in random
-    order: its mates pair up and are the all-subsets DP's, tie for tie,
-    and its total is the brute-force minimum of the virtual-twin graph and
-    the total of the blossom solver's matching of the same gains."""
+    """One random gain graph of 3 to DP_MAX_NODES positions (some holding a
+    position with no edge) goes to the subset DP, the all-subsets DP, the
+    blossom solver and, as pair weights and boundary weights, to the
+    brute-force virtual-twin solver: the DP's mates pair up along edges
+    and are the all-subsets DP's, tie for tie; its summed gain is the
+    blossom's, and its weight the brute-force minimum."""
     rng = random.Random(5)
     for trial in range(80):
         n = rng.randint(3, DP_MAX_NODES)
-        labels = 2 * n
-        comp = rng.sample(range(labels), n)
-        pos = [0] * labels
-        for a, u in enumerate(comp):
-            pos[u] = a
         if ties:
-            bweight = [float(rng.randint(1, 3)) for _ in range(labels)]
+            bweight = [float(rng.randint(1, 3)) for _ in range(n)]
         else:
-            bweight = [rng.uniform(1.0, 4.0) for _ in range(labels)]
-        lone = comp[rng.randrange(n)] if trial % 3 == 0 else None
-        nbr: list[list[int]] = [[] for _ in range(labels)]
-        wts: list[list[float]] = [[] for _ in range(labels)]
+            bweight = [rng.uniform(1.0, 4.0) for _ in range(n)]
+        lone = rng.randrange(n) if trial % 3 == 0 else None
         weight = {}
         for a in range(n):
             for b in range(a + 1, n):
-                u, v = comp[a], comp[b]
-                if lone in (u, v) or rng.random() < 0.3:
+                if lone in (a, b) or rng.random() < 0.3:
                     continue
-                bsum = bweight[u] + bweight[v]
+                bsum = bweight[a] + bweight[b]
                 # Only edges that survive the prune reach a solver.
-                w = (float(rng.randint(1, int(bsum) - 1)) if ties
-                     else rng.uniform(0.1, bsum - 0.01))
-                weight[a, b] = w
-                nbr[u].append(v)
-                wts[u].append(w)
-                nbr[v].append(u)
-                wts[v].append(w)
-        for u in comp:
-            row = list(zip(nbr[u], wts[u]))
-            rng.shuffle(row)
-            nbr[u], wts[u] = [v for v, _ in row], [w for _, w in row]
+                weight[a, b] = (float(rng.randint(1, int(bsum) - 1)) if ties
+                                else rng.uniform(0.1, bsum - 0.01))
+        edges = [(a, b, bweight[a] + bweight[b] - w) for (a, b), w in sorted(weight.items())]
 
-        mate = _solve_dp(comp, pos, nbr, wts, bweight)
-        assert mate == solve_dp_all_subsets(comp, pos, nbr, wts, bweight), trial
+        mate = _solve_dp(n, edges)
+        assert mate == solve_dp_all_subsets(n, edges), trial
         assert len(mate) == n
         assert all(mate[b] == a and (min(a, b), max(a, b)) in weight
                    for a, b in enumerate(mate) if b >= 0)
         if lone is not None:
-            assert mate[pos[lone]] == -1
+            assert mate[lone] == -1
 
-        def total(mate):
-            return (math.fsum(weight[a, b] for a, b in enumerate(mate) if a < b)
-                    + math.fsum(bweight[comp[a]] for a, b in enumerate(mate) if b < 0))
-
+        assert _summed_gain(edges, mate) == pytest.approx(
+            _summed_gain(edges, _max_weight_matching(n, edges)), abs=1e-9), trial
         twins = MatchGraph(2 * n)
-        for a, u in enumerate(comp):
-            twins.add_edge(a, n + a, bweight[u])
+        for a in range(n):
+            twins.add_edge(a, n + a, bweight[a])
             for b in range(a + 1, n):
                 twins.add_edge(n + a, n + b, 0.0)
         for (a, b), w in weight.items():
             twins.add_edge(a, b, w)
-        gains = sorted((a, b, bweight[comp[a]] + bweight[comp[b]] - w)
-                       for (a, b), w in weight.items())
-        assert total(mate) == pytest.approx(brute_force_mwpm(twins).total_weight,
-                                            abs=1e-9), trial
-        assert total(mate) == pytest.approx(total(_max_weight_matching(n, gains)),
-                                            abs=1e-9), trial
+        total = (math.fsum(weight[a, b] for a, b in enumerate(mate) if a < b)
+                 + math.fsum(bweight[a] for a, b in enumerate(mate) if b < 0))
+        assert total == pytest.approx(brute_force_mwpm(twins).total_weight, abs=1e-9), trial
 
 
 @pytest.mark.parametrize("d,metric,windows", [
@@ -632,26 +617,31 @@ def test_solve_dp_matches_brute_force_and_blossom(ties):
 def test_solve_dp_matches_all_subsets_on_decoder_components(d, metric, windows,
                                                             monkeypatch):
     """Every subset DP call of real windows (standard model, p = 0.01,
-    T = 10d) returns the all-subsets DP's mates, ties included; the calls
-    cover every component size the DP takes."""
+    T = 10d) returns the all-subsets DP's mates, ties included, and the
+    summed gain of the blossom solver's matching of the same edges; the
+    calls cover every component size the DP takes."""
     import surfacesim.decoder as decoder_module
 
     model = preset("standard", 0.01)
     circ, dec = _setup(d, model, metric)
     solve_dp = decoder_module._solve_dp
-    sizes = set()
+    calls: list = []
 
-    def checked(comp, pos, nbr, wts, bweight):
-        mate = solve_dp(comp, pos, nbr, wts, bweight)
-        assert mate == solve_dp_all_subsets(comp, pos, nbr, wts, bweight)
-        sizes.add(len(comp))
+    def dp(n, edges):
+        mate = solve_dp(n, edges)
+        calls.append(("dp", n, list(edges), mate))
         return mate
 
-    monkeypatch.setattr(decoder_module, "_solve_dp", checked)
+    monkeypatch.setattr(decoder_module, "_solve_dp", dp)
     for trial in range(windows):
         res = simulate_window(circ, model, trial_rng(29, trial), 10 * d)
         dec.decode(res.history, res.frame, collect_matches=False)
-    assert sizes == set(range(3, DP_MAX_NODES + 1))
+    for _, n, edges, mate in calls:
+        assert edges == sorted(edges) and all(a < b for a, b, _ in edges)
+        assert mate == solve_dp_all_subsets(n, edges)
+        assert _summed_gain(edges, mate) == pytest.approx(
+            _summed_gain(edges, _max_weight_matching(n, edges)), rel=1e-9, abs=1e-9)
+    assert {n for _, n, _, _ in calls} == set(range(3, DP_MAX_NODES + 1))
 
 
 # Rounds at which the two graphs of a window often fall on either side of
@@ -664,12 +654,14 @@ STRADDLE_ROUNDS = {3: 80, 5: 20, 7: 10}
     (5, "dmax", 8), (5, "manhattan", 8), (5, "d2", 8), (7, "dmax", 2)])
 def test_array_route_builds_the_scan_routes_graph(d, metric, windows, monkeypatch):
     """Both builders of the candidate graph give the same matching, in the
-    same order, and hand each solver the same arguments: whole windows are
-    matched once with every event count below ARRAY_MIN_EVENTS (the scan),
-    once with none below it (the arrays) and once with the cutoff as it
-    is, in scan order and with each graph's events shuffled.  Windows
-    whose graphs fall on either side of the cutoff are among them, so the
-    natural route builds one graph by the scan and the other by arrays."""
+    same order, and hand each solver the same (n, edges), so the gain
+    edges of every array-built component, subset DP ones included, are
+    the scan's bit for bit: whole windows are matched once with every
+    event count below ARRAY_MIN_EVENTS (the scan), once with none below
+    it (the arrays) and once with the cutoff as it is, in scan order and
+    with each graph's events shuffled.  Windows whose graphs fall on
+    either side of the cutoff are among them, so the natural route builds
+    one graph by the scan and the other by arrays."""
     import surfacesim.decoder as decoder_module
     import surfacesim.matching as matching_module
 
@@ -699,12 +691,9 @@ def test_array_route_builds_the_scan_routes_graph(d, metric, windows, monkeypatc
     calls: list = []
     solve_dp, solve = decoder_module._solve_dp, matching_module._max_weight_matching
 
-    def dp(comp, pos, nbr, wts, bweight):
-        # What the DP can read: the positions, its events' neighbour and
-        # weight rows and the boundary weights.
-        calls.append(("dp", list(comp), list(pos), [list(nbr[u]) for u in comp],
-                      [list(wts[u]) for u in comp], list(bweight)))
-        return solve_dp(comp, pos, nbr, wts, bweight)
+    def dp(n, edges):
+        calls.append(("dp", n, list(edges)))
+        return solve_dp(n, edges)
 
     def blossom(n, edges):
         calls.append(("blossom", n, list(edges)))
