@@ -73,25 +73,20 @@ manhattan); d = 3 graphs of such windows stay below 48 events, where
 the scan is 1.6-4.5x faster, and every d = 7 or 9 graph is above the
 cutoff, where the arrays are 1.8-3.2x faster.
 
-A window is matched as one: both graphs' events share one label space,
-x events first, then z, each in scan order.  All graphs of
-ARRAY_MIN_EVENTS events or more are built by one numpy call, over their
-dense tables laid end to end and with each graph's rounds shifted past
-the rounds and reach of the one before, so no pair crosses graphs; the
-smaller ones append the scan's rows.  Both builders give per event a
-row of neighbour labels in scan order (time order, equal rounds in
-label order), pruned by the same float expression
-w < (b_u + b_v) - PRUNE_EPS, and the gain (b_u + b_v) - w of each kept
-pair: the scan in a parallel row per event, the arrays as one list of
-kept pairs.  One depth-first walk of the window's rows gives the
-components, each event's component and its position in it; a graph's
-components are the ones it would have alone, in the same order.  A
+Each graph is matched alone, its events labelled by their positions in
+the order `_graph_events` lists them (by stabilizer, then round).  Both
+builders give per event a row of neighbour positions in scan order
+(time order, equal rounds in position order), pruned by the same float
+expression w < (b_u + b_v) - PRUNE_EPS, and the gain (b_u + b_v) - w
+of each kept pair: the scan in a parallel row per event, the arrays as
+one list of kept pairs.  One depth-first walk of the rows gives the
+components, each event's component and its position in it.  A
 component of three or more events gets its position-sorted gain edges
 from `_gain_edges` in a scan-built graph and from one numpy sort over
-every such array-built component.  Both solvers return a mate per
-position, which one loop over the window's components turns into each
-graph's pairs and boundary matches.  So every matching is the same
-whichever builder ran, and the same as matching each graph alone.
+the graph's components in an array-built one (`_sorted_gain_edges`).
+Both solvers return a mate per position, which one loop over the
+components turns into the graph's pairs and boundary matches.  So
+every matching is the same whichever builder ran.
 
 Corrections follow a canonical staircase (vertical leg then horizontal
 leg) between matched stabilizers, or run straight out of the recorded
@@ -239,9 +234,10 @@ class Decoder:
         lat = self.lattice
         matches: dict[str, list[tuple] | None] = {}
         corrections: dict[str, np.ndarray] = {}
-        graphs = [(graph, *_graph_events(history, graph)) for graph in ("x", "z")]
-        for (graph, stabs, ts), (pairs, bd) in zip(graphs, self._match_window(graphs)):
+        for graph in ("x", "z"):
             tab = self._tables[graph]
+            stabs, ts = _graph_events(history, graph)
+            pairs, bd = _match_graph(tab, stabs, ts)
             cells, bsides = tab["cells"], tab["bsides"]
             stairs, bchains = tab["stairs"], tab["bchains"]
             flips: list[int] = []
@@ -271,88 +267,64 @@ class Decoder:
             logical_x_failed=x_failed, logical_z_failed=z_failed,
             residual={"x": res_x, "z": res_z})
 
-    def _match_window(self, graphs: list[tuple[str, list[int], list[int]]]):
-        """Match the events of a window's graphs, each given as (graph,
-        stabilizer indices, rounds) in parallel lists; returns per graph
-        (real pairs, boundary-matched events) as positions in its lists.
 
-        The events share one label space: each graph's events in the
-        order given, the graphs one after another.  No candidate edge
-        joins two graphs, so each graph's components, in their order and
-        with their positions, are the ones it would have alone.  Candidate
-        pairs are scanned in time order, but events keep their labels:
-        exact ties between optimal matchings are resolved by label order,
-        so decode passes events in scan order (by stabilizer, then round)
-        to keep every verdict reproducible.
-        """
-        nbr: list = []
-        gns: list = []
-        arrays = []
-        for graph, stabs, ts in graphs:
-            tab = self._tables[graph]
-            bvals = tab["bvals"]
-            bw = [bvals[a] for a in stabs]
-            if len(stabs) < ARRAY_MIN_EVENTS:
-                rows, grows = _scan_graph(tab, stabs, ts, bw, len(nbr))
-                nbr += rows
-                gns += grows
-            else:
-                # Rows made below; gains come sorted per component.
-                arrays.append((tab, len(nbr), stabs, ts, bw))
-                nbr += [None] * len(stabs)
-                gns += [None] * len(stabs)
-        kept = _array_graph(arrays, nbr) if arrays else None
+def _match_graph(tab: dict, stabs: list[int], ts: list[int]):
+    """Match one graph's events, given as parallel lists of stabilizer
+    indices and rounds; returns (real pairs, boundary-matched events) as
+    positions in those lists.
+
+    Candidate pairs are scanned in time order, but events keep their
+    positions as labels: exact ties between optimal matchings are
+    resolved by label order, so decode passes events in scan order (by
+    stabilizer, then round) to keep every verdict reproducible.
+    """
+    bvals = tab["bvals"]
+    bw = [bvals[a] for a in stabs]
+    if len(stabs) < ARRAY_MIN_EVENTS:
+        nbr, gns = _scan_graph(tab, stabs, ts, bw)
+        comps, _, pos = _components(nbr)
+        gain_edges = {c: _gain_edges(comp, pos, nbr, gns)
+                      for c, comp in enumerate(comps) if len(comp) > 2}
+    else:
+        nbr, kept = _array_graph(tab, stabs, ts, bw)
         comps, cid, pos = _components(nbr)
-        gain_edges = _sorted_gain_edges(kept, comps, cid, pos) if arrays else {}
+        gain_edges = _sorted_gain_edges(kept, comps, cid, pos)
 
-        out = []
-        c = off = 0
-        for _, stabs, _ in graphs:
-            end = off + len(stabs)
-            pairs: list[tuple[int, int]] = []
-            boundary: list[int] = []
-            while c < len(comps) and comps[c][0] < end:
-                comp = comps[c]
-                n = len(comp)
-                if n == 1:
-                    boundary.append(comp[0] - off)
-                elif n == 2:
-                    pairs.append((comp[0] - off, comp[1] - off))
-                else:
-                    edges = gain_edges.get(c)
-                    if edges is None:
-                        edges = _gain_edges(comp, pos, nbr, gns)
-                    # Both solvers are looked up at call time, so a patched
-                    # solver (the bench's span tracer) is the one called.
-                    if n <= DP_MAX_NODES:
-                        mate = _solve_dp(n, edges)
-                    else:
-                        mate = matching._max_weight_matching(n, edges)
-                    for a, b in enumerate(mate):
-                        if b < 0:
-                            boundary.append(comp[a] - off)
-                        elif a < b:
-                            pairs.append((comp[a] - off, comp[b] - off))
-                c += 1
-            out.append((pairs, boundary))
-            off = end
-        return out
+    pairs: list[tuple[int, int]] = []
+    boundary: list[int] = []
+    for c, comp in enumerate(comps):
+        n = len(comp)
+        if n == 1:
+            boundary.append(comp[0])
+        elif n == 2:
+            pairs.append((comp[0], comp[1]))
+        else:
+            # Both solvers are looked up at call time, so a patched solver
+            # (the bench's span tracer) is the one called.
+            if n <= DP_MAX_NODES:
+                mate = _solve_dp(n, gain_edges[c])
+            else:
+                mate = matching._max_weight_matching(n, gain_edges[c])
+            for a, b in enumerate(mate):
+                if b < 0:
+                    boundary.append(comp[a])
+                elif a < b:
+                    pairs.append((comp[a], comp[b]))
+    return pairs, boundary
 
 
-def _scan_graph(tab: dict, stabs: list[int], ts: list[int], bweight: list[float],
-                off: int):
+def _scan_graph(tab: dict, stabs: list[int], ts: list[int], bweight: list[float]):
     """The candidate graph of a few events, by a Python scan over the
     time-sorted events; returns its neighbour rows: nbr[u] and gns[u] list
-    the window label (off + position) and the gain b_u + b_v - w_uv of
-    each candidate edge of the event at position u, in scan order.  This
-    order fixes the component order, and so tie order."""
+    the other event and the gain b_u + b_v - w_uv of each candidate edge
+    of event u, in scan order.  This order fixes the component order, and
+    so tie order."""
     k = len(stabs)
     wtab, reach = tab["wtab"], tab["reach"]
     order = sorted(range(k), key=ts.__getitem__)
     st = [stabs[u] for u in order]
     tt = [ts[u] for u in order]
     bt = [bweight[u] for u in order]
-    lab = [off + u for u in order]
     nbr: list[list[int]] = [[] for _ in range(k)]
     gns: list[list[float]] = [[] for _ in range(k)]
     for i in range(k):
@@ -372,76 +344,51 @@ def _scan_graph(tab: dict, stabs: list[int], ts: list[int], bweight: list[float]
             if w < bsum - PRUNE_EPS:
                 g = bsum - w
                 v = order[j]
-                nu.append(lab[j])
+                nu.append(v)
                 gu.append(g)
-                nbr[v].append(lab[i])
+                nbr[v].append(u)
                 gns[v].append(g)
     return nbr, gns
 
 
-def _array_graph(graphs: list[tuple], nbr: list):
-    """The same neighbour rows for the events of many graphs in one numpy
-    pass.  graphs lists (table, label offset, stabs, ts, boundary weights)
-    per graph; each graph's rows are written into nbr at its offset.
-    Returns the kept pairs as arrays (u, v, gain) for `_sorted_gain_edges`.
-
-    Each graph's pair table sits at its own base in one dense array, and
-    its rounds are shifted past the rounds and reach of the graphs before
-    it, so no pair within reach crosses graphs."""
-    dense, sizes, params, stab, tl, bl = [], [], [], [], [], []
-    base = shift = 0
-    for tab, off, stabs, ts, bw in graphs:
-        d = tab.get("dense")
-        if d is None:
-            # Built on first use: a decoder that meets only small graphs
-            # never pays for it.
-            d = tab["dense"] = np.array(tab["wtab"], dtype=float).ravel()
-        R = tab["reach"] + 1
-        params.append((off - len(stab), shift, base, len(tab["bvals"]) * R, R, R - 1))
-        dense.append(d)
-        sizes.append(len(stabs))
-        base += len(d)
-        shift += max(ts, default=0) + R
-        stab += stabs
-        tl += ts
-        bl += bw
-    dense = dense[0] if len(dense) == 1 else np.concatenate(dense)
-    k = len(stab)
-    # Per event: label offset, round shift, table base, S * R, R, reach.
-    loff, shift, base, S_R, R, reach = np.repeat(np.array(params, dtype=np.intp),
-                                                 sizes, axis=0).T
-    t = np.array(tl, dtype=np.intp) + shift
-    st = np.array(stab, dtype=np.intp)
-    # wtab[st_i][st_j][t_j - t_i] of a graph is dense[key_i + key_j].
-    key_i = base + st * S_R - t
-    key_j = st * R + t
+def _array_graph(tab: dict, stabs: list[int], ts: list[int], bweight: list[float]):
+    """The same neighbour rows for many events, from numpy arrays; also
+    returns the kept pairs as arrays (u, v, gain) for
+    `_sorted_gain_edges`."""
+    k = len(stabs)
+    reach = tab["reach"]
+    S, R = len(tab["bvals"]), reach + 1
+    dense = tab.get("dense")
+    if dense is None:
+        # Built on first use: a decoder that meets only small graphs never
+        # pays for it.
+        dense = tab["dense"] = np.array(tab["wtab"], dtype=float).ravel()
+    t = np.array(ts, dtype=np.intp)
     order = np.argsort(t, kind="stable")
     tt = t[order]
-    key_i, key_j = key_i[order], key_j[order]
-    bt = np.array(bl)[order]
-    lab = (np.arange(k) + loff)[order]  # window labels
+    st = np.array(stabs, dtype=np.intp)[order]
+    bt = np.array(bweight)[order]
     # Every pair (i, j), i < j in scan order, at most reach rounds apart,
-    # ordered as the scan visits them.
+    # ordered as the scan visits them; wtab[st_i][st_j][tt_j - tt_i] is
+    # dense[key_i + key_j] with the keys below.
     idx = np.arange(k)
-    cnt = np.searchsorted(tt, tt + reach[order], side="right") - idx - 1
+    cnt = np.searchsorted(tt, tt + reach, side="right") - idx - 1
     i = np.repeat(idx, cnt)
     j = np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt - idx - 1, cnt)
+    key_i, key_j = st * (S * R) - tt, st * R + tt
     w = dense[key_i[i] + key_j[j]]
     bsum = bt[i] + bt[j]
     keep = np.flatnonzero(w < bsum - PRUNE_EPS)
     i, j = i[keep], j[keep]
-    u, v = lab[i], lab[j]
-    # Rows by event label, each row's neighbours in scan order: the order
-    # in which the scan appends them.
+    u, v = order[i], order[j]
+    # Rows by event, each row's neighbours in scan order: the order in
+    # which the scan appends them.
     src = np.concatenate([u, v])
     dst = np.concatenate([j, i])
     perm = np.argsort(src * k + dst)
-    ptr = [0, *np.cumsum(np.bincount(src, minlength=len(nbr))).tolist()]
-    nl = lab[dst[perm]].tolist()
-    for _, off, stabs, _, _ in graphs:
-        end = off + len(stabs)
-        nbr[off:end] = [nl[s:e] for s, e in zip(ptr[off:end], ptr[off + 1:end + 1])]
-    return u, v, bsum[keep] - w[keep]
+    ptr = [0, *np.cumsum(np.bincount(src, minlength=k)).tolist()]
+    nl = order[dst[perm]].tolist()
+    return [nl[s:e] for s, e in zip(ptr, ptr[1:])], (u, v, bsum[keep] - w[keep])
 
 
 def _sorted_gain_edges(kept, comps: list[list[int]], cid: list[int], pos: list[int]):
@@ -493,10 +440,10 @@ def _components(nbr: list[list[int]]):
 
 def _solve_dp(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
     """Exact maximum of the summed gains of a matching of n positions, by
-    dynamic programming over subsets; edges are `_gain_edges`' (a, b,
-    gain), a < b, sorted by position pair.  Returns the mate of each
-    position, -1 for the unmatched, as `matching._max_weight_matching`
-    does on the same edges.
+    dynamic programming over subsets; edges are (a, b, gain), a < b,
+    sorted by position pair, from `_gain_edges` or `_sorted_gain_edges`.
+    Returns the mate of each position, -1 for the unmatched, as
+    `matching._max_weight_matching` does on the same edges.
 
     A subset's lowest position stays unmatched (goes to the boundary) or
     pairs with a neighbour above it that is still in the subset, so only

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import os
 import random
@@ -12,9 +13,9 @@ import pytest
 import surfacesim
 from surfacesim.lattice import build_lattice, standard_schedule
 from surfacesim.noise import ErrorModel, preset, trial_rng
-from surfacesim.sim import _graph_events, compile_circuit, simulate_window
+from surfacesim.sim import SyndromeHistory, _graph_events, compile_circuit, simulate_window
 from surfacesim.edge_analysis import derive_edge_classes
-from surfacesim.decoder import DP_MAX_NODES, PRUNE_EPS, Decoder, _solve_dp
+from surfacesim.decoder import DP_MAX_NODES, PRUNE_EPS, Decoder, _match_graph, _solve_dp
 from surfacesim.harness import _setup
 from surfacesim.matching import _max_weight_matching
 from surfacesim.metric import (
@@ -202,7 +203,7 @@ def _check_against_full_blossom(d, metric, rounds, max_events):
                 continue
             events = _event_tuples(dec, graph_name, stabs, ts)
             cache = caches[graph_name]
-            ((pairs, bd),) = dec._match_window([(graph_name, stabs, ts)])
+            pairs, bd = _match_graph(dec._tables[graph_name], stabs, ts)
             assert sorted([u for p in pairs for u in p] + bd) == list(range(len(stabs)))
             fast_total = math.fsum(
                 cache.pair_weight(events[u][0], events[u][1],
@@ -656,12 +657,13 @@ def test_array_route_builds_the_scan_routes_graph(d, metric, windows, monkeypatc
     """Both builders of the candidate graph give the same matching, in the
     same order, and hand each solver the same (n, edges), so the gain
     edges of every array-built component, subset DP ones included, are
-    the scan's bit for bit: whole windows are matched once with every
-    event count below ARRAY_MIN_EVENTS (the scan), once with none below
-    it (the arrays) and once with the cutoff as it is, in scan order and
-    with each graph's events shuffled.  Windows whose graphs fall on
-    either side of the cutoff are among them, so the natural route builds
-    one graph by the scan and the other by arrays."""
+    the scan's bit for bit: the graphs of whole windows are matched one
+    by one, once with every event count below ARRAY_MIN_EVENTS (the
+    scan), once with none below it (the arrays) and once with the cutoff
+    as it is, in scan order and with each graph's events shuffled.
+    Windows whose graphs fall on either side of the cutoff are among
+    them, so the natural route builds one graph by the scan and the other
+    by arrays."""
     import surfacesim.decoder as decoder_module
     import surfacesim.matching as matching_module
 
@@ -675,9 +677,9 @@ def test_array_route_builds_the_scan_routes_graph(d, metric, windows, monkeypatc
         for graph, stabs, ts in graphs:
             order = rng.sample(range(len(stabs)), len(stabs))
             shuffled.append((graph, [stabs[i] for i in order], [ts[i] for i in order]))
-        return [graphs, shuffled]
+        return graphs + shuffled
 
-    plain = [[("x", [], [])], [("z", [0], [3])]]
+    plain = [("x", [], []), ("z", [0], [3])]
     for trial in range(windows):
         plain += window_graphs(simulate_window(circ, model, trial_rng(1, trial), 10 * d))
     straddling = []
@@ -686,7 +688,7 @@ def test_array_route_builds_the_scan_routes_graph(d, metric, windows, monkeypatc
         sizes = [len(_graph_events(res.history, graph)[0]) for graph in ("x", "z")]
         if min(sizes) < decoder_module.ARRAY_MIN_EVENTS <= max(sizes):
             straddling += window_graphs(res)
-    assert len(straddling) >= 2 * 2  # two windows, each also shuffled
+    assert len(straddling) >= 2 * 4  # two windows' graphs, each also shuffled
 
     calls: list = []
     solve_dp, solve = decoder_module._solve_dp, matching_module._max_weight_matching
@@ -706,9 +708,9 @@ def test_array_route_builds_the_scan_routes_graph(d, metric, windows, monkeypatc
                              ("natural", decoder_module.ARRAY_MIN_EVENTS)):
         monkeypatch.setattr(decoder_module, "ARRAY_MIN_EVENTS", min_events)
         calls.clear()
-        out = [dec._match_window(w) for w in plain]
+        out = [_match_graph(dec._tables[g], stabs, ts) for g, stabs, ts in plain]
         plain_calls = list(calls)
-        out += [dec._match_window(w) for w in straddling]
+        out += [_match_graph(dec._tables[g], stabs, ts) for g, stabs, ts in straddling]
         routes[name] = out, list(calls)
     scan, scan_calls = routes["scan"]
     for name in ("array", "natural"):
@@ -725,6 +727,34 @@ def test_array_route_builds_the_scan_routes_graph(d, metric, windows, monkeypatc
     # Both solvers are reached; at d = 7 each graph of a 10d-round window
     # is one large component.
     assert {call[0] for call in plain_calls} == ({"blossom"} if d == 7 else {"dp", "blossom"})
+
+
+@pytest.mark.parametrize("metric", ["dmax", "manhattan"])
+def test_a_graphs_matching_does_not_read_the_other_graph(metric):
+    """A window made of one window's x signs and another's z signs gets
+    the x matches and x correction plane of the first and the z ones of
+    the second.  The d = 5 windows at STRADDLE_ROUNDS often have one
+    graph below ARRAY_MIN_EVENTS and one at or above it, so some mixed
+    windows have their graphs built by different builders."""
+    import surfacesim.decoder as decoder_module
+
+    model = preset("standard", 0.01)
+    circ, dec = _setup(5, model, metric)
+    windows = [simulate_window(circ, model, trial_rng(2, trial), STRADDLE_ROUNDS[5])
+               for trial in range(8)]
+    decoded = [dec.decode(res.history, res.frame) for res in windows]
+    mixed_builders = 0
+    for a, b in itertools.permutations(range(len(windows)), 2):
+        signs = {"x": windows[a].history.signs["x"], "z": windows[b].history.signs["z"]}
+        history = SyndromeHistory(lattice=circ.lattice, signs=signs)
+        out = dec.decode(history, windows[a].frame)
+        for graph, source in (("x", a), ("z", b)):
+            assert out.matches[graph] == decoded[source].matches[graph], (a, b, graph)
+            assert np.array_equal(out.corrections[graph],
+                                  decoded[source].corrections[graph]), (a, b, graph)
+        sizes = [len(_graph_events(history, graph)[0]) for graph in ("x", "z")]
+        mixed_builders += min(sizes) < decoder_module.ARRAY_MIN_EVENTS <= max(sizes)
+    assert mixed_builders >= 1
 
 
 @pytest.mark.parametrize("d", [5, 7])
