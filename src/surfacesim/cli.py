@@ -83,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--pM", type=float, dest="pm", help="custom model: readout rate")
     ap.add_argument("--metric", choices=METRICS)
     ap.add_argument("--trials", type=int, help="windows per sweep point")
-    ap.add_argument("--rounds", type=int, help="noisy rounds per window (default 10*d)")
+    ap.add_argument("--rounds", type=int, help="noisy rounds per window "
+                    f"(default {harness.DEFAULT_ROUNDS_FACTOR}*d)")
     ap.add_argument("--seed", type=int, help="master seed")
     ap.add_argument("--jobs", type=int,
                     help="parallel worker processes, at most one per usable CPU")

@@ -126,7 +126,7 @@ class DecodeOutcome:
     corrections: dict[str, np.ndarray]  # data-cell flip plane per graph
     logical_x_failed: bool
     logical_z_failed: bool
-    residual: dict[str, np.ndarray] | None = None
+    residual: dict[str, np.ndarray]  # data frame after correction, x and z planes
 
 
 class Decoder:

@@ -32,15 +32,18 @@ data parity into every report, so the signs stay constant and a fault's
 detection events all fall in its own round (dt = 0) or the next
 (dt = 1).  The build checks this and fails loudly otherwise.  A kind's
 row is then its Pauli bits times its slot's bit effects, mod 2, padded
-with -1 to the longest row (8 entries at d = 3, 5 and 7); the sampler
-gathers these rows, and `edge_analysis` reads its link classes from the
-same rows.  A window takes one draw of uniforms, one comparison against
-per-slot probabilities, the row of each hit (its slot's first row plus
-its Pauli kind), one gather of those rows, a shift of their event
-entries to the hit's round, and one parity count over the entries that
-are not padding; the signs are the running XOR of the events along
-time, and the final frame is the data parity of those rows plus the
-final reports (the XOR of each sign row).
+with -1 to the longest row (8 entries at d = 3, 5 and 7); windows are
+built from these rows, and `edge_analysis` reads its link classes from
+the same rows.  `FaultTable.window` is the one builder: given the rows
+that fire and their rounds, it takes one gather of those rows, a shift
+of their event entries to the hit's round, and one parity count over
+the entries that are not padding; the signs are the running XOR of the
+events along time, and the final frame is the data parity of those rows
+plus the final reports (the XOR of each sign row).  `FaultTable.sample`
+draws the rows and hands them to it: one draw of uniforms, one
+comparison against per-slot probabilities, and the row of each hit (its
+slot's first row plus its Pauli kind).  The fault-distance certificate
+in the tests builds its windows of chosen faults with the same method.
 
 The windows are those of a round-by-round frame simulator fed by the same
 stream.  Per round, that simulator drew one uniform per slot of the
@@ -223,7 +226,7 @@ class FaultTable:
 
     def __init__(self, circuit: CompiledCircuit):
         c = circuit
-        # Only what `sample` reads: the circuit caches this table, so a
+        # Only what `window` reads: the circuit caches this table, so a
         # reference back to it would keep both alive until a collection.
         self.n_cells, self.n_z, self.lattice = c.n_cells, c.n_z, c.lattice
         self.n_stab = c.n_z + c.n_x
@@ -344,21 +347,28 @@ class FaultTable:
     def sample(self, model: ErrorModel, rng: np.random.Generator,
                rounds: int) -> WindowResult:
         """One noisy window of `rounds` rounds plus the closure round."""
-        n_cells, n_z = self.n_cells, self.n_z
         p, mult, first_row = self._layout(model)
-        n_rounds = rounds + 2
-        rows = shift = np.zeros(0, dtype=np.intp)
+        rows = at = np.zeros(0, dtype=np.intp)
         if p.size:
             u = rng.random(rounds * p.size)
             hit = np.flatnonzero(u.reshape(rounds, p.size) < p)
-            t, s = np.divmod(hit, p.size)
+            at, s = np.divmod(hit, p.size)
             # u < p makes u / p < 1 in floating point, so the kind stays
             # below the multiplier.
             rows = first_row[s] + ((u[hit] / p[s]) * mult[s]).astype(np.intp)
-            shift = (t + 1) * self.n_stab  # round t + 1 of the window
+        return self.window(rows, at, rounds)
 
+    def window(self, rows, at, rounds: int) -> WindowResult:
+        """The window of `rounds` noisy rounds plus the closure round in
+        which exactly row rows[i] fires at round index at[i] (0 ..
+        rounds - 1), for integer sequences of one length; a row that
+        fires twice in one round cancels."""
+        n_cells, n_z = self.n_cells, self.n_z
+        n_rounds = rounds + 2
         entries = self.pad[rows]
-        # Event codes (past the data bits) move to their fault's round.
+        # Event codes (past the data bits) move to their fault's round,
+        # round index i being round i + 1 of the window.
+        shift = (np.asarray(at, dtype=np.intp) + 1) * self.n_stab
         entries += shift[:, None] * (entries >= 2 * n_cells)
         bits = np.bincount(entries[entries >= 0],
                            minlength=2 * n_cells + n_rounds * self.n_stab)

@@ -9,6 +9,7 @@ import pytest
 
 import surfacesim
 
+from surfacesim import harness
 from surfacesim.cli import main
 from surfacesim.harness import estimate_threshold
 from test_harness import _fake_stats
@@ -316,11 +317,14 @@ def test_config_file_custom_model_keys_keep_their_case(tmp_path, capsys):
     assert ",custom," in capsys.readouterr().out
 
 
-def test_help_exits_0(capsys):
+def test_help_exits_0(capsys, monkeypatch):
+    # The --rounds default in the help follows the harness constant.
+    monkeypatch.setattr(harness, "DEFAULT_ROUNDS_FACTOR", 4)
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "--metric" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--metric" in out and "(default 4*d)" in out
 
 
 def test_readout_only_model_returns_1_without_hanging():

@@ -1,10 +1,10 @@
 """Fault-distance certificate beyond single faults (ROADMAP item 12).
 
-`fault_window` builds the window in which chosen fault-table rows fire in
-chosen rounds, the way `FaultTable.sample` builds a drawn window.  It is
-checked bit for bit against the sampler and against the frozen stepper's
-single-fault windows, then used to decode a fixed sample of nearby fault
-pairs.  The mutants at the end are decoders that lose distance; the
+`FaultTable.window`, the builder behind `FaultTable.sample`, gives the
+window in which chosen fault-table rows fire in chosen rounds.  Its
+single-fault windows are checked bit for bit against the frozen
+stepper's, then windows of a fixed sample of nearby fault pairs are
+decoded.  The mutants at the end are decoders that lose distance; the
 single-fault certificate (`test_exhaustive_single_fault_correction`)
 must catch them.
 """
@@ -18,8 +18,8 @@ from surfacesim import decoder
 from surfacesim.decoder import Decoder
 from surfacesim.edge_analysis import derive_edge_classes
 from surfacesim.lattice import build_lattice, standard_schedule
-from surfacesim.noise import ErrorModel, preset, trial_rng
-from surfacesim.sim import PauliFrame, SyndromeHistory, WindowResult, compile_circuit
+from surfacesim.noise import ErrorModel, preset
+from surfacesim.sim import compile_circuit
 
 from frame_reference import single_fault_windows
 
@@ -32,77 +32,10 @@ def _circuit(d: int):
     return compile_circuit(lat, standard_schedule(lat))
 
 
-def fault_window(circuit, hits, rounds: int) -> WindowResult:
-    """The window of `rounds` noisy rounds and the closure round in which
-    exactly the faults `hits` fire: (fault-table row, round index) pairs,
-    round indices 0 .. rounds - 1.  As `FaultTable.sample` builds a drawn
-    window: one gather of the padded rows, each event entry shifted to
-    its fault's round, one parity count, the signs as the running XOR
-    over rounds, and the final reports as the XOR of each stabilizer's
-    signs."""
-    table = circuit.fault_table
-    n_cells, n_stab, n_z = table.n_cells, table.n_stab, circuit.n_z
-    rows, at = np.array(hits, dtype=np.intp).reshape(-1, 2).T
-    entries = table.pad[rows]
-    entries += (at[:, None] + 1) * n_stab * (entries >= 2 * n_cells)
-    bits = np.bincount(entries[entries >= 0],
-                       minlength=2 * n_cells + (rounds + 2) * n_stab).astype(np.uint8) & 1
-    signs = np.bitwise_xor.accumulate(bits[2 * n_cells:].reshape(rounds + 2, n_stab), axis=0).T
-    reports = np.bitwise_xor.reduce(signs, axis=1)
-    bits[circuit.z_idx] = reports[:n_z]
-    bits[n_cells + circuit.x_idx] = reports[n_z:]
-    history = SyndromeHistory(lattice=circuit.lattice, signs={
-        "z": np.ascontiguousarray(signs[:n_z]), "x": np.ascontiguousarray(signs[n_z:])})
-    return WindowResult(history=history,
-                        frame=PauliFrame(bits[:n_cells], bits[n_cells:2 * n_cells]))
-
-
-def _phases(circuit) -> list[tuple[str, str, int]]:
-    """The fault table's phases in draw order: (phase, probability
-    attribute of the error model, Pauli kinds per slot)."""
-    return ([("cnot", "p2", 15)] + [("idle5", "pI", 3)] * (5 in circuit.idle_steps)
-            + [("meas", "pM", 1)] + [("idle6", "pI", 3)] * (6 in circuit.idle_steps))
-
-
-def _sampled_hits(circuit, model: ErrorModel, rng, rounds: int) -> list[tuple[int, int]]:
-    """The (row, round index) pairs of the faults `FaultTable.sample` draws
-    from rng: per round one uniform per slot, phases in draw order, those
-    of probability 0 left out; a hit's kind is int((u / p) * kinds)."""
-    table = circuit.fault_table
-    p, kinds, first = [], [], []
-    for phase, attr, n_kinds in _phases(circuit):
-        prob = getattr(model, attr)
-        if prob > 0.0:
-            rows = table.slot_rows(phase)
-            p.append(np.full(rows.size, prob))
-            kinds.append(np.full(rows.size, n_kinds))
-            first.append(rows)
-    p, kinds, first = map(np.concatenate, (p, kinds, first))
-    u = rng.random(rounds * p.size).reshape(rounds, p.size)
-    at, s = np.nonzero(u < p)
-    rows = first[s] + ((u[at, s] / p[s]) * kinds[s]).astype(np.intp)
-    return list(zip(rows.tolist(), at.tolist()))
-
-
 def _same_window(a, b) -> bool:
     return all(np.array_equal(x, y) for x, y in (
         (a.history.signs["z"], b.history.signs["z"]), (a.history.signs["x"], b.history.signs["x"]),
         (a.frame.x, b.frame.x), (a.frame.z, b.frame.z)))
-
-
-@pytest.mark.parametrize("model", [STANDARD, ErrorModel(0.0, 0.015, 0.01)],
-                         ids=["standard", "phenomenological"])
-def test_fault_window_matches_sample(model):
-    """The rows and rounds the sampler draws, fed to the builder, give the
-    sampled window bit for bit (d = 5, T = 20, 50 windows)."""
-    circ = _circuit(5)
-    hits = 0
-    for i in range(50):
-        drawn = _sampled_hits(circ, model, trial_rng(7, i), 20)
-        hits += len(drawn)
-        assert _same_window(fault_window(circ, drawn, 20),
-                            circ.fault_table.sample(model, trial_rng(7, i), 20))
-    assert hits > 50
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -115,7 +48,7 @@ def test_fault_window_matches_frozen_stepper(d):
     rows = []
     for phase, slot, kind, want in single_fault_windows(circ):
         rows.append(int(table.slot_rows(phase)[slot]) + kind)
-        assert _same_window(fault_window(circ, [(rows[-1], 1)], 5), want)
+        assert _same_window(table.window([rows[-1]], [1], 5), want)
     assert sorted(rows) == list(range(table.pad.shape[0]))
     assert len(rows) == {3: 651, 5: 2323}[d]
 
@@ -123,15 +56,16 @@ def test_fault_window_matches_frozen_stepper(d):
 def _supports(circ) -> np.ndarray:
     """Per fault-table row, the (i, j) of the two cells its fault acts on:
     a gate's control and target, an idle data qubit or a read-out
-    syndrome qubit twice."""
+    syndrome qubit twice.  The rows of a phase (attr, first, n_slots,
+    n_kinds) of the table's `_phases` are first .. first + n_slots *
+    n_kinds, slot by slot, each slot's kinds adjacent."""
     table = circ.fault_table
     cells = np.zeros((table.pad.shape[0], 2), dtype=np.intp)
     slot_cells = {"cnot": np.stack([circ.gate_ctl, circ.gate_tgt], axis=1),
                   "meas": np.concatenate([circ.z_idx, circ.x_idx])[:, None],
                   "idle5": circ.data_idx[:, None], "idle6": circ.data_idx[:, None]}
-    for phase, _, kinds in _phases(circ):
-        for k in range(kinds):
-            cells[table.slot_rows(phase) + k] = slot_cells[phase]
+    for phase, (_attr, first, n_slots, n_kinds) in table._phases.items():
+        cells[first:first + n_slots * n_kinds] = np.repeat(slot_cells[phase], n_kinds, axis=0)
     return np.stack(np.divmod(cells, circ.lattice.size), axis=-1).astype(np.int16)
 
 
@@ -154,14 +88,12 @@ def _nearby_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fired_rows(circ, model: ErrorModel) -> np.ndarray:
-    """Per fault-table row, whether the model can fire it: its phase's
-    probability is positive."""
+    """Per fault-table row, whether the model can fire it: the
+    probability of its phase's block of rows is positive."""
     table = circ.fault_table
     fires = np.zeros(table.pad.shape[0], dtype=bool)
-    for phase, attr, kinds in _phases(circ):
-        if getattr(model, attr) > 0.0:
-            for k in range(kinds):
-                fires[table.slot_rows(phase) + k] = True
+    for attr, first, n_slots, n_kinds in table._phases.values():
+        fires[first:first + n_slots * n_kinds] = getattr(model, attr) > 0.0
     return fires
 
 
@@ -192,7 +124,7 @@ def test_nearby_fault_pairs_are_corrected_d5(model):
     rng = np.random.default_rng(PAIR_SEED)
     pick = rng.choice(first.size, PAIR_SAMPLE, replace=False)
     offsets = rng.integers(-1, 2, PAIR_SAMPLE)
-    windows = [fault_window(circ, [(first[i], 2), (second[i], 2 + dt)], 5)
+    windows = [circ.fault_table.window([first[i], second[i]], [2, 2 + dt], 5)
                for i, dt in zip(pick.tolist(), offsets.tolist())]
     table = derive_edge_classes(circ, error_model)
     missed = {}

@@ -174,7 +174,7 @@ SAMPLER_CASES = [
            for rounds in (1, 10 * d)]
         + [(preset("standard", 0.01), idle, 10 * d) for idle in ((5,), (5, 6))]
     )
-]
+] + [(d, ErrorModel(0, 0.015, 0.01), (6,), 10 * d) for d in (3, 5)]  # phenomenological
 
 
 @pytest.mark.parametrize("d,model,idle_steps,rounds", SAMPLER_CASES)
@@ -232,6 +232,33 @@ def test_window_without_hits_samples_clean(circuit_d3, model, monkeypatch):
         assert signs.shape == (n_stab[graph], 6) and not signs.any()
     for plane in (res.frame.x, res.frame.z):
         assert plane.shape == (circuit_d3.n_cells,) and not plane.any()
+
+
+def test_window_is_linear_over_gf2(circuit_d5):
+    # The window of hit lists A and B together is the XOR of their
+    # windows; B repeats some of A's hits, which cancel (d = 5, T = 10,
+    # 200 seeded draws of up to 20 hits each).
+    table, rounds = circuit_d5.fault_table, 10
+    rng = np.random.default_rng(38)
+
+    def hits():
+        n = rng.integers(0, 21)
+        return rng.integers(0, table.pad.shape[0], n), rng.integers(0, rounds, n)
+
+    def planes(rows, at):
+        res = table.window(rows, at, rounds)
+        return (res.history.signs["z"], res.history.signs["x"], res.frame.x, res.frame.z)
+
+    repeated = 0
+    for _ in range(200):
+        (a_rows, a_at), (b_rows, b_at) = hits(), hits()
+        again = rng.random(a_rows.size) < 0.3
+        b_rows, b_at = np.append(b_rows, a_rows[again]), np.append(b_at, a_at[again])
+        repeated += again.sum()
+        both = planes(np.append(a_rows, b_rows), np.append(a_at, b_at))
+        for got, x, y in zip(both, planes(a_rows, a_at), planes(b_rows, b_at)):
+            assert np.array_equal(got, x ^ y)
+    assert repeated > 200
 
 
 def test_dropped_circuit_frees_its_fault_table():
