@@ -1,7 +1,7 @@
 """Surface-code quantum error correction: simulation, link-probability
 analysis, and minimum-weight perfect-matching decoding."""
 
-from .lattice import Lattice, GateSchedule, build_lattice, standard_schedule
+from .lattice import Lattice, build_lattice, standard_schedule
 from .noise import ErrorModel, preset
 from .sim import SyndromeHistory, DetectionEvent, PauliFrame, simulate_window, detection_events
 from .edge_analysis import EdgeClassTable, derive_edge_classes, odd_parity_probability
@@ -12,7 +12,7 @@ from .harness import TrialConfig, SweepStats, run_trials, flip_rate, estimate_th
 __version__ = "0.1.0"
 
 __all__ = [
-    "Lattice", "GateSchedule", "build_lattice", "standard_schedule",
+    "Lattice", "build_lattice", "standard_schedule",
     "ErrorModel", "preset",
     "SyndromeHistory", "DetectionEvent", "PauliFrame", "simulate_window", "detection_events",
     "EdgeClassTable", "derive_edge_classes", "odd_parity_probability",

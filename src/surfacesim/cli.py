@@ -115,8 +115,8 @@ def main(argv=None) -> int:
 
         if args.dump_lattice is not None:
             lat = build_lattice(args.dump_lattice)
-            print(json.dumps({"lattice": lat.describe(),
-                              "schedule": standard_schedule(lat).describe()},
+            steps = [[[list(c), list(t)] for c, t in step] for step in standard_schedule(lat)]
+            print(json.dumps({"lattice": lat.describe(), "schedule": {"cnot_steps": steps}},
                              indent=2))
             return 0
 
@@ -170,8 +170,9 @@ def main(argv=None) -> int:
                     per_round = ", ".join(
                         f"{a}/{b} " + ("none" if c is None else f"{c:.4%}")
                         for (a, b), c in fit["per_round"].items())
+                    spread = "none" if fit["fit_spread"] is None else f"{fit['fit_spread']:.4%}"
                     print(f"p_c ({logical}) = {fit['p_c']:.4%} +/- {fit['sigma']:.4%} "
-                          f"(failure-count bootstrap only)  "
+                          f"(failure-count bootstrap only)  fit-model spread {spread}  "
                           f"nu = {fit['nu']:.2f}  (per-round crossings: {per_round})",
                           file=sys.stderr)
                 except ThresholdError as exc:

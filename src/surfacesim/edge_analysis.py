@@ -37,7 +37,7 @@ class ErrorProcess(NamedTuple):
     """One effective error component at one circuit location, per graph."""
 
     graph: str                 # detection graph it can touch: "x" or "z"
-    location: tuple            # ("cnot", gate_index) | ("idle5"|"idle6", cell) | ("meas", cell)
+    location: tuple            # ("cnot", gate_index) | ("idle6", cell) | ("meas", cell)
     component: str             # "ctl" | "tgt" | "both" | "flip" (merged: "ctl+both" etc.)
     prob_class: str            # "4p2/15" | "8p2/15" | "2pI/3" | "pM"
     probability: float
@@ -127,7 +127,7 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
         # Every row this graph reads, in the order the loops below take them.
         sigs_of_rows = row_signatures(graph, np.concatenate(
             [(table.slot_rows("cnot")[:, None] + list(comp_kind.values())).ravel()]
-            + [table.slot_rows(f"idle{step}") + kinds1.index(one) for step in circuit.idle_steps]
+            + [table.slot_rows("idle6") + kinds1.index(one)]
             + [table.slot_rows("meas")[stabs]]))
         for gate in range(circuit.n_cnots):
             sigs: dict[tuple, list[str]] = {}
@@ -142,11 +142,10 @@ def _signed_processes(circuit: CompiledCircuit, model: ErrorModel):
                 else:
                     yield ErrorProcess(graph, ("cnot", gate), "+".join(comps),
                                        "8p2/15", len(comps) * p_cnot), sig
-        for step in circuit.idle_steps:
-            for cell in data_cells:
-                location = (f"idle{step}", cell)
-                yield (ErrorProcess(graph, location, "flip", "2pI/3", p_idle),
-                       flips(next(sigs_of_rows), location))
+        for cell in data_cells:
+            location = ("idle6", cell)
+            yield (ErrorProcess(graph, location, "flip", "2pI/3", p_idle),
+                   flips(next(sigs_of_rows), location))
         for cell in stab_cells[stabs].tolist():
             location = ("meas", cell)
             yield (ErrorProcess(graph, location, "flip", "pM", model.pM),

@@ -336,9 +336,13 @@ def estimate_threshold(stats: SweepStats, logical: str = "x") -> dict:
     is the bootstrap standard deviation of p_c over resampled failure
     counts only.  It leaves out the error of the scaling form itself, which
     can be larger: dropping the smallest distance can move p_c by several
-    sigma.  A p_c on the edge of the swept rates means no crossing inside
-    them and raises ThresholdError; a resample's p_c on the edge counts at
-    the edge value, and only resamples that fail check_fit_grid drop out.
+    sigma.  fit_spread reports that error apart from sigma: the spread
+    (max - min) of p_c over the fits on the rows with d >= each swept
+    distance, counting only those that pass check_fit_grid; None when
+    fewer than two pass.  A p_c on the edge of the swept rates means no
+    crossing inside them and raises ThresholdError; a resample's p_c on
+    the edge counts at the edge value, and only resamples that fail
+    check_fit_grid drop out.
     per_round maps each adjacent distance pair (a, b) to the
     rate where the fitted per-round rates cross, F(x_a) / a = F(x_b) / b:
     the lowest root from p_c up to the highest swept rate, or None.  At
@@ -362,6 +366,12 @@ def estimate_threshold(stats: SweepStats, logical: str = "x") -> dict:
         cross = [c for c in cross if p_c <= c <= lo + span]
         per_round[(a, b)] = float(min(cross)) if cross else None
 
+    fits = [p_c]
+    for low in distances[1:]:
+        with contextlib.suppress(ThresholdError):
+            fits.append(_scaling_fit([r for r in stats.rows if r.d >= low], logical)[0])
+    fit_spread = float(np.ptp(fits)) if len(fits) >= 2 else None
+
     rng = np.random.default_rng(BOOTSTRAP_SEED)
     key = f"fail_{logical}"
     boots = []
@@ -371,8 +381,8 @@ def estimate_threshold(stats: SweepStats, logical: str = "x") -> dict:
         with contextlib.suppress(ThresholdError):
             boots.append(_scaling_fit(resampled, logical)[0])
     sigma = float(np.std(boots)) if len(boots) >= 10 else float("nan")
-    return {"p_c": p_c, "sigma": sigma, "nu": nu, "bootstrap_samples": len(boots),
-            "logical": logical, "per_round": per_round}
+    return {"p_c": p_c, "sigma": sigma, "fit_spread": fit_spread, "nu": nu,
+            "bootstrap_samples": len(boots), "logical": logical, "per_round": per_round}
 
 
 def _fields(r: PointStats) -> dict:

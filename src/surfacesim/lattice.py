@@ -3,9 +3,10 @@
 Geometry: a (2d-1) x (2d-1) grid of qubits.  Data qubits sit on cells with
 i+j even.  X-type syndrome qubits sit on (odd i, even j) cells and are the
 control of every CNOT they touch; Z-type syndrome qubits sit on
-(even i, odd j) cells and are the target.  Each measurement cycle has six
-time steps: four CNOT steps that tile the plane, one data-idle step, and a
-final step where syndrome qubits are measured while data qubits idle.
+(even i, odd j) cells and are the target.  Each measurement cycle is the
+four CNOT steps that tile the plane, then the readout: syndrome qubits are
+measured while every data qubit idles once (the phase "idle6" of fault
+locations).
 
 With this layout, chains of data X errors terminate on the left/right grid
 edges (Z graph) and chains of data Z errors terminate on the top/bottom
@@ -157,36 +158,14 @@ def build_lattice(distance: int) -> Lattice:
     )
 
 
-@dataclass(frozen=True)
-class GateSchedule:
-    """One measurement cycle: four CNOT steps, a data idle, a measurement step.
-
-    cnot_steps[k] lists (control, target) pairs executed in step k+1.  The
-    idle_steps tuple records which of the two trailing steps (5 and 6)
-    apply a noisy identity gate to every data qubit.  The default is the
-    measurement-step idle only: data qubits wait exactly once per cycle,
-    while the syndrome qubits are read out.
-    """
-
-    cnot_steps: tuple[tuple[tuple[tuple[int, int], tuple[int, int]], ...], ...]
-    idle_steps: tuple[int, ...] = (6,)
-
-    def describe(self) -> dict:
-        return {
-            "idle_steps": list(self.idle_steps),
-            "cnot_steps": [
-                [[list(c), list(t)] for (c, t) in step] for step in self.cnot_steps
-            ],
-        }
-
-
-def standard_schedule(lattice: Lattice,
-                      idle_steps: tuple[int, ...] = (6,)) -> GateSchedule:
-    """The tiled four-step CNOT ordering, identical for every stabilizer.
+def standard_schedule(lattice: Lattice) -> tuple:
+    """The tiled four-step CNOT ordering, identical for every stabilizer:
+    element k lists the (control, target) pairs of CNOT step k+1.
 
     Every X stabilizer touches its neighbors in STEP_ORDER["x"] order (as
     control) and every Z stabilizer in the "z" order (as target); missing
-    boundary neighbors are skipped.
+    boundary neighbors are skipped.  A measurement cycle is these four
+    steps, then the readout, during which every data qubit idles once.
     """
     steps: list[list[tuple[tuple[int, int], tuple[int, int]]]] = [[] for _ in range(4)]
     for cell in lattice.x_stabilizers:
@@ -199,7 +178,4 @@ def standard_schedule(lattice: Lattice,
         for k, direction in enumerate(STEP_ORDER["z"]):
             if direction in neigh:
                 steps[k].append((neigh[direction], cell))
-    return GateSchedule(
-        cnot_steps=tuple(tuple(sorted(step)) for step in steps),
-        idle_steps=tuple(idle_steps),
-    )
+    return tuple(tuple(sorted(step)) for step in steps)

@@ -3,7 +3,9 @@
 Only the error frame is tracked: two bit-planes (x and z) over the qubit
 grid, all zeros meaning the error-free state.  CNOTs move bits linearly
 (X spreads control->target, Z spreads target->control), so a cycle is a
-handful of vectorized XOR operations.
+handful of vectorized XOR operations.  A cycle is fixed: the four CNOT
+steps of `lattice.standard_schedule`, then the readout, during which every
+data qubit idles once (phase "idle6").
 
 Syndrome qubits are never re-initialized.  A Z-type syndrome qubit is
 measured in the Z basis, so its report is flipped by its accumulated x
@@ -47,11 +49,10 @@ in the tests builds its windows of chosen faults with the same method.
 
 The windows are those of a round-by-round frame simulator fed by the same
 stream.  Per round, that simulator drew one uniform per slot of the
-layout cnot1-cnot4 (one per gate), idle5 (one per data qubit, if
-scheduled), the Z- then X-type readouts, idle6 (if scheduled), leaving a
-segment out when its probability is 0; a hit's Pauli kind was
-int((u / p) * 15) or int((u / p) * 3), clipped (a clip that never
-acts: u < p keeps u / p below 1 in floating point).  Philox `random(a)`
+layout cnot1-cnot4 (one per gate), the Z- then X-type readouts, idle6
+(one per data qubit), leaving a segment out when its probability is 0;
+a hit's Pauli kind was int((u / p) * 15) or int((u / p) * 3), clipped (a
+clip that never acts: u < p keeps u / p below 1 in floating point).  Philox `random(a)`
 followed by `random(b)` returns the numbers of one `random(a + b)`, so
 the single draw here gives the same uniforms, hits and kinds, and the
 same window bit for bit.
@@ -64,7 +65,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import GateSchedule, Lattice
+from .lattice import Lattice
 from .noise import ErrorModel
 
 # Bit payloads (xc, zc, xt, zt) of the 15 non-identity two-qubit Paulis:
@@ -95,15 +96,17 @@ class PauliFrame:
 
 
 class CompiledCircuit:
-    """Index arrays for one cycle of a schedule on a lattice."""
+    """Index arrays for one cycle on a lattice: the CNOT steps of a
+    schedule (`lattice.standard_schedule`), then the readout with its
+    data idle."""
 
-    def __init__(self, lattice: Lattice, schedule: GateSchedule):
+    def __init__(self, lattice: Lattice, schedule: tuple):
         self.lattice = lattice
         self.n_cells = lattice.size * lattice.size
 
         self.step_ctl = []
         self.step_tgt = []
-        for step in schedule.cnot_steps:
+        for step in schedule:
             self.step_ctl.append(np.array([lattice.index(c) for c, _ in step], dtype=np.int32))
             self.step_tgt.append(np.array([lattice.index(t) for _, t in step], dtype=np.int32))
         # Per-gate arrays, ordered by (step, position within step).
@@ -116,7 +119,6 @@ class CompiledCircuit:
         self.x_idx = np.array([lattice.index(c) for c in lattice.x_stabilizers], dtype=np.int32)
         self.n_z = len(self.z_idx)
         self.n_x = len(self.x_idx)
-        self.idle_steps = schedule.idle_steps
 
     @cached_property
     def fault_table(self) -> "FaultTable":
@@ -124,7 +126,7 @@ class CompiledCircuit:
         return FaultTable(self)
 
 
-def compile_circuit(lattice: Lattice, schedule: GateSchedule) -> CompiledCircuit:
+def compile_circuit(lattice: Lattice, schedule: tuple) -> CompiledCircuit:
     return CompiledCircuit(lattice, schedule)
 
 
@@ -166,7 +168,7 @@ def run_cycle(frame: PauliFrame, circuit: CompiledCircuit,
     """Advance a batch of frames (rows by cells) noiselessly through one
     full cycle; return (z_reports, x_reports).
 
-    `injections` maps a phase ("cnot1".."cnot4", "idle5", "meas", "idle6")
+    `injections` maps a phase ("cnot1".."cnot4", "meas", "idle6")
     to (rows, cells, x_bits, z_bits): bit i is XORed into cell cells[i] of
     frame row rows[i] there, and no (row, cell) pair repeats.  Reports are
     frame-relative measurement bits: a report of 1 means the physical
@@ -186,9 +188,6 @@ def run_cycle(frame: PauliFrame, circuit: CompiledCircuit,
         z[..., ctl] ^= z[..., tgt]
         inject(f"cnot{k + 1}")
 
-    if 5 in circuit.idle_steps:
-        inject("idle5")
-
     # Measurement step: wrong-eigenstate flips persist in the frame.
     inject("meas")
     z_reports = x[..., circuit.z_idx]
@@ -198,8 +197,7 @@ def run_cycle(frame: PauliFrame, circuit: CompiledCircuit,
     z[..., circuit.z_idx] = 0
     x[..., circuit.x_idx] = 0
 
-    if 6 in circuit.idle_steps:
-        inject("idle6")
+    inject("idle6")
 
     return z_reports, x_reports
 
@@ -209,9 +207,9 @@ class FaultTable:
     padded row (pad) per kind.
 
     Rows are numbered by phase in draw order ("cnot", the four CNOT
-    steps; "idle5" if scheduled; "meas"; "idle6" if scheduled), then by
-    slot, then by Pauli kind: `slot_rows(phase)` gives each slot's first
-    row, and kind k of the slot is that row plus k.  A CNOT slot is a
+    steps; "meas"; "idle6"), then by slot, then by Pauli kind:
+    `slot_rows(phase)` gives each slot's first row, and kind k of the
+    slot is that row plus k.  A CNOT slot is a
     gate (gates numbered by step, then by position within the step, kinds
     in PAULI2_BITS order); an idle slot is a data qubit (kinds in
     PAULI1_BITS order); a meas slot is a Z-type, then X-type, syndrome
@@ -250,21 +248,15 @@ class FaultTable:
                           np.broadcast_to(z_bits, cells.shape).ravel().astype(np.uint8))
             return units
 
-        segments = [("cnot", "p2", PAULI2_BITS, np.concatenate([
-            inject(f"cnot{k + 1}", np.stack([ctl, ctl, tgt, tgt], axis=1), [1, 0, 1, 0],
-                   [0, 1, 0, 1]) for k, (ctl, tgt) in enumerate(zip(c.step_ctl, c.step_tgt))]))]
-
-        def add_idle(step: int):
-            segments.append((f"idle{step}", "pI", PAULI1_BITS, inject(
-                f"idle{step}", np.repeat(c.data_idx[:, None], 2, axis=1), [1, 0], [0, 1])))
-
-        if 5 in c.idle_steps:
-            add_idle(5)
         is_z = (np.arange(self.n_stab) < c.n_z)[:, None]
-        segments.append(("meas", "pM", np.ones((1, 1), dtype=np.uint8),
-                         inject("meas", stab_cells[:, None], is_z, ~is_z)))
-        if 6 in c.idle_steps:
-            add_idle(6)
+        segments = [
+            ("cnot", "p2", PAULI2_BITS, np.concatenate([
+                inject(f"cnot{k + 1}", np.stack([ctl, ctl, tgt, tgt], axis=1), [1, 0, 1, 0],
+                       [0, 1, 0, 1]) for k, (ctl, tgt) in enumerate(zip(c.step_ctl, c.step_tgt))])),
+            ("meas", "pM", np.ones((1, 1), dtype=np.uint8),
+             inject("meas", stab_cells[:, None], is_z, ~is_z)),
+            ("idle6", "pI", PAULI1_BITS,
+             inject("idle6", np.repeat(c.data_idx[:, None], 2, axis=1), [1, 0], [0, 1]))]
         self._report_codes = np.concatenate([c.z_idx, c.n_cells + c.x_idx])
         self._layouts: dict[ErrorModel, tuple] = {}
 

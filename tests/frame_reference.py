@@ -27,7 +27,7 @@ from surfacesim.sim import (
 from paulis import SINGLE_PAULIS, TWO_QUBIT_PAULIS
 
 
-PHASES = ("cnot1", "cnot2", "cnot3", "cnot4", "idle5", "meas", "idle6")
+PHASES = ("cnot1", "cnot2", "cnot3", "cnot4", "meas", "idle6")
 
 
 class InjectionPlan:
@@ -112,28 +112,6 @@ def run_cycle(frame: PauliFrame, circuit: CompiledCircuit, model: ErrorModel,
                 _apply_pauli2(frame, cells[0], cells[1],
                               (pauli[0].x, pauli[0].z, pauli[1].x, pauli[1].z))
 
-    def idle_noise(phase: str):
-        if noisy and model.pI > 0.0:
-            u = rng.random(len(circuit.data_idx))
-            hits = np.nonzero(u < model.pI)[0]
-            if hits.size:
-                kinds = ((u[hits] / model.pI) * 3).astype(np.intp)
-                np.clip(kinds, 0, 2, out=kinds)
-                cells = circuit.data_idx[hits]
-                bits = PAULI1_BITS[kinds]
-                x[cells] ^= bits[:, 0]
-                z[cells] ^= bits[:, 1]
-                if noise_log is not None:
-                    for h, kind in zip(hits, kinds):
-                        noise_log.append((round_index, phase, int(h), int(kind)))
-        if injections is not None:
-            for cells, pauli in injections.get(round_index, phase):
-                frame.x[cells] ^= pauli.x
-                frame.z[cells] ^= pauli.z
-
-    if 5 in circuit.idle_steps:
-        idle_noise("idle5")
-
     # Measurement step: wrong-eigenstate flips persist in the frame.
     if noisy and model.pM > 0.0:
         flips_z = (rng.random(circuit.n_z) < model.pM).astype(np.uint8)
@@ -161,8 +139,24 @@ def run_cycle(frame: PauliFrame, circuit: CompiledCircuit, model: ErrorModel,
     z[circuit.z_idx] = 0
     x[circuit.x_idx] = 0
 
-    if 6 in circuit.idle_steps:
-        idle_noise("idle6")
+    # Every data qubit idles while the syndrome qubits are read out.
+    if noisy and model.pI > 0.0:
+        u = rng.random(len(circuit.data_idx))
+        hits = np.nonzero(u < model.pI)[0]
+        if hits.size:
+            kinds = ((u[hits] / model.pI) * 3).astype(np.intp)
+            np.clip(kinds, 0, 2, out=kinds)
+            cells = circuit.data_idx[hits]
+            bits = PAULI1_BITS[kinds]
+            x[cells] ^= bits[:, 0]
+            z[cells] ^= bits[:, 1]
+            if noise_log is not None:
+                for h, kind in zip(hits, kinds):
+                    noise_log.append((round_index, "idle6", int(h), int(kind)))
+    if injections is not None:
+        for cells, pauli in injections.get(round_index, "idle6"):
+            frame.x[cells] ^= pauli.x
+            frame.z[cells] ^= pauli.z
 
     return z_reports, x_reports
 
@@ -207,7 +201,7 @@ def simulate_window(circuit: CompiledCircuit, model: ErrorModel,
 def single_fault_windows(circuit: CompiledCircuit) -> list:
     """Every single fault of the circuit, injected in round 2 (round index
     1) of a 5-round noiseless window: per fault its `FaultTable` phase
-    ("cnot", "idle5", "meas" or "idle6"), slot and Pauli kind, and the
+    ("cnot", "meas" or "idle6"), slot and Pauli kind, and the
     window.  The windows do not depend on the error model, so every
     decoder reads the same ones."""
     zero = ErrorModel(0, 0, 0)
@@ -220,8 +214,8 @@ def single_fault_windows(circuit: CompiledCircuit) -> list:
     return ([window("cnot", gate, kind, cnot_phase(circuit, gate),
                     (int(circuit.gate_ctl[gate]), int(circuit.gate_tgt[gate])), pair)
              for gate in range(circuit.n_cnots) for kind, pair in enumerate(TWO_QUBIT_PAULIS)]
-            + [window(f"idle{step}", slot, kind, f"idle{step}", int(cell), op)
-               for step in circuit.idle_steps for slot, cell in enumerate(circuit.data_idx)
+            + [window("idle6", slot, kind, "idle6", int(cell), op)
+               for slot, cell in enumerate(circuit.data_idx)
                for kind, op in enumerate(SINGLE_PAULIS)]
             + [window("meas", slot, 0, "meas", int(cell), None)
                for slot, cell in enumerate(stab_cells)])

@@ -406,7 +406,7 @@ def _injection_for(circuit: CompiledCircuit, proc: ErrorProcess, round_index: in
         pauli = _component_paulis(proc.graph)[comp]
         cells = (int(circuit.gate_ctl[gate]), int(circuit.gate_tgt[gate]))
         return make_injection([(round_index, cnot_phase(circuit, gate), cells, pauli)])
-    if kind in ("idle5", "idle6"):
+    if kind == "idle6":
         pauli = X if proc.graph == "z" else Z
         return make_injection([(round_index, kind, proc.location[1], pauli)])
     if kind == "meas":
@@ -458,9 +458,8 @@ def propagated_processes(circuit: CompiledCircuit, model: ErrorModel,
                 yield ErrorProcess(graph, ("cnot", gate), "+".join(comps),
                                    "4p2/15" if len(comps) == 1 else "8p2/15",
                                    len(comps) * p_cnot), sig
-        procs = [ErrorProcess(graph, (f"idle{step}", cell), "flip", "2pI/3",
-                              model.pI * 2.0 / 3.0)
-                 for step in circuit.idle_steps for cell in circuit.data_idx.tolist()]
+        procs = [ErrorProcess(graph, ("idle6", cell), "flip", "2pI/3", model.pI * 2.0 / 3.0)
+                 for cell in circuit.data_idx.tolist()]
         procs += [ErrorProcess(graph, ("meas", cell), "flip", "pM", model.pM)
                   for cell in (circuit.z_idx if graph == "z" else circuit.x_idx).tolist()]
         for proc in procs:
@@ -515,8 +514,7 @@ def mc_validate(circuit: CompiledCircuit, model: ErrorModel,
                 if gid is not None:
                     gate_gid[graph][gate, kind] = gid
 
-    idle_locs = [(f"idle{step}", int(cell))
-                 for step in circuit.idle_steps for cell in circuit.data_idx]
+    idle_locs = [("idle6", int(cell)) for cell in circuit.data_idx]
     idle_gid = {g: np.full((len(idle_locs), 3), -1, dtype=np.int32)
                 for g in ("x", "z")}
     for loc_i, loc in enumerate(idle_locs):

@@ -19,6 +19,7 @@ def test_dump_lattice(capsys):
     assert main(["--dump-lattice", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["lattice"]["distance"] == 3
+    assert list(doc["schedule"]) == ["cnot_steps"]
     assert len(doc["schedule"]["cnot_steps"]) == 4
 
 
@@ -214,7 +215,7 @@ def test_custom_model_sweep_over_p_returns_1(capsys, no_windows):
     assert captured.out == ""
 
 
-FIT_ARGS = ["--estimate-threshold", "--distance", "3,5,7",
+FIT_ARGS = ["--estimate-threshold", "--distance", "3,5,7,9",
             "--p", "0.006,0.008,0.01,0.012,0.014", "--trials", "2"]
 
 
@@ -242,7 +243,7 @@ def fake_sweep(monkeypatch):
 
 
 def test_threshold_fit_report(capsys, fake_sweep):
-    stats = _fake_stats(p_c=0.0095)
+    stats = _fake_stats(p_c=0.0095, distances=(3, 5, 7, 9))
     fake_sweep(stats)
     assert main(FIT_ARGS) == 0
     report = capsys.readouterr().err.splitlines()
@@ -252,11 +253,13 @@ def test_threshold_fit_report(capsys, fake_sweep):
         crossing = f"(none|{pct})"
         assert re.fullmatch(
             rf"p_c \({logical}\) = {pct} \+/- {pct} \(failure-count bootstrap only\)  "
-            rf"nu = \d\.\d\d  "
-            rf"\(per-round crossings: 3/5 {crossing}, 5/7 {crossing}\)", line), line
+            rf"fit-model spread {pct}  nu = \d\.\d\d  "
+            rf"\(per-round crossings: 3/5 {crossing}, 5/7 {crossing}, 7/9 {crossing}\)",
+            line), line
         fit = estimate_threshold(stats, logical=logical)
         assert line.startswith(f"p_c ({logical}) = {fit['p_c']:.4%} +/- {fit['sigma']:.4%} "
                                f"(failure-count bootstrap only)  "
+                               f"fit-model spread {fit['fit_spread']:.4%}  "
                                f"nu = {fit['nu']:.2f}  ")
 
 

@@ -4,6 +4,16 @@ from pathlib import Path
 import surfacesim
 
 SRC = Path(surfacesim.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
+
+# Defaulted parameters that no caller outside the tests sets, kept on purpose.
+TEST_SEAMS = {
+    # bench/test_bench.py passes it through a wrapper; it leaves with the
+    # chunk-batched sampling of ROADMAP item 9.
+    "decoder.Decoder.decode(verify)",
+    # The console script's test seam: tests pass argv in place of sys.argv.
+    "cli.main(argv)",
+}
 
 
 def _private_names_never_read(src: Path) -> list[str]:
@@ -71,3 +81,77 @@ def test_dead_name_scan_flags_an_unread_table(tmp_path):
         "    def run(self):\n        return self._live()\n")
     (tmp_path / "b.py").write_text("def f():\n    from .a import _USED\n    return _USED\n")
     assert _private_names_never_read(tmp_path) == ["_SLOTS", "_TABLE", "_dead", "_helper"]
+
+
+def _parameters_never_set(src: Path, callers: list[Path]) -> list[str]:
+    """Defaulted parameters of the package's module-level functions and of
+    its classes' methods, as "module.name(param)" or
+    "module.Class.name(param)", that no call in the caller files sets, by
+    keyword or by position.  A call matches every definition of its name,
+    whatever the object; a call of a class counts for its __init__; a
+    *args sets every positional parameter and a **kwargs every
+    parameter."""
+    defs = []  # (label, call names, positional names, defaulted names)
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            funcs = [(node, "", ())] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                funcs = [(f, node.name + ".", (node.name,) if f.name == "__init__" else ())
+                         for f in node.body if isinstance(f, ast.FunctionDef)]
+            for f, owner, aliases in funcs:
+                a = f.args
+                positional = [arg.arg for arg in a.posonlyargs + a.args]
+                if owner and not any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
+                                     for dec in f.decorator_list):
+                    positional = positional[1:]  # self or cls
+                defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+                defaulted += [arg.arg for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                              if default is not None]
+                if defaulted:
+                    defs.append((f"{path.stem}.{owner}{f.name}", {f.name, *aliases},
+                                 positional, defaulted))
+    calls: dict[str, list[ast.Call]] = {}
+    for root in callers:
+        for path in sorted(root.rglob("*.py")):
+            for call in ast.walk(ast.parse(path.read_text())):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(call)
+
+    def sets(call: ast.Call, param: str, positional: list[str]) -> bool:
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        if param not in positional:
+            return False
+        return (any(isinstance(arg, ast.Starred) for arg in call.args)
+                or len(call.args) > positional.index(param))
+
+    return sorted(f"{label}({param})" for label, names, positional, defaulted in defs
+                  for param in defaulted
+                  if not any(sets(call, param, positional)
+                             for name in names for call in calls.get(name, ())))
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # A seam that no longer shows up here has lost its parameter or gained
+    # a caller: take it off the list.
+    callers = [ROOT / "src", ROOT / "bench", ROOT / "results"]
+    assert _parameters_never_set(SRC, callers) == sorted(TEST_SEAMS)
+
+
+def test_parameter_scan_flags_a_default_no_caller_sets(tmp_path):
+    pkg, use = tmp_path / "pkg", tmp_path / "use"
+    pkg.mkdir()
+    use.mkdir()
+    (pkg / "a.py").write_text(
+        "def f(x, y=1, *, z=2):\n    return x + y + z\n\n"
+        "def g(a=0):\n    return a\n\n"
+        "def h(u=0, *, v=1):\n    return u + v\n\n"
+        "class C:\n    def __init__(self, n=0):\n        self.n = n\n\n"
+        "    def m(self, k=1, j=2):\n        return k + j\n\n"
+        "    @staticmethod\n    def s(q=0):\n        return q\n")
+    (use / "b.py").write_text(
+        "from a import C, f, g, h\n\n"
+        "f(0, 2)\ng(**{})\nh(*[1])\nC(5).m(j=1)\nC.s(0)\n")
+    assert _parameters_never_set(pkg, [use]) == ["a.C.m(k)", "a.f(z)", "a.h(v)"]

@@ -92,7 +92,7 @@ def test_idle_process_class(setup_d5):
     circ, model, _ = setup_d5
     idles = [p for p, _ in _signed_processes(circ, model)
              if p.location[0].startswith("idle") and p.graph == "x"]
-    assert len(idles) == len(circ.data_idx) * len(circ.idle_steps)
+    assert len(idles) == len(circ.data_idx)
     assert all(p.prob_class == "2pI/3" for p in idles)
     assert all(p.probability == pytest.approx(2 * model.pI / 3) for p in idles)
 
@@ -100,10 +100,9 @@ def test_idle_process_class(setup_d5):
 def test_data_memory_error_is_spatial_link(setup_d5):
     circ, model, _ = setup_d5
     lat = circ.lattice
-    idle_step = circ.idle_steps[0]
     # Bulk data qubit at (4, 4): z errors pair its north/south X stabilizers.
     from surfacesim.edge_analysis import ErrorProcess
-    proc = ErrorProcess("x", (f"idle{idle_step}", lat.index((4, 4))), "flip",
+    proc = ErrorProcess("x", ("idle6", lat.index((4, 4))), "flip",
                         "2pI/3", 2 * model.pI / 3)
     sig = propagate_process(circ, proc)
     cells = sorted(lat.cell(c) for c, _ in sig)
@@ -249,8 +248,7 @@ def test_predicted_events_match_simulator(setup_d5):
         raw_components = (
             [(("cnot", g), part) for g in range(circ.n_cnots)
              for part in ("ctl", "tgt", "both")]
-            + [((f"idle{s}", int(c)), "flip") for s in circ.idle_steps
-               for c in circ.data_idx]
+            + [(("idle6", int(c)), "flip") for c in circ.data_idx]
             + [(("meas", int(c)), "flip")
                for c in (circ.z_idx if graph == "z" else circ.x_idx)])
         for location, part in raw_components:
@@ -276,15 +274,14 @@ def test_predicted_events_match_simulator(setup_d5):
                     part = {(1, 0): "ctl", (0, 1): "tgt", (1, 1): "both"}.get((bc, bt))
                     if part:
                         fired.append((graph, ("cnot", gate), part))
-        for step in circ.idle_steps:
-            for cell in circ.data_idx:
-                if rng.random() < 0.02:
-                    op = SINGLE_PAULIS[int(rng.integers(3))]
-                    entries.append((r0, f"idle{step}", int(cell), op))
-                    if op.x:
-                        fired.append(("z", (f"idle{step}", int(cell)), "flip"))
-                    if op.z:
-                        fired.append(("x", (f"idle{step}", int(cell)), "flip"))
+        for cell in circ.data_idx:
+            if rng.random() < 0.02:
+                op = SINGLE_PAULIS[int(rng.integers(3))]
+                entries.append((r0, "idle6", int(cell), op))
+                if op.x:
+                    fired.append(("z", ("idle6", int(cell)), "flip"))
+                if op.z:
+                    fired.append(("x", ("idle6", int(cell)), "flip"))
         for graph, idx in (("z", circ.z_idx), ("x", circ.x_idx)):
             for cell in idx:
                 if rng.random() < 0.02:
@@ -323,7 +320,7 @@ def test_process_signature_matches_propagation_d3():
     # Every process's one-pass signature, read from the fault table,
     # equals the one propagated gate by gate.
     lat = build_lattice(3)
-    circ = compile_circuit(lat, standard_schedule(lat, idle_steps=(5, 6)))
+    circ = compile_circuit(lat, standard_schedule(lat))
     model = preset("standard", 0.01)
     signed = list(_signed_processes(circ, model))
     assert ([proc for proc, _ in signed]
@@ -353,8 +350,7 @@ def _class_snapshot(table):
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
-@pytest.mark.parametrize("idle_steps", [(6,), (5,), (5, 6)], ids=["idle6", "idle5", "idle56"])
-def test_derivation_from_fault_table_matches_propagation(d, idle_steps):
+def test_derivation_from_fault_table_matches_propagation(d):
     # The same processes and signatures, and so the same EdgeClassTable,
     # as with every signature taken from propagate_process.  Signatures do
     # not depend on the model, so each propagated one is reused across
@@ -362,7 +358,7 @@ def test_derivation_from_fault_table_matches_propagation(d, idle_steps):
     import surfacesim.edge_analysis as ea
 
     lat = build_lattice(d)
-    circ = compile_circuit(lat, standard_schedule(lat, idle_steps=idle_steps))
+    circ = compile_circuit(lat, standard_schedule(lat))
     propagated: dict = {}
 
     def signature(circuit, proc):

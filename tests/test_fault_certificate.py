@@ -63,7 +63,7 @@ def _supports(circ) -> np.ndarray:
     cells = np.zeros((table.pad.shape[0], 2), dtype=np.intp)
     slot_cells = {"cnot": np.stack([circ.gate_ctl, circ.gate_tgt], axis=1),
                   "meas": np.concatenate([circ.z_idx, circ.x_idx])[:, None],
-                  "idle5": circ.data_idx[:, None], "idle6": circ.data_idx[:, None]}
+                  "idle6": circ.data_idx[:, None]}
     for phase, (_attr, first, n_slots, n_kinds) in table._phases.items():
         cells[first:first + n_slots * n_kinds] = np.repeat(slot_cells[phase], n_kinds, axis=0)
     return np.stack(np.divmod(cells, circ.lattice.size), axis=-1).astype(np.int16)

@@ -304,6 +304,20 @@ def test_per_round_crossing_solves_the_fitted_form(monkeypatch):
         assert F(a) == pytest.approx(F(b), rel=1e-9)
 
 
+def test_fit_spread_is_the_spread_over_distance_subsets(monkeypatch):
+    # The fits on d >= 3 and d >= 5 count; d >= 7 and d >= 9 leave fewer
+    # than three distances and drop out.  With three distances only one
+    # fit is left, so there is no spread.
+    import surfacesim.harness as harness
+
+    monkeypatch.setattr(harness, "N_BOOTSTRAP", 0)
+    stats = _fake_stats(distances=(3, 5, 7, 9))
+    fits = [harness._scaling_fit([r for r in stats.rows if r.d >= low], "x")[0]
+            for low in (3, 5)]
+    assert estimate_threshold(stats)["fit_spread"] == max(fits) - min(fits) > 0
+    assert estimate_threshold(_fake_stats())["fit_spread"] is None
+
+
 def test_estimate_threshold_needs_bracketing():
     # Every swept rate lies above the crossing: the fit puts p_c on the
     # lowest swept rate.

@@ -84,9 +84,8 @@ def test_standard_schedule_validates(d):
     # support qubit) gate exactly once, X-type qubits as control and
     # Z-type qubits as target.
     lat = build_lattice(d)
-    sched = standard_schedule(lat)
     gates = []
-    for step in sched.cnot_steps:
+    for step in standard_schedule(lat):
         used = [q for gate in step for q in gate]
         assert len(used) == len(set(used))
         for ctrl, tgt in step:
@@ -99,8 +98,7 @@ def test_standard_schedule_validates(d):
 
 def test_step_counts_match_direction_presence():
     lat = build_lattice(3)
-    sched = standard_schedule(lat)
-    for k, step in enumerate(sched.cnot_steps):
+    for k, step in enumerate(standard_schedule(lat)):
         expect = 0
         for cell in lat.x_stabilizers:
             if STEP_ORDER["x"][k] in lat.neighbors(cell):
@@ -117,9 +115,7 @@ def test_describe_roundtrips_roles():
     assert desc["distance"] == 3
     assert len(desc["data_qubits"]) == 13
     assert len(desc["x_stabilizers"]) == 6
-    sched = standard_schedule(lat)
-    sdesc = sched.describe()
-    assert sum(len(s) for s in sdesc["cnot_steps"]) == 40
+    assert sum(len(step) for step in standard_schedule(lat)) == 40
 
 
 def test_sublattice_coords_unit_spacing():

@@ -159,29 +159,28 @@ def test_every_single_fault_makes_at_most_two_events(circuit_d3, graph):
 
 # --- fault-table sampler ---------------------------------------------------
 
-def _circuit(d, idle_steps=(6,)):
+def _circuit(d):
     lat = build_lattice(d)
-    return compile_circuit(lat, standard_schedule(lat, idle_steps=idle_steps))
+    return compile_circuit(lat, standard_schedule(lat))
 
 
 SAMPLER_CASES = [
-    (d, model, idle, rounds)
+    (d, model, rounds)
     for d in (3, 5)
-    for model, idle, rounds in (
-        [(preset(name, 0.01), (6,), 10 * d) for name in ("standard", "balanced", "iontrap")]
-        + [(ErrorModel(*m), (6,), rounds)
+    for model, rounds in (
+        [(preset(name, 0.01), 10 * d) for name in ("standard", "balanced", "iontrap")]
+        + [(ErrorModel(*m), rounds)
            for m in ((0.01, 0, 0.01), (0, 0.01, 0), (1.0, 0, 0))
            for rounds in (1, 10 * d)]
-        + [(preset("standard", 0.01), idle, 10 * d) for idle in ((5,), (5, 6))]
     )
-] + [(d, ErrorModel(0, 0.015, 0.01), (6,), 10 * d) for d in (3, 5)]  # phenomenological
+] + [(d, ErrorModel(0, 0.015, 0.01), 10 * d) for d in (3, 5)]  # phenomenological
 
 
-@pytest.mark.parametrize("d,model,idle_steps,rounds", SAMPLER_CASES)
-def test_sampler_matches_frozen_reference(d, model, idle_steps, rounds):
+@pytest.mark.parametrize("d,model,rounds", SAMPLER_CASES)
+def test_sampler_matches_frozen_reference(d, model, rounds):
     # Signs and the whole final frame, window by window, against the
     # round-by-round simulator fed by the same stream.
-    circ = _circuit(d, idle_steps)
+    circ = _circuit(d)
     for idx in range(30):
         got = simulate_window(circ, model, trial_rng(21, idx), rounds)
         want = frame_reference.simulate_window(circ, model, trial_rng(21, idx), rounds)
@@ -192,12 +191,11 @@ def test_sampler_matches_frozen_reference(d, model, idle_steps, rounds):
         assert np.array_equal(got.frame.z, want.frame.z), idx
 
 
-@pytest.mark.parametrize("d,idle_steps", [(d, idle) for d in (3, 5, 7)
-                                          for idle in ((5,), (6,), (5, 6))])
-def test_preset_windows_match_frozen_reference(d, idle_steps):
-    # Each preset's windows against the frozen stepper, at every idle
-    # layout (the frozen-reference test above covers d = 3 and 5).
-    circ = _circuit(d, idle_steps)
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_preset_windows_match_frozen_reference(d):
+    # Each preset's windows against the frozen stepper, up to d = 7 (the
+    # frozen-reference test above covers d = 3 and 5).
+    circ = _circuit(d)
     for name in PRESET_NAMES:
         model = preset(name, 0.01)
         for idx in range(3):
@@ -280,22 +278,18 @@ def test_dropped_circuit_frees_its_fault_table():
 
 def _kind_rows(circ):
     """(row, phase, cells, pauli) of every fault-table row, numbered by the
-    rule FaultTable documents (phases in draw order: the CNOT gates, idle5
-    if scheduled, the readouts, idle6 if scheduled; then slot, then kind)
-    without reading the table: pauli is a (control, target) pair for a
-    CNOT, one Pauli for an idle qubit, and for a readout the bit it flips
-    (X on a Z-type syndrome qubit, Z on an X-type one)."""
+    rule FaultTable documents (phases in draw order: the CNOT gates, the
+    readouts, idle6; then slot, then kind) without reading the table:
+    pauli is a (control, target) pair for a CNOT, one Pauli for an idle
+    qubit, and for a readout the bit it flips (X on a Z-type syndrome
+    qubit, Z on an X-type one)."""
     kinds = []
     for gate in range(circ.n_cnots):
         cells = (int(circ.gate_ctl[gate]), int(circ.gate_tgt[gate]))
         kinds += [(cnot_phase(circ, gate), cells, pair) for pair in TWO_QUBIT_PAULIS]
-    idle = {step: [(f"idle{step}", int(cell), op)
-                   for cell in circ.data_idx for op in SINGLE_PAULIS]
-            for step in circ.idle_steps}
-    kinds += idle.get(5, [])
     stab_cells = np.concatenate([circ.z_idx, circ.x_idx])
     kinds += [("meas", int(cell), X if a < circ.n_z else Z) for a, cell in enumerate(stab_cells)]
-    kinds += idle.get(6, [])
+    kinds += [("idle6", int(cell), op) for cell in circ.data_idx for op in SINGLE_PAULIS]
     return [(row, *kind) for row, kind in enumerate(kinds)]
 
 
@@ -304,20 +298,20 @@ def _row_entries(table, row: int) -> np.ndarray:
     return codes[codes >= 0]
 
 
-@pytest.mark.parametrize("d,idle_steps", [(3, (5, 6)), (5, (6,))])
-def test_fault_table_entries_match_injected_faults(d, idle_steps):
+@pytest.mark.parametrize("d", [3, 5])
+def test_fault_table_entries_match_injected_faults(d):
     # Each kind row against the frozen frame stepper with that one Pauli
     # injected: in the last noisy round (dt = 1 lands in the closure
     # column) and in an earlier one.  The stepper shares no code with the
     # `run_cycle` that builds the table.
-    circ = _circuit(d, idle_steps)
+    circ = _circuit(d)
     table = circ.fault_table
     n_stab = circ.n_z + circ.n_x
     zero = ErrorModel(0, 0, 0)
     entries = _kind_rows(circ)
     assert len(entries) == len(table.pad)
     # slot_rows(phase) + kind is the documented numbering.
-    n_kinds = {"cnot": 15, "meas": 1, **{f"idle{step}": 3 for step in idle_steps}}
+    n_kinds = {"cnot": 15, "meas": 1, "idle6": 3}
     for phase, n in n_kinds.items():
         want = [row for row, ph, *_ in entries if ph.startswith(phase)]
         assert (table.slot_rows(phase)[:, None] + np.arange(n)).ravel().tolist() == want
