@@ -88,15 +88,15 @@ Both solvers return a mate per position, which one loop over the
 components turns into the graph's pairs and boundary matches.  So
 every matching is the same whichever builder ran.
 
-Corrections follow a canonical staircase (vertical leg then horizontal
-leg) between matched stabilizers, or run straight out of the recorded
-boundary side; any such chain is homologically equivalent to the
-maximum-probability path, so the failure verdict is unchanged.  The data
-cells of each chain are listed once per Decoder: the boundary chain of
-every stabilizer at construction, the staircase of an ordered stabilizer
-pair when it is first matched.  A graph's correction plane is then one
-parity count over the listed cells of its matched pairs and
-boundary-matched events.
+Corrections follow one chain rule, a canonical staircase (vertical leg
+then horizontal leg) between matched points.  A boundary match runs from
+the event's stabilizer to its twin, the grid point just past its recorded
+boundary side, so its staircase runs straight out of that side.  Any such
+chain is homologically equivalent to the maximum-probability path, so
+the failure verdict is unchanged.  The data cells of each staircase are
+listed once per Decoder, when its pair is first matched.  A graph's
+correction plane is then one parity count over the listed cells of its
+matched pairs and boundary-matched events.
 """
 
 from __future__ import annotations
@@ -133,11 +133,11 @@ class Decoder:
     """Reusable decoder for one (lattice, schedule, model, metric) setup.
 
     Construction precomputes, per graph, the pair-weight table
-    wtab[a][b][dt] over all stabilizer pairs within pruning reach, the
-    per-stabilizer boundary weights and the boundary chains (see the
-    module docstring).  Decoding a window then reads only these tables:
-    candidate edges are table lookups, followed by small exact matchings,
-    and corrections are lists of chain cells.
+    wtab[a][b][dt] over all stabilizer pairs within pruning reach and the
+    per-stabilizer boundary weights and sides (see the module docstring).
+    Decoding a window then reads only these tables: candidate edges are
+    table lookups, followed by small exact matchings, and corrections are
+    lists of staircase cells.
     """
 
     def __init__(self, table: EdgeClassTable, metric: str = "dmax"):
@@ -178,7 +178,6 @@ class Decoder:
             bw = [boundary_distance(lg, (c, 0)) for c in cells]
         bvals = [float(b[0]) for b in bw]
         bsides = [b[1] for b in bw]
-        bchains = [_boundary_chain(lat, c, side) for c, side in zip(cells, bsides)]
         # An edge no lighter than two boundary matches is pruned.  Every
         # link weighs at least w_min (one unit for manhattan) and moves at
         # most one sublattice unit per axis and one round, so no single
@@ -222,7 +221,7 @@ class Decoder:
                     wtab[a][b][dt] = w
         return {"cells": cells, "bvals": bvals, "bsides": bsides,
                 "wtab": wtab, "reach": reach,
-                "stairs": _Staircases(lat, cells), "bchains": bchains}
+                "stairs": _Staircases(lat, cells, bsides)}
 
     def decode(self, history: SyndromeHistory, frame: PauliFrame,
                verify: bool = False, collect_matches: bool = True) -> DecodeOutcome:
@@ -239,12 +238,12 @@ class Decoder:
             stabs, ts = _graph_events(history, graph)
             pairs, bd = _match_graph(tab, stabs, ts)
             cells, bsides = tab["cells"], tab["bsides"]
-            stairs, bchains = tab["stairs"], tab["bchains"]
+            stairs, S = tab["stairs"], len(cells)
             flips: list[int] = []
             for u, v in pairs:
                 flips += stairs[stabs[u], stabs[v]]
             for u in bd:
-                flips += bchains[stabs[u]]
+                flips += stairs[stabs[u], S + stabs[u]]
             corrections[graph] = (np.bincount(flips, minlength=lat.size * lat.size)
                                   & 1).astype(np.uint8)
             if collect_matches:
@@ -517,14 +516,18 @@ def _gain_edges(comp: list[int], pos: list[int], nbr: list[list[int]],
 
 
 class _Staircases(dict):
-    """Data cells of the staircase between stabilizers a and b (indices
-    into `cells`), keyed (a, b) and filled on first use: the vertical leg
-    runs in a's column, then the horizontal leg in b's row."""
+    """Data cells of the staircase from point a to point b, keyed (a, b)
+    and filled on first use: the vertical leg runs in a's column, then the
+    horizontal leg in b's row.  Point S + a is stabilizer a's twin, just
+    past its boundary side, so (a, S + a) runs straight out of that side."""
 
-    def __init__(self, lattice: Lattice, cells: list[int]):
+    def __init__(self, lattice: Lattice, cells: list[int], sides: list[str]):
         super().__init__()
-        self.size = lattice.size
-        self.coords = [lattice.cell(c) for c in cells]
+        size = self.size = lattice.size
+        stabs = [lattice.cell(c) for c in cells]
+        self.coords = stabs + [{"left": (i, -1), "right": (i, size), "top": (-1, j),
+                                "bottom": (size, j)}[side]
+                               for (i, j), side in zip(stabs, sides)]
 
     def __missing__(self, key: tuple[int, int]) -> list[int]:
         (i1, j1), (i2, j2) = self.coords[key[0]], self.coords[key[1]]
@@ -533,19 +536,6 @@ class _Staircases(dict):
             *range((min(i1, i2) + 1) * size + j1, (max(i1, i2) + 1) * size + j1, 2 * size),
             *range(i2 * size + min(j1, j2) + 1, i2 * size + max(j1, j2) + 1, 2)]
         return chain
-
-
-def _boundary_chain(lattice: Lattice, cell: int, side: str) -> list[int]:
-    """Data cells from a stabilizer straight out of its boundary side."""
-    size = lattice.size
-    i, j = lattice.cell(cell)
-    steps = {"left": (i * size + j - 1, i * size - 1, -2),
-             "right": (i * size + j + 1, (i + 1) * size, 2),
-             "top": ((i - 1) * size + j, j - size, -2 * size),
-             "bottom": ((i + 1) * size + j, size * size, 2 * size)}
-    if side not in steps:
-        raise ValueError(f"unknown boundary side {side!r}")
-    return list(range(*steps[side]))
 
 
 def _assert_trivial_syndrome(lattice: Lattice, res_x: np.ndarray,

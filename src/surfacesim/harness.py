@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .decoder import Decoder
-from .edge_analysis import derive_edge_classes
+from .edge_analysis import derive_edge_classes, odd_parity_probability
 from .lattice import build_lattice, standard_schedule
 from .metric import METRICS
 from .noise import ErrorModel, preset, trial_rng
@@ -109,16 +109,21 @@ class TrialConfig:
             if self.custom_model is None:
                 raise ValueError("custom model requires a (p2, pI, pM) triple")
             model = ErrorModel(*self.custom_model)
-            if model.p2 == model.pI == 0.0 < model.pM:
+            # Every boundary link holds a 2pI/3 idle and an 8p2/15 CNOT
+            # process, the largest members of any space link, so this is 0
+            # exactly when every space link rounds to probability 0.
+            space = odd_parity_probability([model.pI * 2.0 / 3.0,
+                                            2 * (model.p2 * 4.0 / 15.0)])
+            if space == 0.0 < model.pM:
                 # Readout errors alone make only time-like links: no error
                 # chain can reach a boundary, so there is nothing to decode.
-                raise ValueError("a readout-only model (p2 = pI = 0 < pM) "
-                                 "has no boundary links")
-            if model.p2 == 0.0 and model.pM == 1.0:
-                # Every time-like link is then certain: weight 0, so a
-                # separation search would walk the time axis for free.
-                raise ValueError("a model with p2 = 0 and pM = 1 has time-like "
-                                 "links of probability 1 (weight 0)")
+                raise ValueError("a readout-only model (p2 and pI too small for "
+                                 "any space link, pM > 0) has no boundary links")
+            if model.pM > 0.5:
+                # With pM <= 1/2 every link weighs at least ln 1.5, which
+                # bounds the pair tables' reach; near pM = 1 it is 10^5 rounds.
+                raise ValueError(f"pM = {model.pM} above 1/2: a readout more "
+                                 "often wrong than right")
             return model
         return preset(self.model, self.p)
 

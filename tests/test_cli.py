@@ -190,7 +190,7 @@ def test_bad_config_file_value_returns_1(tmp_path, capsys, no_windows, line):
                                    "--p", "0.01,0.011,0.012,0.013,0.014"],
                                   ["--estimate-threshold", "--distance", "3,5,7",
                                    "--p", "0.01,0.011,0.012,0.013"],
-                                  # Time-like links of probability 1 weigh 0.
+                                  # A readout more often wrong than right.
                                   ["--model", "custom", "--p2", "0", "--pI", "0.01",
                                    "--pM", "1"],
                                   # A custom model's row records p too.
@@ -328,6 +328,19 @@ def test_help_exits_0(capsys, monkeypatch):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "--metric" in out and "(default 4*d)" in out
+
+
+@pytest.mark.parametrize("p2,pI,pM", [("0", "0.01", "0.9999"), ("0", "1e-17", "0.01")])
+def test_custom_models_that_cannot_decode_return_1_without_output(tmp_path, capsys,
+                                                                  no_windows, p2, pI, pM):
+    # A readout flip near certain would make pair tables of 10^5 rounds;
+    # space links too improbable to survive rounding leave no boundary link.
+    out = tmp_path / "run.csv"
+    assert main(["--model", "custom", "--p2", p2, "--pI", pI, "--pM", pM, "--distance", "5",
+                 "--p", "0", "--trials", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert captured.out == "" and not out.exists()
 
 
 def test_readout_only_model_returns_1_without_hanging():

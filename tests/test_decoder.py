@@ -15,7 +15,9 @@ from surfacesim.lattice import build_lattice, standard_schedule
 from surfacesim.noise import ErrorModel, preset, trial_rng
 from surfacesim.sim import SyndromeHistory, _graph_events, compile_circuit, simulate_window
 from surfacesim.edge_analysis import derive_edge_classes
-from surfacesim.decoder import DP_MAX_NODES, PRUNE_EPS, Decoder, _match_graph, _solve_dp
+from surfacesim.decoder import (
+    DP_MAX_NODES, PRUNE_EPS, Decoder, _match_graph, _solve_dp, _Staircases,
+)
 from surfacesim.harness import _setup
 from surfacesim.matching import _max_weight_matching
 from surfacesim.metric import (
@@ -809,6 +811,27 @@ def test_correction_planes_match_chain_walk(setup_d5):
                     _staircase_flip(lat, corr, cu, end[0])
             assert np.array_equal(out.corrections[graph], corr), (trial, graph)
     assert sides == {"left", "right", "top", "bottom"}
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
+def test_boundary_staircases_run_straight_out_of_each_side(d):
+    """A boundary match's chain, the staircase from a stabilizer to its
+    twin, flips the cells that walking straight out of the twin's side
+    flips: every stabilizer of both graphs, toward both boundary sides of
+    its type (Z-type left and right, X-type top and bottom), whichever
+    side a decoder would record."""
+    lat = build_lattice(d)
+    n = lat.size * lat.size
+    for graph, sides in (("z", ("left", "right")), ("x", ("top", "bottom"))):
+        cells = [lat.index(c) for c in lat.stabilizers(graph)]
+        S = len(cells)
+        for side in sides:
+            stairs = _Staircases(lat, cells, [side] * S)
+            for a, cell in enumerate(cells):
+                want = np.zeros(n, dtype=np.uint8)
+                _boundary_flip(lat, want, cell, side)
+                got = np.bincount(stairs[a, S + a], minlength=n) & 1
+                assert np.array_equal(got, want), (graph, side, lat.cell(cell))
 
 
 def test_homology_verdict_stable_under_path_choice(setup_d5):

@@ -11,13 +11,17 @@ import numpy as np
 import pytest
 
 import surfacesim
+from surfacesim.decoder import Decoder
+from surfacesim.edge_analysis import derive_edge_classes
 from surfacesim.harness import (
     CSV_COLUMNS, N_BOOTSTRAP, PointStats, SweepStats, ThresholdError, TrialConfig,
     check_fit_rounds, csv_to_stats, emit_results, estimate_threshold, flip_rate, plot_svg, run_trials,
     stats_to_csv, stats_to_json, wilson_interval,
 )
+from surfacesim.lattice import build_lattice, standard_schedule
 from surfacesim.metric import METRICS
-from surfacesim.noise import PRESET_NAMES
+from surfacesim.noise import PRESET_NAMES, ErrorModel
+from surfacesim.sim import compile_circuit
 
 
 def test_config_validation():
@@ -61,9 +65,46 @@ def test_custom_model():
     # p2 = 0 with pM = 1 gives every time-like link probability 1, so
     # weight 0: the separation searches would never finish.
     for metric in METRICS:
-        with pytest.raises(ValueError, match="probability 1"):
+        with pytest.raises(ValueError, match="above 1/2"):
             TrialConfig(distance=3, p=0.0, model="custom", metric=metric,
                         custom_model=(0.0, 0.01, 1.0))
+
+
+@pytest.mark.parametrize("rates,match", [
+    # Time-like links of weight 1e-4: the pair tables would reach 2 * 10^5
+    # rounds at d = 5.
+    ((0.0, 0.01, 0.9999), "above 1/2"),
+    # pI > 0, but no space link survives rounding in odd_parity_probability.
+    ((0.0, 1e-17, 0.01), "readout-only"),
+])
+def test_custom_models_that_cannot_decode_are_refused(rates, match):
+    with pytest.raises(ValueError, match=match):
+        TrialConfig(distance=5, p=0.0, model="custom", custom_model=rates)
+
+
+@pytest.mark.parametrize("rate", ["p2", "pI"])
+def test_readout_only_rule_is_the_decoders_boundary_check(rate):
+    # Just below the smallest accepted p2 (or pI, the other one 0) the
+    # decoder build finds links but no boundary link; at it, it builds.
+    def rates(x):
+        return (x, 0.0, 0.01) if rate == "p2" else (0.0, x, 0.01)
+
+    def accepted(x):
+        try:
+            TrialConfig(distance=3, p=0.0, model="custom", custom_model=rates(x))
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 0.0, 1e-15
+    while math.nextafter(lo, 1.0) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
+    lat = build_lattice(3)
+    circ = compile_circuit(lat, standard_schedule(lat))
+    with pytest.raises(ValueError, match="no boundary link"):
+        Decoder(derive_edge_classes(circ, ErrorModel(*rates(lo))))
+    Decoder(derive_edge_classes(circ, ErrorModel(*rates(hi))))
 
 
 @pytest.mark.parametrize("model", PRESET_NAMES)
