@@ -9,24 +9,26 @@ evaluated for every (stabilizer, stabilizer, round offset) within reach,
 and per stabilizer for the boundary.  The circuit is periodic in time,
 so these cover every event pair of every window, and decoding a window
 evaluates no metric at all: candidate edges are table lookups between
-time-sorted events.  Reach bounds the space and time separation (in
-sublattice units and rounds) of a pair whose best single path can be
-lighter than two boundary matches, since every link weighs at least as
-much as the most probable one.  Boundary weights are one
-`metric.boundary_distance` per stabilizer, a search of the graph's
-time-free cell view, which gives the space-time minimum bit for bit
-since exits do not depend on t (`Lattice.nearest_boundary` for
-manhattan).  Each metric then fills the pair table from every source
-stabilizer:
+time-sorted events.  Every metric is weights on a `metric.LinkGraph`:
+the model's links for dmax and d0-d2, and for manhattan the unit-weight
+grid of the lattice (`LinkGraph.grid`), whatever the model.  Reach
+bounds the space and time separation (in sublattice units and rounds)
+of a pair whose best single path can be lighter than two boundary
+matches, since every link weighs at least as much as the lightest one.
+Boundary weights are one `metric.boundary_distance` per stabilizer, a
+search of the graph's time-free cell view, which gives the space-time
+minimum bit for bit since exits do not depend on t.  Each metric then
+fills the pair table from every source stabilizer:
 
-* dmax: one `metric.settled` search from the source, cut at twice its
-  boundary weight b_a.  Each pair {a, c} is filled once, by its owner, the
-  endpoint with the larger (b, index): a node (c, t) that the owner a
-  settles gives wtab[a][c][t] for t >= 0 and wtab[c][a][-t] for t <= 0,
-  since links are undirected and the circuit is periodic in time.  The
-  candidate scan keeps a pair only if it is lighter than b_a + b_c, at
-  most twice the owner's boundary weight, so the owner's search reaches
-  every entry the scan can keep; an entry no owner reaches stays inf.
+* dmax and manhattan: one `metric.settled` search from the source, cut
+  at twice its boundary weight b_a.  Each pair {a, c} is filled once, by
+  its owner, the endpoint with the larger (b, index): a node (c, t) that
+  the owner a settles gives wtab[a][c][t] for t >= 0 and wtab[c][a][-t]
+  for t <= 0, since links are undirected and the circuit is periodic in
+  time.  The candidate scan keeps a pair only if it is lighter than
+  b_a + b_c, at most twice the owner's boundary weight, so the owner's
+  search reaches every entry the scan can keep; an entry no owner
+  reaches stays inf.
 * d0-d2: one `metric.path_sum_table` call per graph, with every
   stabilizer as a source and its targets within reach.  It walks each
   source's breadth-first ball as a dynamic program over the last link
@@ -35,8 +37,7 @@ stabilizer:
   (no stepping back).  Sources form groups in stabilizer order, of about
   `metric.GROUP_LINKS` links; a group's balls are gathered one level
   of all of them per numpy pass and walked together, one numpy pass per
-  step;
-* manhattan: the closed form over the same targets.
+  step.
 
 The tables prune nothing by weight: the one prune rule is the candidate
 scan's, below.
@@ -109,8 +110,7 @@ import numpy as np
 from . import matching
 from .edge_analysis import EdgeClassTable
 from .lattice import Lattice
-from .metric import (METRICS, LinkGraph, boundary_distance, manhattan, path_sum_table,
-                     settled)
+from .metric import METRICS, LinkGraph, boundary_distance, path_sum_table, settled
 from .sim import PauliFrame, SyndromeHistory, _graph_events
 
 DP_MAX_NODES = 6
@@ -145,7 +145,9 @@ class Decoder:
             raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
         self.lattice = table.lattice
         self.metric = metric
-        self._tables = {g: self._precompute(LinkGraph(table, g)) for g in ("x", "z")}
+        self._tables = {g: self._precompute(LinkGraph.grid(self.lattice, g)
+                                            if metric == "manhattan" else LinkGraph(table, g))
+                        for g in ("x", "z")}
         lat = self.lattice
         self._lx = np.array([lat.index(c) for c in lat.logical_x_support], dtype=np.intp)
         self._lz = np.array([lat.index(c) for c in lat.logical_z_support], dtype=np.intp)
@@ -160,10 +162,7 @@ class Decoder:
         cells = [lat.index(c) for c in stabs]
         sub = [lat.sublattice_coord(c) for c in stabs]
         w_min = lg.w_min
-        if self.metric == "manhattan":
-            bw = [lat.nearest_boundary(c) for c in stabs]
-            w_min = 1.0
-        elif lg.links and not lg.exits:
+        if lg.links and not lg.exits:
             # Every boundary weight would be inf, and so would the reach of
             # the tables and the cut of each dmax search along the
             # unbounded time axis.
@@ -174,20 +173,19 @@ class Decoder:
             # unbounded time axis a search would never finish settling.
             raise ValueError(f"{lg.graph} graph has a link of probability 1 "
                              f"(weight 0)")
-        else:
-            bw = [boundary_distance(lg, (c, 0)) for c in cells]
+        bw = [boundary_distance(lg, (c, 0)) for c in cells]
         bvals = [float(b[0]) for b in bw]
         bsides = [b[1] for b in bw]
         # An edge no lighter than two boundary matches is pruned.  Every
-        # link weighs at least w_min (one unit for manhattan) and moves at
-        # most one sublattice unit per axis and one round, so no single
-        # path of a pair more than 2 * b_max / w_min apart in space or
-        # time is that light; the tables end there.
+        # link weighs at least w_min and moves at most one sublattice unit
+        # per axis and one round, so no single path of a pair more than
+        # 2 * b_max / w_min apart in space or time is that light; the
+        # tables end there.
         b_max = max(bvals)
         reach = max(1, math.ceil(2.0 * b_max / w_min)) if math.isfinite(w_min) else 1
 
         wtab = [[[math.inf] * (reach + 1) for _ in range(S)] for _ in range(S)]
-        if self.metric == "dmax":
+        if self.metric in ("dmax", "manhattan"):
             # Sources run in (b, index) order: when the fill reaches source
             # a, `owned` holds the cells of a and of every stabilizer
             # before it, whose pairs with a are a's to fill.
@@ -209,13 +207,9 @@ class Decoder:
             targets = [[(b, dt) for b in range(S)
                         if max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1])) <= reach
                         for dt in range(reach + 1) if (b, dt) != (a, 0)] for a in range(S)]
-            if self.metric == "manhattan":
-                weights = [[manhattan((*sub[a], 0), (*sub[b], dt)) for b, dt in targets[a]]
-                           for a in range(S)]
-            else:
-                weights = path_sum_table(
-                    lg, [((cells[a], 0), [(cells[b], dt) for b, dt in targets[a]])
-                         for a in range(S)], int(self.metric[1]))
+            weights = path_sum_table(
+                lg, [((cells[a], 0), [(cells[b], dt) for b, dt in targets[a]])
+                     for a in range(S)], int(self.metric[1]))
             for a in range(S):
                 for (b, dt), w in zip(targets[a], weights[a]):
                     wtab[a][b][dt] = w

@@ -12,7 +12,9 @@ convert (cell, t) nodes only at their edge; the per-pair definitions
 `LinkGraph.neighbors`.
 
 * manhattan: the legacy |di| + |dj| + |dt| count in unit stabilizer
-  spacing, kept as a comparison baseline.
+  spacing, kept as a comparison baseline.  The decoder reads it as
+  `settled` weights on `LinkGraph.grid`, the unit-weight grid of the
+  lattice, and the closed form `manhattan` is the reference.
 * d_max: -ln of the single most probable connecting path (a shortest
   path under additive -ln(p) weights).
 * d_n: -ln of the summed probability of all simple paths using the
@@ -22,8 +24,8 @@ convert (cell, t) nodes only at their edge; the per-pair definitions
   cell view (`LinkGraph.cells`), which gives it bit for bit, since exits
   do not depend on t.
 * settled: d_max from one source to every node within a fixed cutoff,
-  lightest first.  The decoder's dmax table reads one per source, cut at
-  twice the source's boundary weight.
+  lightest first.  The decoder's dmax and manhattan tables read one per
+  source, cut at twice the source's boundary weight.
 
 Paths never repeat a node: a repeated node corresponds to error pairs
 that cancel rather than an error chain.
@@ -89,6 +91,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .edge_analysis import EdgeClassTable
+from .lattice import Lattice
 
 MAX_LINKS = 64  # longest fewest-link path searched for
 MAX_PATHS = 2_000_000  # path enumeration guard of path_sum
@@ -105,7 +108,8 @@ _T_SPAN = 1 << 32  # node codes: see LinkGraph
 
 class LinkGraph:
     """The links and boundary exits of positive probability of one graph
-    type, read from an EdgeClassTable when built.
+    type, read from an EdgeClassTable when built (or, from `grid`, the
+    unit-weight grid of the lattice).
 
     Node (cell, t) has the integer code cell * _T_SPAN + t + _T_SPAN // 2,
     which orders as the tuple does while |t| < _T_SPAN // 2; the searches
@@ -140,6 +144,36 @@ class LinkGraph:
         self.exits = {cell: (cls.probability, cls.side)
                       for cell, cls in table.boundary_classes[graph].items()
                       if cls.probability > 0.0}
+
+    @classmethod
+    def grid(cls, lattice: Lattice, graph: str) -> LinkGraph:
+        """The unit-weight space-time grid of one graph type, the Manhattan
+        view, built from the lattice alone, whatever the model: a weight-1
+        link from each stabilizer to each sublattice neighbour (two cells
+        along a row or column) and to itself one round later or earlier,
+        and a weight-1 exit on each stabilizer next to a boundary of its
+        type.  A settled weight is then |di| + |dj| + |dt| in sublattice
+        units, and a boundary weight `Lattice.nearest_boundary`'s count."""
+        size = lattice.size
+        p = math.exp(-1.0)  # -ln p is 1.0 exactly; the weight is stored as 1.0
+        view = cls.__new__(cls)
+        view.graph, view.lattice, view.w_min = graph, lattice, 1.0
+        view.links, view.exits = {}, {}
+        sides = {"x": (("top", -2, 0), ("bottom", 2, 0)),
+                 "z": (("left", 0, -2), ("right", 0, 2))}[graph]
+        stabs = set(lattice.stabilizers(graph))
+        for i, j in sorted(stabs):
+            u = i * size + j
+            for far, dt in (((i, j), 1), ((i, j + 2), 0), ((i + 2, j), 0)):
+                if dt or far in stabs:
+                    v = lattice.index(far)
+                    step = (v - u) * _T_SPAN + dt
+                    view.links.setdefault(u, []).append((p, 1.0, step))
+                    view.links.setdefault(v, []).append((p, 1.0, -step))
+            for side, di, dj in sides:
+                if not (0 <= i + di < size and 0 <= j + dj < size):
+                    view.exits[u] = (p, side)
+        return view
 
     @cached_property
     def cells(self) -> LinkGraph:
@@ -561,11 +595,13 @@ class MetricCache:
     evaluation per key.
 
     The decoder does not use it; its tables come from `boundary_distance`
-    (boundary weights), `settled` (dmax), `path_sum_table` (d0-d2) and the
-    closed forms (manhattan).  `pair_weight` evaluates one pair by definition (a d_max
-    search, or a minimum-link search plus a path enumeration for d_n) and
-    `boundary_weight` one cell; the tests check the decoder's tables
-    against them, and the benchmark traces both by name.  Pair weights depend only on (cell_u, cell_v, dt)
+    (boundary weights), `settled` (dmax, and manhattan on `LinkGraph.grid`)
+    and `path_sum_table` (d0-d2).  `pair_weight` evaluates one pair by
+    definition (a d_max search, a minimum-link search plus a path
+    enumeration for d_n, the closed form for manhattan) and
+    `boundary_weight` one cell (`Lattice.nearest_boundary` for manhattan);
+    the tests check the decoder's tables against them, and the benchmark
+    traces both by name.  Pair weights depend only on (cell_u, cell_v, dt)
     because the circuit is periodic in time, boundary weights only on the
     cell.
     """

@@ -75,7 +75,7 @@ CLASS_DIGESTS = {
 
 DECODER_DIGESTS = {
     (3, "manhattan"):
-        "98b5fb8620ea8977fc9bf7a45b4dc05cef6d3a4cfc5d969c34204fe619b8aef5",
+        "e7f045ae5a0fb7c2e2327aa99008791c3e86885aacff327123e248c6c9cfae8a",
     (3, "dmax"):
         "7c19c079e4fd9ed87580861f05de2690b64164d97143d86963e3239784ffddcd",
     (3, "d0"):
@@ -93,7 +93,7 @@ DECODER_DIGESTS = {
     (5, "dmax"):
         "5a59e5349eb6d09146e7ae211bf493e6d4a952486807987ee039688105fa33df",
     (5, "manhattan"):
-        "83d64292062c7315bc0be4df2232e49092b968567494e5b031151d097d691d9e",
+        "3f0b550d549b0e67b7bdc6f60f456bd6d31dfb2fdafc12432aaedc6f57f444a9",
 }
 
 
