@@ -25,10 +25,10 @@ fills the pair table from every source stabilizer:
   its owner, the endpoint with the larger (b, index): a node (c, t) that
   the owner a settles gives wtab[a][c][t] for t >= 0 and wtab[c][a][-t]
   for t <= 0, since links are undirected and the circuit is periodic in
-  time.  The candidate scan keeps a pair only if it is lighter than
+  time.  The gain table below keeps a pair only if it is lighter than
   b_a + b_c, at most twice the owner's boundary weight, so the owner's
-  search reaches every entry the scan can keep; an entry no owner
-  reaches stays inf.
+  search reaches every entry it can keep; an entry no owner reaches
+  stays inf.
 * d0-d2: one `metric.path_sum_table` call per graph, with every
   stabilizer as a source and its targets within reach.  It walks each
   source's breadth-first ball as a dynamic program over the last link
@@ -39,8 +39,12 @@ fills the pair table from every source stabilizer:
   of all of them per numpy pass and walked together, one numpy pass per
   step.
 
-The tables prune nothing by weight: the one prune rule is the candidate
-scan's, below.
+The pair table prunes nothing by weight.  The one prune rule is the gain
+table's, filled where the pair table is written: gtab[a][c][dt] is the
+gain (b_a + b_c) - w of an entry w < (b_a + b_c) - PRUNE_EPS, and 0.0
+for every other entry, so a kept gain is always above PRUNE_EPS.  A pair
+with no kept entry shares one all-zero row.  The candidate builders read
+this table and nothing else.
 
 The match graph follows the virtual-twin construction: every real event
 gets a virtual partner at its boundary weight, virtual nodes pair among
@@ -63,31 +67,30 @@ subsets of 3 / 4 / 5 / 6 events (d = 3, `d2`).
 The candidate graph has two builders, chosen per graph by its event
 count, and they differ only in how they find the kept pairs.  Below
 ARRAY_MIN_EVENTS a Python scan over the time-sorted events looks each
-pair within reach up in the table; from ARRAY_MIN_EVENTS on, numpy does
-the same with a stable sort by round, every pair within reach from one
-searchsorted/repeat pass and one gather from a dense copy of the pair
-table (made on first use).  The scan costs about one step per pair
+pair within reach up in the gain table; from ARRAY_MIN_EVENTS on, numpy
+does the same with a stable sort by round, every pair within reach from
+one searchsorted/repeat pass and one gather from a dense copy of the
+gain table (made on first use).  The scan costs about one step per pair
 within reach, the arrays a fixed numpy overhead per call plus a little
 per edge.  On standard-model windows (p = 0.6-1.4%, T = 4d and 10d) the
-two cost the same at about 44 events at d = 5 (42 for d2, 52 for
+two cost the same at about 48 events at d = 5 (47 for d2, 59 for
 manhattan); d = 3 graphs of such windows stay below 48 events, where
-the scan is 1.6-4.5x faster, and every d = 7 or 9 graph is above the
-cutoff, where the arrays are 1.8-3.2x faster.
+the scan builds the graph 1.4-9.9x faster (3.3-3.4x for each metric's
+median graph), and every d = 7 or 9 graph is above the cutoff, where
+the arrays build it 1.7-2.9x faster.
 
 Each graph is matched alone, its events labelled by their positions in
 the order `_graph_events` lists them (by stabilizer, then round).  Both
 builders give per event a row of neighbour positions in scan order
-(time order, equal rounds in position order), pruned by the same float
-expression w < (b_u + b_v) - PRUNE_EPS, and the gain (b_u + b_v) - w
-of each kept pair: the scan in a parallel row per event, the arrays as
-one list of kept pairs.  One depth-first walk of the rows gives the
-components, each event's component and its position in it.  A
-component of three or more events gets its position-sorted gain edges
-from `_gain_edges` in a scan-built graph and from one numpy sort over
-the graph's components in an array-built one (`_sorted_gain_edges`).
-Both solvers return a mate per position, which one loop over the
-components turns into the graph's pairs and boundary matches.  So
-every matching is the same whichever builder ran.
+(time order, equal rounds in position order) and one list of kept pairs
+with their gains, read from the gain table.  One depth-first walk of the
+rows gives the components, each event's component and its position in
+it.  A component of three or more events gets its gain edges sorted by
+position pair, out of the kept pairs by Python in a scan-built graph and
+by one numpy sort over the graph's components in an array-built one
+(`_sorted_gain_edges`).  Both solvers return a mate per position, which
+one loop over the components turns into the graph's pairs and boundary
+matches.  So every matching is the same whichever builder ran.
 
 Corrections follow one chain rule, a canonical staircase (vertical leg
 then horizontal leg) between matched points.  A boundary match runs from
@@ -184,18 +187,34 @@ class Decoder:
         b_max = max(bvals)
         reach = max(1, math.ceil(2.0 * b_max / w_min)) if math.isfinite(w_min) else 1
 
-        wtab = [[[math.inf] * (reach + 1) for _ in range(S)] for _ in range(S)]
+        R = reach + 1
+        wtab = [[[math.inf] * R for _ in range(S)] for _ in range(S)]
+        # The one prune rule: gtab[a][c][dt] is the gain (b_a + b_c) - w of
+        # an entry w lighter than b_a + b_c - PRUNE_EPS, else 0.0.  It is
+        # filled where wtab is written, through keep().
+        zero = [0.0] * R
+        gtab = [[zero] * S for _ in range(S)]
+        gains: dict[float, float] = {}
+
+        def keep(a: int, c: int, dt: int, gain: float) -> None:
+            # A pair with no kept entry shares `zero`, and equal gains share
+            # one float: a large table holds few distinct values.
+            row = gtab[a][c]
+            if row is zero:
+                row = gtab[a][c] = [0.0] * R
+            row[dt] = gains.setdefault(gain, gain)
+
         if self.metric in ("dmax", "manhattan"):
             # Sources run in (b, index) order: when the fill reaches source
             # a, `owned` holds the cells of a and of every stabilizer
             # before it, whose pairs with a are a's to fill.
             owned: dict[int, int] = {}
             for a in sorted(range(S), key=lambda a: (bvals[a], a)):
-                row = wtab[a]
+                row, ba = wtab[a], bvals[a]
                 # a's search, cut at 2 * b_a, fills both orientations of
                 # each pair a owns.
                 owned[cells[a]] = a
-                for d, (cell, t) in settled(lg, (cells[a], 0), 2.0 * bvals[a]):
+                for d, (cell, t) in settled(lg, (cells[a], 0), 2.0 * ba):
                     c = owned.get(cell)
                     if c is None or not -reach <= t <= reach:
                         continue
@@ -203,18 +222,28 @@ class Decoder:
                         row[c][t] = d
                     if t <= 0 and c != a:
                         wtab[c][a][-t] = d
+                    bsum = ba + bvals[c]
+                    if d < bsum - PRUNE_EPS:
+                        if t >= 0:
+                            keep(a, c, t, bsum - d)
+                        if t <= 0 and c != a:
+                            keep(c, a, -t, bsum - d)
         else:
             targets = [[(b, dt) for b in range(S)
                         if max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1])) <= reach
-                        for dt in range(reach + 1) if (b, dt) != (a, 0)] for a in range(S)]
+                        for dt in range(R) if (b, dt) != (a, 0)] for a in range(S)]
             weights = path_sum_table(
                 lg, [((cells[a], 0), [(cells[b], dt) for b, dt in targets[a]])
                      for a in range(S)], int(self.metric[1]))
             for a in range(S):
-                for (b, dt), w in zip(targets[a], weights[a]):
-                    wtab[a][b][dt] = w
+                row, ba = wtab[a], bvals[a]
+                for (c, dt), w in zip(targets[a], weights[a]):
+                    row[c][dt] = w
+                    bsum = ba + bvals[c]
+                    if w < bsum - PRUNE_EPS:
+                        keep(a, c, dt, bsum - w)
         return {"cells": cells, "bvals": bvals, "bsides": bsides,
-                "wtab": wtab, "reach": reach,
+                "wtab": wtab, "gtab": gtab, "reach": reach,
                 "stairs": _Staircases(lat, cells, bsides)}
 
     def decode(self, history: SyndromeHistory, frame: PauliFrame,
@@ -271,15 +300,21 @@ def _match_graph(tab: dict, stabs: list[int], ts: list[int]):
     resolved by label order, so decode passes events in scan order (by
     stabilizer, then round) to keep every verdict reproducible.
     """
-    bvals = tab["bvals"]
-    bw = [bvals[a] for a in stabs]
     if len(stabs) < ARRAY_MIN_EVENTS:
-        nbr, gns = _scan_graph(tab, stabs, ts, bw)
-        comps, _, pos = _components(nbr)
-        gain_edges = {c: _gain_edges(comp, pos, nbr, gns)
-                      for c, comp in enumerate(comps) if len(comp) > 2}
+        nbr, kept = _scan_graph(tab, stabs, ts)
+        comps, cid, pos = _components(nbr)
+        # Each solved component's edges as (a, b, gain) over positions
+        # a < b, sorted by position pair (the edge order breaks exact ties).
+        gain_edges = {c: [] for c, comp in enumerate(comps) if len(comp) > 2}
+        for u, v, g in kept:
+            edges = gain_edges.get(cid[u])
+            if edges is not None:
+                a, b = pos[u], pos[v]
+                edges.append((a, b, g) if a < b else (b, a, g))
+        for edges in gain_edges.values():
+            edges.sort()
     else:
-        nbr, kept = _array_graph(tab, stabs, ts, bw)
+        nbr, kept = _array_graph(tab, stabs, ts)
         comps, cid, pos = _components(nbr)
         gain_edges = _sorted_gain_edges(kept, comps, cid, pos)
 
@@ -306,72 +341,61 @@ def _match_graph(tab: dict, stabs: list[int], ts: list[int]):
     return pairs, boundary
 
 
-def _scan_graph(tab: dict, stabs: list[int], ts: list[int], bweight: list[float]):
+def _scan_graph(tab: dict, stabs: list[int], ts: list[int]):
     """The candidate graph of a few events, by a Python scan over the
-    time-sorted events; returns its neighbour rows: nbr[u] and gns[u] list
-    the other event and the gain b_u + b_v - w_uv of each candidate edge
-    of event u, in scan order.  This order fixes the component order, and
-    so tie order."""
+    time-sorted events; returns its neighbour rows (nbr[u] lists the other
+    event of each candidate edge of event u, in scan order) and its kept
+    pairs as (u, v, gain).  This order fixes the component order, and so
+    tie order."""
     k = len(stabs)
-    wtab, reach = tab["wtab"], tab["reach"]
+    gtab, reach = tab["gtab"], tab["reach"]
     order = sorted(range(k), key=ts.__getitem__)
     st = [stabs[u] for u in order]
     tt = [ts[u] for u in order]
-    bt = [bweight[u] for u in order]
     nbr: list[list[int]] = [[] for _ in range(k)]
-    gns: list[list[float]] = [[] for _ in range(k)]
+    kept: list[tuple[int, int, float]] = []
     for i in range(k):
-        row = wtab[st[i]]
+        row = gtab[st[i]]
         ti = tt[i]
-        bi = bt[i]
         u = order[i]
-        nu, gu = nbr[u], gns[u]
+        nu = nbr[u]
         for j in range(i + 1, k):
             dt = tt[j] - ti
             if dt > reach:
                 break
-            # Pairs beyond Chebyshev reach hold inf, so the table
+            # Pairs beyond Chebyshev reach hold no gain, so the table
             # lookup also does the spatial cut.
-            w = row[st[j]][dt]
-            bsum = bi + bt[j]
-            if w < bsum - PRUNE_EPS:
-                g = bsum - w
+            g = row[st[j]][dt]
+            if g:
                 v = order[j]
                 nu.append(v)
-                gu.append(g)
                 nbr[v].append(u)
-                gns[v].append(g)
-    return nbr, gns
+                kept.append((u, v, g))
+    return nbr, kept
 
 
-def _array_graph(tab: dict, stabs: list[int], ts: list[int], bweight: list[float]):
+def _array_graph(tab: dict, stabs: list[int], ts: list[int]):
     """The same neighbour rows for many events, from numpy arrays; also
     returns the kept pairs as arrays (u, v, gain) for
     `_sorted_gain_edges`."""
     k = len(stabs)
     reach = tab["reach"]
     S, R = len(tab["bvals"]), reach + 1
-    dense = tab.get("dense")
-    if dense is None:
-        # Built on first use: a decoder that meets only small graphs never
-        # pays for it.
-        dense = tab["dense"] = np.array(tab["wtab"], dtype=float).ravel()
+    dense = _dense_gains(tab)
     t = np.array(ts, dtype=np.intp)
     order = np.argsort(t, kind="stable")
     tt = t[order]
     st = np.array(stabs, dtype=np.intp)[order]
-    bt = np.array(bweight)[order]
     # Every pair (i, j), i < j in scan order, at most reach rounds apart,
-    # ordered as the scan visits them; wtab[st_i][st_j][tt_j - tt_i] is
+    # ordered as the scan visits them; gtab[st_i][st_j][tt_j - tt_i] is
     # dense[key_i + key_j] with the keys below.
     idx = np.arange(k)
     cnt = np.searchsorted(tt, tt + reach, side="right") - idx - 1
     i = np.repeat(idx, cnt)
     j = np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt - idx - 1, cnt)
     key_i, key_j = st * (S * R) - tt, st * R + tt
-    w = dense[key_i[i] + key_j[j]]
-    bsum = bt[i] + bt[j]
-    keep = np.flatnonzero(w < bsum - PRUNE_EPS)
+    g = dense[key_i[i] + key_j[j]]
+    keep = np.flatnonzero(g)
     i, j = i[keep], j[keep]
     u, v = order[i], order[j]
     # Rows by event, each row's neighbours in scan order: the order in
@@ -381,11 +405,19 @@ def _array_graph(tab: dict, stabs: list[int], ts: list[int], bweight: list[float
     perm = np.argsort(src * k + dst)
     ptr = [0, *np.cumsum(np.bincount(src, minlength=k)).tolist()]
     nl = order[dst[perm]].tolist()
-    return [nl[s:e] for s, e in zip(ptr, ptr[1:])], (u, v, bsum[keep] - w[keep])
+    return [nl[s:e] for s, e in zip(ptr, ptr[1:])], (u, v, g[keep])
+
+
+def _dense_gains(tab: dict) -> np.ndarray:
+    """The graph's gain table raveled into one array, made on first use: a
+    decoder that meets only small graphs never pays for it."""
+    if "dense" not in tab:
+        tab["dense"] = np.array(tab["gtab"], dtype=float).ravel()
+    return tab["dense"]
 
 
 def _sorted_gain_edges(kept, comps: list[list[int]], cid: list[int], pos: list[int]):
-    """The `_gain_edges` of every component of three or more events that
+    """The gain edges of every component of three or more events that
     holds kept pairs of `_array_graph`, keyed by component index: one sort
     orders them all by (component, lower position, upper position)."""
     solved = [len(comp) > 2 for comp in comps]
@@ -434,7 +466,7 @@ def _components(nbr: list[list[int]]):
 def _solve_dp(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
     """Exact maximum of the summed gains of a matching of n positions, by
     dynamic programming over subsets; edges are (a, b, gain), a < b,
-    sorted by position pair, from `_gain_edges` or `_sorted_gain_edges`.
+    sorted by position pair, as `_match_graph` gives them.
     Returns the mate of each position, -1 for the unmatched, as
     `matching._max_weight_matching` does on the same edges.
 
@@ -486,27 +518,6 @@ def _solve_dp(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
             a, b = low.bit_length() - 1, pick.bit_length() - 1
             mate[a], mate[b] = b, a
     return mate
-
-
-def _gain_edges(comp: list[int], pos: list[int], nbr: list[list[int]],
-                gns: list[list[float]]) -> list[tuple[int, int, float]]:
-    """One component's candidate edges as (a, b, b_u + b_v - w_uv) over
-    positions a < b in comp, sorted by position pair (the edge order
-    breaks exact ties).
-
-    A maximum-weight (not perfect) matching over these positive gains
-    minimizes sum(pair weights) + sum(boundary weights of the unmatched),
-    exactly the virtual-twin objective, without the zero-weight twin
-    clique.
-    """
-    redges = []
-    for a, u in enumerate(comp):
-        for v, g in zip(nbr[u], gns[u]):
-            b = pos[v]
-            if a < b:
-                redges.append((a, b, g))
-    redges.sort()
-    return redges
 
 
 class _Staircases(dict):

@@ -10,8 +10,8 @@ flips the matching along the path and dissolves only those two trees:
 their blossoms, nested ones included, lose their labels, and so do the
 marks their scans left inside other trees' T-blossoms.  Every other tree
 carries on.  The decoder maximizes pair gains: each component's (n,
-edges), from `decoder._gain_edges` in a scan-built graph and from
-`decoder._sorted_gain_edges` in an array-built one, goes to this solver
+edges), sorted out of the graph's kept pairs by `decoder._match_graph`
+(`decoder._sorted_gain_edges` in an array-built graph), goes to this solver
 or, up to `decoder.DP_MAX_NODES` events, to `decoder._solve_dp`, which
 takes the same arguments and maximizes the same sum.
 

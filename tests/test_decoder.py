@@ -16,7 +16,7 @@ from surfacesim.noise import ErrorModel, preset, trial_rng
 from surfacesim.sim import SyndromeHistory, _graph_events, compile_circuit, simulate_window
 from surfacesim.edge_analysis import derive_edge_classes
 from surfacesim.decoder import (
-    DP_MAX_NODES, PRUNE_EPS, Decoder, _match_graph, _solve_dp, _Staircases,
+    DP_MAX_NODES, PRUNE_EPS, Decoder, _dense_gains, _match_graph, _solve_dp, _Staircases,
 )
 from surfacesim.harness import _setup
 from surfacesim.matching import _max_weight_matching
@@ -328,6 +328,37 @@ def test_manhattan_tables_are_the_closed_form(d):
                 assert repr(w) == repr(ref), (g, a, c, dt)
                 kept += 1
     assert kept > 40
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [0.01, 0.0])
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("metric", ["dmax", "d2", "manhattan"])
+def test_gain_table_is_the_prune_rule(metric, d, p):
+    """Both candidate builders read only the gain table: every entry is
+    (b_a + b_c) - w, bit for bit, where w < (b_a + b_c) - PRUNE_EPS, and
+    0.0 everywhere else; its dense copy is its rows raveled.  At p = 0
+    the dmax and d2 tables are inf off the source point, so they keep no
+    pair there; manhattan tables do not depend on the model."""
+    dec = Decoder(_preset_table(d, "standard", p), metric)
+    kept = 0
+    for g in ("x", "z"):
+        tab = dec._tables[g]
+        b, wtab, gtab = tab["bvals"], tab["wtab"], tab["gtab"]
+        S, R = len(b), tab["reach"] + 1
+        flat = []
+        for a, c in itertools.product(range(S), range(S)):
+            assert len(gtab[a][c]) == R, (g, a, c)
+            for dt in range(R):
+                w, bsum = wtab[a][c][dt], b[a] + b[c]
+                want = bsum - w if w < bsum - PRUNE_EPS else 0.0
+                assert repr(gtab[a][c][dt]) == repr(want), (g, a, c, dt)
+                kept += want != 0.0 and (c, dt) != (a, 0)
+            flat += gtab[a][c]
+        dense = _dense_gains(tab)
+        assert dense.dtype == np.float64 and dense.shape == (S * S * R,)
+        assert repr(dense.tolist()) == repr(flat), g
+    assert (kept > 0) == (p > 0 or metric == "manhattan")
 
 
 MANHATTAN_MODELS = [*SINGLE_FAULT_MODELS.values(),
