@@ -18,17 +18,17 @@ matches, since every link weighs at least as much as the lightest one.
 Boundary weights are one `metric.boundary_distance` per stabilizer, a
 search of the graph's time-free cell view, which gives the space-time
 minimum bit for bit since exits do not depend on t.  Each metric then
-fills the pair table from every source stabilizer:
+computes the pair weights from every source stabilizer and writes their
+gains to the gain table (below):
 
 * dmax and manhattan: one `metric.settled` search from the source, cut
   at twice its boundary weight b_a.  Each pair {a, c} is filled once, by
   its owner, the endpoint with the larger (b, index): a node (c, t) that
-  the owner a settles gives wtab[a][c][t] for t >= 0 and wtab[c][a][-t]
+  the owner a settles gives entry (a, c, t) for t >= 0 and (c, a, -t)
   for t <= 0, since links are undirected and the circuit is periodic in
-  time.  The gain table below keeps a pair only if it is lighter than
-  b_a + b_c, at most twice the owner's boundary weight, so the owner's
-  search reaches every entry it can keep; an entry no owner reaches
-  stays inf.
+  time.  A pair is kept only if it is lighter than b_a + b_c, at most
+  twice the owner's boundary weight, so the owner's search reaches every
+  entry it can keep; an entry no owner reaches stays 0.0.
 * d0-d2: one `metric.path_sum_table` call per graph, with every
   stabilizer as a source and its targets within reach.  It walks each
   source's breadth-first ball as a dynamic program over the last link
@@ -39,12 +39,12 @@ fills the pair table from every source stabilizer:
   of all of them per numpy pass and walked together, one numpy pass per
   step.
 
-The pair table prunes nothing by weight.  The one prune rule is the gain
-table's, filled where the pair table is written: gtab[a][c][dt] is the
-gain (b_a + b_c) - w of an entry w < (b_a + b_c) - PRUNE_EPS, and 0.0
-for every other entry, so a kept gain is always above PRUNE_EPS.  A pair
-with no kept entry shares one all-zero row.  The candidate builders read
-this table and nothing else.
+The one prune rule is the gain table's: gtab[a][c][dt] is the gain
+(b_a + b_c) - w of an entry w < (b_a + b_c) - PRUNE_EPS, and 0.0 for
+every other entry, so a kept gain is always above PRUNE_EPS.  No weight
+is stored.  A pair with no kept entry shares one all-zero row, and equal
+gains share one float.  The candidate builders read this table and
+nothing else.
 
 The match graph follows the virtual-twin construction: every real event
 gets a virtual partner at its boundary weight, virtual nodes pair among
@@ -135,9 +135,9 @@ class DecodeOutcome:
 class Decoder:
     """Reusable decoder for one (lattice, schedule, model, metric) setup.
 
-    Construction precomputes, per graph, the pair-weight table
-    wtab[a][b][dt] over all stabilizer pairs within pruning reach and the
-    per-stabilizer boundary weights and sides (see the module docstring).
+    Construction precomputes, per graph, the per-stabilizer boundary
+    weights and sides and the gain table gtab[a][b][dt] over all
+    stabilizer pairs within pruning reach (see the module docstring).
     Decoding a window then reads only these tables: candidate edges are
     table lookups, followed by small exact matchings, and corrections are
     lists of staircase cells.
@@ -188,10 +188,9 @@ class Decoder:
         reach = max(1, math.ceil(2.0 * b_max / w_min)) if math.isfinite(w_min) else 1
 
         R = reach + 1
-        wtab = [[[math.inf] * R for _ in range(S)] for _ in range(S)]
         # The one prune rule: gtab[a][c][dt] is the gain (b_a + b_c) - w of
-        # an entry w lighter than b_a + b_c - PRUNE_EPS, else 0.0.  It is
-        # filled where wtab is written, through keep().
+        # an entry w lighter than b_a + b_c - PRUNE_EPS, else 0.0.  The
+        # fills compute each w and write only its gain, through keep().
         zero = [0.0] * R
         gtab = [[zero] * S for _ in range(S)]
         gains: dict[float, float] = {}
@@ -210,7 +209,7 @@ class Decoder:
             # before it, whose pairs with a are a's to fill.
             owned: dict[int, int] = {}
             for a in sorted(range(S), key=lambda a: (bvals[a], a)):
-                row, ba = wtab[a], bvals[a]
+                ba = bvals[a]
                 # a's search, cut at 2 * b_a, fills both orientations of
                 # each pair a owns.
                 owned[cells[a]] = a
@@ -218,10 +217,6 @@ class Decoder:
                     c = owned.get(cell)
                     if c is None or not -reach <= t <= reach:
                         continue
-                    if t >= 0:
-                        row[c][t] = d
-                    if t <= 0 and c != a:
-                        wtab[c][a][-t] = d
                     bsum = ba + bvals[c]
                     if d < bsum - PRUNE_EPS:
                         if t >= 0:
@@ -236,15 +231,12 @@ class Decoder:
                 lg, [((cells[a], 0), [(cells[b], dt) for b, dt in targets[a]])
                      for a in range(S)], int(self.metric[1]))
             for a in range(S):
-                row, ba = wtab[a], bvals[a]
                 for (c, dt), w in zip(targets[a], weights[a]):
-                    row[c][dt] = w
-                    bsum = ba + bvals[c]
+                    bsum = bvals[a] + bvals[c]
                     if w < bsum - PRUNE_EPS:
                         keep(a, c, dt, bsum - w)
-        return {"cells": cells, "bvals": bvals, "bsides": bsides,
-                "wtab": wtab, "gtab": gtab, "reach": reach,
-                "stairs": _Staircases(lat, cells, bsides)}
+        return {"cells": cells, "bvals": bvals, "bsides": bsides, "gtab": gtab,
+                "reach": reach, "stairs": _Staircases(lat, cells, bsides)}
 
     def decode(self, history: SyndromeHistory, frame: PauliFrame,
                verify: bool = False, collect_matches: bool = True) -> DecodeOutcome:
@@ -380,7 +372,7 @@ def _array_graph(tab: dict, stabs: list[int], ts: list[int]):
     `_sorted_gain_edges`."""
     k = len(stabs)
     reach = tab["reach"]
-    S, R = len(tab["bvals"]), reach + 1
+    S, R = len(tab["cells"]), reach + 1
     dense = _dense_gains(tab)
     t = np.array(ts, dtype=np.intp)
     order = np.argsort(t, kind="stable")

@@ -12,9 +12,10 @@ of the package.
   graph type's events with every weight taken from a `MetricCache`, and
   `corrections_from_matching`, the flip plane of a matching of it, walked
   one chain step at a time (`_staircase_flip`, `_boundary_flip`).
-* dmax tables: `dmax_table_reference`, the pair table filled from one
+* dmax tables: `dmax_table_reference`, the pair weights filled from one
   search per stabilizer to twice the largest boundary weight, each
-  keeping the nodes of rounds t >= 0.
+  keeping the nodes of rounds t >= 0; tests derive the expected gains
+  from them.
 * d0-d2 tables: `path_sum_table_reference`, one source's walk program
   over an explicit list of transitions between links.
 * Link classes: `propagate_process`, the signature of one error component
@@ -227,18 +228,21 @@ def build_match_graph(events: list[tuple[int, int]], cache: MetricCache,
 
 def dmax_table_reference(graph: LinkGraph, cells: list[int], b_max: float,
                          reach: int) -> list[list[list[float]]]:
-    """wtab[a][b][t], 0 <= t <= reach: the d_max weight from (cells[a], 0)
-    to (cells[b], t) for every node that a search from a settles within
+    """The reference fill of the dmax pair weights: w[a][b][t],
+    0 <= t <= reach, is the d_max weight from (cells[a], 0) to
+    (cells[b], t) for every node that a search from a settles within
     2 * b_max, inf elsewhere.  Every stabilizer is searched, and each
-    search keeps its nodes of rounds t >= 0 only."""
+    search keeps its nodes of rounds t >= 0 only.  The decoder stores no
+    weights, only the gains of the pairs it keeps; tests derive each
+    expected gain from these weights by the same prune rule."""
     S = len(cells)
     stab_of_cell = {c: a for a, c in enumerate(cells)}
-    wtab = [[[math.inf] * (reach + 1) for _ in range(S)] for _ in range(S)]
+    w = [[[math.inf] * (reach + 1) for _ in range(S)] for _ in range(S)]
     for a in range(S):
         for d, (cell, t) in settled(graph, (cells[a], 0), 2.0 * b_max + 1e-9):
             if 0 <= t <= reach:
-                wtab[a][stab_of_cell[cell]][t] = d
-    return wtab
+                w[a][stab_of_cell[cell]][t] = d
+    return w
 
 
 def boundary_distance_reference(graph: LinkGraph, s: tuple[int, int]) -> tuple[float, str]:

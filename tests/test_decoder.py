@@ -226,32 +226,46 @@ def _check_against_full_blossom(d, metric, rounds, max_events):
     assert checked >= 5
 
 
+def _check_gain(tab, a, c, dt, w_ref, exact=True):
+    """Gain table entry (a, c, dt) against the reference weight w_ref: the
+    same keep decision, and the gain bit for bit, or, where the reference
+    adds the same weights in another order, as close as a weight within
+    rel 1e-12 of w_ref allows.  The expected gain is the prune rule's own
+    float expression, so a bit-exact weight gives a bit-exact gain.
+    Returns whether the entry is kept."""
+    g, b = tab["gtab"][a][c][dt], tab["bvals"]
+    bsum = b[a] + b[c]
+    want = bsum - w_ref if w_ref < bsum - PRUNE_EPS else 0.0
+    assert (g != 0.0) == (want != 0.0), (a, c, dt, g, w_ref)
+    if exact or not want:
+        assert repr(g) == repr(want), (a, c, dt)
+    else:
+        assert g == pytest.approx(want, rel=0, abs=1e-12 * w_ref), (a, c, dt)
+    return want != 0.0
+
+
 @pytest.mark.parametrize("d", [3, 5])
 def test_dmax_table_matches_d_max_oracle(d):
-    """Every finite table entry is the d_max of its pair, and no pair that
-    could beat two boundary matches is missing from the table."""
+    """Every gain comes from the d_max of its pair, and the table keeps
+    exactly the pairs that beat two boundary matches."""
     lat = build_lattice(d)
     circ = compile_circuit(lat, standard_schedule(lat))
     table = derive_edge_classes(circ, preset("standard", 0.01))
     dec = Decoder(table, "dmax")
     for g in ("x", "z"):
         tab = dec._tables[g]
-        cells, bvals, reach = tab["cells"], tab["bvals"], tab["reach"]
-        wtab = np.array(tab["wtab"])
+        cells, reach = tab["cells"], tab["reach"]
         sub = [lat.sublattice_coord(lat.cell(c)) for c in cells]
         graph = LinkGraph(table, g)
-        for a, b, dt in np.ndindex(wtab.shape):
+        for a, b, dt in np.ndindex(len(cells), len(cells), reach + 1):
             if a == b and dt == 0:
                 continue  # no two events share a space-time point
             cheb = max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1]))
             if cheb > reach:
-                assert wtab[a, b, dt] == np.inf, (g, a, b, dt)
+                assert tab["gtab"][a][b][dt] == 0.0, (g, a, b, dt)
                 continue
-            exact = d_max(graph, (cells[a], 0), (cells[b], dt))
-            if np.isfinite(wtab[a, b, dt]):
-                assert wtab[a, b, dt] == pytest.approx(exact, rel=1e-12, abs=0)
-            else:
-                assert exact >= bvals[a] + bvals[b], (g, a, b, dt)
+            _check_gain(tab, a, b, dt, d_max(graph, (cells[a], 0), (cells[b], dt)),
+                        exact=False)
 
 
 def _preset_table(d, model, p=0.01):
@@ -270,17 +284,10 @@ def test_owner_fill_matches_reference_fill(d, model):
     kept = 0
     for g in ("x", "z"):
         tab = dec._tables[g]
-        b, wtab, reach = tab["bvals"], tab["wtab"], tab["reach"]
+        b, reach = tab["bvals"], tab["reach"]
         ref = dmax_table_reference(LinkGraph(table, g), tab["cells"], max(b), reach)
         for a, c, dt in np.ndindex(len(b), len(b), reach + 1):
-            w, w_ref = wtab[a][c][dt], ref[a][c][dt]
-            bound = b[a] + b[c] - PRUNE_EPS
-            assert (w < bound) == (w_ref < bound), (g, a, c, dt)
-            if w < bound:
-                assert w == pytest.approx(w_ref, rel=1e-12, abs=0), (g, a, c, dt)
-                kept += 1
-            elif w == math.inf:
-                assert w_ref >= b[a] + b[c], (g, a, c, dt)
+            kept += _check_gain(tab, a, c, dt, ref[a][c][dt], exact=False)
     assert kept > 80
 
 
@@ -305,10 +312,8 @@ def test_dmax_boundary_weights_are_boundary_distance(d, model, p):
 def test_manhattan_tables_are_the_closed_form(d):
     """The `manhattan` tables, searched on `LinkGraph.grid`, give every
     stabilizer `Lattice.nearest_boundary`'s count and side, a reach of
-    twice the largest count, and on every entry that either the table or
-    the closed form `metric.manhattan` puts below b_a + b_c - PRUNE_EPS
-    (every entry the candidate scan can keep) the closed form's weight,
-    bit for bit."""
+    twice the largest count, and on every entry the gain of the closed
+    form `metric.manhattan`, bit for bit."""
     lat = build_lattice(d)
     dec = Decoder(_preset_table(d, "standard"), "manhattan")
     kept = 0
@@ -316,17 +321,13 @@ def test_manhattan_tables_are_the_closed_form(d):
         tab = dec._tables[g]
         stabs = [lat.cell(c) for c in tab["cells"]]
         nearest = [lat.nearest_boundary(c) for c in stabs]
-        b, wtab, reach = tab["bvals"], tab["wtab"], tab["reach"]
+        b, reach = tab["bvals"], tab["reach"]
         assert [repr(w) for w in b] == [repr(float(n)) for n, _ in nearest]
         assert tab["bsides"] == [side for _, side in nearest]
         assert reach == 2 * max(n for n, _ in nearest)
         sub = [lat.sublattice_coord(c) for c in stabs]
         for a, c, dt in itertools.product(range(len(b)), range(len(b)), range(reach + 1)):
-            w, ref = wtab[a][c][dt], manhattan((*sub[a], 0), (*sub[c], dt))
-            bound = b[a] + b[c] - PRUNE_EPS
-            if w < bound or ref < bound:
-                assert repr(w) == repr(ref), (g, a, c, dt)
-                kept += 1
+            kept += _check_gain(tab, a, c, dt, manhattan((*sub[a], 0), (*sub[c], dt)))
     assert kept > 40
 
 
@@ -336,29 +337,63 @@ def test_manhattan_tables_are_the_closed_form(d):
 @pytest.mark.parametrize("metric", ["dmax", "d2", "manhattan"])
 def test_gain_table_is_the_prune_rule(metric, d, p):
     """Both candidate builders read only the gain table: every entry is
-    (b_a + b_c) - w, bit for bit, where w < (b_a + b_c) - PRUNE_EPS, and
-    0.0 everywhere else; its dense copy is its rows raveled.  At p = 0
-    the dmax and d2 tables are inf off the source point, so they keep no
-    pair there; manhattan tables do not depend on the model."""
-    dec = Decoder(_preset_table(d, "standard", p), metric)
+    (b_a + b_c) - w of the metric's weight w where w < (b_a + b_c) -
+    PRUNE_EPS, and 0.0 everywhere else; its dense copy is its rows
+    raveled.  The references are the closed form for manhattan and one
+    path-sum walk per source for d2, both bit for bit, and the d_max
+    searches of every stabilizer for dmax.  At p = 0 the dmax and d2
+    weights are inf off the source point, so they keep no pair there;
+    manhattan tables do not depend on the model."""
+    table = _preset_table(d, "standard", p)
+    dec = Decoder(table, metric)
+    lat = table.lattice
     kept = 0
     for g in ("x", "z"):
         tab = dec._tables[g]
-        b, wtab, gtab = tab["bvals"], tab["wtab"], tab["gtab"]
+        cells, b, gtab = tab["cells"], tab["bvals"], tab["gtab"]
         S, R = len(b), tab["reach"] + 1
+        graph = LinkGraph(table, g)
+        if metric == "dmax":
+            ref = dmax_table_reference(graph, cells, max(b), R - 1)
+        elif metric == "manhattan":
+            sub = [lat.sublattice_coord(lat.cell(c)) for c in cells]
+            ref = [[[manhattan((*sub[a], 0), (*sub[c], dt)) for dt in range(R)]
+                    for c in range(S)] for a in range(S)]
+        else:
+            ref = [[[math.inf] * R for _ in range(S)] for _ in range(S)]
+            for a, targets in _in_reach_targets(dec, table, g).items():
+                (weights,) = path_sum_table(
+                    graph, [((cells[a], 0), [(cells[c], dt) for c, dt in targets])], 2)
+                for (c, dt), w in zip(targets, weights):
+                    ref[a][c][dt] = w
         flat = []
         for a, c in itertools.product(range(S), range(S)):
             assert len(gtab[a][c]) == R, (g, a, c)
             for dt in range(R):
-                w, bsum = wtab[a][c][dt], b[a] + b[c]
-                want = bsum - w if w < bsum - PRUNE_EPS else 0.0
-                assert repr(gtab[a][c][dt]) == repr(want), (g, a, c, dt)
-                kept += want != 0.0 and (c, dt) != (a, 0)
+                kept += (_check_gain(tab, a, c, dt, ref[a][c][dt], exact=metric != "dmax")
+                         and (c, dt) != (a, 0))
             flat += gtab[a][c]
         dense = _dense_gains(tab)
         assert dense.dtype == np.float64 and dense.shape == (S * S * R,)
         assert repr(dense.tolist()) == repr(flat), g
     assert (kept > 0) == (p > 0 or metric == "manhattan")
+
+
+@pytest.mark.parametrize("model", [preset("standard", 0.01), ErrorModel(0.0, 1e-15, 0.5)],
+                         ids=["standard", "heavy"])
+def test_gain_table_shares_zero_rows_and_equal_gains(model):
+    """The gain table is all a decoder keeps per pair, so its sharing is
+    its memory: every all-zero row is one object, and equal kept gains
+    are one float.  The heavy accepted model, with rare space links and
+    common readout flips, has a reach far past the standard model's."""
+    lat = build_lattice(5)
+    dec = Decoder(derive_edge_classes(compile_circuit(lat, standard_schedule(lat)), model),
+                  "dmax")
+    for g in ("x", "z"):
+        rows = [row for rows in dec._tables[g]["gtab"] for row in rows]
+        assert len({id(row) for row in rows if not any(row)}) == 1, g
+        gains = [x for row in rows for x in row if x != 0.0]
+        assert gains and len({id(x) for x in gains}) == len(set(gains)), g
 
 
 MANHATTAN_MODELS = [*SINGLE_FAULT_MODELS.values(),
@@ -374,7 +409,7 @@ def test_manhattan_tables_ignore_the_model(d):
     decoded included."""
     lat = build_lattice(d)
     circ = compile_circuit(lat, standard_schedule(lat))
-    keys = ("cells", "bvals", "bsides", "wtab", "reach")
+    keys = ("cells", "bvals", "bsides", "gtab", "reach")
 
     def tables(model):
         dec = Decoder(derive_edge_classes(circ, model), "manhattan")
@@ -395,50 +430,57 @@ def _in_reach_entries(dec, table, g):
             for dt in range(reach + 1) if (a, dt) != (b, 0)}
 
 
+def _in_reach_targets(dec, table, g):
+    """`_in_reach_entries` as sorted (b, dt) target lists by source a."""
+    by_source: dict = {}
+    for a, b, dt in sorted(_in_reach_entries(dec, table, g)):
+        by_source.setdefault(a, []).append((b, dt))
+    return by_source
+
+
 @pytest.mark.parametrize("metric", ["d0", "d1", "d2"])
 def test_path_sum_table_matches_pair_weight(metric):
-    """Every in-reach entry is filled, none is pre-pruned, and each equals
-    the d_n definition."""
+    """Every in-reach entry keeps its pair exactly when the d_n definition
+    beats two boundary matches, at that weight's gain, and no other entry
+    holds a gain."""
     lat = build_lattice(3)
     circ = compile_circuit(lat, standard_schedule(lat))
     table = derive_edge_classes(circ, preset("standard", 0.01))
     dec = Decoder(table, metric)
+    kept = 0
     for g in ("x", "z"):
         tab = dec._tables[g]
         cells = tab["cells"]
-        wtab = np.array(tab["wtab"])
         fresh = MetricCache(table, g, metric)
-        finite = {(int(a), int(b), int(dt))
-                  for a, b, dt in zip(*np.nonzero(np.isfinite(wtab)))}
-        assert finite == _in_reach_entries(dec, table, g)
-        assert len(finite) == 138
-        for a, b, dt in finite:
-            exact = fresh.pair_weight(cells[a], 0, cells[b], dt)
-            assert wtab[a, b, dt] == pytest.approx(exact, rel=1e-12, abs=0)
+        targets = _in_reach_entries(dec, table, g)
+        assert len(targets) == 138
+        for a, b, dt in np.ndindex(len(cells), len(cells), tab["reach"] + 1):
+            if (a, b, dt) in targets:
+                w = fresh.pair_weight(cells[a], 0, cells[b], dt)
+                kept += _check_gain(tab, a, b, dt, w, exact=False)
+            else:
+                assert tab["gtab"][a][b][dt] == 0.0, (g, a, b, dt)
+    assert kept > 80
 
 
 def test_path_sum_table_keeps_pairs_lighter_than_two_boundaries(setup_d5):
     """A path sum can be lighter than the one-best-link-per-step bound on
-    its single paths, so the table prunes nothing: every in-reach d2 pair
-    lighter than two boundary matches is in it, at its path-sum weight."""
+    its single paths, so the fill prunes nothing before the gain rule:
+    every in-reach d2 pair lighter than two boundary matches keeps the
+    gain of its path-sum weight, walked one source at a time, bit for
+    bit."""
     _, _, table, _ = setup_d5
     dec = Decoder(table, "d2")
     kept = 0
     for g in ("x", "z"):
         tab = dec._tables[g]
-        cells, bvals, wtab = tab["cells"], tab["bvals"], tab["wtab"]
+        cells = tab["cells"]
         graph = LinkGraph(table, g)
-        by_source: dict = {}
-        for a, b, dt in _in_reach_entries(dec, table, g):
-            by_source.setdefault(a, []).append((b, dt))
-        for a, targets in by_source.items():
+        for a, targets in _in_reach_targets(dec, table, g).items():
             (weights,) = path_sum_table(
                 graph, [((cells[a], 0), [(cells[b], dt) for b, dt in targets])], 2)
             for (b, dt), w in zip(targets, weights):
-                if w < bvals[a] + bvals[b]:
-                    assert wtab[a][b][dt] == pytest.approx(w, rel=1e-12, abs=0), \
-                        (g, a, b, dt)
-                    kept += 1
+                kept += _check_gain(tab, a, b, dt, w)
     assert kept > 1000
 
 
@@ -458,8 +500,8 @@ def test_path_sum_table_d5_spot_check(setup_d5):
         graph = LinkGraph(table, g)
         for i in rng.choice(len(near), size=10, replace=False):
             a, b, dt = near[i]
-            exact, _ = d_n(graph, (cells[a], 0), (cells[b], dt), 1)
-            assert tab["wtab"][a][b][dt] == pytest.approx(exact, rel=1e-12, abs=0)
+            w, _ = d_n(graph, (cells[a], 0), (cells[b], dt), 1)
+            _check_gain(tab, a, b, dt, w, exact=False)
 
 
 @pytest.mark.parametrize("d,model", [(5, "standard"), (5, "balanced"),
@@ -467,35 +509,26 @@ def test_path_sum_table_d5_spot_check(setup_d5):
 def test_path_sum_tables_match_the_transition_walk(d, model):
     """The decoder's d0-d2 tables against one walk per source over an
     explicit list of link transitions: d0 and d1 add the same terms in
-    the same order, so they agree bit for bit; d2 subtracts a reverse
-    link's weight instead of leaving it out of the sum, which may move
-    the last bit but no inf and no keep decision."""
+    the same order, so their gains agree bit for bit; d2 subtracts a
+    reverse link's weight instead of leaving it out of the sum, which may
+    move the last bit but no keep decision."""
     table = _preset_table(d, model)
     for n in (0, 1, 2):
         dec = Decoder(table, f"d{n}")
         for g in ("x", "z"):
             tab = dec._tables[g]
-            cells, bvals, wtab = tab["cells"], tab["bvals"], tab["wtab"]
+            cells = tab["cells"]
             graph = LinkGraph(table, g)
-            by_source: dict = {}
-            for a, b, dt in sorted(_in_reach_entries(dec, table, g)):
-                by_source.setdefault(a, []).append((b, dt))
-            for a, targets in by_source.items():
+            for a, targets in _in_reach_targets(dec, table, g).items():
                 ref = path_sum_table_reference(
                     graph, (cells[a], 0), [(cells[b], dt) for b, dt in targets], n)
                 for (b, dt), r in zip(targets, ref):
-                    w, cut = wtab[a][b][dt], bvals[a] + bvals[b] - PRUNE_EPS
-                    assert math.isinf(w) == math.isinf(r)
-                    assert (w < cut) == (r < cut)
-                    if n < 2:
-                        assert w == r
-                    else:
-                        assert w == pytest.approx(r, rel=1e-12, abs=0)
+                    _check_gain(tab, a, b, dt, r, exact=n < 2)
 
 
 @pytest.mark.parametrize("metric", METRICS)
 def test_path_sum_build_enumerates_no_paths(setup_d3, metric, monkeypatch):
-    """Every pair table comes from one fill route: no per-pair search,
+    """Every gain table comes from one fill route: no per-pair search,
     path enumeration or cache lookup runs during construction.  The
     table searches walk node codes, so neither building nor decoding
     steps through the per-pair definitions' `LinkGraph.neighbors`."""
@@ -525,7 +558,8 @@ def test_path_sum_build_enumerates_no_paths(setup_d3, metric, monkeypatch):
     lat = table.lattice
     stabs = [(lat.index(c), 0) for g in ("x", "z") for c in lat.stabilizers(g)]
     assert sorted(searched) == sorted(stabs)
-    assert np.isfinite(np.array(dec._tables["z"]["wtab"])).sum() > 30
+    assert sum(g != 0.0 for rows in dec._tables["z"]["gtab"] for row in rows
+               for g in row) > 20
     res = simulate_window(circ, model, trial_rng(12, 0), rounds=10)
     out = dec.decode(res.history, res.frame, verify=True)
     assert sum(len(m) for m in out.matches.values()) > 0

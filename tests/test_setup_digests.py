@@ -1,6 +1,6 @@
 """Set-up output pinned bit for bit.
 
-The link-class table and the decoder's weight tables are hashed here and
+The link-class table and the decoder's gain tables are hashed here and
 compared with recorded digests, so any change to what set-up produces,
 down to the last bit of a float or the order of a class's members, fails
 these tests.  Floats enter the hash through `repr`, which round-trips
@@ -52,7 +52,7 @@ def _decoder_digest(decoder) -> str:
     for graph in ("x", "z"):
         tab = decoder._tables[graph]
         parts.append((graph, tab["cells"], [repr(w) for w in tab["bvals"]], tab["bsides"],
-                      [[[repr(w) for w in row] for row in rows] for rows in tab["wtab"]],
+                      [[[repr(g) for g in row] for row in rows] for rows in tab["gtab"]],
                       tab["reach"]))
     return _digest(parts)
 
@@ -75,25 +75,25 @@ CLASS_DIGESTS = {
 
 DECODER_DIGESTS = {
     (3, "manhattan"):
-        "e7f045ae5a0fb7c2e2327aa99008791c3e86885aacff327123e248c6c9cfae8a",
+        "5d42f19d7bbdf369e670bb3bbe2606fd0b06190f832a318f73e3d08cd94012ff",
     (3, "dmax"):
-        "7c19c079e4fd9ed87580861f05de2690b64164d97143d86963e3239784ffddcd",
+        "04cd8f9d092c3b08184e7712005c8125db7df154c5dcf098a8ff2e93380f5a72",
     (3, "d0"):
-        "11662e946f0e90ba82211234f4d65e8ebff038901e9ad0e975391d69293adf3c",
+        "48a029201f1b5b82395b1dec7e770911323074b3b3dc8557e1d4e87e32f372b1",
     (3, "d1"):
-        "86436f852ec2bbfb0e1b0eb8b7ea5439d508aa52c310cad131ce3634f5bd8aa5",
+        "42ee5aa39f22f65d4c1ade4602d6d4c35095a79b3d402eb6696b7d8863555b82",
     (3, "d2"):
-        "83b5cfc512efd4959365f4dd0a92797a732821edf159bbad09cd2fa403a91fa0",
+        "44d98f6a8fdb712e336d4b2e1cd92dde78e9691feb273df18784226650c3b52e",
     (5, "d0"):
-        "b5c1d32c1adbe48d44bb38c18fa01497aad5fa82bd7d90ecef6fe74c179d12a8",
+        "2b4045a278b382626615ec0da0b36d27765cf926efc6b698c07dbffbec129eac",
     (5, "d1"):
-        "876bdabcf0dacb2439b5fef4b355269c40f2a9baddcccac5f678122f06719ee6",
+        "e92ad026107ac29bbbfd2d8c466b69c3914c320c9067d5eddca4147d4edf533b",
     (5, "d2"):
-        "d8acf8718239f3dc419bf5eca6745c971ebde6f392d0e86a88ed0d78d7d309b2",
+        "ae87a30381ce2f176ce0c282d6fc7e1fba761c024e1b8bcf97ba96431cd569b2",
     (5, "dmax"):
-        "5a59e5349eb6d09146e7ae211bf493e6d4a952486807987ee039688105fa33df",
+        "aa7c4d6d77f6c7e3b0e3d82d73421154e0f3d1709bbd2d3e7c715ec9ff6b1f12",
     (5, "manhattan"):
-        "3f0b550d549b0e67b7bdc6f60f456bd6d31dfb2fdafc12432aaedc6f57f444a9",
+        "3ea28366fe648ab5dc1f14316b0106c5f008e6dbc5c5c5c7c87870b281e8119c",
 }
 
 
