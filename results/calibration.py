@@ -29,6 +29,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from surfacesim.harness import TrialConfig, run_trials, stats_to_csv
+from surfacesim.noise import ErrorModel
 
 OUT = Path(__file__).resolve().parent / "calibration"
 SEED = 1
@@ -36,15 +37,15 @@ SEED = 1
 
 def phenomenological() -> list[TrialConfig]:
     qs = [round(0.024 + 0.002 * i, 3) for i in range(7)]
-    return [TrialConfig(distance=d, p=q, model="custom", rounds=4 * d, trials=2000,
-                        seed=SEED, custom_model=(0.0, 1.5 * q, q))
+    return [TrialConfig(distance=d, p=q, model=ErrorModel(0.0, 1.5 * q, q), rounds=4 * d,
+                        trials=2000, seed=SEED)
             for d in (3, 5, 7) for q in qs]
 
 
 def code_capacity() -> list[TrialConfig]:
     qs = [round(0.08 + 0.01 * i, 2) for i in range(6)]
-    return [TrialConfig(distance=d, p=q, model="custom", rounds=1, trials=8000,
-                        seed=SEED, custom_model=(0.0, 1.5 * q, 0.0))
+    return [TrialConfig(distance=d, p=q, model=ErrorModel(0.0, 1.5 * q, 0.0), rounds=1,
+                        trials=8000, seed=SEED)
             for d in (3, 5, 7, 9) for q in qs]
 
 

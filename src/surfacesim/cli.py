@@ -13,9 +13,9 @@ flags that take a value, without the dashes and with their case
 argument ahead of the command line, so one parser checks both and
 command-line flags win.  Config files do not nest: a config= line is an
 error.  Run defaults are those of harness.TrialConfig.
-Exit codes: 0 success, 1 configuration error (bad flag values included)
-or a sweep aborted because a worker process died, 2 resource or I/O
-error.
+Exit codes: 0 success, 1 configuration error (bad flag values and models
+whose link graphs the decoder refuses included) or a sweep aborted
+because a worker process died, 2 resource or I/O error.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import fields
 
 from . import harness
+from .decoder import boundary_weights
 from .edge_analysis import derive_edge_classes
 from .harness import ThresholdError, TrialConfig, emit_results, estimate_threshold
 from .lattice import build_lattice, standard_schedule
-from .metric import METRICS
-from .noise import PRESET_NAMES
+from .metric import METRICS, LinkGraph
+from .noise import PRESET_NAMES, ErrorModel
 from .sim import compile_circuit
 
 
@@ -130,7 +131,7 @@ def main(argv=None) -> int:
                 raise ValueError("custom model requires --p2, --pI and --pM")
             if len(ps) > 1:
                 raise ValueError("--model custom ignores --p: give one rate, not a sweep")
-            run["custom_model"] = rates
+            run["model"] = ErrorModel(*rates)
         elif rates != (None, None, None):
             raise ValueError("--p2, --pI and --pM need --model custom")
         configs = [TrialConfig(distance=d, p=p, **run) for d in distances for p in ps]
@@ -139,16 +140,18 @@ def main(argv=None) -> int:
         if args.estimate_threshold:
             harness.check_fit_grid(distances, ps)
             harness.check_fit_rounds((c.distance, c.window_rounds) for c in configs)
+        for cfg in configs:  # the decoder's rule on the model's graphs, whatever the metric
+            lat = build_lattice(cfg.distance)
+            table = derive_edge_classes(
+                compile_circuit(lat, standard_schedule(lat)), cfg.error_model())
+            for graph in ("x", "z"):
+                boundary_weights(LinkGraph(table, graph))
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
     try:
         if args.export_edges is not None:
-            (cfg,) = configs
-            lat = build_lattice(cfg.distance)
-            table = derive_edge_classes(
-                compile_circuit(lat, standard_schedule(lat)), cfg.error_model())
             with open(args.export_edges, "w") as fh:
                 fh.write(table.to_json())
             print(f"edge table written to {args.export_edges}")

@@ -17,9 +17,10 @@ of a pair whose best single path can be lighter than two boundary
 matches, since every link weighs at least as much as the lightest one.
 Boundary weights are one `metric.boundary_distance` per stabilizer, a
 search of the graph's time-free cell view, which gives the space-time
-minimum bit for bit since exits do not depend on t.  Each metric then
-computes the pair weights from every source stabilizer and writes their
-gains to the gain table (below):
+minimum bit for bit since exits do not depend on t; `boundary_weights`
+computes them and holds the one rule for which graphs decode.  Each
+metric then computes the pair weights from every source stabilizer and
+writes their gains to the gain table (below):
 
 * dmax and manhattan: one `metric.settled` search from the source, cut
   at twice its boundary weight b_a.  Each pair {a, c} is filled once, by
@@ -132,6 +133,27 @@ class DecodeOutcome:
     residual: dict[str, np.ndarray]  # data frame after correction, x and z planes
 
 
+def boundary_weights(lg: LinkGraph) -> list[tuple[float, str]]:
+    """Each stabilizer's (boundary weight, side) in one graph, in
+    `Lattice.stabilizers` order; the one rule for which graphs decode.
+
+    Refused: a link of weight 0, along which a search of the unbounded
+    time axis would never finish settling; and, in a graph with links, a
+    stabilizer with no path to a boundary (a readout-only model, or rates
+    too small for some space links), whose inf weight would make the
+    tables' reach and the dmax cut unbounded."""
+    if lg.w_min == 0.0:
+        raise ValueError(f"{lg.graph} graph has a link of probability 1 (weight 0)")
+    lat = lg.lattice
+    stabs = lat.stabilizers(lg.graph)
+    bw = [boundary_distance(lg, (lat.index(c), 0)) for c in stabs]
+    stuck = [c for c, (b, _) in zip(stabs, bw) if b == math.inf]
+    if lg.links and stuck:
+        raise ValueError(f"{lg.graph} graph has links but no path from its "
+                         f"stabilizer at {stuck[0]} to a boundary link")
+    return bw
+
+
 class Decoder:
     """Reusable decoder for one (lattice, schedule, model, metric) setup.
 
@@ -140,7 +162,7 @@ class Decoder:
     stabilizer pairs within pruning reach (see the module docstring).
     Decoding a window then reads only these tables: candidate edges are
     table lookups, followed by small exact matchings, and corrections are
-    lists of staircase cells.
+    lists of staircase cells.  A graph `boundary_weights` refuses raises.
     """
 
     def __init__(self, table: EdgeClassTable, metric: str = "dmax"):
@@ -165,20 +187,7 @@ class Decoder:
         cells = [lat.index(c) for c in stabs]
         sub = [lat.sublattice_coord(c) for c in stabs]
         w_min = lg.w_min
-        if lg.links and not lg.exits:
-            # Every boundary weight would be inf, and so would the reach of
-            # the tables and the cut of each dmax search along the
-            # unbounded time axis.
-            raise ValueError(f"{lg.graph} graph has links but no boundary link "
-                             f"of positive probability")
-        elif w_min == 0.0:
-            # A link of weight 0 makes steps along it free; along the
-            # unbounded time axis a search would never finish settling.
-            raise ValueError(f"{lg.graph} graph has a link of probability 1 "
-                             f"(weight 0)")
-        bw = [boundary_distance(lg, (c, 0)) for c in cells]
-        bvals = [float(b[0]) for b in bw]
-        bsides = [b[1] for b in bw]
+        bvals, bsides = map(list, zip(*boundary_weights(lg)))
         # An edge no lighter than two boundary matches is pruned.  Every
         # link weighs at least w_min and moves at most one sublattice unit
         # per axis and one round, so no single path of a pair more than

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .decoder import Decoder
-from .edge_analysis import derive_edge_classes, odd_parity_probability
+from .edge_analysis import derive_edge_classes
 from .lattice import build_lattice, standard_schedule
 from .metric import METRICS
 from .noise import ErrorModel, preset, trial_rng
@@ -64,19 +64,21 @@ CSV_COLUMNS = [
 class TrialConfig:
     """One Monte Carlo point: code distance, error model, decode metric.
 
-    Valid once constructed: a bad value of any field raises ValueError
-    here, before any window runs.  The field defaults are the run
-    defaults of the command line too.
+    The model is a preset name, whose rates come from p, or an ErrorModel,
+    whose rows record "custom".  Valid once constructed: a bad value of any
+    field raises ValueError here, before any window runs; whether the
+    model's graphs decode is `decoder.boundary_weights`'s rule, applied
+    where they are built.  The field defaults are the run defaults of the
+    command line too.
     """
 
     distance: int = 5
     p: float = 0.01
-    model: str = "standard"
+    model: str | ErrorModel = "standard"
     metric: str = "dmax"
     rounds: int | None = None
     trials: int = 1000
     seed: int = 0
-    custom_model: tuple[float, float, float] | None = None
     jobs: int = 1
 
     def __post_init__(self):
@@ -95,36 +97,20 @@ class TrialConfig:
             raise ValueError("seed must be >= 0")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; choose from {METRICS}")
-        if self.custom_model is not None and self.model != "custom":
-            raise ValueError(f"custom_model needs model='custom'; the {self.model!r} "
-                             "preset takes its rates from p")
-        self.error_model()
+        model = self.error_model()  # an unknown preset name raises here
+        if isinstance(self.model, ErrorModel) and model.pM > 0.5:
+            # With pM <= 1/2 every link weighs at least ln 1.5, which
+            # bounds the pair tables' reach; near pM = 1 it is 10^5 rounds.
+            raise ValueError(f"pM = {model.pM} above 1/2: a readout more "
+                             "often wrong than right")
 
     @property
     def window_rounds(self) -> int:
         return self.rounds if self.rounds is not None else DEFAULT_ROUNDS_FACTOR * self.distance
 
     def error_model(self) -> ErrorModel:
-        if self.model == "custom":
-            if self.custom_model is None:
-                raise ValueError("custom model requires a (p2, pI, pM) triple")
-            model = ErrorModel(*self.custom_model)
-            # Every boundary link holds a 2pI/3 idle and an 8p2/15 CNOT
-            # process, the largest members of any space link, so this is 0
-            # exactly when every space link rounds to probability 0.
-            space = odd_parity_probability([model.pI * 2.0 / 3.0,
-                                            2 * (model.p2 * 4.0 / 15.0)])
-            if space == 0.0 < model.pM:
-                # Readout errors alone make only time-like links: no error
-                # chain can reach a boundary, so there is nothing to decode.
-                raise ValueError("a readout-only model (p2 and pI too small for "
-                                 "any space link, pM > 0) has no boundary links")
-            if model.pM > 0.5:
-                # With pM <= 1/2 every link weighs at least ln 1.5, which
-                # bounds the pair tables' reach; near pM = 1 it is 10^5 rounds.
-                raise ValueError(f"pM = {model.pM} above 1/2: a readout more "
-                                 "often wrong than right")
-            return model
+        if isinstance(self.model, ErrorModel):
+            return self.model
         return preset(self.model, self.p)
 
 
@@ -252,9 +238,9 @@ def run_trials(*configs: TrialConfig, trace_sink=None) -> SweepStats:
         size = max(1, min(500, cfg.trials // (4 * jobs)))
         chunks += [(point, cfg, start, min(size, cfg.trials - start), trace_sink is not None)
                    for start in range(0, cfg.trials, size)]
-        rows.append(PointStats(d=cfg.distance, p=cfg.p, model=cfg.model, p2=model.p2,
-                               pI=model.pI, pM=model.pM, metric=cfg.metric,
-                               T=cfg.window_rounds, N=cfg.trials, fail_x=0,
+        rows.append(PointStats(d=cfg.distance, p=cfg.p, p2=model.p2, pI=model.pI, pM=model.pM,
+                               model="custom" if isinstance(cfg.model, ErrorModel) else cfg.model,
+                               metric=cfg.metric, T=cfg.window_rounds, N=cfg.trials, fail_x=0,
                                fail_z=0, seed=cfg.seed, wall_time=0.0))
     workers = min(jobs, len(chunks))
     with contextlib.ExitStack() as stack:

@@ -11,7 +11,12 @@ import surfacesim
 
 from surfacesim import harness
 from surfacesim.cli import main
+from surfacesim.decoder import Decoder
+from surfacesim.edge_analysis import derive_edge_classes
 from surfacesim.harness import estimate_threshold
+from surfacesim.lattice import build_lattice, standard_schedule
+from surfacesim.noise import PRESET_NAMES, ErrorModel, preset
+from surfacesim.sim import compile_circuit
 from test_harness import _fake_stats
 
 
@@ -330,17 +335,64 @@ def test_help_exits_0(capsys, monkeypatch):
     assert "--metric" in out and "(default 4*d)" in out
 
 
-@pytest.mark.parametrize("p2,pI,pM", [("0", "0.01", "0.9999"), ("0", "1e-17", "0.01")])
+@pytest.mark.parametrize("p2,pI,pM", [("0", "0.01", "0.9999"), ("0", "1e-17", "0.01"),
+                                      ("6e-17", "0", "0.01")])
 def test_custom_models_that_cannot_decode_return_1_without_output(tmp_path, capsys,
                                                                   no_windows, p2, pI, pM):
     # A readout flip near certain would make pair tables of 10^5 rounds;
-    # space links too improbable to survive rounding leave no boundary link.
+    # space links too improbable to survive rounding leave no boundary link
+    # (the last: some space links survive, but not a path from every
+    # stabilizer to a boundary).
     out = tmp_path / "run.csv"
     assert main(["--model", "custom", "--p2", p2, "--pI", pI, "--pM", pM, "--distance", "5",
                  "--p", "0", "--trials", "1", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("configuration error:")
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("model,p", [("standard", "4e-17"), ("iontrap", "8e-17")])
+def test_presets_at_rates_too_small_to_decode_return_1_without_output(tmp_path, capsys,
+                                                                      no_windows, model, p):
+    # At d = 5 some stabilizers keep links but lose every path to a boundary.
+    out = tmp_path / "run.csv"
+    assert main(["--model", model, "--p", p, "--distance", "5", "--trials", "1",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:") and "no path" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+_TINY = [0.0, 2e-17, 6e-17, 1e-16, 4e-16]
+DECODABILITY_GRID = (
+    [(["--model", "custom", "--p2", repr(p2), "--pI", repr(pI), "--pM", repr(pM), "--p", "0"],
+      ErrorModel(p2, pI, pM)) for p2 in _TINY for pI in _TINY for pM in (0.0, 0.01)]
+    + [(["--model", name, "--p", repr(p)], preset(name, p))
+       for name in PRESET_NAMES for p in (3e-17, 8e-17, 1e-15)])
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_cli_refuses_exactly_the_models_the_decoder_build_refuses(d, capsys, monkeypatch):
+    """Rates so small that only some links survive rounding: the command
+    line's check before any window refuses exactly the models whose dmax
+    decoder build raises, and that build raises nothing but ValueError."""
+    monkeypatch.setattr(harness, "run_trials", lambda *configs, **kw: harness.SweepStats())
+    lat = build_lattice(d)
+    circuit = compile_circuit(lat, standard_schedule(lat))
+    refused = 0
+    for argv, model in DECODABILITY_GRID:
+        try:
+            Decoder(derive_edge_classes(circuit, model), "dmax")
+        except ValueError:
+            builds = False
+        else:
+            builds = True
+        rc = main([*argv, "--distance", str(d), "--trials", "1"])
+        err = capsys.readouterr().err
+        assert rc == (0 if builds else 1), (argv, err)
+        assert builds or err.startswith("configuration error:"), (argv, err)
+        refused += not builds
+    assert 0 < refused < len(DECODABILITY_GRID)
 
 
 def test_readout_only_model_returns_1_without_hanging():

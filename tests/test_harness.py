@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from surfacesim.harness import (
 )
 from surfacesim.lattice import build_lattice, standard_schedule
 from surfacesim.metric import METRICS
-from surfacesim.noise import PRESET_NAMES, ErrorModel
+from surfacesim.noise import ErrorModel
 from surfacesim.sim import compile_circuit
 
 
@@ -53,66 +53,60 @@ def test_rounds_must_be_positive():
     assert TrialConfig(distance=3, p=0.01, rounds=1).window_rounds == 1
 
 
+def _circuit(d):
+    lat = build_lattice(d)
+    return compile_circuit(lat, standard_schedule(lat))
+
+
 def test_custom_model():
-    cfg = TrialConfig(distance=3, p=0.0, model="custom",
-                      custom_model=(0.01, 0.002, 0.003))
+    cfg = TrialConfig(distance=3, p=0.0, model=ErrorModel(0.01, 0.002, 0.003))
     m = cfg.error_model()
     assert (m.p2, m.pI, m.pM) == (0.01, 0.002, 0.003)
-    with pytest.raises(ValueError):
-        TrialConfig(distance=3, p=0.0, model="custom").error_model()
-    with pytest.raises(ValueError, match="readout-only"):
-        TrialConfig(distance=3, p=0.0, model="custom", custom_model=(0.0, 0.0, 0.01))
+    # "custom" names no preset: a custom model is given as its ErrorModel.
+    with pytest.raises(ValueError, match="unknown error model 'custom'"):
+        TrialConfig(distance=3, p=0.0, model="custom")
+    # A readout-only model has links but no path to a boundary: the
+    # config is valid, and the decoder build refuses the model's own
+    # graphs, while the Manhattan grid ignores the model.
+    readout = TrialConfig(distance=3, p=0.0, model=ErrorModel(0.0, 0.0, 0.01))
+    table = derive_edge_classes(_circuit(3), readout.error_model())
+    for metric in METRICS:
+        if metric == "manhattan":
+            Decoder(table, metric)
+        else:
+            with pytest.raises(ValueError, match="no path"):
+                Decoder(table, metric)
     # p2 = 0 with pM = 1 gives every time-like link probability 1, so
     # weight 0: the separation searches would never finish.
     for metric in METRICS:
         with pytest.raises(ValueError, match="above 1/2"):
-            TrialConfig(distance=3, p=0.0, model="custom", metric=metric,
-                        custom_model=(0.0, 0.01, 1.0))
+            TrialConfig(distance=3, p=0.0, metric=metric, model=ErrorModel(0.0, 0.01, 1.0))
 
 
 @pytest.mark.parametrize("rates,match", [
     # Time-like links of weight 1e-4: the pair tables would reach 2 * 10^5
     # rounds at d = 5.
     ((0.0, 0.01, 0.9999), "above 1/2"),
-    # pI > 0, but no space link survives rounding in odd_parity_probability.
-    ((0.0, 1e-17, 0.01), "readout-only"),
+    # pI > 0, but no space link survives rounding in odd_parity_probability;
+    # the config is valid, and the decoder build refuses its graphs.
+    ((0.0, 1e-17, 0.01), "no path"),
 ])
 def test_custom_models_that_cannot_decode_are_refused(rates, match):
     with pytest.raises(ValueError, match=match):
-        TrialConfig(distance=5, p=0.0, model="custom", custom_model=rates)
+        cfg = TrialConfig(distance=5, p=0.0, model=ErrorModel(*rates))
+        Decoder(derive_edge_classes(_circuit(5), cfg.error_model()))
 
 
-@pytest.mark.parametrize("rate", ["p2", "pI"])
-def test_readout_only_rule_is_the_decoders_boundary_check(rate):
-    # Just below the smallest accepted p2 (or pI, the other one 0) the
-    # decoder build finds links but no boundary link; at it, it builds.
-    def rates(x):
-        return (x, 0.0, 0.01) if rate == "p2" else (0.0, x, 0.01)
-
-    def accepted(x):
-        try:
-            TrialConfig(distance=3, p=0.0, model="custom", custom_model=rates(x))
-        except ValueError:
-            return False
-        return True
-
-    lo, hi = 0.0, 1e-15
-    while math.nextafter(lo, 1.0) < hi:
-        mid = (lo + hi) / 2
-        lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
-    lat = build_lattice(3)
-    circ = compile_circuit(lat, standard_schedule(lat))
-    with pytest.raises(ValueError, match="no boundary link"):
-        Decoder(derive_edge_classes(circ, ErrorModel(*rates(lo))))
-    Decoder(derive_edge_classes(circ, ErrorModel(*rates(hi))))
-
-
-@pytest.mark.parametrize("model", PRESET_NAMES)
-def test_custom_rates_under_a_preset_are_refused(model):
-    # A preset takes its rates from p; custom rates given with it would
-    # otherwise be dropped while the row records the preset's.
-    with pytest.raises(ValueError, match="custom_model"):
-        TrialConfig(distance=3, p=0.01, model=model, custom_model=(0.0, 0.15, 0.0))
+def test_custom_model_runs_as_the_preset_of_the_same_rates():
+    """A custom ErrorModel and the preset it equals give the same counts;
+    its row records "custom" and the model's rates."""
+    custom, std = (TrialConfig(distance=3, p=0.01, model=model, trials=200, seed=1)
+                   for model in (ErrorModel(0.01, 0.01, 0.01), "standard"))
+    a, b = run_trials(custom, std).rows
+    assert (a.fail_x, a.fail_z) == (b.fail_x, b.fail_z)
+    assert a.fail_x + a.fail_z > 0
+    assert (a.model, b.model) == ("custom", "standard")
+    assert (a.p2, a.pI, a.pM) == (0.01, 0.01, 0.01)
 
 
 def test_zero_noise_run_has_no_failures():
@@ -226,8 +220,8 @@ def test_csv_roundtrip_and_reproducibility():
 def test_custom_rows_record_their_rates():
     """Two custom points at the same p that differ only in (p2, pI, pM)
     give rows that tell them apart, and both survive a CSV round trip."""
-    cfgs = [TrialConfig(distance=3, p=0.01, model="custom", custom_model=rates,
-                        trials=20, rounds=3, seed=1)
+    cfgs = [TrialConfig(distance=3, p=0.01, model=ErrorModel(*rates), trials=20, rounds=3,
+                        seed=1)
             for rates in ((0.01, 0.002, 0.003), (0.0, 0.015, 0.01))]
     stats = run_trials(*cfgs)
     lines = stats_to_csv(stats).splitlines()
@@ -235,11 +229,11 @@ def test_custom_rows_record_their_rates():
     back = csv_to_stats("\n".join(lines))
     for row, orig, cfg in zip(back.rows, stats.rows, cfgs):
         assert (row.model, row.p) == ("custom", 0.01)
-        assert (row.p2, row.pI, row.pM) == cfg.custom_model
+        assert (row.p2, row.pI, row.pM) == astuple(cfg.model)
         assert replace(row, wall_time=0.0) == replace(orig, wall_time=0.0)
     doc = json.loads(stats_to_json(stats))
     assert [(r["p2"], r["pI"], r["pM"]) for r in doc["rows"]] == \
-        [cfg.custom_model for cfg in cfgs]
+        [astuple(cfg.model) for cfg in cfgs]
 
 
 def test_preset_rows_read_back_their_exact_rates():
@@ -406,8 +400,8 @@ def test_estimate_threshold_refuses_windows_shorter_than_d():
     ((0.0, 0.01, 0.01), True),
 ])
 def test_short_window_warns_only_with_time_like_links(custom_model, warns):
-    cfg = TrialConfig(distance=3, model="custom", custom_model=custom_model,
-                      rounds=1, trials=2, seed=1)
+    cfg = TrialConfig(distance=3, model=ErrorModel(*custom_model), rounds=1, trials=2,
+                      seed=1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_trials(cfg)
