@@ -368,6 +368,8 @@ def test_max_weight_matching_keeps_pinned_tie_order(maxcardinality):
 # weights make exact ties common; the correction digests hash planes, in
 # which some mate changes do not show.
 DECODER_COMPONENT_MATES = {
+    (3, "d2", 30, 300):
+        (274, "7df68734588c00fecb279f8bd815e7c31a33a2e83b63e9d18139006f3571cfc5"),
     (5, "dmax", 50, 60):
         (336, "bd3158850043e830c312479faf4f334d5836cd2bc642b1422d5b8f98318e9f9d"),
     (7, "dmax", 28, 20):
