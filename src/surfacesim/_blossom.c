@@ -742,7 +742,7 @@ static void dissolve(state *s, int root)
 
 static int lone(const state *s, int r)
 {
-    return r < 0 || (!s->has_members[r] && !s->has_marks[r]);
+    return !s->has_members[r] && !s->has_marks[r];
 }
 
 /* Act on tight edge k between S vertices v and w: shrink a blossom, or
@@ -751,6 +751,7 @@ static int tight_ss(state *s, int v, int w, int k)
 {
     int rv = s->tree[s->inblossom[v]];
     int rw = s->tree[s->inblossom[w]];
+    CHECK(s, rv >= 0 && rw >= 0);
     if (lone(s, rv) && lone(s, rw)) {
         /* Two lone roots: v and w themselves. */
         s->mate[s->endpoint[2 * k]] = 2 * k + 1;
@@ -770,7 +771,6 @@ static int tight_ss(state *s, int v, int w, int k)
     }
     augment_matching(s, k);
     s->unscanned.len = 0;
-    CHECK(s, rv >= 0 && rw >= 0);
     dissolve(s, rv);
     dissolve(s, rw);
     for (int i = 0; i < s->unscanned.len; i++)
