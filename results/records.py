@@ -1,47 +1,30 @@
-"""The committed records under `results/`, each a plan fixed before its run.
+"""Every results sweep as a plan: `PLANS` maps a record's name, its CSV
+path under `results/`, to the `TrialConfig` list fixed before its run.
+One writer makes any plan's CSV (one `run_trials` call), and the
+tier-1 grid test holds every committed row to its plan.
 
-`PLANS` maps a record's name, its CSV path under `results/` without the
-suffix, to the list of `TrialConfig` whose rows it holds.  One writer
-makes any plan's CSV: one `run_trials` call, then `stats_to_csv`.
-`tests/test_results_scripts.py` checks that every committed row has the
-key columns of its plan, so a plan edited after its run fails until its
-rows are run again.
+* `calibration/phenomenological`: custom (0, 1.5q, q), T = 4d; an idle
+  depolarization of 1.5q flips each data qubit's X (or Z) with
+  probability q per round.  MWPM threshold 2.93% (Wang, Harrington &
+  Preskill, Ann. Phys. 303, 31, 2003).
+* `calibration/code_capacity`: custom (0, 1.5q, 0), T = 1.  MWPM
+  threshold 10.3% (Dennis et al., J. Math. Phys. 43, 4452, 2002); the
+  scaling fit refuses T < d, so `report` reads the P crossings.
+  Calibration rows set p = q, the rate the fit reads, and pI = 1.5 * q
+  in floating point: 1.5 * 0.1 = 0.15000000000000002 samples other
+  windows than 0.15.
+* `headline/standard_dmax`: the paper's 1.1-1.4% claim; standard
+  model, `dmax`, seed 1, T = 4d, p = 0.5-1.3%.
+* `window_length/t1d` and `t2d`: the same at T = d (seed 2) and T = 2d
+  (seed 3), p = 0.6-1.6%.  At one seed window i of T = d would hold
+  the first d rounds of faults of window i of T = 4d; a seed per length
+  makes the three lengths' counts independent.
 
-* `calibration/phenomenological`: custom (p2, pI, pM) = (0, 1.5q, q).
-  With no CNOT noise, an idle depolarization of 1.5q flips each data
-  qubit's X (or Z) with probability q per round, and each readout flips
-  with probability q.  MWPM threshold 2.93% (Wang, Harrington &
-  Preskill, Ann. Phys. 303, 31, 2003).  T = 4d.
-* `calibration/code_capacity`: custom (0, 1.5q, 0) with T = 1, so
-  measurement is perfect.  MWPM threshold 10.3% (Dennis et al., J. Math.
-  Phys. 43, 4452, 2002).  The scaling fit refuses T < d, so these rows
-  are read by the crossings of the failure-probability curves.
-  Every calibration row sets p = q, since the fit reads the swept rate
-  from `p`.  pI is 1.5 * q as computed in floating point: a window's
-  samples depend on every bit of a rate, and 1.5 * 0.1 =
-  0.15000000000000002 gives other counts than 0.15.
-* `headline/standard_dmax`: the paper's claim, a threshold of 1.1-1.4%
-  for error-model-aware separations.  Standard model, `dmax`, seed 1,
-  T = 4d, p = 0.5, 0.6, ..., 1.3%.
-* `window_length/t1d` and `window_length/t2d`: the headline's model,
-  metric, distances and N at T = d (seed 2) and T = 2d (seed 3), p =
-  0.6, 0.7, ..., 1.6%.  At one seed, window i of T = d would hold the
-  first d rounds of faults of window i of T = 4d; a seed per length
-  makes the counts of the three lengths independent.
+    PYTHONPATH=src python results/records.py [NAME ...]
 
-`headline/tie_spread` is not a plan: the first `TIE_WINDOWS` windows of
-every headline point are decoded again with each graph's detection
-events handed to the decoder in a seeded random order instead of scan
-order (the relabelling of
-`tests/test_decoder.py::test_verdicts_do_not_depend_on_event_labels`).
-Its rows give, per point, the failures of those windows under both
-orders and the number of changed verdicts.
-
-    PYTHONPATH=src python results/records.py window_length/t1d window_length/t2d
-
-runs the named records and writes their CSVs; with no name it prints
-the README table of every plan from its committed rows (`report`).
-`python -m pytest -m calibration` and `-m headline` check the rows.
+runs the named records (`headline/tie_spread` too) and writes their
+CSVs, then prints the README table of each named plan, or of every plan
+when none is named (`report`, from the committed rows).
 """
 
 from __future__ import annotations
@@ -181,13 +164,45 @@ def raw_crossings(rows, value, a: int, b: int) -> list[float]:
 
 
 def _percent(ps) -> str:
-    return ", ".join(f"{p:.3%}" for p in ps) if ps else "none"
+    return ", ".join(f"{p:.3%}" for p in ps) or "none"
 
 
 def _fit(rows, logical: str) -> dict | None:
     with contextlib.suppress(ThresholdError):
         return estimate_threshold(SweepStats(rows=rows), logical=logical)
     return None
+
+
+def _pc(fit: dict | None) -> str:
+    if fit is None:
+        return "no fit"
+    return f"{100 * fit['p_c']:.3f} ± {100 * fit['sigma']:.3f}% ({fit['nu']:.2f})"
+
+
+def _column(rows, logical: str) -> list[tuple[str, str]]:
+    """(estimator, value) of one logical, in the order of the table."""
+    ds = sorted({r.d for r in rows})
+    pairs = list(zip(ds, ds[1:]))
+    out = []
+    if all(r.T >= r.d for r in rows):
+        fit = _fit(rows, logical)
+        spread = fit and fit["fit_spread"]
+        crossings = fit["per_round"] if fit else {}
+        out += [(f"scaling fit of ε_d = d·ε over d = {ds[0]}-{ds[-1]}, p_c ± σ (ν)", _pc(fit)),
+                (f"the same fit without d = {ds[0]}",
+                 _pc(_fit([r for r in rows if r.d > ds[0]], logical))),
+                ("fit-model spread beside σ",
+                 "none" if spread is None else f"{100 * spread:.3f} points")]
+        out += [(f"fitted per-round crossing {a}/{b}",
+                 _percent(filter(None, [crossings.get((a, b))]))) for a, b in pairs]
+    else:
+        out += [(f"P crossing {a}/{b}, linear interpolation",
+                 _percent(raw_crossings(rows, lambda r: getattr(r, f"fail_{logical}") / r.N, a, b)))
+                for a, b in pairs]
+    out += [(f"raw per-round ε crossing {a}/{b}, linear interpolation",
+             _percent(raw_crossings(rows, lambda r: flip_rate(r)[f"eps_{logical}"], a, b)))
+            for a, b in pairs]
+    return out
 
 
 def report(name: str) -> str:
@@ -199,44 +214,14 @@ def report(name: str) -> str:
     probabilities.  Both get the raw per-round crossings, interpolated
     linearly."""
     rows = csv_to_stats((OUT / f"{name}.csv").read_text()).rows
-    ds = sorted({r.d for r in rows})
-    pairs = list(zip(ds, ds[1:]))
-    lines = [("estimator", "X", "Z"), ("---",) * 3]
-
-    def add(label, cell):
-        lines.append((label, cell("x"), cell("z")))
-
-    if all(r.T >= r.d for r in rows):
-        fits = {lg: _fit(rows, lg) for lg in "xz"}
-        cut = {lg: _fit([r for r in rows if r.d > ds[0]], lg) for lg in "xz"}
-
-        def pc(fit):
-            if fit is None:
-                return "no fit"
-            return f"{100 * fit['p_c']:.3f} ± {100 * fit['sigma']:.3f}% ({fit['nu']:.2f})"
-
-        add(f"scaling fit of ε_d = d·ε over d = {ds[0]}-{ds[-1]}, p_c ± σ (ν)",
-            lambda lg: pc(fits[lg]))
-        add(f"the same fit without d = {ds[0]}", lambda lg: pc(cut[lg]))
-        add("fit-model spread beside σ",
-            lambda lg: "none" if fits[lg] is None or fits[lg]["fit_spread"] is None
-            else f"{100 * fits[lg]['fit_spread']:.3f} points")
-        for a, b in pairs:
-            add(f"fitted per-round crossing {a}/{b}",
-                lambda lg: "none" if fits[lg] is None or fits[lg]["per_round"][(a, b)] is None
-                else f"{fits[lg]['per_round'][(a, b)]:.3%}")
-    else:
-        for a, b in pairs:
-            add(f"P crossing {a}/{b}, linear interpolation",
-                lambda lg: _percent(raw_crossings(rows, lambda r: getattr(r, f"fail_{lg}") / r.N,
-                                                  a, b)))
-    for a, b in pairs:
-        add(f"raw per-round ε crossing {a}/{b}, linear interpolation",
-            lambda lg: _percent(raw_crossings(rows, lambda r: flip_rate(r)[f"eps_{lg}"], a, b)))
-    return "\n".join("| " + " | ".join(cells) + " |" for cells in lines) + "\n"
+    x, z = (_column(rows, logical) for logical in "xz")
+    lines = ["| estimator | X | Z |", "| --- | --- | --- |"]
+    lines += [f"| {label} | {cx} | {cz} |" for (label, cx), (_, cz) in zip(x, z)]
+    return "\n".join(lines) + "\n"
 
 
-def main(names: list[str]) -> None:
+def main() -> None:
+    names = sys.argv[1:]
     for name in names:
         write(name)
     for name in names or PLANS:
@@ -245,4 +230,4 @@ def main(names: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

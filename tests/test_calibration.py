@@ -2,7 +2,7 @@
 literature MWPM thresholds of their noise models.
 
 Opt in: `python -m pytest -m calibration`.  The tests only read the
-committed rows, which `results/calibration.py` writes; the tolerances
+committed rows, which `results/records.py` writes; the tolerances
 were fixed before the first runs.
 """
 

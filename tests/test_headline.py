@@ -2,7 +2,7 @@
 that error-model-aware separations reach a threshold of 1.1-1.4%.
 
 Opt in: `python -m pytest -m headline`.  The tests only read the
-committed rows, which `results/headline.py` writes; the claims were
+committed rows, which `results/records.py` writes; the claims were
 fixed before the run.
 """
 
