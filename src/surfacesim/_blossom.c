@@ -18,6 +18,8 @@
  * edges holds m (i, j, weight) triples with 0 <= i, j < n; mate[v]
  * receives v's partner or -1.  Returns 0, MWM_NOMEM, MWM_BAD_VERTEX, or
  * the line of a check that failed.
+ *
+ * The decoder's candidate-graph build, candidate_graph, is at the end.
  */
 
 #include <setjmp.h>
@@ -1058,4 +1060,128 @@ int max_weight_matching(int n, int m, const double *edges, int *mate)
     int err = s->err;
     release(s);
     return err;
+}
+
+/* --- the decoder's candidate graph -------------------------------------- */
+
+/* candidate_graph: events[u] and events[k + u] are event u's stabilizer
+ * (0..S-1) and round.  A pair, the earlier event at stabilizer a and the
+ * later dt < R rounds after at c, is kept if gain[(a * S + c) * R + dt]
+ * is not 0.  Writes the events by component to comps[0..k), their number
+ * nc to comps[k], and where each component's events and edges start to
+ * comps[k + 1 + c] and comps[2 * k + 2 + c], c = 0..nc.  Edge i joins
+ * positions ends[i] < ends[cap + i] of its component with gain gains[i];
+ * edges are sorted by (component, a, b).  Returns the number of kept
+ * pairs, having written nothing if it is above cap, or -MWM_NOMEM.
+ * The order rules, on which exact ties rest, are in surfacesim.decoder. */
+
+typedef struct {
+    int t, label;
+} timed;
+
+static int by_round(const void *x, const void *y)
+{
+    const timed *a = x, *b = y;
+    return a->t != b->t ? (a->t > b->t) - (a->t < b->t) : a->label - b->label;
+}
+
+int candidate_graph(int k, const int *events, int S, int R, const double *gain,
+                    int cap, int *comps, int *ends, double *gains)
+{
+    int m = 0, nc = 0, n = 0, rc = -MWM_NOMEM;
+    timed *order = malloc((size_t)(k ? k : 1) * sizeof *order);
+    int *start = calloc(5 * (size_t)k + 3, sizeof *start), *row = NULL;
+    int *rank = start + k + 1, *stack = rank + k, *fill = stack + k, *cnt = fill + k;
+    int *cstart = comps + k + 1, *estart = comps + 2 * k + 2;
+    double *rowg = NULL;
+    if (!order || !start)
+        goto done;
+    for (int u = 0; u < k; u++)
+        order[u] = (timed){events[k + u], u};
+    qsort(order, (size_t)k, sizeof *order, by_round);
+    /* Pass 0 counts each event's kept pairs, pass 1 fills the rows. */
+    for (int pass = 0; pass < 2; pass++) {
+        for (int i = 0; i < k; i++) {
+            const double *gi = gain + (size_t)events[order[i].label] * S * R;
+            for (int j = i + 1; j < k && order[j].t - order[i].t < R; j++) {
+                double g = gi[(size_t)events[order[j].label] * R + order[j].t - order[i].t];
+                int u = order[i].label, v = order[j].label;
+                if (g == 0.0)
+                    continue;
+                if (pass == 0) {
+                    start[u + 1]++;
+                    start[v + 1]++;
+                } else {
+                    rowg[fill[u]] = g;
+                    row[fill[u]++] = v;
+                    rowg[fill[v]] = g;
+                    row[fill[v]++] = u;
+                }
+            }
+        }
+        if (pass == 0) {
+            for (int u = 0; u < k; u++) {
+                start[u + 1] += start[u];
+                fill[u] = start[u];
+            }
+            m = start[k] / 2;
+            if (m > cap) {
+                rc = m;
+                goto done;
+            }
+            row = malloc((2 * (size_t)m + 1) * sizeof *row);
+            rowg = malloc((2 * (size_t)m + 1) * sizeof *rowg);
+            if (!row || !rowg)
+                goto done;
+        }
+    }
+
+    for (int u = 0; u < k; u++)
+        rank[u] = -1;
+    for (int s0 = 0; s0 < k; s0++) {
+        if (rank[s0] >= 0)
+            continue;
+        int sp = 0;
+        cstart[nc++] = n;
+        rank[s0] = n;
+        comps[n++] = stack[sp++] = s0;
+        while (sp) {
+            int u = stack[--sp];
+            for (int i = start[u]; i < start[u + 1]; i++)
+                if (rank[row[i]] < 0) {
+                    rank[row[i]] = n;
+                    comps[n++] = stack[sp++] = row[i];
+                }
+        }
+    }
+    comps[k] = nc;
+    cstart[nc] = k;
+
+    /* Each edge goes to its lower end's slot, the higher ends visited in
+     * order: sorted by the ends' indices in comps, so by (component, a, b). */
+    for (int u = 0; u < k; u++)
+        for (int i = start[u]; i < start[u + 1]; i++)
+            if (rank[row[i]] < rank[u])
+                cnt[rank[row[i]] + 1]++;
+    for (int r = 0; r < k; r++)
+        cnt[r + 1] += cnt[r];
+    for (int c = 0; c <= nc; c++)
+        estart[c] = cnt[cstart[c]];
+    for (int c = 0; c < nc; c++)
+        for (int h = cstart[c]; h < cstart[c + 1]; h++)
+            for (int i = start[comps[h]]; i < start[comps[h] + 1]; i++) {
+                int lo = rank[row[i]];
+                if (lo < h) {
+                    ends[cnt[lo]] = lo - cstart[c];
+                    ends[(size_t)cap + cnt[lo]] = h - cstart[c];
+                    gains[cnt[lo]++] = rowg[i];
+                }
+            }
+    rc = m;
+done:
+    free(order);
+    free(start);
+    free(row);
+    free(rowg);
+    return rc;
 }

@@ -44,8 +44,8 @@ The one prune rule is the gain table's: gtab[a][c][dt] is the gain
 (b_a + b_c) - w of an entry w < (b_a + b_c) - PRUNE_EPS, and 0.0 for
 every other entry, so a kept gain is always above PRUNE_EPS.  No weight
 is stored.  A pair with no kept entry shares one all-zero row, and equal
-gains share one float.  The candidate builders read this table and
-nothing else.
+gains share one float.  The candidate graph is built from this table,
+raveled, and nothing else.
 
 The match graph follows the virtual-twin construction: every real event
 gets a virtual partner at its boundary weight, virtual nodes pair among
@@ -65,33 +65,17 @@ boundary) or with one neighbour above it; on the sparse components of
 real windows that is about 4 / 6 / 9 / 12 of the 7 / 15 / 31 / 63
 subsets of 3 / 4 / 5 / 6 events (d = 3, `d2`).
 
-The candidate graph has two builders, chosen per graph by its event
-count, and they differ only in how they find the kept pairs.  Below
-ARRAY_MIN_EVENTS a Python scan over the time-sorted events looks each
-pair within reach up in the gain table; from ARRAY_MIN_EVENTS on, numpy
-does the same with a stable sort by round, every pair within reach from
-one searchsorted/repeat pass and one gather from a dense copy of the
-gain table (made on first use).  The scan costs about one step per pair
-within reach, the arrays a fixed numpy overhead per call plus a little
-per edge.  On standard-model windows (p = 0.6-1.4%, T = 4d and 10d) the
-two cost the same at about 48 events at d = 5 (47 for d2, 59 for
-manhattan); d = 3 graphs of such windows stay below 48 events, where
-the scan builds the graph 1.4-9.9x faster (3.3-3.4x for each metric's
-median graph), and every d = 7 or 9 graph is above the cutoff, where
-the arrays build it 1.7-2.9x faster.
-
 Each graph is matched alone, its events labelled by their positions in
-the order `_graph_events` lists them (by stabilizer, then round).  Both
-builders give per event a row of neighbour positions in scan order
-(time order, equal rounds in position order) and one list of kept pairs
-with their gains, read from the gain table.  One depth-first walk of the
-rows gives the components, each event's component and its position in
-it.  A component of three or more events gets its gain edges sorted by
-position pair, out of the kept pairs by Python in a scan-built graph and
-by one numpy sort over the graph's components in an array-built one
-(`_sorted_gain_edges`).  Both solvers return a mate per position, which
-one loop over the components turns into the graph's pairs and boundary
-matches.  So every matching is the same whichever builder ran.
+the order `_graph_events` lists them (by stabilizer, then round).  One
+call of the C kernel's `candidate_graph` reads the gain table, raveled
+as (a * S + c) * R + dt, and returns the graph's components and each
+one's gain edges over positions a < b, sorted by position pair.  Exact
+ties fall by its order rules: the scan runs in time order, equal rounds
+in label order; each event's row lists its partners in scan order; each
+component is walked from its lowest label with a LIFO stack, a popped
+event's unvisited partners found in row order.  Both solvers return a
+mate per position, which one loop over the components turns into the
+graph's pairs and boundary matches.
 
 Corrections follow one chain rule, a canonical staircase (vertical leg
 then horizontal leg) between matched points.  A boundary match runs from
@@ -107,7 +91,9 @@ matched pairs and boundary-matched events.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -118,7 +104,6 @@ from .metric import METRICS, LinkGraph, boundary_distance, path_sum_table, settl
 from .sim import PauliFrame, SyndromeHistory, _graph_events
 
 DP_MAX_NODES = 6
-ARRAY_MIN_EVENTS = 48
 PRUNE_EPS = 1e-9
 
 
@@ -178,9 +163,7 @@ class Decoder:
         self._lz = np.array([lat.index(c) for c in lat.logical_z_support], dtype=np.intp)
 
     def _precompute(self, lg: LinkGraph) -> dict:
-        """Per-stabilizer tables of one graph, as plain Python lists: the
-        decode loop indexes them per candidate pair, where list lookups
-        are much cheaper than numpy scalar indexing."""
+        """The tables of one graph (see the class docstring)."""
         lat = self.lattice
         stabs = lat.stabilizers(lg.graph)
         S = len(stabs)
@@ -245,6 +228,7 @@ class Decoder:
                     if w < bsum - PRUNE_EPS:
                         keep(a, c, dt, bsum - w)
         return {"cells": cells, "bvals": bvals, "bsides": bsides, "gtab": gtab,
+                "gains": array("d", chain.from_iterable(chain.from_iterable(gtab))),
                 "reach": reach, "stairs": _Staircases(lat, cells, bsides)}
 
     def decode(self, history: SyndromeHistory, frame: PauliFrame,
@@ -301,167 +285,50 @@ def _match_graph(tab: dict, stabs: list[int], ts: list[int]):
     resolved by label order, so decode passes events in scan order (by
     stabilizer, then round) to keep every verdict reproducible.
     """
-    if len(stabs) < ARRAY_MIN_EVENTS:
-        nbr, kept = _scan_graph(tab, stabs, ts)
-        comps, cid, pos = _components(nbr)
-        # Each solved component's edges as (a, b, gain) over positions
-        # a < b, sorted by position pair (the edge order breaks exact ties).
-        gain_edges = {c: [] for c, comp in enumerate(comps) if len(comp) > 2}
-        for u, v, g in kept:
-            edges = gain_edges.get(cid[u])
-            if edges is not None:
-                a, b = pos[u], pos[v]
-                edges.append((a, b, g) if a < b else (b, a, g))
-        for edges in gain_edges.values():
-            edges.sort()
-    else:
-        nbr, kept = _array_graph(tab, stabs, ts)
-        comps, cid, pos = _components(nbr)
-        gain_edges = _sorted_gain_edges(kept, comps, cid, pos)
+    k = len(stabs)
+    events = array("i", stabs + ts)
+    out = array("i", [0]) * (3 * k + 3)
+    cap = 32 * k  # kept pairs; standard windows up to d = 9 keep about 20 per event or fewer
+    while True:
+        ends, gains = array("i", [0]) * (2 * cap), array("d", [0.0]) * cap
+        m = matching._kernel.candidate_graph(
+            k, events.buffer_info()[0], len(tab["cells"]), tab["reach"] + 1,
+            tab["gains"].buffer_info()[0], cap, out.buffer_info()[0],
+            ends.buffer_info()[0], gains.buffer_info()[0])
+        if m <= cap:
+            break
+        cap = m
+    if m < 0:
+        raise MemoryError("candidate-graph kernel: out of memory")
+    ints = out.tolist()
+    nc = ints[k]
+    starts, estarts = ints[k + 1:k + 2 + nc], ints[2 * k + 2:2 * k + 3 + nc]
+    ea, eb, eg = ends[:m].tolist(), ends[cap:cap + m].tolist(), gains[:m].tolist()
 
     pairs: list[tuple[int, int]] = []
     boundary: list[int] = []
-    for c, comp in enumerate(comps):
+    for c in range(nc):
+        comp = ints[starts[c]:starts[c + 1]]
         n = len(comp)
         if n == 1:
             boundary.append(comp[0])
         elif n == 2:
             pairs.append((comp[0], comp[1]))
         else:
+            lo, hi = estarts[c], estarts[c + 1]
+            edges = list(zip(ea[lo:hi], eb[lo:hi], eg[lo:hi]))
             # Both solvers are looked up at call time, so a patched solver
             # (the bench's span tracer) is the one called.
             if n <= DP_MAX_NODES:
-                mate = _solve_dp(n, gain_edges[c])
+                mate = _solve_dp(n, edges)
             else:
-                mate = matching._max_weight_matching(n, gain_edges[c])
+                mate = matching._max_weight_matching(n, edges)
             for a, b in enumerate(mate):
                 if b < 0:
                     boundary.append(comp[a])
                 elif a < b:
                     pairs.append((comp[a], comp[b]))
     return pairs, boundary
-
-
-def _scan_graph(tab: dict, stabs: list[int], ts: list[int]):
-    """The candidate graph of a few events, by a Python scan over the
-    time-sorted events; returns its neighbour rows (nbr[u] lists the other
-    event of each candidate edge of event u, in scan order) and its kept
-    pairs as (u, v, gain).  This order fixes the component order, and so
-    tie order."""
-    k = len(stabs)
-    gtab, reach = tab["gtab"], tab["reach"]
-    order = sorted(range(k), key=ts.__getitem__)
-    st = [stabs[u] for u in order]
-    tt = [ts[u] for u in order]
-    nbr: list[list[int]] = [[] for _ in range(k)]
-    kept: list[tuple[int, int, float]] = []
-    for i in range(k):
-        row = gtab[st[i]]
-        ti = tt[i]
-        u = order[i]
-        nu = nbr[u]
-        for j in range(i + 1, k):
-            dt = tt[j] - ti
-            if dt > reach:
-                break
-            # Pairs beyond Chebyshev reach hold no gain, so the table
-            # lookup also does the spatial cut.
-            g = row[st[j]][dt]
-            if g:
-                v = order[j]
-                nu.append(v)
-                nbr[v].append(u)
-                kept.append((u, v, g))
-    return nbr, kept
-
-
-def _array_graph(tab: dict, stabs: list[int], ts: list[int]):
-    """The same neighbour rows for many events, from numpy arrays; also
-    returns the kept pairs as arrays (u, v, gain) for
-    `_sorted_gain_edges`."""
-    k = len(stabs)
-    reach = tab["reach"]
-    S, R = len(tab["cells"]), reach + 1
-    dense = _dense_gains(tab)
-    t = np.array(ts, dtype=np.intp)
-    order = np.argsort(t, kind="stable")
-    tt = t[order]
-    st = np.array(stabs, dtype=np.intp)[order]
-    # Every pair (i, j), i < j in scan order, at most reach rounds apart,
-    # ordered as the scan visits them; gtab[st_i][st_j][tt_j - tt_i] is
-    # dense[key_i + key_j] with the keys below.
-    idx = np.arange(k)
-    cnt = np.searchsorted(tt, tt + reach, side="right") - idx - 1
-    i = np.repeat(idx, cnt)
-    j = np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt - idx - 1, cnt)
-    key_i, key_j = st * (S * R) - tt, st * R + tt
-    g = dense[key_i[i] + key_j[j]]
-    keep = np.flatnonzero(g)
-    i, j = i[keep], j[keep]
-    u, v = order[i], order[j]
-    # Rows by event, each row's neighbours in scan order: the order in
-    # which the scan appends them.
-    src = np.concatenate([u, v])
-    dst = np.concatenate([j, i])
-    perm = np.argsort(src * k + dst)
-    ptr = [0, *np.cumsum(np.bincount(src, minlength=k)).tolist()]
-    nl = order[dst[perm]].tolist()
-    return [nl[s:e] for s, e in zip(ptr, ptr[1:])], (u, v, g[keep])
-
-
-def _dense_gains(tab: dict) -> np.ndarray:
-    """The graph's gain table raveled into one array, made on first use: a
-    decoder that meets only small graphs never pays for it."""
-    if "dense" not in tab:
-        tab["dense"] = np.array(tab["gtab"], dtype=float).ravel()
-    return tab["dense"]
-
-
-def _sorted_gain_edges(kept, comps: list[list[int]], cid: list[int], pos: list[int]):
-    """The gain edges of every component of three or more events that
-    holds kept pairs of `_array_graph`, keyed by component index: one sort
-    orders them all by (component, lower position, upper position)."""
-    solved = [len(comp) > 2 for comp in comps]
-    if not any(solved):
-        return {}
-    k = len(cid)
-    u, v, gain = kept
-    cid, pos = np.array(cid), np.array(pos)
-    sel = np.flatnonzero(np.array(solved)[cid[u]])
-    u, v, gain = u[sel], v[sel], gain[sel]
-    cu, pu, pv = cid[u], pos[u], pos[v]
-    a, b = np.minimum(pu, pv), np.maximum(pu, pv)
-    o = np.argsort((cu * k + a) * k + b)
-    rows = list(zip(a[o].tolist(), b[o].tolist(), gain[o].tolist()))
-    counts = np.bincount(cu, minlength=len(comps))
-    held = np.flatnonzero(counts)
-    ends = np.cumsum(counts[held]).tolist()
-    return {c: rows[s:e] for c, s, e in zip(held.tolist(), [0, *ends], ends)}
-
-
-def _components(nbr: list[list[int]]):
-    """Connected components of the candidate graph, each in depth-first
-    discovery order from its lowest event; also returns each event's
-    component index and position in its component."""
-    cid = [-1] * len(nbr)
-    pos = [0] * len(nbr)
-    comps: list[list[int]] = []
-    for start in range(len(nbr)):
-        if cid[start] >= 0:
-            continue
-        c = len(comps)
-        comp = [start]
-        cid[start] = c
-        stack = [start]
-        while stack:
-            for v in nbr[stack.pop()]:
-                if cid[v] < 0:
-                    cid[v] = c
-                    pos[v] = len(comp)
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(comp)
-    return comps, cid, pos
 
 
 def _solve_dp(n: int, edges: list[tuple[int, int, float]]) -> list[int]:

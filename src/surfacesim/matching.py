@@ -1,19 +1,20 @@
 """Exact maximum-weight matching on general weighted graphs.
 
 `_max_weight_matching` is a primal-dual blossom algorithm (Edmonds) run
-in C (`_blossom.c`, loaded with ctypes) as one continuous stage over many alternating trees, in the manner of
-multi-tree solvers (Kolmogorov, "Blossom V", 2009; Higgott & Gidney,
-"Sparse Blossom", arXiv:2303.15933).  Every free vertex roots an S-tree
+in C (`_blossom.c`, loaded with ctypes) as one continuous stage over
+many alternating trees, in the manner of multi-tree solvers (Kolmogorov,
+"Blossom V", 2009; Higgott & Gidney, "Sparse Blossom",
+arXiv:2303.15933).  Every free vertex roots an S-tree
 at the start; trees grow, shrink odd cycles into blossoms and expand
 T-blossoms whose dual reaches zero.  An augmentation joins two trees,
 flips the matching along the path and dissolves only those two trees:
 their blossoms, nested ones included, lose their labels, and so do the
 marks their scans left inside other trees' T-blossoms.  Every other tree
 carries on.  The decoder maximizes pair gains: each component's (n,
-edges), sorted out of the graph's kept pairs by `decoder._match_graph`
-(`decoder._sorted_gain_edges` in an array-built graph), goes to this solver
-or, up to `decoder.DP_MAX_NODES` events, to `decoder._solve_dp`, which
-takes the same arguments and maximizes the same sum.
+edges), built by the kernel's `candidate_graph` for
+`decoder._match_graph`, goes to this solver or, up to
+`decoder.DP_MAX_NODES` events, to `decoder._solve_dp`, which takes the
+same arguments and maximizes the same sum.
 
 Duals are lazy.  All trees move their duals together as time `now`
 advances, so the dual of a vertex, or the z of a blossom, is stored as
@@ -101,10 +102,11 @@ The C kernel is a port of the Python solver kept in
 - each assert is a check whose failure returns its line of `_blossom.c`,
   which the wrapper raises as AssertionError.
 
-The kernel is built on first import with the system C compiler into the
-package's `__pycache__/`, under a name that carries a digest of the
-source and the compile command; later imports load that file.  A failed
-build raises ImportError naming the command.
+The kernel, which also holds the decoder's `candidate_graph`, is built
+on first import with the system C compiler into the package's
+`__pycache__/`, under a name that carries a digest of the source and
+the compile command; later imports load that file.  A failed build
+raises ImportError naming the command.
 """
 
 from __future__ import annotations
@@ -147,10 +149,13 @@ def load_kernel(directory: Path) -> ctypes.CDLL:
     kernel.max_weight_matching.argtypes = (ctypes.c_int, ctypes.c_int,
                                            ctypes.c_void_p, ctypes.c_void_p)
     kernel.max_weight_matching.restype = ctypes.c_int
+    kernel.candidate_graph.argtypes = (ctypes.c_int, ctypes.c_void_p, ctypes.c_int, ctypes.c_int,
+                                       ctypes.c_void_p, ctypes.c_int, *[ctypes.c_void_p] * 3)
+    kernel.candidate_graph.restype = ctypes.c_int
     return kernel
 
 
-_kernel = load_kernel(Path(__file__).parent / "__pycache__").max_weight_matching
+_kernel = load_kernel(Path(__file__).parent / "__pycache__")
 
 
 def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
@@ -161,7 +166,7 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[in
     m = len(edges)
     packed = np.fromiter(chain.from_iterable(edges), float, 3 * m)
     mate = np.empty(n, np.intc)
-    rc = _kernel(n, m, packed.ctypes.data, mate.ctypes.data)
+    rc = _kernel.max_weight_matching(n, m, packed.ctypes.data, mate.ctypes.data)
     if rc == 1:
         raise MemoryError("blossom kernel: out of memory")
     if rc == 2:

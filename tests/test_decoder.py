@@ -16,7 +16,7 @@ from surfacesim.noise import ErrorModel, preset, trial_rng
 from surfacesim.sim import SyndromeHistory, _graph_events, compile_circuit, simulate_window
 from surfacesim.edge_analysis import derive_edge_classes
 from surfacesim.decoder import (
-    DP_MAX_NODES, PRUNE_EPS, Decoder, _dense_gains, _match_graph, _solve_dp, _Staircases,
+    DP_MAX_NODES, PRUNE_EPS, Decoder, _match_graph, _solve_dp, _Staircases,
 )
 from surfacesim.harness import _setup
 from surfacesim.matching import _max_weight_matching
@@ -25,6 +25,7 @@ from surfacesim.metric import (
     path_sum_table,
 )
 
+import candidate_reference
 import frame_reference
 from frame_reference import make_injection, single_fault_windows
 from oracles import (
@@ -373,8 +374,8 @@ def test_gain_table_is_the_prune_rule(metric, d, p):
                 kept += (_check_gain(tab, a, c, dt, ref[a][c][dt], exact=metric != "dmax")
                          and (c, dt) != (a, 0))
             flat += gtab[a][c]
-        dense = _dense_gains(tab)
-        assert dense.dtype == np.float64 and dense.shape == (S * S * R,)
+        dense = tab["gains"]
+        assert dense.typecode == "d" and len(dense) == S * S * R
         assert repr(dense.tolist()) == repr(flat), g
     assert (kept > 0) == (p > 0 or metric == "manhattan")
 
@@ -770,50 +771,11 @@ def test_solve_dp_matches_all_subsets_on_decoder_components(d, metric, windows,
     assert {n for _, n, _, _ in calls} == set(range(3, DP_MAX_NODES + 1))
 
 
-# Rounds at which the two graphs of a window often fall on either side of
-# ARRAY_MIN_EVENTS (standard model, p = 0.01).
-STRADDLE_ROUNDS = {3: 80, 5: 20, 7: 10}
-
-
-@pytest.mark.parametrize("d,metric,windows", [
-    (3, "dmax", 40), (3, "manhattan", 40), (3, "d2", 40),
-    (5, "dmax", 8), (5, "manhattan", 8), (5, "d2", 8), (7, "dmax", 2)])
-def test_array_route_builds_the_scan_routes_graph(d, metric, windows, monkeypatch):
-    """Both builders of the candidate graph give the same matching, in the
-    same order, and hand each solver the same (n, edges), so the gain
-    edges of every array-built component, subset DP ones included, are
-    the scan's bit for bit: the graphs of whole windows are matched one
-    by one, once with every event count below ARRAY_MIN_EVENTS (the
-    scan), once with none below it (the arrays) and once with the cutoff
-    as it is, in scan order and with each graph's events shuffled.
-    Windows whose graphs fall on either side of the cutoff are among
-    them, so the natural route builds one graph by the scan and the other
-    by arrays."""
+def _solver_calls(monkeypatch):
+    """Patch both solvers to record every call's (solver, n, edges); returns
+    the list they append to."""
     import surfacesim.decoder as decoder_module
     import surfacesim.matching as matching_module
-
-    model = preset("standard", 0.01)
-    circ, dec = _setup(d, model, metric)
-    rng = random.Random(1)
-
-    def window_graphs(res):
-        graphs = [(graph, *_graph_events(res.history, graph)) for graph in ("x", "z")]
-        shuffled = []
-        for graph, stabs, ts in graphs:
-            order = rng.sample(range(len(stabs)), len(stabs))
-            shuffled.append((graph, [stabs[i] for i in order], [ts[i] for i in order]))
-        return graphs + shuffled
-
-    plain = [("x", [], []), ("z", [0], [3])]
-    for trial in range(windows):
-        plain += window_graphs(simulate_window(circ, model, trial_rng(1, trial), 10 * d))
-    straddling = []
-    for trial in range(20):
-        res = simulate_window(circ, model, trial_rng(2, trial), STRADDLE_ROUNDS[d])
-        sizes = [len(_graph_events(res.history, graph)[0]) for graph in ("x", "z")]
-        if min(sizes) < decoder_module.ARRAY_MIN_EVENTS <= max(sizes):
-            straddling += window_graphs(res)
-    assert len(straddling) >= 2 * 4  # two windows' graphs, each also shuffled
 
     calls: list = []
     solve_dp, solve = decoder_module._solve_dp, matching_module._max_weight_matching
@@ -828,47 +790,89 @@ def test_array_route_builds_the_scan_routes_graph(d, metric, windows, monkeypatc
 
     monkeypatch.setattr(decoder_module, "_solve_dp", dp)
     monkeypatch.setattr(matching_module, "_max_weight_matching", blossom)
-    routes = {}
-    for name, min_events in (("scan", 10**9), ("array", 0),
-                             ("natural", decoder_module.ARRAY_MIN_EVENTS)):
-        monkeypatch.setattr(decoder_module, "ARRAY_MIN_EVENTS", min_events)
+    return calls
+
+
+def _kernel_and_reference(dec, graphs, calls):
+    """Each graph matched by `_match_graph` and by the reference scan, with
+    the solver calls each made."""
+    routes = []
+    for match_graph in (_match_graph, candidate_reference.match_graph):
         calls.clear()
-        out = [_match_graph(dec._tables[g], stabs, ts) for g, stabs, ts in plain]
-        plain_calls = list(calls)
-        out += [_match_graph(dec._tables[g], stabs, ts) for g, stabs, ts in straddling]
-        routes[name] = out, list(calls)
-    scan, scan_calls = routes["scan"]
-    for name in ("array", "natural"):
-        got, got_calls = routes[name]
-        assert got == scan, name
-        assert len(got_calls) == len(scan_calls), name
-        for got_call, want in zip(got_calls, scan_calls):
-            assert got_call == want, name
-        # repr also compares floats bit for bit and tells a numpy scalar
-        # from a Python number.  Its result is asserted on its own: a
-        # report diffing the two strings would take minutes.
-        same_repr = repr(routes[name]) == repr(routes["scan"])
-        assert same_repr, name
+        out = [match_graph(dec._tables[g], stabs, ts) for g, stabs, ts in graphs]
+        routes.append((out, list(calls)))
+    return routes
+
+
+def _assert_same_route(kernel, reference):
+    (got, got_calls), (want, want_calls) = kernel, reference
+    assert got == want
+    assert len(got_calls) == len(want_calls)
+    for got_call, want_call in zip(got_calls, want_calls):
+        assert got_call == want_call
+    # repr also compares floats bit for bit and tells a numpy scalar
+    # from a Python number.  Its result is asserted on its own: a
+    # report diffing the two strings would take minutes.
+    same_repr = repr(kernel) == repr(reference)
+    assert same_repr
+
+
+@pytest.mark.parametrize("d,metric,windows", [
+    (3, "dmax", 40), (3, "manhattan", 40), (3, "d2", 40),
+    (5, "dmax", 8), (5, "manhattan", 8), (5, "d2", 8), (7, "dmax", 2)])
+def test_array_route_builds_the_scan_routes_graph(d, metric, windows, monkeypatch):
+    """The kernel builds the reference's graph: the C kernel's arrays, the
+    one route left, give the candidate graph of the scan route kept in
+    `candidate_reference`, with the same matching, in the same order, and
+    each solver handed the same (n, edges), subset DP ones included, bit
+    for bit.  The graphs of whole windows are matched one by one, in scan
+    order and with each graph's events shuffled, and so are an empty
+    graph and a one-event graph."""
+    model = preset("standard", 0.01)
+    circ, dec = _setup(d, model, metric)
+    rng = random.Random(1)
+    graphs = [("x", [], []), ("z", [0], [3])]
+    for trial in range(windows):
+        res = simulate_window(circ, model, trial_rng(1, trial), 10 * d)
+        for graph in ("x", "z"):
+            stabs, ts = _graph_events(res.history, graph)
+            order = rng.sample(range(len(stabs)), len(stabs))
+            graphs += [(graph, stabs, ts),
+                       (graph, [stabs[i] for i in order], [ts[i] for i in order])]
+    calls = _solver_calls(monkeypatch)
+    kernel, reference = _kernel_and_reference(dec, graphs, calls)
+    _assert_same_route(kernel, reference)
     # Both solvers are reached; at d = 7 each graph of a 10d-round window
     # is one large component.
-    assert {call[0] for call in plain_calls} == ({"blossom"} if d == 7 else {"dp", "blossom"})
+    assert {call[0] for call in kernel[1]} == ({"blossom"} if d == 7 else {"dp", "blossom"})
+
+
+def test_kernel_builds_the_reference_graph_of_a_dense_window(monkeypatch):
+    """The heavy accepted model (rare space links, common readout flips)
+    keeps hundreds of pairs per event at d = 9, more than the first edge
+    buffer of `_match_graph` holds (32 per event), so the kernel is called
+    again with room for all."""
+    model = ErrorModel(0.0, 1e-15, 0.5)
+    circ, dec = _setup(9, model, "dmax")
+    res = simulate_window(circ, model, trial_rng(1, 0), 36)
+    graphs = [(graph, *_graph_events(res.history, graph)) for graph in ("x", "z")]
+    calls = _solver_calls(monkeypatch)
+    kernel, reference = _kernel_and_reference(dec, graphs, calls)
+    _assert_same_route(kernel, reference)
+    assert max(len(edges) for _, _, edges in kernel[1]) > 32 * max(
+        len(stabs) for _, stabs, _ in graphs)
 
 
 @pytest.mark.parametrize("metric", ["dmax", "manhattan"])
 def test_a_graphs_matching_does_not_read_the_other_graph(metric):
     """A window made of one window's x signs and another's z signs gets
     the x matches and x correction plane of the first and the z ones of
-    the second.  The d = 5 windows at STRADDLE_ROUNDS often have one
-    graph below ARRAY_MIN_EVENTS and one at or above it, so some mixed
-    windows have their graphs built by different builders."""
-    import surfacesim.decoder as decoder_module
-
+    the second: nothing the kernel builds for one graph is left over for
+    the next."""
     model = preset("standard", 0.01)
     circ, dec = _setup(5, model, metric)
-    windows = [simulate_window(circ, model, trial_rng(2, trial), STRADDLE_ROUNDS[5])
-               for trial in range(8)]
+    windows = [simulate_window(circ, model, trial_rng(2, trial), 20) for trial in range(8)]
     decoded = [dec.decode(res.history, res.frame) for res in windows]
-    mixed_builders = 0
     for a, b in itertools.permutations(range(len(windows)), 2):
         signs = {"x": windows[a].history.signs["x"], "z": windows[b].history.signs["z"]}
         history = SyndromeHistory(lattice=circ.lattice, signs=signs)
@@ -877,9 +881,6 @@ def test_a_graphs_matching_does_not_read_the_other_graph(metric):
             assert out.matches[graph] == decoded[source].matches[graph], (a, b, graph)
             assert np.array_equal(out.corrections[graph],
                                   decoded[source].corrections[graph]), (a, b, graph)
-        sizes = [len(_graph_events(history, graph)[0]) for graph in ("x", "z")]
-        mixed_builders += min(sizes) < decoder_module.ARRAY_MIN_EVENTS <= max(sizes)
-    assert mixed_builders >= 1
 
 
 @pytest.mark.parametrize("d", [5, 7])
