@@ -1069,10 +1069,11 @@ int max_weight_matching(int n, int m, const double *edges, int *mate)
  * later dt < R rounds after at c, is kept if gain[(a * S + c) * R + dt]
  * is not 0.  Writes the events by component to comps[0..k), their number
  * nc to comps[k], and where each component's events and edges start to
- * comps[k + 1 + c] and comps[2 * k + 2 + c], c = 0..nc.  Edge i joins
- * positions ends[i] < ends[cap + i] of its component with gain gains[i];
- * edges are sorted by (component, a, b).  Returns the number of kept
- * pairs, having written nothing if it is above cap, or -MWM_NOMEM.
+ * comps[k + 1 + c] and comps[2 * k + 2 + c], c = 0..nc.  Edge i is the
+ * row edges[3i..3i+3) = (a, b, gain), a < b positions in its component,
+ * the layout max_weight_matching reads; rows are sorted by (component,
+ * a, b).  Returns the number of kept pairs, having written nothing if it
+ * is above cap, or -MWM_NOMEM.
  * The order rules, on which exact ties rest, are in surfacesim.decoder. */
 
 typedef struct {
@@ -1086,7 +1087,7 @@ static int by_round(const void *x, const void *y)
 }
 
 int candidate_graph(int k, const int *events, int S, int R, const double *gain,
-                    int cap, int *comps, int *ends, double *gains)
+                    int cap, int *comps, double *edges)
 {
     int m = 0, nc = 0, n = 0, rc = -MWM_NOMEM;
     timed *order = malloc((size_t)(k ? k : 1) * sizeof *order);
@@ -1172,9 +1173,10 @@ int candidate_graph(int k, const int *events, int S, int R, const double *gain,
             for (int i = start[comps[h]]; i < start[comps[h] + 1]; i++) {
                 int lo = rank[row[i]];
                 if (lo < h) {
-                    ends[cnt[lo]] = lo - cstart[c];
-                    ends[(size_t)cap + cnt[lo]] = h - cstart[c];
-                    gains[cnt[lo]++] = rowg[i];
+                    double *e = edges + 3 * (size_t)cnt[lo]++;
+                    e[0] = lo - cstart[c];
+                    e[1] = h - cstart[c];
+                    e[2] = rowg[i];
                 }
             }
     rc = m;

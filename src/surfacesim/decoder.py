@@ -40,12 +40,12 @@ writes their gains to the gain table (below):
   of all of them per numpy pass and walked together, one numpy pass per
   step.
 
-The one prune rule is the gain table's: gtab[a][c][dt] is the gain
+The one prune rule is the gain table's: gains[(a * S + c) * R + dt],
+over S stabilizers and R = reach + 1 round offsets, is the gain
 (b_a + b_c) - w of an entry w < (b_a + b_c) - PRUNE_EPS, and 0.0 for
 every other entry, so a kept gain is always above PRUNE_EPS.  No weight
-is stored.  A pair with no kept entry shares one all-zero row, and equal
-gains share one float.  The candidate graph is built from this table,
-raveled, and nothing else.
+is stored.  The table is one flat array of doubles, and the candidate
+graph is built from it and nothing else.
 
 The match graph follows the virtual-twin construction: every real event
 gets a virtual partner at its boundary weight, virtual nodes pair among
@@ -56,26 +56,29 @@ is solved exactly: a lone pair is matched (its edge survived the
 prune), and every larger one gets a maximum-weight matching of the pair
 gains b_u + b_v - w_uv: by dynamic programming over subsets up to
 DP_MAX_NODES events, beyond that by the event-driven blossom solver in
-`matching`.  Both take the same (n, edges) and maximize the same float
-sum, so both return an optimum of one objective, but where optima tie
-they may pick different ones, so the cutoff also fixes which optimum a
-tie gets.  The DP solves only the subsets reachable from the whole
-component, where each step removes the lowest event alone (to the
-boundary) or with one neighbour above it; on the sparse components of
-real windows that is about 4 / 6 / 9 / 12 of the 7 / 15 / 31 / 63
-subsets of 3 / 4 / 5 / 6 events (d = 3, `d2`).
+`matching`.  Both take the same (n, edges), edges an (m, 3) float64
+array of (a, b, gain) rows, and maximize the same float sum, so both
+return an optimum of one objective, but where optima tie they may pick
+different ones, so the cutoff also fixes which optimum a tie gets.
+The DP solves only the subsets reachable from the whole component,
+where each step removes the lowest event alone (to the boundary) or
+with one neighbour above it; on the sparse components of real windows
+that is about 4 / 6 / 9 / 12 of the 7 / 15 / 31 / 63 subsets of
+3 / 4 / 5 / 6 events (d = 3, `d2`).
 
 Each graph is matched alone, its events labelled by their positions in
 the order `_graph_events` lists them (by stabilizer, then round).  One
-call of the C kernel's `candidate_graph` reads the gain table, raveled
-as (a * S + c) * R + dt, and returns the graph's components and each
-one's gain edges over positions a < b, sorted by position pair.  Exact
-ties fall by its order rules: the scan runs in time order, equal rounds
-in label order; each event's row lists its partners in scan order; each
-component is walked from its lowest label with a LIFO stack, a popped
-event's unvisited partners found in row order.  Both solvers return a
-mate per position, which one loop over the components turns into the
-graph's pairs and boundary matches.
+call of the C kernel's `candidate_graph` reads the gain table and
+returns the graph's components and each one's gain edges over positions
+a < b, sorted by position pair, as (a, b, gain) rows of one float64
+buffer.  A solved component's edges are its slice of that buffer, a
+view handed to either solver uncopied.  Exact ties fall by its order
+rules: the scan runs in time order, equal rounds in label order; each
+event's row lists its partners in scan order; each component is walked
+from its lowest label with a LIFO stack, a popped event's unvisited
+partners found in row order.  Both solvers return a mate per position,
+which one loop over the components turns into the graph's pairs and
+boundary matches.
 
 Corrections follow one chain rule, a canonical staircase (vertical leg
 then horizontal leg) between matched points.  A boundary match runs from
@@ -93,7 +96,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -143,8 +145,8 @@ class Decoder:
     """Reusable decoder for one (lattice, schedule, model, metric) setup.
 
     Construction precomputes, per graph, the per-stabilizer boundary
-    weights and sides and the gain table gtab[a][b][dt] over all
-    stabilizer pairs within pruning reach (see the module docstring).
+    weights and sides and the flat gain table over all stabilizer pairs
+    within pruning reach (see the module docstring).
     Decoding a window then reads only these tables: candidate edges are
     table lookups, followed by small exact matchings, and corrections are
     lists of staircase cells.  A graph `boundary_weights` refuses raises.
@@ -180,20 +182,14 @@ class Decoder:
         reach = max(1, math.ceil(2.0 * b_max / w_min)) if math.isfinite(w_min) else 1
 
         R = reach + 1
-        # The one prune rule: gtab[a][c][dt] is the gain (b_a + b_c) - w of
-        # an entry w lighter than b_a + b_c - PRUNE_EPS, else 0.0.  The
-        # fills compute each w and write only its gain, through keep().
-        zero = [0.0] * R
-        gtab = [[zero] * S for _ in range(S)]
-        gains: dict[float, float] = {}
+        # The one prune rule: gains[(a * S + c) * R + dt] is the gain
+        # (b_a + b_c) - w of an entry w lighter than b_a + b_c - PRUNE_EPS,
+        # else 0.0.  The fills compute each w and write only its gain,
+        # through keep().
+        gains = array("d", bytes(8 * S * S * R))
 
         def keep(a: int, c: int, dt: int, gain: float) -> None:
-            # A pair with no kept entry shares `zero`, and equal gains share
-            # one float: a large table holds few distinct values.
-            row = gtab[a][c]
-            if row is zero:
-                row = gtab[a][c] = [0.0] * R
-            row[dt] = gains.setdefault(gain, gain)
+            gains[(a * S + c) * R + dt] = gain
 
         if self.metric in ("dmax", "manhattan"):
             # Sources run in (b, index) order: when the fill reaches source
@@ -227,8 +223,7 @@ class Decoder:
                     bsum = bvals[a] + bvals[c]
                     if w < bsum - PRUNE_EPS:
                         keep(a, c, dt, bsum - w)
-        return {"cells": cells, "bvals": bvals, "bsides": bsides, "gtab": gtab,
-                "gains": array("d", chain.from_iterable(chain.from_iterable(gtab))),
+        return {"cells": cells, "bvals": bvals, "bsides": bsides, "gains": gains,
                 "reach": reach, "stairs": _Staircases(lat, cells, bsides)}
 
     def decode(self, history: SyndromeHistory, frame: PauliFrame,
@@ -290,11 +285,10 @@ def _match_graph(tab: dict, stabs: list[int], ts: list[int]):
     out = array("i", [0]) * (3 * k + 3)
     cap = 32 * k  # kept pairs; standard windows up to d = 9 keep about 20 per event or fewer
     while True:
-        ends, gains = array("i", [0]) * (2 * cap), array("d", [0.0]) * cap
+        packed = np.empty((cap, 3))  # (a, b, gain) rows
         m = matching._kernel.candidate_graph(
             k, events.buffer_info()[0], len(tab["cells"]), tab["reach"] + 1,
-            tab["gains"].buffer_info()[0], cap, out.buffer_info()[0],
-            ends.buffer_info()[0], gains.buffer_info()[0])
+            tab["gains"].buffer_info()[0], cap, out.buffer_info()[0], packed.ctypes.data)
         if m <= cap:
             break
         cap = m
@@ -303,7 +297,6 @@ def _match_graph(tab: dict, stabs: list[int], ts: list[int]):
     ints = out.tolist()
     nc = ints[k]
     starts, estarts = ints[k + 1:k + 2 + nc], ints[2 * k + 2:2 * k + 3 + nc]
-    ea, eb, eg = ends[:m].tolist(), ends[cap:cap + m].tolist(), gains[:m].tolist()
 
     pairs: list[tuple[int, int]] = []
     boundary: list[int] = []
@@ -315,8 +308,7 @@ def _match_graph(tab: dict, stabs: list[int], ts: list[int]):
         elif n == 2:
             pairs.append((comp[0], comp[1]))
         else:
-            lo, hi = estarts[c], estarts[c + 1]
-            edges = list(zip(ea[lo:hi], eb[lo:hi], eg[lo:hi]))
+            edges = packed[estarts[c]:estarts[c + 1]]
             # Both solvers are looked up at call time, so a patched solver
             # (the bench's span tracer) is the one called.
             if n <= DP_MAX_NODES:
@@ -331,10 +323,11 @@ def _match_graph(tab: dict, stabs: list[int], ts: list[int]):
     return pairs, boundary
 
 
-def _solve_dp(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
+def _solve_dp(n: int, edges: np.ndarray) -> list[int]:
     """Exact maximum of the summed gains of a matching of n positions, by
-    dynamic programming over subsets; edges are (a, b, gain), a < b,
-    sorted by position pair, as `_match_graph` gives them.
+    dynamic programming over subsets; edges are (a, b, gain) rows, a < b,
+    sorted by position pair, an (m, 3) float64 array as `_match_graph`
+    gives them or anything that converts to one.
     Returns the mate of each position, -1 for the unmatched, as
     `matching._max_weight_matching` does on the same edges.
 
@@ -346,8 +339,8 @@ def _solve_dp(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
     strictly larger: exact ties go to the earliest choice."""
     # Per position, (bit, gain) of each neighbour above it, by position.
     up: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for a, b, g in edges:
-        up[a].append((1 << b, g))
+    for a, b, g in np.asarray(edges, dtype=float).tolist():
+        up[int(a)].append((1 << int(b), g))
     full = (1 << n) - 1
     # Every step clears bits, so a top-down sweep marks all reachable masks.
     seen = [False] * full + [True]

@@ -11,10 +11,12 @@ flips the matching along the path and dissolves only those two trees:
 their blossoms, nested ones included, lose their labels, and so do the
 marks their scans left inside other trees' T-blossoms.  Every other tree
 carries on.  The decoder maximizes pair gains: each component's (n,
-edges), built by the kernel's `candidate_graph` for
-`decoder._match_graph`, goes to this solver or, up to
-`decoder.DP_MAX_NODES` events, to `decoder._solve_dp`, which takes the
-same arguments and maximizes the same sum.
+edges) goes to this solver or, up to `decoder.DP_MAX_NODES` events, to
+`decoder._solve_dp`, which takes the same arguments and maximizes the
+same sum.  edges is an (m, 3) float64 view of the row buffer the
+kernel's `candidate_graph` fills for `decoder._match_graph`, one
+(a, b, gain) row per edge, the layout the kernel's solver reads, so it
+reaches the solver uncopied.
 
 Duals are lazy.  All trees move their duals together as time `now`
 advances, so the dual of a vertex, or the z of a blossom, is stored as
@@ -116,7 +118,6 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -150,7 +151,7 @@ def load_kernel(directory: Path) -> ctypes.CDLL:
                                            ctypes.c_void_p, ctypes.c_void_p)
     kernel.max_weight_matching.restype = ctypes.c_int
     kernel.candidate_graph.argtypes = (ctypes.c_int, ctypes.c_void_p, ctypes.c_int, ctypes.c_int,
-                                       ctypes.c_void_p, ctypes.c_int, *[ctypes.c_void_p] * 3)
+                                       ctypes.c_void_p, ctypes.c_int, *[ctypes.c_void_p] * 2)
     kernel.candidate_graph.restype = ctypes.c_int
     return kernel
 
@@ -158,15 +159,16 @@ def load_kernel(directory: Path) -> ctypes.CDLL:
 _kernel = load_kernel(Path(__file__).parent / "__pycache__")
 
 
-def _max_weight_matching(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
+def _max_weight_matching(n: int, edges: np.ndarray) -> list[int]:
     """Maximum-weight matching; returns mate[v] = partner vertex or -1.
 
-    Edge weights may be any floats.
+    edges holds (a, b, weight) rows, an (m, 3) float64 array or anything
+    that converts to one; the decoder's views of its candidate-graph
+    buffer reach the kernel uncopied.  Edge weights may be any floats.
     """
-    m = len(edges)
-    packed = np.fromiter(chain.from_iterable(edges), float, 3 * m)
+    packed = np.ascontiguousarray(edges, dtype=float).reshape(-1, 3)
     mate = np.empty(n, np.intc)
-    rc = _kernel.max_weight_matching(n, m, packed.ctypes.data, mate.ctypes.data)
+    rc = _kernel.max_weight_matching(n, len(packed), packed.ctypes.data, mate.ctypes.data)
     if rc == 1:
         raise MemoryError("blossom kernel: out of memory")
     if rc == 2:

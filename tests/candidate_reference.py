@@ -4,13 +4,32 @@ kernel's components and gain edges, order for order.
 
 `match_graph` is `decoder._match_graph` as it ran with the scan route,
 and `_scan_graph` and `_components` are kept as they were.  It reads the
-decoder's nested gain table `gtab` and looks both solvers up at call
-time, as the decoder does, so a test's patched solver sees its calls.
+decoder's gain table through `nested_gains`, hands each solver its edges
+as (m, 3) float64 rows, the solvers' one contract, and looks both solvers
+up at call time, as the decoder does, so a test's patched solver sees
+its calls.  `solver_rows` turns a solver's edges back into tuples, the
+form tests record and compare.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from surfacesim import decoder, matching
+
+
+def nested_gains(tab: dict) -> list[list[list[float]]]:
+    """A graph's flat gain table as nested rows: gtab[a][c][dt] is entry
+    (a * S + c) * R + dt."""
+    gains, S, R = tab["gains"].tolist(), len(tab["cells"]), tab["reach"] + 1
+    return [[gains[(a * S + c) * R:(a * S + c + 1) * R] for c in range(S)] for a in range(S)]
+
+
+def solver_rows(edges) -> list[tuple[int, int, float]]:
+    """A solver's edges, (a, b, gain) rows of an array or tuples, as
+    tuples of Python numbers: positions int, gains the same doubles."""
+    return [(int(a), int(b), g)
+            for a, b, g in np.asarray(edges, dtype=float).reshape(-1, 3).tolist()]
 
 
 def match_graph(tab: dict, stabs: list[int], ts: list[int]):
@@ -39,10 +58,11 @@ def match_graph(tab: dict, stabs: list[int], ts: list[int]):
         elif n == 2:
             pairs.append((comp[0], comp[1]))
         else:
+            edges = np.array(gain_edges[c], dtype=float).reshape(-1, 3)
             if n <= decoder.DP_MAX_NODES:
-                mate = decoder._solve_dp(n, gain_edges[c])
+                mate = decoder._solve_dp(n, edges)
             else:
-                mate = matching._max_weight_matching(n, gain_edges[c])
+                mate = matching._max_weight_matching(n, edges)
             for a, b in enumerate(mate):
                 if b < 0:
                     boundary.append(comp[a])
@@ -58,7 +78,7 @@ def _scan_graph(tab: dict, stabs: list[int], ts: list[int]):
     pairs as (u, v, gain).  This order fixes the component order, and so
     tie order."""
     k = len(stabs)
-    gtab, reach = tab["gtab"], tab["reach"]
+    gtab, reach = nested_gains(tab), tab["reach"]
     order = sorted(range(k), key=ts.__getitem__)
     st = [stabs[u] for u in order]
     tt = [ts[u] for u in order]

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,11 @@ def _check_against_full_blossom(d, metric, rounds, max_events):
     assert checked >= 5
 
 
+def _gain(tab, a, c, dt):
+    """Entry (a, c, dt) of a graph's flat gain table."""
+    return tab["gains"][(a * len(tab["cells"]) + c) * (tab["reach"] + 1) + dt]
+
+
 def _check_gain(tab, a, c, dt, w_ref, exact=True):
     """Gain table entry (a, c, dt) against the reference weight w_ref: the
     same keep decision, and the gain bit for bit, or, where the reference
@@ -234,7 +240,7 @@ def _check_gain(tab, a, c, dt, w_ref, exact=True):
     rel 1e-12 of w_ref allows.  The expected gain is the prune rule's own
     float expression, so a bit-exact weight gives a bit-exact gain.
     Returns whether the entry is kept."""
-    g, b = tab["gtab"][a][c][dt], tab["bvals"]
+    g, b = _gain(tab, a, c, dt), tab["bvals"]
     bsum = b[a] + b[c]
     want = bsum - w_ref if w_ref < bsum - PRUNE_EPS else 0.0
     assert (g != 0.0) == (want != 0.0), (a, c, dt, g, w_ref)
@@ -263,7 +269,7 @@ def test_dmax_table_matches_d_max_oracle(d):
                 continue  # no two events share a space-time point
             cheb = max(abs(sub[a][0] - sub[b][0]), abs(sub[a][1] - sub[b][1]))
             if cheb > reach:
-                assert tab["gtab"][a][b][dt] == 0.0, (g, a, b, dt)
+                assert _gain(tab, a, b, dt) == 0.0, (g, a, b, dt)
                 continue
             _check_gain(tab, a, b, dt, d_max(graph, (cells[a], 0), (cells[b], dt)),
                         exact=False)
@@ -337,10 +343,10 @@ def test_manhattan_tables_are_the_closed_form(d):
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("metric", ["dmax", "d2", "manhattan"])
 def test_gain_table_is_the_prune_rule(metric, d, p):
-    """Both candidate builders read only the gain table: every entry is
-    (b_a + b_c) - w of the metric's weight w where w < (b_a + b_c) -
-    PRUNE_EPS, and 0.0 everywhere else; its dense copy is its rows
-    raveled.  The references are the closed form for manhattan and one
+    """The candidate-graph kernel reads only the gain table: every entry
+    is (b_a + b_c) - w of the metric's weight w where w < (b_a + b_c) -
+    PRUNE_EPS, and 0.0 everywhere else, in one array of S * S * R
+    doubles.  The references are the closed form for manhattan and one
     path-sum walk per source for d2, both bit for bit, and the d_max
     searches of every stabilizer for dmax.  At p = 0 the dmax and d2
     weights are inf off the source point, so they keep no pair there;
@@ -351,7 +357,7 @@ def test_gain_table_is_the_prune_rule(metric, d, p):
     kept = 0
     for g in ("x", "z"):
         tab = dec._tables[g]
-        cells, b, gtab = tab["cells"], tab["bvals"], tab["gtab"]
+        cells, b = tab["cells"], tab["bvals"]
         S, R = len(b), tab["reach"] + 1
         graph = LinkGraph(table, g)
         if metric == "dmax":
@@ -367,34 +373,32 @@ def test_gain_table_is_the_prune_rule(metric, d, p):
                     graph, [((cells[a], 0), [(cells[c], dt) for c, dt in targets])], 2)
                 for (c, dt), w in zip(targets, weights):
                     ref[a][c][dt] = w
-        flat = []
-        for a, c in itertools.product(range(S), range(S)):
-            assert len(gtab[a][c]) == R, (g, a, c)
-            for dt in range(R):
-                kept += (_check_gain(tab, a, c, dt, ref[a][c][dt], exact=metric != "dmax")
-                         and (c, dt) != (a, 0))
-            flat += gtab[a][c]
         dense = tab["gains"]
-        assert dense.typecode == "d" and len(dense) == S * S * R
-        assert repr(dense.tolist()) == repr(flat), g
+        assert dense.typecode == "d" and len(dense) == S * S * R, g
+        for a, c, dt in itertools.product(range(S), range(S), range(R)):
+            kept += (_check_gain(tab, a, c, dt, ref[a][c][dt], exact=metric != "dmax")
+                     and (c, dt) != (a, 0))
     assert (kept > 0) == (p > 0 or metric == "manhattan")
 
 
 @pytest.mark.parametrize("model", [preset("standard", 0.01), ErrorModel(0.0, 1e-15, 0.5)],
                          ids=["standard", "heavy"])
-def test_gain_table_shares_zero_rows_and_equal_gains(model):
-    """The gain table is all a decoder keeps per pair, so its sharing is
-    its memory: every all-zero row is one object, and equal kept gains
-    are one float.  The heavy accepted model, with rare space links and
-    common readout flips, has a reach far past the standard model's."""
+def test_gain_table_is_one_flat_array(model):
+    """The gain table is all a decoder keeps per pair, so its layout is
+    its memory: one array of S * S * R doubles, the one the candidate-graph
+    kernel reads, and no nested copy beside it.  The heavy accepted model,
+    with rare space links and common readout flips, has a reach far past
+    the standard model's."""
     lat = build_lattice(5)
     dec = Decoder(derive_edge_classes(compile_circuit(lat, standard_schedule(lat)), model),
                   "dmax")
     for g in ("x", "z"):
-        rows = [row for rows in dec._tables[g]["gtab"] for row in rows]
-        assert len({id(row) for row in rows if not any(row)}) == 1, g
-        gains = [x for row in rows for x in row if x != 0.0]
-        assert gains and len({id(x) for x in gains}) == len(set(gains)), g
+        tab = dec._tables[g]
+        S, R = len(tab["cells"]), tab["reach"] + 1
+        gains = tab["gains"]
+        assert isinstance(gains, array) and gains.typecode == "d", g
+        assert len(gains) == S * S * R and any(gains), g
+        assert sorted(tab) == ["bsides", "bvals", "cells", "gains", "reach", "stairs"], g
 
 
 MANHATTAN_MODELS = [*SINGLE_FAULT_MODELS.values(),
@@ -410,7 +414,7 @@ def test_manhattan_tables_ignore_the_model(d):
     decoded included."""
     lat = build_lattice(d)
     circ = compile_circuit(lat, standard_schedule(lat))
-    keys = ("cells", "bvals", "bsides", "gtab", "reach")
+    keys = ("cells", "bvals", "bsides", "gains", "reach")
 
     def tables(model):
         dec = Decoder(derive_edge_classes(circ, model), "manhattan")
@@ -460,7 +464,7 @@ def test_path_sum_table_matches_pair_weight(metric):
                 w = fresh.pair_weight(cells[a], 0, cells[b], dt)
                 kept += _check_gain(tab, a, b, dt, w, exact=False)
             else:
-                assert tab["gtab"][a][b][dt] == 0.0, (g, a, b, dt)
+                assert _gain(tab, a, b, dt) == 0.0, (g, a, b, dt)
     assert kept > 80
 
 
@@ -559,8 +563,7 @@ def test_path_sum_build_enumerates_no_paths(setup_d3, metric, monkeypatch):
     lat = table.lattice
     stabs = [(lat.index(c), 0) for g in ("x", "z") for c in lat.stabilizers(g)]
     assert sorted(searched) == sorted(stabs)
-    assert sum(g != 0.0 for rows in dec._tables["z"]["gtab"] for row in rows
-               for g in row) > 20
+    assert sum(g != 0.0 for g in dec._tables["z"]["gains"]) > 20
     res = simulate_window(circ, model, trial_rng(12, 0), rounds=10)
     out = dec.decode(res.history, res.frame, verify=True)
     assert sum(len(m) for m in out.matches.values()) > 0
@@ -663,7 +666,7 @@ def _check_blossom_against_networkx(circ, model, dec, monkeypatch, seed, windows
 
     def capture(n, edges):
         mate = original(n, edges)
-        captured.append((n, list(edges), mate))
+        captured.append((n, candidate_reference.solver_rows(edges), mate))
         return mate
 
     monkeypatch.setattr(matching_module, "_max_weight_matching", capture)
@@ -756,7 +759,7 @@ def test_solve_dp_matches_all_subsets_on_decoder_components(d, metric, windows,
 
     def dp(n, edges):
         mate = solve_dp(n, edges)
-        calls.append(("dp", n, list(edges), mate))
+        calls.append(("dp", n, candidate_reference.solver_rows(edges), mate))
         return mate
 
     monkeypatch.setattr(decoder_module, "_solve_dp", dp)
@@ -772,8 +775,9 @@ def test_solve_dp_matches_all_subsets_on_decoder_components(d, metric, windows,
 
 
 def _solver_calls(monkeypatch):
-    """Patch both solvers to record every call's (solver, n, edges); returns
-    the list they append to."""
+    """Patch both solvers to record every call's (solver, n, edges), the
+    edges as `candidate_reference.solver_rows`; returns the list they
+    append to."""
     import surfacesim.decoder as decoder_module
     import surfacesim.matching as matching_module
 
@@ -781,16 +785,72 @@ def _solver_calls(monkeypatch):
     solve_dp, solve = decoder_module._solve_dp, matching_module._max_weight_matching
 
     def dp(n, edges):
-        calls.append(("dp", n, list(edges)))
+        calls.append(("dp", n, candidate_reference.solver_rows(edges)))
         return solve_dp(n, edges)
 
     def blossom(n, edges):
-        calls.append(("blossom", n, list(edges)))
+        calls.append(("blossom", n, candidate_reference.solver_rows(edges)))
         return solve(n, edges)
 
     monkeypatch.setattr(decoder_module, "_solve_dp", dp)
     monkeypatch.setattr(matching_module, "_max_weight_matching", blossom)
     return calls
+
+
+def test_solvers_get_views_of_the_kernels_edge_buffer(monkeypatch):
+    """No copy between the graph build and the solvers: every solver call
+    of a decode (d = 5, dmax, T = 50) gets its component's rows of the
+    buffer the kernel wrote, a 2-D C-contiguous float64 view of three
+    columns, which the blossom's own conversion hands on as it is."""
+    import surfacesim.decoder as decoder_module
+    import surfacesim.matching as matching_module
+
+    model = preset("standard", 0.01)
+    circ, dec = _setup(5, model, "dmax")
+    seen = []
+
+    def checked(name, solve):
+        def check(n, edges):
+            seen.append(name)
+            assert isinstance(edges, np.ndarray) and edges.base is not None
+            assert edges.ndim == 2 and edges.shape[1] == 3 and edges.dtype == np.float64
+            assert edges.flags.c_contiguous
+            assert np.ascontiguousarray(edges, dtype=float) is edges
+            return solve(n, edges)
+        return check
+
+    monkeypatch.setattr(decoder_module, "_solve_dp",
+                        checked("dp", decoder_module._solve_dp))
+    monkeypatch.setattr(matching_module, "_max_weight_matching",
+                        checked("blossom", matching_module._max_weight_matching))
+    for trial in range(4):
+        res = simulate_window(circ, model, trial_rng(1, trial), 50)
+        dec.decode(res.history, res.frame, collect_matches=False)
+    assert set(seen) == {"dp", "blossom"}
+
+
+def test_solvers_take_edges_as_tuples_or_rows():
+    """The solvers' one contract is (m, 3) float64 rows of (a, b, gain):
+    the same edges as a list of tuples, as an array or as a view inside a
+    larger buffer give the same mates; the empty (0, 3) array matches
+    nothing; and a row naming a non-integer position is refused by the
+    kernel's vertex check."""
+    rng = random.Random(49)
+    for trial in range(60):
+        n = rng.randint(3, 14)
+        edges = [(a, b, rng.uniform(0.1, 3.0)) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < 0.4]
+        rows = np.array(edges, dtype=float).reshape(-1, 3)
+        buffer = np.vstack([np.full((2, 3), -1.0), rows, np.full((3, 3), -1.0)])
+        view = buffer[2:2 + len(rows)]
+        solvers = [_max_weight_matching] + [_solve_dp] * (n <= DP_MAX_NODES)
+        for solve in solvers:
+            mate = solve(n, edges)
+            assert solve(n, rows) == solve(n, view) == mate, (trial, solve.__name__)
+    empty = np.empty((0, 3))
+    assert _solve_dp(4, empty) == _max_weight_matching(4, empty) == [-1] * 4
+    with pytest.raises(ValueError, match="outside"):
+        _max_weight_matching(3, np.array([[0.0, 1.5, 1.0]]))
 
 
 def _kernel_and_reference(dec, graphs, calls):

@@ -18,6 +18,8 @@ from surfacesim.lattice import build_lattice, standard_schedule
 from surfacesim.noise import preset
 from surfacesim.sim import compile_circuit
 
+from candidate_reference import nested_gains
+
 
 @functools.cache
 def _table(d, model):
@@ -52,7 +54,7 @@ def _decoder_digest(decoder) -> str:
     for graph in ("x", "z"):
         tab = decoder._tables[graph]
         parts.append((graph, tab["cells"], [repr(w) for w in tab["bvals"]], tab["bsides"],
-                      [[[repr(g) for g in row] for row in rows] for rows in tab["gtab"]],
+                      [[[repr(g) for g in row] for row in rows] for rows in nested_gains(tab)],
                       tab["reach"]))
     return _digest(parts)
 
